@@ -777,7 +777,7 @@ fn fig1d() {
 /// export.
 fn profile(flags: &[String]) {
     use qt_core::checkpoint::{CheckpointConfig, ScfCheckpoint};
-    use qt_core::scf::{run_scf_resumable, ScfConfig, Simulation};
+    use qt_core::scf::{run_scf_with, ScfConfig, ScfOptions, Simulation};
     use qt_telemetry::report::{ConvergencePoint, ModelResidual, RankComm};
 
     let mut trace_path: Option<String> = None;
@@ -871,7 +871,12 @@ fn profile(flags: &[String]) {
         println!("  resuming SCF from {path} at iteration {}", ck.iteration);
         ck
     });
-    let out = run_scf_resumable(&sim, &cfg, ckpt_cfg.as_ref(), resume).expect("SCF");
+    let opts = ScfOptions {
+        ckpt: ckpt_cfg.as_ref(),
+        resume,
+        ..Default::default()
+    };
+    let out = run_scf_with(&sim, &cfg, opts).expect("SCF");
     println!(
         "  SCF: {} iterations, converged={}, I={:.4e}",
         out.iterations,
@@ -898,40 +903,22 @@ fn profile(flags: &[String]) {
     let _ = sse::sigma(&inputs, SseVariant::Omen);
     let _ = sse::sigma(&inputs, SseVariant::Reference);
 
-    // Both distributed SSE schemes, with per-rank byte accounting.
-    let ctx = qt_dist::schemes::SseDistContext {
-        p: &p,
-        dev: &sim.dev,
-        grids: &sim.grids,
-        dh: &sim.dh,
-        g_lesser: &out.electron.g_lesser,
-        g_greater: &out.electron.g_greater,
-        d_lesser_pre: &dl,
-        d_greater_pre: &dg,
-    };
+    // Both distributed SSE schemes, with per-rank byte accounting. The
+    // supervised iteration on the full world is the paper's CA scheme: its
+    // bytes feed both exact volume models below, and its heartbeat
+    // supervision exercises the elasticity counters in every profile run.
     let omen_procs = 4;
-    let (_, _, omen_stats) = qt_dist::schemes::omen_scheme(&ctx, omen_procs);
+    let (_, _, omen_stats) = qt_dist::schemes::omen_scheme(&inputs, omen_procs);
     let (te, ta) = (2usize, 2usize);
-    let dist = qt_dist::runner::distributed_iteration(
-        &p, &sim.dev, &sim.em, &sim.pm, &sim.grids, &cfg.gf, te, ta,
+    let dist_ctx = qt_dist::DistContext::of(&sim, &cfg.gf);
+    let full_world = qt_dist::ElasticTiling::new(&p, te, ta);
+    let dist = qt_dist::supervised_iteration(
+        &dist_ctx,
+        &mut full_world.clone(),
+        &qt_dist::ElasticPolicy::default(),
     )
+    .and_then(|el| el.complete())
     .expect("distributed iteration");
-    // One fault-free pass through the elastic (heartbeat-supervised)
-    // iteration so the elasticity counters and the elastic volume model
-    // are exercised by every profile run.
-    let elastic = qt_dist::runner::distributed_iteration_elastic(
-        &p,
-        &sim.dev,
-        &sim.em,
-        &sim.pm,
-        &sim.grids,
-        &cfg.gf,
-        te,
-        ta,
-        &qt_dist::runner::ElasticPolicy::default(),
-    )
-    .expect("elastic distributed iteration");
-    assert!(!elastic.degraded, "fault-free elastic run must not degrade");
 
     // One stealing pass over a deliberately collapsed tiling (all units
     // on rank 0, three idle thieves) so the steal protocol — and its
@@ -939,12 +926,15 @@ fn profile(flags: &[String]) {
     // Grants depend on poll timing, so retry the pass a few times; the
     // observables stay bitwise identical either way.
     {
-        let live = qt_dist::LivenessConfig::default();
+        let stealing = qt_dist::ElasticPolicy {
+            steal: true,
+            ..Default::default()
+        };
         let tiling = qt_dist::ElasticTiling::weighted(&p, te, ta, te * ta, &[0.0; 4]);
         let mut steal_requests = 0u64;
         let mut stolen = 0u64;
         for _ in 0..5 {
-            let (_, _, stats) = qt_dist::elastic_sse_exchange_opts(&ctx, &tiling, &live, true)
+            let (_, _, stats) = qt_dist::ca_exchange(&inputs, &tiling, &stealing)
                 .expect("stealing elastic exchange");
             let bal = stats.balance.expect("balance measured");
             steal_requests += bal.steal_requests;
@@ -972,15 +962,13 @@ fn profile(flags: &[String]) {
             "--chaos-kill rank {victim} outside world {procs}"
         );
         println!("  chaos: killing rank {victim} (world {procs}) mid-iteration");
-        let plan = qt_dist::FaultPlan::new(42).with_kill_at(victim, 3);
-        let policy = qt_dist::runner::ElasticPolicy {
+        let policy = qt_dist::ElasticPolicy {
             max_bad_fraction: 1.0 / procs as f64,
+            faults: Some(qt_dist::fault::FaultPlan::new(42).with_kill_at(victim, 3)),
             ..Default::default()
         };
-        let el = qt_dist::runner::distributed_iteration_elastic_with_faults(
-            &p, &sim.dev, &sim.em, &sim.pm, &sim.grids, &cfg.gf, te, ta, &policy, plan,
-        )
-        .expect("elastic recovery from the scheduled kill");
+        let el = qt_dist::supervised_iteration(&dist_ctx, &mut full_world.clone(), &policy)
+            .expect("elastic recovery from the scheduled kill");
         println!(
             "  chaos: deaths={:?} retiles={} migrated={} degraded={}",
             el.deaths, el.retiles, el.migrated_units, el.degraded
@@ -1040,9 +1028,8 @@ fn profile(flags: &[String]) {
     ));
     rep.residuals.push(ModelResidual::new(
         "dace_elastic_comm_bytes_vs_exact",
-        elastic.result.sse_bytes as f64,
-        volume::dace_elastic_measured_bytes(&p, halo, &qt_dist::ElasticTiling::new(&p, te, ta))
-            as f64,
+        dist.sse_bytes as f64,
+        volume::dace_elastic_measured_bytes(&p, halo, &full_world) as f64,
         true,
     ));
     rep.residuals.push(ModelResidual::new(
@@ -1083,14 +1070,13 @@ fn profile(flags: &[String]) {
             recv_bytes: recv,
         });
     }
-    // Per-rank busy times of the elastic iteration → the report's balance
-    // block (`check-report --require-balance` gates on its ratio).
-    let busy = elastic
-        .result
+    // Per-rank busy times of the distributed iteration → the report's
+    // balance block (`check-report --require-balance` gates on its ratio).
+    let busy = dist
         .comm
         .balance
         .as_ref()
-        .expect("elastic exchange measures balance");
+        .expect("the CA exchange measures balance");
     rep.balance = Some(qt_telemetry::BalanceReport::from_busy_times(
         busy.rank_busy_secs.iter().map(|s| s * 1e3).collect(),
         busy.imbalance_ratio(),
@@ -1676,8 +1662,9 @@ fn balance_world(world: usize, iters: usize) -> WorldBalance {
     use qt_core::gf::GfConfig;
     use qt_core::grids::Grids;
     use qt_core::hamiltonian::{ElectronModel, PhononModel};
-    use qt_dist::runner::{distributed_iteration_tiled, maybe_rebalance, ElasticPolicy};
-    use qt_dist::ElasticTiling;
+    use qt_dist::{
+        maybe_rebalance, supervised_iteration, DistContext, ElasticPolicy, ElasticTiling,
+    };
     use qt_model::CostMap;
 
     // One-slab atom tiles; the first `4·bnum/world` slabs keep all NB
@@ -1699,7 +1686,19 @@ fn balance_world(world: usize, iters: usize) -> WorldBalance {
     let pm = PhononModel::default();
     let grids = Grids::new(&p, -1.2, 1.2);
     let cfg = GfConfig::default();
+    let ctx = DistContext {
+        p: &p,
+        dev: &dev,
+        em: &em,
+        pm: &pm,
+        grids: &grids,
+        gf: &cfg,
+    };
     let policy = ElasticPolicy::default();
+    let stealing = ElasticPolicy {
+        steal: true,
+        ..Default::default()
+    };
     let units = te * ta;
 
     let warm = |walls: &[f64]| {
@@ -1718,18 +1717,7 @@ fn balance_world(world: usize, iters: usize) -> WorldBalance {
     let mut reference = None;
     for _ in 0..iters {
         let t0 = Instant::now();
-        let r = distributed_iteration_tiled(
-            &p,
-            &dev,
-            &em,
-            &pm,
-            &grids,
-            &cfg,
-            &mut static_tiling,
-            &policy,
-            false,
-        )
-        .expect("static iteration");
+        let r = supervised_iteration(&ctx, &mut static_tiling, &policy).expect("static iteration");
         static_walls.push(t0.elapsed().as_secs_f64() * 1e3);
         let bal = r.result.comm.balance.as_ref().expect("balance measured");
         static_paths.push(max_busy_ms(&bal.rank_busy_secs));
@@ -1750,18 +1738,7 @@ fn balance_world(world: usize, iters: usize) -> WorldBalance {
     let mut moved_units = 0usize;
     for _ in 0..iters {
         let t0 = Instant::now();
-        let r = distributed_iteration_tiled(
-            &p,
-            &dev,
-            &em,
-            &pm,
-            &grids,
-            &cfg,
-            &mut tiling,
-            &policy,
-            true,
-        )
-        .expect("adaptive iteration");
+        let r = supervised_iteration(&ctx, &mut tiling, &stealing).expect("adaptive iteration");
         adaptive_walls.push(t0.elapsed().as_secs_f64() * 1e3);
         // The whole point of the bitwise-safe migration path: the tiling
         // may move and ranks may steal, the observables may not.

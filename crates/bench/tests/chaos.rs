@@ -13,16 +13,14 @@
 use std::sync::Mutex;
 use std::time::Duration;
 
-use qt_core::device::Device;
 use qt_core::gf::GfConfig;
-use qt_core::grids::Grids;
-use qt_core::hamiltonian::{ElectronModel, PhononModel};
 use qt_core::params::SimParams;
-use qt_dist::runner::{
-    distributed_iteration, distributed_iteration_elastic_with_faults,
-    distributed_iteration_tiled_with_faults, distributed_iteration_with_faults, ElasticPolicy,
+use qt_core::scf::Simulation;
+use qt_dist::fault::FaultPlan;
+use qt_dist::runner::DistIterationResult;
+use qt_dist::{
+    supervised_iteration, DistContext, ElasticIterationResult, ElasticPolicy, ElasticTiling,
 };
-use qt_dist::{ElasticTiling, FaultPlan};
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -40,7 +38,7 @@ fn world_shape() -> (usize, usize) {
     }
 }
 
-fn fixture() -> (SimParams, Device, ElectronModel, PhononModel, Grids) {
+fn fixture() -> Simulation {
     let p = SimParams {
         nkz: 2,
         nqz: 2,
@@ -51,11 +49,34 @@ fn fixture() -> (SimParams, Device, ElectronModel, PhononModel, Grids) {
         norb: 2,
         bnum: 4,
     };
-    let dev = Device::new(&p);
-    let em = ElectronModel::for_params(&p);
-    let pm = PhononModel::default();
-    let grids = Grids::new(&p, -1.2, 1.2);
-    (p, dev, em, pm, grids)
+    Simulation::new(p, -1.2, 1.2)
+}
+
+/// One supervised iteration on `tiling` under `policy`.
+fn iterate(
+    sim: &Simulation,
+    tiling: &mut ElasticTiling,
+    policy: &ElasticPolicy,
+) -> ElasticIterationResult {
+    let cfg = GfConfig::default();
+    let ctx = DistContext::of(sim, &cfg);
+    supervised_iteration(&ctx, tiling, policy).unwrap()
+}
+
+/// The iteration on the full `te × ta` world.
+fn full(
+    sim: &Simulation,
+    (te, ta): (usize, usize),
+    policy: &ElasticPolicy,
+) -> ElasticIterationResult {
+    iterate(sim, &mut ElasticTiling::new(&sim.p, te, ta), policy)
+}
+
+/// The fault-free answer every scenario is compared with.
+fn clean(sim: &Simulation, shape: (usize, usize)) -> DistIterationResult {
+    full(sim, shape, &ElasticPolicy::default())
+        .complete()
+        .unwrap()
 }
 
 #[test]
@@ -63,28 +84,17 @@ fn faulty_pipeline_reports_health_and_passes_the_gate() {
     let _g = lock();
     qt_telemetry::reset_all();
     qt_telemetry::set_enabled(true);
-    let p = SimParams {
-        nkz: 2,
-        nqz: 2,
-        ne: 12,
-        nw: 2,
-        na: 12,
-        nb: 3,
-        norb: 2,
-        bnum: 4,
-    };
-    let dev = Device::new(&p);
-    let em = ElectronModel::for_params(&p);
-    let pm = PhononModel::default();
-    let grids = Grids::new(&p, -1.2, 1.2);
-    let cfg = GfConfig::default();
-    let clean = distributed_iteration(&p, &dev, &em, &pm, &grids, &cfg, 2, 2).unwrap();
+    let sim = fixture();
+    let clean = clean(&sim, (2, 2));
     let plan = FaultPlan::new(515)
         .with_drops(150)
         .with_corruption(100)
         .with_stalled_rank(2, Duration::from_millis(10));
-    let faulty =
-        distributed_iteration_with_faults(&p, &dev, &em, &pm, &grids, &cfg, 2, 2, plan).unwrap();
+    let policy = ElasticPolicy {
+        faults: Some(plan),
+        ..Default::default()
+    };
+    let faulty = full(&sim, (2, 2), &policy).complete().unwrap();
     let rel = clean.sigma.lesser.max_abs_diff(&faulty.sigma.lesser)
         / clean.sigma.lesser.norm().max(1e-30);
     assert!(rel <= 1e-10, "faulty run must match fault-free: rel {rel}");
@@ -107,27 +117,23 @@ fn faulty_pipeline_reports_health_and_passes_the_gate() {
 fn killed_rank_recovers_bitwise_exactly() {
     let _g = lock();
     qt_telemetry::reset_all();
-    let (p, dev, em, pm, grids) = fixture();
-    let cfg = GfConfig::default();
+    let sim = fixture();
     let (te, ta) = world_shape();
     let procs = te * ta;
     let victim = procs - 1;
 
-    let clean = distributed_iteration(&p, &dev, &em, &pm, &grids, &cfg, te, ta).unwrap();
+    let clean = clean(&sim, (te, ta));
 
     // Seeded, deterministic kill: the victim dies on its third SSE send.
     // Survivors detect it, re-tile, and retry on the shrunken world. One
     // rank's death quarantines exactly 1/procs of the electron grid, so
     // the ceiling is set to admit exactly one loss at any world size.
-    let plan = FaultPlan::new(42).with_kill_at(victim, 3);
     let policy = ElasticPolicy {
         max_bad_fraction: 1.0 / procs as f64,
+        faults: Some(FaultPlan::new(42).with_kill_at(victim, 3)),
         ..Default::default()
     };
-    let el = distributed_iteration_elastic_with_faults(
-        &p, &dev, &em, &pm, &grids, &cfg, te, ta, &policy, plan,
-    )
-    .unwrap();
+    let el = full(&sim, (te, ta), &policy);
 
     assert_eq!(el.deaths, vec![victim], "exactly the scheduled rank dies");
     assert!(el.retiles >= 1, "the supervisor must have re-tiled");
@@ -163,26 +169,13 @@ fn killed_rank_recovers_bitwise_exactly() {
 #[test]
 fn chaos_recovery_is_deterministic() {
     let _g = lock();
-    let (p, dev, em, pm, grids) = fixture();
-    let cfg = GfConfig::default();
-    let (te, ta) = world_shape();
-    let run = || {
-        distributed_iteration_elastic_with_faults(
-            &p,
-            &dev,
-            &em,
-            &pm,
-            &grids,
-            &cfg,
-            te,
-            ta,
-            &ElasticPolicy::default(),
-            FaultPlan::new(7).with_kill_at(0, 2),
-        )
-        .unwrap()
+    let sim = fixture();
+    let policy = ElasticPolicy {
+        faults: Some(FaultPlan::new(7).with_kill_at(0, 2)),
+        ..Default::default()
     };
-    let a = run();
-    let b = run();
+    let a = full(&sim, world_shape(), &policy);
+    let b = full(&sim, world_shape(), &policy);
     assert_eq!(a.deaths, b.deaths);
     assert_eq!(a.migrated_units, b.migrated_units);
     assert_eq!(
@@ -199,38 +192,27 @@ fn chaos_recovery_is_deterministic() {
 fn killed_steal_participant_falls_back_to_elastic_recovery() {
     let _g = lock();
     qt_telemetry::reset_all();
-    let (p, dev, em, pm, grids) = fixture();
-    let cfg = GfConfig::default();
+    let sim = fixture();
     let (te, ta) = world_shape();
     let procs = te * ta;
-    let clean = distributed_iteration(&p, &dev, &em, &pm, &grids, &cfg, te, ta).unwrap();
+    let clean = clean(&sim, (te, ta));
 
     // Collapse every unit onto rank 0: all other ranks enter the steal
     // protocol immediately and rank 0's only cross-rank traffic is steal
     // frames, so its scheduled death lands squarely inside the protocol.
     // Thieves must detect the dead victim, surface a typed death, and the
     // supervisor must finish the iteration on the elastic path.
-    let mut tiling = ElasticTiling::weighted(&p, te, ta, procs, &vec![0.0; procs]);
+    let mut tiling = ElasticTiling::weighted(&sim.p, te, ta, procs, &vec![0.0; procs]);
     assert_eq!(tiling.units_of(0).len(), procs);
     // Rank 0 owns all units, so its loss quarantines the whole grid —
     // admit that so it rides recovery instead of degrading.
     let policy = ElasticPolicy {
         max_bad_fraction: 1.0,
+        steal: true,
+        faults: Some(FaultPlan::new(13).with_kill_at(0, 1)),
         ..Default::default()
     };
-    let el = distributed_iteration_tiled_with_faults(
-        &p,
-        &dev,
-        &em,
-        &pm,
-        &grids,
-        &cfg,
-        &mut tiling,
-        &policy,
-        true,
-        FaultPlan::new(13).with_kill_at(0, 1),
-    )
-    .unwrap();
+    let el = iterate(&sim, &mut tiling, &policy);
 
     assert_eq!(el.deaths, vec![0], "the steal victim dies, nobody else");
     assert!(el.retiles >= 1, "its death must force a re-tile");
@@ -260,8 +242,7 @@ fn killed_steal_participant_falls_back_to_elastic_recovery() {
 #[test]
 fn death_past_bad_fraction_ceiling_degrades_instead_of_hanging() {
     let _g = lock();
-    let (p, dev, em, pm, grids) = fixture();
-    let cfg = GfConfig::default();
+    let sim = fixture();
     let (te, ta) = world_shape();
     let victim = 0;
 
@@ -269,21 +250,10 @@ fn death_past_bad_fraction_ceiling_degrades_instead_of_hanging() {
     // must be abandoned and the iteration must still complete.
     let policy = ElasticPolicy {
         max_bad_fraction: 0.0,
+        faults: Some(FaultPlan::new(9).with_kill_at(victim, 1)),
         ..Default::default()
     };
-    let el = distributed_iteration_elastic_with_faults(
-        &p,
-        &dev,
-        &em,
-        &pm,
-        &grids,
-        &cfg,
-        te,
-        ta,
-        &policy,
-        FaultPlan::new(9).with_kill_at(victim, 1),
-    )
-    .unwrap();
+    let el = full(&sim, (te, ta), &policy);
 
     assert!(el.degraded, "an unrecoverable death must degrade, not hang");
     assert_eq!(el.deaths, vec![victim]);
@@ -291,7 +261,7 @@ fn death_past_bad_fraction_ceiling_degrades_instead_of_hanging() {
     assert!(!el.coverage.is_full());
     assert!(el.coverage.bad_fraction() > 0.0);
     for q in &el.coverage.quarantined {
-        assert!(q.grid_index < p.nkz * p.ne);
+        assert!(q.grid_index < sim.p.nkz * sim.p.ne);
         assert!(matches!(
             q.error,
             qt_core::health::NumericalError::RankLoss { rank } if rank == victim
@@ -299,7 +269,7 @@ fn death_past_bad_fraction_ceiling_degrades_instead_of_hanging() {
     }
     // Degraded ≠ garbage: the surviving tiles still carry fault-free
     // values; only the abandoned slices are zero-filled.
-    let clean = distributed_iteration(&p, &dev, &em, &pm, &grids, &cfg, te, ta).unwrap();
+    let clean = clean(&sim, (te, ta));
     let nonzero = el
         .result
         .sigma
@@ -322,4 +292,6 @@ fn death_past_bad_fraction_ceiling_degrades_instead_of_hanging() {
                 .count(),
         "abandoned tiles must be zero-filled"
     );
+    // ...and a caller that takes no degraded answer gets a typed error.
+    assert!(el.complete().is_err());
 }

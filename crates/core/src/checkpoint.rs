@@ -116,7 +116,7 @@ pub struct ScfCheckpoint {
     pub prev_gl: Option<Tensor>,
 }
 
-/// When and where [`crate::scf::run_scf_resumable`] writes checkpoints.
+/// When and where [`crate::scf::run_scf_with`] writes checkpoints.
 #[derive(Clone, Debug)]
 pub struct CheckpointConfig {
     /// Checkpoint file path (overwritten atomically on every write).

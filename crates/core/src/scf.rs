@@ -446,37 +446,17 @@ pub fn run_scf(sim: &Simulation, cfg: &ScfConfig) -> Result<ScfResult, Numerical
     })
 }
 
-/// [`run_scf`] with optional checkpointing (write a [`ScfCheckpoint`]
-/// every `ckpt.every` iterations) and optional resume (continue from a
-/// previously saved checkpoint instead of `Σ = Π = 0`).
+/// The full-control SCF entry point: [`run_scf`] plus checkpoint/resume,
+/// warm-start seeding and cooperative cancellation (see [`ScfOptions`]).
+/// Resumed checkpoints and warm-start seeds are shape-checked against the
+/// live config before any tensor is cloned; a mismatch returns
+/// [`ScfError::ShapeMismatch`] instead of panicking downstream.
 ///
 /// Resuming restores the mixed self-energies, the previous `G<` iterate,
 /// both histories and the adaptive-mixing state, so a killed-then-resumed
 /// run walks the same residual trajectory as an uninterrupted one.
 /// `ScfResult::iterations` counts only the iterations executed by *this*
 /// call; `residuals`/`current_history` cover the whole run.
-pub fn run_scf_resumable(
-    sim: &Simulation,
-    cfg: &ScfConfig,
-    ckpt: Option<&CheckpointConfig>,
-    resume: Option<ScfCheckpoint>,
-) -> Result<ScfResult, ScfError> {
-    run_scf_with(
-        sim,
-        cfg,
-        ScfOptions {
-            ckpt,
-            resume,
-            ..Default::default()
-        },
-    )
-}
-
-/// The full-control SCF entry point: [`run_scf`] plus checkpoint/resume,
-/// warm-start seeding and cooperative cancellation (see [`ScfOptions`]).
-/// Resumed checkpoints and warm-start seeds are shape-checked against the
-/// live config before any tensor is cloned; a mismatch returns
-/// [`ScfError::ShapeMismatch`] instead of panicking downstream.
 pub fn run_scf_with(
     sim: &Simulation,
     cfg: &ScfConfig,
@@ -911,13 +891,29 @@ mod tests {
         };
         let mut cfg_short = cfg;
         cfg_short.max_iterations = 3;
-        run_scf_resumable(&sim(), &cfg_short, Some(&ck_cfg), None).unwrap();
+        run_scf_with(
+            &sim(),
+            &cfg_short,
+            ScfOptions {
+                ckpt: Some(&ck_cfg),
+                ..Default::default()
+            },
+        )
+        .unwrap();
         let ck = ScfCheckpoint::load(&path).unwrap();
         assert_eq!(ck.iteration, 3);
         std::fs::remove_file(&path).unwrap();
         // Resume in a fresh process-equivalent (new Simulation, cold
         // boundary cache) and finish the remaining iterations.
-        let resumed = run_scf_resumable(&sim(), &cfg, None, Some(ck)).unwrap();
+        let resumed = run_scf_with(
+            &sim(),
+            &cfg,
+            ScfOptions {
+                resume: Some(ck),
+                ..Default::default()
+            },
+        )
+        .unwrap();
         assert_eq!(resumed.residuals.len(), full.residuals.len());
         for (i, (a, b)) in resumed.residuals.iter().zip(&full.residuals).enumerate() {
             assert!(
@@ -952,7 +948,15 @@ mod tests {
             path: path.clone(),
             every: 1,
         };
-        run_scf_resumable(&small, &cfg, Some(&ck_cfg), None).unwrap();
+        run_scf_with(
+            &small,
+            &cfg,
+            ScfOptions {
+                ckpt: Some(&ck_cfg),
+                ..Default::default()
+            },
+        )
+        .unwrap();
         let ck = ScfCheckpoint::load(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
         // A live config with a different atom count.
@@ -970,7 +974,14 @@ mod tests {
             -1.2,
             1.2,
         );
-        match run_scf_resumable(&other, &cfg, None, Some(ck)) {
+        match run_scf_with(
+            &other,
+            &cfg,
+            ScfOptions {
+                resume: Some(ck),
+                ..Default::default()
+            },
+        ) {
             Err(ScfError::ShapeMismatch {
                 source,
                 field,

@@ -14,21 +14,8 @@ pub mod runner;
 pub mod schemes;
 pub mod volume;
 
-#[cfg(feature = "fault-inject")]
-pub use comm::run_world_with_faults;
 pub use comm::{run_elastic_world, run_world, CommError, LivenessConfig, ThreadComm};
 pub use decomp::ElasticTiling;
-#[cfg(feature = "fault-inject")]
-pub use fault::{FaultAction, FaultPlan, RetryPolicy};
 pub use pool::{RankLease, RankPool};
-pub use runner::{
-    distributed_iteration_elastic, distributed_iteration_tiled, maybe_rebalance,
-    ElasticIterationResult, ElasticPolicy,
-};
-#[cfg(feature = "fault-inject")]
-pub use runner::{
-    distributed_iteration_elastic_with_faults, distributed_iteration_tiled_with_faults,
-};
-pub use schemes::{elastic_sse_exchange, elastic_sse_exchange_opts, BalanceStats, ElasticExchange};
-#[cfg(feature = "fault-inject")]
-pub use schemes::{elastic_sse_exchange_with_faults, elastic_sse_exchange_with_faults_opts};
+pub use runner::{maybe_rebalance, supervised_iteration, DistContext, ElasticIterationResult};
+pub use schemes::{ca_exchange, BalanceStats, ElasticExchange, ElasticPolicy};

@@ -8,21 +8,51 @@
 //! reads pre-computed tensors to isolate the communication pattern), this
 //! driver owns the whole pipeline — the distributed analogue of
 //! `qt_core::scf`'s single iteration.
+//!
+//! There is one iteration, [`supervised_iteration`]: the tiling says who
+//! computes what (full world, weighted, mid-recovery), the
+//! [`ElasticPolicy`] says how (failure detector, recovery bounds, work
+//! stealing, and under `fault-inject` the fault schedule).
 
-use crate::comm::{run_world, LivenessConfig};
+use crate::comm::run_world;
 use crate::decomp::{ElasticTiling, OmenDecomp};
-use crate::schemes::{
-    dace_scheme, elastic_sse_exchange, CommStats, ElasticExchange, SseDistContext,
-};
+use crate::schemes::{ca_exchange, BalanceStats, CommStats, ElasticPolicy, SseDistContext};
 use qt_core::device::Device;
 use qt_core::gf::{self, ElectronSelfEnergy, GfConfig, PhononSelfEnergy};
 use qt_core::grids::Grids;
 use qt_core::hamiltonian::{ElectronModel, PhononModel};
 use qt_core::health::{CoverageReport, NumericalError, QuarantinedPoint};
 use qt_core::params::SimParams;
+use qt_core::scf::Simulation;
 use qt_core::sse;
 use qt_linalg::Tensor;
 use std::collections::BTreeSet;
+
+/// Borrowed inputs of one distributed iteration: the device and its
+/// models, the grids, and the GF-phase configuration.
+#[derive(Clone, Copy)]
+pub struct DistContext<'a> {
+    pub p: &'a SimParams,
+    pub dev: &'a Device,
+    pub em: &'a ElectronModel,
+    pub pm: &'a PhononModel,
+    pub grids: &'a Grids,
+    pub gf: &'a GfConfig,
+}
+
+impl<'a> DistContext<'a> {
+    /// The context of `sim` under GF configuration `gf`.
+    pub fn of(sim: &'a Simulation, gf: &'a GfConfig) -> Self {
+        DistContext {
+            p: &sim.p,
+            dev: &sim.dev,
+            em: &sim.em,
+            pm: &sim.pm,
+            grids: &sim.grids,
+            gf,
+        }
+    }
+}
 
 /// Result of one distributed iteration.
 pub struct DistIterationResult {
@@ -36,11 +66,9 @@ pub struct DistIterationResult {
     pub comm: CommStats,
 }
 
-/// Run one GF+SSE iteration distributed over `te × ta` ranks.
-///
-/// The GF phase is computed rank-locally: rank `r` solves RGF for its
-/// energy chunk (all kz), exactly the paper's momentum+energy
-/// decomposition. The SSE phase uses the communication-avoiding scheme.
+/// [`supervised_iteration`] on the full `te × ta` tiling under the default
+/// policy, narrowed by [`ElasticIterationResult::complete`]. Kept for
+/// `qt-perf`, which pins this signature.
 #[allow(clippy::too_many_arguments)]
 pub fn distributed_iteration(
     p: &SimParams,
@@ -52,31 +80,16 @@ pub fn distributed_iteration(
     te: usize,
     ta: usize,
 ) -> Result<DistIterationResult, NumericalError> {
-    distributed_iteration_impl(p, dev, em, pm, grids, cfg, te, ta, |ctx| {
-        dace_scheme(ctx, te, ta)
-    })
-}
-
-/// [`distributed_iteration`] with the SSE exchange running under a
-/// deterministic fault plan (the GF phase communicates nothing, so it is
-/// unaffected). With `guarantee_delivery` the result matches the
-/// fault-free run bitwise; only traffic and timing differ.
-#[cfg(feature = "fault-inject")]
-#[allow(clippy::too_many_arguments)]
-pub fn distributed_iteration_with_faults(
-    p: &SimParams,
-    dev: &Device,
-    em: &ElectronModel,
-    pm: &PhononModel,
-    grids: &Grids,
-    cfg: &GfConfig,
-    te: usize,
-    ta: usize,
-    plan: crate::fault::FaultPlan,
-) -> Result<DistIterationResult, NumericalError> {
-    distributed_iteration_impl(p, dev, em, pm, grids, cfg, te, ta, move |ctx| {
-        crate::schemes::dace_scheme_with_faults(ctx, te, ta, plan)
-    })
+    let ctx = DistContext {
+        p,
+        dev,
+        em,
+        pm,
+        grids,
+        gf: cfg,
+    };
+    let mut tiling = ElasticTiling::new(p, te, ta);
+    supervised_iteration(&ctx, &mut tiling, &ElasticPolicy::default())?.complete()
 }
 
 /// Everything the GF phase produces: the inputs of the SSE exchange.
@@ -89,39 +102,19 @@ struct GfPhase {
     current: f64,
 }
 
-impl GfPhase {
-    fn ctx<'a>(
-        &'a self,
-        p: &'a SimParams,
-        dev: &'a Device,
-        grids: &'a Grids,
-    ) -> SseDistContext<'a> {
-        SseDistContext {
-            p,
-            dev,
-            grids,
-            dh: &self.dh,
-            g_lesser: &self.g_lesser,
-            g_greater: &self.g_greater,
-            d_lesser_pre: &self.d_lesser_pre,
-            d_greater_pre: &self.d_greater_pre,
-        }
-    }
-}
-
 /// The GF phase: each rank computes its energy chunk. (Thread-world ranks
 /// write disjoint slices; results are assembled into the global tensors
 /// that seed the SSE exchange, mirroring how each MPI rank would hold its
 /// slice in place.)
-fn gf_phase(
-    p: &SimParams,
-    dev: &Device,
-    em: &ElectronModel,
-    pm: &PhononModel,
-    grids: &Grids,
-    cfg: &GfConfig,
-    procs: usize,
-) -> Result<GfPhase, NumericalError> {
+fn gf_phase(ctx: &DistContext<'_>, procs: usize) -> Result<GfPhase, NumericalError> {
+    let DistContext {
+        p,
+        dev,
+        em,
+        pm,
+        grids,
+        gf: cfg,
+    } = *ctx;
     let dh = em.dh_tensor(dev);
     let dec = OmenDecomp::new(p, procs);
     let chunks: Vec<Result<(usize, gf::ElectronGf), NumericalError>> = run_world(procs, |comm| {
@@ -174,58 +167,7 @@ fn gf_phase(
     })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn distributed_iteration_impl(
-    p: &SimParams,
-    dev: &Device,
-    em: &ElectronModel,
-    pm: &PhononModel,
-    grids: &Grids,
-    cfg: &GfConfig,
-    te: usize,
-    ta: usize,
-    sse_exchange: impl FnOnce(&SseDistContext<'_>) -> (ElectronSelfEnergy, PhononSelfEnergy, CommStats),
-) -> Result<DistIterationResult, NumericalError> {
-    let _span = qt_telemetry::Span::enter_global("dist/iteration");
-    let gfp = gf_phase(p, dev, em, pm, grids, cfg, te * ta)?;
-    // ---- SSE phase: communication-avoiding exchange + local compute. ----
-    let (sigma, pi, stats) = sse_exchange(&gfp.ctx(p, dev, grids));
-    Ok(DistIterationResult {
-        sigma,
-        pi,
-        current: gfp.current,
-        sse_bytes: stats.world_bytes,
-        comm: stats,
-    })
-}
-
-/// Tuning for the elastic supervision loop.
-#[derive(Clone, Debug)]
-pub struct ElasticPolicy {
-    /// Failure-detector configuration for the survivor worlds.
-    pub live: LivenessConfig,
-    /// Ceiling on [`CoverageReport::bad_fraction`]: the fraction of
-    /// electron grid points whose backing distributed state may ride
-    /// recovery. A death that would push past it is *not* recovered — its
-    /// units are abandoned and the iteration completes degraded, with the
-    /// abandoned tiles zero-filled.
-    pub max_bad_fraction: f64,
-    /// Hard bound on detect→retile→retry rounds (hang-proofing; a world
-    /// can die at most once per original rank, so the default is ample).
-    pub max_retiles: usize,
-}
-
-impl Default for ElasticPolicy {
-    fn default() -> Self {
-        ElasticPolicy {
-            live: LivenessConfig::default(),
-            max_bad_fraction: qt_core::health::HealthPolicy::default().max_bad_fraction,
-            max_retiles: 64,
-        }
-    }
-}
-
-/// Result of one elastic distributed iteration.
+/// Result of one supervised distributed iteration.
 pub struct ElasticIterationResult {
     pub result: DistIterationResult,
     /// Electron-grid coverage. Quarantined entries mark the `(kz, E)`
@@ -244,217 +186,82 @@ pub struct ElasticIterationResult {
     pub migrated_units: usize,
 }
 
-/// Run one GF+SSE iteration with elastic rank-failure recovery.
+impl ElasticIterationResult {
+    /// Narrow to the plain result for callers that take no degraded
+    /// answer: a run with abandoned (zero-filled) tiles is a typed
+    /// [`NumericalError::RankLoss`], never zeros reported as complete. The
+    /// rank named is the last one to die — or the exchange root when the
+    /// retry bound ran out on exonerated accusations alone.
+    pub fn complete(self) -> Result<DistIterationResult, NumericalError> {
+        if self.degraded {
+            let rank = self.deaths.last().copied().unwrap_or(0);
+            return Err(NumericalError::RankLoss { rank });
+        }
+        Ok(self.result)
+    }
+}
+
+/// Run one GF+SSE iteration on `tiling` with elastic rank-failure
+/// recovery.
 ///
-/// The GF phase runs on the full original world (it communicates nothing).
-/// The SSE exchange runs under supervision: each attempt executes the
-/// elastic CA scheme over the current survivor set; a detected death
-/// shrinks the tiling (only the dead rank's units migrate) and the
-/// exchange retries on a fresh survivor world. A successful recovery is
-/// *bitwise identical* to the fault-free run. When a death would push the
-/// quarantined fraction past [`ElasticPolicy::max_bad_fraction`], its
-/// units are abandoned instead and the iteration completes in degraded
-/// mode with those tiles zero-filled and reported in the coverage.
-#[allow(clippy::too_many_arguments)]
-pub fn distributed_iteration_elastic(
-    p: &SimParams,
-    dev: &Device,
-    em: &ElectronModel,
-    pm: &PhononModel,
-    grids: &Grids,
-    cfg: &GfConfig,
-    te: usize,
-    ta: usize,
-    policy: &ElasticPolicy,
-) -> Result<ElasticIterationResult, NumericalError> {
-    let mut tiling = ElasticTiling::new(p, te, ta);
-    distributed_iteration_elastic_impl(p, dev, em, pm, grids, cfg, &mut tiling, policy, |ctx, t| {
-        elastic_sse_exchange(ctx, t, &policy.live)
-    })
-}
-
-/// One elastic GF+SSE iteration on a *caller-provided* tiling — the entry
-/// point of the adaptive load-balancing loop. The tiling may be uniform
-/// ([`ElasticTiling::uniform`]), weighted ([`ElasticTiling::weighted`]),
-/// or mid-recovery; deaths shrink it in place so the caller's tiling
-/// stays current across iterations. With `steal` on, idle ranks pull
-/// unstarted units from stragglers inside the iteration; observables are
-/// bitwise identical either way. Per-rank busy times and per-unit costs
-/// come back in `result.comm.balance`.
-#[allow(clippy::too_many_arguments)]
-pub fn distributed_iteration_tiled(
-    p: &SimParams,
-    dev: &Device,
-    em: &ElectronModel,
-    pm: &PhononModel,
-    grids: &Grids,
-    cfg: &GfConfig,
+/// The tiling may be the full world ([`ElasticTiling::new`]), uniform over
+/// fewer ranks, weighted ([`ElasticTiling::weighted`]), or mid-recovery;
+/// deaths shrink it in place so the caller's tiling stays current across
+/// iterations. The GF phase runs on the full original world (it
+/// communicates nothing). The SSE exchange runs under supervision: each
+/// attempt executes [`ca_exchange`] over the current survivor set; a
+/// detected death shrinks the tiling (only the dead rank's units migrate)
+/// and the exchange retries on a fresh survivor world. A successful
+/// recovery is *bitwise identical* to the fault-free run, as is any owner
+/// map or steal schedule. When a death would push the quarantined fraction
+/// past [`ElasticPolicy::max_bad_fraction`], its units are abandoned
+/// instead and the iteration completes in degraded mode with those tiles
+/// zero-filled and reported in the coverage. Per-rank busy times and
+/// per-unit costs come back in `result.comm.balance`.
+pub fn supervised_iteration(
+    ctx: &DistContext<'_>,
     tiling: &mut ElasticTiling,
     policy: &ElasticPolicy,
-    steal: bool,
 ) -> Result<ElasticIterationResult, NumericalError> {
-    distributed_iteration_elastic_impl(p, dev, em, pm, grids, cfg, tiling, policy, |ctx, t| {
-        crate::schemes::elastic_sse_exchange_opts(ctx, t, &policy.live, steal)
-    })
+    let _span = qt_telemetry::Span::enter_global("dist/iteration");
+    let gfp = gf_phase(ctx, tiling.procs())?;
+    let inputs = SseDistContext {
+        p: ctx.p,
+        dev: ctx.dev,
+        grids: ctx.grids,
+        dh: &gfp.dh,
+        g_lesser: &gfp.g_lesser,
+        g_greater: &gfp.g_greater,
+        d_lesser_pre: &gfp.d_lesser_pre,
+        d_greater_pre: &gfp.d_greater_pre,
+    };
+    Ok(supervise(&inputs, gfp.current, tiling, policy))
 }
 
-/// [`distributed_iteration_tiled`] with the SSE exchange running under a
-/// deterministic fault plan — the harness for proving the steal protocol
-/// composes with rank death: a victim or thief killed mid-protocol
-/// surfaces as a typed death and the iteration rides the elastic
-/// re-tiling path to completion.
-#[cfg(feature = "fault-inject")]
-#[allow(clippy::too_many_arguments)]
-pub fn distributed_iteration_tiled_with_faults(
-    p: &SimParams,
-    dev: &Device,
-    em: &ElectronModel,
-    pm: &PhononModel,
-    grids: &Grids,
-    cfg: &GfConfig,
+/// The supervision loop: [`ca_exchange`] until it succeeds, re-tiling
+/// around each confirmed death; an empty suspect list (every accusation
+/// exonerated) retries on the unchanged tiling. `current` is the GF
+/// phase's, carried into the result.
+pub(crate) fn supervise(
+    inputs: &SseDistContext<'_>,
+    current: f64,
     tiling: &mut ElasticTiling,
     policy: &ElasticPolicy,
-    steal: bool,
-    plan: crate::fault::FaultPlan,
-) -> Result<ElasticIterationResult, NumericalError> {
-    distributed_iteration_elastic_impl(p, dev, em, pm, grids, cfg, tiling, policy, |ctx, t| {
-        crate::schemes::elastic_sse_exchange_with_faults_opts(
-            ctx,
-            t,
-            &policy.live,
-            plan.clone(),
-            steal,
-        )
-    })
-}
-
-/// Re-partition `tiling` from measured per-unit costs when the measured
-/// busy-time imbalance exceeds `threshold`. Uses the bitwise-safe
-/// migration path ([`ElasticTiling::rebalance`]): only the unit → rank
-/// map moves, never the tile geometry, so the next iteration's
-/// observables are unchanged. Returns the units that moved (empty when
-/// balanced enough) and feeds the rebalance telemetry counters.
-pub fn maybe_rebalance(
-    tiling: &mut ElasticTiling,
-    balance: &crate::schemes::BalanceStats,
-    threshold: f64,
-) -> Vec<usize> {
-    if balance.imbalance_ratio() <= threshold {
-        return Vec::new();
-    }
-    let moved = tiling.rebalance(&balance.unit_secs);
-    if !moved.is_empty() {
-        qt_telemetry::counters::add_rebalance_event();
-        qt_telemetry::counters::add_rebalance_moved_units(moved.len() as u64);
-    }
-    moved
-}
-
-/// [`distributed_iteration_elastic`] with the SSE exchange running under a
-/// deterministic fault plan, including `kill_at` schedules. Kills are
-/// matched by original identity, so a rank dies at most once across the
-/// retries and the recovery sequence replays identically on every run.
-#[cfg(feature = "fault-inject")]
-#[allow(clippy::too_many_arguments)]
-pub fn distributed_iteration_elastic_with_faults(
-    p: &SimParams,
-    dev: &Device,
-    em: &ElectronModel,
-    pm: &PhononModel,
-    grids: &Grids,
-    cfg: &GfConfig,
-    te: usize,
-    ta: usize,
-    policy: &ElasticPolicy,
-    plan: crate::fault::FaultPlan,
-) -> Result<ElasticIterationResult, NumericalError> {
-    let mut tiling = ElasticTiling::new(p, te, ta);
-    distributed_iteration_elastic_impl(p, dev, em, pm, grids, cfg, &mut tiling, policy, |ctx, t| {
-        crate::schemes::elastic_sse_exchange_with_faults(ctx, t, &policy.live, plan.clone())
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn distributed_iteration_elastic_impl(
-    p: &SimParams,
-    dev: &Device,
-    em: &ElectronModel,
-    pm: &PhononModel,
-    grids: &Grids,
-    cfg: &GfConfig,
-    tiling: &mut ElasticTiling,
-    policy: &ElasticPolicy,
-    exchange: impl Fn(&SseDistContext<'_>, &ElasticTiling) -> ElasticExchange,
-) -> Result<ElasticIterationResult, NumericalError> {
-    let _span = qt_telemetry::Span::enter_global("dist/iteration_elastic");
+) -> ElasticIterationResult {
+    let p = inputs.p;
     let procs = tiling.procs();
-    let gfp = gf_phase(p, dev, em, pm, grids, cfg, procs)?;
-    let ctx = gfp.ctx(p, dev, grids);
     let gf_dec = OmenDecomp::new(p, procs);
     let mut coverage = CoverageReport::full(p.nkz * p.ne);
     let mut quarantined_idx: BTreeSet<usize> = BTreeSet::new();
     let mut deaths: Vec<usize> = Vec::new();
     let mut retiles = 0usize;
     let mut migrated_units = 0usize;
-    let finish = |result: DistIterationResult,
-                  coverage: CoverageReport,
-                  degraded: bool,
-                  deaths: Vec<usize>,
-                  retiles: usize,
-                  migrated_units: usize| ElasticIterationResult {
-        result,
-        coverage,
-        degraded,
-        deaths,
-        retiles,
-        migrated_units,
-    };
-    loop {
+    let exchanged = loop {
         if tiling.world_size() == 0 || retiles > policy.max_retiles {
-            // Nobody left to compute (or the supervisor hit its retry
-            // bound): complete fully degraded with all-zero Σ≷/Π≷.
-            let empty = CommStats {
-                world_bytes: 0,
-                max_rank_recv: 0,
-                rank_sent: Vec::new(),
-                rank_recv: Vec::new(),
-                balance: None,
-            };
-            let result = DistIterationResult {
-                sigma: ElectronSelfEnergy::zeros(p),
-                pi: PhononSelfEnergy::zeros(p),
-                current: gfp.current,
-                sse_bytes: 0,
-                comm: empty,
-            };
-            return Ok(finish(
-                result,
-                coverage,
-                true,
-                deaths,
-                retiles,
-                migrated_units,
-            ));
+            break None; // nobody left to compute, or the retry bound hit
         }
-        match exchange(&ctx, tiling) {
-            Ok((sigma, pi, stats)) => {
-                let degraded = tiling.live_units().len() < procs;
-                let result = DistIterationResult {
-                    sigma,
-                    pi,
-                    current: gfp.current,
-                    sse_bytes: stats.world_bytes,
-                    comm: stats,
-                };
-                return Ok(finish(
-                    result,
-                    coverage,
-                    degraded,
-                    deaths,
-                    retiles,
-                    migrated_units,
-                ));
-            }
+        match ca_exchange(inputs, tiling, policy) {
+            Ok(done) => break Some(done),
             Err(suspects) => {
                 retiles += 1;
                 qt_telemetry::counters::add_retile_event();
@@ -500,16 +307,60 @@ fn distributed_iteration_elastic_impl(
                 });
             }
         }
+    };
+    // No exchange completed: fully degraded, all-zero Σ≷/Π≷.
+    let degraded = exchanged.is_none() || tiling.live_units().len() < procs;
+    let (sigma, pi, comm) = exchanged.unwrap_or_else(|| {
+        (
+            ElectronSelfEnergy::zeros(p),
+            PhononSelfEnergy::zeros(p),
+            CommStats::default(),
+        )
+    });
+    ElasticIterationResult {
+        result: DistIterationResult {
+            sigma,
+            pi,
+            current,
+            sse_bytes: comm.world_bytes,
+            comm,
+        },
+        coverage,
+        degraded,
+        deaths,
+        retiles,
+        migrated_units,
     }
+}
+
+/// Re-partition `tiling` from measured per-unit costs when the measured
+/// busy-time imbalance exceeds `threshold`. Uses the bitwise-safe
+/// migration path ([`ElasticTiling::rebalance`]): only the unit → rank
+/// map moves, never the tile geometry, so the next iteration's
+/// observables are unchanged. Returns the units that moved (empty when
+/// balanced enough) and feeds the rebalance telemetry counters.
+pub fn maybe_rebalance(
+    tiling: &mut ElasticTiling,
+    balance: &BalanceStats,
+    threshold: f64,
+) -> Vec<usize> {
+    if balance.imbalance_ratio() <= threshold {
+        return Vec::new();
+    }
+    let moved = tiling.rebalance(&balance.unit_secs);
+    if !moved.is_empty() {
+        qt_telemetry::counters::add_rebalance_event();
+        qt_telemetry::counters::add_rebalance_moved_units(moved.len() as u64);
+    }
+    moved
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn distributed_iteration_matches_serial() {
-        let p = SimParams {
+    fn params() -> SimParams {
+        SimParams {
             nkz: 2,
             nqz: 2,
             ne: 12,
@@ -518,25 +369,33 @@ mod tests {
             nb: 3,
             norb: 2,
             bnum: 4,
-        };
-        let dev = Device::new(&p);
-        let em = ElectronModel::for_params(&p);
-        let pm = PhononModel::default();
-        let grids = Grids::new(&p, -1.2, 1.2);
+        }
+    }
+
+    fn fixture() -> Simulation {
+        Simulation::new(params(), -1.2, 1.2)
+    }
+
+    fn iterate(sim: &Simulation, te: usize, ta: usize) -> DistIterationResult {
         let cfg = GfConfig::default();
+        distributed_iteration(&sim.p, &sim.dev, &sim.em, &sim.pm, &sim.grids, &cfg, te, ta).unwrap()
+    }
+
+    #[test]
+    fn distributed_iteration_matches_serial() {
+        let sim = fixture();
+        let (p, dev, em, pm, grids) = (&sim.p, &sim.dev, &sim.em, &sim.pm, &sim.grids);
+        let cfg = &GfConfig::default();
         // Serial reference: one GF phase + serial SSE.
         let egf =
-            gf::electron_gf_phase(&dev, &em, &p, &grids, &ElectronSelfEnergy::zeros(&p), &cfg)
-                .unwrap();
-        let pgf =
-            gf::phonon_gf_phase(&dev, &pm, &p, &grids, &PhononSelfEnergy::zeros(&p), &cfg).unwrap();
-        let (dl, dg) = sse::preprocess_d(&dev, &p, &pgf);
-        let dh = em.dh_tensor(&dev);
+            gf::electron_gf_phase(dev, em, p, grids, &ElectronSelfEnergy::zeros(p), cfg).unwrap();
+        let pgf = gf::phonon_gf_phase(dev, pm, p, grids, &PhononSelfEnergy::zeros(p), cfg).unwrap();
+        let (dl, dg) = sse::preprocess_d(dev, p, &pgf);
         let inputs = sse::SseInputs {
-            dev: &dev,
-            p: &p,
-            grids: &grids,
-            dh: &dh,
+            dev,
+            p,
+            grids,
+            dh: &sim.dh,
             g_lesser: &egf.g_lesser,
             g_greater: &egf.g_greater,
             d_lesser_pre: &dl,
@@ -544,7 +403,7 @@ mod tests {
         };
         let serial_sigma = sse::sigma(&inputs, sse::SseVariant::Dace);
         // Distributed on a 2×2 grid.
-        let dist = distributed_iteration(&p, &dev, &em, &pm, &grids, &cfg, 2, 2).unwrap();
+        let dist = iterate(&sim, 2, 2);
         let rel = serial_sigma.lesser.max_abs_diff(&dist.sigma.lesser)
             / serial_sigma.lesser.norm().max(1e-30);
         assert!(rel < 1e-10, "distributed iteration Σ< rel {rel}");
@@ -560,102 +419,59 @@ mod tests {
 
     #[test]
     fn runner_reports_per_rank_volumes_matching_model() {
-        let p = SimParams {
-            nkz: 2,
-            nqz: 2,
-            ne: 12,
-            nw: 2,
-            na: 12,
-            nb: 3,
-            norb: 2,
-            bnum: 4,
-        };
-        let dev = Device::new(&p);
-        let em = ElectronModel::for_params(&p);
-        let pm = PhononModel::default();
-        let grids = Grids::new(&p, -1.2, 1.2);
-        let cfg = GfConfig::default();
+        let sim = fixture();
         let (te, ta) = (2, 2);
-        let dist = distributed_iteration(&p, &dev, &em, &pm, &grids, &cfg, te, ta).unwrap();
+        let dist = iterate(&sim, te, ta);
         assert_eq!(dist.comm.rank_sent.len(), te * ta);
         assert_eq!(dist.comm.rank_sent.iter().sum::<u64>(), dist.sse_bytes);
         assert_eq!(dist.comm.world_bytes, dist.sse_bytes);
         // The per-rank sends match the exact closed form of the scheme.
-        let halo = dev.max_neighbor_index_distance();
-        let model = crate::volume::dace_rank_sent_bytes(&p, te, ta, halo);
+        let halo = sim.dev.max_neighbor_index_distance();
+        let model = crate::volume::dace_rank_sent_bytes(&sim.p, te, ta, halo);
         assert_eq!(dist.comm.rank_sent, model);
     }
 
     #[test]
-    fn elastic_iteration_without_faults_matches_classic_bitwise() {
-        let p = SimParams {
-            nkz: 2,
-            nqz: 2,
-            ne: 12,
-            nw: 2,
-            na: 12,
-            nb: 3,
-            norb: 2,
-            bnum: 4,
-        };
-        let dev = Device::new(&p);
-        let em = ElectronModel::for_params(&p);
-        let pm = PhononModel::default();
-        let grids = Grids::new(&p, -1.2, 1.2);
+    fn emptied_survivor_set_narrows_to_an_error_not_to_zeros() {
+        // Every rank abandoned before the first attempt: the supervisor has
+        // nobody to run the exchange on and completes fully degraded.
+        let sim = fixture();
         let cfg = GfConfig::default();
-        let classic = distributed_iteration(&p, &dev, &em, &pm, &grids, &cfg, 2, 2).unwrap();
-        let policy = ElasticPolicy::default();
-        let el =
-            distributed_iteration_elastic(&p, &dev, &em, &pm, &grids, &cfg, 2, 2, &policy).unwrap();
-        assert!(!el.degraded);
-        assert!(el.deaths.is_empty());
-        assert_eq!(el.retiles, 0);
-        assert_eq!(el.migrated_units, 0);
-        assert!(el.coverage.is_full());
-        assert_eq!(el.result.current, classic.current);
-        assert_eq!(
-            el.result.sigma.lesser.as_slice(),
-            classic.sigma.lesser.as_slice()
-        );
-        assert_eq!(
-            el.result.pi.greater.as_slice(),
-            classic.pi.greater.as_slice()
-        );
-        assert_eq!(el.result.comm.rank_sent, classic.comm.rank_sent);
+        let ctx = DistContext::of(&sim, &cfg);
+        let mut tiling = ElasticTiling::new(&sim.p, 2, 2);
+        for rank in 0..4 {
+            tiling.abandon_rank(rank);
+        }
+        let el = supervised_iteration(&ctx, &mut tiling, &ElasticPolicy::default()).unwrap();
+        assert!(el.degraded);
+        assert!(el
+            .result
+            .sigma
+            .lesser
+            .as_slice()
+            .iter()
+            .all(|z| *z == qt_linalg::Complex64::ZERO));
+        assert_eq!(el.result.sse_bytes, 0);
+        assert!(matches!(
+            el.complete(),
+            Err(NumericalError::RankLoss { .. })
+        ));
     }
 
     #[test]
     fn tiled_iteration_rebalance_keeps_results_bitwise_stable() {
-        let p = SimParams {
-            nkz: 2,
-            nqz: 2,
-            ne: 12,
-            nw: 2,
-            na: 12,
-            nb: 3,
-            norb: 2,
-            bnum: 4,
-        };
-        let dev = Device::skewed(&p, 1, 1);
-        let em = ElectronModel::for_params(&p);
-        let pm = PhononModel::default();
-        let grids = Grids::new(&p, -1.2, 1.2);
+        let p = params();
+        let (dev, em) = (Device::skewed(&p, 1, 1), ElectronModel::for_params(&p));
+        let sim = Simulation::from_parts(p, dev, em, PhononModel::default(), -1.2, 1.2).unwrap();
         let cfg = GfConfig::default();
+        let ctx = DistContext::of(&sim, &cfg);
         let policy = ElasticPolicy::default();
         let mut tiling = ElasticTiling::uniform(&p, 2, 2, 4);
-        let first = distributed_iteration_tiled(
-            &p,
-            &dev,
-            &em,
-            &pm,
-            &grids,
-            &cfg,
-            &mut tiling,
-            &policy,
-            false,
-        )
-        .unwrap();
+        let first = supervised_iteration(&ctx, &mut tiling, &policy).unwrap();
         assert!(!first.degraded);
+        assert!(first.deaths.is_empty());
+        assert_eq!(first.migrated_units, 0);
+        assert!(first.coverage.is_full());
         let bal = first
             .result
             .comm
@@ -665,7 +481,7 @@ mod tests {
         assert_eq!(bal.rank_busy_secs.len(), 4);
         // Drive the re-tiling decision off a deterministic skew instead of
         // wall-clock noise: one rank 4x busier, its unit 8x costlier.
-        let skew = crate::schemes::BalanceStats {
+        let skew = BalanceStats {
             rank_busy_secs: vec![4.0, 1.0, 1.0, 1.0],
             unit_secs: vec![1.0, 8.0, 1.0, 1.0],
             ..Default::default()
@@ -676,18 +492,7 @@ mod tests {
         assert!(!moved.is_empty(), "4.0/1.75 imbalance must trigger a move");
         assert!(qt_telemetry::counters::total_rebalance_events() > events0);
         // The re-tiled iteration must reproduce the observables bit for bit.
-        let second = distributed_iteration_tiled(
-            &p,
-            &dev,
-            &em,
-            &pm,
-            &grids,
-            &cfg,
-            &mut tiling,
-            &policy,
-            false,
-        )
-        .unwrap();
+        let second = supervised_iteration(&ctx, &mut tiling, &policy).unwrap();
         assert_eq!(
             first.result.sigma.lesser.as_slice(),
             second.result.sigma.lesser.as_slice()
@@ -713,22 +518,13 @@ mod tests {
         // The GF phase must be bitwise-independent of how energies are
         // chunked: each (kz, E) point is solved in isolation.
         let p = SimParams {
-            nkz: 2,
-            nqz: 2,
             ne: 10,
-            nw: 2,
             na: 8,
-            nb: 3,
-            norb: 2,
-            bnum: 4,
+            ..params()
         };
-        let dev = Device::new(&p);
-        let em = ElectronModel::for_params(&p);
-        let pm = PhononModel::default();
-        let grids = Grids::new(&p, -1.2, 1.2);
-        let cfg = GfConfig::default();
-        let a = distributed_iteration(&p, &dev, &em, &pm, &grids, &cfg, 1, 2).unwrap();
-        let b = distributed_iteration(&p, &dev, &em, &pm, &grids, &cfg, 5, 2).unwrap();
+        let sim = Simulation::new(p, -1.2, 1.2);
+        let a = iterate(&sim, 1, 2);
+        let b = iterate(&sim, 5, 2);
         let rel = a.sigma.lesser.max_abs_diff(&b.sigma.lesser) / a.sigma.lesser.norm().max(1e-30);
         assert!(rel < 1e-10, "chunking must not change results: {rel}");
     }

@@ -8,18 +8,18 @@
 //!   to every process and replicates the needed `G≷(E−ω, ·)` slices by
 //!   point-to-point messages. The `G` traffic repeats every round — the
 //!   `2·Nqz·Nω` replication factor of §4.1.
-//! * [`dace_scheme`] — one all-to-all redistribution from the GF layout
-//!   (energy-split) to the `(TE, TA)` energy×atom tiling with an `Nω`
-//!   energy halo and a neighbor-window atom halo; the SSE is then entirely
-//!   local.
+//! * [`ca_exchange`] — the DaCe communication-avoiding scheme: one
+//!   all-to-all redistribution from the GF layout (energy-split) to the
+//!   `(TE, TA)` energy×atom tiling with an `Nω` energy halo and a
+//!   neighbor-window atom halo; the SSE is then entirely local. It runs
+//!   over whatever survivor set its [`ElasticTiling`] names — the paper's
+//!   fault-free scheme is the case where every rank survives.
 //!
 //! The measured byte counts follow the closed forms in [`crate::volume`].
 
 use crate::comm::{run_elastic_world, run_world, CommError, LivenessConfig, ThreadComm};
 use crate::decomp::{DaceDecomp, ElasticTiling, OmenDecomp};
-use qt_core::device::Device;
 use qt_core::gf::{ElectronSelfEnergy, PhononSelfEnergy};
-use qt_core::grids::Grids;
 use qt_core::params::{SimParams, N3D};
 use qt_core::sse;
 use qt_linalg::{c64, gemm, Complex64, Tensor};
@@ -27,21 +27,58 @@ use qt_linalg::{c64, gemm, Complex64, Tensor};
 /// Π≷ slices a rank owns round-robin: `((q, ω), lesser, greater)` buffers.
 type PiOwned = Vec<((usize, usize), Vec<Complex64>, Vec<Complex64>)>;
 
-/// Read-only global inputs; each rank touches only the slices its initial
-/// data distribution owns (the world is simulated, the discipline is real).
-pub struct SseDistContext<'a> {
-    pub p: &'a SimParams,
-    pub dev: &'a Device,
-    pub grids: &'a Grids,
-    pub dh: &'a Tensor,
-    pub g_lesser: &'a Tensor,
-    pub g_greater: &'a Tensor,
-    pub d_lesser_pre: &'a Tensor,
-    pub d_greater_pre: &'a Tensor,
+/// Read-only global inputs — the serial kernels' own input struct; each
+/// rank touches only the slices its initial data distribution owns (the
+/// world is simulated, the discipline is real).
+pub type SseDistContext<'a> = sse::SseInputs<'a>;
+
+/// How the CA exchange and the supervision loop around it run.
+#[derive(Clone, Debug)]
+pub struct ElasticPolicy {
+    /// Failure-detector configuration for the survivor worlds.
+    pub live: LivenessConfig,
+    /// Ceiling on [`CoverageReport::bad_fraction`]: the fraction of
+    /// electron grid points whose backing distributed state may ride
+    /// recovery. A death that would push past it is *not* recovered — its
+    /// units are abandoned and the iteration completes degraded, with the
+    /// abandoned tiles zero-filled.
+    ///
+    /// [`CoverageReport::bad_fraction`]: qt_core::health::CoverageReport::bad_fraction
+    pub max_bad_fraction: f64,
+    /// Hard bound on detect→retile→retry rounds (hang-proofing; a world
+    /// can die at most once per original rank, so the default is ample).
+    pub max_retiles: usize,
+    /// Intra-iteration work stealing: idle survivors request unstarted
+    /// units from stragglers over the comm world. Σ≷/Π≷ stay bitwise
+    /// identical (the stolen tile is computed by the same kernel on the
+    /// same buffers and its results are forwarded under the victim's
+    /// slot), but the measured byte counts gain the steal traffic, so the
+    /// exact volume models only apply with stealing off.
+    pub steal: bool,
+    /// Deterministic fault schedule for the exchange worlds: drops,
+    /// corruption, delays, a stalled rank, and `kill_at` schedules. Kills
+    /// are matched by original identity, so a rank dies at most once
+    /// across the supervisor's retries and a recovery replays identically
+    /// on every run.
+    #[cfg(feature = "fault-inject")]
+    pub faults: Option<crate::fault::FaultPlan>,
+}
+
+impl Default for ElasticPolicy {
+    fn default() -> Self {
+        ElasticPolicy {
+            live: LivenessConfig::default(),
+            max_bad_fraction: qt_core::health::HealthPolicy::default().max_bad_fraction,
+            max_retiles: 64,
+            steal: false,
+            #[cfg(feature = "fault-inject")]
+            faults: None,
+        }
+    }
 }
 
 /// Measured communication of a distributed run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct CommStats {
     /// Total bytes moved across the network (sum over ranks of sends).
     pub world_bytes: u64,
@@ -51,8 +88,8 @@ pub struct CommStats {
     pub rank_sent: Vec<u64>,
     /// Bytes received by each rank during the SSE exchange.
     pub rank_recv: Vec<u64>,
-    /// Per-rank compute-load measurements; `Some` for the elastic scheme
-    /// (which times every work unit), `None` for the classic schemes.
+    /// Per-rank compute-load measurements; `Some` for the CA exchange
+    /// (which times every work unit), `None` for the OMEN scheme.
     pub balance: Option<BalanceStats>,
 }
 
@@ -214,7 +251,6 @@ fn trace4(
 /// with `+T` on the neighbor slot and `−T` on the diagonal slot (Eqs. 4–5).
 /// `g_hi` is packed `[kz][a][Norb²]` for energy `E+ω+1`; `g_lo_at` fetches
 /// the local `G≶[k, E, b]` block.
-#[allow(clippy::too_many_arguments)]
 fn pi_round_accumulate(
     ctx: &SseDistContext<'_>,
     q: usize,
@@ -474,241 +510,14 @@ pub fn omen_scheme(
     collect_results(results)
 }
 
-/// Run the DaCe communication-avoiding scheme on a `(TE, TA)` grid.
-pub fn dace_scheme(
-    ctx: &SseDistContext<'_>,
-    te: usize,
-    ta: usize,
-) -> (ElectronSelfEnergy, PhononSelfEnergy, CommStats) {
-    let _span = qt_telemetry::Span::enter_global("comm/dace_scheme");
-    let results = run_world(te * ta, |comm: ThreadComm| {
-        dace_rank_body(ctx, te, ta, comm)
-    });
-    collect_results(results)
-}
-
-/// [`dace_scheme`] on a world carrying a deterministic fault plan: the
-/// same per-rank protocol, but every remote transmission goes through the
-/// reliable-delivery layer of [`crate::comm`].
-#[cfg(feature = "fault-inject")]
-pub fn dace_scheme_with_faults(
-    ctx: &SseDistContext<'_>,
-    te: usize,
-    ta: usize,
-    plan: crate::fault::FaultPlan,
-) -> (ElectronSelfEnergy, PhononSelfEnergy, CommStats) {
-    let _span = qt_telemetry::Span::enter_global("comm/dace_scheme_faulty");
-    let results = crate::comm::run_world_with_faults(te * ta, plan, |comm: ThreadComm| {
-        dace_rank_body(ctx, te, ta, comm)
-    });
-    collect_results(results)
-}
-
-/// One rank's share of the DaCe scheme: the two all-to-alls, the local
-/// SSE, the Π reduction, and the gather to root.
-fn dace_rank_body(ctx: &SseDistContext<'_>, te: usize, ta: usize, comm: ThreadComm) -> RankResult {
-    let p = ctx.p;
-    let nn = p.norb * p.norb;
-    let scale = c64(sse::sigma_scale(p, ctx.grids), 0.0);
-    let procs = te * ta;
-    let halo = ctx.dev.max_neighbor_index_distance();
-    {
-        let rank = comm.rank();
-        let dec = DaceDecomp::new(p, te, ta);
-        let gf_dec = OmenDecomp::new(p, procs); // initial GF-phase layout
-        let my_gf_e = gf_dec.energy.range(rank);
-        let geom = tile_geom(&dec, p, halo, rank);
-        // ---- All-to-all #1: G≷ tiles with halos. ----
-        let mut sendbufs: Vec<Vec<Complex64>> = Vec::with_capacity(procs);
-        for dst in 0..procs {
-            let dst_geom = tile_geom(&dec, p, halo, dst);
-            sendbufs.push(pack_g_halo(ctx, my_gf_e.clone(), &dst_geom, nn));
-        }
-        let recvd = comm.alltoallv(sendbufs, 1);
-        // Assemble local halo arrays [tensor][k][e_halo][a_win][nn].
-        let aw_len = geom.a_win.len();
-        let mut g_local = [
-            vec![Complex64::ZERO; p.nkz * geom.e_halo.len() * aw_len * nn],
-            vec![Complex64::ZERO; p.nkz * geom.e_halo.len() * aw_len * nn],
-        ];
-        for (src, buf) in recvd.iter().enumerate() {
-            unpack_g_halo(p, gf_dec.energy.range(src), &geom, buf, &mut g_local, nn);
-        }
-        // ---- All-to-all #2: D̃≷ for my atom window. ----
-        let mut sendbufs: Vec<Vec<Complex64>> = Vec::with_capacity(procs);
-        for dst in 0..procs {
-            let (_, dj) = dec.coords(dst);
-            let dst_a = atom_window_exact(&dec, dj, halo, p.na);
-            let mut buf = Vec::new();
-            for d in [ctx.d_lesser_pre, ctx.d_greater_pre] {
-                for q in 0..p.nqz {
-                    for w in 0..p.nw {
-                        if gf_dec.d_owner(p, q, w) != rank {
-                            continue;
-                        }
-                        for a in dst_a.clone() {
-                            buf.extend_from_slice(d.inner(&[q, w, a]));
-                        }
-                    }
-                }
-            }
-            sendbufs.push(buf);
-        }
-        let recvd = comm.alltoallv(sendbufs, 2);
-        let d_len = p.nb * N3D * N3D;
-        let mut d_local = [
-            vec![Complex64::ZERO; p.nqz * p.nw * aw_len * d_len],
-            vec![Complex64::ZERO; p.nqz * p.nw * aw_len * d_len],
-        ];
-        for (src, buf) in recvd.iter().enumerate() {
-            let mut pos = 0;
-            for tensor in &mut d_local {
-                for q in 0..p.nqz {
-                    for w in 0..p.nw {
-                        if gf_dec.d_owner(p, q, w) != src {
-                            continue;
-                        }
-                        for al in 0..aw_len {
-                            let off = ((q * p.nw + w) * aw_len + al) * d_len;
-                            tensor[off..off + d_len].copy_from_slice(&buf[pos..pos + d_len]);
-                            pos += d_len;
-                        }
-                    }
-                }
-            }
-            assert_eq!(pos, buf.len());
-        }
-        // ---- Local SSE over my (energy tile × atom tile). ----
-        let sig = local_sse_tile(ctx, &geom, &g_local, &d_local, scale, &|| {});
-        // Partial Π≷ over this rank's (energy tile × atom tile), reduced to
-        // the (q, ω) owners. All inputs are already local: the E+ω reads sit
-        // in the upper energy halo and the neighbor atoms in the window.
-        let d_len = (p.nb + 1) * N3D * N3D;
-        let pi_scale = c64(sse::pi_scale(p, ctx.grids), 0.0);
-        let my_a = geom.my_a.clone();
-        let mut pi_owned: PiOwned = Vec::new();
-        for q in 0..p.nqz {
-            for w in 0..p.nw {
-                // Tile-local partials: contributions exist only for the
-                // rank's own atom tile, so only that slice travels — the
-                // (NA/TA + NB)·NB·N3D² term of §4.1's DaCe formula.
-                let (part_l, part_g) = pi_tile_partials(ctx, &geom, &g_local, q, w, &|| {});
-                let owner = gf_dec.d_owner(p, q, w);
-                let tag = (1 << 45) | ((q * p.nw + w) as u64 * 2);
-                // Send only the tile slice to the owner.
-                let slice = |buf: &[Complex64]| buf[my_a.start * d_len..my_a.end * d_len].to_vec();
-                comm.send(owner, tag, slice(&part_l));
-                comm.send(owner, tag + 1, slice(&part_g));
-                if rank == owner {
-                    let mut tot_l = vec![Complex64::ZERO; p.na * d_len];
-                    let mut tot_g = vec![Complex64::ZERO; p.na * d_len];
-                    for src in 0..dec.procs() {
-                        let (_, sj) = dec.coords(src);
-                        let src_a = dec.atoms.range(sj);
-                        let rl = comm.recv(src, tag);
-                        let rg = comm.recv(src, tag + 1);
-                        for (dst, part) in [(&mut tot_l, rl), (&mut tot_g, rg)] {
-                            for (o, v) in dst[src_a.start * d_len..src_a.end * d_len]
-                                .iter_mut()
-                                .zip(part)
-                            {
-                                *o += v;
-                            }
-                        }
-                    }
-                    let fin = |mut v: Vec<Complex64>| {
-                        for z in v.iter_mut() {
-                            *z *= pi_scale;
-                        }
-                        v
-                    };
-                    pi_owned.push(((q, w), fin(tot_l), fin(tot_g)));
-                }
-            }
-        }
-        comm.barrier();
-        // Capture SSE-phase traffic before the result gather adds its own
-        // bytes; the second barrier keeps the snapshot consistent.
-        let stats = (comm.bytes_sent(), comm.bytes_received());
-        comm.barrier();
-        // Gather tiles to root.
-        if rank == 0 {
-            let mut out = ElectronSelfEnergy::zeros(p);
-            for src in 0..procs {
-                let (si, sj) = dec.coords(src);
-                let src_e = dec.energy.range(si);
-                let src_a = dec.atoms.range(sj);
-                let bufs = if src == 0 {
-                    [sig[0].clone(), sig[1].clone()]
-                } else {
-                    [comm.recv(src, 1 << 50), comm.recv(src, (1 << 50) + 1)]
-                };
-                for (t, buf) in bufs.iter().enumerate() {
-                    let tensor = if t == 0 {
-                        &mut out.lesser
-                    } else {
-                        &mut out.greater
-                    };
-                    for k in 0..p.nkz {
-                        for (el, e) in src_e.clone().enumerate() {
-                            for (al, a) in src_a.clone().enumerate() {
-                                let off = ((k * src_e.len() + el) * src_a.len() + al) * nn;
-                                tensor
-                                    .inner_mut(&[k, e, a])
-                                    .copy_from_slice(&buf[off..off + nn]);
-                            }
-                        }
-                    }
-                }
-            }
-            let mut pi_out = PhononSelfEnergy::zeros(p);
-            let store =
-                |pi_out: &mut PhononSelfEnergy,
-                 (qw, l, g): ((usize, usize), Vec<Complex64>, Vec<Complex64>)| {
-                    let (q, w) = qw;
-                    pi_out.lesser.inner_mut(&[q, w]).copy_from_slice(&l);
-                    pi_out.greater.inner_mut(&[q, w]).copy_from_slice(&g);
-                };
-            for entry in pi_owned {
-                store(&mut pi_out, entry);
-            }
-            for src in 1..procs {
-                let count = comm.recv(src, 1 << 52)[0].re as usize;
-                for _ in 0..count {
-                    let head = comm.recv(src, (1 << 52) + 1);
-                    let (q, w) = (head[0].re as usize, head[1].re as usize);
-                    let l = comm.recv(src, (1 << 52) + 2);
-                    let g = comm.recv(src, (1 << 52) + 3);
-                    store(&mut pi_out, ((q, w), l, g));
-                }
-            }
-            (Some((out, pi_out)), stats)
-        } else {
-            comm.send(0, 1 << 50, sig[0].clone());
-            comm.send(0, (1 << 50) + 1, sig[1].clone());
-            comm.send(0, 1 << 52, vec![c64(pi_owned.len() as f64, 0.0)]);
-            for ((q, w), l, g) in pi_owned {
-                comm.send(
-                    0,
-                    (1 << 52) + 1,
-                    vec![c64(q as f64, 0.0), c64(w as f64, 0.0)],
-                );
-                comm.send(0, (1 << 52) + 2, l);
-                comm.send(0, (1 << 52) + 3, g);
-            }
-            (None, stats)
-        }
-    }
-}
-
 /// Atom window using the device's exact neighbor-index halo.
 fn atom_window_exact(dec: &DaceDecomp, j: usize, halo: usize, na: usize) -> std::ops::Range<usize> {
     let r = dec.atoms.range(j);
     r.start.saturating_sub(halo)..(r.end + halo).min(na)
 }
 
-/// The geometry of one `(TE, TA)` tile — the shared vocabulary of the
-/// classic and elastic DaCe paths, so both compute bitwise-identical tiles.
+/// The geometry of one `(TE, TA)` tile: a pure function of the tiling
+/// and the unit id, never of who owns the unit.
 #[derive(Clone)]
 struct TileGeom {
     /// Energy rows including the ±Nω sideband halo.
@@ -784,7 +593,7 @@ fn unpack_g_halo(
 /// `g_local`/`d_local` in the tile's window layout and returns
 /// `sig[tensor][k][e_local][a_local][nn]`. `hb` is invoked per outer
 /// iteration so a long compute keeps announcing liveness to the failure
-/// detector (the classic path passes a no-op).
+/// detector.
 fn local_sse_tile(
     ctx: &SseDistContext<'_>,
     geom: &TileGeom,
@@ -934,7 +743,7 @@ fn pi_tile_partials(
 }
 
 // ---------------------------------------------------------------------------
-// Elastic DaCe scheme: the CA tiling over an arbitrary survivor set.
+// The DaCe CA scheme: the (TE, TA) tiling over an arbitrary survivor set.
 // ---------------------------------------------------------------------------
 
 /// Message tags for the unrolled elastic collectives. Each logical channel
@@ -1352,7 +1161,6 @@ fn poll_steal(
 /// only shrink, every request resolves to a grant, a denial, or the
 /// victim's `FIN` (an implicit denial), and a peer that dies mid-protocol
 /// surfaces as a typed [`CommError`] for the supervisor's elastic path.
-#[allow(clippy::too_many_arguments)]
 fn steal_compute_phase(
     env: &StealEnv<'_>,
     comm: &ThreadComm,
@@ -1479,67 +1287,57 @@ fn steal_compute_phase(
 /// supervisor then simply retries on the unchanged tiling.
 pub type ElasticExchange = Result<(ElectronSelfEnergy, PhononSelfEnergy, CommStats), Vec<usize>>;
 
-/// Run the DaCe CA scheme over the survivors of `tiling`. With the full
-/// tiling this produces *bitwise identical* Σ≷/Π≷ to [`dace_scheme`]; after
-/// deaths, each survivor executes every work unit the tiling assigns to it,
-/// so the answer stays bitwise stable across any survivor set.
+/// Run the DaCe communication-avoiding scheme once over the survivors of
+/// `tiling`. Each survivor executes every work unit the tiling assigns to
+/// it, so Σ≷/Π≷ are bitwise stable across any survivor set, owner map or
+/// steal schedule; with the full tiling and stealing off the traffic is
+/// exactly [`crate::volume::dace_rank_sent_bytes`]. One attempt, no
+/// recovery: a death comes back as `Err` for the supervision loop of
+/// [`crate::runner::supervised_iteration`] to re-tile around.
+pub fn ca_exchange(
+    ctx: &SseDistContext<'_>,
+    tiling: &ElasticTiling,
+    policy: &ElasticPolicy,
+) -> ElasticExchange {
+    let _span = qt_telemetry::Span::enter_global("comm/dace_scheme");
+    let body = |comm: ThreadComm| elastic_rank_body(ctx, tiling, policy, comm);
+    let survivors = tiling.survivors.clone();
+    #[cfg(feature = "fault-inject")]
+    if let Some(plan) = &policy.faults {
+        let results = crate::comm::run_elastic_world_with_faults(survivors, plan.clone(), body);
+        return collect_elastic(tiling, results);
+    }
+    collect_elastic(tiling, run_elastic_world(survivors, body))
+}
+
+/// [`ca_exchange`] on the full `te × ta` tiling under the default policy,
+/// supervised: a false accusation on an oversubscribed host costs a retry,
+/// as it does in [`crate::runner::supervised_iteration`]. Kept for
+/// `qt-perf`, which pins this name.
+pub fn dace_scheme(
+    ctx: &SseDistContext<'_>,
+    te: usize,
+    ta: usize,
+) -> (ElectronSelfEnergy, PhononSelfEnergy, CommStats) {
+    let mut tiling = ElasticTiling::new(ctx.p, te, ta);
+    let done = crate::runner::supervise(ctx, 0.0, &mut tiling, &ElasticPolicy::default())
+        .complete()
+        .expect("a fault-free world completes the exchange");
+    (done.sigma, done.pi, done.comm)
+}
+
+/// [`ca_exchange`] with only the failure detector chosen. Kept for
+/// `qt-perf`, which pins this name.
 pub fn elastic_sse_exchange(
     ctx: &SseDistContext<'_>,
     tiling: &ElasticTiling,
     live: &LivenessConfig,
 ) -> ElasticExchange {
-    elastic_sse_exchange_opts(ctx, tiling, live, false)
-}
-
-/// [`elastic_sse_exchange`] with intra-iteration work stealing switchable.
-/// With `steal` on, idle survivors request unstarted units from stragglers
-/// over the comm world; the Σ≷/Π≷ observables stay bitwise identical (the
-/// stolen tile is computed by the same kernel on the same buffers and its
-/// results are forwarded under the victim's slot), but the measured byte
-/// counts gain the steal traffic, so the exact volume models only apply
-/// with stealing off.
-pub fn elastic_sse_exchange_opts(
-    ctx: &SseDistContext<'_>,
-    tiling: &ElasticTiling,
-    live: &LivenessConfig,
-    steal: bool,
-) -> ElasticExchange {
-    let _span = qt_telemetry::Span::enter_global("comm/elastic_scheme");
-    let results = run_elastic_world(tiling.survivors.clone(), |comm: ThreadComm| {
-        elastic_rank_body(ctx, tiling, live, steal, comm)
-    });
-    collect_elastic(tiling, results)
-}
-
-/// [`elastic_sse_exchange`] on a world carrying a deterministic fault plan
-/// (drops/corruption/delays *and* kill schedules).
-#[cfg(feature = "fault-inject")]
-pub fn elastic_sse_exchange_with_faults(
-    ctx: &SseDistContext<'_>,
-    tiling: &ElasticTiling,
-    live: &LivenessConfig,
-    plan: crate::fault::FaultPlan,
-) -> ElasticExchange {
-    elastic_sse_exchange_with_faults_opts(ctx, tiling, live, plan, false)
-}
-
-/// [`elastic_sse_exchange_with_faults`] with work stealing switchable; a
-/// victim or thief killed mid-protocol surfaces as a typed death and the
-/// supervisor degrades to the elastic re-tiling path.
-#[cfg(feature = "fault-inject")]
-pub fn elastic_sse_exchange_with_faults_opts(
-    ctx: &SseDistContext<'_>,
-    tiling: &ElasticTiling,
-    live: &LivenessConfig,
-    plan: crate::fault::FaultPlan,
-    steal: bool,
-) -> ElasticExchange {
-    let _span = qt_telemetry::Span::enter_global("comm/elastic_scheme_faulty");
-    let results =
-        crate::comm::run_elastic_world_with_faults(tiling.survivors.clone(), plan, |comm| {
-            elastic_rank_body(ctx, tiling, live, steal, comm)
-        });
-    collect_elastic(tiling, results)
+    let policy = ElasticPolicy {
+        live: *live,
+        ..Default::default()
+    };
+    ca_exchange(ctx, tiling, &policy)
 }
 
 fn collect_elastic(
@@ -1549,8 +1347,6 @@ fn collect_elastic(
     let survivors = &tiling.survivors;
     if results.iter().all(|r| r.is_ok()) {
         let ok: Vec<ElasticRankOut> = results.into_iter().map(|r| r.expect("no errors")).collect();
-        let rank_sent: Vec<u64> = ok.iter().map(|r| r.bytes.0).collect();
-        let rank_recv: Vec<u64> = ok.iter().map(|r| r.bytes.1).collect();
         let mut unit_secs = vec![0.0; tiling.procs()];
         for r in &ok {
             for &(u, s) in &r.unit_secs {
@@ -1563,23 +1359,12 @@ fn collect_elastic(
             steal_requests: ok.iter().map(|r| r.steal_requests).sum(),
             stolen_units: ok.iter().map(|r| r.stolen_units).sum(),
         };
-        let world_bytes = rank_sent.iter().sum();
-        let max_rank_recv = rank_recv.iter().copied().max().unwrap_or(0);
+        let stats = CommStats::from_rank_bytes(ok.iter().map(|r| r.bytes), Some(balance));
         let (sigma, pi) = ok
             .into_iter()
             .find_map(|r| r.assembled)
             .expect("root produced the assembled Σ and Π");
-        return Ok((
-            sigma,
-            pi,
-            CommStats {
-                world_bytes,
-                max_rank_recv,
-                rank_sent,
-                rank_recv,
-                balance: Some(balance),
-            },
-        ));
+        return Ok((sigma, pi, stats));
     }
     // Cross-check the accusations against who actually reported back. A
     // slot that returned at all — Ok or a typed detection error — is
@@ -1605,9 +1390,9 @@ fn collect_elastic(
     Err(suspects)
 }
 
-/// One survivor's share of the elastic DaCe scheme. The rank executes every
-/// work unit `tiling` assigns to its original identity, replaying the
-/// classic per-tile protocol per unit; the collectives are unrolled into
+/// One survivor's share of the CA scheme. The rank executes every work
+/// unit `tiling` assigns to its original identity, running the per-tile
+/// protocol once per unit; the collectives are unrolled into
 /// explicit point-to-point messages walked in one canonical global order
 /// (lexicographic in the unit ids), so any subset of survivors agrees on
 /// per-pair FIFO delivery and the strict tag asserts hold. Every wait goes
@@ -1616,10 +1401,10 @@ fn collect_elastic(
 fn elastic_rank_body(
     ctx: &SseDistContext<'_>,
     tiling: &ElasticTiling,
-    live: &LivenessConfig,
-    steal: bool,
+    policy: &ElasticPolicy,
     comm: ThreadComm,
 ) -> Result<ElasticRankOut, CommError> {
+    let live = &policy.live;
     let p = ctx.p;
     let nn = p.norb * p.norb;
     let scale = c64(sse::sigma_scale(p, ctx.grids), 0.0);
@@ -1633,8 +1418,8 @@ fn elastic_rank_body(
     let geoms: Vec<TileGeom> = (0..procs).map(|u| tile_geom(dec, p, halo, u)).collect();
     let hb = || comm.heartbeat();
     // ---- Exchange #1 (unrolled all-to-all): G≷ halos per (src GF chunk,
-    // dst tile) pair. Self-sends ride the self-channel for free, exactly
-    // like the classic alltoallv.
+    // dst tile) pair. Self-sends ride the self-channel for free, like an
+    // alltoallv's.
     for &u_src in &my_units {
         let chunk = gf_dec.energy.range(u_src);
         for (u_dst, geom) in geoms.iter().enumerate() {
@@ -1728,7 +1513,7 @@ fn elastic_rank_body(
         d_local: &d_local,
         scale,
     };
-    let (outs, busy_secs, steal_requests, stolen_units) = if steal && comm.size() > 1 {
+    let (outs, busy_secs, steal_requests, stolen_units) = if policy.steal && comm.size() > 1 {
         steal_compute_phase(&env, &comm, live)?
     } else {
         let mut outs = Vec::with_capacity(my_units.len());
@@ -1756,8 +1541,8 @@ fn elastic_rank_body(
         .map(|(&u, o)| (u, o.secs))
         .collect();
     // ---- Π≷ partials, reduced to each (q, ω) owner. The owner accumulates
-    // in ascending *unit* order — the same order the classic scheme uses
-    // for its ascending ranks, so the totals are bitwise identical. ----
+    // in ascending *unit* order whoever holds the units, so the totals are
+    // bitwise identical across survivor sets and owner maps. ----
     let pi_len = (p.nb + 1) * N3D * N3D;
     let pi_scale = c64(sse::pi_scale(p, ctx.grids), 0.0);
     let mut pi_owned: PiOwned = Vec::new();
@@ -1814,7 +1599,7 @@ fn elastic_rank_body(
         comm.try_send(0, tag_gather(u), outs[mi].sig[0].clone())?;
         comm.try_send(0, tag_gather(u) + 1, outs[mi].sig[1].clone())?;
     }
-    if comm.rank() == 0 {
+    let assembled = if comm.rank() == 0 {
         let mut out = ElectronSelfEnergy::zeros(p);
         for (u, geom) in geoms.iter().enumerate() {
             if !tiling.is_live_unit(u) {
@@ -1860,14 +1645,7 @@ fn elastic_rank_body(
                 store((q, w), l, g);
             }
         }
-        Ok(ElasticRankOut {
-            assembled: Some((out, pi_out)),
-            bytes: stats,
-            busy_secs,
-            unit_secs,
-            steal_requests,
-            stolen_units,
-        })
+        Some((out, pi_out))
     } else {
         comm.try_send(0, 1 << 52, vec![c64(pi_owned.len() as f64, 0.0)])?;
         for ((q, w), l, g) in pi_owned {
@@ -1879,45 +1657,52 @@ fn elastic_rank_body(
             comm.try_send(0, (1 << 52) + 2, l)?;
             comm.try_send(0, (1 << 52) + 3, g)?;
         }
-        Ok(ElasticRankOut {
-            assembled: None,
-            bytes: stats,
-            busy_secs,
-            unit_secs,
-            steal_requests,
-            stolen_units,
-        })
-    }
+        None
+    };
+    Ok(ElasticRankOut {
+        assembled,
+        bytes: stats,
+        busy_secs,
+        unit_secs,
+        steal_requests,
+        stolen_units,
+    })
 }
 
 type RankResult = (Option<(ElectronSelfEnergy, PhononSelfEnergy)>, (u64, u64));
 
+impl CommStats {
+    /// Totals from each rank's `(sent, received)` bytes of the SSE phase.
+    fn from_rank_bytes(
+        bytes: impl Iterator<Item = (u64, u64)>,
+        balance: Option<BalanceStats>,
+    ) -> Self {
+        let (rank_sent, rank_recv): (Vec<u64>, Vec<u64>) = bytes.unzip();
+        CommStats {
+            world_bytes: rank_sent.iter().sum(),
+            max_rank_recv: rank_recv.iter().copied().max().unwrap_or(0),
+            rank_sent,
+            rank_recv,
+            balance,
+        }
+    }
+}
+
 fn collect_results(results: Vec<RankResult>) -> (ElectronSelfEnergy, PhononSelfEnergy, CommStats) {
-    let rank_sent: Vec<u64> = results.iter().map(|r| r.1 .0).collect();
-    let rank_recv: Vec<u64> = results.iter().map(|r| r.1 .1).collect();
-    let world_bytes = rank_sent.iter().sum();
-    let max_rank_recv = rank_recv.iter().copied().max().unwrap_or(0);
+    let stats = CommStats::from_rank_bytes(results.iter().map(|r| r.1), None);
     let (sigma, pi) = results
         .into_iter()
         .find_map(|(s, _)| s)
         .expect("root produced the assembled Σ and Π");
-    (
-        sigma,
-        pi,
-        CommStats {
-            world_bytes,
-            max_rank_recv,
-            rank_sent,
-            rank_recv,
-            balance: None,
-        },
-    )
+    (sigma, pi, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qt_core::device::Device;
     use qt_core::gf::{self, GfConfig};
+    use qt_core::grids::Grids;
     use qt_core::hamiltonian::{ElectronModel, PhononModel};
     use qt_core::sse::SseVariant;
 
@@ -2003,16 +1788,7 @@ mod tests {
     }
 
     fn serial_results(fx: &Fx) -> (ElectronSelfEnergy, PhononSelfEnergy) {
-        let inputs = sse::SseInputs {
-            dev: &fx.dev,
-            p: &fx.p,
-            grids: &fx.grids,
-            dh: &fx.dh,
-            g_lesser: &fx.gl,
-            g_greater: &fx.gg,
-            d_lesser_pre: &fx.dl,
-            d_greater_pre: &fx.dg,
-        };
+        let inputs = ctx(fx);
         (
             sse::sigma(&inputs, SseVariant::Omen),
             sse::pi(&inputs, SseVariant::Reference),
@@ -2040,17 +1816,21 @@ mod tests {
         }
     }
 
+    /// The tilings with a committed fingerprint, then two 6-rank worlds.
+    const TILINGS: [(usize, usize); 5] = [(2, 2), (1, 3), (3, 1), (3, 2), (2, 3)];
+
     #[test]
     fn dace_scheme_matches_serial() {
-        let fx = fixture();
-        let (serial, serial_pi) = serial_results(&fx);
-        for (te, ta) in [(1usize, 2usize), (2, 2), (3, 2), (2, 3)] {
-            let (dist, dist_pi, stats) = dace_scheme(&ctx(&fx), te, ta);
-            assert_close("sigma lesser", &serial.lesser, &dist.lesser);
-            assert_close("sigma greater", &serial.greater, &dist.greater);
-            assert_close("pi lesser", &serial_pi.lesser, &dist_pi.lesser);
-            assert_close("pi greater", &serial_pi.greater, &dist_pi.greater);
-            assert!(stats.world_bytes > 0);
+        for fx in [fixture(), skewed_fixture()] {
+            let (serial, serial_pi) = serial_results(&fx);
+            for (te, ta) in TILINGS {
+                let (dist, dist_pi, stats) = dace_scheme(&ctx(&fx), te, ta);
+                assert_close("sigma lesser", &serial.lesser, &dist.lesser);
+                assert_close("sigma greater", &serial.greater, &dist.greater);
+                assert_close("pi lesser", &serial_pi.lesser, &dist_pi.lesser);
+                assert_close("pi greater", &serial_pi.greater, &dist_pi.greater);
+                assert!(stats.world_bytes > 0);
+            }
         }
     }
 
@@ -2092,17 +1872,18 @@ mod tests {
 
     #[test]
     fn dace_rank_volumes_match_closed_form_exactly() {
-        let fx = fixture();
-        let halo = fx.dev.max_neighbor_index_distance();
-        for (te, ta) in [(1usize, 2usize), (2, 2), (3, 2), (2, 3)] {
-            let (_, _, stats) = dace_scheme(&ctx(&fx), te, ta);
-            let model = crate::volume::dace_rank_sent_bytes(&fx.p, te, ta, halo);
-            assert_eq!(stats.rank_sent, model, "te={te} ta={ta}");
-            assert_eq!(stats.rank_sent.iter().sum::<u64>(), stats.world_bytes);
-            assert_eq!(
-                stats.world_bytes,
-                crate::volume::dace_measured_bytes(&fx.p, te, ta, halo)
-            );
+        for fx in [fixture(), skewed_fixture()] {
+            let halo = fx.dev.max_neighbor_index_distance();
+            for (te, ta) in TILINGS {
+                let (_, _, stats) = dace_scheme(&ctx(&fx), te, ta);
+                let model = crate::volume::dace_rank_sent_bytes(&fx.p, te, ta, halo);
+                assert_eq!(stats.rank_sent, model, "te={te} ta={ta}");
+                assert_eq!(stats.rank_sent.iter().sum::<u64>(), stats.world_bytes);
+                assert_eq!(
+                    stats.world_bytes,
+                    crate::volume::dace_measured_bytes(&fx.p, te, ta, halo)
+                );
+            }
         }
     }
 
@@ -2116,20 +1897,100 @@ mod tests {
         }
     }
 
+    /// FNV-1a over the IEEE bits of every element, in storage order.
+    fn fingerprint(t: &qt_linalg::Tensor) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for z in t.as_slice() {
+            for w in [z.re.to_bits(), z.im.to_bits()] {
+                h = (h ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// One row of [`PARENT`]: `[Σ<, Σ>, Π<, Π>]` as element fingerprints
+    /// and as each tensor's norm (compared by its bits; the shortest
+    /// decimal that round-trips), plus the per-rank traffic.
+    struct Golden {
+        skewed: bool,
+        tiling: (usize, usize),
+        fp: [u64; 4],
+        norm: [f64; 4],
+        rank_sent: &'static [u64],
+        rank_recv: &'static [u64],
+    }
+
+    /// What `dace_scheme` returned at commit 048c86a, the last one whose
+    /// `dace_scheme` ran the classic rank body (collective `alltoallv`s,
+    /// one tile per rank) that `ca_exchange` replaced. Σ≷ does not depend
+    /// on the tiling; Π≷ does (the owner sums tile partials in unit order).
+    #[rustfmt::skip]
+    const PARENT: [Golden; 6] = [
+        Golden { skewed: false, tiling: (2, 2),
+            fp: [0x99ea293764b7837b, 0xad114744891b0257, 0xd44d3600bc3cc904, 0x0e2374e9289d4dad],
+            norm: [3.140495315565784, 2.4313073888236736, 2.896858010307181e-4, 1.8021980944860577e-1],
+            rank_sent: &[54336, 64576, 64576, 54336], rank_recv: &[59456, 59456, 59456, 59456] },
+        Golden { skewed: false, tiling: (1, 3),
+            fp: [0x99ea293764b7837b, 0xad114744891b0257, 0x923f9723b1b6b412, 0x5853a3ad8678763e],
+            norm: [3.140495315565784, 2.4313073888236736, 2.896858010307181e-4, 1.8021980944860577e-1],
+            rank_sent: &[64256, 44032, 51584], rank_recv: &[48640, 64896, 46336] },
+        Golden { skewed: false, tiling: (3, 1),
+            fp: [0x99ea293764b7837b, 0xad114744891b0257, 0xdef0701f11b00123, 0xc6b6ba9471f9a01c],
+            norm: [3.140495315565784, 2.4313073888236736, 2.8968580103071813e-4, 1.802198094486058e-1],
+            rank_sent: &[75264, 74496, 68352], rank_recv: &[82176, 71040, 64896] },
+        Golden { skewed: true, tiling: (2, 2),
+            fp: [0x40034e80bdcd0751, 0x7c3f1b92ad1be919, 0xdc19bed4b3a1c431, 0xd72335aa0b2f2375],
+            norm: [1.11832466487924, 9.15196737886865e-1, 6.652497859098003e-6, 4.953303754054952e-2],
+            rank_sent: &[50976, 60192, 60192, 50976], rank_recv: &[55584, 55584, 55584, 55584] },
+        Golden { skewed: true, tiling: (1, 3),
+            fp: [0x40034e80bdcd0751, 0x7c3f1b92ad1be919, 0x8a99e46f1e4503c9, 0x55dd2d98dadf8c4b],
+            norm: [1.11832466487924, 9.15196737886865e-1, 6.652497859098003e-6, 4.953303754054951e-2],
+            rank_sent: &[56000, 40256, 45920], rank_recv: &[44864, 55616, 41696] },
+        Golden { skewed: true, tiling: (3, 1),
+            fp: [0x40034e80bdcd0751, 0x7c3f1b92ad1be919, 0x5401421151408ccf, 0x729bf48a453c649c],
+            norm: [1.11832466487924, 9.15196737886865e-1, 6.652497859098004e-6, 4.953303754054952e-2],
+            rank_sent: &[75264, 74496, 68352], rank_recv: &[82176, 71040, 64896] },
+    ];
+
+    /// The parent's `distributed_iteration` on the uniform fixture's device:
+    /// `current` 4.164068333555769e-2 at every tiling, `sse_bytes` the
+    /// row's world total.
+    const PARENT_CURRENT_BITS: u64 = 0x3fa551ed7a37f7ce;
+
     #[test]
-    fn elastic_full_world_is_bitwise_equal_to_classic_dace() {
-        let fx = fixture();
-        let live = LivenessConfig::default();
-        for (te, ta) in [(2usize, 2usize), (3, 2)] {
-            let (classic, classic_pi, classic_stats) = dace_scheme(&ctx(&fx), te, ta);
-            let tiling = ElasticTiling::new(&fx.p, te, ta);
-            let (dist, dist_pi, stats) =
-                elastic_sse_exchange(&ctx(&fx), &tiling, &live).expect("fault-free run succeeds");
-            assert_bitwise("sigma lesser", &classic.lesser, &dist.lesser);
-            assert_bitwise("sigma greater", &classic.greater, &dist.greater);
-            assert_bitwise("pi lesser", &classic_pi.lesser, &dist_pi.lesser);
-            assert_bitwise("pi greater", &classic_pi.greater, &dist_pi.greater);
-            assert_eq!(stats.rank_sent, classic_stats.rank_sent, "te={te} ta={ta}");
+    fn ca_exchange_is_bit_equal_to_the_parent_commits_classic_path() {
+        let fixtures = [fixture(), skewed_fixture()];
+        for row in &PARENT {
+            let fx = &fixtures[row.skewed as usize];
+            let (te, ta) = row.tiling;
+            let what = format!("skewed={} tiling={:?}", row.skewed, row.tiling);
+            let (sigma, pi, stats) = dace_scheme(&ctx(fx), te, ta);
+            let got = [&sigma.lesser, &sigma.greater, &pi.lesser, &pi.greater];
+            assert_eq!(got.map(fingerprint), row.fp, "{what}: elements");
+            assert_eq!(
+                got.map(|t| t.norm().to_bits()),
+                row.norm.map(f64::to_bits),
+                "{what}: norms"
+            );
+            assert_eq!(stats.rank_sent, row.rank_sent, "{what}: sent");
+            assert_eq!(stats.rank_recv, row.rank_recv, "{what}: received");
+            let world: u64 = row.rank_sent.iter().sum();
+            assert_eq!(stats.world_bytes, world, "{what}: world");
+            if !row.skewed {
+                let dist = crate::runner::distributed_iteration(
+                    &fx.p,
+                    &fx.dev,
+                    &ElectronModel::for_params(&fx.p),
+                    &PhononModel::default(),
+                    &fx.grids,
+                    &GfConfig::default(),
+                    te,
+                    ta,
+                )
+                .unwrap();
+                assert_eq!(dist.current.to_bits(), PARENT_CURRENT_BITS, "{what}");
+                assert_eq!(dist.sse_bytes, world, "{what}: iteration bytes");
+            }
         }
     }
 
@@ -2137,14 +1998,14 @@ mod tests {
     fn elastic_shrunken_worlds_still_match_serial() {
         let fx = fixture();
         let (serial, serial_pi) = serial_results(&fx);
-        let live = LivenessConfig::default();
+        let policy = ElasticPolicy::default();
         // Kill ranks out of a 2×2 tiling and re-run on the survivors: the
         // answer must not move, all the way down to a single survivor.
         let mut tiling = ElasticTiling::new(&fx.p, 2, 2);
-        let full = elastic_sse_exchange(&ctx(&fx), &tiling, &live).unwrap();
+        let full = ca_exchange(&ctx(&fx), &tiling, &policy).unwrap();
         for dead in [1usize, 3, 0] {
             tiling.remove_rank(dead);
-            let (dist, dist_pi, _) = elastic_sse_exchange(&ctx(&fx), &tiling, &live).unwrap();
+            let (dist, dist_pi, _) = ca_exchange(&ctx(&fx), &tiling, &policy).unwrap();
             assert_close("sigma lesser", &serial.lesser, &dist.lesser);
             assert_close("sigma greater", &serial.greater, &dist.greater);
             assert_close("pi lesser", &serial_pi.lesser, &dist_pi.lesser);
@@ -2159,15 +2020,15 @@ mod tests {
     #[test]
     fn weighted_tiling_is_bitwise_identical_and_reports_balance() {
         let fx = skewed_fixture();
-        let live = LivenessConfig::default();
+        let policy = ElasticPolicy::default();
         let (te, ta) = (2usize, 2usize);
         let uniform = ElasticTiling::uniform(&fx.p, te, ta, te * ta);
-        let (base, base_pi, _) = elastic_sse_exchange(&ctx(&fx), &uniform, &live).unwrap();
+        let (base, base_pi, _) = ca_exchange(&ctx(&fx), &uniform, &policy).unwrap();
         // A lopsided weight vector must move owners, not tile geometry —
         // and the observables must not move a single bit with them.
         let weighted = ElasticTiling::weighted(&fx.p, te, ta, te * ta, &[1.0, 10.0, 1.0, 1.0]);
         assert_ne!(weighted.owner, uniform.owner, "weights must move owners");
-        let (dist, dist_pi, stats) = elastic_sse_exchange(&ctx(&fx), &weighted, &live).unwrap();
+        let (dist, dist_pi, stats) = ca_exchange(&ctx(&fx), &weighted, &policy).unwrap();
         assert_bitwise("sigma lesser", &base.lesser, &dist.lesser);
         assert_bitwise("sigma greater", &base.greater, &dist.greater);
         assert_bitwise("pi lesser", &base_pi.lesser, &dist_pi.lesser);
@@ -2187,21 +2048,23 @@ mod tests {
     #[test]
     fn stealing_terminates_and_matches_bitwise() {
         let fx = skewed_fixture();
-        let live = LivenessConfig::default();
+        let policy = ElasticPolicy {
+            steal: true,
+            ..Default::default()
+        };
         let (te, ta) = (2usize, 2usize);
-        let (classic, classic_pi, _) = dace_scheme(&ctx(&fx), te, ta);
+        let (full, full_pi, _) = dace_scheme(&ctx(&fx), te, ta);
         // All-zero weights collapse every unit onto rank 0: three ranks
         // start idle and must pull their work through the steal protocol.
         let tiling = ElasticTiling::weighted(&fx.p, te, ta, te * ta, &[0.0; 4]);
         assert_eq!(tiling.units_of(0).len(), te * ta);
         let mut stole = 0u64;
         for _ in 0..5 {
-            let (dist, dist_pi, stats) =
-                elastic_sse_exchange_opts(&ctx(&fx), &tiling, &live, true).unwrap();
-            assert_bitwise("sigma lesser", &classic.lesser, &dist.lesser);
-            assert_bitwise("sigma greater", &classic.greater, &dist.greater);
-            assert_bitwise("pi lesser", &classic_pi.lesser, &dist_pi.lesser);
-            assert_bitwise("pi greater", &classic_pi.greater, &dist_pi.greater);
+            let (dist, dist_pi, stats) = ca_exchange(&ctx(&fx), &tiling, &policy).unwrap();
+            assert_bitwise("sigma lesser", &full.lesser, &dist.lesser);
+            assert_bitwise("sigma greater", &full.greater, &dist.greater);
+            assert_bitwise("pi lesser", &full_pi.lesser, &dist_pi.lesser);
+            assert_bitwise("pi greater", &full_pi.greater, &dist_pi.greater);
             let bal = stats.balance.expect("balance measured");
             assert!(bal.steal_requests >= bal.stolen_units);
             // Every unit cost is attributed, wherever the unit ran.
@@ -2222,11 +2085,11 @@ mod tests {
     fn elastic_measured_bytes_match_elastic_model_exactly() {
         let fx = fixture();
         let halo = fx.dev.max_neighbor_index_distance();
-        let live = LivenessConfig::default();
+        let policy = ElasticPolicy::default();
         let mut tiling = ElasticTiling::new(&fx.p, 2, 2);
         for dead in [2usize, 0] {
             tiling.remove_rank(dead);
-            let (_, _, stats) = elastic_sse_exchange(&ctx(&fx), &tiling, &live).unwrap();
+            let (_, _, stats) = ca_exchange(&ctx(&fx), &tiling, &policy).unwrap();
             let model = crate::volume::dace_elastic_rank_sent_bytes(&fx.p, halo, &tiling);
             assert_eq!(stats.rank_sent, model, "dead={dead}");
             assert_eq!(stats.rank_sent.iter().sum::<u64>(), stats.world_bytes);

@@ -17,11 +17,9 @@ use qt_core::gf::{self, GfConfig};
 use qt_core::grids::Grids;
 use qt_core::hamiltonian::{ElectronModel, PhononModel};
 use qt_core::params::SimParams;
-use qt_core::sse;
-use qt_dist::comm::LivenessConfig;
-use qt_dist::schemes::{elastic_sse_exchange, SseDistContext};
+use qt_core::sse::{self, SseInputs};
 use qt_dist::volume::dace_elastic_rank_sent_bytes;
-use qt_dist::ElasticTiling;
+use qt_dist::{ca_exchange, ElasticPolicy, ElasticTiling};
 use qt_linalg::Tensor;
 
 fn small_params(te: usize, ta: usize) -> SimParams {
@@ -65,10 +63,10 @@ fn check_removal(tiling: &mut ElasticTiling, dead: usize) {
             .collect::<Vec<_>>(),
         "exactly the dead rank's units migrate"
     );
-    for u in 0..before.len() {
-        if before[u] != dead {
+    for (u, &was) in before.iter().enumerate() {
+        if was != dead {
             assert_eq!(
-                tiling.owner[u], before[u],
+                tiling.owner[u], was,
                 "unit {u} owned by a survivor must not move"
             );
         }
@@ -142,8 +140,8 @@ fn fixture(te: usize, ta: usize) -> Fx {
     }
 }
 
-fn ctx(fx: &Fx) -> SseDistContext<'_> {
-    SseDistContext {
+fn ctx(fx: &Fx) -> SseInputs<'_> {
+    SseInputs {
         p: &fx.p,
         dev: &fx.dev,
         grids: &fx.grids,
@@ -158,7 +156,7 @@ fn ctx(fx: &Fx) -> SseDistContext<'_> {
 /// Measured per-slot bytes of one elastic exchange on this survivor set.
 fn measured_sent(fx: &Fx, tiling: &ElasticTiling) -> Vec<u64> {
     let (_, _, stats) =
-        elastic_sse_exchange(&ctx(fx), tiling, &LivenessConfig::default()).expect("no faults");
+        ca_exchange(&ctx(fx), tiling, &ElasticPolicy::default()).expect("no faults");
     stats.rank_sent
 }
 

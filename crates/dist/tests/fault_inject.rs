@@ -6,16 +6,19 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
-use qt_core::device::Device;
 use qt_core::gf::GfConfig;
-use qt_core::grids::Grids;
-use qt_core::hamiltonian::{ElectronModel, PhononModel};
+use qt_core::health::NumericalError;
 use qt_core::params::SimParams;
-use qt_dist::runner::{distributed_iteration, distributed_iteration_with_faults};
-use qt_dist::{run_world_with_faults, FaultPlan, RetryPolicy};
-use qt_linalg::c64;
+use qt_core::scf::Simulation;
+use qt_dist::comm::run_world_with_faults;
+use qt_dist::fault::{FaultPlan, RetryPolicy};
+use qt_dist::runner::DistIterationResult;
+use qt_dist::{
+    supervised_iteration, DistContext, ElasticIterationResult, ElasticPolicy, ElasticTiling,
+};
+use qt_linalg::{c64, Complex64};
 
-fn fixture() -> (SimParams, Device, ElectronModel, PhononModel, Grids) {
+fn fixture() -> Simulation {
     let p = SimParams {
         nkz: 2,
         nqz: 2,
@@ -26,11 +29,24 @@ fn fixture() -> (SimParams, Device, ElectronModel, PhononModel, Grids) {
         norb: 2,
         bnum: 4,
     };
-    let dev = Device::new(&p);
-    let em = ElectronModel::for_params(&p);
-    let pm = PhononModel::default();
-    let grids = Grids::new(&p, -1.2, 1.2);
-    (p, dev, em, pm, grids)
+    Simulation::new(p, -1.2, 1.2)
+}
+
+/// One supervised iteration on the full 2×2 world.
+fn iterate(sim: &Simulation, policy: &ElasticPolicy) -> ElasticIterationResult {
+    let cfg = GfConfig::default();
+    let ctx = DistContext::of(sim, &cfg);
+    supervised_iteration(&ctx, &mut ElasticTiling::new(&sim.p, 2, 2), policy).unwrap()
+}
+
+/// The iteration under `faults` (`None`: the clean run), as the
+/// fault-free entry points narrow it.
+fn complete(sim: &Simulation, faults: Option<FaultPlan>) -> DistIterationResult {
+    let policy = ElasticPolicy {
+        faults,
+        ..Default::default()
+    };
+    iterate(sim, &policy).complete().unwrap()
 }
 
 /// Drops + corruption + a stalled rank: the ISSUE's headline scenario.
@@ -44,13 +60,10 @@ fn chaos_plan(seed: u64) -> FaultPlan {
 
 #[test]
 fn faulty_iteration_matches_fault_free_run() {
-    let (p, dev, em, pm, grids) = fixture();
-    let cfg = GfConfig::default();
-    let clean = distributed_iteration(&p, &dev, &em, &pm, &grids, &cfg, 2, 2).unwrap();
+    let sim = fixture();
+    let clean = complete(&sim, None);
     let retries0 = qt_telemetry::counters::total_comm_retries();
-    let faulty =
-        distributed_iteration_with_faults(&p, &dev, &em, &pm, &grids, &cfg, 2, 2, chaos_plan(2024))
-            .unwrap();
+    let faulty = complete(&sim, Some(chaos_plan(2024)));
     // guarantee_delivery retransmits the exact payload, so the results are
     // bitwise identical — well inside the 1e-10 acceptance bound.
     for (name, a, b) in [
@@ -78,14 +91,9 @@ fn faulty_iteration_matches_fault_free_run() {
 
 #[test]
 fn faulty_runs_are_deterministic() {
-    let (p, dev, em, pm, grids) = fixture();
-    let cfg = GfConfig::default();
-    let run = || {
-        distributed_iteration_with_faults(&p, &dev, &em, &pm, &grids, &cfg, 2, 2, chaos_plan(7))
-            .unwrap()
-    };
-    let a = run();
-    let b = run();
+    let sim = fixture();
+    let a = complete(&sim, Some(chaos_plan(7)));
+    let b = complete(&sim, Some(chaos_plan(7)));
     assert_eq!(a.sigma.lesser.as_slice(), b.sigma.lesser.as_slice());
     assert_eq!(a.sigma.greater.as_slice(), b.sigma.greater.as_slice());
     assert_eq!(
@@ -96,14 +104,33 @@ fn faulty_runs_are_deterministic() {
 
 #[test]
 fn different_seeds_change_the_traffic() {
-    let (p, dev, em, pm, grids) = fixture();
-    let cfg = GfConfig::default();
-    let bytes = |seed| {
-        distributed_iteration_with_faults(&p, &dev, &em, &pm, &grids, &cfg, 2, 2, chaos_plan(seed))
-            .unwrap()
-            .sse_bytes
-    };
+    let sim = fixture();
+    let bytes = |seed| complete(&sim, Some(chaos_plan(seed))).sse_bytes;
     assert_ne!(bytes(1), bytes(2));
+}
+
+#[test]
+fn exhausted_retry_bound_narrows_to_an_error_not_to_zeros() {
+    // One scheduled kill and no retile budget: the supervisor detects the
+    // death, may not retry, and completes fully degraded. The narrowing
+    // the fault-free entry points use must refuse that result.
+    let sim = fixture();
+    let victim = 3;
+    let policy = ElasticPolicy {
+        max_retiles: 0,
+        faults: Some(FaultPlan::new(42).with_kill_at(victim, 3)),
+        ..Default::default()
+    };
+    let el = iterate(&sim, &policy);
+    assert!(el.degraded);
+    assert_eq!(el.deaths, vec![victim]);
+    let zero = |t: &qt_linalg::Tensor| t.as_slice().iter().all(|z| *z == Complex64::ZERO);
+    assert!(zero(&el.result.sigma.lesser) && zero(&el.result.pi.greater));
+    match el.complete() {
+        Err(NumericalError::RankLoss { rank }) => assert_eq!(rank, victim),
+        Err(other) => panic!("wrong error: {other}"),
+        Ok(_) => panic!("a zero-filled Σ≷/Π≷ must not narrow to a complete result"),
+    }
 }
 
 #[test]

@@ -512,30 +512,22 @@ fn finish_point(
 /// and the probe shares no solver state with the SCF path.
 #[cfg(feature = "fault-inject")]
 fn chaos_probe(shared: &Shared, vr: &VariantRuntime, victim: usize) {
-    use qt_dist::{distributed_iteration_elastic_with_faults, ElasticPolicy, FaultPlan};
+    use qt_dist::{supervised_iteration, DistContext, ElasticPolicy, ElasticTiling};
     let procs = shared.cfg.pool_slots.max(2);
     let (te, ta) = if procs.is_multiple_of(2) {
         (2, procs / 2)
     } else {
         (1, procs)
     };
+    let plan = qt_dist::fault::FaultPlan::new(42).with_kill_at(victim % procs, 3);
     let policy = ElasticPolicy {
         max_bad_fraction: 1.0 / procs as f64,
+        faults: Some(plan),
         ..Default::default()
     };
-    let plan = FaultPlan::new(42).with_kill_at(victim % procs, 3);
-    match distributed_iteration_elastic_with_faults(
-        &vr.sim.p,
-        &vr.sim.dev,
-        &vr.sim.em,
-        &vr.sim.pm,
-        &vr.sim.grids,
-        &vr.spec.cfg.gf,
-        te,
-        ta,
-        &policy,
-        plan,
-    ) {
+    let ctx = DistContext::of(&vr.sim, &vr.spec.cfg.gf);
+    let mut tiling = ElasticTiling::new(&vr.sim.p, te, ta);
+    match supervised_iteration(&ctx, &mut tiling, &policy) {
         Ok(out) => {
             if !out.deaths.is_empty() {
                 shared.pool.retire(out.deaths.len());

@@ -39,8 +39,8 @@ pub mod prelude {
     pub use qt_core::observables;
     pub use qt_core::params::SimParams;
     pub use qt_core::scf::{
-        run_scf, run_scf_resumable, run_scf_with, CancelToken, ScfConfig, ScfError, ScfOptions,
-        ScfResult, Simulation, WarmStart,
+        run_scf, run_scf_with, CancelToken, ScfConfig, ScfError, ScfOptions, ScfResult, Simulation,
+        WarmStart,
     };
     pub use qt_core::sse::{self, SseVariant};
     pub use qt_dist::schemes::{dace_scheme, omen_scheme, SseDistContext};
