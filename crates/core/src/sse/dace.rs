@@ -1,4 +1,12 @@
-//! Data-centric transformed SSE kernels (Fig. 12).
+//! Data-centric transformed SSE kernels (Fig. 12) — the one DaCe SSE
+//! implementation, serial and distributed.
+//!
+//! The kernels run over an [`SseView`]: one `(energy, atom)` window of the
+//! SSE map with its `G≷`/`D̃≷` halos already in the kernel's layout. The
+//! §4.1 tiling is a map-tiling of the *same* map (Fig. 8), so a rank of
+//! `qt_dist::ca_exchange` calls [`sigma_atom`]/[`pi_pair`] on its tile and
+//! the serial [`sigma`]/[`pi`] are the one-view case: permute once, fan out
+//! over atoms, scale and scatter.
 //!
 //! The Σ≷ kernel applies the full §4.2 pipeline:
 //!
@@ -19,150 +27,85 @@
 //!    the per-thread [`workspace`] pool so warm SCF iterations touch the
 //!    allocator only for the escaping per-atom partial sums, and the outer
 //!    atom loop parallelizes over the rayon pool.
+//!
+//! A window's Σ≷ equals the matching slice of the full call up to GEMM
+//! dispatch: the wide products pick the packed or the naive kernel by batch
+//! size, and a window's energy runs are shorter than the full grid's.
 
 use super::SseInputs;
 use crate::gf::{ElectronSelfEnergy, PhononSelfEnergy};
 use crate::params::N3D;
-use qt_linalg::{c64, gemm, workspace, Complex64, Matrix};
+use qt_linalg::{c64, gemm, workspace, Complex64, Matrix, Tensor};
 use rayon::prelude::*;
+use std::ops::Range;
+
+/// One `(energy, atom)` window of the SSE map. The kernels read `G≷`/`D̃≷`
+/// from here and only `dev`, `p`, `grids` and `dh` from [`SseInputs`]; the
+/// output atoms are the caller's loop, one [`sigma_atom`]/[`pi_pair`] call
+/// each.
+pub struct SseView<'a> {
+    /// Energies the window produces.
+    pub e_out: Range<usize>,
+    /// `e_out` widened by the ±Nω sidebands, clamped to the grid: the
+    /// energies `g` holds.
+    pub e_halo: Range<usize>,
+    /// Atoms `g` and `d` hold: the output atoms and all their neighbours.
+    pub a_win: Range<usize>,
+    /// `G≷` as `[a_win][kz][e_halo][Norb²]`, lesser then greater.
+    pub g: [&'a [Complex64]; 2],
+    /// `D̃≷` as `[qz][ω][a_win][Nb·9]`, lesser then greater.
+    pub d: [&'a [Complex64]; 2],
+}
+
+/// Data-layout transformation `G≷ -> [NA, Nkz, NE, No, No]`, staged in
+/// pooled storage; the caller recycles both once its partials are in.
+fn permuted_g(inputs: &SseInputs<'_>) -> [Tensor; 2] {
+    let perm = [2usize, 0, 1, 3, 4];
+    [
+        inputs.g_lesser.permuted_pooled(&perm),
+        inputs.g_greater.permuted_pooled(&perm),
+    ]
+}
+
+/// The whole grid as one view over the permuted `G≷`.
+fn full_view<'a>(inputs: &SseInputs<'a>, g: &'a [Tensor; 2]) -> SseView<'a> {
+    SseView {
+        e_out: 0..inputs.p.ne,
+        e_halo: 0..inputs.p.ne,
+        a_win: 0..inputs.p.na,
+        g: [g[0].as_slice(), g[1].as_slice()],
+        d: [
+            inputs.d_lesser_pre.as_slice(),
+            inputs.d_greater_pre.as_slice(),
+        ],
+    }
+}
 
 /// Σ≷ via the transformed kernel.
 pub fn sigma(inputs: &SseInputs<'_>) -> ElectronSelfEnergy {
     let p = inputs.p;
-    let no = p.norb;
-    let nn = no * no;
-    let scale = c64(super::sigma_scale(p, inputs.grids), 0.0);
-    // Data-layout transformation: G≷ -> [NA, Nkz, NE, No, No], staged in
-    // pooled storage and recycled once the partials are in.
-    let perm = [2usize, 0, 1, 3, 4];
-    let g_l = inputs.g_lesser.permuted_pooled(&perm);
-    let g_g = inputs.g_greater.permuted_pooled(&perm);
+    let nn = p.norb * p.norb;
     let ke = p.nkz * p.ne;
-    let qw = p.nqz * p.nw;
-
+    let g = permuted_g(inputs);
+    let view = full_view(inputs, &g);
     // Per-atom partial results, joined at the end (atoms are independent).
-    // The partials escape the worker, so they stay on the regular heap; the
-    // rank-3 transients below are pooled.
-    let partials: Vec<(Vec<Complex64>, Vec<Complex64>)> = (0..p.na)
+    // The partials escape the worker, so they stay on the regular heap.
+    let partials: Vec<[Vec<Complex64>; 2]> = (0..p.na)
         .into_par_iter()
         .map(|a| {
-            let mut sig_l = vec![Complex64::ZERO; ke * nn];
-            let mut sig_g = vec![Complex64::ZERO; ke * nn];
-            // Rank-3 transients of the fused kernel (Fig. 12): one (kz, E)
-            // batch plus emission/absorption (qz, ω) operand stacks per
-            // direction, all from the calling thread's workspace pool.
-            let mut dhg: Vec<Vec<Complex64>> =
-                (0..N3D).map(|_| workspace::take_scratch(ke * nn)).collect();
-            let mut dhd_em: Vec<Vec<Complex64>> =
-                (0..N3D).map(|_| workspace::take_scratch(qw * nn)).collect();
-            let mut dhd_abs: Vec<Vec<Complex64>> =
-                (0..N3D).map(|_| workspace::take_scratch(qw * nn)).collect();
-            for slot in 0..p.nb {
-                let Some(f) = inputs.dev.neighbor(a, slot) else {
-                    continue;
-                };
-                for (g_perm, d, d_other, sig) in [
-                    (&g_l, inputs.d_lesser_pre, inputs.d_greater_pre, &mut sig_l),
-                    (&g_g, inputs.d_greater_pre, inputs.d_lesser_pre, &mut sig_g),
-                ] {
-                    // (1 + 3) ∇H·G: one wide GEMM per direction over the
-                    // contiguous (kz, E) batch of atom f.
-                    let g_batch = g_perm.inner(&[f]); // [Nkz*NE*no, no]
-                    for (i, dhg_i) in dhg.iter_mut().enumerate() {
-                        let dh_i = inputs.dh.inner(&[a, slot, i]);
-                        dhg_i.fill(Complex64::ZERO);
-                        gemm::gemm_raw_acc(ke * no, no, no, g_batch, dh_i, dhg_i);
-                    }
-                    // ∇H·D̃ stacks in natural (qz, ω) order — the batched
-                    // (E, ω) loop flip below removes the need for the old
-                    // ω-reversed emission layout. Emission contracts D̃≶,
-                    // absorption its bosonic image conj D̃≷ᵀ.
-                    for i in 0..N3D {
-                        let (em, ab) = (&mut dhd_em[i], &mut dhd_abs[i]);
-                        em.fill(Complex64::ZERO);
-                        ab.fill(Complex64::ZERO);
-                        for q in 0..p.nqz {
-                            for w in 0..p.nw {
-                                let base = (q * p.nw + w) * nn;
-                                for j in 0..N3D {
-                                    let dval = d.get(&[q, w, a, slot, i, j]);
-                                    let dval_abs = d_other.get(&[q, w, a, slot, j, i]).conj();
-                                    let dh_j = inputs.dh.inner(&[a, slot, j]);
-                                    if dval != Complex64::ZERO {
-                                        for (t, &s) in em[base..base + nn].iter_mut().zip(dh_j) {
-                                            *t += s * dval;
-                                        }
-                                    }
-                                    if dval_abs != Complex64::ZERO {
-                                        for (t, &s) in ab[base..base + nn].iter_mut().zip(dh_j) {
-                                            *t += s * dval_abs;
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    // (4) Batched-GEMM schedule (Fig. 11): for every
-                    // (kz, qz, ω) the whole energy run multiplies one
-                    // shared D̃ block —
-                    //   emission    Σ[k, E] += dHG[k−q, E−ω−1] · D̃(q, ω)
-                    //               for E ∈ ω+1..NE,
-                    //   absorption  Σ[k, E] += dHG[k−q, E+ω+1] · D̃*(q, ω)
-                    //               for E ∈ 0..NE−ω−1,
-                    // each a contiguous `cnt`-item shared-B batch.
-                    for k in 0..p.nkz {
-                        for q in 0..p.nqz {
-                            let kq = inputs.grids.k_minus_q(k, q);
-                            for w in 0..p.nw {
-                                let cnt = p.ne.saturating_sub(w + 1);
-                                if cnt == 0 {
-                                    continue;
-                                }
-                                let bbase = (q * p.nw + w) * nn;
-                                for (dhg_i, dhd_i) in dhg.iter().zip(&dhd_em) {
-                                    let a_off = kq * p.ne * nn;
-                                    let o_off = (k * p.ne + w + 1) * nn;
-                                    gemm::batched_gemm_shared_b_scaled_acc(
-                                        no,
-                                        no,
-                                        no,
-                                        cnt,
-                                        &dhg_i[a_off..a_off + cnt * nn],
-                                        &dhd_i[bbase..bbase + nn],
-                                        &mut sig[o_off..o_off + cnt * nn],
-                                        scale,
-                                    );
-                                }
-                                for (dhg_i, dhd_i) in dhg.iter().zip(&dhd_abs) {
-                                    let a_off = (kq * p.ne + w + 1) * nn;
-                                    let o_off = k * p.ne * nn;
-                                    gemm::batched_gemm_shared_b_scaled_acc(
-                                        no,
-                                        no,
-                                        no,
-                                        cnt,
-                                        &dhg_i[a_off..a_off + cnt * nn],
-                                        &dhd_i[bbase..bbase + nn],
-                                        &mut sig[o_off..o_off + cnt * nn],
-                                        scale,
-                                    );
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            for buf in dhg.into_iter().chain(dhd_em).chain(dhd_abs) {
-                workspace::give_scratch(buf);
-            }
-            (sig_l, sig_g)
+            let mut sig = [
+                vec![Complex64::ZERO; ke * nn],
+                vec![Complex64::ZERO; ke * nn],
+            ];
+            let [sig_l, sig_g] = &mut sig;
+            sigma_atom(inputs, &view, a, [sig_l, sig_g]);
+            sig
         })
         .collect();
-    g_l.recycle();
-    g_g.recycle();
+    g.into_iter().for_each(Tensor::recycle);
     // Scatter per-atom results into the output tensors.
     let mut out = ElectronSelfEnergy::zeros(p);
-    for (a, (sl, sg)) in partials.into_iter().enumerate() {
+    for (a, [sl, sg]) in partials.into_iter().enumerate() {
         for k in 0..p.nkz {
             for e in 0..p.ne {
                 let src = (k * p.ne + e) * nn;
@@ -178,6 +121,123 @@ pub fn sigma(inputs: &SseInputs<'_>) -> ElectronSelfEnergy {
     out
 }
 
+/// Accumulate atom `a`'s scaled Σ≷ over the view's output energies into
+/// `sig` (lesser, greater), each `[kz][e_out][Norb²]`.
+pub fn sigma_atom(
+    inputs: &SseInputs<'_>,
+    view: &SseView<'_>,
+    a: usize,
+    mut sig: [&mut [Complex64]; 2],
+) {
+    let p = inputs.p;
+    let no = p.norb;
+    let nn = no * no;
+    let scale = c64(super::sigma_scale(p, inputs.grids), 0.0);
+    let (eo, eh) = (&view.e_out, &view.e_halo);
+    debug_assert!(eh.start <= eo.start.saturating_sub(p.nw));
+    debug_assert!(eh.end >= (eo.end + p.nw).min(p.ne));
+    let ke = p.nkz * eh.len();
+    let nqw = p.nqz * p.nw;
+    // Rank-3 transients of the fused kernel (Fig. 12): one (kz, E) batch
+    // plus emission/absorption (qz, ω) operand stacks per direction, all
+    // from the calling thread's workspace pool.
+    let scratch =
+        |len| -> Vec<Vec<Complex64>> { (0..N3D).map(|_| workspace::take_scratch(len)).collect() };
+    let (mut dhg, mut dhd_em, mut dhd_abs) =
+        (scratch(ke * nn), scratch(nqw * nn), scratch(nqw * nn));
+    for slot in 0..p.nb {
+        let Some(f) = inputs.dev.neighbor(a, slot) else {
+            continue;
+        };
+        debug_assert!(view.a_win.contains(&a) && view.a_win.contains(&f));
+        let g_off = (f - view.a_win.start) * ke * nn;
+        for (t, sig) in sig.iter_mut().enumerate() {
+            // (1 + 3) ∇H·G: one wide GEMM per direction over the
+            // contiguous (kz, E) batch of atom f.
+            let g_batch = &view.g[t][g_off..g_off + ke * nn]; // [Nkz*NE*no, no]
+            for (i, dhg_i) in dhg.iter_mut().enumerate() {
+                let dh_i = inputs.dh.inner(&[a, slot, i]);
+                dhg_i.fill(Complex64::ZERO);
+                gemm::gemm_raw_acc(ke * no, no, no, g_batch, dh_i, dhg_i);
+            }
+            // ∇H·D̃ stacks in natural (qz, ω) order — the batched (E, ω)
+            // loop flip below removes the need for the old ω-reversed
+            // emission layout. Emission contracts D̃≶, absorption its
+            // bosonic image conj D̃≷ᵀ.
+            let (d, d_other) = (view.d[t], view.d[1 - t]);
+            for i in 0..N3D {
+                let (em, ab) = (&mut dhd_em[i], &mut dhd_abs[i]);
+                em.fill(Complex64::ZERO);
+                ab.fill(Complex64::ZERO);
+                for qw in 0..nqw {
+                    let base = qw * nn;
+                    let d_off =
+                        ((qw * view.a_win.len() + a - view.a_win.start) * p.nb + slot) * N3D * N3D;
+                    for j in 0..N3D {
+                        let dval = d[d_off + i * N3D + j];
+                        let dval_abs = d_other[d_off + j * N3D + i].conj();
+                        let dh_j = inputs.dh.inner(&[a, slot, j]);
+                        if dval != Complex64::ZERO {
+                            for (t, &s) in em[base..base + nn].iter_mut().zip(dh_j) {
+                                *t += s * dval;
+                            }
+                        }
+                        if dval_abs != Complex64::ZERO {
+                            for (t, &s) in ab[base..base + nn].iter_mut().zip(dh_j) {
+                                *t += s * dval_abs;
+                            }
+                        }
+                    }
+                }
+            }
+            // (4) Batched-GEMM schedule (Fig. 11): for every (kz, qz, ω)
+            // the whole energy run multiplies one shared D̃ block —
+            //   emission    Σ[k, E] += dHG[k−q, E−ω−1] · D̃(q, ω)
+            //               for E ∈ e_out with E ≥ ω+1,
+            //   absorption  Σ[k, E] += dHG[k−q, E+ω+1] · D̃*(q, ω)
+            //               for E ∈ e_out with E < NE−ω−1,
+            // each a contiguous `cnt`-item shared-B batch.
+            for k in 0..p.nkz {
+                for q in 0..p.nqz {
+                    let kq = inputs.grids.k_minus_q(k, q);
+                    for w in 0..p.nw {
+                        let bbase = (q * p.nw + w) * nn;
+                        let em_first = eo.start.max(w + 1);
+                        let abs_end = eo.end.min(p.ne.saturating_sub(w + 1));
+                        // (operand stack, first output E, end, first source E)
+                        for (dhd, first, end, src) in [
+                            (&dhd_em, em_first, eo.end, em_first - (w + 1)),
+                            (&dhd_abs, eo.start, abs_end, eo.start + w + 1),
+                        ] {
+                            let cnt = end.saturating_sub(first);
+                            if cnt == 0 {
+                                continue;
+                            }
+                            let a_off = (kq * eh.len() + src - eh.start) * nn;
+                            let o_off = (k * eo.len() + first - eo.start) * nn;
+                            for (dhg_i, dhd_i) in dhg.iter().zip(dhd) {
+                                gemm::batched_gemm_shared_b_scaled_acc(
+                                    no,
+                                    no,
+                                    no,
+                                    cnt,
+                                    &dhg_i[a_off..a_off + cnt * nn],
+                                    &dhd_i[bbase..bbase + nn],
+                                    &mut sig[o_off..o_off + cnt * nn],
+                                    scale,
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    for buf in dhg.into_iter().chain(dhd_em).chain(dhd_abs) {
+        workspace::give_scratch(buf);
+    }
+}
+
 /// Π≷ via the transformed kernel: same contraction as
 /// [`super::reference::pi`], rescheduled through batched GEMM. By the
 /// cyclic trace identity
@@ -188,14 +248,9 @@ pub fn sigma(inputs: &SseInputs<'_>) -> ElectronSelfEnergy {
 /// permuted `(kz, E)` batch; the inner loops reduce to trace dots.
 pub fn pi(inputs: &SseInputs<'_>) -> PhononSelfEnergy {
     let p = inputs.p;
-    let no = p.norb;
-    let nn = no * no;
-    let ke = p.nkz * p.ne;
     let scale = c64(super::pi_scale(p, inputs.grids), 0.0);
-    // Same data-layout transformation as Σ: G≷ -> [NA, Nkz, NE, No, No].
-    let perm = [2usize, 0, 1, 3, 4];
-    let g_l = inputs.g_lesser.permuted_pooled(&perm);
-    let g_g = inputs.g_greater.permuted_pooled(&perm);
+    let g = permuted_g(inputs);
+    let view = full_view(inputs, &g);
     let mut out = PhononSelfEnergy::zeros(p);
     // Per (a, slot) pair, computed in parallel and scattered.
     let pairs: Vec<(usize, usize)> = (0..p.na)
@@ -204,79 +259,7 @@ pub fn pi(inputs: &SseInputs<'_>) -> PhononSelfEnergy {
     let results: Vec<Option<(usize, usize, Matrix, Matrix)>> = pairs
         .par_iter()
         .map(|&(a, slot)| {
-            let b = inputs.dev.neighbor(a, slot)?;
-            // ∇H_ba,i once per pair (tiny, escapes nothing).
-            let dh_ba: Vec<Matrix> = (0..N3D)
-                .map(|i| super::reference::dh_reverse(inputs, a, slot, b, i))
-                .collect();
-            let mut t_l = Matrix::zeros(N3D * p.nqz, N3D * p.nw); // (i·q, j·w) layout
-            let mut t_g = Matrix::zeros(N3D * p.nqz, N3D * p.nw);
-            // Pooled hoisted products: U_j[k,e] = G_hi[k,e,a]·∇H_ab,j and
-            // V_i[k,e] = G_lo[k,e,b]·∇H_ba,i over the full grid.
-            let mut u: Vec<Vec<Complex64>> =
-                (0..N3D).map(|_| workspace::take_scratch(ke * nn)).collect();
-            let mut v: Vec<Vec<Complex64>> =
-                (0..N3D).map(|_| workspace::take_scratch(ke * nn)).collect();
-            for (g_hi, g_lo, t_out) in [(&g_l, &g_g, &mut t_l), (&g_g, &g_l, &mut t_g)] {
-                let g_hi_batch = g_hi.inner(&[a]);
-                let g_lo_batch = g_lo.inner(&[b]);
-                for (j, u_j) in u.iter_mut().enumerate() {
-                    u_j.fill(Complex64::ZERO);
-                    gemm::batched_gemm_shared_b_acc(
-                        no,
-                        no,
-                        no,
-                        ke,
-                        g_hi_batch,
-                        inputs.dh.inner(&[a, slot, j]),
-                        u_j,
-                    );
-                }
-                for (i, v_i) in v.iter_mut().enumerate() {
-                    v_i.fill(Complex64::ZERO);
-                    gemm::batched_gemm_shared_b_acc(
-                        no,
-                        no,
-                        no,
-                        ke,
-                        g_lo_batch,
-                        dh_ba[i].as_slice(),
-                        v_i,
-                    );
-                }
-                for q in 0..p.nqz {
-                    for w in 0..p.nw {
-                        for k in 0..p.nkz {
-                            let kq = inputs.grids.k_plus_q(k, q);
-                            for e in 0..p.ne {
-                                let Some(ep) = inputs.grids.e_plus_w(e, w) else {
-                                    continue;
-                                };
-                                let u_off = (kq * p.ne + ep) * nn;
-                                let v_off = (k * p.ne + e) * nn;
-                                for (i, v_i) in v.iter().enumerate() {
-                                    let vb = &v_i[v_off..v_off + nn];
-                                    for (j, u_j) in u.iter().enumerate() {
-                                        let ub = &u_j[u_off..u_off + nn];
-                                        // tr(U·V) without forming U·V.
-                                        let mut tr = Complex64::ZERO;
-                                        for m in 0..no {
-                                            for n in 0..no {
-                                                tr = tr.mul_add(ub[m * no + n], vb[n * no + m]);
-                                            }
-                                        }
-                                        qt_linalg::add_flops(8 * nn as u64);
-                                        t_out[(i * p.nqz + q, j * p.nw + w)] += tr;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            for buf in u.into_iter().chain(v) {
-                workspace::give_scratch(buf);
-            }
+            let (mut t_l, mut t_g) = pi_pair(inputs, &view, a, slot)?;
             for z in t_l.as_mut_slice() {
                 *z *= scale;
             }
@@ -286,8 +269,7 @@ pub fn pi(inputs: &SseInputs<'_>) -> PhononSelfEnergy {
             Some((a, slot, t_l, t_g))
         })
         .collect();
-    g_l.recycle();
-    g_g.recycle();
+    g.into_iter().for_each(Tensor::recycle);
     for r in results.into_iter().flatten() {
         let (a, slot, t_l, t_g) = r;
         for (t, tensor_pair) in [(&t_l, &mut out.lesser), (&t_g, &mut out.greater)] {
@@ -306,4 +288,313 @@ pub fn pi(inputs: &SseInputs<'_>) -> PhononSelfEnergy {
         }
     }
     out
+}
+
+/// *Unscaled* Π≷ partials of the pair `(a, slot)` over the view's output
+/// energies, for every `(qz, ω)` at once: `(T<, T>)` indexed
+/// `(i·Nqz + q, j·Nω + ω)`, to be added at `slot` and subtracted at the
+/// diagonal slot (Eqs. 4–5). `None` for a vacant slot.
+pub fn pi_pair(
+    inputs: &SseInputs<'_>,
+    view: &SseView<'_>,
+    a: usize,
+    slot: usize,
+) -> Option<(Matrix, Matrix)> {
+    let p = inputs.p;
+    let no = p.norb;
+    let nn = no * no;
+    let (eo, eh) = (&view.e_out, &view.e_halo);
+    let ke = p.nkz * eh.len();
+    let b = inputs.dev.neighbor(a, slot)?;
+    debug_assert!(view.a_win.contains(&a) && view.a_win.contains(&b));
+    // ∇H_ba,i once per pair (tiny, escapes nothing).
+    let dh_ba: Vec<Matrix> = (0..N3D)
+        .map(|i| super::reference::dh_reverse(inputs, a, slot, b, i))
+        .collect();
+    let mut t_l = Matrix::zeros(N3D * p.nqz, N3D * p.nw); // (i·q, j·w) layout
+    let mut t_g = Matrix::zeros(N3D * p.nqz, N3D * p.nw);
+    // Pooled hoisted products: U_j[k,e] = G_hi[k,e,a]·∇H_ab,j and
+    // V_i[k,e] = G_lo[k,e,b]·∇H_ba,i over the view's (kz, E) batch.
+    let mut u: Vec<Vec<Complex64>> = (0..N3D).map(|_| workspace::take_scratch(ke * nn)).collect();
+    let mut v: Vec<Vec<Complex64>> = (0..N3D).map(|_| workspace::take_scratch(ke * nn)).collect();
+    let batch = |t: usize, atom: usize| {
+        let off = (atom - view.a_win.start) * ke * nn;
+        &view.g[t][off..off + ke * nn]
+    };
+    // Π<: G<(E+ω) × G>(E); Π>: G>(E+ω) × G<(E).
+    for (hi, t_out) in [(0, &mut t_l), (1, &mut t_g)] {
+        let g_hi_batch = batch(hi, a);
+        let g_lo_batch = batch(1 - hi, b);
+        for (j, u_j) in u.iter_mut().enumerate() {
+            u_j.fill(Complex64::ZERO);
+            gemm::batched_gemm_shared_b_acc(
+                no,
+                no,
+                no,
+                ke,
+                g_hi_batch,
+                inputs.dh.inner(&[a, slot, j]),
+                u_j,
+            );
+        }
+        for (i, v_i) in v.iter_mut().enumerate() {
+            v_i.fill(Complex64::ZERO);
+            gemm::batched_gemm_shared_b_acc(no, no, no, ke, g_lo_batch, dh_ba[i].as_slice(), v_i);
+        }
+        for q in 0..p.nqz {
+            for w in 0..p.nw {
+                for k in 0..p.nkz {
+                    let kq = inputs.grids.k_plus_q(k, q);
+                    for e in eo.clone() {
+                        let Some(ep) = inputs.grids.e_plus_w(e, w) else {
+                            continue;
+                        };
+                        let u_off = (kq * eh.len() + ep - eh.start) * nn;
+                        let v_off = (k * eh.len() + e - eh.start) * nn;
+                        for (i, v_i) in v.iter().enumerate() {
+                            let vb = &v_i[v_off..v_off + nn];
+                            for (j, u_j) in u.iter().enumerate() {
+                                let ub = &u_j[u_off..u_off + nn];
+                                // tr(U·V) without forming U·V.
+                                let mut tr = Complex64::ZERO;
+                                for m in 0..no {
+                                    for n in 0..no {
+                                        tr = tr.mul_add(ub[m * no + n], vb[n * no + m]);
+                                    }
+                                }
+                                qt_linalg::add_flops(8 * nn as u64);
+                                t_out[(i * p.nqz + q, j * p.nw + w)] += tr;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    for buf in u.into_iter().chain(v) {
+        workspace::give_scratch(buf);
+    }
+    Some((t_l, t_g))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::testutil::{fixture_with, Fixture, PARAMS};
+    use super::super::{pi_scale, reference};
+    use super::*;
+    use crate::device::Device;
+    use crate::params::SimParams;
+
+    /// `(TE, TA)` window grids every fixture is cut into.
+    const TILINGS: [(usize, usize); 5] = [(2, 2), (1, 3), (3, 1), (2, 1), (1, 2)];
+
+    /// The uniform fixture, then a skewed device with an interior vacancy.
+    fn fixtures(p: SimParams) -> [Fixture; 2] {
+        let vacancy = |p: &_| {
+            let mut dev = Device::skewed(p, 1, 1);
+            dev.delete_sites(&[5]);
+            dev
+        };
+        [fixture_with(p, Device::new), fixture_with(p, vacancy)]
+    }
+
+    /// Sizes at which a window and the full grid dispatch differently: the
+    /// packed GEMM takes shared-B batches of 8 or more `Norb = 4` items,
+    /// which a third of 12 energies never reaches and the whole grid does.
+    const WIDE: SimParams = SimParams {
+        nkz: 1,
+        nqz: 1,
+        ne: 12,
+        norb: 4,
+        ..PARAMS
+    };
+
+    fn split(total: usize, parts: usize) -> Vec<Range<usize>> {
+        (0..parts)
+            .map(|i| i * total / parts..(i + 1) * total / parts)
+            .collect()
+    }
+
+    /// Owned storage of one window in the kernel's layout, cut out of the
+    /// global tensors the way a rank's halo unpack fills it.
+    struct Window {
+        e_out: Range<usize>,
+        e_halo: Range<usize>,
+        a_out: Range<usize>,
+        a_win: Range<usize>,
+        g: [Vec<Complex64>; 2],
+        d: [Vec<Complex64>; 2],
+    }
+
+    impl Window {
+        fn cut(fx: &Fixture, e_out: Range<usize>, a_out: Range<usize>) -> Self {
+            let p = &fx.p;
+            let reach = fx.dev.max_neighbor_index_distance();
+            let e_halo = e_out.start.saturating_sub(p.nw)..(e_out.end + p.nw).min(p.ne);
+            let a_win = a_out.start.saturating_sub(reach)..(a_out.end + reach).min(p.na);
+            let g = [&fx.g_lesser, &fx.g_greater].map(|t| {
+                let mut v = Vec::new();
+                for a in a_win.clone() {
+                    for k in 0..p.nkz {
+                        for e in e_halo.clone() {
+                            v.extend_from_slice(t.inner(&[k, e, a]));
+                        }
+                    }
+                }
+                v
+            });
+            let d = [&fx.d_lesser_pre, &fx.d_greater_pre].map(|t| {
+                let mut v = Vec::new();
+                for qw in 0..p.nqz * p.nw {
+                    for a in a_win.clone() {
+                        v.extend_from_slice(t.inner(&[qw / p.nw, qw % p.nw, a]));
+                    }
+                }
+                v
+            });
+            Window {
+                e_out,
+                e_halo,
+                a_out,
+                a_win,
+                g,
+                d,
+            }
+        }
+
+        fn view(&self) -> SseView<'_> {
+            SseView {
+                e_out: self.e_out.clone(),
+                e_halo: self.e_halo.clone(),
+                a_win: self.a_win.clone(),
+                g: [&self.g[0], &self.g[1]],
+                d: [&self.d[0], &self.d[1]],
+            }
+        }
+    }
+
+    /// Σ≷ of every window of every tiling against the matching slice of the
+    /// full call (`check` sees both blocks) and, to 1e-10 of the tensor
+    /// norm, of the untransformed reference.
+    fn check_sigma_windows(fx: &Fixture, check: impl Fn(&[Complex64], &[Complex64], &str)) {
+        let inputs = fx.inputs();
+        let (p, nn) = (&fx.p, fx.p.norb * fx.p.norb);
+        let full = sigma(&inputs);
+        let oracle = reference::sigma(&inputs);
+        for (te, ta) in TILINGS {
+            for e_out in split(p.ne, te) {
+                for a_out in split(p.na, ta) {
+                    let win = Window::cut(fx, e_out.clone(), a_out);
+                    for a in win.a_out.clone() {
+                        let mut sig =
+                            [0, 1].map(|_| vec![Complex64::ZERO; p.nkz * e_out.len() * nn]);
+                        let [sig_l, sig_g] = &mut sig;
+                        sigma_atom(&inputs, &win.view(), a, [sig_l, sig_g]);
+                        let tensors = [
+                            (&full.lesser, &oracle.lesser),
+                            (&full.greater, &oracle.greater),
+                        ];
+                        for (got, (full, oracle)) in sig.iter().zip(tensors) {
+                            for k in 0..p.nkz {
+                                for (el, e) in e_out.clone().enumerate() {
+                                    let off = (k * e_out.len() + el) * nn;
+                                    let got = &got[off..off + nn];
+                                    let what = format!("{te}x{ta} k={k} e={e} a={a}");
+                                    check(got, full.inner(&[k, e, a]), &what);
+                                    let tol = 1e-10 * oracle.norm();
+                                    for (x, y) in got.iter().zip(oracle.inner(&[k, e, a])) {
+                                        assert!((*x - *y).abs() <= tol, "{what} vs reference");
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sigma_windows_have_the_full_calls_bits_at_two_orbitals() {
+        // At Norb = 2 no product of the kernel fills the packed GEMM's
+        // register tile, so every batch length takes the naive kernel and a
+        // window reproduces the full call bit for bit.
+        for fx in fixtures(PARAMS) {
+            check_sigma_windows(&fx, |got, full, what| {
+                for (x, y) in got.iter().zip(full) {
+                    let same = x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits();
+                    assert!(same, "{what}: {x:?} vs {y:?}");
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn sigma_windows_match_the_full_call_when_gemm_dispatch_differs() {
+        // At Norb = 4 the wide products pick the packed or the naive kernel
+        // by batch length, which a window's shorter energy runs change:
+        // same sum, different rounding.
+        for fx in fixtures(WIDE) {
+            let tol = 1e-12 * sigma(&fx.inputs()).lesser.norm();
+            check_sigma_windows(&fx, |got, full, what| {
+                for (x, y) in got.iter().zip(full) {
+                    assert!((*x - *y).abs() <= tol, "{what}: {x:?} vs {y:?}");
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn pi_window_partials_summed_in_unit_order_reproduce_serial_pi() {
+        for fx in fixtures(PARAMS) {
+            let inputs = fx.inputs();
+            let p = &fx.p;
+            let full = pi(&inputs);
+            let oracle = reference::pi(&inputs);
+            for (te, ta) in TILINGS {
+                let mut sum = PhononSelfEnergy::zeros(p);
+                for e_out in split(p.ne, te) {
+                    for a_out in split(p.na, ta) {
+                        let win = Window::cut(&fx, e_out.clone(), a_out);
+                        for a in win.a_out.clone() {
+                            for slot in 0..p.nb {
+                                let Some((t_l, t_g)) = pi_pair(&inputs, &win.view(), a, slot)
+                                else {
+                                    continue;
+                                };
+                                for (t, out) in [(&t_l, &mut sum.lesser), (&t_g, &mut sum.greater)]
+                                {
+                                    for (q, w, i, j) in qwij(p.nqz, p.nw) {
+                                        let v = t[(i * p.nqz + q, j * p.nw + w)];
+                                        out.add_assign_at(&[q, w, a, slot, i, j], v);
+                                        out.add_assign_at(&[q, w, a, p.nb, i, j], -v);
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+                let scale = pi_scale(p, &fx.grids);
+                for (sum, full, oracle) in [
+                    (&sum.lesser, &full.lesser, &oracle.lesser),
+                    (&sum.greater, &full.greater, &oracle.greater),
+                ] {
+                    let mut scaled = sum.clone();
+                    scaled.as_mut_slice().iter_mut().for_each(|z| *z *= scale);
+                    for reference in [full, oracle] {
+                        let rel = reference.max_abs_diff(&scaled) / reference.norm();
+                        assert!(rel <= 1e-10, "{te}x{ta}: rel {rel}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every `(q, ω, i, j)` index of a [`pi_pair`] partial.
+    fn qwij(nqz: usize, nw: usize) -> impl Iterator<Item = (usize, usize, usize, usize)> {
+        (0..nqz * nw * N3D * N3D).map(move |n| {
+            let (qw, ij) = (n / (N3D * N3D), n % (N3D * N3D));
+            (qw / nw, qw % nw, ij / N3D, ij % N3D)
+        })
+    }
 }

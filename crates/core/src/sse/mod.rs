@@ -12,7 +12,8 @@
 //!   preallocated work buffers but still one small GEMM per point;
 //! * [`dace`] — the transformed kernel of Fig. 12: redundancy removal,
 //!   `[a, kz, E]` data layout, and wide batched GEMMs over `(kz, E)` and
-//!   the `ω` window.
+//!   the `ω` window; written over a view of the grid, so the distributed
+//!   tiles of `qt-dist` run this same code.
 //!
 //! The Π≷ kernel (Eqs. 4–5) has reference and transformed variants as well.
 
@@ -216,19 +217,26 @@ pub(crate) mod testutil {
         }
     }
 
+    /// The grid and device sizes of [`fixture`].
+    pub const PARAMS: SimParams = SimParams {
+        nkz: 2,
+        nqz: 2,
+        ne: 8,
+        nw: 2,
+        na: 8,
+        nb: 3,
+        norb: 2,
+        bnum: 4,
+    };
+
     /// Build a small but fully physical fixture by running one GF phase.
     pub fn fixture() -> Fixture {
-        let p = SimParams {
-            nkz: 2,
-            nqz: 2,
-            ne: 8,
-            nw: 2,
-            na: 8,
-            nb: 3,
-            norb: 2,
-            bnum: 4,
-        };
-        let dev = Device::new(&p);
+        fixture_with(PARAMS, Device::new)
+    }
+
+    /// [`fixture`] at sizes `p` on the device `make_dev` builds.
+    pub fn fixture_with(p: SimParams, make_dev: impl Fn(&SimParams) -> Device) -> Fixture {
+        let dev = make_dev(&p);
         let em = ElectronModel::for_params(&p);
         let pm = PhononModel::default();
         let grids = Grids::new(&p, -1.2, 1.2);
@@ -292,21 +300,6 @@ mod tests {
         assert!(r.lesser.max_abs_diff(&d.lesser) / ls < 1e-12);
         assert!(r.greater.max_abs_diff(&d.greater) / gs < 1e-12);
         assert!(r.lesser.norm() > 1e-20);
-    }
-
-    #[test]
-    fn dace_variant_does_less_work() {
-        let fx = fixture();
-        let inputs = fx.inputs();
-        let (_, flops_omen) = qt_linalg::count_flops(|| sigma(&inputs, SseVariant::Omen));
-        let (_, flops_dace) = qt_linalg::count_flops(|| sigma(&inputs, SseVariant::Dace));
-        // Redundancy removal cuts the ∇HG stage by ~Nqz·Nω; total
-        // reduction approaches 2× for large Nqz·Nω (Table 3). At the tiny
-        // fixture it must still be strictly less.
-        assert!(
-            flops_dace < flops_omen,
-            "dace {flops_dace} must be below omen {flops_omen}"
-        );
     }
 
     #[test]

@@ -22,13 +22,7 @@ fn dh_block(dh: &Tensor, a: usize, slot: usize, i: usize, no: usize) -> Matrix {
 
 /// `∇H_ba,i` via the reverse neighbor slot, falling back to the
 /// antisymmetry `∇H_ba = −(∇H_ab)†`.
-pub(super) fn dh_reverse(
-    inputs: &SseInputs<'_>,
-    a: usize,
-    slot: usize,
-    b: usize,
-    i: usize,
-) -> Matrix {
+pub fn dh_reverse(inputs: &SseInputs<'_>, a: usize, slot: usize, b: usize, i: usize) -> Matrix {
     let no = inputs.p.norb;
     match (0..inputs.p.nb).find(|&s| inputs.dev.neighbor(b, s) == Some(a)) {
         Some(s) => dh_block(inputs.dh, b, s, i, no),

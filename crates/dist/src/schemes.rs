@@ -1,8 +1,9 @@
 //! Runnable SSE communication schemes (§4.1), executed on the thread world.
 //!
 //! Both schemes compute the *same* Σ≷ as the serial kernels in
-//! `qt_core::sse` (unit tests enforce it); they differ only in data
-//! movement:
+//! `qt_core::sse` (unit tests enforce it); they differ in data movement
+//! and in the kernel behind it — the OMEN scheme keeps the paper's
+//! per-point small products (and serves as the independent oracle):
 //!
 //! * [`omen_scheme`] — `Nqz·Nω` rounds; each round broadcasts `D̃≷(qz, ω)`
 //!   to every process and replicates the needed `G≷(E−ω, ·)` slices by
@@ -11,9 +12,11 @@
 //! * [`ca_exchange`] — the DaCe communication-avoiding scheme: one
 //!   all-to-all redistribution from the GF layout (energy-split) to the
 //!   `(TE, TA)` energy×atom tiling with an `Nω` energy halo and a
-//!   neighbor-window atom halo; the SSE is then entirely local. It runs
-//!   over whatever survivor set its [`ElasticTiling`] names — the paper's
-//!   fault-free scheme is the case where every rank survives.
+//!   neighbor-window atom halo; the SSE is then entirely local — the
+//!   serial [`sse::dace`] kernels on the tile's [`sse::dace::SseView`],
+//!   whose layout the halo unpack writes directly. It runs over whatever
+//!   survivor set its [`ElasticTiling`] names — the paper's fault-free
+//!   scheme is the case where every rank survives.
 //!
 //! The measured byte counts follow the closed forms in [`crate::volume`].
 
@@ -127,21 +130,19 @@ impl BalanceStats {
     }
 }
 
-/// Pack `G[:, e, a_range, :, :]` (all kz) into a flat buffer.
+/// Append `G[:, e, a_range, :, :]` (all kz) to `out`, packed `[kz][a][Norb²]`.
 fn pack_g_slice(
+    out: &mut Vec<Complex64>,
     g: &Tensor,
     nkz: usize,
     e: usize,
     atoms: std::ops::Range<usize>,
-    nn: usize,
-) -> Vec<Complex64> {
-    let mut out = Vec::with_capacity(nkz * atoms.len() * nn);
+) {
     for k in 0..nkz {
         for a in atoms.clone() {
             out.extend_from_slice(g.inner(&[k, e, a]));
         }
     }
-    out
 }
 
 /// The Σ contribution of one `(qz, ω)` round for one owned energy, shared by
@@ -204,24 +205,12 @@ fn sigma_round_increment(
     }
 }
 
-/// `∇H_ba,i` via the reverse neighbor slot, falling back to the
-/// antisymmetry `∇H_ba = −(∇H_ab,i)†` (same convention as the serial
-/// kernels).
-fn dh_reverse(
-    ctx: &SseDistContext<'_>,
-    a: usize,
-    slot: usize,
-    b: usize,
-    i: usize,
-) -> Vec<Complex64> {
-    let no = ctx.p.norb;
-    match (0..ctx.p.nb).find(|&s| ctx.dev.neighbor(b, s) == Some(a)) {
-        Some(s) => ctx.dh.inner(&[b, s, i]).to_vec(),
-        None => {
-            let m = qt_linalg::Matrix::from_vec(no, no, ctx.dh.inner(&[a, slot, i]).to_vec());
-            m.dagger().scale(c64(-1.0, 0.0)).as_slice().to_vec()
-        }
+/// A summed Π≷ partial (tiles ship them unscaled) times the prefactor.
+fn scaled(mut v: Vec<Complex64>, scale: Complex64) -> Vec<Complex64> {
+    for z in v.iter_mut() {
+        *z *= scale;
     }
+    v
 }
 
 /// Trace `tr(M1 · G1 · M2 · G2)` over `no × no` row-major blocks.
@@ -249,33 +238,34 @@ fn trace4(
 /// Accumulate one energy's contribution to the Π≷(q, ω) partial:
 /// `T_ab,ij += Σ_k tr{∇H_ba,i · G≷_hi[k+q, E+ω, a] · ∇H_ab,j · G≶_lo[k, E, b]}`
 /// with `+T` on the neighbor slot and `−T` on the diagonal slot (Eqs. 4–5).
-/// `g_hi` is packed `[kz][a][Norb²]` for energy `E+ω+1`; `g_lo_at` fetches
-/// the local `G≶[k, E, b]` block.
+/// `g_hi` is packed `[kz][a][Norb²]` for energy `E+ω+1`; `g_lo` is the
+/// rank's own `G≶`, read at energy `e`.
 fn pi_round_accumulate(
     ctx: &SseDistContext<'_>,
     q: usize,
-    atoms: std::ops::Range<usize>,
-    g_hi: &dyn Fn(usize, usize) -> Vec<Complex64>, // (kq, a) -> block
-    g_lo: &dyn Fn(usize, usize) -> Vec<Complex64>, // (k, b) -> block
-    out: &mut [Complex64],                         // [na][nb+1][9]
+    e: usize,
+    g_hi: &[Complex64],
+    g_lo: &Tensor,
+    out: &mut [Complex64], // [na][nb+1][9]
 ) {
     let p = ctx.p;
     let no = p.norb;
+    let nn = no * no;
     let d_len = (p.nb + 1) * N3D * N3D;
     for k in 0..p.nkz {
         let kq = ctx.grids.k_plus_q(k, q);
-        for a in atoms.clone() {
-            let g1 = g_hi(kq, a);
+        for a in 0..p.na {
+            let g1 = &g_hi[(kq * p.na + a) * nn..(kq * p.na + a + 1) * nn];
             for slot in 0..p.nb {
                 let Some(b) = ctx.dev.neighbor(a, slot) else {
                     continue;
                 };
-                let g2 = g_lo(k, b);
+                let g2 = g_lo.inner(&[k, e, b]);
                 for i in 0..N3D {
-                    let m1 = dh_reverse(ctx, a, slot, b, i);
+                    let m1 = sse::reference::dh_reverse(ctx, a, slot, b, i);
                     for j in 0..N3D {
                         let m2 = ctx.dh.inner(&[a, slot, j]);
-                        let tr = trace4(no, &m1, &g1, m2, &g2);
+                        let tr = trace4(no, m1.as_slice(), g1, m2, g2);
                         out[a * d_len + (slot * N3D + i) * N3D + j] += tr;
                         out[a * d_len + (p.nb * N3D + i) * N3D + j] -= tr;
                     }
@@ -345,7 +335,8 @@ pub fn omen_scheme(
                         }
                         let dst = dec.energy.owner(e_dst);
                         for (t, g) in [ctx.g_lesser, ctx.g_greater].iter().enumerate() {
-                            let buf = pack_g_slice(g, p.nkz, e_src, 0..p.na, nn);
+                            let mut buf = Vec::with_capacity(p.nkz * p.na * nn);
+                            pack_g_slice(&mut buf, g, p.nkz, e_src, 0..p.na);
                             let tag =
                                 ((round * p.ne as u64 + e_dst as u64) * 2 + side) * 2 + t as u64;
                             comm.send(dst, tag, buf);
@@ -399,40 +390,16 @@ pub fn omen_scheme(
                 let mut part_l = vec![Complex64::ZERO; p.na * d_len];
                 let mut part_g = vec![Complex64::ZERO; p.na * d_len];
                 for (e, hi_l, hi_g) in &hi_slices {
-                    let lo_block =
-                        |g: &qt_linalg::Tensor, k: usize, b: usize| g.inner(&[k, *e, b]).to_vec();
-                    let hi_block = |buf: &Vec<Complex64>, kq: usize, a: usize| {
-                        buf[(kq * p.na + a) * nn..(kq * p.na + a + 1) * nn].to_vec()
-                    };
                     // Π<: G<(E+ω) × G>(E); Π>: G>(E+ω) × G<(E).
-                    pi_round_accumulate(
-                        ctx,
-                        q,
-                        0..p.na,
-                        &|kq, a| hi_block(hi_l, kq, a),
-                        &|k, b| lo_block(ctx.g_greater, k, b),
-                        &mut part_l,
-                    );
-                    pi_round_accumulate(
-                        ctx,
-                        q,
-                        0..p.na,
-                        &|kq, a| hi_block(hi_g, kq, a),
-                        &|k, b| lo_block(ctx.g_lesser, k, b),
-                        &mut part_g,
-                    );
+                    pi_round_accumulate(ctx, q, *e, hi_l, ctx.g_greater, &mut part_l);
+                    pi_round_accumulate(ctx, q, *e, hi_g, ctx.g_lesser, &mut part_g);
                 }
                 let tag = (1 << 45) | (round * 2);
                 let red_l = comm.reduce_sum(owner, part_l, tag);
                 let red_g = comm.reduce_sum(owner, part_g, tag + 1);
                 if rank == owner {
-                    let fin = |mut v: Vec<Complex64>| {
-                        for z in v.iter_mut() {
-                            *z *= pi_scale;
-                        }
-                        v
-                    };
-                    pi_owned.push(((q, w), fin(red_l.unwrap()), fin(red_g.unwrap())));
+                    let fin = |v: Option<Vec<Complex64>>| scaled(v.unwrap(), pi_scale);
+                    pi_owned.push(((q, w), fin(red_l), fin(red_g)));
                 }
             }
         }
@@ -530,6 +497,21 @@ struct TileGeom {
     my_a: std::ops::Range<usize>,
 }
 
+impl TileGeom {
+    /// Elements of one halo'd `G≷` tensor, `[a_win][k][e_halo][nn]`.
+    fn g_len(&self, p: &SimParams) -> usize {
+        self.a_win.len() * p.nkz * self.e_halo.len() * p.norb * p.norb
+    }
+    /// Elements of one `D̃≷` window, `[q][ω][a_win][nb·9]`.
+    fn d_len(&self, p: &SimParams) -> usize {
+        p.nqz * p.nw * self.a_win.len() * p.nb * N3D * N3D
+    }
+    /// Elements of one Σ≷ tile, `[a_local][k][e_local][nn]`.
+    fn sig_len(&self, p: &SimParams) -> usize {
+        self.my_a.len() * p.nkz * self.my_e.len() * p.norb * p.norb
+    }
+}
+
 fn tile_geom(dec: &DaceDecomp, p: &SimParams, halo: usize, unit: usize) -> TileGeom {
     let (ti, tj) = dec.coords(unit);
     TileGeom {
@@ -540,28 +522,33 @@ fn tile_geom(dec: &DaceDecomp, p: &SimParams, halo: usize, unit: usize) -> TileG
     }
 }
 
-/// Pack the part of a GF-layout energy chunk that falls inside a tile's
-/// energy halo, over the tile's atom window: `[tensor][e][kz][a][nn]`.
+/// The energies of a GF-layout chunk that fall inside a tile's energy halo.
+fn halo_energies(chunk: &std::ops::Range<usize>, geom: &TileGeom) -> std::ops::Range<usize> {
+    chunk.start.max(geom.e_halo.start)..chunk.end.min(geom.e_halo.end)
+}
+
+/// Pack a GF-layout energy chunk's share of a tile's energy halo, over the
+/// tile's atom window: `[tensor][e][kz][a][nn]`.
 fn pack_g_halo(
     ctx: &SseDistContext<'_>,
     chunk: std::ops::Range<usize>,
     dst: &TileGeom,
     nn: usize,
 ) -> Vec<Complex64> {
-    let mut buf = Vec::new();
+    let es = halo_energies(&chunk, dst);
+    let mut buf = Vec::with_capacity(2 * es.len() * ctx.p.nkz * dst.a_win.len() * nn);
     for g in [ctx.g_lesser, ctx.g_greater] {
-        for e in chunk.clone() {
-            if !dst.e_halo.contains(&e) {
-                continue;
-            }
-            buf.extend(pack_g_slice(g, ctx.p.nkz, e, dst.a_win.clone(), nn));
+        for e in es.clone() {
+            pack_g_slice(&mut buf, g, ctx.p.nkz, e, dst.a_win.clone());
         }
     }
     buf
 }
 
-/// Unpack one [`pack_g_halo`] message into the tile's halo arrays
-/// `[tensor][k][e_halo][a_win][nn]`.
+/// Unpack one [`pack_g_halo`] message straight into the SSE kernel's
+/// layout `[tensor][a_win][k][e_halo][nn]` (the `g` of an
+/// [`sse::dace::SseView`]): the data-layout transformation of Fig. 10c
+/// happens here, once per message, not as a per-tile permute.
 fn unpack_g_halo(
     p: &SimParams,
     chunk: std::ops::Range<usize>,
@@ -572,14 +559,13 @@ fn unpack_g_halo(
 ) {
     let eh_len = geom.e_halo.len();
     let aw_len = geom.a_win.len();
-    let es: Vec<usize> = chunk.filter(|e| geom.e_halo.contains(e)).collect();
     let mut pos = 0;
     for tensor in g_local.iter_mut() {
-        for &e in &es {
+        for e in halo_energies(&chunk, geom) {
             let el = e - geom.e_halo.start;
             for k in 0..p.nkz {
                 for al in 0..aw_len {
-                    let off = ((k * eh_len + el) * aw_len + al) * nn;
+                    let off = ((al * p.nkz + k) * eh_len + el) * nn;
                     tensor[off..off + nn].copy_from_slice(&buf[pos..pos + nn]);
                     pos += nn;
                 }
@@ -587,159 +573,6 @@ fn unpack_g_halo(
         }
     }
     assert_eq!(pos, buf.len(), "unpack must consume the message");
-}
-
-/// The local SSE over one tile once its halos are resident: reads
-/// `g_local`/`d_local` in the tile's window layout and returns
-/// `sig[tensor][k][e_local][a_local][nn]`. `hb` is invoked per outer
-/// iteration so a long compute keeps announcing liveness to the failure
-/// detector.
-fn local_sse_tile(
-    ctx: &SseDistContext<'_>,
-    geom: &TileGeom,
-    g_local: &[Vec<Complex64>; 2],
-    d_local: &[Vec<Complex64>; 2],
-    scale: Complex64,
-    hb: &dyn Fn(),
-) -> [Vec<Complex64>; 2] {
-    let p = ctx.p;
-    let nn = p.norb * p.norb;
-    let d_len = p.nb * N3D * N3D;
-    let (e_halo, a_win) = (&geom.e_halo, &geom.a_win);
-    let (my_e, my_a) = (&geom.my_e, &geom.my_a);
-    let (eh_len, aw_len) = (e_halo.len(), a_win.len());
-    let mut sig = [
-        vec![Complex64::ZERO; p.nkz * my_e.len() * my_a.len() * nn],
-        vec![Complex64::ZERO; p.nkz * my_e.len() * my_a.len() * nn],
-    ];
-    let no = p.norb;
-    let mut dhg = vec![Complex64::ZERO; nn];
-    let mut dhd = vec![Complex64::ZERO; nn];
-    let mut prod = vec![Complex64::ZERO; nn];
-    for tensor in 0..2 {
-        let g_loc = &g_local[tensor];
-        let d_em = &d_local[tensor];
-        let d_ab = &d_local[1 - tensor]; // bosonic image for absorption
-        for k in 0..p.nkz {
-            for q in 0..p.nqz {
-                hb();
-                let kq = ctx.grids.k_minus_q(k, q);
-                for (el_out, e) in my_e.clone().enumerate() {
-                    for w in 0..p.nw {
-                        // Emission (E − ω − 1) and absorption (E + ω + 1).
-                        let sidebands = [
-                            e.checked_sub(w + 1),
-                            (e + w + 1 < p.ne).then_some(e + w + 1),
-                        ];
-                        for (side, es) in sidebands.iter().enumerate() {
-                            let Some(es) = *es else { continue };
-                            debug_assert!(e_halo.contains(&es));
-                            let ehl = es - e_halo.start;
-                            for (al_out, a) in my_a.clone().enumerate() {
-                                let awl_a = a - a_win.start;
-                                for slot in 0..p.nb {
-                                    let Some(f) = ctx.dev.neighbor(a, slot) else {
-                                        continue;
-                                    };
-                                    debug_assert!(a_win.contains(&f));
-                                    let fl = f - a_win.start;
-                                    let goff = ((kq * eh_len + ehl) * aw_len + fl) * nn;
-                                    let gblk = &g_loc[goff..goff + nn];
-                                    for i in 0..N3D {
-                                        let dh_i = ctx.dh.inner(&[a, slot, i]);
-                                        dhg.fill(Complex64::ZERO);
-                                        gemm::gemm_raw_acc(no, no, no, gblk, dh_i, &mut dhg);
-                                        dhd.fill(Complex64::ZERO);
-                                        for j in 0..N3D {
-                                            let dval = if side == 0 {
-                                                let doff = ((q * p.nw + w) * aw_len + awl_a)
-                                                    * d_len
-                                                    + (slot * N3D + i) * N3D
-                                                    + j;
-                                                d_em[doff]
-                                            } else {
-                                                let doff = ((q * p.nw + w) * aw_len + awl_a)
-                                                    * d_len
-                                                    + (slot * N3D + j) * N3D
-                                                    + i;
-                                                d_ab[doff].conj()
-                                            };
-                                            if dval == Complex64::ZERO {
-                                                continue;
-                                            }
-                                            let dh_j = ctx.dh.inner(&[a, slot, j]);
-                                            for (t, &s) in dhd.iter_mut().zip(dh_j) {
-                                                *t += s * dval;
-                                            }
-                                        }
-                                        prod.fill(Complex64::ZERO);
-                                        gemm::gemm_raw_acc(no, no, no, &dhg, &dhd, &mut prod);
-                                        let soff =
-                                            ((k * my_e.len() + el_out) * my_a.len() + al_out) * nn;
-                                        let dst = &mut sig[tensor][soff..soff + nn];
-                                        for (o, v) in dst.iter_mut().zip(prod.iter()) {
-                                            *o += *v * scale;
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    sig
-}
-
-/// Tile-local Π≷(q, ω) partials over one tile's energies and atoms, sized
-/// `[na][(nb+1)·9]`; contributions exist only inside `geom.my_a`, so only
-/// that slice needs to travel to the round owner.
-fn pi_tile_partials(
-    ctx: &SseDistContext<'_>,
-    geom: &TileGeom,
-    g_local: &[Vec<Complex64>; 2],
-    q: usize,
-    w: usize,
-    hb: &dyn Fn(),
-) -> (Vec<Complex64>, Vec<Complex64>) {
-    let p = ctx.p;
-    let nn = p.norb * p.norb;
-    let d_len = (p.nb + 1) * N3D * N3D;
-    let (e_halo, a_win) = (&geom.e_halo, &geom.a_win);
-    let (eh_len, aw_len) = (e_halo.len(), a_win.len());
-    let mut part_l = vec![Complex64::ZERO; p.na * d_len];
-    let mut part_g = vec![Complex64::ZERO; p.na * d_len];
-    for e in geom.my_e.clone() {
-        let Some(ep) = (e + w + 1 < p.ne).then_some(e + w + 1) else {
-            continue;
-        };
-        hb();
-        debug_assert!(e_halo.contains(&ep));
-        let (ehl, el) = (ep - e_halo.start, e - e_halo.start);
-        let g_local_ref = &g_local;
-        let a_win_ref = &a_win;
-        let hi = move |tensor: usize| {
-            move |kq: usize, a: usize| -> Vec<Complex64> {
-                debug_assert!(a_win_ref.contains(&a));
-                let al = a - a_win_ref.start;
-                let off = ((kq * eh_len + ehl) * aw_len + al) * nn;
-                g_local_ref[tensor][off..off + nn].to_vec()
-            }
-        };
-        let lo = move |tensor: usize| {
-            move |k: usize, b: usize| -> Vec<Complex64> {
-                debug_assert!(a_win_ref.contains(&b));
-                let bl = b - a_win_ref.start;
-                let off = ((k * eh_len + el) * aw_len + bl) * nn;
-                g_local_ref[tensor][off..off + nn].to_vec()
-            }
-        };
-        // Π<: G<(E+ω) × G>(E); Π>: G>(E+ω) × G<(E).
-        pi_round_accumulate(ctx, q, geom.my_a.clone(), &hi(0), &lo(1), &mut part_l);
-        pi_round_accumulate(ctx, q, geom.my_a.clone(), &hi(1), &lo(0), &mut part_g);
-    }
-    (part_l, part_g)
 }
 
 // ---------------------------------------------------------------------------
@@ -809,6 +642,7 @@ fn note_steal_flow(
 /// Everything one work unit's compute produces: the Σ≷ tile plus the Π≷
 /// partial slices for every `(q, ω)` round, and the measured wall time.
 struct UnitOut {
+    /// Σ≷ as `[a_local][k][e_local][nn]`, lesser then greater.
     sig: [Vec<Complex64>; 2],
     /// Per `q·Nω + ω`, ascending: the `my_a` rows the round's Π owner
     /// accumulates; empty for rounds whose owner unit was abandoned.
@@ -830,10 +664,20 @@ struct ElasticRankOut {
     stolen_units: u64,
 }
 
-/// Compute one tile end to end: Σ≷ via [`local_sse_tile`] plus the Π≷
-/// partial slices of every live `(q, ω)` round, timed and traced on the
-/// computing rank's trace lane. Pure in its inputs, so a stolen unit
-/// reproduces the victim's results bitwise.
+/// Elements of a tile's Π≷ slice for round `qw`: its owned atoms' rows, or
+/// none when the round's owner unit was abandoned (that Π≷ stays zero).
+fn pi_slice_len(p: &SimParams, tiling: &ElasticTiling, geom: &TileGeom, qw: usize) -> usize {
+    let live = tiling.is_survivor(tiling.owner[qw % tiling.procs()]);
+    usize::from(live) * geom.my_a.len() * (p.nb + 1) * N3D * N3D
+}
+
+/// Compute one tile end to end with the serial DaCe kernels on the tile's
+/// view: Σ≷ per owned atom and the Π≷ partial of every `(a, slot)` pair,
+/// spread over the slices of the live `(q, ω)` rounds; timed and traced on
+/// the computing rank's trace lane. `hb` is ticked before every kernel call
+/// so a long compute keeps announcing liveness to the failure detector.
+/// Pure in its inputs, so a stolen unit reproduces the victim's results
+/// bitwise.
 #[allow(clippy::too_many_arguments)]
 fn compute_unit_tile(
     ctx: &SseDistContext<'_>,
@@ -841,32 +685,57 @@ fn compute_unit_tile(
     geom: &TileGeom,
     g: &[Vec<Complex64>; 2],
     d: &[Vec<Complex64>; 2],
-    scale: Complex64,
     unit: usize,
     track_rank: usize,
     hb: &dyn Fn(),
 ) -> UnitOut {
     let p = ctx.p;
-    let procs = tiling.procs();
     let pi_len = (p.nb + 1) * N3D * N3D;
     // Unit attribution for journal events emitted while this tile
     // computes (heartbeat timeouts, quarantines, steals of this unit).
     qt_telemetry::journal::set_thread_unit(unit as i64);
     let t0 = std::time::Instant::now();
     let cpu0 = qt_telemetry::cputime::thread_cpu_secs();
-    let sig = local_sse_tile(ctx, geom, g, d, scale, hb);
-    let my_a = geom.my_a.clone();
-    let mut pi_slices = Vec::with_capacity(p.nqz * p.nw);
-    for q in 0..p.nqz {
-        for w in 0..p.nw {
-            let owner_id = tiling.owner[(q * p.nw + w) % procs];
-            if !tiling.is_survivor(owner_id) {
-                pi_slices.push((Vec::new(), Vec::new()));
+    let view = sse::dace::SseView {
+        e_out: geom.my_e.clone(),
+        e_halo: geom.e_halo.clone(),
+        a_win: geom.a_win.clone(),
+        g: [&g[0], &g[1]],
+        d: [&d[0], &d[1]],
+    };
+    let sig_len = p.nkz * geom.my_e.len() * p.norb * p.norb;
+    let mut sig = [0, 1].map(|_| vec![Complex64::ZERO; geom.my_a.len() * sig_len]);
+    let mut pi_slices: Vec<(Vec<Complex64>, Vec<Complex64>)> = (0..p.nqz * p.nw)
+        .map(|qw| {
+            let n = pi_slice_len(p, tiling, geom, qw);
+            (vec![Complex64::ZERO; n], vec![Complex64::ZERO; n])
+        })
+        .collect();
+    for (al, a) in geom.my_a.clone().enumerate() {
+        hb();
+        let [sig_l, sig_g] = &mut sig;
+        let rows = al * sig_len..(al + 1) * sig_len;
+        sse::dace::sigma_atom(ctx, &view, a, [&mut sig_l[rows.clone()], &mut sig_g[rows]]);
+        for slot in 0..p.nb {
+            hb();
+            let Some((t_l, t_g)) = sse::dace::pi_pair(ctx, &view, a, slot) else {
                 continue;
+            };
+            for (qw, (out_l, out_g)) in pi_slices.iter_mut().enumerate() {
+                if out_l.is_empty() {
+                    continue; // abandoned round
+                }
+                let (q, w) = (qw / p.nw, qw % p.nw);
+                for (t, out) in [(&t_l, out_l), (&t_g, out_g)] {
+                    for i in 0..N3D {
+                        for j in 0..N3D {
+                            let v = t[(i * p.nqz + q, j * p.nw + w)];
+                            out[al * pi_len + (slot * N3D + i) * N3D + j] += v;
+                            out[al * pi_len + (p.nb * N3D + i) * N3D + j] -= v;
+                        }
+                    }
+                }
             }
-            let (part_l, part_g) = pi_tile_partials(ctx, geom, g, q, w, hb);
-            let sl = |buf: &[Complex64]| buf[my_a.start * pi_len..my_a.end * pi_len].to_vec();
-            pi_slices.push((sl(&part_l), sl(&part_g)));
         }
     }
     let wall = t0.elapsed().as_secs_f64();
@@ -897,22 +766,6 @@ struct StealEnv<'a> {
     geoms: &'a [TileGeom],
     g_local: &'a [[Vec<Complex64>; 2]],
     d_local: &'a [[Vec<Complex64>; 2]],
-    scale: Complex64,
-}
-
-impl StealEnv<'_> {
-    fn g_len(&self, u: usize) -> usize {
-        let p = self.ctx.p;
-        p.nkz * self.geoms[u].e_halo.len() * self.geoms[u].a_win.len() * p.norb * p.norb
-    }
-    fn d_len(&self, u: usize) -> usize {
-        let p = self.ctx.p;
-        p.nqz * p.nw * self.geoms[u].a_win.len() * (p.nb * N3D * N3D)
-    }
-    fn sig_len(&self, u: usize) -> usize {
-        let p = self.ctx.p;
-        p.nkz * self.geoms[u].my_e.len() * self.geoms[u].my_a.len() * p.norb * p.norb
-    }
 }
 
 /// The reply a thief's outstanding request resolved to.
@@ -982,7 +835,9 @@ fn handle_steal_msg(
         if core.queue.len() >= 2 {
             let mi = core.queue.pop_back().expect("non-empty");
             let u = env.my_units[mi];
-            let mut buf = Vec::with_capacity(2 + 2 * (env.g_len(u) + env.d_len(u)));
+            let geom = &env.geoms[u];
+            let mut buf =
+                Vec::with_capacity(2 + 2 * (geom.g_len(env.ctx.p) + geom.d_len(env.ctx.p)));
             buf.push(c64(STEAL_GRANT, 0.0));
             buf.push(c64(u as f64, 0.0));
             for t in env.g_local[mi].iter().chain(env.d_local[mi].iter()) {
@@ -1026,7 +881,7 @@ fn handle_steal_msg(
             "steal/grant",
         );
         let u = msg[1].re as usize;
-        let (gl, dl) = (env.g_len(u), env.d_len(u));
+        let (gl, dl) = (env.geoms[u].g_len(env.ctx.p), env.geoms[u].d_len(env.ctx.p));
         assert_eq!(msg.len(), 2 + 2 * gl + 2 * dl, "GRANT frame size");
         let g = [msg[2..2 + gl].to_vec(), msg[2 + gl..2 + 2 * gl].to_vec()];
         let base = 2 + 2 * gl;
@@ -1041,7 +896,6 @@ fn handle_steal_msg(
             &env.geoms[u],
             &g,
             &d,
-            env.scale,
             u,
             comm.identity(),
             &hb,
@@ -1049,7 +903,7 @@ fn handle_steal_msg(
         core.busy_secs += out.secs;
         core.stolen_units += 1;
         qt_telemetry::counters::add_stolen_units(1);
-        let mut buf = Vec::with_capacity(3 + env.sig_len(u) * 2);
+        let mut buf = Vec::with_capacity(3 + env.geoms[u].sig_len(env.ctx.p) * 2);
         buf.push(c64(STEAL_RESULT, 0.0));
         buf.push(c64(u as f64, 0.0));
         buf.push(c64(out.secs, 0.0));
@@ -1092,29 +946,18 @@ fn handle_steal_msg(
             .position(|&x| x == u)
             .expect("RESULT for a unit we own");
         let p = env.ctx.p;
-        let pi_len = (p.nb + 1) * N3D * N3D;
-        let my_a_len = env.geoms[u].my_a.len();
-        let sl = env.sig_len(u);
         let mut pos = 3;
-        let sig = [
-            msg[pos..pos + sl].to_vec(),
-            msg[pos + sl..pos + 2 * sl].to_vec(),
-        ];
-        pos += 2 * sl;
-        let procs = env.tiling.procs();
-        let mut pi_slices = Vec::with_capacity(p.nqz * p.nw);
-        for qw in 0..p.nqz * p.nw {
-            let owner_id = env.tiling.owner[qw % procs];
-            if !env.tiling.is_survivor(owner_id) {
-                pi_slices.push((Vec::new(), Vec::new()));
-                continue;
-            }
-            let n = my_a_len * pi_len;
-            let l = msg[pos..pos + n].to_vec();
-            let g = msg[pos + n..pos + 2 * n].to_vec();
-            pos += 2 * n;
-            pi_slices.push((l, g));
-        }
+        let mut cut = |n: usize| {
+            pos += n;
+            msg[pos - n..pos].to_vec()
+        };
+        let sig = [0, 1].map(|_| cut(env.geoms[u].sig_len(p)));
+        let pi_slices = (0..p.nqz * p.nw)
+            .map(|qw| {
+                let n = pi_slice_len(p, env.tiling, &env.geoms[u], qw);
+                (cut(n), cut(n))
+            })
+            .collect();
         assert_eq!(pos, msg.len(), "RESULT frame size");
         core.outs[mi] = Some(UnitOut {
             sig,
@@ -1200,7 +1043,6 @@ fn steal_compute_phase(
             &env.geoms[u],
             &env.g_local[mi],
             &env.d_local[mi],
-            env.scale,
             u,
             comm.identity(),
             &hb,
@@ -1407,7 +1249,6 @@ fn elastic_rank_body(
     let live = &policy.live;
     let p = ctx.p;
     let nn = p.norb * p.norb;
-    let scale = c64(sse::sigma_scale(p, ctx.grids), 0.0);
     let dec = &tiling.dec;
     let procs = tiling.procs();
     let halo = ctx.dev.max_neighbor_index_distance();
@@ -1432,10 +1273,7 @@ fn elastic_rank_body(
     }
     let mut g_local: Vec<[Vec<Complex64>; 2]> = my_units
         .iter()
-        .map(|&u| {
-            let len = p.nkz * geoms[u].e_halo.len() * geoms[u].a_win.len() * nn;
-            [vec![Complex64::ZERO; len], vec![Complex64::ZERO; len]]
-        })
+        .map(|&u| [0, 1].map(|_| vec![Complex64::ZERO; geoms[u].g_len(p)]))
         .collect();
     for u_src in 0..procs {
         if !tiling.is_live_unit(u_src) {
@@ -1472,10 +1310,7 @@ fn elastic_rank_body(
     }
     let mut d_local: Vec<[Vec<Complex64>; 2]> = my_units
         .iter()
-        .map(|&u| {
-            let len = p.nqz * p.nw * geoms[u].a_win.len() * d_len;
-            [vec![Complex64::ZERO; len], vec![Complex64::ZERO; len]]
-        })
+        .map(|&u| [0, 1].map(|_| vec![Complex64::ZERO; geoms[u].d_len(p)]))
         .collect();
     for (mi, &u_dst) in my_units.iter().enumerate() {
         let aw_len = geoms[u_dst].a_win.len();
@@ -1511,9 +1346,8 @@ fn elastic_rank_body(
         geoms: &geoms,
         g_local: &g_local,
         d_local: &d_local,
-        scale,
     };
-    let (outs, busy_secs, steal_requests, stolen_units) = if policy.steal && comm.size() > 1 {
+    let (mut outs, busy_secs, steal_requests, stolen_units) = if policy.steal && comm.size() > 1 {
         steal_compute_phase(&env, &comm, live)?
     } else {
         let mut outs = Vec::with_capacity(my_units.len());
@@ -1525,7 +1359,6 @@ fn elastic_rank_body(
                 &geoms[u],
                 &g_local[mi],
                 &d_local[mi],
-                scale,
                 u,
                 me,
                 &hb,
@@ -1553,11 +1386,11 @@ fn elastic_rank_body(
             if !tiling.is_survivor(owner_id) {
                 continue; // the round's owner unit was abandoned: Π≷ stays zero
             }
-            for (mi, &u) in my_units.iter().enumerate() {
-                let (sl_l, sl_g) = &outs[mi].pi_slices[qw];
+            for (out, &u) in outs.iter_mut().zip(&my_units) {
+                let (sl_l, sl_g) = std::mem::take(&mut out.pi_slices[qw]);
                 let tag = tag_pi(procs, qw, u);
-                comm.try_send(tiling.slot_of(owner_id), tag, sl_l.clone())?;
-                comm.try_send(tiling.slot_of(owner_id), tag + 1, sl_g.clone())?;
+                comm.try_send(tiling.slot_of(owner_id), tag, sl_l)?;
+                comm.try_send(tiling.slot_of(owner_id), tag + 1, sl_g)?;
             }
             if owner_id == me {
                 let mut tot_l = vec![Complex64::ZERO; p.na * pi_len];
@@ -1579,13 +1412,7 @@ fn elastic_rank_body(
                         }
                     }
                 }
-                let fin = |mut v: Vec<Complex64>| {
-                    for z in v.iter_mut() {
-                        *z *= pi_scale;
-                    }
-                    v
-                };
-                pi_owned.push(((q, w), fin(tot_l), fin(tot_g)));
+                pi_owned.push(((q, w), scaled(tot_l, pi_scale), scaled(tot_g, pi_scale)));
             }
         }
     }
@@ -1595,9 +1422,10 @@ fn elastic_rank_body(
     let stats = (comm.bytes_sent(), comm.bytes_received());
     comm.try_barrier(live)?;
     // ---- Gather tiles to the root (survivor slot 0). ----
-    for (mi, &u) in my_units.iter().enumerate() {
-        comm.try_send(0, tag_gather(u), outs[mi].sig[0].clone())?;
-        comm.try_send(0, tag_gather(u) + 1, outs[mi].sig[1].clone())?;
+    for (out, &u) in outs.into_iter().zip(&my_units) {
+        let [sig_l, sig_g] = out.sig;
+        comm.try_send(0, tag_gather(u), sig_l)?;
+        comm.try_send(0, tag_gather(u) + 1, sig_g)?;
     }
     let assembled = if comm.rank() == 0 {
         let mut out = ElectronSelfEnergy::zeros(p);
@@ -1615,10 +1443,10 @@ fn elastic_rank_body(
                 } else {
                     &mut out.greater
                 };
-                for k in 0..p.nkz {
-                    for (el, e) in geom.my_e.clone().enumerate() {
-                        for (al, a) in geom.my_a.clone().enumerate() {
-                            let off = ((k * geom.my_e.len() + el) * geom.my_a.len() + al) * nn;
+                for (al, a) in geom.my_a.clone().enumerate() {
+                    for k in 0..p.nkz {
+                        for (el, e) in geom.my_e.clone().enumerate() {
+                            let off = ((al * p.nkz + k) * geom.my_e.len() + el) * nn;
                             tensor
                                 .inner_mut(&[k, e, a])
                                 .copy_from_slice(&buf[off..off + nn]);
@@ -1822,13 +1650,21 @@ mod tests {
     #[test]
     fn dace_scheme_matches_serial() {
         for fx in [fixture(), skewed_fixture()] {
-            let (serial, serial_pi) = serial_results(&fx);
+            // The independent oracle, then the serial call of the very
+            // kernel the tiles run.
+            let dace = (
+                sse::sigma(&ctx(&fx), SseVariant::Dace),
+                sse::pi(&ctx(&fx), SseVariant::Dace),
+            );
+            let serials = [serial_results(&fx), dace];
             for (te, ta) in TILINGS {
                 let (dist, dist_pi, stats) = dace_scheme(&ctx(&fx), te, ta);
-                assert_close("sigma lesser", &serial.lesser, &dist.lesser);
-                assert_close("sigma greater", &serial.greater, &dist.greater);
-                assert_close("pi lesser", &serial_pi.lesser, &dist_pi.lesser);
-                assert_close("pi greater", &serial_pi.greater, &dist_pi.greater);
+                for (serial, serial_pi) in &serials {
+                    assert_close("sigma lesser", &serial.lesser, &dist.lesser);
+                    assert_close("sigma greater", &serial.greater, &dist.greater);
+                    assert_close("pi lesser", &serial_pi.lesser, &dist_pi.lesser);
+                    assert_close("pi greater", &serial_pi.greater, &dist_pi.greater);
+                }
                 assert!(stats.world_bytes > 0);
             }
         }
@@ -1920,35 +1756,43 @@ mod tests {
         rank_recv: &'static [u64],
     }
 
-    /// What `dace_scheme` returned at commit 048c86a, the last one whose
-    /// `dace_scheme` ran the classic rank body (collective `alltoallv`s,
-    /// one tile per rank) that `ca_exchange` replaced. Σ≷ does not depend
-    /// on the tiling; Π≷ does (the owner sums tile partials in unit order).
+    /// `rank_sent`/`rank_recv`: what `dace_scheme` returned at commit
+    /// 048c86a, the last one to run the classic rank body (collective
+    /// `alltoallv`s, one tile per rank) — untouched since, the proof that
+    /// the exchange still moves the same bytes. `fp`/`norm`: re-recorded
+    /// once, at the commit that made a tile a view of `sse::dace` (batched
+    /// summation order). Π≷ depends on the tiling: the owner sums tile
+    /// partials in unit order. Σ≷ depends on the tiling's *energy* split,
+    /// through GEMM dispatch only: the wide products pick the packed or the
+    /// naive kernel by batch length, and a tile's energy runs are shorter
+    /// than the grid's. At this fixture's `Norb = 2` nothing fills the
+    /// packed kernel's register tile, so every row has the Σ≷ bits of the
+    /// serial `sse::dace::sigma`; from `Norb = 4` on they need not.
     #[rustfmt::skip]
     const PARENT: [Golden; 6] = [
         Golden { skewed: false, tiling: (2, 2),
-            fp: [0x99ea293764b7837b, 0xad114744891b0257, 0xd44d3600bc3cc904, 0x0e2374e9289d4dad],
-            norm: [3.140495315565784, 2.4313073888236736, 2.896858010307181e-4, 1.8021980944860577e-1],
+            fp: [0xd68092ffc4bb9deb, 0x009c3cbcc31291b2, 0x48dc4628cb966ea0, 0xea7b26834f0de3b6],
+            norm: [3.140495315565784, 2.431307388823674, 2.896858010307181e-4, 1.802198094486058e-1],
             rank_sent: &[54336, 64576, 64576, 54336], rank_recv: &[59456, 59456, 59456, 59456] },
         Golden { skewed: false, tiling: (1, 3),
-            fp: [0x99ea293764b7837b, 0xad114744891b0257, 0x923f9723b1b6b412, 0x5853a3ad8678763e],
-            norm: [3.140495315565784, 2.4313073888236736, 2.896858010307181e-4, 1.8021980944860577e-1],
+            fp: [0xd68092ffc4bb9deb, 0x009c3cbcc31291b2, 0xcc216f48de038c3e, 0x185cb11381ec6e1b],
+            norm: [3.140495315565784, 2.431307388823674, 2.89685801030718e-4, 1.802198094486058e-1],
             rank_sent: &[64256, 44032, 51584], rank_recv: &[48640, 64896, 46336] },
         Golden { skewed: false, tiling: (3, 1),
-            fp: [0x99ea293764b7837b, 0xad114744891b0257, 0xdef0701f11b00123, 0xc6b6ba9471f9a01c],
-            norm: [3.140495315565784, 2.4313073888236736, 2.8968580103071813e-4, 1.802198094486058e-1],
+            fp: [0xd68092ffc4bb9deb, 0x009c3cbcc31291b2, 0x0e44af739ac3f607, 0x9ba1a54b480ec274],
+            norm: [3.140495315565784, 2.431307388823674, 2.896858010307181e-4, 1.802198094486058e-1],
             rank_sent: &[75264, 74496, 68352], rank_recv: &[82176, 71040, 64896] },
         Golden { skewed: true, tiling: (2, 2),
-            fp: [0x40034e80bdcd0751, 0x7c3f1b92ad1be919, 0xdc19bed4b3a1c431, 0xd72335aa0b2f2375],
-            norm: [1.11832466487924, 9.15196737886865e-1, 6.652497859098003e-6, 4.953303754054952e-2],
+            fp: [0x25b3b50c25405e81, 0xa1a4425be9f64eb1, 0xcdbd03db0a84237d, 0x13849c730321b4a2],
+            norm: [1.1183246648792402, 9.15196737886865e-1, 6.652497859098003e-6, 4.953303754054951e-2],
             rank_sent: &[50976, 60192, 60192, 50976], rank_recv: &[55584, 55584, 55584, 55584] },
         Golden { skewed: true, tiling: (1, 3),
-            fp: [0x40034e80bdcd0751, 0x7c3f1b92ad1be919, 0x8a99e46f1e4503c9, 0x55dd2d98dadf8c4b],
-            norm: [1.11832466487924, 9.15196737886865e-1, 6.652497859098003e-6, 4.953303754054951e-2],
+            fp: [0x25b3b50c25405e81, 0xa1a4425be9f64eb1, 0x3304eb2f6771519a, 0xa6deae3509c057a2],
+            norm: [1.1183246648792402, 9.15196737886865e-1, 6.652497859098002e-6, 4.953303754054952e-2],
             rank_sent: &[56000, 40256, 45920], rank_recv: &[44864, 55616, 41696] },
         Golden { skewed: true, tiling: (3, 1),
-            fp: [0x40034e80bdcd0751, 0x7c3f1b92ad1be919, 0x5401421151408ccf, 0x729bf48a453c649c],
-            norm: [1.11832466487924, 9.15196737886865e-1, 6.652497859098004e-6, 4.953303754054952e-2],
+            fp: [0x25b3b50c25405e81, 0xa1a4425be9f64eb1, 0xb79f98a88636041a, 0x237db084d5a1fc12],
+            norm: [1.1183246648792402, 9.15196737886865e-1, 6.652497859098003e-6, 4.953303754054952e-2],
             rank_sent: &[75264, 74496, 68352], rank_recv: &[82176, 71040, 64896] },
     ];
 
@@ -1958,7 +1802,7 @@ mod tests {
     const PARENT_CURRENT_BITS: u64 = 0x3fa551ed7a37f7ce;
 
     #[test]
-    fn ca_exchange_is_bit_equal_to_the_parent_commits_classic_path() {
+    fn ca_exchange_moves_the_parents_bytes_and_keeps_its_pinned_bits() {
         let fixtures = [fixture(), skewed_fixture()];
         for row in &PARENT {
             let fx = &fixtures[row.skewed as usize];
@@ -1967,6 +1811,9 @@ mod tests {
             let (sigma, pi, stats) = dace_scheme(&ctx(fx), te, ta);
             let got = [&sigma.lesser, &sigma.greater, &pi.lesser, &pi.greater];
             assert_eq!(got.map(fingerprint), row.fp, "{what}: elements");
+            let serial = sse::sigma(&ctx(fx), SseVariant::Dace);
+            assert_bitwise("serial dace sigma lesser", &serial.lesser, &sigma.lesser);
+            assert_bitwise("serial dace sigma greater", &serial.greater, &sigma.greater);
             assert_eq!(
                 got.map(|t| t.norm().to_bits()),
                 row.norm.map(f64::to_bits),
@@ -1992,6 +1839,21 @@ mod tests {
                 assert_eq!(dist.sse_bytes, world, "{what}: iteration bytes");
             }
         }
+    }
+
+    #[test]
+    fn tile_compute_ticks_the_heartbeat_for_every_owned_atom() {
+        // The skewed device's last tile: atoms with a single pair each.
+        let fx = skewed_fixture();
+        let (p, tiling, unit) = (&fx.p, ElasticTiling::new(&fx.p, 2, 2), 3);
+        let geom = tile_geom(&tiling.dec, p, fx.dev.max_neighbor_index_distance(), unit);
+        // Liveness does not depend on the data: zero halos will do.
+        let g = [0, 1].map(|_| vec![Complex64::ZERO; geom.g_len(p)]);
+        let d = [0, 1].map(|_| vec![Complex64::ZERO; geom.d_len(p)]);
+        let ticks = std::cell::Cell::new(0);
+        let hb = || ticks.set(ticks.get() + 1);
+        compute_unit_tile(&ctx(&fx), &tiling, &geom, &g, &d, unit, 0, &hb);
+        assert!(ticks.get() >= geom.my_a.len(), "{} ticks", ticks.get());
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! authority:
 //!
 //! 1. **predicted flops** — the exact tile-restricted SSE count
-//!    ([`qt_core::flops::sse_dace_flops_tile`]) plus the unit's RGF energy
+//!    ([`qt_core::flops::sse_dace_flops_tile`]: what the tile's
+//!    `sse::dace` call executes, less the `∇H·G` products it repeats on
+//!    its halo energies) plus the unit's RGF energy
 //!    chunk ([`qt_core::flops::rgf_flops_chunk`]); sums over all units
 //!    reproduce the global exact models, so predicted shares partition the
 //!    true total;
