@@ -19,6 +19,7 @@
 //! JSON [`qt_telemetry::TelemetryReport`]. `check-report` re-parses and
 //! re-validates a previously written report (used by CI).
 
+use qt_bench::cli::{self, Kind};
 use qt_bench::{
     bench_params, table6_csrgemm, table6_csrmm, table6_dense_mm, table6_operands, BenchFixture,
 };
@@ -28,6 +29,7 @@ use qt_core::sse::{self, SseVariant};
 use qt_dist::volume;
 use qt_model::scaling::{self, Variant};
 use qt_model::{optimal_tiling, PIZ_DAINT, SUMMIT};
+use qt_telemetry::{counters, Block, Counter};
 use std::time::Instant;
 
 /// With `count-alloc`, every heap allocation of this binary flows into the
@@ -40,98 +42,90 @@ static ALLOC: qt_bench::alloc::CountingAllocator = qt_bench::alloc::CountingAllo
 const TIB: f64 = (1u64 << 40) as f64;
 const PF: f64 = 1e15;
 
+/// Parse a subcommand's arguments against its declared flags; a usage
+/// error prints what the subcommand accepts and exits 2.
+fn parse_args<'a>(
+    sub: &str,
+    flags: &'a [cli::Flag],
+    positional: &[&str],
+    args: &'a [String],
+) -> cli::Args<'a> {
+    cli::parse(sub, flags, positional, args).unwrap_or_else(|usage| {
+        eprintln!("{usage}");
+        std::process::exit(2);
+    })
+}
+
+/// A flag that only works in a `fault-inject` build: in any other build,
+/// giving it is a usage error.
+fn needs_fault_inject(flag: &str, given: bool) {
+    if given && !cfg!(feature = "fault-inject") {
+        eprintln!("{flag} requires building with --features fault-inject");
+        std::process::exit(2);
+    }
+}
+
+/// `key value, key value, …` for every counter `rep` carries under
+/// `block`, in table order.
+fn block_summary(rep: &qt_telemetry::TelemetryReport, block: Block) -> String {
+    let parts: Vec<String> = block
+        .counters()
+        .map(|c| format!("{} {}", c.key(), rep.counter(c)))
+        .collect();
+    parts.join(", ")
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let which = args.first().cloned().unwrap_or_else(|| "all".into());
-    if which == "profile" {
-        profile(&args[1..]);
-        return;
-    }
-    if which == "check-report" {
-        check_report(&args[1..]);
-        return;
-    }
-    if which == "balance" {
-        balance(&args[1..]);
-        return;
-    }
-    if which == "postmortem" {
-        postmortem_cmd(&args[1..]);
-        return;
-    }
-    if which == "table6" {
-        table6_cmd(&args[1..]);
-        return;
-    }
-    if which == "serve" {
-        serve_cmd(&args[1..]);
-        return;
-    }
-    if which == "corpus" {
-        corpus_cmd(&args[1..]);
-        return;
-    }
-    let known = [
-        "all",
-        "table1",
-        "table3",
-        "table4",
-        "table5",
-        "table7",
-        "table8",
-        "fig13",
-        "fig1d",
-        "sdfg",
-        "calibrate",
+    let which = args.first().map_or("all", String::as_str);
+    let rest = args.get(1..).unwrap_or(&[]);
+    let tables: [(&str, fn()); 10] = [
+        ("table1", table1),
+        ("table3", table3),
+        ("table4", table4),
+        ("table5", table5),
+        ("table7", table7),
+        ("table8", table8),
+        ("fig13", fig13),
+        ("fig1d", fig1d),
+        ("sdfg", sdfg_figs),
+        ("calibrate", calibrate),
     ];
-    if !known.contains(&which.as_str()) {
-        eprintln!(
-            "unknown subcommand {which:?} (expected one of: profile, check-report, balance, \
-             postmortem, table6, serve, corpus, {})",
-            known.join(", ")
-        );
-        std::process::exit(2);
-    }
-    // These subcommands take no flags; reject stray arguments loudly
-    // instead of silently ignoring them (a typo like `--repotr` must not
-    // look like a successful run to CI).
-    if let Some(extra) = args.get(1) {
-        eprintln!("unknown {which} flag {extra:?} (this subcommand takes no flags)");
-        std::process::exit(2);
-    }
-    let all = which == "all";
-    if all || which == "table1" {
-        table1();
-    }
-    if all || which == "table3" {
-        table3();
-    }
-    if all || which == "table4" {
-        table4();
-    }
-    if all || which == "table5" {
-        table5();
-    }
-    if all {
-        table6();
-    }
-    if all || which == "table7" {
-        table7();
-    }
-    if all || which == "table8" {
-        table8();
-    }
-    if all || which == "fig13" {
-        fig13();
-    }
-    if all || which == "fig1d" {
-        fig1d();
-    }
-    if all || which == "sdfg" {
-        sdfg_figs();
-    }
-    if all || which == "calibrate" {
-        calibrate();
+    match which {
+        "profile" => profile(rest),
+        "check-report" => check_report(rest),
+        "balance" => balance(rest),
+        "postmortem" => postmortem_cmd(rest),
+        "table6" => table6_cmd(rest),
+        "serve" => serve_cmd(rest),
+        "corpus" => corpus_cmd(rest),
+        "all" => {
+            parse_args(which, &[], &[], rest);
+            for (name, run) in tables {
+                run();
+                if name == "table5" {
+                    table6();
+                }
+            }
+        }
+        _ => match tables.iter().find(|(name, _)| *name == which) {
+            // These subcommands take no flags; stray arguments are
+            // rejected loudly (a typo like `--repotr` must not look like
+            // a successful run to CI).
+            Some((_, run)) => {
+                parse_args(which, &[], &[], rest);
+                run();
+            }
+            None => {
+                let names: Vec<&str> = tables.iter().map(|t| t.0).collect();
+                eprintln!(
+                    "unknown subcommand {which:?} (expected one of: profile, check-report, \
+                     balance, postmortem, table6, serve, corpus, all, {})",
+                    names.join(", ")
+                );
+                std::process::exit(2);
+            }
+        },
     }
 }
 
@@ -323,43 +317,25 @@ fn table6_cmd(flags: &[String]) {
     use qt_core::rgf::{self, KernelSelector, MultiplyStrategy};
     use qt_telemetry::json::Json;
 
-    let mut out_path = "BENCH_table6.json".to_string();
-    let mut report_path: Option<String> = None;
-    let mut bs = 64usize;
-    let mut blocks = 16usize;
-    let mut reps = 7usize;
-    let mut tie_tol = 0.15f64;
-    let mut i = 0;
-    while i < flags.len() {
-        let need = |what: &str| {
-            flags.get(i + 1).cloned().unwrap_or_else(|| {
-                eprintln!("{what} needs a value");
-                std::process::exit(2);
-            })
-        };
-        let num = |what: &str| -> f64 {
-            need(what).parse().unwrap_or_else(|_| {
-                eprintln!("{what} needs a number");
-                std::process::exit(2);
-            })
-        };
-        match flags[i].as_str() {
-            "--out" => out_path = need("--out"),
-            "--report" => report_path = Some(need("--report")),
-            "--bs" => bs = num("--bs") as usize,
-            "--blocks" => blocks = num("--blocks") as usize,
-            "--reps" => reps = num("--reps") as usize,
-            "--tie-tol" => tie_tol = num("--tie-tol"),
-            other => {
-                eprintln!(
-                    "unknown table6 flag {other:?} (expected --out/--report/--bs/--blocks/\
-                     --reps/--tie-tol)"
-                );
-                std::process::exit(2);
-            }
-        }
-        i += 2;
-    }
+    let f = parse_args(
+        "table6",
+        &[
+            ("--out", Kind::Str),
+            ("--report", Kind::Str),
+            ("--bs", Kind::Int),
+            ("--blocks", Kind::Int),
+            ("--reps", Kind::Int),
+            ("--tie-tol", Kind::Num),
+        ],
+        &[],
+        flags,
+    );
+    let out_path = f.str("--out").unwrap_or("BENCH_table6.json");
+    let report_path = f.str("--report");
+    let bs = f.int("--bs").unwrap_or(64);
+    let blocks = f.int("--blocks").unwrap_or(16);
+    let reps = f.int("--reps").unwrap_or(7);
+    let tie_tol = f.num("--tie-tol").unwrap_or(0.15);
     let reps = reps.max(1);
     let blocks = blocks.max(2);
 
@@ -559,28 +535,26 @@ fn table6_cmd(flags: &[String]) {
         ("crossover_density".to_string(), Json::Num(crossover)),
         ("rows".to_string(), Json::Arr(rows)),
     ]);
-    std::fs::write(&out_path, doc.dump()).expect("write table6 json");
+    std::fs::write(out_path, doc.dump()).expect("write table6 json");
     println!("  results written to {out_path}");
 
-    if let Some(path) = &report_path {
+    if let Some(path) = report_path {
         let mut rep = qt_telemetry::TelemetryReport::from_current();
-        if let Some(k) = rep.kernel_selection.as_mut() {
-            k.crossover_density = crossover;
-        }
+        rep.crossover_density = crossover;
         if let Err(e) = rep.validate() {
             eprintln!("table6 report FAILED validation: {e}");
             std::process::exit(1);
         }
         std::fs::write(path, rep.to_json()).expect("write report");
-        let k = rep.kernel_selection.as_ref().expect("auto runs recorded");
+        assert!(rep.has(Block::KernelSelection), "auto runs recorded");
         println!(
             "  report written to {path} (selections: {} sparse / {} dense, {} switches; \
              measured sparse {:.1} ms vs predicted {:.1} ms)",
-            k.sparse_selected,
-            k.dense_selected,
-            k.switches,
-            k.sparse_secs * 1e3,
-            k.predicted_sparse_secs * 1e3
+            rep.counter(Counter::KernelSparseSelected),
+            rep.counter(Counter::KernelDenseSelected),
+            rep.counter(Counter::KernelSwitches),
+            rep.counter(Counter::KernelSparseNs) as f64 / 1e6,
+            rep.counter(Counter::KernelSparsePredNs) as f64 / 1e6
         );
     }
 
@@ -780,53 +754,30 @@ fn profile(flags: &[String]) {
     use qt_core::scf::{run_scf_with, ScfConfig, ScfOptions, Simulation};
     use qt_telemetry::report::{ConvergencePoint, ModelResidual, RankComm};
 
-    let mut trace_path: Option<String> = None;
-    let mut report_path: Option<String> = None;
-    let mut checkpoint_path: Option<String> = None;
-    let mut resume_path: Option<String> = None;
-    let mut metrics_path: Option<String> = None;
-    let mut postmortem_path: Option<String> = None;
-    let mut chaos_kill: Option<usize> = None;
-    let mut i = 0;
-    while i < flags.len() {
-        let need = |what: &str| {
-            flags.get(i + 1).cloned().unwrap_or_else(|| {
-                eprintln!("{what} needs a value");
-                std::process::exit(2);
-            })
-        };
-        match flags[i].as_str() {
-            "--trace" => trace_path = Some(need("--trace")),
-            "--report" => report_path = Some(need("--report")),
-            "--checkpoint" => checkpoint_path = Some(need("--checkpoint")),
-            "--resume" => resume_path = Some(need("--resume")),
-            "--metrics-out" => metrics_path = Some(need("--metrics-out")),
-            "--postmortem" => postmortem_path = Some(need("--postmortem")),
-            "--chaos-kill" => {
-                let rank = need("--chaos-kill").parse().unwrap_or_else(|_| {
-                    eprintln!("--chaos-kill needs a rank number");
-                    std::process::exit(2);
-                });
-                chaos_kill = Some(rank);
-            }
-            other => {
-                eprintln!(
-                    "unknown profile flag {other:?} \
-                     (expected --trace/--report/--checkpoint/--resume/\
-                     --metrics-out/--postmortem/--chaos-kill)"
-                );
-                std::process::exit(2);
-            }
-        }
-        i += 2;
-    }
-    #[cfg(not(feature = "fault-inject"))]
-    if chaos_kill.is_some() {
-        eprintln!("--chaos-kill requires building with --features fault-inject");
-        std::process::exit(2);
-    }
+    let f = parse_args(
+        "profile",
+        &[
+            ("--trace", Kind::Str),
+            ("--report", Kind::Str),
+            ("--checkpoint", Kind::Str),
+            ("--resume", Kind::Str),
+            ("--metrics-out", Kind::Str),
+            ("--postmortem", Kind::Str),
+            ("--chaos-kill", Kind::Int),
+        ],
+        &[],
+        flags,
+    );
+    let trace_path = f.str("--trace");
+    let report_path = f.str("--report");
+    let checkpoint_path = f.str("--checkpoint");
+    let resume_path = f.str("--resume");
+    let metrics_path = f.str("--metrics-out");
+    let mut postmortem_path = f.str("--postmortem");
+    let chaos_kill = f.int("--chaos-kill");
+    needs_fault_inject("--chaos-kill", chaos_kill.is_some());
     if chaos_kill.is_some() && postmortem_path.is_none() {
-        postmortem_path = Some("POSTMORTEM.json".into());
+        postmortem_path = Some("POSTMORTEM.json");
     }
 
     println!("== profile: instrumented end-to-end pipeline ==");
@@ -838,7 +789,7 @@ fn profile(flags: &[String]) {
     // leave the observables bitwise identical.
     qt_telemetry::set_journaling(true);
     qt_telemetry::set_series_enabled(true);
-    if let Some(path) = &postmortem_path {
+    if let Some(path) = postmortem_path {
         qt_telemetry::postmortem::install_panic_hook(std::path::PathBuf::from(path));
     }
 
@@ -1071,16 +1022,16 @@ fn profile(flags: &[String]) {
         });
     }
     // Per-rank busy times of the distributed iteration → the report's
-    // balance block (`check-report --require-balance` gates on its ratio).
+    // balance block (CI gates on `balance.imbalance_ratio`).
     let busy = dist
         .comm
         .balance
         .as_ref()
         .expect("the CA exchange measures balance");
-    rep.balance = Some(qt_telemetry::BalanceReport::from_busy_times(
+    rep.set_balance(
         busy.rank_busy_secs.iter().map(|s| s * 1e3).collect(),
         busy.imbalance_ratio(),
-    ));
+    );
 
     if let Err(e) = rep.validate() {
         eprintln!("profile report FAILED validation: {e}");
@@ -1143,41 +1094,29 @@ fn profile(flags: &[String]) {
     }
     println!(
         "  boundary cache: {} hits, {} misses",
-        rep.boundary_cache_hits, rep.boundary_cache_misses
+        rep.counter(Counter::BoundaryCacheHits),
+        rep.counter(Counter::BoundaryCacheMisses)
     );
-    if let Some(h) = &rep.health {
-        println!(
-            "  health: {} quarantined, {} eta retries, {} mixing backoffs, \
-             {} comm retries, {} checkpoint writes",
-            h.quarantined_points,
-            h.eta_retries,
-            h.mixing_backoffs,
-            h.comm_retries,
-            h.checkpoint_writes
-        );
+    for block in [Block::Health, Block::Elasticity] {
+        if rep.has(block) {
+            println!("  {}: {}", block.key(), block_summary(&rep, block));
+        }
     }
-    if let Some(e) = &rep.elasticity {
-        println!(
-            "  elasticity: {} rank deaths, {} heartbeat probe timeouts, \
-             {} re-tilings, {} tiles migrated",
-            e.rank_deaths, e.heartbeat_timeouts, e.retile_events, e.migrated_tiles
-        );
-    }
-    if let Some(b) = &rep.balance {
+    if rep.has(Block::Balance) {
         println!("  {:<6} {:>14}", "rank", "busy ms");
-        for (rank, ms) in b.rank_busy_ms.iter().enumerate() {
+        for (rank, ms) in rep.balance.rank_busy_ms.iter().enumerate() {
             println!("  {rank:<6} {ms:>14.3}");
         }
         println!(
-            "  imbalance ratio (max/mean busy): {:.3} — {} steal requests, \
-             {} units stolen, {} re-tilings ({} units moved)",
-            b.imbalance_ratio, b.steal_requests, b.stolen_units, b.rebalance_events, b.moved_units
+            "  imbalance ratio (max/mean busy): {:.3} — {}",
+            rep.balance.imbalance_ratio,
+            block_summary(&rep, Block::Balance)
         );
     }
     println!(
         "  totals: {:.3} Gflop counted, {} bytes communicated",
-        rep.total_flops as f64 / 1e9,
-        rep.total_bytes
+        rep.counter(Counter::Flops) as f64 / 1e9,
+        rep.counter(Counter::Bytes)
     );
 
     if let Some(j) = &rep.journal {
@@ -1201,15 +1140,15 @@ fn profile(flags: &[String]) {
         );
     }
 
-    if let Some(path) = &report_path {
+    if let Some(path) = report_path {
         std::fs::write(path, rep.to_json()).expect("write report");
         println!("  report written to {path}");
     }
-    if let Some(path) = &metrics_path {
+    if let Some(path) = metrics_path {
         std::fs::write(path, qt_telemetry::series::render_prometheus()).expect("write metrics");
         println!("  metrics written to {path}");
     }
-    if let Some(path) = &trace_path {
+    if let Some(path) = trace_path {
         let trace = qt_telemetry::export_chrome_trace();
         let events = match qt_telemetry::trace::validate_chrome_trace(&trace) {
             Ok(n) => n,
@@ -1227,7 +1166,7 @@ fn profile(flags: &[String]) {
     #[cfg(feature = "fault-inject")]
     if let Some(el) = &chaos_outcome {
         if !el.deaths.is_empty() || el.degraded {
-            let path = postmortem_path.as_deref().unwrap_or("POSTMORTEM.json");
+            let path = postmortem_path.unwrap_or("POSTMORTEM.json");
             let reason = if el.degraded {
                 "degraded_completion"
             } else {
@@ -1250,16 +1189,8 @@ fn profile(flags: &[String]) {
 /// crashed or chaos-injected `profile` run, classifying unreadable files
 /// with a typed error. Exit 0 on a readable dump, 1 on a bad one.
 fn postmortem_cmd(flags: &[String]) {
-    let Some(path) = flags.first() else {
-        eprintln!("usage: reproduce postmortem <POSTMORTEM.json>");
-        std::process::exit(2);
-    };
-    if let Some(extra) = flags.get(1) {
-        eprintln!(
-            "unknown postmortem flag {extra:?} (usage: reproduce postmortem <POSTMORTEM.json>)"
-        );
-        std::process::exit(2);
-    }
+    let f = parse_args("postmortem", &[], &["<POSTMORTEM.json>"], flags);
+    let path = f.positional(0);
     let pm = match qt_telemetry::Postmortem::load(std::path::Path::new(path)) {
         Ok(pm) => pm,
         Err(e) => {
@@ -1297,50 +1228,26 @@ fn serve_cmd(flags: &[String]) {
     use qt_serve::{ServeConfig, Service, SweepRequest, SweepStatus, VariantSpec};
     use std::time::Duration;
 
-    let mut points = 12usize;
-    let mut world = 4usize;
-    let mut chaos_kill: Option<usize> = None;
-    let mut diverge_point: Option<usize> = None;
-    let mut report_path: Option<String> = None;
-    let mut postmortem_path: Option<String> = None;
-    let mut i = 0;
-    while i < flags.len() {
-        let need = |what: &str| {
-            flags.get(i + 1).cloned().unwrap_or_else(|| {
-                eprintln!("{what} needs a value");
-                std::process::exit(2);
-            })
-        };
-        let int = |what: &str| -> usize {
-            need(what).parse().unwrap_or_else(|_| {
-                eprintln!("{what} needs an integer");
-                std::process::exit(2);
-            })
-        };
-        match flags[i].as_str() {
-            "--points" => points = int("--points"),
-            "--world" => world = int("--world"),
-            "--chaos-kill" => chaos_kill = Some(int("--chaos-kill")),
-            "--diverge-point" => diverge_point = Some(int("--diverge-point")),
-            "--report" => report_path = Some(need("--report")),
-            "--postmortem" => postmortem_path = Some(need("--postmortem")),
-            other => {
-                eprintln!(
-                    "unknown serve flag {other:?} (expected --points/--world/--chaos-kill/\
-                     --diverge-point/--report/--postmortem)"
-                );
-                std::process::exit(2);
-            }
-        }
-        i += 2;
-    }
-    #[cfg(not(feature = "fault-inject"))]
-    if chaos_kill.is_some() {
-        eprintln!("--chaos-kill requires building with --features fault-inject");
-        std::process::exit(2);
-    }
-    let points = points.max(2);
-    let world = world.max(1);
+    let f = parse_args(
+        "serve",
+        &[
+            ("--points", Kind::Int),
+            ("--world", Kind::Int),
+            ("--chaos-kill", Kind::Int),
+            ("--diverge-point", Kind::Int),
+            ("--report", Kind::Str),
+            ("--postmortem", Kind::Str),
+        ],
+        &[],
+        flags,
+    );
+    let points = f.int("--points").unwrap_or(12).max(2);
+    let world = f.int("--world").unwrap_or(4).max(1);
+    let chaos_kill = f.int("--chaos-kill");
+    let diverge_point = f.int("--diverge-point");
+    let report_path = f.str("--report");
+    let postmortem_path = f.str("--postmortem");
+    needs_fault_inject("--chaos-kill", chaos_kill.is_some());
 
     println!("== serve: fault-tolerant batched sweep service ==");
     qt_telemetry::reset_all();
@@ -1456,15 +1363,13 @@ fn serve_cmd(flags: &[String]) {
                 );
                 // The rank death is a reportable incident: drain the flight
                 // recorder into a postmortem for the CI artifact.
-                let path = postmortem_path
-                    .clone()
-                    .unwrap_or_else(|| "POSTMORTEM.json".into());
+                let path = postmortem_path.unwrap_or("POSTMORTEM.json");
                 let pm = qt_telemetry::Postmortem::capture(
                     "rank_death",
                     &format!("serve chaos probe: victim={victim} retired={retired} world={world}"),
                     Some(qt_telemetry::TelemetryReport::from_current()),
                 );
-                pm.save(std::path::Path::new(&path))
+                pm.save(std::path::Path::new(path))
                     .expect("write postmortem");
                 println!("  postmortem written to {path}");
             }
@@ -1518,7 +1423,7 @@ fn serve_cmd(flags: &[String]) {
                 qt_telemetry::EventKind::WarmFallback { point, .. } if point == idx as u64
             )
         });
-        if !journaled || qt_telemetry::counters::total_service_warm_fallbacks() == 0 {
+        if !journaled || counters::total(Counter::ServiceWarmFallbacks) == 0 {
             eprintln!("serve FAILED: warm-start degradation was not journaled/counted");
             std::process::exit(1);
         }
@@ -1595,31 +1500,18 @@ fn serve_cmd(flags: &[String]) {
         svc.shutdown();
     }
 
-    // ---- Report with the service block (check-report --require-service). ----
+    // ---- Report with the service block (CI requires `service.admitted>0`). ----
     let rep = qt_telemetry::TelemetryReport::from_current();
     if let Err(e) = rep.validate() {
         eprintln!("serve report FAILED validation: {e}");
         std::process::exit(1);
     }
-    let Some(s) = &rep.service else {
+    if !rep.has(Block::Service) {
         eprintln!("serve FAILED: report is missing the service block");
         std::process::exit(1);
-    };
-    println!(
-        "  service: {} admitted, {} rejected, {} completed, {} failed, {} deadline cancels, \
-         {} warm starts ({} fell back), {} retries, {} breaker opens, {} drained",
-        s.admitted,
-        s.rejected,
-        s.completed,
-        s.failed,
-        s.deadline_cancels,
-        s.warm_starts,
-        s.warm_fallbacks,
-        s.retries,
-        s.breaker_opens,
-        s.drained
-    );
-    if let Some(path) = &report_path {
+    }
+    println!("  service: {}", block_summary(&rep, Block::Service));
+    if let Some(path) = report_path {
         std::fs::write(path, rep.to_json()).expect("write report");
         println!("  report written to {path}");
     }
@@ -1786,41 +1678,19 @@ fn balance_world(world: usize, iters: usize) -> WorldBalance {
 fn balance(flags: &[String]) {
     use qt_telemetry::json::Json;
 
-    let mut out_path: Option<String> = None;
-    let mut min_improvement = 2.0f64;
-    let mut iters = 4usize;
-    let mut i = 0;
-    while i < flags.len() {
-        let need = |what: &str| {
-            flags.get(i + 1).cloned().unwrap_or_else(|| {
-                eprintln!("{what} needs a value");
-                std::process::exit(2);
-            })
-        };
-        match flags[i].as_str() {
-            "--out" => out_path = Some(need("--out")),
-            "--min-improvement" => {
-                min_improvement = need("--min-improvement").parse().unwrap_or_else(|_| {
-                    eprintln!("--min-improvement needs a number");
-                    std::process::exit(2);
-                })
-            }
-            "--iters" => {
-                iters = need("--iters").parse().unwrap_or_else(|_| {
-                    eprintln!("--iters needs an integer");
-                    std::process::exit(2);
-                })
-            }
-            other => {
-                eprintln!(
-                    "unknown balance flag {other:?} (expected --out/--min-improvement/--iters)"
-                );
-                std::process::exit(2);
-            }
-        }
-        i += 2;
-    }
-    let iters = iters.max(2);
+    let f = parse_args(
+        "balance",
+        &[
+            ("--out", Kind::Str),
+            ("--min-improvement", Kind::Num),
+            ("--iters", Kind::Int),
+        ],
+        &[],
+        flags,
+    );
+    let out_path = f.str("--out");
+    let min_improvement = f.num("--min-improvement").unwrap_or(2.0);
+    let iters = f.int("--iters").unwrap_or(4).max(2);
 
     println!("== balance: adaptive tiling + work stealing on a skewed device ==");
     qt_telemetry::reset_all();
@@ -1883,7 +1753,7 @@ fn balance(flags: &[String]) {
          the cold/warm columns are host wall-clock and include the shared GF phase)"
     );
 
-    if let Some(path) = &out_path {
+    if let Some(path) = out_path {
         let worlds: Vec<Json> = runs
             .iter()
             .map(|r| {
@@ -1988,52 +1858,26 @@ fn scenario_error_tag(e: &qt_scenario::ScenarioError) -> &'static str {
 ///    service run and the golden service record.
 fn corpus_cmd(flags: &[String]) {
     use qt_core::scf::{run_scf_with, ScfOptions};
-    use qt_telemetry::counters;
     use qt_telemetry::json::Json;
 
-    let mut dir = "corpus".to_string();
-    let mut write_golden = false;
-    let mut chaos = false;
-    let mut only: Option<Vec<String>> = None;
-    let mut report_path: Option<String> = None;
-    let mut i = 0;
-    while i < flags.len() {
-        let need = |what: &str| {
-            flags.get(i + 1).cloned().unwrap_or_else(|| {
-                eprintln!("{what} needs a value");
-                std::process::exit(2);
-            })
-        };
-        match flags[i].as_str() {
-            "--dir" => {
-                dir = need("--dir");
-                i += 1;
-            }
-            "--write-golden" => write_golden = true,
-            "--chaos" => chaos = true,
-            "--scenarios" => {
-                only = Some(need("--scenarios").split(',').map(str::to_string).collect());
-                i += 1;
-            }
-            "--report" => {
-                report_path = Some(need("--report"));
-                i += 1;
-            }
-            other => {
-                eprintln!(
-                    "unknown corpus flag {other:?} (expected --dir/--write-golden/--chaos/\
-                     --scenarios a,b/--report <path>)"
-                );
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-    #[cfg(not(feature = "fault-inject"))]
-    if chaos {
-        eprintln!("--chaos requires building with --features fault-inject");
-        std::process::exit(2);
-    }
+    let f = parse_args(
+        "corpus",
+        &[
+            ("--dir", Kind::Str),
+            ("--write-golden", Kind::Switch),
+            ("--chaos", Kind::Switch),
+            ("--scenarios", Kind::Str),
+            ("--report", Kind::Str),
+        ],
+        &[],
+        flags,
+    );
+    let dir = f.str("--dir").unwrap_or("corpus");
+    let write_golden = f.has("--write-golden");
+    let chaos = f.has("--chaos");
+    let only: Option<Vec<&str>> = f.str("--scenarios").map(|list| list.split(',').collect());
+    let report_path = f.str("--report");
+    needs_fault_inject("--chaos", chaos);
 
     println!("== corpus: golden-result scenario zoo ==");
     qt_telemetry::reset_all();
@@ -2097,7 +1941,7 @@ fn corpus_cmd(flags: &[String]) {
 
     // ---- Tier 1: golden scenario runs. ----
     println!("-- golden runs --");
-    let selected = |name: &str| only.as_ref().is_none_or(|o| o.iter().any(|n| n == name));
+    let selected = |name: &str| only.as_ref().is_none_or(|o| o.contains(&name));
     // Built scenarios kept for the chaos tier (clean ones only).
     let mut chaos_queue: Vec<(qt_scenario::BuiltScenario, Vec<CorpusPoint>)> = Vec::new();
     for path in toml_files("scenarios") {
@@ -2161,9 +2005,9 @@ fn corpus_cmd(flags: &[String]) {
                 }
             }
         }
-        counters::add_corpus_scenario_run();
+        counters::add(Counter::CorpusScenariosRun, 1);
         if run_failed {
-            counters::add_corpus_mismatched();
+            counters::add(Counter::CorpusMismatched, 1);
             continue;
         }
 
@@ -2273,9 +2117,9 @@ fn corpus_cmd(flags: &[String]) {
             println!("    golden record written: {}", golden_path.display());
         } else {
             match compare_golden(&name, &golden_path, &points) {
-                Ok(()) => counters::add_corpus_matched(),
+                Ok(()) => counters::add(Counter::CorpusMatched, 1),
                 Err(diffs) => {
-                    counters::add_corpus_mismatched();
+                    counters::add(Counter::CorpusMismatched, 1);
                     failures.extend(diffs);
                 }
             }
@@ -2293,7 +2137,7 @@ fn corpus_cmd(flags: &[String]) {
             let name = built.scenario.name.clone();
             let reference = corpus_service_sweep(built, None, &mut failures);
             let killed = corpus_service_sweep(built, Some(1), &mut failures);
-            qt_telemetry::counters::add_corpus_chaos_rerun();
+            counters::add(Counter::CorpusChaosReruns, 1);
             if reference.len() != killed.len() {
                 failures.push(format!(
                     "{name}: chaos rerun answered {} points, fault-free answered {}",
@@ -2357,7 +2201,7 @@ fn corpus_cmd(flags: &[String]) {
     }
     let _ = &chaos_queue;
 
-    if let Some(path) = &report_path {
+    if let Some(path) = report_path {
         let rep = qt_telemetry::TelemetryReport::from_current();
         if let Err(e) = rep.validate() {
             failures.push(format!("telemetry report failed validation: {e}"));
@@ -2369,21 +2213,14 @@ fn corpus_cmd(flags: &[String]) {
         println!("  report written to {path}");
     }
 
-    let rep = qt_telemetry::report::CorpusReport::from_counters();
     if !failures.is_empty() {
         for f in &failures {
             eprintln!("corpus FAILED: {f}");
         }
         std::process::exit(1);
     }
-    println!(
-        "corpus OK: {} built, {} rejected as expected, {} run, {} matched, {} chaos reruns",
-        rep.scenarios_built,
-        rep.scenarios_rejected,
-        rep.scenarios_run,
-        rep.matched,
-        rep.chaos_reruns
-    );
+    let rep = qt_telemetry::TelemetryReport::from_current();
+    println!("corpus OK: {}", block_summary(&rep, Block::Corpus));
 }
 
 /// Compare one scenario's run against its golden record. Observables
@@ -2569,46 +2406,14 @@ fn corpus_service_sweep(
 }
 
 fn check_report(flags: &[String]) {
-    let mut require_boundary_hits = false;
-    let mut require_health = false;
-    let mut require_kernel_selection = false;
-    let mut require_service = false;
-    let mut require_corpus = false;
-    let mut require_balance: Option<f64> = None;
-    let mut path: Option<String> = None;
-    let mut i = 0;
-    while i < flags.len() {
-        match flags[i].as_str() {
-            "--require-boundary-hits" => require_boundary_hits = true,
-            "--require-health" => require_health = true,
-            "--require-kernel-selection" => require_kernel_selection = true,
-            "--require-service" => require_service = true,
-            "--require-corpus" => require_corpus = true,
-            "--require-balance" => {
-                let v = flags.get(i + 1).and_then(|v| v.parse().ok());
-                require_balance = Some(v.unwrap_or_else(|| {
-                    eprintln!("--require-balance needs a max imbalance ratio");
-                    std::process::exit(2);
-                }));
-                i += 1;
-            }
-            f if !f.starts_with("--") => path = Some(f.to_string()),
-            other => {
-                eprintln!(
-                    "unknown check-report flag {other:?} (expected --require-boundary-hits/\
-                     --require-health/--require-kernel-selection/--require-service/\
-                     --require-corpus/--require-balance <ratio>)"
-                );
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-    let Some(path) = path else {
-        eprintln!("check-report needs a file path");
-        std::process::exit(2);
-    };
-    let path = &path;
+    use qt_telemetry::report::RequireError;
+    let f = parse_args(
+        "check-report",
+        &[("--require", Kind::Str)],
+        &["<report.json>"],
+        flags,
+    );
+    let path = f.positional(0);
     let json = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("cannot read {path}: {e}");
         std::process::exit(1);
@@ -2624,88 +2429,20 @@ fn check_report(flags: &[String]) {
         eprintln!("report FAILED validation: {e}");
         std::process::exit(1);
     }
-    if require_boundary_hits && rep.boundary_cache_hits == 0 {
-        eprintln!(
-            "report FAILED: boundary_cache_hits is 0 — warm SCF iterations \
-             did not reuse memoized contact self-energies"
-        );
-        std::process::exit(1);
-    }
-    if require_health && rep.health.is_none() {
-        eprintln!(
-            "report FAILED: no health block — the run predates the \
-             resilience layer or stripped its counters"
-        );
-        std::process::exit(1);
-    }
-    if require_health && rep.elasticity.is_none() {
-        eprintln!(
-            "report FAILED: no elasticity block — the run predates the \
-             rank-failure recovery layer or stripped its counters"
-        );
-        std::process::exit(1);
-    }
-    if require_kernel_selection {
-        let Some(k) = &rep.kernel_selection else {
-            eprintln!(
-                "report FAILED: no kernel_selection block — the run never routed a \
-                 coupling product through the auto-selector"
-            );
-            std::process::exit(1);
-        };
-        if k.sparse_selected + k.dense_selected == 0 {
-            eprintln!("report FAILED: kernel_selection block recorded zero decisions");
-            std::process::exit(1);
-        }
-    }
-    if require_service {
-        let Some(s) = &rep.service else {
-            eprintln!(
-                "report FAILED: no service block — the run did not go through \
-                 the qt-serve admission path"
-            );
-            std::process::exit(1);
-        };
-        if s.admitted == 0 {
-            eprintln!("report FAILED: service block recorded zero admitted requests");
-            std::process::exit(1);
-        }
-    }
-    if require_corpus {
-        let Some(c) = &rep.corpus else {
-            eprintln!(
-                "report FAILED: no corpus block — the run did not execute any \
-                 golden-corpus scenarios"
-            );
-            std::process::exit(1);
-        };
-        if c.scenarios_run == 0 {
-            eprintln!("report FAILED: corpus block recorded zero scenarios executed");
-            std::process::exit(1);
-        }
-        if c.mismatched > 0 {
-            eprintln!(
-                "report FAILED: corpus recorded {} scenario(s) diverging from their \
-                 golden records",
-                c.mismatched
-            );
-            std::process::exit(1);
-        }
-    }
-    if let Some(max_ratio) = require_balance {
-        let Some(b) = &rep.balance else {
-            eprintln!(
-                "report FAILED: no balance block — the run did not measure \
-                 per-rank busy times"
-            );
-            std::process::exit(1);
-        };
-        if b.imbalance_ratio > max_ratio {
-            eprintln!(
-                "report FAILED: imbalance ratio {:.3} exceeds the required ceiling {max_ratio:.3}",
-                b.imbalance_ratio
-            );
-            std::process::exit(1);
+    for expr in f.all("--require") {
+        match rep.require(expr) {
+            Ok(()) => {}
+            Err(RequireError::Unmet(why)) => {
+                eprintln!("report FAILED --require {expr}: {why}");
+                std::process::exit(1);
+            }
+            Err(RequireError::Malformed(why)) => {
+                eprintln!(
+                    "check-report: bad --require: {why} (it takes <block>, <metric>>N, \
+                     <metric><=X or <metric>=N)"
+                );
+                std::process::exit(2);
+            }
         }
     }
     let exact = rep.residuals.iter().filter(|r| r.exact).count();

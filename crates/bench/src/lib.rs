@@ -3,6 +3,7 @@
 
 #[cfg(feature = "count-alloc")]
 pub mod alloc;
+pub mod cli;
 
 use qt_core::device::Device;
 use qt_core::gf::{self, GfConfig};

@@ -10,6 +10,7 @@
 #![cfg(feature = "count-alloc")]
 
 use qt_core::rgf::{self, KernelSelector, MultiplyStrategy};
+use qt_telemetry::counters::{self, Counter};
 
 #[global_allocator]
 static ALLOC: qt_bench::alloc::CountingAllocator = qt_bench::alloc::CountingAllocator;
@@ -59,23 +60,23 @@ fn warm_sparse_selected_solves_are_allocation_free_on_the_hot_path() {
                 "coupling {n}: selector must route sparse with a clamped crossover"
             );
         }
-        let cold_fresh = qt_telemetry::counters::total_ws_fresh();
-        let cold_bytes = qt_telemetry::counters::total_alloc_bytes();
+        let cold_fresh = counters::total(Counter::WsFresh);
+        let cold_bytes = counters::total(Counter::AllocBytes);
         assert!(cold_fresh > 0, "cold solve must populate the arenas");
         assert!(
             cold_bytes > 0,
             "counting allocator must be active under --features count-alloc"
         );
         for warm in 1..=3u32 {
-            let fresh0 = qt_telemetry::counters::total_ws_fresh();
-            let bytes0 = qt_telemetry::counters::total_alloc_bytes();
+            let fresh0 = counters::total(Counter::WsFresh);
+            let bytes0 = counters::total(Counter::AllocBytes);
             solve();
             assert_eq!(
-                qt_telemetry::counters::total_ws_fresh(),
+                counters::total(Counter::WsFresh),
                 fresh0,
                 "warm solve {warm}: workspace pool misses"
             );
-            let warm_bytes = qt_telemetry::counters::total_alloc_bytes() - bytes0;
+            let warm_bytes = counters::total(Counter::AllocBytes) - bytes0;
             assert!(
                 warm_bytes < cold_bytes / 2,
                 "warm solve {warm}: {warm_bytes} bytes allocated vs cold {cold_bytes} — \

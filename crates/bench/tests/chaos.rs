@@ -1,7 +1,7 @@
 //! Chaos tests at the harness level (feature `fault-inject`): a faulty
 //! distributed iteration must survive, match the fault-free answer, and
 //! leave a telemetry report whose health block records the recovery work —
-//! the in-process equivalent of `check-report --require-health`. The
+//! the in-process equivalent of `check-report --require health`. The
 //! rank-kill tests go further: a seeded mid-exchange death must either
 //! ride elastic recovery to a bitwise-exact result or complete degraded
 //! with an honest coverage report — never hang, never silently drift.
@@ -100,17 +100,15 @@ fn faulty_pipeline_reports_health_and_passes_the_gate() {
     assert!(rel <= 1e-10, "faulty run must match fault-free: rel {rel}");
 
     // The report's health block carries the recovery counters, and the
-    // --require-health gate (health block present) passes after a
+    // `--require health` gate (health block present) passes after a
     // JSON roundtrip.
     let rep = qt_telemetry::TelemetryReport::from_current();
     rep.validate().expect("report validates");
-    let h = rep.health.expect("health block present");
-    assert!(
-        h.comm_retries > 0,
-        "chaos plan must be visible as comm retries in the health block"
-    );
+    rep.require("health.comm_retries>0")
+        .expect("chaos plan must be visible as comm retries in the health block");
     let back = qt_telemetry::TelemetryReport::from_json(&rep.to_json()).expect("roundtrip");
-    assert_eq!(back.health, rep.health);
+    back.require("health").expect("health block present");
+    assert_eq!(back, rep);
 }
 
 #[test]
@@ -160,10 +158,10 @@ fn killed_rank_recovers_bitwise_exactly() {
     assert!(!el.coverage.is_full());
     assert!(el.coverage.bad_fraction() <= policy.max_bad_fraction);
     let rep = qt_telemetry::TelemetryReport::from_current();
-    let e = rep.elasticity.expect("elasticity block present");
-    assert!(e.rank_deaths >= 1);
-    assert!(e.retile_events >= 1);
-    assert!(e.migrated_tiles as usize >= el.migrated_units);
+    rep.require("elastic.rank_deaths>0").unwrap();
+    rep.require("elastic.retile_events>0").unwrap();
+    let migrated = rep.counter(qt_telemetry::Counter::ElasticMigratedTiles);
+    assert!(migrated as usize >= el.migrated_units);
 }
 
 #[test]

@@ -113,15 +113,12 @@ fn report_with_every_optional_block_roundtrips() {
         sent_bytes: 10,
         recv_bytes: 12,
     });
-    rep.balance = Some(qt_telemetry::BalanceReport::from_busy_times(
-        vec![1.0, 2.0, 1.5],
-        1.4,
-    ));
+    rep.set_balance(vec![1.0, 2.0, 1.5], 1.4);
 
     assert!(rep.warmup.is_some(), "3 iterations give a warm sample");
-    assert!(rep.health.is_some());
-    assert!(rep.elasticity.is_some());
-    assert!(rep.balance.is_some());
+    for block in ["health", "elasticity", "balance"] {
+        rep.require(block).unwrap();
+    }
     assert!(
         rep.series.as_ref().is_some_and(|s| !s.samples.is_empty()),
         "series sampling was on: the block must carry samples"

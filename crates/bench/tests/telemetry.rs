@@ -12,7 +12,7 @@ use std::time::Instant;
 use qt_core::params::SimParams;
 use qt_core::scf::{run_scf, ScfConfig, Simulation};
 use qt_linalg::{gemm, Complex64};
-use qt_telemetry::counters;
+use qt_telemetry::counters::{self, Counter};
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -47,20 +47,23 @@ fn gemm_flops_counted_exactly() {
     let a = vec![Complex64::ONE; m * k];
     let b = vec![Complex64::ONE; k * n];
     let mut out = vec![Complex64::ZERO; m * n];
-    let before = counters::total_flops();
+    let before = counters::total(Counter::Flops);
     gemm::gemm_blocked_acc(m, k, n, &a, &b, &mut out);
     assert_eq!(
-        counters::total_flops() - before,
+        counters::total(Counter::Flops) - before,
         8 * (m * k * n) as u64,
         "one blocked GEMM must count exactly 8·m·k·n flops"
     );
-    let before = counters::total_flops();
+    let before = counters::total(Counter::Flops);
     let batch = 9usize;
     let a = vec![Complex64::ONE; batch * 4];
     let b = vec![Complex64::ONE; batch * 4];
     let mut out = vec![Complex64::ZERO; batch * 4];
     gemm::batched_gemm_acc(2, 2, 2, batch, &a, &b, &mut out);
-    assert_eq!(counters::total_flops() - before, 8 * 8 * batch as u64);
+    assert_eq!(
+        counters::total(Counter::Flops) - before,
+        8 * 8 * batch as u64
+    );
 }
 
 /// A small end-to-end SCF where the telemetry-measured GEMM flops equal
@@ -82,7 +85,7 @@ fn scf_phase_flops_equal_counter_totals() {
     assert!(scf.flops > 0);
     // Every flop of the run flows through the shared counters inside the
     // scf span — the span delta and the global total must agree exactly.
-    assert_eq!(scf.flops, counters::total_flops());
+    assert_eq!(scf.flops, counters::total(Counter::Flops));
     let dace = qt_telemetry::registry::phase("sse/sigma/dace").expect("sse phase recorded");
     assert_eq!(dace.calls as usize, out.iterations);
     assert_eq!(

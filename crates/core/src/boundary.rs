@@ -14,6 +14,7 @@
 
 use crate::health::{matrices_finite, NumericalError};
 use qt_linalg::{c64, invert, Complex64, Matrix};
+use qt_telemetry::counters::{self, Counter};
 use std::sync::{OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Which contact a self-energy belongs to.
@@ -93,7 +94,7 @@ pub fn surface_self_energy(
     match decimate(z, h00, h01, s00, s01, side, cfg) {
         Ok(out) => Ok(out),
         Err(first) if cfg.eta_bump > 0.0 => {
-            qt_telemetry::counters::add_eta_retry();
+            counters::add(Counter::HealthEtaRetries, 1);
             qt_telemetry::journal::emit(qt_telemetry::EventKind::EtaRetry);
             let zb = z + c64(0.0, cfg.eta_bump);
             match decimate(zb, h00, h01, s00, s01, side, cfg) {
@@ -353,11 +354,11 @@ impl BoundaryCacheView<'_> {
         compute: impl FnOnce() -> Result<(Matrix, Matrix), NumericalError>,
     ) -> Result<&(Matrix, Matrix), NumericalError> {
         if let Some(pair) = slot.get() {
-            qt_telemetry::counters::add_boundary_hit();
+            counters::add(Counter::BoundaryCacheHits, 1);
             return Ok(pair);
         }
         let pair = compute()?;
-        qt_telemetry::counters::add_boundary_miss();
+        counters::add(Counter::BoundaryCacheMisses, 1);
         Ok(slot.get_or_init(|| pair))
     }
 
@@ -613,12 +614,12 @@ mod tests {
             eta_bump: bump,
             ..Default::default()
         };
-        let retries0 = qt_telemetry::counters::total_eta_retries();
+        let retries0 = counters::total(Counter::HealthEtaRetries);
         let out = surface_self_energy(c64(0.1, base_eta), &h00, &h01, &s00, &s01, Side::Left, &cfg)
             .unwrap();
         assert!(out.converged);
         assert_eq!(out.eta_retries, 1);
-        assert!(qt_telemetry::counters::total_eta_retries() > retries0);
+        assert!(counters::total(Counter::HealthEtaRetries) > retries0);
     }
 
     #[test]

@@ -16,6 +16,7 @@
 
 use crate::gf::{ElectronSelfEnergy, PhononSelfEnergy};
 use qt_linalg::{c64, Tensor};
+use qt_telemetry::counters::{self, Counter};
 use std::fmt;
 use std::fs;
 use std::io::{self, Read, Write};
@@ -305,7 +306,7 @@ impl ScfCheckpoint {
             f.sync_all()?;
         }
         fs::rename(&tmp, path)?;
-        qt_telemetry::counters::add_checkpoint_write();
+        counters::add(Counter::HealthCheckpointWrites, 1);
         qt_telemetry::journal::emit(qt_telemetry::EventKind::CheckpointWrite);
         Ok(())
     }
@@ -373,10 +374,10 @@ mod tests {
         let dir = std::env::temp_dir().join("qt-ckpt-test");
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("scf.ckpt");
-        let writes0 = qt_telemetry::counters::total_checkpoint_writes();
+        let writes0 = counters::total(Counter::HealthCheckpointWrites);
         let ck = sample();
         ck.save(&path).unwrap();
-        assert!(qt_telemetry::counters::total_checkpoint_writes() > writes0);
+        assert!(counters::total(Counter::HealthCheckpointWrites) > writes0);
         assert!(!path.with_extension("tmp").exists(), "tmp must be renamed");
         let back = ScfCheckpoint::load(&path).unwrap();
         assert_eq!(back.residuals, ck.residuals);

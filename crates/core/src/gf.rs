@@ -15,6 +15,7 @@ use crate::health::{CoverageReport, HealthPolicy, NumericalError, QuarantinedPoi
 use crate::params::{SimParams, N3D};
 use crate::rgf;
 use qt_linalg::{c64, workspace, BlockTridiag, Complex64, Matrix, Tensor};
+use qt_telemetry::counters::{self, Counter};
 use rayon::prelude::*;
 
 /// Contact electrochemical potentials and temperature.
@@ -255,7 +256,7 @@ fn apply_health_policy<T>(
                 if !policy.quarantine {
                     return Err(error);
                 }
-                qt_telemetry::counters::add_quarantined_point();
+                counters::add(Counter::HealthQuarantinedPoints, 1);
                 let gi = grid_index(i);
                 qt_telemetry::journal::emit(qt_telemetry::EventKind::QuarantinePoint {
                     grid_index: gi as u64,
@@ -1038,13 +1039,13 @@ mod tests {
             "band offsets must alter the Green's functions for this test to bite"
         );
         // Re-running variant B replays its own entries (warm hits).
-        let hits0 = qt_telemetry::counters::total_boundary_hits();
+        let hits0 = counters::total(Counter::BoundaryCacheHits);
         let b_warm =
             electron_gf_phase_cached(&dev, &em, &p, &grids, &sse, &cfg_b, Some(&cache), None)
                 .unwrap();
         assert_eq!(b_warm.g_lesser.max_abs_diff(&b_cold.g_lesser), 0.0);
         assert!(
-            qt_telemetry::counters::total_boundary_hits() - hits0 >= (p.nkz * p.ne) as u64,
+            counters::total(Counter::BoundaryCacheHits) - hits0 >= (p.nkz * p.ne) as u64,
             "replaying the bound variant must hit the cache"
         );
     }

@@ -18,6 +18,7 @@ use crate::params::SimParams;
 use crate::rgf;
 use crate::sse::{self, SseInputs, SseVariant};
 use qt_linalg::Tensor;
+use qt_telemetry::counters::{self, Counter};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -214,7 +215,7 @@ impl MixingController {
                 let floor = self.base / 64.0;
                 if self.current > floor {
                     self.current = (self.current * 0.5).max(floor);
-                    qt_telemetry::counters::add_mixing_backoff();
+                    counters::add(Counter::HealthMixingBackoffs, 1);
                     qt_telemetry::journal::emit(qt_telemetry::EventKind::MixingBackoff {
                         factor: self.current,
                     });
@@ -562,17 +563,17 @@ pub fn run_scf_with(
         qt_telemetry::journal::set_iteration(iter as i64);
         qt_telemetry::series::set_series_iteration(iter as i64);
         let iter_t0 = std::time::Instant::now();
-        let alloc0 = qt_telemetry::counters::total_alloc_bytes();
-        let fresh0 = qt_telemetry::counters::total_ws_fresh();
-        let miss0 = qt_telemetry::counters::total_boundary_misses();
-        let quar0 = qt_telemetry::counters::total_quarantined_points();
+        let alloc0 = counters::total(Counter::AllocBytes);
+        let fresh0 = counters::total(Counter::WsFresh);
+        let miss0 = counters::total(Counter::BoundaryCacheMisses);
+        let quar0 = counters::total(Counter::HealthQuarantinedPoints);
         let iter_counters = |t0: std::time::Instant| {
             (
                 t0.elapsed().as_secs_f64(),
-                qt_telemetry::counters::total_alloc_bytes() - alloc0,
-                qt_telemetry::counters::total_ws_fresh() - fresh0,
-                qt_telemetry::counters::total_boundary_misses() - miss0,
-                qt_telemetry::counters::total_quarantined_points() - quar0,
+                counters::total(Counter::AllocBytes) - alloc0,
+                counters::total(Counter::WsFresh) - fresh0,
+                counters::total(Counter::BoundaryCacheMisses) - miss0,
+                counters::total(Counter::HealthQuarantinedPoints) - quar0,
             )
         };
         iterations += 1;
@@ -809,13 +810,13 @@ mod tests {
             ..Default::default()
         };
         let n_points = (sim.p.nkz * sim.p.ne + sim.p.nqz * sim.p.nw) as u64;
-        let hits0 = qt_telemetry::counters::total_boundary_hits();
+        let hits0 = counters::total(Counter::BoundaryCacheHits);
         let out = run_scf(&sim, &cfg).unwrap();
         assert_eq!(out.iterations, 3);
         // Iterations 2 and 3 replay every contact self-energy from the
         // cache (the counter is global, so other tests can only add hits).
         assert!(
-            qt_telemetry::counters::total_boundary_hits() - hits0 >= 2 * n_points,
+            counters::total(Counter::BoundaryCacheHits) - hits0 >= 2 * n_points,
             "warm iterations must hit the boundary cache"
         );
         // The cache is populated: replay must not recompute.
@@ -858,7 +859,7 @@ mod tests {
             "undamped Born iteration must diverge for this test to bite"
         );
         cfg.adaptive_mixing = true;
-        let backoffs0 = qt_telemetry::counters::total_mixing_backoffs();
+        let backoffs0 = counters::total(Counter::HealthMixingBackoffs);
         let adaptive = run_scf(&boosted_sim(), &cfg).unwrap();
         assert!(
             adaptive.converged,
@@ -869,7 +870,7 @@ mod tests {
             adaptive.trajectory.iter().any(|r| r.mixing < cfg.mixing),
             "trajectory must log the backed-off mixing factors"
         );
-        assert!(qt_telemetry::counters::total_mixing_backoffs() > backoffs0);
+        assert!(counters::total(Counter::HealthMixingBackoffs) > backoffs0);
     }
 
     #[test]

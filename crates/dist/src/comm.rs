@@ -43,6 +43,7 @@ use std::time::{Duration, Instant};
 
 #[cfg(feature = "fault-inject")]
 use crate::fault::{self, FaultAction, FaultPlan};
+use qt_telemetry::counters::{self, Counter};
 
 /// Typed failure of an elastic communication primitive.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -397,7 +398,7 @@ impl ThreadComm {
             // Single accounting point for network traffic: phase spans and
             // the telemetry report read the same byte stream the
             // per-rank counters feed.
-            qt_telemetry::counters::add_bytes(bytes);
+            counters::add(Counter::Bytes, bytes);
             // Flow start strictly precedes the channel push so the paired
             // finish can never carry an earlier timestamp.
             self.note_clean_send(dst, tag);
@@ -479,8 +480,8 @@ impl ThreadComm {
                     // The frame left this rank's NIC and vanished: the
                     // send-side bytes are spent, nothing arrives.
                     self.world.sent[self.rank].fetch_add(bytes, Ordering::Relaxed);
-                    qt_telemetry::counters::add_bytes(bytes);
-                    qt_telemetry::counters::add_comm_retry();
+                    counters::add(Counter::Bytes, bytes);
+                    counters::add(Counter::HealthCommRetries, 1);
                     qt_telemetry::journal::emit(qt_telemetry::EventKind::CommRetransmit {
                         src: self.identity() as u64,
                         dst: self.identity_of(dst) as u64,
@@ -496,8 +497,8 @@ impl ThreadComm {
                         fault::corrupted_copy(payload.as_deref().unwrap(), plan.seed ^ msg_idx);
                     self.world.sent[self.rank].fetch_add(bytes, Ordering::Relaxed);
                     self.world.received[dst].fetch_add(bytes, Ordering::Relaxed);
-                    qt_telemetry::counters::add_bytes(bytes);
-                    qt_telemetry::counters::add_comm_retry();
+                    counters::add(Counter::Bytes, bytes);
+                    counters::add(Counter::HealthCommRetries, 1);
                     qt_telemetry::journal::emit(qt_telemetry::EventKind::CommRetransmit {
                         src: self.identity() as u64,
                         dst: self.identity_of(dst) as u64,
@@ -514,7 +515,7 @@ impl ThreadComm {
                     }
                     self.world.sent[self.rank].fetch_add(bytes, Ordering::Relaxed);
                     self.world.received[dst].fetch_add(bytes, Ordering::Relaxed);
-                    qt_telemetry::counters::add_bytes(bytes);
+                    counters::add(Counter::Bytes, bytes);
                     self.note_clean_send(dst, tag);
                     self.world.senders[dst][self.rank]
                         .send((tag, payload.take().expect("delivered once"), cksum))
@@ -568,7 +569,7 @@ impl ThreadComm {
         if dst != self.rank {
             self.world.sent[self.rank].fetch_add(bytes, Ordering::Relaxed);
             self.world.received[dst].fetch_add(bytes, Ordering::Relaxed);
-            qt_telemetry::counters::add_bytes(bytes);
+            counters::add(Counter::Bytes, bytes);
             self.note_clean_send(dst, tag);
         }
         self.world.senders[dst][self.rank]
@@ -644,7 +645,7 @@ impl ThreadComm {
                 }
                 Err(RecvTimeoutError::Timeout) => {
                     timeouts += 1;
-                    qt_telemetry::counters::add_comm_retry();
+                    counters::add(Counter::HealthCommRetries, 1);
                     qt_telemetry::journal::emit(qt_telemetry::EventKind::CommRetransmit {
                         src: self.identity_of(src) as u64,
                         dst: self.identity() as u64,
@@ -706,7 +707,7 @@ impl ThreadComm {
                     return Ok(data);
                 }
                 Err(RecvTimeoutError::Timeout) => {
-                    qt_telemetry::counters::add_heartbeat_timeout();
+                    counters::add(Counter::ElasticHeartbeatTimeouts, 1);
                     qt_telemetry::journal::emit(qt_telemetry::EventKind::HeartbeatTimeout {
                         watched: self.identity_of(src) as u64,
                     });

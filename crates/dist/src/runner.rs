@@ -26,6 +26,7 @@ use qt_core::params::SimParams;
 use qt_core::scf::Simulation;
 use qt_core::sse;
 use qt_linalg::Tensor;
+use qt_telemetry::counters::{self, Counter};
 use std::collections::BTreeSet;
 
 /// Borrowed inputs of one distributed iteration: the device and its
@@ -264,14 +265,14 @@ pub(crate) fn supervise(
             Ok(done) => break Some(done),
             Err(suspects) => {
                 retiles += 1;
-                qt_telemetry::counters::add_retile_event();
+                counters::add(Counter::ElasticRetileEvents, 1);
                 let mut moved_this_round: u64 = 0;
                 for dead in suspects {
                     if !tiling.is_survivor(dead) {
                         continue; // already handled in an earlier round
                     }
                     deaths.push(dead);
-                    qt_telemetry::counters::add_rank_death();
+                    counters::add(Counter::ElasticRankDeaths, 1);
                     qt_telemetry::journal::emit(qt_telemetry::EventKind::RankDeath {
                         rank: dead as u64,
                     });
@@ -295,7 +296,7 @@ pub(crate) fn supervise(
                         let moved = tiling.remove_rank(dead).len();
                         migrated_units += moved;
                         moved_this_round += moved as u64;
-                        qt_telemetry::counters::add_migrated_tiles(moved as u64);
+                        counters::add(Counter::ElasticMigratedTiles, moved as u64);
                     } else {
                         // Too much of the grid would ride recovery: give
                         // the units up instead of migrating them.
@@ -349,8 +350,8 @@ pub fn maybe_rebalance(
     }
     let moved = tiling.rebalance(&balance.unit_secs);
     if !moved.is_empty() {
-        qt_telemetry::counters::add_rebalance_event();
-        qt_telemetry::counters::add_rebalance_moved_units(moved.len() as u64);
+        counters::add(Counter::BalanceRebalanceEvents, 1);
+        counters::add(Counter::BalanceMovedUnits, moved.len() as u64);
     }
     moved
 }
@@ -486,11 +487,11 @@ mod tests {
             unit_secs: vec![1.0, 8.0, 1.0, 1.0],
             ..Default::default()
         };
-        let events0 = qt_telemetry::counters::total_rebalance_events();
+        let events0 = counters::total(Counter::BalanceRebalanceEvents);
         assert!(maybe_rebalance(&mut tiling, &skew, 10.0).is_empty());
         let moved = maybe_rebalance(&mut tiling, &skew, 1.5);
         assert!(!moved.is_empty(), "4.0/1.75 imbalance must trigger a move");
-        assert!(qt_telemetry::counters::total_rebalance_events() > events0);
+        assert!(counters::total(Counter::BalanceRebalanceEvents) > events0);
         // The re-tiled iteration must reproduce the observables bit for bit.
         let second = supervised_iteration(&ctx, &mut tiling, &policy).unwrap();
         assert_eq!(

@@ -26,6 +26,7 @@ use qt_core::gf::{ElectronSelfEnergy, PhononSelfEnergy};
 use qt_core::params::{SimParams, N3D};
 use qt_core::sse;
 use qt_linalg::{c64, gemm, Complex64, Tensor};
+use qt_telemetry::counters::{self, Counter};
 
 /// Π≷ slices a rank owns round-robin: `((q, ω), lesser, greater)` buffers.
 type PiOwned = Vec<((usize, usize), Vec<Complex64>, Vec<Complex64>)>;
@@ -902,7 +903,7 @@ fn handle_steal_msg(
         );
         core.busy_secs += out.secs;
         core.stolen_units += 1;
-        qt_telemetry::counters::add_stolen_units(1);
+        counters::add(Counter::BalanceStolenUnits, 1);
         let mut buf = Vec::with_capacity(3 + env.geoms[u].sig_len(env.ctx.p) * 2);
         buf.push(c64(STEAL_RESULT, 0.0));
         buf.push(c64(u as f64, 0.0));
@@ -1063,7 +1064,7 @@ fn steal_compute_phase(
         });
         comm.try_send(v, TAG_STEAL, vec![c64(STEAL_REQ, 0.0)])?;
         core.steal_requests += 1;
-        qt_telemetry::counters::add_steal_request();
+        counters::add(Counter::BalanceStealRequests, 1);
         core.reply = None;
         let mut watch = (comm.epoch_of(v), std::time::Instant::now());
         loop {

@@ -17,6 +17,7 @@ use qt_dist::{
     supervised_iteration, DistContext, ElasticIterationResult, ElasticPolicy, ElasticTiling,
 };
 use qt_linalg::{c64, Complex64};
+use qt_telemetry::counters::{self, Counter};
 
 fn fixture() -> Simulation {
     let p = SimParams {
@@ -62,7 +63,7 @@ fn chaos_plan(seed: u64) -> FaultPlan {
 fn faulty_iteration_matches_fault_free_run() {
     let sim = fixture();
     let clean = complete(&sim, None);
-    let retries0 = qt_telemetry::counters::total_comm_retries();
+    let retries0 = counters::total(Counter::HealthCommRetries);
     let faulty = complete(&sim, Some(chaos_plan(2024)));
     // guarantee_delivery retransmits the exact payload, so the results are
     // bitwise identical — well inside the 1e-10 acceptance bound.
@@ -78,7 +79,7 @@ fn faulty_iteration_matches_fault_free_run() {
     // Faults actually fired: the protocol retried, and retransmissions
     // cost extra wire bytes on top of the clean volume.
     assert!(
-        qt_telemetry::counters::total_comm_retries() > retries0,
+        counters::total(Counter::HealthCommRetries) > retries0,
         "chaos plan must trigger retries"
     );
     assert!(

@@ -10,6 +10,7 @@ use crate::complex::Complex64;
 use crate::dense::Matrix;
 use crate::flops;
 use crate::workspace;
+use qt_telemetry::counters::{self, Counter};
 
 /// Account a sparse-kernel operation: `f` real flops into the global flop
 /// counter (same source of truth as the dense GEMMs) and into the
@@ -19,8 +20,8 @@ use crate::workspace;
 #[inline]
 fn account(f: u64, b: u64) {
     flops::add_flops(f);
-    qt_telemetry::counters::add_kernel_sparse_flops(f);
-    qt_telemetry::counters::add_kernel_sparse_bytes(b);
+    counters::add(Counter::KernelSparseFlops, f);
+    counters::add(Counter::KernelSparseBytes, b);
 }
 
 /// Bytes of one dense `Complex64` element.
@@ -630,24 +631,22 @@ mod tests {
 
     #[test]
     fn sparse_ops_feed_kernel_telemetry() {
-        use qt_telemetry::counters as tc;
+        let flops = || counters::total(Counter::KernelSparseFlops);
+        let bytes = || counters::total(Counter::KernelSparseBytes);
         let mut r = rng();
         let s = random_sparse(8, 8, 0.5, &mut r);
         let b = Matrix::random(8, 8, &mut r);
-        let (f0, b0) = (
-            tc::total_kernel_sparse_flops(),
-            tc::total_kernel_sparse_bytes(),
-        );
+        let (f0, b0) = (flops(), bytes());
         let _ = s.mul_dense(&b);
         let n = s.nnz() as u64;
-        assert!(tc::total_kernel_sparse_flops() - f0 >= 8 * n * 8);
-        assert!(tc::total_kernel_sparse_bytes() - b0 >= s.storage_bytes());
-        let f1 = tc::total_kernel_sparse_flops();
+        assert!(flops() - f0 >= 8 * n * 8);
+        assert!(bytes() - b0 >= s.storage_bytes());
+        let f1 = flops();
         let _ = s.mul_csr(&s);
-        assert!(tc::total_kernel_sparse_flops() > f1);
-        let f2 = tc::total_kernel_sparse_flops();
+        assert!(flops() > f1);
+        let f2 = flops();
         let x = vec![Complex64::ONE; 8];
         let _ = s.matvec(&x);
-        assert!(tc::total_kernel_sparse_flops() - f2 >= 8 * n);
+        assert!(flops() - f2 >= 8 * n);
     }
 }

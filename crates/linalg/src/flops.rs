@@ -12,17 +12,19 @@
 //! flop, so a complex fused multiply-accumulate costs 8 — the same convention
 //! the paper's `64·N·...·Norb^3` byte/flop formulas use (8 flop × 8 bytes).
 
+use qt_telemetry::counters::{self, Counter};
+
 /// Add `n` real floating point operations to the global counter.
 #[inline]
 pub fn add_flops(n: u64) {
-    qt_telemetry::counters::add_flops(n);
+    counters::add(Counter::Flops, n);
 }
 
 /// Record the cost of a complex GEMM of shape `m x k x n`
 /// (8 real flop per complex multiply-accumulate).
 #[inline]
 pub fn add_gemm_flops(m: usize, k: usize, n: usize) {
-    qt_telemetry::counters::add_gemm_flops(m, k, n);
+    add_gemm_flops_batched(m, k, n, 1);
 }
 
 /// Record the cost of `batch` complex GEMMs of shape `m x k x n` — the one
@@ -30,17 +32,12 @@ pub fn add_gemm_flops(m: usize, k: usize, n: usize) {
 /// model-vs-measured comparison can't drift between kernels.
 #[inline]
 pub fn add_gemm_flops_batched(m: usize, k: usize, n: usize, batch: usize) {
-    qt_telemetry::counters::add_gemm_flops_batched(m, k, n, batch);
+    add_flops(8 * (m * k * n * batch) as u64);
 }
 
 /// Current global flop count (summed across all threads).
 pub fn flop_count() -> u64 {
-    qt_telemetry::counters::total_flops()
-}
-
-/// Reset the global counter to zero (tests / per-phase measurement).
-pub fn reset_flops() {
-    qt_telemetry::counters::reset_flops();
+    counters::total(Counter::Flops)
 }
 
 /// Measure the flop executed by `f`, without disturbing the global counter
@@ -80,6 +77,6 @@ mod tests {
         let (_, d) = count_flops(|| add_gemm_flops_batched(3, 4, 5, 2));
         assert_eq!(d, 8 * 3 * 4 * 5 * 2);
         // The façade and the telemetry registry read the same counter.
-        assert_eq!(flop_count(), qt_telemetry::counters::total_flops());
+        assert_eq!(flop_count(), counters::total(Counter::Flops));
     }
 }

@@ -24,6 +24,6 @@ pub use complex::{c64, Complex64};
 pub use csr::CsrMatrix;
 pub use dense::Matrix;
 pub use eig::{eigh, psd_project_scaled_in_place, psd_projection, Eigh};
-pub use flops::{add_flops, count_flops, flop_count, reset_flops};
+pub use flops::{add_flops, count_flops, flop_count};
 pub use lu::{invert, invert_ws, solve, Lu, SingularMatrix};
 pub use tensor::Tensor;

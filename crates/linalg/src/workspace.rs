@@ -24,6 +24,7 @@
 
 use crate::complex::Complex64;
 use crate::dense::Matrix;
+use qt_telemetry::counters::{self, Counter};
 use std::cell::RefCell;
 
 /// Shape-agnostic pool of complex buffers; the thread-local instance
@@ -51,7 +52,7 @@ impl Workspace {
             b
         } else {
             self.fresh += 1;
-            qt_telemetry::counters::add_ws_fresh();
+            counters::add(Counter::WsFresh, 1);
             vec![Complex64::ZERO; len]
         }
     }
@@ -72,7 +73,7 @@ impl Workspace {
             b
         } else {
             self.fresh += 1;
-            qt_telemetry::counters::add_ws_fresh();
+            counters::add(Counter::WsFresh, 1);
             vec![Complex64::ZERO; len]
         }
     }
@@ -94,7 +95,7 @@ impl Workspace {
             b
         } else {
             self.fresh += 1;
-            qt_telemetry::counters::add_ws_fresh();
+            counters::add(Counter::WsFresh, 1);
             Vec::with_capacity(cap)
         }
     }
@@ -109,7 +110,7 @@ impl Workspace {
             b
         } else {
             self.fresh += 1;
-            qt_telemetry::counters::add_ws_fresh();
+            counters::add(Counter::WsFresh, 1);
             Vec::with_capacity(cap)
         }
     }
@@ -143,7 +144,7 @@ impl Workspace {
             b
         } else {
             self.fresh += 1;
-            qt_telemetry::counters::add_ws_fresh();
+            counters::add(Counter::WsFresh, 1);
             vec![0; len]
         }
     }
@@ -348,12 +349,12 @@ mod tests {
 
     #[test]
     fn thread_local_pool_roundtrip() {
-        let before = qt_telemetry::counters::total_ws_fresh();
+        let before = counters::total(Counter::WsFresh);
         let m = take(5, 5);
         give(m);
         let m = take(5, 5);
         give(m);
         // Second take reuses the first buffer: at most one miss from here.
-        assert!(qt_telemetry::counters::total_ws_fresh() - before <= 1);
+        assert!(counters::total(Counter::WsFresh) - before <= 1);
     }
 }

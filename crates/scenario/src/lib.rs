@@ -15,6 +15,8 @@
 //! are pinned, and the disorder machinery is how the corpus legitimately
 //! exercises the `SingularBlock` quarantine path.
 
+use qt_telemetry::counters::{self, Counter};
+
 pub mod error;
 pub mod schema;
 pub mod toml;
@@ -131,11 +133,11 @@ impl Scenario {
 pub fn load(source: &str) -> Result<BuiltScenario, ScenarioError> {
     match Scenario::parse(source).and_then(|s| s.build()) {
         Ok(built) => {
-            qt_telemetry::counters::add_corpus_scenario_built();
+            counters::add(Counter::CorpusScenariosBuilt, 1);
             Ok(built)
         }
         Err(e) => {
-            qt_telemetry::counters::add_corpus_scenario_rejected();
+            counters::add(Counter::CorpusScenariosRejected, 1);
             Err(e)
         }
     }
@@ -314,11 +316,19 @@ biases = [0.0, 0.4]
 
     #[test]
     fn load_accounts_outcomes() {
-        qt_telemetry::reset_all();
+        // `load` bumps on the calling thread; sibling tests load scenarios
+        // too, so assert on this thread's shard, not the process total.
+        let outcomes = || {
+            [
+                Counter::CorpusScenariosBuilt,
+                Counter::CorpusScenariosRejected,
+            ]
+            .map(counters::local)
+        };
+        let [built, rejected] = outcomes();
         assert!(load(nanowire_doc()).is_ok());
         assert!(load("name = oops").is_err());
-        assert_eq!(qt_telemetry::counters::total_corpus_scenarios_built(), 1);
-        assert_eq!(qt_telemetry::counters::total_corpus_scenarios_rejected(), 1);
+        assert_eq!(outcomes(), [built + 1, rejected + 1]);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crossbeam::channel::{Receiver, Sender};
 use qt_core::checkpoint::CheckpointConfig;
 use qt_core::scf::{run_scf_with, CancelToken, ScfError, ScfOptions, Simulation, WarmStart};
 use qt_dist::RankPool;
-use qt_telemetry::{counters, journal, EventKind};
+use qt_telemetry::{counters, journal, Counter, EventKind};
 
 use crate::breaker::CircuitBreaker;
 use crate::config::{
@@ -124,7 +124,7 @@ impl Service {
     pub fn submit(&self, req: SweepRequest) -> Result<SweepTicket, SubmitError> {
         let id = self.next_id.fetch_add(1, SeqCst);
         let reject = |err: SubmitError| {
-            counters::add_service_rejected();
+            counters::add(Counter::ServiceRejected, 1);
             journal::emit(EventKind::RequestRejected { request: id });
             Err(err)
         };
@@ -165,7 +165,7 @@ impl Service {
                 retry_after: hint * (cap as u32).max(1),
             });
         }
-        counters::add_service_admitted();
+        counters::add(Counter::ServiceAdmitted, 1);
         journal::emit(EventKind::RequestAdmitted { request: id });
         let (resp_tx, resp_rx) = crossbeam::channel::unbounded();
         let job = Job {
@@ -229,7 +229,7 @@ fn worker_loop(shared: Arc<Shared>, rx: Receiver<Job>, wd: crate::watchdog::Watc
 fn settle(shared: &Shared, job: &Job, status: &SweepStatus) {
     match status {
         SweepStatus::Completed { points } => {
-            counters::add_service_completed();
+            counters::add(Counter::ServiceCompleted, 1);
             journal::emit(EventKind::RequestDone {
                 request: job.id,
                 degraded_points: points.iter().filter(|p| p.degraded_to_cold).count() as u64,
@@ -241,14 +241,14 @@ fn settle(shared: &Shared, job: &Job, status: &SweepStatus) {
                 .record_success(job.req.variant);
         }
         SweepStatus::Failed { .. } => {
-            counters::add_service_failed();
+            counters::add(Counter::ServiceFailed, 1);
             let tripped = shared
                 .breaker
                 .lock()
                 .unwrap()
                 .record_failure(job.req.variant, Instant::now());
             if tripped {
-                counters::add_service_breaker_open();
+                counters::add(Counter::ServiceBreakerOpens, 1);
                 journal::emit(EventKind::BreakerOpen {
                     variant: job.req.variant as u64,
                 });
@@ -318,7 +318,7 @@ fn run_sweep(shared: &Shared, wd: &crate::watchdog::WatchdogHandle, job: &Job) -
             // Shutdown drain: account the checkpointed point.
             let mut checkpoints = Vec::new();
             if let Some(path) = checkpoint {
-                counters::add_service_drained();
+                counters::add(Counter::ServiceDrained, 1);
                 journal::emit(EventKind::DrainCheckpoint {
                     request: job.id,
                     point: i as u64,
@@ -391,7 +391,7 @@ fn solve_point(
     let mut warm_attempted = false;
     if let Some((_, seed)) = vr.warm.nearest(bias) {
         warm_attempted = true;
-        counters::add_service_warm_start();
+        counters::add(Counter::ServiceWarmStarts, 1);
         let mut seed = (*seed).clone();
         if job.req.poison_warm_point == Some(index) {
             poison_seed(&mut seed);
@@ -419,7 +419,7 @@ fn solve_point(
             // through to the cold solve.
             Ok(_) | Err(_) => {
                 degraded_to_cold = true;
-                counters::add_service_warm_fallback();
+                counters::add(Counter::ServiceWarmFallbacks, 1);
                 journal::emit(EventKind::WarmFallback {
                     request: job.id,
                     point: index as u64,
@@ -470,7 +470,7 @@ fn solve_point(
         }
         let backoff = shared.cfg.retry_backoff * 2u32.saturating_pow(retries);
         retries += 1;
-        counters::add_service_retry();
+        counters::add(Counter::ServiceRetries, 1);
         std::thread::sleep(backoff);
     }
 }

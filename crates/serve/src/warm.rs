@@ -18,6 +18,7 @@
 use std::sync::{Arc, Mutex};
 
 use qt_core::scf::WarmStart;
+use qt_telemetry::counters::{self, Counter};
 
 struct Entry {
     bias: f64,
@@ -84,7 +85,7 @@ impl WarmStore {
         if inner.entries.len() >= self.capacity {
             let victim = most_redundant(&inner.entries, bias);
             inner.entries.swap_remove(victim);
-            qt_telemetry::counters::add_service_warm_evicted();
+            counters::add(Counter::ServiceWarmEvicted, 1);
         }
         inner.entries.push(Entry { bias, age, seed });
     }
@@ -187,13 +188,15 @@ mod tests {
     #[test]
     fn capacity_bounds_the_store_and_eviction_keeps_the_spread() {
         let store = WarmStore::with_capacity(3);
-        let before = qt_telemetry::counters::total_service_warm_evicted();
+        // `deposit` evicts on the calling thread: this thread's shard is
+        // exact whatever sibling tests evict.
+        let before = counters::local(Counter::ServiceWarmEvicted);
         store.deposit(0.0, seed());
         store.deposit(1.0, seed());
         store.deposit(0.98, seed()); // crowds 1.0
         assert_eq!(store.len(), 3);
         assert_eq!(
-            qt_telemetry::counters::total_service_warm_evicted(),
+            counters::local(Counter::ServiceWarmEvicted),
             before,
             "no eviction below capacity"
         );
@@ -202,8 +205,9 @@ mod tests {
         // min-gap, so the older of the two goes: 1.0).
         store.deposit(0.5, seed());
         assert_eq!(store.len(), 3, "store must stay at capacity");
-        assert!(
-            qt_telemetry::counters::total_service_warm_evicted() >= before + 1,
+        assert_eq!(
+            counters::local(Counter::ServiceWarmEvicted),
+            before + 1,
             "eviction must be counted"
         );
         let biases = store.biases();

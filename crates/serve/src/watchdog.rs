@@ -12,6 +12,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use qt_core::scf::CancelToken;
+use qt_telemetry::counters::{self, Counter};
 
 struct Entry {
     deadline: Instant,
@@ -139,7 +140,7 @@ fn run(handle: WatchdogHandle) {
             for (token, expired, request) in fired {
                 expired.store(true, Ordering::SeqCst);
                 token.cancel();
-                qt_telemetry::counters::add_service_deadline_cancel();
+                counters::add(Counter::ServiceDeadlineCancels, 1);
                 qt_telemetry::journal::emit(qt_telemetry::EventKind::DeadlineExpired { request });
             }
             continue;

@@ -6,6 +6,7 @@ use std::time::Duration;
 use qt_core::params::SimParams;
 use qt_core::scf::ScfConfig;
 use qt_serve::{ServeConfig, Service, SubmitError, SweepRequest, SweepStatus, VariantSpec};
+use qt_telemetry::counters::{self, Counter};
 
 fn tiny_params() -> SimParams {
     SimParams {
@@ -128,7 +129,7 @@ fn unknown_variant_is_rejected() {
 #[test]
 fn poisoned_warm_start_degrades_to_the_cold_answer() {
     qt_telemetry::set_journaling(true);
-    let fallbacks0 = qt_telemetry::counters::total_service_warm_fallbacks();
+    let fallbacks0 = counters::total(Counter::ServiceWarmFallbacks);
 
     // Reference: same sweep on a service that never warm-starts the
     // second point (fresh service, single-point sweeps → no neighbors).
@@ -168,7 +169,7 @@ fn poisoned_warm_start_degrades_to_the_cold_answer() {
     assert_eq!(degraded.retries, 0, "degradation never burns retry budget");
 
     // The degradation is observable: counter bumped and event journaled.
-    assert!(qt_telemetry::counters::total_service_warm_fallbacks() > fallbacks0);
+    assert!(counters::total(Counter::ServiceWarmFallbacks) > fallbacks0);
     let events = qt_telemetry::journal::drain();
     assert!(
         events.iter().any(|e| matches!(
@@ -222,7 +223,7 @@ fn repeated_failures_open_the_breaker() {
         },
     )
     .expect("valid test variant");
-    let opens0 = qt_telemetry::counters::total_service_breaker_opens();
+    let opens0 = counters::total(Counter::ServiceBreakerOpens);
     for _ in 0..2 {
         let t = svc.submit(SweepRequest::new(0, vec![0.1])).unwrap();
         assert!(matches!(
@@ -236,7 +237,7 @@ fn repeated_failures_open_the_breaker() {
         }
         other => panic!("expected BreakerOpen, got {other:?}"),
     }
-    assert!(qt_telemetry::counters::total_service_breaker_opens() > opens0);
+    assert!(counters::total(Counter::ServiceBreakerOpens) > opens0);
     svc.shutdown();
 }
 

@@ -1,4 +1,12 @@
-//! Per-thread sharded counters.
+//! Per-thread sharded counters, declared once in one table.
+//!
+//! [`counter_table!`] below is the only place a counter is named. A row
+//! gives the [`Counter`] variant, its dotted metric name, whether the
+//! metrics series samples it (and so whether the Prometheus text carries
+//! it), where the report writes it ([`Place`]) and one doc line. The enum,
+//! [`Counter::ALL`], the series sample order ([`Counter::SERIES`]), the
+//! Prometheus names and the report's counter blocks are all derived from
+//! the rows; adding a counter is adding a row.
 //!
 //! Every thread that bumps a counter gets its own cache line of atomics,
 //! registered once in a global cell list. Totals are the sum over cells;
@@ -6,132 +14,306 @@
 //! exits (the `qt_dist` thread worlds spawn and join short-lived OS
 //! threads whose traffic must survive into the report).
 //!
-//! The flop counters here are the backing store for
-//! `qt_linalg::flops::{add_flops, add_gemm_flops_batched, …}` — there is a
-//! single source of truth for flop accounting across the workspace.
+//! [`Counter::Flops`] is the backing store for
+//! `qt_linalg::flops::{add_flops, add_gemm_flops_batched, …}`, which holds
+//! the `8·m·k·n` GEMM arithmetic — there is a single source of truth for
+//! flop accounting across the workspace.
 
+use std::ops::{Index, IndexMut};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-const FLOPS: usize = 0;
-const BYTES: usize = 1;
-const PACK_NS: usize = 2;
-const PACK_CALLS: usize = 3;
-const KERNEL_NS: usize = 4;
-const KERNEL_CALLS: usize = 5;
-const ALLOC_BYTES: usize = 6;
-const ALLOC_COUNT: usize = 7;
-const WS_FRESH: usize = 8;
-const BOUNDARY_HITS: usize = 9;
-const BOUNDARY_MISSES: usize = 10;
-const HEALTH_QUARANTINED: usize = 11;
-const HEALTH_ETA_RETRIES: usize = 12;
-const HEALTH_MIXING_BACKOFFS: usize = 13;
-const HEALTH_COMM_RETRIES: usize = 14;
-const HEALTH_CKPT_WRITES: usize = 15;
-const ELASTIC_RANK_DEATHS: usize = 16;
-const ELASTIC_HEARTBEAT_TIMEOUTS: usize = 17;
-const ELASTIC_RETILE_EVENTS: usize = 18;
-const ELASTIC_MIGRATED_TILES: usize = 19;
-const BALANCE_STEAL_REQUESTS: usize = 20;
-const BALANCE_STOLEN_UNITS: usize = 21;
-const BALANCE_REBALANCE_EVENTS: usize = 22;
-const BALANCE_MOVED_UNITS: usize = 23;
-const JOURNAL_DROPPED: usize = 24;
-const KSEL_SPARSE: usize = 25;
-const KSEL_DENSE: usize = 26;
-const KSEL_SWITCHES: usize = 27;
-const KERNEL_SPARSE_FLOPS: usize = 28;
-const KERNEL_SPARSE_BYTES: usize = 29;
-const KERNEL_DENSE_FLOPS: usize = 30;
-const KERNEL_SPARSE_NS: usize = 31;
-const KERNEL_DENSE_NS: usize = 32;
-const KERNEL_SPARSE_PRED_NS: usize = 33;
-const KERNEL_DENSE_PRED_NS: usize = 34;
-const SERVICE_ADMITTED: usize = 35;
-const SERVICE_REJECTED: usize = 36;
-const SERVICE_COMPLETED: usize = 37;
-const SERVICE_FAILED: usize = 38;
-const SERVICE_DEADLINE_CANCELS: usize = 39;
-const SERVICE_WARM_STARTS: usize = 40;
-const SERVICE_WARM_FALLBACKS: usize = 41;
-const SERVICE_RETRIES: usize = 42;
-const SERVICE_BREAKER_OPENS: usize = 43;
-const SERVICE_DRAINED: usize = 44;
-const SERVICE_WARM_EVICTED: usize = 45;
-const CORPUS_SCENARIOS_BUILT: usize = 46;
-const CORPUS_SCENARIOS_REJECTED: usize = 47;
-const CORPUS_SCENARIOS_RUN: usize = 48;
-const CORPUS_MATCHED: usize = 49;
-const CORPUS_MISMATCHED: usize = 50;
-const CORPUS_CHAOS_RERUNS: usize = 51;
-const N_COUNTERS: usize = 52;
+/// An optional block of the report that counters are written under.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Block {
+    /// Resilience counters (`health`).
+    Health,
+    /// Elastic-recovery counters (`elasticity`).
+    Elasticity,
+    /// Load-balance summary (`balance`).
+    Balance,
+    /// Sparse/dense kernel-selection summary (`kernel_selection`).
+    KernelSelection,
+    /// Sweep-service availability summary (`service`).
+    Service,
+    /// Scenario-corpus summary (`corpus`).
+    Corpus,
+}
+
+impl Block {
+    /// Every block, in the order the report writes them.
+    pub const ALL: [Block; 6] = [
+        Block::Health,
+        Block::Elasticity,
+        Block::Balance,
+        Block::KernelSelection,
+        Block::Service,
+        Block::Corpus,
+    ];
+
+    /// The counters the report writes under this block, in table order.
+    pub fn counters(self) -> impl Iterator<Item = Counter> {
+        Counter::ALL
+            .into_iter()
+            .filter(move |c| c.block() == Some(self))
+    }
+
+    /// The block's key in the report JSON.
+    pub fn key(self) -> &'static str {
+        match self {
+            Block::Health => "health",
+            Block::Elasticity => "elasticity",
+            Block::Balance => "balance",
+            Block::KernelSelection => "kernel_selection",
+            Block::Service => "service",
+            Block::Corpus => "corpus",
+        }
+    }
+}
+
+/// Where the report writes a counter.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Place {
+    /// Not part of the report.
+    Unreported,
+    /// A top-level key of the report.
+    Top(&'static str),
+    /// Inside a block, keyed by the last segment of the metric name.
+    In(Block),
+    /// A nanosecond counter written inside a block as float seconds under
+    /// the given key.
+    Secs(Block, &'static str),
+}
+
+struct Row {
+    name: &'static str,
+    sampled: bool,
+    place: Place,
+}
+
+macro_rules! counter_table {
+    ($(($variant:ident, $name:literal, $sampled:expr, $place:expr, $doc:literal),)+) => {
+        /// One telemetry counter. The discriminant is the slot in every
+        /// thread's shard.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum Counter {
+            $(#[doc = $doc] $variant,)+
+        }
+
+        const N_COUNTERS: usize = [$($name,)+].len();
+
+        impl Counter {
+            /// Every counter, in table order.
+            pub const ALL: [Counter; N_COUNTERS] = [$(Counter::$variant,)+];
+        }
+
+        const ROWS: [Row; N_COUNTERS] = [
+            $(Row { name: $name, sampled: $sampled, place: $place },)+
+        ];
+    };
+}
+
+const SAMPLED: bool = true;
+const UNSAMPLED: bool = false;
+use Block::{Balance, Corpus, Elasticity, Health, KernelSelection, Service};
+use Place::{In, Secs, Top, Unreported};
+
+// Within a block, a counter bumped when something is *attempted* is
+// declared before the counters bumped when it *settles* (`admitted` before
+// `completed`/`failed`, `warm_starts` before `warm_fallbacks`,
+// `scenarios_run` before `matched`/`mismatched`): `Snapshot::take` relies
+// on it.
+counter_table! {
+    (Flops, "flops", SAMPLED, Top("total_flops"), "Real floating-point operations."),
+    (Bytes, "bytes", SAMPLED, Top("total_bytes"), "Communicated bytes."),
+    (GemmPackNs, "gemm.pack_ns", UNSAMPLED, Unreported, "Busy nanoseconds in blocked-GEMM operand packing (see [`timed`])."),
+    (GemmPackCalls, "gemm.pack_calls", UNSAMPLED, Unreported, "Timed operand-packing sections."),
+    (GemmKernelNs, "gemm.kernel_ns", UNSAMPLED, Unreported, "Busy nanoseconds in the blocked-GEMM macro kernel."),
+    (GemmKernelCalls, "gemm.kernel_calls", UNSAMPLED, Unreported, "Timed macro-kernel sections."),
+    (AllocBytes, "alloc.bytes", SAMPLED, Unreported, "Heap bytes allocated (counting allocator only; see [`add_alloc`])."),
+    (AllocCount, "alloc.count", SAMPLED, Unreported, "Heap allocations performed (counting allocator only)."),
+    (WsFresh, "ws.fresh", SAMPLED, Unreported, "Workspace-arena pool misses: a `take` that fell back to a fresh heap allocation."),
+    (BoundaryCacheHits, "boundary.cache_hits", SAMPLED, Top("boundary_cache_hits"), "Boundary self-energies served from the `BoundaryCache`."),
+    (BoundaryCacheMisses, "boundary.cache_misses", SAMPLED, Top("boundary_cache_misses"), "Boundary self-energies computed by full Sancho-Rubio decimation (cache miss or bypass)."),
+    (HealthQuarantinedPoints, "health.quarantined_points", SAMPLED, In(Health), "`(E, kz)` / `(ω, qz)` points that failed a numerical-health check and were excluded from the iteration."),
+    (HealthEtaRetries, "health.eta_retries", SAMPLED, In(Health), "Sancho-Rubio decimations retried at a bumped imaginary broadening."),
+    (HealthMixingBackoffs, "health.mixing_backoffs", SAMPLED, In(Health), "Times the SCF residual grew and the adaptive controller halved the mixing factor."),
+    (HealthCommRetries, "health.comm_retries", SAMPLED, In(Health), "Communication retries: timed-out or corrupt-and-discarded receives, and retransmissions."),
+    (HealthCheckpointWrites, "health.checkpoint_writes", SAMPLED, In(Health), "SCF checkpoints written to disk."),
+    (ElasticRankDeaths, "elastic.rank_deaths", SAMPLED, In(Elasticity), "Ranks declared permanently dead by the failure detector or the kill schedule."),
+    (ElasticHeartbeatTimeouts, "elastic.heartbeat_timeouts", SAMPLED, In(Elasticity), "Receive polls that expired while the failure detector watched a peer's liveness epoch."),
+    (ElasticRetileEvents, "elastic.retile_events", SAMPLED, In(Elasticity), "Survivor re-tiling passes of the CA decomposition."),
+    (ElasticMigratedTiles, "elastic.migrated_tiles", SAMPLED, In(Elasticity), "Tiles migrated off dead ranks during re-tiling passes."),
+    (BalanceStealRequests, "balance.steal_requests", SAMPLED, In(Balance), "Work-steal requests sent by idle ranks."),
+    (BalanceStolenUnits, "balance.stolen_units", SAMPLED, In(Balance), "Work units granted to thieves by stragglers."),
+    (BalanceRebalanceEvents, "balance.rebalance_events", SAMPLED, In(Balance), "Iteration-to-iteration re-partitioning passes of the adaptive tiling."),
+    (BalanceMovedUnits, "balance.moved_units", SAMPLED, In(Balance), "Units whose owner changed in re-partitioning passes."),
+    (JournalDropped, "journal.dropped", UNSAMPLED, Unreported, "Journal events overwritten by a full flight-recorder ring before they could be drained."),
+    (KernelSparseSelected, "kernel.sparse_selected", SAMPLED, In(KernelSelection), "Kernel-selector decisions that routed a coupling product through the CSR sparse kernels."),
+    (KernelDenseSelected, "kernel.dense_selected", SAMPLED, In(KernelSelection), "Kernel-selector decisions that kept a coupling product on the blocked dense GEMM."),
+    (KernelSwitches, "kernel.switches", SAMPLED, In(KernelSelection), "Hysteresis flips of sticky per-block kernel choices."),
+    (KernelSparseFlops, "kernel.sparse_flops", SAMPLED, In(KernelSelection), "Real flops executed by the CSR sparse kernels (also counted in `flops`)."),
+    (KernelSparseBytes, "kernel.sparse_bytes", SAMPLED, In(KernelSelection), "Bytes streamed by the CSR sparse kernels under their minimal traffic model."),
+    (KernelDenseFlops, "kernel.dense_flops", SAMPLED, In(KernelSelection), "Flops of selector-governed coupling products run on the dense route."),
+    (KernelSparseNs, "kernel.sparse_ns", UNSAMPLED, Secs(KernelSelection, "sparse_secs"), "Measured nanoseconds in sparse-selected coupling ops (0 while timing spans are off)."),
+    (KernelDenseNs, "kernel.dense_ns", UNSAMPLED, Secs(KernelSelection, "dense_secs"), "Measured nanoseconds in dense-selected coupling ops."),
+    (KernelSparsePredNs, "kernel.sparse_pred_ns", UNSAMPLED, Secs(KernelSelection, "predicted_sparse_secs"), "Model-predicted nanoseconds for the same ops that fed `kernel.sparse_ns`."),
+    (KernelDensePredNs, "kernel.dense_pred_ns", UNSAMPLED, Secs(KernelSelection, "predicted_dense_secs"), "Model-predicted nanoseconds for the same ops that fed `kernel.dense_ns`."),
+    (ServiceAdmitted, "service.admitted", SAMPLED, In(Service), "Sweep requests admitted into the service queue."),
+    (ServiceRejected, "service.rejected", SAMPLED, In(Service), "Sweep requests rejected with backpressure: queue full, shutdown, or an open breaker."),
+    (ServiceCompleted, "service.completed", SAMPLED, In(Service), "Sweep requests completed with every point answered."),
+    (ServiceFailed, "service.failed", SAMPLED, In(Service), "Sweep requests that failed after exhausting their retry budget."),
+    (ServiceDeadlineCancels, "service.deadline_cancels", SAMPLED, In(Service), "Requests cancelled by the deadline watchdog."),
+    (ServiceWarmStarts, "service.warm_starts", SAMPLED, In(Service), "Sweep points seeded from a neighboring converged solve (attempts)."),
+    (ServiceWarmFallbacks, "service.warm_fallbacks", SAMPLED, In(Service), "Warm-start validation failures that degraded to a cold solve."),
+    (ServiceRetries, "service.retries", SAMPLED, In(Service), "Per-request retries after transient failures."),
+    (ServiceBreakerOpens, "service.breaker_opens", SAMPLED, In(Service), "Circuit-breaker trips quarantining a device variant."),
+    (ServiceDrained, "service.drained", SAMPLED, In(Service), "In-flight sweep points checkpointed by drain-on-shutdown."),
+    (ServiceWarmEvicted, "service.warm_evicted", SAMPLED, In(Service), "Warm-start seeds evicted by the bounded store's spread-preserving policy."),
+    (CorpusScenariosBuilt, "corpus.scenarios_built", SAMPLED, In(Corpus), "Scenarios parsed, validated and built into simulations."),
+    (CorpusScenariosRejected, "corpus.scenarios_rejected", SAMPLED, In(Corpus), "Scenarios rejected by fail-closed validation with a typed `ScenarioError`."),
+    (CorpusScenariosRun, "corpus.scenarios_run", SAMPLED, In(Corpus), "Golden-corpus scenarios executed end to end."),
+    (CorpusMatched, "corpus.matched", SAMPLED, In(Corpus), "Scenario fingerprints that matched their golden record."),
+    (CorpusMismatched, "corpus.mismatched", SAMPLED, In(Corpus), "Scenario fingerprints that diverged from their golden record."),
+    (CorpusChaosReruns, "corpus.chaos_reruns", SAMPLED, In(Corpus), "Chaos-matrix reruns of corpus scenarios under fault injection."),
+}
+
+/// Number of counters the metrics series samples.
+pub const N_SERIES: usize = {
+    let (mut n, mut i) = (0, 0);
+    while i < N_COUNTERS {
+        n += ROWS[i].sampled as usize;
+        i += 1;
+    }
+    n
+};
+
+impl Counter {
+    /// The counters of a series sample (and of the Prometheus text), in
+    /// sampling order: the table's sampled rows.
+    pub const SERIES: [Counter; N_SERIES] = {
+        let mut out = [Counter::Flops; N_SERIES];
+        let (mut n, mut i) = (0, 0);
+        while i < N_COUNTERS {
+            if ROWS[i].sampled {
+                out[n] = Counter::ALL[i];
+                n += 1;
+            }
+            i += 1;
+        }
+        out
+    };
+
+    /// The dotted metric name (`<group>.<field>`). The Prometheus
+    /// rendering maps `.` to `_` and prefixes `qt_`.
+    pub fn name(self) -> &'static str {
+        ROWS[self as usize].name
+    }
+
+    /// Look a counter up by its metric name.
+    pub fn from_name(name: &str) -> Option<Counter> {
+        Counter::ALL.into_iter().find(|c| c.name() == name)
+    }
+
+    /// Where the report writes this counter.
+    pub fn place(self) -> Place {
+        ROWS[self as usize].place
+    }
+
+    /// The report block this counter is written under, if any.
+    pub fn block(self) -> Option<Block> {
+        match self.place() {
+            In(b) | Secs(b, _) => Some(b),
+            Top(_) | Unreported => None,
+        }
+    }
+
+    /// The counter's key in the report: the one its row carries, else the
+    /// last segment of the metric name.
+    pub fn key(self) -> &'static str {
+        match self.place() {
+            Top(key) | Secs(_, key) => key,
+            In(_) | Unreported => self.name().rsplit('.').next().unwrap_or(self.name()),
+        }
+    }
+}
 
 struct Cell {
     v: [AtomicU64; N_COUNTERS],
-}
-
-// `#[derive(Default)]` stops at 32-element arrays; build the shard by hand.
-impl Default for Cell {
-    fn default() -> Cell {
-        Cell {
-            v: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
 }
 
 static CELLS: Mutex<Vec<Arc<Cell>>> = Mutex::new(Vec::new());
 
 thread_local! {
     static CELL: Arc<Cell> = {
-        let cell = Arc::new(Cell::default());
+        let cell = Arc::new(Cell { v: std::array::from_fn(|_| AtomicU64::new(0)) });
         CELLS.lock().unwrap().push(cell.clone());
         cell
     };
 }
 
+/// Add `n` to `counter` on the calling thread's shard. One thread-local
+/// relaxed `fetch_add`; this is the line every GEMM call executes.
 #[inline]
-fn bump(idx: usize, n: u64) {
-    CELL.with(|c| c.v[idx].fetch_add(n, Relaxed));
+pub fn add(counter: Counter, n: u64) {
+    CELL.with(|c| c.v[counter as usize].fetch_add(n, Relaxed));
 }
 
+/// What the calling thread added to `counter` since the last reset.
 #[inline]
-fn local(idx: usize) -> u64 {
-    CELL.with(|c| c.v[idx].load(Relaxed))
+pub fn local(counter: Counter) -> u64 {
+    CELL.with(|c| c.v[counter as usize].load(Relaxed))
 }
 
-fn total(idx: usize) -> u64 {
-    CELLS
-        .lock()
-        .unwrap()
+/// `counter` summed over all threads (alive or exited) since the last
+/// reset.
+pub fn total(counter: Counter) -> u64 {
+    let cells = CELLS.lock().unwrap();
+    cells
         .iter()
-        .map(|c| c.v[idx].load(Relaxed))
+        .map(|c| c.v[counter as usize].load(Relaxed))
         .sum()
 }
 
-/// Add `n` real floating-point operations to the calling thread's shard.
-#[inline]
-pub fn add_flops(n: u64) {
-    bump(FLOPS, n);
+/// The total of every counter at (about) one moment.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Snapshot([u64; N_COUNTERS]);
+
+impl Default for Snapshot {
+    fn default() -> Snapshot {
+        Snapshot([0; N_COUNTERS])
+    }
 }
 
-/// Account a complex `m × k × n` GEMM (8 real flops per complex MAC).
-#[inline]
-pub fn add_gemm_flops(m: usize, k: usize, n: usize) {
-    add_gemm_flops_batched(m, k, n, 1);
+impl Snapshot {
+    /// Read every counter's total. The table is read back to front, so a
+    /// settled-side counter is read before the attempted-side counter
+    /// declared above it; the code that bumps them does the attempt first
+    /// and counters only grow, so `completed + failed <= admitted`,
+    /// `warm_fallbacks <= warm_starts` and `matched + mismatched <=
+    /// scenarios_run` hold in a snapshot taken mid-run.
+    pub fn take() -> Snapshot {
+        let cells = CELLS.lock().unwrap();
+        let mut snap = Snapshot::default();
+        for i in (0..N_COUNTERS).rev() {
+            snap.0[i] = cells.iter().map(|c| c.v[i].load(Relaxed)).sum();
+        }
+        snap
+    }
 }
 
-/// Account `batch` complex `m × k × n` GEMMs.
-#[inline]
-pub fn add_gemm_flops_batched(m: usize, k: usize, n: usize, batch: usize) {
-    bump(FLOPS, 8 * (m * k * n * batch) as u64);
+impl Index<Counter> for Snapshot {
+    type Output = u64;
+    fn index(&self, counter: Counter) -> &u64 {
+        &self.0[counter as usize]
+    }
 }
 
-/// Add `n` communicated bytes to the calling thread's shard.
-#[inline]
-pub fn add_bytes(n: u64) {
-    bump(BYTES, n);
+impl IndexMut<Counter> for Snapshot {
+    fn index_mut(&mut self, counter: Counter) -> &mut u64 {
+        &mut self.0[counter as usize]
+    }
 }
 
 /// Account one heap allocation of `bytes` bytes (`alloc.bytes` /
@@ -142,590 +324,54 @@ pub fn add_bytes(n: u64) {
 #[inline]
 pub fn add_alloc(bytes: u64) {
     CELL.with(|c| {
-        c.v[ALLOC_BYTES].fetch_add(bytes, Relaxed);
-        c.v[ALLOC_COUNT].fetch_add(1, Relaxed);
+        c.v[Counter::AllocBytes as usize].fetch_add(bytes, Relaxed);
+        c.v[Counter::AllocCount as usize].fetch_add(1, Relaxed);
     });
 }
 
-/// Account one workspace-arena pool miss: a `take` that had to fall back
-/// to a fresh heap allocation instead of reusing a pooled buffer.
-#[inline]
-pub fn add_ws_fresh() {
-    bump(WS_FRESH, 1);
-}
-
-/// Account one boundary self-energy served from the `BoundaryCache`
-/// (`boundary.cache_hits`).
-#[inline]
-pub fn add_boundary_hit() {
-    bump(BOUNDARY_HITS, 1);
-}
-
-/// Account one boundary self-energy computed by full Sancho-Rubio
-/// decimation (cache miss or cache bypass).
-#[inline]
-pub fn add_boundary_miss() {
-    bump(BOUNDARY_MISSES, 1);
-}
-
-/// Account one quarantined `(E, kz)` / `(ω, qz)` grid point: a point whose
-/// Green's functions failed a numerical-health check (singular block,
-/// non-convergent boundary, non-finite output) and was excluded from the
-/// iteration instead of poisoning it (`health.quarantined`).
-#[inline]
-pub fn add_quarantined_point() {
-    bump(HEALTH_QUARANTINED, 1);
-}
-
-/// Account one eta-bump regularized retry of the Sancho-Rubio decimation
-/// (`health.eta_retries`).
-#[inline]
-pub fn add_eta_retry() {
-    bump(HEALTH_ETA_RETRIES, 1);
-}
-
-/// Account one adaptive-mixing backoff: the SCF residual grew and the
-/// mixing factor was halved (`health.mixing_backoffs`).
-#[inline]
-pub fn add_mixing_backoff() {
-    bump(HEALTH_MIXING_BACKOFFS, 1);
-}
-
-/// Account one communication retry: a timed-out or corrupt-and-discarded
-/// receive, or a sender-side retransmission (`health.comm_retries`).
-#[inline]
-pub fn add_comm_retry() {
-    bump(HEALTH_COMM_RETRIES, 1);
-}
-
-/// Account one SCF checkpoint written to disk (`health.checkpoint_writes`).
-#[inline]
-pub fn add_checkpoint_write() {
-    bump(HEALTH_CKPT_WRITES, 1);
-}
-
-/// Account one rank declared permanently dead by the failure detector or
-/// the kill schedule (`elastic.rank_deaths`).
-#[inline]
-pub fn add_rank_death() {
-    bump(ELASTIC_RANK_DEATHS, 1);
-}
-
-/// Account one receive poll that expired without data while the failure
-/// detector watched a peer's liveness epoch (`elastic.heartbeat_timeouts`).
-#[inline]
-pub fn add_heartbeat_timeout() {
-    bump(ELASTIC_HEARTBEAT_TIMEOUTS, 1);
-}
-
-/// Account one survivor re-tiling pass of the CA decomposition
-/// (`elastic.retile_events`).
-#[inline]
-pub fn add_retile_event() {
-    bump(ELASTIC_RETILE_EVENTS, 1);
-}
-
-/// Account `n` tiles migrated off a dead rank during a re-tiling pass
-/// (`elastic.migrated_tiles`).
-#[inline]
-pub fn add_migrated_tiles(n: u64) {
-    bump(ELASTIC_MIGRATED_TILES, n);
-}
-
-/// Account one work-steal request sent by an idle rank
-/// (`balance.steal_requests`).
-#[inline]
-pub fn add_steal_request() {
-    bump(BALANCE_STEAL_REQUESTS, 1);
-}
-
-/// Account `n` work units granted to a thief by a straggler
-/// (`balance.stolen_units`).
-#[inline]
-pub fn add_stolen_units(n: u64) {
-    bump(BALANCE_STOLEN_UNITS, n);
-}
-
-/// Account one iteration-to-iteration re-partitioning pass of the
-/// adaptive tiling (`balance.rebalance_events`).
-#[inline]
-pub fn add_rebalance_event() {
-    bump(BALANCE_REBALANCE_EVENTS, 1);
-}
-
-/// Account `n` units whose owner changed in a re-partitioning pass
-/// (`balance.moved_units`).
-#[inline]
-pub fn add_rebalance_moved_units(n: u64) {
-    bump(BALANCE_MOVED_UNITS, n);
-}
-
-/// Account `n` journal events overwritten by a full flight-recorder ring
-/// before they could be drained (`journal.dropped`).
-#[inline]
-pub fn add_journal_dropped(n: u64) {
-    bump(JOURNAL_DROPPED, n);
-}
-
-/// Account one per-block-operation kernel-selector decision that routed a
-/// coupling product through the CSR sparse kernels
-/// (`kernel.sparse_selected`).
-#[inline]
-pub fn add_kernel_sparse_selected() {
-    bump(KSEL_SPARSE, 1);
-}
-
-/// Account one per-block-operation kernel-selector decision that kept a
-/// coupling product on the blocked dense GEMM (`kernel.dense_selected`).
-#[inline]
-pub fn add_kernel_dense_selected() {
-    bump(KSEL_DENSE, 1);
-}
-
-/// Account one hysteresis flip of a sticky per-block kernel choice — the
-/// measured density crossed the crossover band and the selector changed
-/// its mind (`kernel.switches`).
-#[inline]
-pub fn add_kernel_switch() {
-    bump(KSEL_SWITCHES, 1);
-}
-
-/// Add `n` real flops executed by the CSR sparse kernels
-/// (`kernel.sparse_flops`). Also counted in the global flop counter by
-/// the kernels themselves; this shard isolates the sparse share.
-#[inline]
-pub fn add_kernel_sparse_flops(n: u64) {
-    bump(KERNEL_SPARSE_FLOPS, n);
-}
-
-/// Add `n` bytes streamed by the CSR sparse kernels under their minimal
-/// traffic model (`kernel.sparse_bytes`): CSR storage read once plus the
-/// dense operand/result panels touched.
-#[inline]
-pub fn add_kernel_sparse_bytes(n: u64) {
-    bump(KERNEL_SPARSE_BYTES, n);
-}
-
-/// Add `n` real flops a selector-governed coupling product executed on
-/// the dense route (`kernel.dense_flops`).
-#[inline]
-pub fn add_kernel_dense_flops(n: u64) {
-    bump(KERNEL_DENSE_FLOPS, n);
-}
-
-/// Add `n` measured nanoseconds spent in sparse-selected coupling ops.
-#[inline]
-pub fn add_kernel_sparse_ns(n: u64) {
-    bump(KERNEL_SPARSE_NS, n);
-}
-
-/// Add `n` measured nanoseconds spent in dense-selected coupling ops.
-#[inline]
-pub fn add_kernel_dense_ns(n: u64) {
-    bump(KERNEL_DENSE_NS, n);
-}
-
-/// Add `n` model-predicted nanoseconds for the same sparse-selected ops
-/// that fed [`add_kernel_sparse_ns`] — accumulated together so predicted
-/// and measured cover the identical op set.
-#[inline]
-pub fn add_kernel_sparse_pred_ns(n: u64) {
-    bump(KERNEL_SPARSE_PRED_NS, n);
-}
-
-/// Add `n` model-predicted nanoseconds for the dense-selected ops that
-/// fed [`add_kernel_dense_ns`].
-#[inline]
-pub fn add_kernel_dense_pred_ns(n: u64) {
-    bump(KERNEL_DENSE_PRED_NS, n);
-}
-
-/// Account one sweep request admitted into the service queue
-/// (`service.admitted`).
-#[inline]
-pub fn add_service_admitted() {
-    bump(SERVICE_ADMITTED, 1);
-}
-
-/// Account one sweep request rejected with backpressure — queue full,
-/// shutdown in progress, or an open circuit breaker
-/// (`service.rejected`).
-#[inline]
-pub fn add_service_rejected() {
-    bump(SERVICE_REJECTED, 1);
-}
-
-/// Account one sweep request completed with every point answered
-/// (`service.completed`).
-#[inline]
-pub fn add_service_completed() {
-    bump(SERVICE_COMPLETED, 1);
-}
-
-/// Account one sweep request that ended in failure after exhausting its
-/// retry budget (`service.failed`).
-#[inline]
-pub fn add_service_failed() {
-    bump(SERVICE_FAILED, 1);
-}
-
-/// Account one request cancelled by the deadline watchdog
-/// (`service.deadline_cancels`).
-#[inline]
-pub fn add_service_deadline_cancel() {
-    bump(SERVICE_DEADLINE_CANCELS, 1);
-}
-
-/// Account one sweep point seeded from a neighboring converged solve
-/// (`service.warm_starts`).
-#[inline]
-pub fn add_service_warm_start() {
-    bump(SERVICE_WARM_STARTS, 1);
-}
-
-/// Account one warm-start validation failure that degraded to a cold
-/// solve (`service.warm_fallbacks`).
-#[inline]
-pub fn add_service_warm_fallback() {
-    bump(SERVICE_WARM_FALLBACKS, 1);
-}
-
-/// Account one per-request retry after a transient failure
-/// (`service.retries`).
-#[inline]
-pub fn add_service_retry() {
-    bump(SERVICE_RETRIES, 1);
-}
-
-/// Account one circuit-breaker trip quarantining a device variant
-/// (`service.breaker_opens`).
-#[inline]
-pub fn add_service_breaker_open() {
-    bump(SERVICE_BREAKER_OPENS, 1);
-}
-
-/// Account one in-flight sweep point checkpointed by drain-on-shutdown
-/// (`service.drained`).
-#[inline]
-pub fn add_service_drained() {
-    bump(SERVICE_DRAINED, 1);
-}
-
-/// Account one warm-start seed evicted by the bounded store's spread-
-/// preserving policy (`service.warm_evicted`).
-#[inline]
-pub fn add_service_warm_evicted() {
-    bump(SERVICE_WARM_EVICTED, 1);
-}
-
-/// Account one scenario successfully parsed, validated and built into a
-/// simulation (`corpus.scenarios_built`).
-#[inline]
-pub fn add_corpus_scenario_built() {
-    bump(CORPUS_SCENARIOS_BUILT, 1);
-}
-
-/// Account one scenario rejected by fail-closed validation with a typed
-/// `ScenarioError` (`corpus.scenarios_rejected`).
-#[inline]
-pub fn add_corpus_scenario_rejected() {
-    bump(CORPUS_SCENARIOS_REJECTED, 1);
-}
-
-/// Account one golden-corpus scenario executed end to end
-/// (`corpus.scenarios_run`).
-#[inline]
-pub fn add_corpus_scenario_run() {
-    bump(CORPUS_SCENARIOS_RUN, 1);
-}
-
-/// Account one scenario whose fingerprint matched its golden record
-/// (`corpus.matched`).
-#[inline]
-pub fn add_corpus_matched() {
-    bump(CORPUS_MATCHED, 1);
-}
-
-/// Account one scenario whose fingerprint diverged from its golden
-/// record (`corpus.mismatched`).
-#[inline]
-pub fn add_corpus_mismatched() {
-    bump(CORPUS_MISMATCHED, 1);
-}
-
-/// Account one chaos-matrix rerun of a corpus scenario under fault
-/// injection (`corpus.chaos_reruns`).
-#[inline]
-pub fn add_corpus_chaos_rerun() {
-    bump(CORPUS_CHAOS_RERUNS, 1);
-}
-
-/// Total flops across all threads (alive or exited) since the last reset.
+/// `total(Counter::Flops)`; name pinned by qt-perf.
 pub fn total_flops() -> u64 {
-    total(FLOPS)
+    total(Counter::Flops)
 }
 
-/// Total admitted sweep requests since the last reset.
-pub fn total_service_admitted() -> u64 {
-    total(SERVICE_ADMITTED)
-}
-
-/// Total backpressure-rejected sweep requests since the last reset.
-pub fn total_service_rejected() -> u64 {
-    total(SERVICE_REJECTED)
-}
-
-/// Total completed sweep requests since the last reset.
-pub fn total_service_completed() -> u64 {
-    total(SERVICE_COMPLETED)
-}
-
-/// Total failed sweep requests since the last reset.
-pub fn total_service_failed() -> u64 {
-    total(SERVICE_FAILED)
-}
-
-/// Total deadline cancellations since the last reset.
-pub fn total_service_deadline_cancels() -> u64 {
-    total(SERVICE_DEADLINE_CANCELS)
-}
-
-/// Total warm-started sweep points since the last reset.
-pub fn total_service_warm_starts() -> u64 {
-    total(SERVICE_WARM_STARTS)
-}
-
-/// Total warm-to-cold degradations since the last reset.
-pub fn total_service_warm_fallbacks() -> u64 {
-    total(SERVICE_WARM_FALLBACKS)
-}
-
-/// Total per-request retries since the last reset.
-pub fn total_service_retries() -> u64 {
-    total(SERVICE_RETRIES)
-}
-
-/// Total circuit-breaker trips since the last reset.
-pub fn total_service_breaker_opens() -> u64 {
-    total(SERVICE_BREAKER_OPENS)
-}
-
-/// Total drain-checkpointed sweep points since the last reset.
-pub fn total_service_drained() -> u64 {
-    total(SERVICE_DRAINED)
-}
-
-/// Total warm-store evictions since the last reset.
-pub fn total_service_warm_evicted() -> u64 {
-    total(SERVICE_WARM_EVICTED)
-}
-
-/// Total scenarios built since the last reset.
-pub fn total_corpus_scenarios_built() -> u64 {
-    total(CORPUS_SCENARIOS_BUILT)
-}
-
-/// Total scenarios rejected with typed errors since the last reset.
-pub fn total_corpus_scenarios_rejected() -> u64 {
-    total(CORPUS_SCENARIOS_REJECTED)
-}
-
-/// Total corpus scenarios executed since the last reset.
-pub fn total_corpus_scenarios_run() -> u64 {
-    total(CORPUS_SCENARIOS_RUN)
-}
-
-/// Total golden-fingerprint matches since the last reset.
-pub fn total_corpus_matched() -> u64 {
-    total(CORPUS_MATCHED)
-}
-
-/// Total golden-fingerprint mismatches since the last reset.
-pub fn total_corpus_mismatched() -> u64 {
-    total(CORPUS_MISMATCHED)
-}
-
-/// Total chaos-matrix reruns since the last reset.
-pub fn total_corpus_chaos_reruns() -> u64 {
-    total(CORPUS_CHAOS_RERUNS)
-}
-
-/// Total sparse kernel-selector decisions since the last reset.
-pub fn total_kernel_sparse_selected() -> u64 {
-    total(KSEL_SPARSE)
-}
-
-/// Total dense kernel-selector decisions since the last reset.
-pub fn total_kernel_dense_selected() -> u64 {
-    total(KSEL_DENSE)
-}
-
-/// Total hysteresis flips of sticky kernel choices since the last reset.
-pub fn total_kernel_switches() -> u64 {
-    total(KSEL_SWITCHES)
-}
-
-/// Total CSR sparse-kernel flops since the last reset.
-pub fn total_kernel_sparse_flops() -> u64 {
-    total(KERNEL_SPARSE_FLOPS)
-}
-
-/// Total CSR sparse-kernel streamed bytes since the last reset.
-pub fn total_kernel_sparse_bytes() -> u64 {
-    total(KERNEL_SPARSE_BYTES)
-}
-
-/// Total dense-route coupling flops under kernel selection since the
-/// last reset.
-pub fn total_kernel_dense_flops() -> u64 {
-    total(KERNEL_DENSE_FLOPS)
-}
-
-/// Total measured nanoseconds in sparse-selected coupling ops.
-pub fn total_kernel_sparse_ns() -> u64 {
-    total(KERNEL_SPARSE_NS)
-}
-
-/// Total measured nanoseconds in dense-selected coupling ops.
-pub fn total_kernel_dense_ns() -> u64 {
-    total(KERNEL_DENSE_NS)
-}
-
-/// Total model-predicted nanoseconds for the timed sparse-selected ops.
-pub fn total_kernel_sparse_pred_ns() -> u64 {
-    total(KERNEL_SPARSE_PRED_NS)
-}
-
-/// Total model-predicted nanoseconds for the timed dense-selected ops.
-pub fn total_kernel_dense_pred_ns() -> u64 {
-    total(KERNEL_DENSE_PRED_NS)
-}
-
-/// Total journal events lost to ring overflow since the last reset.
-pub fn total_journal_dropped() -> u64 {
-    total(JOURNAL_DROPPED)
-}
-
-/// Total heap-allocated bytes across all threads since the last reset.
-pub fn total_alloc_bytes() -> u64 {
-    total(ALLOC_BYTES)
-}
-
-/// Total heap allocation count across all threads since the last reset.
-pub fn total_alloc_count() -> u64 {
-    total(ALLOC_COUNT)
-}
-
-/// Total workspace-arena pool misses across all threads since the last
-/// reset.
-pub fn total_ws_fresh() -> u64 {
-    total(WS_FRESH)
-}
-
-/// Total boundary-cache hits across all threads since the last reset.
-pub fn total_boundary_hits() -> u64 {
-    total(BOUNDARY_HITS)
-}
-
-/// Total boundary-cache misses across all threads since the last reset.
-pub fn total_boundary_misses() -> u64 {
-    total(BOUNDARY_MISSES)
-}
-
-/// Total quarantined grid points across all threads since the last reset.
-pub fn total_quarantined_points() -> u64 {
-    total(HEALTH_QUARANTINED)
-}
-
-/// Total eta-bump decimation retries across all threads since the last
-/// reset.
-pub fn total_eta_retries() -> u64 {
-    total(HEALTH_ETA_RETRIES)
-}
-
-/// Total adaptive-mixing backoffs across all threads since the last reset.
-pub fn total_mixing_backoffs() -> u64 {
-    total(HEALTH_MIXING_BACKOFFS)
-}
-
-/// Total communication retries across all threads since the last reset.
-pub fn total_comm_retries() -> u64 {
-    total(HEALTH_COMM_RETRIES)
-}
-
-/// Total checkpoint writes across all threads since the last reset.
-pub fn total_checkpoint_writes() -> u64 {
-    total(HEALTH_CKPT_WRITES)
-}
-
-/// Total rank deaths across all threads since the last reset.
-pub fn total_rank_deaths() -> u64 {
-    total(ELASTIC_RANK_DEATHS)
-}
-
-/// Total heartbeat-timeout polls across all threads since the last reset.
-pub fn total_heartbeat_timeouts() -> u64 {
-    total(ELASTIC_HEARTBEAT_TIMEOUTS)
-}
-
-/// Total survivor re-tiling passes across all threads since the last
-/// reset.
-pub fn total_retile_events() -> u64 {
-    total(ELASTIC_RETILE_EVENTS)
-}
-
-/// Total migrated tiles across all threads since the last reset.
-pub fn total_migrated_tiles() -> u64 {
-    total(ELASTIC_MIGRATED_TILES)
-}
-
-/// Total steal requests across all threads since the last reset.
-pub fn total_steal_requests() -> u64 {
-    total(BALANCE_STEAL_REQUESTS)
-}
-
-/// Total stolen work units across all threads since the last reset.
-pub fn total_stolen_units() -> u64 {
-    total(BALANCE_STOLEN_UNITS)
-}
-
-/// Total adaptive re-partitioning passes since the last reset.
-pub fn total_rebalance_events() -> u64 {
-    total(BALANCE_REBALANCE_EVENTS)
-}
-
-/// Total units moved by re-partitioning passes since the last reset.
-pub fn total_rebalance_moved_units() -> u64 {
-    total(BALANCE_MOVED_UNITS)
-}
-
-/// Total communicated bytes across all threads since the last reset.
+/// `total(Counter::Bytes)`; name pinned by qt-perf.
 pub fn total_bytes() -> u64 {
-    total(BYTES)
+    total(Counter::Bytes)
 }
 
-/// Flops accumulated by the calling thread since the last reset.
-#[inline]
-pub fn local_flops() -> u64 {
-    local(FLOPS)
+/// `total(Counter::WsFresh)`; name pinned by qt-perf.
+pub fn total_ws_fresh() -> u64 {
+    total(Counter::WsFresh)
 }
 
-/// Bytes accumulated by the calling thread since the last reset.
-#[inline]
-pub fn local_bytes() -> u64 {
-    local(BYTES)
+/// `total(Counter::BoundaryCacheMisses)`; name pinned by qt-perf.
+pub fn total_boundary_misses() -> u64 {
+    total(Counter::BoundaryCacheMisses)
 }
 
-/// Heap bytes allocated by the calling thread since the last reset.
-#[inline]
-pub fn local_alloc_bytes() -> u64 {
-    local(ALLOC_BYTES)
+/// `total(Counter::ServiceAdmitted)`; name pinned by qt-perf.
+pub fn total_service_admitted() -> u64 {
+    total(Counter::ServiceAdmitted)
 }
 
-/// Heap allocations performed by the calling thread since the last reset.
-#[inline]
-pub fn local_alloc_count() -> u64 {
-    local(ALLOC_COUNT)
+/// `total(Counter::ServiceRejected)`; name pinned by qt-perf.
+pub fn total_service_rejected() -> u64 {
+    total(Counter::ServiceRejected)
+}
+
+/// `total(Counter::ServiceWarmStarts)`; name pinned by qt-perf.
+pub fn total_service_warm_starts() -> u64 {
+    total(Counter::ServiceWarmStarts)
+}
+
+/// `total(Counter::ServiceWarmFallbacks)`; name pinned by qt-perf.
+pub fn total_service_warm_fallbacks() -> u64 {
+    total(Counter::ServiceWarmFallbacks)
+}
+
+/// `total(Counter::ServiceRetries)`; name pinned by qt-perf.
+pub fn total_service_retries() -> u64 {
+    total(Counter::ServiceRetries)
 }
 
 /// Zero every counter on every registered cell.
@@ -734,14 +380,6 @@ pub fn reset_counters() {
         for a in &cell.v {
             a.store(0, Relaxed);
         }
-    }
-}
-
-/// Zero only the flop counters (the historical `reset_flops` semantics of
-/// `qt_linalg::flops`).
-pub fn reset_flops() {
-    for cell in CELLS.lock().unwrap().iter() {
-        cell.v[FLOPS].store(0, Relaxed);
     }
 }
 
@@ -765,38 +403,15 @@ pub fn timed<R>(section: HotSection, f: impl FnOnce() -> R) -> R {
     let t0 = Instant::now();
     let out = f();
     let ns = t0.elapsed().as_nanos() as u64;
-    let (ns_idx, calls_idx) = match section {
-        HotSection::GemmPack => (PACK_NS, PACK_CALLS),
-        HotSection::GemmKernel => (KERNEL_NS, KERNEL_CALLS),
+    let (ns_counter, calls_counter) = match section {
+        HotSection::GemmPack => (Counter::GemmPackNs, Counter::GemmPackCalls),
+        HotSection::GemmKernel => (Counter::GemmKernelNs, Counter::GemmKernelCalls),
     };
     CELL.with(|c| {
-        c.v[ns_idx].fetch_add(ns, Relaxed);
-        c.v[calls_idx].fetch_add(1, Relaxed);
+        c.v[ns_counter as usize].fetch_add(ns, Relaxed);
+        c.v[calls_counter as usize].fetch_add(1, Relaxed);
     });
     out
-}
-
-/// Aggregated pack-vs-microkernel timing for the blocked GEMM.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct GemmSplit {
-    /// Summed busy nanoseconds in operand packing, across threads.
-    pub pack_ns: u64,
-    /// Number of timed packing sections.
-    pub pack_calls: u64,
-    /// Summed busy nanoseconds in the macro kernel, across threads.
-    pub kernel_ns: u64,
-    /// Number of timed macro-kernel sections.
-    pub kernel_calls: u64,
-}
-
-/// Snapshot the pack/kernel hot-section counters.
-pub fn gemm_split() -> GemmSplit {
-    GemmSplit {
-        pack_ns: total(PACK_NS),
-        pack_calls: total(PACK_CALLS),
-        kernel_ns: total(KERNEL_NS),
-        kernel_calls: total(KERNEL_CALLS),
-    }
 }
 
 #[cfg(test)]
@@ -805,234 +420,66 @@ mod tests {
 
     #[test]
     fn local_counts_feed_totals() {
-        let f0 = total_flops();
-        let l0 = local_flops();
-        add_gemm_flops_batched(2, 3, 4, 5);
-        assert_eq!(local_flops() - l0, 8 * 2 * 3 * 4 * 5);
-        assert!(total_flops() - f0 >= 8 * 2 * 3 * 4 * 5);
+        let f0 = total(Counter::Flops);
+        let l0 = local(Counter::Flops);
+        add(Counter::Flops, 960);
+        assert_eq!(local(Counter::Flops) - l0, 960);
+        assert!(total(Counter::Flops) - f0 >= 960);
     }
 
     #[test]
-    fn alloc_and_boundary_counts_accumulate() {
-        let (b0, c0) = (total_alloc_bytes(), total_alloc_count());
+    fn names_are_unique_and_prometheus_legal() {
+        for (i, c) in Counter::ALL.into_iter().enumerate() {
+            assert_eq!(c as usize, i);
+            let name = c.name();
+            assert!(!name.is_empty());
+            assert_eq!(Counter::from_name(name), Some(c), "duplicate name {name:?}");
+            let prom = name.replace('.', "_");
+            assert!(
+                prom.chars()
+                    .all(|ch| ch.is_ascii_lowercase() || ch.is_ascii_digit() || ch == '_')
+                    && !prom.starts_with(|ch: char| ch.is_ascii_digit()),
+                "{name:?} is not a legal Prometheus name"
+            );
+            // Two counters of one block never share a report key.
+            for d in &Counter::ALL[..i] {
+                assert!(
+                    c.place() == Unreported || (c.block(), c.key()) != (d.block(), d.key()),
+                    "{name:?} and {:?} share a report key",
+                    d.name()
+                );
+            }
+        }
+        assert_eq!(Counter::from_name("health.quarantine"), None); // the typo-fork case
+        assert_eq!(Counter::HealthEtaRetries.key(), "eta_retries");
+        assert_eq!(Counter::KernelSparsePredNs.key(), "predicted_sparse_secs");
+    }
+
+    #[test]
+    fn alloc_counts_accumulate() {
+        let (b0, c0) = (local(Counter::AllocBytes), local(Counter::AllocCount));
         add_alloc(256);
         add_alloc(64);
-        assert!(total_alloc_bytes() - b0 >= 320);
-        assert!(total_alloc_count() - c0 >= 2);
-        assert!(local_alloc_bytes() >= 320);
-        assert!(local_alloc_count() >= 2);
-
-        let (h0, m0, w0) = (
-            total_boundary_hits(),
-            total_boundary_misses(),
-            total_ws_fresh(),
-        );
-        add_boundary_hit();
-        add_boundary_miss();
-        add_ws_fresh();
-        assert!(total_boundary_hits() - h0 >= 1);
-        assert!(total_boundary_misses() - m0 >= 1);
-        assert!(total_ws_fresh() - w0 >= 1);
-    }
-
-    #[test]
-    fn health_counts_accumulate() {
-        let (q0, e0, m0, c0, k0) = (
-            total_quarantined_points(),
-            total_eta_retries(),
-            total_mixing_backoffs(),
-            total_comm_retries(),
-            total_checkpoint_writes(),
-        );
-        add_quarantined_point();
-        add_eta_retry();
-        add_mixing_backoff();
-        add_comm_retry();
-        add_comm_retry();
-        add_checkpoint_write();
-        assert!(total_quarantined_points() - q0 >= 1);
-        assert!(total_eta_retries() - e0 >= 1);
-        assert!(total_mixing_backoffs() - m0 >= 1);
-        assert!(total_comm_retries() - c0 >= 2);
-        assert!(total_checkpoint_writes() - k0 >= 1);
-    }
-
-    #[test]
-    fn elasticity_counts_accumulate() {
-        let (d0, t0, r0, m0) = (
-            total_rank_deaths(),
-            total_heartbeat_timeouts(),
-            total_retile_events(),
-            total_migrated_tiles(),
-        );
-        add_rank_death();
-        add_heartbeat_timeout();
-        add_heartbeat_timeout();
-        add_retile_event();
-        add_migrated_tiles(3);
-        assert!(total_rank_deaths() - d0 >= 1);
-        assert!(total_heartbeat_timeouts() - t0 >= 2);
-        assert!(total_retile_events() - r0 >= 1);
-        assert!(total_migrated_tiles() - m0 >= 3);
-    }
-
-    #[test]
-    fn balance_counts_accumulate() {
-        let (s0, u0, r0, m0) = (
-            total_steal_requests(),
-            total_stolen_units(),
-            total_rebalance_events(),
-            total_rebalance_moved_units(),
-        );
-        add_steal_request();
-        add_stolen_units(2);
-        add_rebalance_event();
-        add_rebalance_moved_units(5);
-        assert!(total_steal_requests() - s0 >= 1);
-        assert!(total_stolen_units() - u0 >= 2);
-        assert!(total_rebalance_events() - r0 >= 1);
-        assert!(total_rebalance_moved_units() - m0 >= 5);
-    }
-
-    #[test]
-    fn kernel_selection_counts_accumulate() {
-        let (s0, d0, w0) = (
-            total_kernel_sparse_selected(),
-            total_kernel_dense_selected(),
-            total_kernel_switches(),
-        );
-        let (f0, b0, g0) = (
-            total_kernel_sparse_flops(),
-            total_kernel_sparse_bytes(),
-            total_kernel_dense_flops(),
-        );
-        add_kernel_sparse_selected();
-        add_kernel_sparse_selected();
-        add_kernel_dense_selected();
-        add_kernel_switch();
-        add_kernel_sparse_flops(800);
-        add_kernel_sparse_bytes(4096);
-        add_kernel_dense_flops(1600);
-        add_kernel_sparse_ns(10);
-        add_kernel_dense_ns(20);
-        add_kernel_sparse_pred_ns(12);
-        add_kernel_dense_pred_ns(18);
-        assert!(total_kernel_sparse_selected() - s0 >= 2);
-        assert!(total_kernel_dense_selected() - d0 >= 1);
-        assert!(total_kernel_switches() - w0 >= 1);
-        assert!(total_kernel_sparse_flops() - f0 >= 800);
-        assert!(total_kernel_sparse_bytes() - b0 >= 4096);
-        assert!(total_kernel_dense_flops() - g0 >= 1600);
-        assert!(total_kernel_sparse_ns() >= 10);
-        assert!(total_kernel_dense_ns() >= 20);
-        assert!(total_kernel_sparse_pred_ns() >= 12);
-        assert!(total_kernel_dense_pred_ns() >= 18);
-    }
-
-    #[test]
-    fn service_counts_accumulate() {
-        let before = [
-            total_service_admitted(),
-            total_service_rejected(),
-            total_service_completed(),
-            total_service_failed(),
-            total_service_deadline_cancels(),
-            total_service_warm_starts(),
-            total_service_warm_fallbacks(),
-            total_service_retries(),
-            total_service_breaker_opens(),
-            total_service_drained(),
-        ];
-        // Two admissions so the settled totals (completed + failed) never
-        // exceed admissions — the report validator checks that invariant
-        // against these same process-global counters.
-        add_service_admitted();
-        add_service_admitted();
-        add_service_rejected();
-        add_service_completed();
-        add_service_failed();
-        add_service_deadline_cancel();
-        add_service_warm_start();
-        add_service_warm_fallback();
-        add_service_retry();
-        add_service_breaker_open();
-        add_service_drained();
-        let after = [
-            total_service_admitted(),
-            total_service_rejected(),
-            total_service_completed(),
-            total_service_failed(),
-            total_service_deadline_cancels(),
-            total_service_warm_starts(),
-            total_service_warm_fallbacks(),
-            total_service_retries(),
-            total_service_breaker_opens(),
-            total_service_drained(),
-        ];
-        for (i, (b, a)) in before.iter().zip(&after).enumerate() {
-            assert!(a - b >= 1, "service counter {i} did not advance");
-        }
-    }
-
-    #[test]
-    fn corpus_counts_accumulate() {
-        let before = [
-            total_service_warm_evicted(),
-            total_corpus_scenarios_built(),
-            total_corpus_scenarios_rejected(),
-            total_corpus_scenarios_run(),
-            total_corpus_matched(),
-            total_corpus_mismatched(),
-            total_corpus_chaos_reruns(),
-        ];
-        add_service_warm_evicted();
-        add_corpus_scenario_built();
-        add_corpus_scenario_rejected();
-        // Two runs cover one match plus one mismatch: the report's
-        // corpus block validates `matched + mismatched <= scenarios_run`
-        // against these same global counters, and report tests snapshot
-        // them via `from_current()`.
-        add_corpus_scenario_run();
-        add_corpus_scenario_run();
-        add_corpus_matched();
-        add_corpus_mismatched();
-        add_corpus_chaos_rerun();
-        let after = [
-            total_service_warm_evicted(),
-            total_corpus_scenarios_built(),
-            total_corpus_scenarios_rejected(),
-            total_corpus_scenarios_run(),
-            total_corpus_matched(),
-            total_corpus_mismatched(),
-            total_corpus_chaos_reruns(),
-        ];
-        for (i, (b, a)) in before.iter().zip(&after).enumerate() {
-            assert!(a - b >= 1, "corpus counter {i} did not advance");
-        }
-    }
-
-    #[test]
-    fn byte_counts_accumulate() {
-        let b0 = total_bytes();
-        add_bytes(1024);
-        assert!(total_bytes() - b0 >= 1024);
+        assert_eq!(local(Counter::AllocBytes) - b0, 320);
+        assert_eq!(local(Counter::AllocCount) - c0, 2);
     }
 
     #[test]
     fn cross_thread_counts_survive_thread_exit() {
-        let before = total_flops();
-        std::thread::spawn(|| add_flops(77)).join().unwrap();
-        assert!(total_flops() - before >= 77);
+        let before = total(Counter::Flops);
+        std::thread::spawn(|| add(Counter::Flops, 77))
+            .join()
+            .unwrap();
+        assert!(total(Counter::Flops) - before >= 77);
     }
 
     #[test]
     fn timed_is_transparent_when_disabled() {
-        let split0 = gemm_split();
+        let calls0 = local(Counter::GemmPackCalls);
         let v = timed(HotSection::GemmPack, || 41 + 1);
         assert_eq!(v, 42);
         if !crate::span::enabled() {
-            let split1 = gemm_split();
-            assert_eq!(split0.pack_calls, split1.pack_calls);
+            assert_eq!(local(Counter::GemmPackCalls), calls0);
         }
     }
 }

@@ -24,6 +24,7 @@ use std::sync::atomic::{AtomicBool, AtomicI64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
+use crate::counters::{self, Counter};
 use crate::json::Json;
 
 /// Default per-thread ring capacity (events). At ~64 bytes per record a
@@ -238,7 +239,7 @@ impl Ring {
             self.buf[self.head] = ev;
             self.head = (self.head + 1) % self.buf.len();
             self.dropped += 1;
-            crate::counters::add_journal_dropped(1);
+            counters::add(Counter::JournalDropped, 1);
         }
     }
 
@@ -770,7 +771,7 @@ mod tests {
         reset_journal();
         set_ring_capacity(4);
         set_journaling(true);
-        let dropped0 = crate::counters::total_journal_dropped();
+        let dropped0 = counters::total(Counter::JournalDropped);
         for i in 0..10u64 {
             emit(EventKind::QuarantinePoint { grid_index: i });
         }
@@ -789,7 +790,7 @@ mod tests {
             .collect();
         assert_eq!(survivors, vec![6, 7, 8, 9]);
         assert_eq!(
-            crate::counters::total_journal_dropped() - dropped0,
+            counters::total(Counter::JournalDropped) - dropped0,
             6,
             "every overwrite must bump journal.dropped"
         );

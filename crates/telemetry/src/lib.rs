@@ -5,9 +5,11 @@
 //! runtimes against closed-form models (Tables 3–5). This crate is the one
 //! source of truth those comparisons flow through:
 //!
-//! * [`counters`] — per-thread sharded flop/byte counters (rayon-safe, no
-//!   cross-thread cache-line contention on the hot path) plus dedicated
-//!   hot-section timers for the blocked-GEMM pack/microkernel split.
+//! * [`counters`] — the one table that names every counter, and the
+//!   per-thread sharded storage behind `add`/`total`/`local` (rayon-safe,
+//!   no cross-thread cache-line contention on the hot path), plus
+//!   dedicated hot-section timers for the blocked-GEMM pack/microkernel
+//!   split.
 //! * [`span`] — hierarchical phase spans (`scf` → `scf_iter` →
 //!   `gf/electron` → `rgf` / `contour` → …). A span snapshots the counters
 //!   on entry and attributes the delta to its phase on drop. Spans are
@@ -20,8 +22,6 @@
 //!   time/flops/GF·s/bytes plus model residuals (measured vs Table 3 flop
 //!   models, measured vs Table 4/5 communication-volume models) and the
 //!   SCF convergence trajectory.
-//! * [`names`] — the single registry of metric name strings; every
-//!   exported counter spells its name through a constant here.
 //! * [`journal`] — the flight recorder: lock-light per-rank bounded rings
 //!   of typed, timestamped events (quarantines, retries, rank deaths,
 //!   re-tilings, steals, checkpoints, iteration marks).
@@ -42,7 +42,6 @@ pub mod counters;
 pub mod cputime;
 pub mod journal;
 pub mod json;
-pub mod names;
 pub mod postmortem;
 pub mod registry;
 pub mod report;
@@ -50,13 +49,11 @@ pub mod series;
 pub mod span;
 pub mod trace;
 
+pub use counters::{Block, Counter};
 pub use journal::{journaling_enabled, set_journaling, EventKind};
 pub use postmortem::{Postmortem, PostmortemError};
 pub use registry::PhaseStat;
-pub use report::{
-    BalanceReport, ElasticityReport, JournalBlock, KernelSelectionReport, SeriesBlock,
-    TelemetryReport,
-};
+pub use report::{BalanceReport, JournalBlock, SeriesBlock, TelemetryReport};
 pub use series::{series_enabled, set_series_enabled};
 pub use span::{enabled, set_enabled, Span};
 pub use trace::{export_chrome_trace, set_tracing, tracing_enabled};

@@ -394,6 +394,22 @@ mod tests {
         fs::remove_file(&path).unwrap();
     }
 
+    /// A version-1 dump written by the parent commit (hand-written report
+    /// blocks) still loads, with its embedded report, and re-serialises to
+    /// the same bytes.
+    #[test]
+    fn parent_written_postmortem_still_loads() {
+        const PARENT: &str = include_str!("../tests/fixtures/parent_postmortem.json");
+        assert_eq!(POSTMORTEM_VERSION, 1);
+        let pm = Postmortem::from_json(PARENT).unwrap();
+        assert_eq!(pm.reason, "rank_death");
+        assert_eq!(pm.events.len(), 4);
+        let rep = pm.report.as_ref().expect("embedded report");
+        rep.validate().unwrap();
+        assert_eq!(rep.counter(crate::Counter::ElasticRankDeaths), 2);
+        assert_eq!(pm.to_json(), PARENT);
+    }
+
     #[test]
     fn timeline_shows_the_causal_chain_in_order() {
         let pm = sample();

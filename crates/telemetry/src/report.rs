@@ -3,8 +3,9 @@
 
 use std::collections::BTreeMap;
 
+use crate::counters::{self, Block, Counter, Place, Snapshot};
 use crate::json::Json;
-use crate::{counters, journal, registry, registry::PhaseStat, series};
+use crate::{journal, registry, registry::PhaseStat, series};
 
 /// Per-phase entry of the report.
 #[derive(Clone, Debug, PartialEq)]
@@ -135,68 +136,10 @@ impl WarmupStats {
     }
 }
 
-/// Resilience counters: what the numerical health guards caught and what
-/// the recovery machinery (η-bump retries, adaptive mixing, the reliable
-/// comm protocol, checkpointing) did about it.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct HealthReport {
-    /// `(E, kz)` / `(ω, qz)` points quarantined after numerical failures.
-    pub quarantined_points: u64,
-    /// Sancho-Rubio retries at a bumped imaginary broadening.
-    pub eta_retries: u64,
-    /// Times the adaptive SCF controller halved the mixing factor.
-    pub mixing_backoffs: u64,
-    /// Communication retries (retransmissions and receive timeouts).
-    pub comm_retries: u64,
-    /// SCF checkpoints written.
-    pub checkpoint_writes: u64,
-}
-
-impl HealthReport {
-    /// Snapshot the global health counters.
-    pub fn from_counters() -> Self {
-        HealthReport {
-            quarantined_points: counters::total_quarantined_points(),
-            eta_retries: counters::total_eta_retries(),
-            mixing_backoffs: counters::total_mixing_backoffs(),
-            comm_retries: counters::total_comm_retries(),
-            checkpoint_writes: counters::total_checkpoint_writes(),
-        }
-    }
-}
-
-/// Elastic-recovery counters: rank deaths detected by the liveness layer
-/// and what the survivor re-tiling did about them.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ElasticityReport {
-    /// Ranks declared dead (heartbeat expiry, dead-flag cascade, or a
-    /// failed send implicating them).
-    pub rank_deaths: u64,
-    /// Receive-poll timeouts: each is one liveness probe of the sender's
-    /// heartbeat epoch (benign while the peer still makes progress; the
-    /// probe that finds a stalled epoch past its deadline declares death).
-    pub heartbeat_timeouts: u64,
-    /// Survivor re-tiling rounds (one per failed exchange attempt).
-    pub retile_events: u64,
-    /// Work-unit tiles migrated from dead ranks onto survivors.
-    pub migrated_tiles: u64,
-}
-
-impl ElasticityReport {
-    /// Snapshot the global elasticity counters.
-    pub fn from_counters() -> Self {
-        ElasticityReport {
-            rank_deaths: counters::total_rank_deaths(),
-            heartbeat_timeouts: counters::total_heartbeat_timeouts(),
-            retile_events: counters::total_retile_events(),
-            migrated_tiles: counters::total_migrated_tiles(),
-        }
-    }
-}
-
-/// Load-balance summary of the distributed iteration: per-rank busy
-/// times, the resulting imbalance ratio, and what the adaptive machinery
-/// (cost-model re-tiling, intra-iteration work stealing) did.
+/// The typed part of the report's `balance` block: per-rank busy times of
+/// the distributed iteration and the resulting imbalance ratios. The
+/// block's counters (`balance.*`: steals, re-partitioning passes) are read
+/// with [`TelemetryReport::counter`] like every other counter.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct BalanceReport {
     /// Busy milliseconds per world slot (compute time, excluding waits).
@@ -206,35 +149,9 @@ pub struct BalanceReport {
     /// The same ratio under the static uniform tiling — the baseline the
     /// adaptive layer is compared against. 0.0 when not measured.
     pub imbalance_before: f64,
-    /// Steal requests sent by idle ranks (`balance.steal_requests`).
-    pub steal_requests: u64,
-    /// Work units granted to thieves (`balance.stolen_units`).
-    pub stolen_units: u64,
-    /// Iteration-to-iteration re-partitioning passes
-    /// (`balance.rebalance_events`).
-    pub rebalance_events: u64,
-    /// Units whose owner changed across re-partitioning passes
-    /// (`balance.moved_units`).
-    pub moved_units: u64,
 }
 
 impl BalanceReport {
-    /// Build from measured per-rank busy times (milliseconds), snapshotting
-    /// the global balance counters. `imbalance_before` is the static-tiling
-    /// baseline ratio when one was measured, else 0.
-    pub fn from_busy_times(rank_busy_ms: Vec<f64>, imbalance_before: f64) -> Self {
-        let ratio = Self::ratio(&rank_busy_ms);
-        BalanceReport {
-            rank_busy_ms,
-            imbalance_ratio: ratio,
-            imbalance_before,
-            steal_requests: counters::total_steal_requests(),
-            stolen_units: counters::total_stolen_units(),
-            rebalance_events: counters::total_rebalance_events(),
-            moved_units: counters::total_rebalance_moved_units(),
-        }
-    }
-
     /// `max / mean` of a busy-time vector; 1.0 for empty or all-zero
     /// input.
     pub fn ratio(busy: &[f64]) -> f64 {
@@ -246,159 +163,6 @@ impl BalanceReport {
             return 1.0;
         }
         busy.iter().cloned().fold(0.0, f64::max) / mean
-    }
-}
-
-/// Kernel-selection summary: what the per-block sparse/dense selector
-/// decided during RGF, how much work each route carried, and how the
-/// measured wall-time per route compares to the calibrated model's
-/// prediction — so a mis-calibrated selector shows up as a CI-visible
-/// residual instead of a silent slowdown.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct KernelSelectionReport {
-    /// Per-block-operation decisions that chose the CSR sparse route.
-    pub sparse_selected: u64,
-    /// Per-block-operation decisions that kept the blocked dense GEMM.
-    pub dense_selected: u64,
-    /// Hysteresis flips of sticky per-block choices.
-    pub switches: u64,
-    /// Real flops executed by the CSR sparse kernels.
-    pub sparse_flops: u64,
-    /// Bytes streamed by the CSR sparse kernels (minimal traffic model).
-    pub sparse_bytes: u64,
-    /// Flops of selector-governed coupling products run densely.
-    pub dense_flops: u64,
-    /// Measured seconds in sparse-selected coupling ops (0 when the
-    /// timing spans were disabled).
-    pub sparse_secs: f64,
-    /// Measured seconds in dense-selected coupling ops.
-    pub dense_secs: f64,
-    /// Model-predicted seconds for the same timed sparse ops (0 when the
-    /// strategy carried no calibrated rates).
-    pub predicted_sparse_secs: f64,
-    /// Model-predicted seconds for the same timed dense ops.
-    pub predicted_dense_secs: f64,
-    /// The crossover density the selector was operating with (sparse
-    /// wins below it); 0 when unknown to the report writer.
-    pub crossover_density: f64,
-}
-
-impl KernelSelectionReport {
-    /// Snapshot the global kernel-selection counters. The crossover
-    /// density is not a counter; the caller that knows the calibration
-    /// fills it in.
-    pub fn from_counters() -> Self {
-        KernelSelectionReport {
-            sparse_selected: counters::total_kernel_sparse_selected(),
-            dense_selected: counters::total_kernel_dense_selected(),
-            switches: counters::total_kernel_switches(),
-            sparse_flops: counters::total_kernel_sparse_flops(),
-            sparse_bytes: counters::total_kernel_sparse_bytes(),
-            dense_flops: counters::total_kernel_dense_flops(),
-            sparse_secs: counters::total_kernel_sparse_ns() as f64 / 1e9,
-            dense_secs: counters::total_kernel_dense_ns() as f64 / 1e9,
-            predicted_sparse_secs: counters::total_kernel_sparse_pred_ns() as f64 / 1e9,
-            predicted_dense_secs: counters::total_kernel_dense_pred_ns() as f64 / 1e9,
-            crossover_density: 0.0,
-        }
-    }
-}
-
-/// Sweep-service availability summary: what admission control, the
-/// deadline watchdog, warm-start degradation, retry, the circuit
-/// breaker, and drain-on-shutdown did over the service's lifetime.
-/// `warm_starts` counts seeding *attempts*, so `warm_fallbacks` (seeds
-/// that failed validation and re-ran cold) can never exceed it.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ServiceReport {
-    /// Sweep requests admitted into the service queue.
-    pub admitted: u64,
-    /// Sweep requests rejected with backpressure.
-    pub rejected: u64,
-    /// Sweep requests completed with every point answered.
-    pub completed: u64,
-    /// Sweep requests that failed after exhausting retries.
-    pub failed: u64,
-    /// Requests cancelled by the deadline watchdog.
-    pub deadline_cancels: u64,
-    /// Sweep points seeded from a neighboring converged solve.
-    pub warm_starts: u64,
-    /// Warm-start validation failures degraded to cold solves.
-    pub warm_fallbacks: u64,
-    /// Per-request retries after transient failures.
-    pub retries: u64,
-    /// Circuit-breaker trips quarantining device variants.
-    pub breaker_opens: u64,
-    /// In-flight sweep points checkpointed by drain-on-shutdown.
-    pub drained: u64,
-    /// Warm-start seeds evicted by the bounded store's spread policy.
-    pub warm_evicted: u64,
-}
-
-impl ServiceReport {
-    /// Snapshot the global service counters. Settled-side counters
-    /// (completed, failed, warm_fallbacks) are read *before* their
-    /// attempted-side counterparts (admitted, warm_starts): the service
-    /// bumps attempts before settlements, so with monotonic counters this
-    /// read order keeps `completed + failed <= admitted` and
-    /// `warm_fallbacks <= warm_starts` true even mid-run.
-    pub fn from_counters() -> Self {
-        let completed = counters::total_service_completed();
-        let failed = counters::total_service_failed();
-        let warm_fallbacks = counters::total_service_warm_fallbacks();
-        ServiceReport {
-            admitted: counters::total_service_admitted(),
-            rejected: counters::total_service_rejected(),
-            completed,
-            failed,
-            deadline_cancels: counters::total_service_deadline_cancels(),
-            warm_starts: counters::total_service_warm_starts(),
-            warm_fallbacks,
-            retries: counters::total_service_retries(),
-            breaker_opens: counters::total_service_breaker_opens(),
-            drained: counters::total_service_drained(),
-            warm_evicted: counters::total_service_warm_evicted(),
-        }
-    }
-}
-
-/// Scenario-corpus summary: what the golden-corpus gate saw — scenarios
-/// built and rejected by the fail-closed builder, scenarios executed,
-/// fingerprint match/mismatch tallies, and chaos-matrix reruns.
-/// `matched + mismatched` never exceeds `scenarios_run` (every compared
-/// fingerprint comes from a run; chaos reruns are counted separately).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CorpusReport {
-    /// Scenarios parsed, validated and built into simulations.
-    pub scenarios_built: u64,
-    /// Scenarios rejected fail-closed with typed errors.
-    pub scenarios_rejected: u64,
-    /// Golden-corpus scenarios executed end to end.
-    pub scenarios_run: u64,
-    /// Scenario fingerprints that matched their golden record.
-    pub matched: u64,
-    /// Scenario fingerprints that diverged from their golden record.
-    pub mismatched: u64,
-    /// Chaos-matrix reruns of corpus scenarios under fault injection.
-    pub chaos_reruns: u64,
-}
-
-impl CorpusReport {
-    /// Snapshot the global corpus counters. Settled-side tallies
-    /// (matched, mismatched) are read *before* `scenarios_run` so the
-    /// `matched + mismatched <= scenarios_run` invariant holds even if
-    /// another scenario lands mid-snapshot.
-    pub fn from_counters() -> Self {
-        let matched = counters::total_corpus_matched();
-        let mismatched = counters::total_corpus_mismatched();
-        CorpusReport {
-            scenarios_built: counters::total_corpus_scenarios_built(),
-            scenarios_rejected: counters::total_corpus_scenarios_rejected(),
-            scenarios_run: counters::total_corpus_scenarios_run(),
-            matched,
-            mismatched,
-            chaos_reruns: counters::total_corpus_chaos_reruns(),
-        }
     }
 }
 
@@ -443,7 +207,7 @@ impl JournalBlock {
             .collect();
         JournalBlock {
             events: by_kind.iter().map(|(_, n)| n).sum(),
-            dropped: counters::total_journal_dropped(),
+            dropped: counters::total(Counter::JournalDropped),
             by_kind,
         }
     }
@@ -461,6 +225,11 @@ pub struct RankComm {
 }
 
 /// The full telemetry report emitted by `reproduce profile`.
+///
+/// Counter values are held once, in one snapshot read through
+/// [`TelemetryReport::counter`]; the counter table ([`crate::counters`])
+/// says under which key or optional block each one is written, and
+/// `to_json`/`from_json`/`require` walk it.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TelemetryReport {
     /// Per-phase statistics, sorted by path.
@@ -471,45 +240,40 @@ pub struct TelemetryReport {
     pub convergence: Vec<ConvergencePoint>,
     /// Per-rank communication volumes of the distributed iteration.
     pub comm: Vec<RankComm>,
-    /// Total flops counted since the last reset.
-    pub total_flops: u64,
-    /// Total communicated bytes counted since the last reset.
-    pub total_bytes: u64,
-    /// Contact self-energies served from the `BoundaryCache`
-    /// (`boundary.cache_hits`).
-    pub boundary_cache_hits: u64,
-    /// Contact self-energies recomputed by Sancho-Rubio decimation.
-    pub boundary_cache_misses: u64,
+    /// The counters the report carries ([`Self::counter`]): the table's
+    /// top-level rows and the rows of every present block. All other slots
+    /// are zero, so a report equals its own JSON round trip.
+    counters: Snapshot,
+    /// Which optional counter blocks are present ([`Self::has`]), by
+    /// `Block as usize`. `health` and `elasticity` are absent only in
+    /// reports predating those layers; `balance` appears with
+    /// [`Self::set_balance`]; `kernel_selection`, `service` and `corpus`
+    /// appear once a run touched the selector, the admission path or the
+    /// scenario builder.
+    blocks: [bool; Block::ALL.len()],
     /// Cold-vs-warm SCF iteration comparison, when a trajectory with at
     /// least two iterations was recorded.
     pub warmup: Option<WarmupStats>,
-    /// Resilience counters; `None` only for reports predating the health
-    /// guards (`check-report --require-health` rejects those).
-    pub health: Option<HealthReport>,
-    /// Elastic-recovery counters; `None` only for reports predating the
-    /// rank-failure recovery machinery (also rejected under
-    /// `check-report --require-health`).
-    pub elasticity: Option<ElasticityReport>,
-    /// Load-balance summary of the distributed iteration; `None` until a
-    /// run with per-rank busy-time measurement fills it in
-    /// (`check-report --require-balance` rejects reports without it).
-    pub balance: Option<BalanceReport>,
-    /// Kernel-selection summary; `None` until a run actually exercised
-    /// the per-block sparse/dense selector (`check-report
-    /// --require-kernel-selection` rejects reports without it).
-    pub kernel_selection: Option<KernelSelectionReport>,
-    /// Sweep-service availability summary; `None` until a run touched
-    /// the service admission path (`check-report --require-service`
-    /// rejects reports without it).
-    pub service: Option<ServiceReport>,
-    /// Scenario-corpus summary; `None` until a run touched the scenario
-    /// builder or the golden-corpus gate (`check-report
-    /// --require-corpus` rejects reports without it).
-    pub corpus: Option<CorpusReport>,
+    /// The typed part of the `balance` block.
+    pub balance: BalanceReport,
+    /// The typed part of the `kernel_selection` block: the crossover
+    /// density the selector was operating with (sparse wins below it).
+    /// Not a counter — the caller that knows the calibration fills it in;
+    /// 0 when unknown to the report writer.
+    pub crossover_density: f64,
     /// Metrics time-series; `None` unless series sampling was enabled.
     pub series: Option<SeriesBlock>,
     /// Event-journal summary; `None` unless journaling was enabled.
     pub journal: Option<JournalBlock>,
+}
+
+/// Why [`TelemetryReport::require`] rejected an expression.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum RequireError {
+    /// The expression does not parse or names nothing the report can hold.
+    Malformed(String),
+    /// The expression is well-formed and the report does not satisfy it.
+    Unmet(String),
 }
 
 fn phase_report(path: &str, s: &PhaseStat) -> PhaseReport {
@@ -527,60 +291,100 @@ fn phase_report(path: &str, s: &PhaseStat) -> PhaseReport {
     }
 }
 
+/// Did a run record anything under `block`? A block that did not is left
+/// out by `from_current` and rejected by `validate` when present.
+fn recorded(block: Block, counters: &Snapshot) -> bool {
+    let any = |cs: &[Counter]| cs.iter().any(|&c| counters[c] > 0);
+    match block {
+        Block::Health | Block::Elasticity | Block::Balance => true,
+        Block::KernelSelection => {
+            any(&[Counter::KernelSparseSelected, Counter::KernelDenseSelected])
+        }
+        Block::Service => any(&[Counter::ServiceAdmitted, Counter::ServiceRejected]),
+        Block::Corpus => any(&[
+            Counter::CorpusScenariosBuilt,
+            Counter::CorpusScenariosRejected,
+            Counter::CorpusScenariosRun,
+        ]),
+    }
+}
+
 impl TelemetryReport {
     /// Build a report from the current global telemetry state: the phase
-    /// registry, the GEMM pack/kernel hot sections, and the counter
-    /// totals. Residuals, convergence and per-rank comm sections start
+    /// registry, the GEMM pack/kernel hot sections, and one counter
+    /// snapshot. Residuals, convergence and per-rank comm sections start
     /// empty — the caller fills them in.
     pub fn from_current() -> Self {
+        let live = Snapshot::take();
         let mut phases: BTreeMap<String, PhaseStat> = registry::snapshot();
-        let split = counters::gemm_split();
-        if split.pack_calls > 0 {
-            phases.insert(
-                "gemm.pack".to_string(),
-                PhaseStat {
-                    calls: split.pack_calls,
-                    wall_ns: split.pack_ns,
-                    ..PhaseStat::default()
-                },
-            );
+        for (path, calls, ns) in [
+            ("gemm.pack", Counter::GemmPackCalls, Counter::GemmPackNs),
+            (
+                "gemm.kernel",
+                Counter::GemmKernelCalls,
+                Counter::GemmKernelNs,
+            ),
+        ] {
+            if live[calls] > 0 {
+                phases.insert(
+                    path.to_string(),
+                    PhaseStat {
+                        calls: live[calls],
+                        wall_ns: live[ns],
+                        ..PhaseStat::default()
+                    },
+                );
+            }
         }
-        if split.kernel_calls > 0 {
-            phases.insert(
-                "gemm.kernel".to_string(),
-                PhaseStat {
-                    calls: split.kernel_calls,
-                    wall_ns: split.kernel_ns,
-                    ..PhaseStat::default()
-                },
-            );
-        }
-        TelemetryReport {
+        let mut rep = TelemetryReport {
             phases: phases.iter().map(|(p, s)| phase_report(p, s)).collect(),
-            residuals: Vec::new(),
-            convergence: Vec::new(),
-            comm: Vec::new(),
-            total_flops: counters::total_flops(),
-            total_bytes: counters::total_bytes(),
-            boundary_cache_hits: counters::total_boundary_hits(),
-            boundary_cache_misses: counters::total_boundary_misses(),
-            warmup: None,
-            health: Some(HealthReport::from_counters()),
-            elasticity: Some(ElasticityReport::from_counters()),
-            balance: None,
-            kernel_selection: (counters::total_kernel_sparse_selected()
-                + counters::total_kernel_dense_selected()
-                > 0)
-            .then(KernelSelectionReport::from_counters),
-            service: (counters::total_service_admitted() + counters::total_service_rejected() > 0)
-                .then(ServiceReport::from_counters),
-            corpus: (counters::total_corpus_scenarios_built()
-                + counters::total_corpus_scenarios_rejected()
-                + counters::total_corpus_scenarios_run()
-                > 0)
-            .then(CorpusReport::from_counters),
+            blocks: Block::ALL.map(|b| b != Block::Balance && recorded(b, &live)),
+            counters: live,
             series: series::series_enabled().then(SeriesBlock::from_series),
             journal: journal::journaling_enabled().then(JournalBlock::from_journal),
+            ..TelemetryReport::default()
+        };
+        for c in Counter::ALL {
+            if !rep.carries(c) {
+                rep.counters[c] = 0;
+            }
+        }
+        rep
+    }
+
+    /// The value the report carries for `counter` (0 for a counter the
+    /// report does not carry).
+    pub fn counter(&self, counter: Counter) -> u64 {
+        self.counters[counter]
+    }
+
+    /// Is the optional counter block present?
+    pub fn has(&self, block: Block) -> bool {
+        self.blocks[block as usize]
+    }
+
+    /// Add the `balance` block: measured per-rank busy times
+    /// (milliseconds), their `max / mean` ratio, the static-tiling
+    /// baseline ratio when one was measured (else 0), and the live
+    /// `balance.*` counter totals.
+    pub fn set_balance(&mut self, rank_busy_ms: Vec<f64>, imbalance_before: f64) {
+        self.balance = BalanceReport {
+            imbalance_ratio: BalanceReport::ratio(&rank_busy_ms),
+            rank_busy_ms,
+            imbalance_before,
+        };
+        self.blocks[Block::Balance as usize] = true;
+        for c in Block::Balance.counters() {
+            self.counters[c] = counters::total(c);
+        }
+    }
+
+    /// Does the report carry a value for `counter`?
+    fn carries(&self, counter: Counter) -> bool {
+        match counter.place() {
+            Place::Unreported => false,
+            Place::Top(_) => true,
+            Place::In(b) | Place::Secs(b, _) => self.has(b),
         }
     }
 
@@ -660,143 +464,6 @@ impl TelemetryReport {
                 ("alloc_reduction".to_string(), Json::Num(w.alloc_reduction)),
             ]),
         };
-        let health = match &self.health {
-            None => Json::Null,
-            Some(h) => Json::Obj(vec![
-                (
-                    "quarantined_points".to_string(),
-                    Json::Num(h.quarantined_points as f64),
-                ),
-                ("eta_retries".to_string(), Json::Num(h.eta_retries as f64)),
-                (
-                    "mixing_backoffs".to_string(),
-                    Json::Num(h.mixing_backoffs as f64),
-                ),
-                ("comm_retries".to_string(), Json::Num(h.comm_retries as f64)),
-                (
-                    "checkpoint_writes".to_string(),
-                    Json::Num(h.checkpoint_writes as f64),
-                ),
-            ]),
-        };
-        let elasticity = match &self.elasticity {
-            None => Json::Null,
-            Some(e) => Json::Obj(vec![
-                ("rank_deaths".to_string(), Json::Num(e.rank_deaths as f64)),
-                (
-                    "heartbeat_timeouts".to_string(),
-                    Json::Num(e.heartbeat_timeouts as f64),
-                ),
-                (
-                    "retile_events".to_string(),
-                    Json::Num(e.retile_events as f64),
-                ),
-                (
-                    "migrated_tiles".to_string(),
-                    Json::Num(e.migrated_tiles as f64),
-                ),
-            ]),
-        };
-        let balance = match &self.balance {
-            None => Json::Null,
-            Some(b) => Json::Obj(vec![
-                (
-                    "rank_busy_ms".to_string(),
-                    Json::Arr(b.rank_busy_ms.iter().map(|&ms| Json::Num(ms)).collect()),
-                ),
-                ("imbalance_ratio".to_string(), Json::Num(b.imbalance_ratio)),
-                (
-                    "imbalance_before".to_string(),
-                    Json::Num(b.imbalance_before),
-                ),
-                (
-                    "steal_requests".to_string(),
-                    Json::Num(b.steal_requests as f64),
-                ),
-                ("stolen_units".to_string(), Json::Num(b.stolen_units as f64)),
-                (
-                    "rebalance_events".to_string(),
-                    Json::Num(b.rebalance_events as f64),
-                ),
-                ("moved_units".to_string(), Json::Num(b.moved_units as f64)),
-            ]),
-        };
-        let kernel_selection = match &self.kernel_selection {
-            None => Json::Null,
-            Some(k) => Json::Obj(vec![
-                (
-                    "sparse_selected".to_string(),
-                    Json::Num(k.sparse_selected as f64),
-                ),
-                (
-                    "dense_selected".to_string(),
-                    Json::Num(k.dense_selected as f64),
-                ),
-                ("switches".to_string(), Json::Num(k.switches as f64)),
-                ("sparse_flops".to_string(), Json::Num(k.sparse_flops as f64)),
-                ("sparse_bytes".to_string(), Json::Num(k.sparse_bytes as f64)),
-                ("dense_flops".to_string(), Json::Num(k.dense_flops as f64)),
-                ("sparse_secs".to_string(), Json::Num(k.sparse_secs)),
-                ("dense_secs".to_string(), Json::Num(k.dense_secs)),
-                (
-                    "predicted_sparse_secs".to_string(),
-                    Json::Num(k.predicted_sparse_secs),
-                ),
-                (
-                    "predicted_dense_secs".to_string(),
-                    Json::Num(k.predicted_dense_secs),
-                ),
-                (
-                    "crossover_density".to_string(),
-                    Json::Num(k.crossover_density),
-                ),
-            ]),
-        };
-        let service = match &self.service {
-            None => Json::Null,
-            Some(s) => Json::Obj(vec![
-                ("admitted".to_string(), Json::Num(s.admitted as f64)),
-                ("rejected".to_string(), Json::Num(s.rejected as f64)),
-                ("completed".to_string(), Json::Num(s.completed as f64)),
-                ("failed".to_string(), Json::Num(s.failed as f64)),
-                (
-                    "deadline_cancels".to_string(),
-                    Json::Num(s.deadline_cancels as f64),
-                ),
-                ("warm_starts".to_string(), Json::Num(s.warm_starts as f64)),
-                (
-                    "warm_fallbacks".to_string(),
-                    Json::Num(s.warm_fallbacks as f64),
-                ),
-                ("retries".to_string(), Json::Num(s.retries as f64)),
-                (
-                    "breaker_opens".to_string(),
-                    Json::Num(s.breaker_opens as f64),
-                ),
-                ("drained".to_string(), Json::Num(s.drained as f64)),
-                ("warm_evicted".to_string(), Json::Num(s.warm_evicted as f64)),
-            ]),
-        };
-        let corpus = match &self.corpus {
-            None => Json::Null,
-            Some(c) => Json::Obj(vec![
-                (
-                    "scenarios_built".to_string(),
-                    Json::Num(c.scenarios_built as f64),
-                ),
-                (
-                    "scenarios_rejected".to_string(),
-                    Json::Num(c.scenarios_rejected as f64),
-                ),
-                (
-                    "scenarios_run".to_string(),
-                    Json::Num(c.scenarios_run as f64),
-                ),
-                ("matched".to_string(), Json::Num(c.matched as f64)),
-                ("mismatched".to_string(), Json::Num(c.mismatched as f64)),
-                ("chaos_reruns".to_string(), Json::Num(c.chaos_reruns as f64)),
-            ]),
-        };
         let series_block = match &self.series {
             None => Json::Null,
             Some(s) => Json::Obj(vec![
@@ -823,41 +490,69 @@ impl TelemetryReport {
                 ),
             ]),
         };
-        Json::Obj(vec![
+        // A counter's entry: its report key and its value (nanosecond
+        // counters are written as float seconds).
+        let entry = |c: Counter| {
+            let v = self.counters[c] as f64;
+            let secs = matches!(c.place(), Place::Secs(..));
+            (
+                c.key().to_string(),
+                Json::Num(if secs { v / 1e9 } else { v }),
+            )
+        };
+        // A block: its typed fields, if it has any, around its counters
+        // in table order.
+        let block = |b: Block| {
+            if !self.has(b) {
+                return (b.key().to_string(), Json::Null);
+            }
+            let mut fields = Vec::new();
+            if b == Block::Balance {
+                let busy = self.balance.rank_busy_ms.iter();
+                fields.extend([
+                    (
+                        "rank_busy_ms".to_string(),
+                        Json::Arr(busy.map(|&ms| Json::Num(ms)).collect()),
+                    ),
+                    (
+                        "imbalance_ratio".to_string(),
+                        Json::Num(self.balance.imbalance_ratio),
+                    ),
+                    (
+                        "imbalance_before".to_string(),
+                        Json::Num(self.balance.imbalance_before),
+                    ),
+                ]);
+            }
+            fields.extend(b.counters().map(entry));
+            if b == Block::KernelSelection {
+                fields.push((
+                    "crossover_density".to_string(),
+                    Json::Num(self.crossover_density),
+                ));
+            }
+            (b.key().to_string(), Json::Obj(fields))
+        };
+        let mut root = vec![
             ("phases".to_string(), Json::Arr(phases)),
             ("residuals".to_string(), Json::Arr(residuals)),
             ("convergence".to_string(), Json::Arr(convergence)),
             ("comm".to_string(), Json::Arr(comm)),
-            (
-                "total_flops".to_string(),
-                Json::Num(self.total_flops as f64),
-            ),
-            (
-                "total_bytes".to_string(),
-                Json::Num(self.total_bytes as f64),
-            ),
-            (
-                "boundary_cache_hits".to_string(),
-                Json::Num(self.boundary_cache_hits as f64),
-            ),
-            (
-                "boundary_cache_misses".to_string(),
-                Json::Num(self.boundary_cache_misses as f64),
-            ),
-            ("warmup".to_string(), warmup),
-            ("health".to_string(), health),
-            ("elasticity".to_string(), elasticity),
-            ("balance".to_string(), balance),
-            ("kernel_selection".to_string(), kernel_selection),
-            ("service".to_string(), service),
-            ("corpus".to_string(), corpus),
-            ("series".to_string(), series_block),
-            ("journal".to_string(), journal_block),
-        ])
-        .dump()
+        ];
+        let top = |c: &Counter| matches!(c.place(), Place::Top(_));
+        root.extend(Counter::ALL.into_iter().filter(top).map(entry));
+        root.push(("warmup".to_string(), warmup));
+        root.extend(Block::ALL.map(block));
+        root.push(("series".to_string(), series_block));
+        root.push(("journal".to_string(), journal_block));
+        Json::Obj(root).dump()
     }
 
-    /// Parse a report back from JSON.
+    /// Parse a report back from JSON. Inside a counter block a key the
+    /// counter table does not know is an error (a typo-forked name must
+    /// not pass as a zero), while a key the table knows and the block
+    /// lacks reads as zero, so a report written before a counter was added
+    /// to the table still loads.
     pub fn from_json(json: &str) -> Result<Self, String> {
         let root = Json::parse(json).map_err(|e| format!("report does not parse: {e}"))?;
         let arr = |key: &str| -> Result<&[Json], String> {
@@ -883,10 +578,6 @@ impl TelemetryReport {
         };
 
         let mut report = TelemetryReport {
-            total_flops: int_field(&root, "total_flops")?,
-            total_bytes: int_field(&root, "total_bytes")?,
-            boundary_cache_hits: int_field(&root, "boundary_cache_hits")?,
-            boundary_cache_misses: int_field(&root, "boundary_cache_misses")?,
             warmup: match root.get("warmup") {
                 Some(Json::Null) | None => None,
                 Some(w) => Some(WarmupStats {
@@ -896,88 +587,6 @@ impl TelemetryReport {
                     cold_alloc_bytes: int_field(w, "cold_alloc_bytes")?,
                     warm_alloc_bytes: int_field(w, "warm_alloc_bytes")?,
                     alloc_reduction: num_field(w, "alloc_reduction")?,
-                }),
-            },
-            health: match root.get("health") {
-                Some(Json::Null) | None => None,
-                Some(h) => Some(HealthReport {
-                    quarantined_points: int_field(h, "quarantined_points")?,
-                    eta_retries: int_field(h, "eta_retries")?,
-                    mixing_backoffs: int_field(h, "mixing_backoffs")?,
-                    comm_retries: int_field(h, "comm_retries")?,
-                    checkpoint_writes: int_field(h, "checkpoint_writes")?,
-                }),
-            },
-            elasticity: match root.get("elasticity") {
-                Some(Json::Null) | None => None,
-                Some(e) => Some(ElasticityReport {
-                    rank_deaths: int_field(e, "rank_deaths")?,
-                    heartbeat_timeouts: int_field(e, "heartbeat_timeouts")?,
-                    retile_events: int_field(e, "retile_events")?,
-                    migrated_tiles: int_field(e, "migrated_tiles")?,
-                }),
-            },
-            balance: match root.get("balance") {
-                Some(Json::Null) | None => None,
-                Some(b) => Some(BalanceReport {
-                    rank_busy_ms: b
-                        .get("rank_busy_ms")
-                        .and_then(Json::as_array)
-                        .ok_or("balance lacks rank_busy_ms array")?
-                        .iter()
-                        .map(|v| v.as_f64().ok_or("bad rank_busy_ms entry"))
-                        .collect::<Result<Vec<f64>, _>>()?,
-                    imbalance_ratio: num_field(b, "imbalance_ratio")?,
-                    imbalance_before: num_field(b, "imbalance_before")?,
-                    steal_requests: int_field(b, "steal_requests")?,
-                    stolen_units: int_field(b, "stolen_units")?,
-                    rebalance_events: int_field(b, "rebalance_events")?,
-                    moved_units: int_field(b, "moved_units")?,
-                }),
-            },
-            kernel_selection: match root.get("kernel_selection") {
-                Some(Json::Null) | None => None,
-                Some(k) => Some(KernelSelectionReport {
-                    sparse_selected: int_field(k, "sparse_selected")?,
-                    dense_selected: int_field(k, "dense_selected")?,
-                    switches: int_field(k, "switches")?,
-                    sparse_flops: int_field(k, "sparse_flops")?,
-                    sparse_bytes: int_field(k, "sparse_bytes")?,
-                    dense_flops: int_field(k, "dense_flops")?,
-                    sparse_secs: num_field(k, "sparse_secs")?,
-                    dense_secs: num_field(k, "dense_secs")?,
-                    predicted_sparse_secs: num_field(k, "predicted_sparse_secs")?,
-                    predicted_dense_secs: num_field(k, "predicted_dense_secs")?,
-                    crossover_density: num_field(k, "crossover_density")?,
-                }),
-            },
-            service: match root.get("service") {
-                Some(Json::Null) | None => None,
-                Some(s) => Some(ServiceReport {
-                    admitted: int_field(s, "admitted")?,
-                    rejected: int_field(s, "rejected")?,
-                    completed: int_field(s, "completed")?,
-                    failed: int_field(s, "failed")?,
-                    deadline_cancels: int_field(s, "deadline_cancels")?,
-                    warm_starts: int_field(s, "warm_starts")?,
-                    warm_fallbacks: int_field(s, "warm_fallbacks")?,
-                    retries: int_field(s, "retries")?,
-                    breaker_opens: int_field(s, "breaker_opens")?,
-                    drained: int_field(s, "drained")?,
-                    // Absent in reports predating the bounded warm store;
-                    // default to zero rather than rejecting them.
-                    warm_evicted: s.get("warm_evicted").and_then(Json::as_u64).unwrap_or(0),
-                }),
-            },
-            corpus: match root.get("corpus") {
-                Some(Json::Null) | None => None,
-                Some(c) => Some(CorpusReport {
-                    scenarios_built: int_field(c, "scenarios_built")?,
-                    scenarios_rejected: int_field(c, "scenarios_rejected")?,
-                    scenarios_run: int_field(c, "scenarios_run")?,
-                    matched: int_field(c, "matched")?,
-                    mismatched: int_field(c, "mismatched")?,
-                    chaos_reruns: int_field(c, "chaos_reruns")?,
                 }),
             },
             series: match root.get("series") {
@@ -1014,6 +623,55 @@ impl TelemetryReport {
             },
             ..TelemetryReport::default()
         };
+        for c in Counter::ALL {
+            if let Place::Top(key) = c.place() {
+                report.counters[c] = int_field(&root, key)?;
+            }
+        }
+        for b in Block::ALL {
+            let fields = match root.get(b.key()) {
+                Some(Json::Null) | None => continue,
+                Some(Json::Obj(fields)) => fields,
+                Some(_) => return Err(format!("{:?} block is not an object", b.key())),
+            };
+            report.blocks[b as usize] = true;
+            for (key, v) in fields {
+                let bad = || format!("bad value for {key:?} in the {:?} block", b.key());
+                match (b, key.as_str()) {
+                    (Block::Balance, "rank_busy_ms") => {
+                        report.balance.rank_busy_ms = v
+                            .as_array()
+                            .ok_or_else(bad)?
+                            .iter()
+                            .map(|ms| ms.as_f64().ok_or_else(bad))
+                            .collect::<Result<Vec<f64>, _>>()?;
+                    }
+                    (Block::Balance, "imbalance_ratio") => {
+                        report.balance.imbalance_ratio = v.as_f64().ok_or_else(bad)?;
+                    }
+                    (Block::Balance, "imbalance_before") => {
+                        report.balance.imbalance_before = v.as_f64().ok_or_else(bad)?;
+                    }
+                    (Block::KernelSelection, "crossover_density") => {
+                        report.crossover_density = v.as_f64().ok_or_else(bad)?;
+                    }
+                    _ => {
+                        let c = Counter::ALL
+                            .into_iter()
+                            .find(|c| c.block() == Some(b) && c.key() == key)
+                            .ok_or(format!("unknown key {key:?} in the {:?} block", b.key()))?;
+                        report.counters[c] = match c.place() {
+                            Place::Secs(..) => v
+                                .as_f64()
+                                .filter(|s| s.is_finite() && *s >= 0.0)
+                                .map(|s| (s * 1e9).round() as u64),
+                            _ => v.as_u64(),
+                        }
+                        .ok_or_else(bad)?;
+                    }
+                }
+            }
+        }
         for p in arr("phases")? {
             report.phases.push(PhaseReport {
                 path: str_field(p, "path")?,
@@ -1062,8 +720,9 @@ impl TelemetryReport {
     }
 
     /// Schema validation: every numeric field finite and non-negative
-    /// where it must be, at least one phase present, and every residual
-    /// marked `exact` actually vanishing.
+    /// where it must be, at least one phase present, every residual
+    /// marked `exact` actually vanishing, and the cross-counter
+    /// invariants of the present blocks.
     pub fn validate(&self) -> Result<(), String> {
         if self.phases.is_empty() {
             return Err("report has no phases".into());
@@ -1117,7 +776,14 @@ impl TelemetryReport {
                 return Err("warmup stats contain negative timings".into());
             }
         }
-        if let Some(b) = &self.balance {
+        for b in Block::ALL {
+            if self.has(b) && !recorded(b, &self.counters) {
+                return Err(format!("{} block present but nothing recorded", b.key()));
+            }
+        }
+        let n = |c: Counter| self.counters[c];
+        if self.has(Block::Balance) {
+            let b = &self.balance;
             if b.rank_busy_ms.iter().any(|x| !x.is_finite() || *x < 0.0) {
                 return Err("balance busy times contain bad entries".into());
             }
@@ -1138,54 +804,34 @@ impl TelemetryReport {
                 ));
             }
         }
-        if let Some(k) = &self.kernel_selection {
-            if k.sparse_selected + k.dense_selected == 0 {
-                return Err("kernel_selection block present but no decisions recorded".into());
-            }
-            let secs = [
-                k.sparse_secs,
-                k.dense_secs,
-                k.predicted_sparse_secs,
-                k.predicted_dense_secs,
-                k.crossover_density,
-            ];
-            if secs.iter().any(|x| !x.is_finite() || *x < 0.0) {
-                return Err("kernel_selection block contains bad timings".into());
-            }
-            if !(0.0..=1.0).contains(&k.crossover_density) {
-                return Err(format!(
-                    "kernel_selection crossover_density {} is not a density",
-                    k.crossover_density
-                ));
-            }
+        if self.has(Block::KernelSelection) && !(0.0..=1.0).contains(&self.crossover_density) {
+            return Err(format!(
+                "kernel_selection crossover_density {} is not a density",
+                self.crossover_density
+            ));
         }
-        if let Some(s) = &self.service {
-            if s.admitted + s.rejected == 0 {
-                return Err("service block present but no requests recorded".into());
-            }
-            if s.completed + s.failed > s.admitted {
+        if self.has(Block::Service) {
+            let settled = n(Counter::ServiceCompleted) + n(Counter::ServiceFailed);
+            if settled > n(Counter::ServiceAdmitted) {
                 return Err(format!(
-                    "service settled {} requests but admitted only {}",
-                    s.completed + s.failed,
-                    s.admitted
+                    "service settled {settled} requests but admitted only {}",
+                    n(Counter::ServiceAdmitted)
                 ));
             }
-            if s.warm_fallbacks > s.warm_starts {
+            if n(Counter::ServiceWarmFallbacks) > n(Counter::ServiceWarmStarts) {
                 return Err(format!(
                     "service warm_fallbacks {} exceeds warm_starts {}",
-                    s.warm_fallbacks, s.warm_starts
+                    n(Counter::ServiceWarmFallbacks),
+                    n(Counter::ServiceWarmStarts)
                 ));
             }
         }
-        if let Some(c) = &self.corpus {
-            if c.scenarios_built + c.scenarios_rejected + c.scenarios_run == 0 {
-                return Err("corpus block present but no scenarios recorded".into());
-            }
-            if c.matched + c.mismatched > c.scenarios_run {
+        if self.has(Block::Corpus) {
+            let compared = n(Counter::CorpusMatched) + n(Counter::CorpusMismatched);
+            if compared > n(Counter::CorpusScenariosRun) {
                 return Err(format!(
-                    "corpus compared {} fingerprints but ran only {} scenarios",
-                    c.matched + c.mismatched,
-                    c.scenarios_run
+                    "corpus compared {compared} fingerprints but ran only {} scenarios",
+                    n(Counter::CorpusScenariosRun)
                 ));
             }
         }
@@ -1211,16 +857,98 @@ impl TelemetryReport {
         }
         Ok(())
     }
+
+    /// Check one requirement a caller (CI, through `reproduce
+    /// check-report --require <expr>`) places on the report:
+    ///
+    /// * `<block>` — the optional block is present (`health`, `service`, …);
+    /// * `<metric>>N`, `<metric><=X`, `<metric>=N` — a comparison on a
+    ///   counter the report carries, named as in the counter table
+    ///   (`boundary.cache_hits`, `corpus.mismatched`), or on
+    ///   `balance.imbalance_ratio`. A metric of an absent block is unmet.
+    ///
+    /// Anything else — an unknown name, a counter the report does not
+    /// hold, a threshold that is not a number — is `Malformed`, never a
+    /// pass.
+    pub fn require(&self, expr: &str) -> Result<(), RequireError> {
+        use RequireError::{Malformed, Unmet};
+        let block_of = |name: &str| Block::ALL.into_iter().find(|b| b.key() == name);
+        let Some((at, op)) = ["<=", ">", "="]
+            .into_iter()
+            .find_map(|op| expr.find(op).map(|at| (at, op)))
+        else {
+            let block = block_of(expr.trim())
+                .ok_or_else(|| Malformed(format!("{expr:?} is not a report block")))?;
+            return if self.has(block) {
+                Ok(())
+            } else {
+                Err(Unmet(format!("the report has no {expr} block")))
+            };
+        };
+        let (name, threshold) = (expr[..at].trim(), expr[at + op.len()..].trim());
+        let threshold: f64 = threshold
+            .parse()
+            .map_err(|_| Malformed(format!("{threshold:?} in {expr:?} is not a number")))?;
+        let (block, value) = match (Counter::from_name(name), name) {
+            (Some(c), _) if c.place() == Place::Unreported => {
+                return Err(Malformed(format!("the report does not hold {name}")));
+            }
+            (Some(c), _) => (c.block(), self.counters[c] as f64),
+            (None, "balance.imbalance_ratio") => {
+                (Some(Block::Balance), self.balance.imbalance_ratio)
+            }
+            (None, _) => return Err(Malformed(format!("unknown metric {name:?}"))),
+        };
+        if let Some(b) = block.filter(|&b| !self.has(b)) {
+            return Err(Unmet(format!(
+                "{name} needs the {} block, which the report lacks",
+                b.key()
+            )));
+        }
+        let met = match op {
+            ">" => value > threshold,
+            "<=" => value <= threshold,
+            _ => value == threshold,
+        };
+        if met {
+            Ok(())
+        } else {
+            Err(Unmet(format!(
+                "{name} is {value}, required {op}{threshold}"
+            )))
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counters::add;
 
-    #[test]
-    fn report_roundtrips_and_validates() {
-        registry::record("test/report/phase", 1_000_000, 8_000, 64, 4096, 16);
-        let mut rep = TelemetryReport::from_current();
+    /// Written by the parent commit (the last one with hand-written
+    /// counter blocks) from the value `full_report` builds.
+    const PARENT_FULL: &str = include_str!("../tests/fixtures/parent_full_report.json");
+
+    fn set(rep: &mut TelemetryReport, values: &[(&str, u64)]) {
+        for &(name, v) in values {
+            rep.counters[Counter::from_name(name).expect(name)] = v;
+        }
+    }
+
+    /// A report with every block present.
+    fn full_report() -> TelemetryReport {
+        let stat = PhaseStat {
+            calls: 1,
+            wall_ns: 1_000_000,
+            flops: 8_000,
+            bytes: 64,
+            alloc_bytes: 4096,
+            alloc_count: 16,
+        };
+        let mut rep = TelemetryReport {
+            phases: vec![phase_report("test/report/phase", &stat)],
+            ..TelemetryReport::default()
+        };
         rep.residuals
             .push(ModelResidual::new("flops_vs_exact", 8000.0, 8000.0, true));
         rep.residuals
@@ -1247,73 +975,73 @@ mod tests {
             recv_bytes: 50,
         });
         rep.warmup = WarmupStats::from_convergence(&rep.convergence);
-        rep.health = Some(HealthReport {
-            quarantined_points: 3,
-            eta_retries: 1,
-            mixing_backoffs: 2,
-            comm_retries: 7,
-            checkpoint_writes: 4,
-        });
-        rep.elasticity = Some(ElasticityReport {
-            rank_deaths: 2,
-            heartbeat_timeouts: 1,
-            retile_events: 2,
-            migrated_tiles: 6,
-        });
-        rep.balance = Some(BalanceReport {
+        rep.blocks = [true; Block::ALL.len()];
+        rep.balance = BalanceReport {
             rank_busy_ms: vec![4.0, 2.0, 2.0],
             imbalance_ratio: 1.5,
             imbalance_before: 2.4,
-            steal_requests: 5,
-            stolen_units: 3,
-            rebalance_events: 1,
-            moved_units: 2,
-        });
-        rep.kernel_selection = Some(KernelSelectionReport {
-            sparse_selected: 12,
-            dense_selected: 4,
-            switches: 1,
-            sparse_flops: 1 << 20,
-            sparse_bytes: 1 << 16,
-            dense_flops: 1 << 22,
-            sparse_secs: 0.01,
-            dense_secs: 0.04,
-            predicted_sparse_secs: 0.012,
-            predicted_dense_secs: 0.038,
-            crossover_density: 0.3,
-        });
-        rep.service = Some(ServiceReport {
-            admitted: 8,
-            rejected: 2,
-            completed: 6,
-            failed: 1,
-            deadline_cancels: 1,
-            warm_starts: 5,
-            warm_fallbacks: 1,
-            retries: 2,
-            breaker_opens: 1,
-            drained: 3,
-            warm_evicted: 2,
-        });
-        rep.corpus = Some(CorpusReport {
-            scenarios_built: 6,
-            scenarios_rejected: 2,
-            scenarios_run: 5,
-            matched: 4,
-            mismatched: 1,
-            chaos_reruns: 3,
-        });
+        };
+        rep.crossover_density = 0.3;
+        set(
+            &mut rep,
+            &[
+                ("flops", 1000),
+                ("bytes", 1007),
+                ("boundary.cache_hits", 1063),
+                ("boundary.cache_misses", 1070),
+                ("health.quarantined_points", 3),
+                ("health.eta_retries", 1),
+                ("health.mixing_backoffs", 2),
+                ("health.comm_retries", 7),
+                ("health.checkpoint_writes", 4),
+                ("elastic.rank_deaths", 2),
+                ("elastic.heartbeat_timeouts", 1),
+                ("elastic.retile_events", 2),
+                ("elastic.migrated_tiles", 6),
+                ("balance.steal_requests", 5),
+                ("balance.stolen_units", 3),
+                ("balance.rebalance_events", 1),
+                ("balance.moved_units", 2),
+                ("kernel.sparse_selected", 12),
+                ("kernel.dense_selected", 4),
+                ("kernel.switches", 1),
+                ("kernel.sparse_flops", 1 << 20),
+                ("kernel.sparse_bytes", 1 << 16),
+                ("kernel.dense_flops", 1 << 22),
+                ("kernel.sparse_ns", 10_000_000),
+                ("kernel.dense_ns", 40_000_000),
+                ("kernel.sparse_pred_ns", 12_000_000),
+                ("kernel.dense_pred_ns", 38_000_000),
+                ("service.admitted", 8),
+                ("service.rejected", 2),
+                ("service.completed", 6),
+                ("service.failed", 1),
+                ("service.deadline_cancels", 1),
+                ("service.warm_starts", 5),
+                ("service.warm_fallbacks", 1),
+                ("service.retries", 2),
+                ("service.breaker_opens", 1),
+                ("service.drained", 3),
+                ("service.warm_evicted", 2),
+                ("corpus.scenarios_built", 6),
+                ("corpus.scenarios_rejected", 2),
+                ("corpus.scenarios_run", 5),
+                ("corpus.matched", 4),
+                ("corpus.mismatched", 1),
+                ("corpus.chaos_reruns", 3),
+            ],
+        );
         rep.series = Some(SeriesBlock {
             samples: vec![
                 series::Sample {
                     ts_us: 10.0,
                     iteration: 0,
-                    values: [7; crate::names::N_SERIES_METRICS],
+                    values: [7; counters::N_SERIES],
                 },
                 series::Sample {
                     ts_us: 20.0,
                     iteration: 1,
-                    values: [9; crate::names::N_SERIES_METRICS],
+                    values: [9; counters::N_SERIES],
                 },
             ],
             dropped: 1,
@@ -1326,192 +1054,216 @@ mod tests {
                 ("rank_death".to_string(), 2),
             ],
         });
-        rep.validate().unwrap();
-        let back = TelemetryReport::from_json(&rep.to_json()).unwrap();
-        assert_eq!(back, rep);
-        // A kernel-selection block with no decisions must not validate.
-        let mut bad = rep.clone();
-        bad.kernel_selection = Some(KernelSelectionReport::default());
-        assert!(bad.validate().is_err());
-        // Nor one whose crossover is not a density.
-        bad.kernel_selection = Some(KernelSelectionReport {
-            sparse_selected: 1,
-            crossover_density: 1.5,
-            ..KernelSelectionReport::default()
-        });
-        assert!(bad.validate().is_err());
-        // A service block with no traffic, over-settled requests, or more
-        // fallbacks than warm attempts must not validate.
-        bad.kernel_selection = rep.kernel_selection.clone();
-        bad.service = Some(ServiceReport::default());
-        assert!(bad.validate().is_err());
-        bad.service = Some(ServiceReport {
-            admitted: 2,
-            completed: 2,
-            failed: 1,
-            ..ServiceReport::default()
-        });
-        assert!(bad.validate().is_err());
-        bad.service = Some(ServiceReport {
-            admitted: 2,
-            warm_starts: 1,
-            warm_fallbacks: 2,
-            ..ServiceReport::default()
-        });
-        assert!(bad.validate().is_err());
-        // A corpus block with no activity, or with more fingerprint
-        // comparisons than scenario runs, must not validate.
-        bad.service = rep.service;
-        bad.corpus = Some(CorpusReport::default());
-        assert!(bad.validate().is_err());
-        bad.corpus = Some(CorpusReport {
-            scenarios_run: 1,
-            matched: 1,
-            mismatched: 1,
-            ..CorpusReport::default()
-        });
-        assert!(bad.validate().is_err());
-        // An inconsistent journal summary must not validate.
-        rep.journal = Some(JournalBlock {
-            events: 4,
-            dropped: 0,
-            by_kind: vec![("rank_death".to_string(), 2)],
-        });
-        assert!(rep.validate().is_err());
-        // Nor a time-reversed series.
-        rep.journal = None;
-        rep.series.as_mut().unwrap().samples.reverse();
-        assert!(rep.validate().is_err());
+        rep
     }
 
     #[test]
-    fn report_block_keys_come_from_the_name_registry() {
-        use crate::names;
-        registry::record("test/report/phase5", 1, 1, 0, 0, 0);
-        crate::series::set_series_enabled(true);
-        crate::series::sample_now();
-        let mut rep = TelemetryReport::from_current();
-        crate::series::set_series_enabled(false);
-        rep.journal = Some(JournalBlock::from_journal());
-        let root = Json::parse(&rep.to_json()).unwrap();
-        let block_keys = |block: &str| -> Vec<String> {
-            match root.get(block) {
-                Some(Json::Obj(fields)) => fields.iter().map(|(k, _)| k.clone()).collect(),
-                other => panic!("block {block:?} is not an object: {other:?}"),
-            }
+    fn report_roundtrips_bytewise_against_the_parent_fixture() {
+        let rep = full_report();
+        rep.validate().unwrap();
+        // Same keys, nesting, order and number formatting as the
+        // hand-written serializer this table replaced.
+        assert_eq!(rep.to_json(), PARENT_FULL);
+        let back = TelemetryReport::from_json(PARENT_FULL).unwrap();
+        assert_eq!(back, rep);
+        back.validate().unwrap();
+        assert_eq!(back.to_json(), PARENT_FULL);
+    }
+
+    #[test]
+    fn counter_blocks_parse_fail_closed() {
+        // A typo-forked key inside a counter block is rejected …
+        let forked = PARENT_FULL.replace("\"eta_retries\"", "\"eta_retry\"");
+        let err = TelemetryReport::from_json(&forked).unwrap_err();
+        assert!(err.contains("eta_retry"), "{err}");
+        // … a key the block predates reads as zero (reports written
+        // before the bounded warm store have no `warm_evicted`) …
+        let older = PARENT_FULL.replace(",\n    \"warm_evicted\": 2", "");
+        assert_ne!(older, PARENT_FULL);
+        let back = TelemetryReport::from_json(&older).unwrap();
+        assert_eq!(back.counter(Counter::ServiceWarmEvicted), 0);
+        assert_eq!(back.counter(Counter::ServiceDrained), 3);
+        // … and a block that is not an object is an error.
+        let scalar = PARENT_FULL.replacen("\"corpus\": {", "\"corpus\": 3, \"was\": {", 1);
+        assert!(TelemetryReport::from_json(&scalar).is_err());
+    }
+
+    #[test]
+    fn validation_checks_cross_counter_invariants() {
+        let rep = full_report();
+        let bad = |edit: &dyn Fn(&mut TelemetryReport)| {
+            let mut bad = rep.clone();
+            edit(&mut bad);
+            bad.validate().is_err()
         };
-        // Counter blocks spell their keys as `<block>.<key>` registry
-        // entries (the report block `elasticity` maps to the `elastic.`
-        // metric prefix).
-        for key in block_keys("health") {
-            let metric = format!("health.{key}");
-            assert!(names::is_registered(&metric), "unregistered {metric:?}");
-            assert_eq!(names::field_of(&metric), key);
+        // A kernel-selection block with no decisions must not validate.
+        assert!(bad(&|r| set(
+            r,
+            &[("kernel.sparse_selected", 0), ("kernel.dense_selected", 0)]
+        )));
+        // Nor one whose crossover is not a density.
+        assert!(bad(&|r| r.crossover_density = 1.5));
+        // A service block with no traffic, over-settled requests, or more
+        // fallbacks than warm attempts must not validate.
+        assert!(bad(&|r| set(
+            r,
+            &[
+                ("service.admitted", 0),
+                ("service.rejected", 0),
+                ("service.completed", 0),
+                ("service.failed", 0)
+            ]
+        )));
+        assert!(bad(&|r| set(
+            r,
+            &[("service.admitted", 2), ("service.completed", 2)]
+        )));
+        assert!(bad(&|r| set(r, &[("service.warm_fallbacks", 6)])));
+        // A corpus block with no activity, or with more fingerprint
+        // comparisons than scenario runs, must not validate.
+        assert!(bad(&|r| set(
+            r,
+            &[
+                ("corpus.scenarios_built", 0),
+                ("corpus.scenarios_rejected", 0),
+                ("corpus.scenarios_run", 0),
+                ("corpus.matched", 0),
+                ("corpus.mismatched", 0)
+            ]
+        )));
+        assert!(bad(&|r| set(r, &[("corpus.scenarios_run", 4)])));
+        // An inconsistent journal summary must not validate.
+        assert!(bad(&|r| r.journal.as_mut().unwrap().events = 4));
+        // Nor a time-reversed series.
+        assert!(bad(&|r| r.series.as_mut().unwrap().samples.reverse()));
+    }
+
+    /// The one subtle property of the snapshot: taken while another thread
+    /// is between an attempt and its settlement, it still satisfies the
+    /// `settled <= attempted` checks of `validate`.
+    #[test]
+    fn snapshots_taken_mid_run_validate() {
+        use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+        const ATTEMPT_THEN_SETTLE: [(Counter, Counter); 5] = [
+            (Counter::ServiceAdmitted, Counter::ServiceCompleted),
+            (Counter::ServiceAdmitted, Counter::ServiceFailed),
+            (Counter::ServiceWarmStarts, Counter::ServiceWarmFallbacks),
+            (Counter::CorpusScenariosRun, Counter::CorpusMatched),
+            (Counter::CorpusScenariosRun, Counter::CorpusMismatched),
+        ];
+        // The table's half of the property, checked exactly: an attempt
+        // is declared above its settlements.
+        for (attempt, settle) in ATTEMPT_THEN_SETTLE {
+            assert!((attempt as usize) < settle as usize, "{}", settle.name());
         }
-        for key in block_keys("elasticity") {
-            let metric = format!("elastic.{key}");
-            assert!(names::is_registered(&metric), "unregistered {metric:?}");
+        // The snapshot's half, under load. A thread's shard outlives it
+        // and a snapshot sums every shard: a few hundred idle ones stretch
+        // a snapshot to many bumps' time, so a wrong read order shows even
+        // where the two threads only interleave by preemption.
+        for _ in 0..256 {
+            std::thread::spawn(|| add(Counter::Flops, 0))
+                .join()
+                .unwrap();
         }
-        for key in [
-            "steal_requests",
-            "stolen_units",
-            "rebalance_events",
-            "moved_units",
-        ] {
-            assert!(names::is_registered(&format!("balance.{key}")));
-        }
-        // Counter fields of the kernel-selection block (the derived
-        // timing fields are not counters and carry no registry entry).
-        for key in [
-            "sparse_selected",
-            "dense_selected",
-            "switches",
-            "sparse_flops",
-            "sparse_bytes",
-            "dense_flops",
-        ] {
-            assert!(names::is_registered(&format!("kernel.{key}")));
-        }
-        // Every field of the service block mirrors a registered counter.
-        rep.service = Some(ServiceReport {
-            admitted: 1,
-            ..ServiceReport::default()
-        });
-        let root = Json::parse(&rep.to_json()).unwrap();
-        match root.get("service") {
-            Some(Json::Obj(fields)) => {
-                assert!(!fields.is_empty());
-                for (key, _) in fields {
-                    let metric = format!("service.{key}");
-                    assert!(names::is_registered(&metric), "unregistered {metric:?}");
-                    assert_eq!(names::field_of(&metric), *key);
-                }
-            }
-            other => panic!("service block is not an object: {other:?}"),
-        }
-        // Every field of the corpus block mirrors a registered counter.
-        rep.corpus = Some(CorpusReport {
-            scenarios_built: 1,
-            ..CorpusReport::default()
-        });
-        let root = Json::parse(&rep.to_json()).unwrap();
-        match root.get("corpus") {
-            Some(Json::Obj(fields)) => {
-                assert!(!fields.is_empty());
-                for (key, _) in fields {
-                    let metric = format!("corpus.{key}");
-                    assert!(names::is_registered(&metric), "unregistered {metric:?}");
-                    assert_eq!(names::field_of(&metric), *key);
-                }
-            }
-            other => panic!("corpus block is not an object: {other:?}"),
-        }
-        // Series samples key their values by the registered names
-        // verbatim.
-        let samples = root
-            .get("series")
-            .and_then(|s| s.get("samples"))
-            .and_then(Json::as_array)
-            .expect("series block with samples");
-        assert!(!samples.is_empty());
-        for s in samples {
-            match s.get("values") {
-                Some(Json::Obj(fields)) => {
-                    for (k, _) in fields {
-                        assert!(names::is_registered(k), "unregistered series metric {k:?}");
+        registry::record("test/report/midrun", 1, 1, 0, 0, 0);
+        let stop = AtomicBool::new(false);
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut started = Some(started_tx);
+                while !stop.load(SeqCst) {
+                    for (attempt, settle) in ATTEMPT_THEN_SETTLE {
+                        add(attempt, 1);
+                        add(settle, 1);
+                    }
+                    if let Some(tx) = started.take() {
+                        tx.send(()).unwrap();
                     }
                 }
-                other => panic!("sample values is not an object: {other:?}"),
+            });
+            started_rx.recv().unwrap();
+            for i in 0..1000 {
+                let rep = TelemetryReport::from_current();
+                assert!(rep.has(Block::Service) && rep.has(Block::Corpus));
+                if let Err(e) = rep.validate() {
+                    stop.store(true, SeqCst);
+                    panic!("snapshot {i} does not validate: {e}");
+                }
             }
+            stop.store(true, SeqCst);
+        });
+    }
+
+    #[test]
+    fn require_evaluates_blocks_and_thresholds() {
+        use RequireError::{Malformed, Unmet};
+        let rep = full_report();
+        let unmet = |r: &TelemetryReport, e: &str| matches!(r.require(e), Err(Unmet(_)));
+        let malformed = |e: &str| matches!(rep.require(e), Err(Malformed(_)));
+        // Block presence.
+        for b in Block::ALL {
+            rep.require(b.key()).unwrap();
+            let mut without = rep.clone();
+            without.blocks[b as usize] = false;
+            assert!(unmet(&without, b.key()));
         }
+        // Each operator on both sides of its threshold.
+        rep.require("boundary.cache_hits>0").unwrap();
+        rep.require("boundary.cache_hits > 1062").unwrap();
+        assert!(unmet(&rep, "boundary.cache_hits>1063"));
+        rep.require("corpus.mismatched=1").unwrap();
+        assert!(unmet(&rep, "corpus.mismatched=0"));
+        rep.require("service.admitted<=8").unwrap();
+        assert!(unmet(&rep, "service.admitted<=7"));
+        rep.require("kernel.sparse_ns=10000000").unwrap();
+        // Typed, non-counter fields.
+        rep.require("balance.imbalance_ratio<=4.0").unwrap();
+        rep.require("balance.imbalance_ratio<=1.5").unwrap();
+        assert!(unmet(&rep, "balance.imbalance_ratio<=1.49"));
+        // A metric of an absent block is unmet, whatever the comparison.
+        let mut without = rep.clone();
+        without.blocks[Block::Service as usize] = false;
+        without.blocks[Block::Balance as usize] = false;
+        assert!(unmet(&without, "service.admitted>0"));
+        assert!(unmet(&without, "service.failed=0"));
+        assert!(unmet(&without, "balance.imbalance_ratio<=4.0"));
+        // Unknown names and malformed expressions are errors, never a pass.
+        assert!(malformed("healht"));
+        assert!(malformed("health.quarantine>0"));
+        assert!(malformed("service.admitted>"));
+        assert!(malformed("service.admitted>many"));
+        assert!(malformed("service.admitted>=1"));
+        assert!(malformed("service.admitted<9"));
+        assert!(malformed(">3"));
+        assert!(malformed(""));
+        // Counters the report does not hold cannot be required of it.
+        assert!(malformed("alloc.bytes>0"));
+        assert!(malformed("journal.dropped=0"));
     }
 
     #[test]
     fn balance_block_validation() {
         registry::record("test/report/phase4", 1, 1, 0, 0, 0);
         let mut rep = TelemetryReport::from_current();
-        // Absent block parses to None and validates.
+        // Absent block parses back absent and validates.
         let back = TelemetryReport::from_json(&rep.to_json()).unwrap();
-        assert_eq!(back.balance, None);
+        assert!(!back.has(Block::Balance));
         back.validate().unwrap();
-        // Ratio must agree with the busy-time vector.
-        rep.balance = Some(BalanceReport {
-            rank_busy_ms: vec![3.0, 1.0],
-            imbalance_ratio: 1.2, // should be 1.5
-            ..BalanceReport::default()
-        });
-        assert!(rep.validate().is_err());
-        // from_busy_times computes the right ratio.
-        let b = BalanceReport::from_busy_times(vec![3.0, 1.0], 0.0);
-        assert!((b.imbalance_ratio - 1.5).abs() < 1e-12);
-        rep.balance = Some(b);
+        // set_balance computes the right ratio and round-trips.
+        rep.set_balance(vec![3.0, 1.0], 0.0);
+        assert!(rep.has(Block::Balance));
+        assert!((rep.balance.imbalance_ratio - 1.5).abs() < 1e-12);
         rep.validate().unwrap();
+        assert_eq!(TelemetryReport::from_json(&rep.to_json()).unwrap(), rep);
+        // The ratio must agree with the busy-time vector.
+        rep.balance.imbalance_ratio = 1.2;
+        assert!(rep.validate().is_err());
         // A sub-unity ratio is structurally impossible and rejected.
-        rep.balance = Some(BalanceReport {
+        rep.balance = BalanceReport {
             rank_busy_ms: vec![],
             imbalance_ratio: 0.5,
-            ..BalanceReport::default()
-        });
+            imbalance_before: 0.0,
+        };
         assert!(rep.validate().is_err());
     }
 
@@ -1519,16 +1271,17 @@ mod tests {
     fn from_current_always_carries_health_and_elasticity_blocks() {
         registry::record("test/report/phase3", 1, 1, 0, 0, 0);
         let rep = TelemetryReport::from_current();
-        assert!(rep.health.is_some());
-        assert!(rep.elasticity.is_some());
-        // A legacy report without the blocks parses to None and still
-        // validates (the --require-health gate is the caller's policy).
+        assert!(rep.has(Block::Health));
+        assert!(rep.has(Block::Elasticity));
+        assert_eq!(TelemetryReport::from_json(&rep.to_json()).unwrap(), rep);
+        // A legacy report without the blocks parses them as absent and
+        // still validates (requiring them is the caller's policy).
         let mut legacy = rep.clone();
-        legacy.health = None;
-        legacy.elasticity = None;
+        legacy.blocks[Block::Health as usize] = false;
+        legacy.blocks[Block::Elasticity as usize] = false;
         let back = TelemetryReport::from_json(&legacy.to_json()).unwrap();
-        assert_eq!(back.health, None);
-        assert_eq!(back.elasticity, None);
+        assert!(!back.has(Block::Health));
+        assert!(!back.has(Block::Elasticity));
         back.validate().unwrap();
     }
 

@@ -1,8 +1,8 @@
 //! Metrics time-series: periodic counter snapshots in a bounded ring.
 //!
 //! The counters answer "how much in total"; the series answers "when".
-//! [`sample_now`] snapshots every metric in
-//! [`crate::names::SERIES_METRICS`] into one [`Sample`]; the SCF loop
+//! [`sample_now`] snapshots every counter of [`Counter::SERIES`] (the
+//! counter table's sampled rows) into one [`Sample`]; the SCF loop
 //! takes one per iteration and hot loops may call [`maybe_sample`] with a
 //! minimum spacing for wall-clock-paced coverage. Samples live in a
 //! global bounded ring (newest kept, drops accounted) and are exported
@@ -14,9 +14,8 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering::Relaxed};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use crate::counters;
+use crate::counters::{Counter, Snapshot, N_SERIES};
 use crate::json::Json;
-use crate::names;
 
 /// Default capacity of the sample ring.
 pub const DEFAULT_SERIES_CAPACITY: usize = 1024;
@@ -28,8 +27,8 @@ pub struct Sample {
     pub ts_us: f64,
     /// SCF iteration the sample was taken in, or −1 outside the loop.
     pub iteration: i64,
-    /// Counter totals, indexed like [`names::SERIES_METRICS`].
-    pub values: [u64; names::N_SERIES_METRICS],
+    /// Counter totals, indexed like [`Counter::SERIES`].
+    pub values: [u64; N_SERIES],
 }
 
 struct SeriesRing {
@@ -94,11 +93,11 @@ pub fn sample_now() {
     }
     let ts_us = EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as f64 / 1e3;
     LAST_SAMPLE_MS.store((ts_us / 1e3) as u64, Relaxed);
-    let values = snapshot_values();
+    let snap = Snapshot::take();
     let sample = Sample {
         ts_us,
         iteration: ITERATION.load(Relaxed),
-        values,
+        values: Counter::SERIES.map(|c| snap[c]),
     };
     let mut g = RING.lock().unwrap();
     let Some(ring) = g.as_mut() else { return };
@@ -130,54 +129,6 @@ pub fn maybe_sample(min_interval_ms: u64) {
     }
 }
 
-fn snapshot_values() -> [u64; names::N_SERIES_METRICS] {
-    [
-        counters::total_flops(),
-        counters::total_bytes(),
-        counters::total_alloc_bytes(),
-        counters::total_alloc_count(),
-        counters::total_ws_fresh(),
-        counters::total_boundary_hits(),
-        counters::total_boundary_misses(),
-        counters::total_quarantined_points(),
-        counters::total_eta_retries(),
-        counters::total_mixing_backoffs(),
-        counters::total_comm_retries(),
-        counters::total_checkpoint_writes(),
-        counters::total_rank_deaths(),
-        counters::total_heartbeat_timeouts(),
-        counters::total_retile_events(),
-        counters::total_migrated_tiles(),
-        counters::total_steal_requests(),
-        counters::total_stolen_units(),
-        counters::total_rebalance_events(),
-        counters::total_rebalance_moved_units(),
-        counters::total_kernel_sparse_selected(),
-        counters::total_kernel_dense_selected(),
-        counters::total_kernel_switches(),
-        counters::total_kernel_sparse_flops(),
-        counters::total_kernel_sparse_bytes(),
-        counters::total_kernel_dense_flops(),
-        counters::total_service_admitted(),
-        counters::total_service_rejected(),
-        counters::total_service_completed(),
-        counters::total_service_failed(),
-        counters::total_service_deadline_cancels(),
-        counters::total_service_warm_starts(),
-        counters::total_service_warm_fallbacks(),
-        counters::total_service_retries(),
-        counters::total_service_breaker_opens(),
-        counters::total_service_drained(),
-        counters::total_service_warm_evicted(),
-        counters::total_corpus_scenarios_built(),
-        counters::total_corpus_scenarios_rejected(),
-        counters::total_corpus_scenarios_run(),
-        counters::total_corpus_matched(),
-        counters::total_corpus_mismatched(),
-        counters::total_corpus_chaos_reruns(),
-    ]
-}
-
 /// Samples in chronological order, plus the count of samples lost to
 /// ring overflow.
 pub fn snapshot() -> (Vec<Sample>, u64) {
@@ -205,12 +156,12 @@ pub fn reset_series() {
 }
 
 impl Sample {
-    /// Encode with metric values keyed by their [`names`] strings.
+    /// Encode with metric values keyed by their [`Counter::name`]s.
     pub fn to_json(&self) -> Json {
-        let values = names::SERIES_METRICS
+        let values = Counter::SERIES
             .iter()
             .zip(self.values.iter())
-            .map(|(name, &v)| (name.to_string(), Json::Num(v as f64)))
+            .map(|(c, &v)| (c.name().to_string(), Json::Num(v as f64)))
             .collect();
         Json::Obj(vec![
             ("ts_us".to_string(), Json::Num(self.ts_us)),
@@ -234,11 +185,11 @@ impl Sample {
         let Json::Obj(fields) = obj else {
             return Err("sample values is not an object".into());
         };
-        let mut values = [0u64; names::N_SERIES_METRICS];
+        let mut values = [0u64; N_SERIES];
         for (k, val) in fields {
-            let idx = names::SERIES_METRICS
+            let idx = Counter::SERIES
                 .iter()
-                .position(|m| m == k)
+                .position(|c| c.name() == k)
                 .ok_or(format!("sample has unregistered metric {k:?}"))?;
             values[idx] = val.as_u64().ok_or(format!("bad value for metric {k:?}"))?;
         }
@@ -255,22 +206,17 @@ impl Sample {
 /// the live counters, so it is a valid scrape body even before any
 /// sample was taken.
 pub fn render_prometheus() -> String {
-    let values = snapshot_values();
+    let snap = Snapshot::take();
     let mut out = String::new();
-    for (name, &v) in names::SERIES_METRICS.iter().zip(values.iter()) {
+    let mut line = |name: &str, kind: &str, v: u64| {
         let prom = format!("qt_{}", name.replace('.', "_"));
-        out.push_str(&format!("# TYPE {prom} counter\n{prom} {v}\n"));
+        out.push_str(&format!("# TYPE {prom} {kind}\n{prom} {v}\n"));
+    };
+    for c in Counter::SERIES.into_iter().chain([Counter::JournalDropped]) {
+        line(c.name(), "counter", snap[c]);
     }
-    let dropped = format!("qt_{}", names::JOURNAL_DROPPED.replace('.', "_"));
-    out.push_str(&format!(
-        "# TYPE {dropped} counter\n{dropped} {}\n",
-        counters::total_journal_dropped()
-    ));
-    let events = format!("qt_{}", names::JOURNAL_EVENTS.replace('.', "_"));
-    out.push_str(&format!(
-        "# TYPE {events} gauge\n{events} {}\n",
-        crate::journal::event_count()
-    ));
+    let events = crate::journal::event_count() as u64;
+    line("journal.events", "gauge", events);
     out
 }
 
@@ -316,7 +262,7 @@ mod tests {
 
     #[test]
     fn samples_roundtrip_through_json() {
-        let mut values = [0u64; names::N_SERIES_METRICS];
+        let mut values = [0u64; N_SERIES];
         for (i, v) in values.iter_mut().enumerate() {
             *v = (i as u64 + 1) * 10;
         }
@@ -342,8 +288,8 @@ mod tests {
     #[test]
     fn prometheus_rendering_covers_every_metric() {
         let text = render_prometheus();
-        for name in names::SERIES_METRICS {
-            let prom = format!("qt_{}", name.replace('.', "_"));
+        for c in Counter::SERIES {
+            let prom = format!("qt_{}", c.name().replace('.', "_"));
             assert!(text.contains(&prom), "missing {prom}");
         }
         assert!(text.contains("qt_journal_dropped"));

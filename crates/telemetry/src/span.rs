@@ -4,7 +4,8 @@
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::time::Instant;
 
-use crate::{counters, registry, trace};
+use crate::counters::{self, Counter};
+use crate::{registry, trace};
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
@@ -20,13 +21,29 @@ pub fn enabled() -> bool {
     ENABLED.load(Relaxed)
 }
 
+/// The counters a span attributes to its phase, in `registry::record`
+/// argument order.
+const ATTRIBUTED: [Counter; 4] = [
+    Counter::Flops,
+    Counter::Bytes,
+    Counter::AllocBytes,
+    Counter::AllocCount,
+];
+
+fn read(global: bool) -> [u64; 4] {
+    ATTRIBUTED.map(|c| {
+        if global {
+            counters::total(c)
+        } else {
+            counters::local(c)
+        }
+    })
+}
+
 struct Active {
     path: &'static str,
     t0: Instant,
-    flops0: u64,
-    bytes0: u64,
-    alloc_bytes0: u64,
-    alloc_count0: u64,
+    start: [u64; 4],
     global: bool,
 }
 
@@ -51,10 +68,7 @@ impl Span {
             active: Some(Active {
                 path,
                 t0: Instant::now(),
-                flops0: counters::local_flops(),
-                bytes0: counters::local_bytes(),
-                alloc_bytes0: counters::local_alloc_bytes(),
-                alloc_count0: counters::local_alloc_count(),
+                start: read(false),
                 global: false,
             }),
         }
@@ -73,10 +87,7 @@ impl Span {
             active: Some(Active {
                 path,
                 t0: Instant::now(),
-                flops0: counters::total_flops(),
-                bytes0: counters::total_bytes(),
-                alloc_bytes0: counters::total_alloc_bytes(),
-                alloc_count0: counters::total_alloc_count(),
+                start: read(true),
                 global: true,
             }),
         }
@@ -89,29 +100,9 @@ impl Drop for Span {
             return;
         };
         let wall_ns = a.t0.elapsed().as_nanos() as u64;
-        let (flops1, bytes1, alloc_bytes1, alloc_count1) = if a.global {
-            (
-                counters::total_flops(),
-                counters::total_bytes(),
-                counters::total_alloc_bytes(),
-                counters::total_alloc_count(),
-            )
-        } else {
-            (
-                counters::local_flops(),
-                counters::local_bytes(),
-                counters::local_alloc_bytes(),
-                counters::local_alloc_count(),
-            )
-        };
-        registry::record(
-            a.path,
-            wall_ns,
-            flops1.saturating_sub(a.flops0),
-            bytes1.saturating_sub(a.bytes0),
-            alloc_bytes1.saturating_sub(a.alloc_bytes0),
-            alloc_count1.saturating_sub(a.alloc_count0),
-        );
+        let now = read(a.global);
+        let delta = |i: usize| now[i].saturating_sub(a.start[i]);
+        registry::record(a.path, wall_ns, delta(0), delta(1), delta(2), delta(3));
         trace::record_event(a.path, a.t0, wall_ns);
     }
 }
@@ -127,18 +118,18 @@ mod tests {
         set_enabled(false);
         {
             let _s = Span::enter("test/span/disabled");
-            counters::add_flops(1);
+            counters::add(Counter::Flops, 1);
         }
         assert!(registry::phase("test/span/disabled").is_none());
 
         set_enabled(true);
         {
             let _s = Span::enter("test/span/local");
-            counters::add_flops(123);
+            counters::add(Counter::Flops, 123);
         }
         {
             let _g = Span::enter_global("test/span/global");
-            counters::add_flops(45);
+            counters::add(Counter::Flops, 45);
         }
         set_enabled(false);
 
