@@ -349,18 +349,15 @@ fn table6_cmd(flags: &[String]) {
     qt_telemetry::set_enabled(true);
     qt_telemetry::set_journaling(true);
 
-    // The whole comparison runs on ONE rayon worker: at this block size
-    // the dense GEMMs sit above the parallel threshold while the CSR
-    // kernels are serial, so an N-way pool would make the sweep measure
-    // the machine's core count instead of per-kernel data movement.
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .expect("single-thread rayon pool");
+    // The whole comparison runs on ONE thread (`par::sequential`): at this
+    // block size the dense GEMMs sit above the parallel threshold while the
+    // CSR kernels are serial, so band-split GEMMs would make the sweep
+    // measure the machine's core count instead of per-kernel data movement.
+    use qt_linalg::par;
 
     // Calibrate machine rates once; the selector then routes every coupling
     // block by measured density against the predicted crossover.
-    let cal = pool.install(|| qt_model::calibrate_kernels(bs, 0.08));
+    let cal = par::sequential(|| qt_model::calibrate_kernels(bs, 0.08));
     let auto = cal.strategy(0.1);
     let crossover = cal.crossover();
     println!(
@@ -377,7 +374,7 @@ fn table6_cmd(flags: &[String]) {
     );
     let mut failures: Vec<String> = Vec::new();
     let mut rows: Vec<Json> = Vec::new();
-    pool.install(|| {
+    par::sequential(|| {
         // Prime the worker before the first gated cell: the first solves on
         // this thread grow the workspace pools and fault in their pages, and
         // the first timed density is also the one the >=1.5x gate reads, so

@@ -4,20 +4,28 @@
 //! arenas.
 //!
 //! Separate test binary from `alloc_regression` for the same reason that
-//! one documents: the telemetry counters are process-global, so each
-//! allocation assertion needs its own process. The solve runs inside a
-//! 1-thread rayon pool so the arenas warm up on one deterministic worker.
+//! one documents: the telemetry counters are process-global, so the
+//! allocation assertions need their own process and take turns inside it.
+//! One test solves under `par::sequential`, so the arenas warm up on one
+//! deterministic thread; its twin solves 64-wide blocks, whose dense
+//! products band-split onto the `par` helpers and their pack pools.
 #![cfg(feature = "count-alloc")]
 
 use qt_core::rgf::{self, KernelSelector, MultiplyStrategy};
+use qt_linalg::par;
 use qt_telemetry::counters::{self, Counter};
 
 #[global_allocator]
 static ALLOC: qt_bench::alloc::CountingAllocator = qt_bench::alloc::CountingAllocator;
 
-#[test]
-fn warm_sparse_selected_solves_are_allocation_free_on_the_hot_path() {
-    let (blocks, bs) = (6usize, 32usize);
+/// The two tests share the process-wide counters: one at a time.
+static ONE_AT_A_TIME: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn check_warm_solves(bs: usize, sequential: bool) {
+    let _turn = ONE_AT_A_TIME
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let blocks = 6usize;
     let (a, sig) = qt_bench::sparse_rgf_problem(blocks, bs, 0.05, 7);
     // dense_rate = 0 forces the crossover to 1.0: every coupling block
     // routes through the CSR kernels regardless of measured density, so
@@ -29,11 +37,7 @@ fn warm_sparse_selected_solves_are_allocation_free_on_the_hot_path() {
         band: 0.1,
     };
     let sel = KernelSelector::new(blocks - 1);
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .expect("rayon pool");
-    pool.install(|| {
+    let body = || {
         qt_telemetry::set_enabled(true);
         qt_telemetry::reset_all();
         let solve = || {
@@ -83,5 +87,20 @@ fn warm_sparse_selected_solves_are_allocation_free_on_the_hot_path() {
                  sparse hot path regressed"
             );
         }
-    });
+    };
+    if sequential {
+        par::sequential(body)
+    } else {
+        body()
+    }
+}
+
+#[test]
+fn warm_sparse_selected_solves_are_allocation_free_on_the_hot_path() {
+    check_warm_solves(32, true);
+}
+
+#[test]
+fn warm_band_split_sparse_selected_solves_are_allocation_free() {
+    check_warm_solves(64, false);
 }

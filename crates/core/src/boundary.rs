@@ -252,7 +252,7 @@ struct CacheInner {
 ///
 /// The cache is internally synchronized: a phase `bind_*`s its section
 /// with the current identity key (write lock, invalidating stale entries),
-/// then the per-point rayon workers fill/read slots through a shared
+/// then the per-point tasks fill/read slots through a shared
 /// [`BoundaryCacheView`] (read lock + per-slot `OnceLock`).
 #[derive(Default)]
 pub struct BoundaryCache {
@@ -344,8 +344,8 @@ impl BoundaryCache {
     }
 }
 
-/// Read-locked access to a [`BoundaryCache`]; clonable across rayon
-/// workers by taking one view per worker closure invocation.
+/// Read-locked access to a [`BoundaryCache`]; shared across the per-point
+/// tasks by taking one view per task.
 pub struct BoundaryCacheView<'a>(RwLockReadGuard<'a, CacheInner>);
 
 impl BoundaryCacheView<'_> {

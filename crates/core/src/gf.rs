@@ -2,8 +2,11 @@
 //! `(kz, E)` and Eq. (2) for phonons over all `(qz, ω)`.
 //!
 //! Each grid point is independent (embarrassingly parallel — the paper's
-//! momentum+energy MPI decomposition); here the points fan out over a rayon
-//! pool. The outputs are exactly the tensors the SSE phase consumes:
+//! momentum+energy MPI decomposition); here the points fan out over
+//! [`qt_linalg::par`] while their block products are too small to split, and
+//! run in sequence with band-split GEMMs once they are not (see
+//! [`solve_points`]). The outputs are exactly the tensors the SSE phase
+//! consumes:
 //! `G≷[Nkz, NE, NA, Norb, Norb]` and `D≷[Nqz, Nω, NA, NB+1, 3, 3]`
 //! (slot `NB` holds the diagonal `D_aa`, slots `0..NB` the neighbor pairs).
 
@@ -14,9 +17,9 @@ use crate::hamiltonian::{ElectronModel, PhononModel};
 use crate::health::{CoverageReport, HealthPolicy, NumericalError, QuarantinedPoint};
 use crate::params::{SimParams, N3D};
 use crate::rgf;
-use qt_linalg::{c64, workspace, BlockTridiag, Complex64, Matrix, Tensor};
+use qt_linalg::gemm::PAR_THRESHOLD;
+use qt_linalg::{c64, par, workspace, BlockTridiag, Complex64, Matrix, Tensor};
 use qt_telemetry::counters::{self, Counter};
-use rayon::prelude::*;
 
 /// Contact electrochemical potentials and temperature.
 #[derive(Clone, Copy, Debug)]
@@ -235,6 +238,48 @@ fn recycle_tridiag(a: BlockTridiag) {
     }
 }
 
+/// Solve every grid point of a phase, results in grid order.
+///
+/// The level rule (DESIGN.md "Parallelism"): a point whose `bs³` block
+/// products sit below the GEMM layer's [`PAR_THRESHOLD`] would run them
+/// serially anyway, so the *points* fan out over [`par`]. At or above it
+/// the points run in sequence and each product band-splits instead — a
+/// fan-out there would hold one full RGF working set per thread (12.8 MiB
+/// at 128-wide blocks: +56 % peak RSS on two threads).
+fn solve_points<T: Send>(
+    bs: usize,
+    points: &[(usize, usize)],
+    solve: impl Fn(usize, usize) -> T + Sync,
+) -> Vec<T> {
+    if bs * bs * bs < PAR_THRESHOLD {
+        par::map(points.len(), |i| solve(points[i].0, points[i].1))
+    } else {
+        points.iter().map(|&(a, b)| solve(a, b)).collect()
+    }
+}
+
+/// The sticky [`rgf::KernelSelector`] is shared by every point of a phase,
+/// and a choice made by one point changes what the next one is offered —
+/// so under [`rgf::MultiplyStrategy::Auto`] the routes are decided once,
+/// here, from the coupling blocks of the phase's first grid point, and the
+/// points solve against the frozen result. Whichever thread reaches RGF
+/// first, every point gets the same plan. `None` leaves `selector` as is
+/// (fixed strategies never consult it; Auto without one is stateless).
+fn decide_routes(
+    cfg: &GfConfig,
+    selector: Option<&rgf::KernelSelector>,
+    first_couplings: impl FnOnce() -> (Vec<Matrix>, Vec<Matrix>),
+) -> Option<rgf::KernelSelector> {
+    let selector = selector?;
+    cfg.strategy.crossover_density()?;
+    let (upper, lower) = first_couplings();
+    let frozen = selector.decide_phase(cfg.strategy, &lower, &upper);
+    for m in upper.into_iter().chain(lower) {
+        workspace::give(m);
+    }
+    Some(frozen)
+}
+
 /// Fold per-point worker results into a [`CoverageReport`] under `policy`:
 /// successes flow into `keep`, failures are either fatal (fail-fast mode)
 /// or quarantined — counted, recorded with their flattened `grid_index`,
@@ -382,181 +427,188 @@ pub fn electron_gf_phase_cached(
     let points: Vec<(usize, usize)> = (0..p.nkz)
         .flat_map(|k| (0..p.ne).map(move |e| (k, e)))
         .collect();
+    let bs = hs[0].0.block_size();
+    // Off-diagonal blocks of A = z·S − H at one point, (upper, lower), in
+    // workspace-pooled storage.
+    let couplings = |k: usize, e: usize| {
+        let (h, s) = &hs[k];
+        let z_dev = c64(grids.energies[e], cfg.device_eta);
+        let fill_off = |sb: &Matrix, hb: &Matrix| {
+            let mut m = workspace::take(bs, bs);
+            for (o, (sv, hv)) in m
+                .as_mut_slice()
+                .iter_mut()
+                .zip(sb.as_slice().iter().zip(hb.as_slice()))
+            {
+                *o = *sv * z_dev - *hv;
+            }
+            m
+        };
+        let nbk = h.num_blocks();
+        let upper: Vec<Matrix> = (0..nbk - 1)
+            .map(|n| fill_off(s.upper(n), h.upper(n)))
+            .collect();
+        let lower: Vec<Matrix> = (0..nbk - 1)
+            .map(|n| fill_off(s.lower(n), h.lower(n)))
+            .collect();
+        (upper, lower)
+    };
+    let routes = decide_routes(cfg, selector, || couplings(0, 0));
+    let selector = routes.as_ref().or(selector);
     type EPoint = (usize, usize, Vec<Complex64>, Vec<Complex64>, f64, Vec<f64>);
-    let results: Vec<Result<EPoint, NumericalError>> = points
-        .par_iter()
-        .map(|&(k, e)| {
-            let point_idx = k * p.ne + e;
-            let (h, s) = &hs[k];
-            let energy = grids.energies[e];
-            // Lead surface GF at finite broadening; device interior at
-            // (near-)real energy so contacts are the only implicit bath.
-            // Each lead sees the energy relative to its own band offset.
-            let z_l = c64(energy - cfg.contacts.shift_left, cfg.eta);
-            let z_r = c64(energy - cfg.contacts.shift_right, cfg.eta);
-            let z_dev = c64(energy, cfg.device_eta);
-            let nbk = h.num_blocks();
-            let bs = h.block_size();
-            // A = z·S − H assembled into workspace-pooled blocks.
-            let mut a_diag: Vec<Matrix> = Vec::with_capacity(nbk);
-            for n in 0..nbk {
-                let mut d = workspace::take(bs, bs);
-                for (o, (sv, hv)) in d
-                    .as_mut_slice()
-                    .iter_mut()
-                    .zip(s.diag(n).as_slice().iter().zip(h.diag(n).as_slice()))
-                {
-                    *o = *sv * z_dev - *hv;
-                }
-                a_diag.push(d);
+    let results: Vec<Result<EPoint, NumericalError>> = solve_points(bs, &points, |k, e| {
+        let point_idx = k * p.ne + e;
+        let (h, s) = &hs[k];
+        let energy = grids.energies[e];
+        // Lead surface GF at finite broadening; device interior at
+        // (near-)real energy so contacts are the only implicit bath.
+        // Each lead sees the energy relative to its own band offset.
+        let z_l = c64(energy - cfg.contacts.shift_left, cfg.eta);
+        let z_r = c64(energy - cfg.contacts.shift_right, cfg.eta);
+        let z_dev = c64(energy, cfg.device_eta);
+        let nbk = h.num_blocks();
+        // A = z·S − H assembled into workspace-pooled blocks.
+        let mut a_diag: Vec<Matrix> = Vec::with_capacity(nbk);
+        for n in 0..nbk {
+            let mut d = workspace::take(bs, bs);
+            for (o, (sv, hv)) in d
+                .as_mut_slice()
+                .iter_mut()
+                .zip(s.diag(n).as_slice().iter().zip(h.diag(n).as_slice()))
+            {
+                *o = *sv * z_dev - *hv;
             }
-            let fill_off = |sb: &Matrix, hb: &Matrix| {
-                let mut m = workspace::take(bs, bs);
-                for (o, (sv, hv)) in m
-                    .as_mut_slice()
-                    .iter_mut()
-                    .zip(sb.as_slice().iter().zip(hb.as_slice()))
-                {
-                    *o = *sv * z_dev - *hv;
-                }
-                m
-            };
-            let a_upper: Vec<Matrix> = (0..nbk - 1)
-                .map(|n| fill_off(s.upper(n), h.upper(n)))
-                .collect();
-            let a_lower: Vec<Matrix> = (0..nbk - 1)
-                .map(|n| fill_off(s.lower(n), h.lower(n)))
-                .collect();
-            let mut a = BlockTridiag::from_blocks(a_diag, a_upper, a_lower);
-            // Boundary self-energies: memoized per point when cached — the
-            // decimation depends on neither the occupations nor the Born
-            // iterate, so iteration 2+ replays the stored Σᴿ.
-            let compute_pair = || -> Result<(Matrix, Matrix), NumericalError> {
-                let sig_l = boundary::surface_self_energy(
-                    z_l,
-                    h.diag(0),
-                    h.upper(0),
-                    s.diag(0),
-                    s.upper(0),
-                    Side::Left,
-                    &cfg.boundary,
-                )?;
-                let sig_r = boundary::surface_self_energy(
-                    z_r,
-                    h.diag(nbk - 1),
-                    h.upper(nbk - 2),
-                    s.diag(nbk - 1),
-                    s.upper(nbk - 2),
-                    Side::Right,
-                    &cfg.boundary,
-                )?;
-                Ok((sig_l.sigma, sig_r.sigma))
-            };
-            let view = cache.map(|c| c.view());
-            let pair_storage;
-            let (sig_l, sig_r): (&Matrix, &Matrix) = match &view {
-                Some(v) => {
-                    let pair = v
-                        .electron(point_idx, compute_pair)
-                        .map_err(|err| err.at("gf/electron", point_idx))?;
-                    (&pair.0, &pair.1)
-                }
-                None => {
-                    pair_storage =
-                        compute_pair().map_err(|err| err.at("gf/electron", point_idx))?;
-                    (&pair_storage.0, &pair_storage.1)
-                }
-            };
-            *a.diag_mut(0) -= sig_l;
-            *a.diag_mut(nbk - 1) -= sig_r;
-            let f_l = fermi(energy, cfg.contacts.mu_left, cfg.contacts.temperature);
-            let f_r = fermi(energy, cfg.contacts.mu_right, cfg.contacts.temperature);
-            // Γ and the occupation-scaled boundary Σ≷ in pooled buffers
-            // (the occupations are applied outside the cache, so the same
-            // memoized Σᴿ serves any bias).
-            let mut gam = workspace::take(bs, bs);
-            gamma_into(sig_l, &mut gam);
-            let mut bl_l = workspace::take(bs, bs);
-            scale_into(&gam, c64(0.0, f_l), &mut bl_l);
-            let mut bg_l = workspace::take(bs, bs);
-            scale_into(&gam, c64(0.0, f_l - 1.0), &mut bg_l);
-            gamma_into(sig_r, &mut gam);
-            let mut bl_r = workspace::take(bs, bs);
-            scale_into(&gam, c64(0.0, f_r), &mut bl_r);
-            workspace::give(gam);
-            drop(view);
-            let mut sig_lesser: Vec<Matrix> = (0..nbk).map(|_| workspace::take(bs, bs)).collect();
-            sig_lesser[0] += &bl_l;
-            sig_lesser[nbk - 1] += &bl_r;
-            // Scattering self-energies (diagonal atom blocks), injected
-            // straight from the SSE tensors — no temporaries.
-            for atom in 0..p.na {
-                let slab = dev.slab_of(atom);
-                let row = (atom % apb) * no;
-                let g_blk = sse.greater.inner(&[k, e, atom]);
-                let l_blk = sse.lesser.inner(&[k, e, atom]);
-                for i in 0..no {
-                    for j in 0..no {
-                        // Σᴿ ≈ (Σ> − Σ<)/2; A -= Σᴿ_scatt.
-                        let sr = (g_blk[i * no + j] - l_blk[i * no + j]).scale(0.5);
-                        let cur = a.diag(slab)[(row + i, row + j)];
-                        a.diag_mut(slab)[(row + i, row + j)] = cur - sr;
-                        let cur = sig_lesser[slab][(row + i, row + j)];
-                        sig_lesser[slab][(row + i, row + j)] = cur + l_blk[i * no + j];
-                    }
+            a_diag.push(d);
+        }
+        let (a_upper, a_lower) = couplings(k, e);
+        let mut a = BlockTridiag::from_blocks(a_diag, a_upper, a_lower);
+        // Boundary self-energies: memoized per point when cached — the
+        // decimation depends on neither the occupations nor the Born
+        // iterate, so iteration 2+ replays the stored Σᴿ.
+        let compute_pair = || -> Result<(Matrix, Matrix), NumericalError> {
+            let sig_l = boundary::surface_self_energy(
+                z_l,
+                h.diag(0),
+                h.upper(0),
+                s.diag(0),
+                s.upper(0),
+                Side::Left,
+                &cfg.boundary,
+            )?;
+            let sig_r = boundary::surface_self_energy(
+                z_r,
+                h.diag(nbk - 1),
+                h.upper(nbk - 2),
+                s.diag(nbk - 1),
+                s.upper(nbk - 2),
+                Side::Right,
+                &cfg.boundary,
+            )?;
+            Ok((sig_l.sigma, sig_r.sigma))
+        };
+        let view = cache.map(|c| c.view());
+        let pair_storage;
+        let (sig_l, sig_r): (&Matrix, &Matrix) = match &view {
+            Some(v) => {
+                let pair = v
+                    .electron(point_idx, compute_pair)
+                    .map_err(|err| err.at("gf/electron", point_idx))?;
+                (&pair.0, &pair.1)
+            }
+            None => {
+                pair_storage = compute_pair().map_err(|err| err.at("gf/electron", point_idx))?;
+                (&pair_storage.0, &pair_storage.1)
+            }
+        };
+        *a.diag_mut(0) -= sig_l;
+        *a.diag_mut(nbk - 1) -= sig_r;
+        let f_l = fermi(energy, cfg.contacts.mu_left, cfg.contacts.temperature);
+        let f_r = fermi(energy, cfg.contacts.mu_right, cfg.contacts.temperature);
+        // Γ and the occupation-scaled boundary Σ≷ in pooled buffers
+        // (the occupations are applied outside the cache, so the same
+        // memoized Σᴿ serves any bias).
+        let mut gam = workspace::take(bs, bs);
+        gamma_into(sig_l, &mut gam);
+        let mut bl_l = workspace::take(bs, bs);
+        scale_into(&gam, c64(0.0, f_l), &mut bl_l);
+        let mut bg_l = workspace::take(bs, bs);
+        scale_into(&gam, c64(0.0, f_l - 1.0), &mut bg_l);
+        gamma_into(sig_r, &mut gam);
+        let mut bl_r = workspace::take(bs, bs);
+        scale_into(&gam, c64(0.0, f_r), &mut bl_r);
+        workspace::give(gam);
+        drop(view);
+        let mut sig_lesser: Vec<Matrix> = (0..nbk).map(|_| workspace::take(bs, bs)).collect();
+        sig_lesser[0] += &bl_l;
+        sig_lesser[nbk - 1] += &bl_r;
+        // Scattering self-energies (diagonal atom blocks), injected
+        // straight from the SSE tensors — no temporaries.
+        for atom in 0..p.na {
+            let slab = dev.slab_of(atom);
+            let row = (atom % apb) * no;
+            let g_blk = sse.greater.inner(&[k, e, atom]);
+            let l_blk = sse.lesser.inner(&[k, e, atom]);
+            for i in 0..no {
+                for j in 0..no {
+                    // Σᴿ ≈ (Σ> − Σ<)/2; A -= Σᴿ_scatt.
+                    let sr = (g_blk[i * no + j] - l_blk[i * no + j]).scale(0.5);
+                    let cur = a.diag(slab)[(row + i, row + j)];
+                    a.diag_mut(slab)[(row + i, row + j)] = cur - sr;
+                    let cur = sig_lesser[slab][(row + i, row + j)];
+                    sig_lesser[slab][(row + i, row + j)] = cur + l_blk[i * no + j];
                 }
             }
-            let out = rgf::rgf_with_selector(&a, &sig_lesser, cfg.strategy, selector)
-                .map_err(|_| NumericalError::singular("rgf", point_idx))?;
-            // Gather per-atom diagonal blocks (these escape the worker, so
-            // they stay on the regular heap).
-            let mut gl = Vec::with_capacity(p.na * no * no);
-            let mut gg = Vec::with_capacity(p.na * no * no);
-            for atom in 0..p.na {
-                let slab = dev.slab_of(atom);
-                let row = (atom % apb) * no;
-                for i in 0..no {
-                    for j in 0..no {
-                        gl.push(out.gl_diag[slab][(row + i, row + j)]);
-                        gg.push(out.gg_diag[slab][(row + i, row + j)]);
-                    }
+        }
+        let out = rgf::rgf_with_selector(&a, &sig_lesser, cfg.strategy, selector)
+            .map_err(|_| NumericalError::singular("rgf", point_idx))?;
+        // Gather per-atom diagonal blocks (these escape the worker, so
+        // they stay on the regular heap).
+        let mut gl = Vec::with_capacity(p.na * no * no);
+        let mut gg = Vec::with_capacity(p.na * no * no);
+        for atom in 0..p.na {
+            let slab = dev.slab_of(atom);
+            let row = (atom % apb) * no;
+            for i in 0..no {
+                for j in 0..no {
+                    gl.push(out.gl_diag[slab][(row + i, row + j)]);
+                    gg.push(out.gg_diag[slab][(row + i, row + j)]);
                 }
             }
-            // Meir–Wingreen current trace at the left contact:
-            // i(E) = Re tr[Σ<_L G> − Σ>_L G<].
-            let t1 = trace_of_product(&bl_l, &out.gg_diag[0]);
-            let t2 = trace_of_product(&bg_l, &out.gl_diag[0]);
-            let ispec = (t1 - t2).re;
-            // Bond currents through every slab interface.
-            let bonds: Vec<f64> = (0..nbk - 1)
-                .map(|n| -2.0 * trace_of_product(a.upper(n), &out.gl_lower[n]).re)
-                .collect();
-            for m in [bl_l, bg_l, bl_r] {
-                workspace::give(m);
-            }
-            for m in sig_lesser {
-                workspace::give(m);
-            }
-            out.recycle();
-            recycle_tridiag(a);
-            // Phase-boundary health check: everything escaping the worker
-            // must be finite, or downstream SSE convolutions smear the
-            // poison across the whole spectrum.
-            let finite = gl
-                .iter()
-                .chain(&gg)
-                .all(|v| v.re.is_finite() && v.im.is_finite())
-                && ispec.is_finite()
-                && bonds.iter().all(|j| j.is_finite());
-            if !finite {
-                return Err(NumericalError::NonFiniteTensor {
-                    phase: "gf/electron",
-                    index: point_idx,
-                });
-            }
-            Ok((k, e, gl, gg, ispec, bonds))
-        })
-        .collect();
+        }
+        // Meir–Wingreen current trace at the left contact:
+        // i(E) = Re tr[Σ<_L G> − Σ>_L G<].
+        let t1 = trace_of_product(&bl_l, &out.gg_diag[0]);
+        let t2 = trace_of_product(&bg_l, &out.gl_diag[0]);
+        let ispec = (t1 - t2).re;
+        // Bond currents through every slab interface.
+        let bonds: Vec<f64> = (0..nbk - 1)
+            .map(|n| -2.0 * trace_of_product(a.upper(n), &out.gl_lower[n]).re)
+            .collect();
+        for m in [bl_l, bg_l, bl_r] {
+            workspace::give(m);
+        }
+        for m in sig_lesser {
+            workspace::give(m);
+        }
+        out.recycle();
+        recycle_tridiag(a);
+        // Phase-boundary health check: everything escaping the worker
+        // must be finite, or downstream SSE convolutions smear the
+        // poison across the whole spectrum.
+        let finite = gl
+            .iter()
+            .chain(&gg)
+            .all(|v| v.re.is_finite() && v.im.is_finite())
+            && ispec.is_finite()
+            && bonds.iter().all(|j| j.is_finite());
+        if !finite {
+            return Err(NumericalError::NonFiniteTensor {
+                phase: "gf/electron",
+                index: point_idx,
+            });
+        }
+        Ok((k, e, gl, gg, ispec, bonds))
+    });
     let mut g_lesser = Tensor::zeros(&[p.nkz, p.ne, p.na, no, no]);
     let mut g_greater = Tensor::zeros(&[p.nkz, p.ne, p.na, no, no]);
     let mut current_spectrum = vec![0.0; p.nkz * p.ne];
@@ -626,231 +678,251 @@ pub fn phonon_gf_phase_cached(
     let points: Vec<(usize, usize)> = (0..p.nqz)
         .flat_map(|q| (0..p.nw).map(move |w| (q, w)))
         .collect();
-    type PhRes = (usize, usize, Vec<Complex64>, Vec<Complex64>, f64);
-    let results: Vec<Result<PhRes, NumericalError>> = points
-        .par_iter()
-        .map(|&(q, w)| {
-            let point_idx = q * p.nw + w;
-            let phi = &phis[q];
-            let omega = grids.omegas[w];
-            let z = c64(omega * omega, cfg.eta * omega.max(grids.de));
-            let z_dev = c64(omega * omega, cfg.phonon_device_eta * omega.max(grids.de));
-            // A = ω²·I − Φ − Πᴿ in workspace-pooled blocks.
-            let nbk = phi.num_blocks();
-            let mut a_diag: Vec<Matrix> = Vec::with_capacity(nbk);
-            for n in 0..nbk {
-                let mut d = workspace::take(bs, bs);
-                let pd = phi.diag(n).as_slice();
-                let ds = d.as_mut_slice();
-                for (o, pv) in ds.iter_mut().zip(pd) {
-                    *o = Complex64::ZERO - *pv;
-                }
-                for i in 0..bs {
-                    ds[i * bs + i] = z_dev - pd[i * bs + i];
-                }
-                a_diag.push(d);
+    // Πᴿ ≈ (Π> − Π<)/2 of one SSE block, subtracted from `dst` at (ra, rb).
+    let inject_retarded = |dst: &mut Matrix, ra: usize, rb: usize, idx: &[usize; 4]| {
+        let g_blk = sse.greater.inner(&idx[..]);
+        let l_blk = sse.lesser.inner(&idx[..]);
+        for i in 0..N3D {
+            for j in 0..N3D {
+                let pr = (g_blk[i * N3D + j] - l_blk[i * N3D + j]).scale(0.5);
+                dst[(ra + i, rb + j)] -= pr;
             }
-            let fill_neg = |src: &Matrix| {
-                let mut m = workspace::take(bs, bs);
-                for (o, pv) in m.as_mut_slice().iter_mut().zip(src.as_slice()) {
-                    *o = -*pv;
-                }
-                m
-            };
-            let a_upper: Vec<Matrix> = (0..nbk - 1).map(|n| fill_neg(phi.upper(n))).collect();
-            let a_lower: Vec<Matrix> = (0..nbk - 1).map(|n| fill_neg(phi.lower(n))).collect();
-            let mut a = BlockTridiag::from_blocks(a_diag, a_upper, a_lower);
-            // Boundary (equilibrium phonon baths at both contacts),
-            // memoized per (qz, ω) point when cached.
-            let compute_pair = || -> Result<(Matrix, Matrix), NumericalError> {
-                let pi_l = boundary::surface_self_energy(
-                    z,
-                    phi.diag(0),
-                    phi.upper(0),
-                    &eye,
-                    &zero,
-                    Side::Left,
-                    &cfg.boundary,
-                )?;
-                let pi_r = boundary::surface_self_energy(
-                    z,
-                    phi.diag(nbk - 1),
-                    phi.upper(nbk - 2),
-                    &eye,
-                    &zero,
-                    Side::Right,
-                    &cfg.boundary,
-                )?;
-                Ok((pi_l.sigma, pi_r.sigma))
-            };
-            let view = cache.map(|c| c.view());
-            let pair_storage;
-            let (pi_l, pi_r): (&Matrix, &Matrix) = match &view {
-                Some(v) => {
-                    let pair = v
-                        .phonon(point_idx, compute_pair)
-                        .map_err(|err| err.at("gf/phonon", point_idx))?;
-                    (&pair.0, &pair.1)
-                }
-                None => {
-                    pair_storage = compute_pair().map_err(|err| err.at("gf/phonon", point_idx))?;
-                    (&pair_storage.0, &pair_storage.1)
-                }
-            };
-            *a.diag_mut(0) -= pi_l;
-            *a.diag_mut(nbk - 1) -= pi_r;
-            let n_occ = bose(omega, cfg.contacts.temperature);
-            // Π≷ at the bath occupation, in pooled buffers.
-            let mut gam = workspace::take(bs, bs);
-            gamma_into(pi_l, &mut gam);
-            let mut bl_l = workspace::take(bs, bs);
-            scale_into(&gam, c64(0.0, -n_occ), &mut bl_l);
-            let mut bg_l = workspace::take(bs, bs);
-            scale_into(&gam, c64(0.0, -(n_occ + 1.0)), &mut bg_l);
-            gamma_into(pi_r, &mut gam);
-            let mut bl_r = workspace::take(bs, bs);
-            scale_into(&gam, c64(0.0, -n_occ), &mut bl_r);
-            workspace::give(gam);
-            drop(view);
-            let mut sig_lesser: Vec<Matrix> = (0..nbk).map(|_| workspace::take(bs, bs)).collect();
-            sig_lesser[0] += &bl_l;
-            sig_lesser[nbk - 1] += &bl_r;
-            // Scattering Πᴿ: diagonal blocks plus neighbor connections,
-            // injected straight from the SSE tensors — no temporaries.
-            let inject_retarded = |dst: &mut Matrix, ra: usize, rb: usize, idx: &[usize; 4]| {
-                let g_blk = sse.greater.inner(&idx[..]);
-                let l_blk = sse.lesser.inner(&idx[..]);
-                for i in 0..N3D {
-                    for j in 0..N3D {
-                        let pr = (g_blk[i * N3D + j] - l_blk[i * N3D + j]).scale(0.5);
-                        dst[(ra + i, rb + j)] -= pr;
-                    }
-                }
-            };
-            for atom in 0..p.na {
-                let sa = dev.slab_of(atom);
-                let ra = (atom % apb) * N3D;
-                inject_retarded(a.diag_mut(sa), ra, ra, &[q, w, atom, p.nb]);
-                let l_blk = sse.lesser.inner(&[q, w, atom, p.nb]);
-                for i in 0..N3D {
-                    for j in 0..N3D {
-                        let cur = sig_lesser[sa][(ra + i, ra + j)];
-                        sig_lesser[sa][(ra + i, ra + j)] = cur + l_blk[i * N3D + j];
-                    }
-                }
-                // Neighbor connections of Πᴿ (off-diagonal, §2). Lesser
-                // off-diagonal parts are kept in the SSE tensors but not
-                // injected into RGF (block-diagonal Σ< assumption; see
-                // DESIGN.md).
-                for slot in 0..p.nb {
-                    let Some(b) = dev.neighbor(atom, slot) else {
-                        continue;
-                    };
-                    let sb = dev.slab_of(b);
-                    let rb = (b % apb) * N3D;
-                    if sb == sa {
-                        inject_retarded(a.diag_mut(sa), ra, rb, &[q, w, atom, slot]);
-                    } else if sb == sa + 1 {
-                        inject_retarded(a.upper_mut(sa), ra, rb, &[q, w, atom, slot]);
-                    } else if sb + 1 == sa {
-                        inject_retarded(a.lower_mut(sb), ra, rb, &[q, w, atom, slot]);
-                    }
-                }
+        }
+    };
+    // Off-diagonal blocks of A = ω²·I − Φ − Πᴿ at one point, (upper,
+    // lower), in workspace-pooled storage: −Φ plus the neighbor
+    // connections of Πᴿ that cross a slab interface (off-diagonal, §2).
+    let couplings = |q: usize, w: usize| {
+        let phi = &phis[q];
+        let fill_neg = |src: &Matrix| {
+            let mut m = workspace::take(bs, bs);
+            for (o, pv) in m.as_mut_slice().iter_mut().zip(src.as_slice()) {
+                *o = -*pv;
             }
-            let out = rgf::rgf_with_selector(&a, &sig_lesser, cfg.strategy, selector)
-                .map_err(|_| NumericalError::singular("rgf", point_idx))?;
-            // Off-diagonal D images, once per point into pooled buffers
-            // (the old path re-derived them per atom pair):
-            // G<_{n,n+1} = −(G<_{n+1,n})†, G>_{n,n+1} and G>_{n+1,n}.
-            let mut gl_up: Vec<Matrix> = Vec::with_capacity(nbk - 1);
-            let mut gg_up: Vec<Matrix> = Vec::with_capacity(nbk - 1);
-            let mut gg_lo: Vec<Matrix> = Vec::with_capacity(nbk - 1);
-            for n in 0..nbk - 1 {
-                let mut lu_m = workspace::take(bs, bs);
-                let src = &out.gl_lower[n];
-                for i in 0..bs {
-                    for j in 0..bs {
-                        lu_m[(i, j)] = src[(j, i)].conj() * c64(-1.0, 0.0);
-                    }
-                }
-                let mut gu = workspace::take(bs, bs);
-                gu.copy_from(&lu_m);
-                gu += &out.gr_upper[n];
-                gu.sub_dagger_assign(&out.gr_lower[n]);
-                let mut glo = workspace::take(bs, bs);
-                glo.copy_from(&out.gl_lower[n]);
-                glo += &out.gr_lower[n];
-                glo.sub_dagger_assign(&out.gr_upper[n]);
-                gl_up.push(lu_m);
-                gg_up.push(gu);
-                gg_lo.push(glo);
-            }
-            // Gather D pairs: slots 0..NB neighbors, slot NB diagonal.
-            let block_len = (p.nb + 1) * N3D * N3D;
-            let mut dl = vec![Complex64::ZERO; p.na * block_len];
-            let mut dg = vec![Complex64::ZERO; p.na * block_len];
-            let write_pair = |dst_l: &mut [Complex64],
-                              dst_g: &mut [Complex64],
-                              atom: usize,
-                              slot: usize,
-                              b: usize| {
-                let sa = dev.slab_of(atom);
-                let sb = dev.slab_of(b);
-                let ra = (atom % apb) * N3D;
-                let rb = (b % apb) * N3D;
-                let base = atom * block_len + slot * N3D * N3D;
-                // Select the matrices holding rows of slab sa, cols sb.
-                let (l_m, g_m): (&Matrix, &Matrix) = if sb == sa {
-                    (&out.gl_diag[sa], &out.gg_diag[sa])
-                } else if sb == sa + 1 {
-                    (&gl_up[sa], &gg_up[sa])
-                } else {
-                    (&out.gl_lower[sb], &gg_lo[sb])
+            m
+        };
+        let nbk = phi.num_blocks();
+        let mut upper: Vec<Matrix> = (0..nbk - 1).map(|n| fill_neg(phi.upper(n))).collect();
+        let mut lower: Vec<Matrix> = (0..nbk - 1).map(|n| fill_neg(phi.lower(n))).collect();
+        for atom in 0..p.na {
+            let sa = dev.slab_of(atom);
+            let ra = (atom % apb) * N3D;
+            for slot in 0..p.nb {
+                let Some(b) = dev.neighbor(atom, slot) else {
+                    continue;
                 };
-                for i in 0..N3D {
-                    for j in 0..N3D {
-                        dst_l[base + i * N3D + j] = l_m[(ra + i, rb + j)];
-                        dst_g[base + i * N3D + j] = g_m[(ra + i, rb + j)];
-                    }
+                let sb = dev.slab_of(b);
+                let rb = (b % apb) * N3D;
+                if sb == sa + 1 {
+                    inject_retarded(&mut upper[sa], ra, rb, &[q, w, atom, slot]);
+                } else if sb + 1 == sa {
+                    inject_retarded(&mut lower[sb], ra, rb, &[q, w, atom, slot]);
                 }
+            }
+        }
+        (upper, lower)
+    };
+    let routes = decide_routes(cfg, selector, || couplings(0, 0));
+    let selector = routes.as_ref().or(selector);
+    type PhRes = (usize, usize, Vec<Complex64>, Vec<Complex64>, f64);
+    let results: Vec<Result<PhRes, NumericalError>> = solve_points(bs, &points, |q, w| {
+        let point_idx = q * p.nw + w;
+        let phi = &phis[q];
+        let omega = grids.omegas[w];
+        let z = c64(omega * omega, cfg.eta * omega.max(grids.de));
+        let z_dev = c64(omega * omega, cfg.phonon_device_eta * omega.max(grids.de));
+        // A = ω²·I − Φ − Πᴿ in workspace-pooled blocks.
+        let nbk = phi.num_blocks();
+        let mut a_diag: Vec<Matrix> = Vec::with_capacity(nbk);
+        for n in 0..nbk {
+            let mut d = workspace::take(bs, bs);
+            let pd = phi.diag(n).as_slice();
+            let ds = d.as_mut_slice();
+            for (o, pv) in ds.iter_mut().zip(pd) {
+                *o = Complex64::ZERO - *pv;
+            }
+            for i in 0..bs {
+                ds[i * bs + i] = z_dev - pd[i * bs + i];
+            }
+            a_diag.push(d);
+        }
+        let (a_upper, a_lower) = couplings(q, w);
+        let mut a = BlockTridiag::from_blocks(a_diag, a_upper, a_lower);
+        // Boundary (equilibrium phonon baths at both contacts),
+        // memoized per (qz, ω) point when cached.
+        let compute_pair = || -> Result<(Matrix, Matrix), NumericalError> {
+            let pi_l = boundary::surface_self_energy(
+                z,
+                phi.diag(0),
+                phi.upper(0),
+                &eye,
+                &zero,
+                Side::Left,
+                &cfg.boundary,
+            )?;
+            let pi_r = boundary::surface_self_energy(
+                z,
+                phi.diag(nbk - 1),
+                phi.upper(nbk - 2),
+                &eye,
+                &zero,
+                Side::Right,
+                &cfg.boundary,
+            )?;
+            Ok((pi_l.sigma, pi_r.sigma))
+        };
+        let view = cache.map(|c| c.view());
+        let pair_storage;
+        let (pi_l, pi_r): (&Matrix, &Matrix) = match &view {
+            Some(v) => {
+                let pair = v
+                    .phonon(point_idx, compute_pair)
+                    .map_err(|err| err.at("gf/phonon", point_idx))?;
+                (&pair.0, &pair.1)
+            }
+            None => {
+                pair_storage = compute_pair().map_err(|err| err.at("gf/phonon", point_idx))?;
+                (&pair_storage.0, &pair_storage.1)
+            }
+        };
+        *a.diag_mut(0) -= pi_l;
+        *a.diag_mut(nbk - 1) -= pi_r;
+        let n_occ = bose(omega, cfg.contacts.temperature);
+        // Π≷ at the bath occupation, in pooled buffers.
+        let mut gam = workspace::take(bs, bs);
+        gamma_into(pi_l, &mut gam);
+        let mut bl_l = workspace::take(bs, bs);
+        scale_into(&gam, c64(0.0, -n_occ), &mut bl_l);
+        let mut bg_l = workspace::take(bs, bs);
+        scale_into(&gam, c64(0.0, -(n_occ + 1.0)), &mut bg_l);
+        gamma_into(pi_r, &mut gam);
+        let mut bl_r = workspace::take(bs, bs);
+        scale_into(&gam, c64(0.0, -n_occ), &mut bl_r);
+        workspace::give(gam);
+        drop(view);
+        let mut sig_lesser: Vec<Matrix> = (0..nbk).map(|_| workspace::take(bs, bs)).collect();
+        sig_lesser[0] += &bl_l;
+        sig_lesser[nbk - 1] += &bl_r;
+        // Scattering Πᴿ on the diagonal blocks (same-slab neighbor
+        // connections included; `couplings` did the cross-slab ones),
+        // injected straight from the SSE tensors — no temporaries.
+        for atom in 0..p.na {
+            let sa = dev.slab_of(atom);
+            let ra = (atom % apb) * N3D;
+            inject_retarded(a.diag_mut(sa), ra, ra, &[q, w, atom, p.nb]);
+            let l_blk = sse.lesser.inner(&[q, w, atom, p.nb]);
+            for i in 0..N3D {
+                for j in 0..N3D {
+                    let cur = sig_lesser[sa][(ra + i, ra + j)];
+                    sig_lesser[sa][(ra + i, ra + j)] = cur + l_blk[i * N3D + j];
+                }
+            }
+            // Lesser off-diagonal parts are kept in the SSE tensors but
+            // not injected into RGF (block-diagonal Σ< assumption; see
+            // DESIGN.md).
+            for slot in 0..p.nb {
+                let Some(b) = dev.neighbor(atom, slot) else {
+                    continue;
+                };
+                if dev.slab_of(b) == sa {
+                    let rb = (b % apb) * N3D;
+                    inject_retarded(a.diag_mut(sa), ra, rb, &[q, w, atom, slot]);
+                }
+            }
+        }
+        let out = rgf::rgf_with_selector(&a, &sig_lesser, cfg.strategy, selector)
+            .map_err(|_| NumericalError::singular("rgf", point_idx))?;
+        // Off-diagonal D images, once per point into pooled buffers
+        // (the old path re-derived them per atom pair):
+        // G<_{n,n+1} = −(G<_{n+1,n})†, G>_{n,n+1} and G>_{n+1,n}.
+        let mut gl_up: Vec<Matrix> = Vec::with_capacity(nbk - 1);
+        let mut gg_up: Vec<Matrix> = Vec::with_capacity(nbk - 1);
+        let mut gg_lo: Vec<Matrix> = Vec::with_capacity(nbk - 1);
+        for n in 0..nbk - 1 {
+            let mut lu_m = workspace::take(bs, bs);
+            let src = &out.gl_lower[n];
+            for i in 0..bs {
+                for j in 0..bs {
+                    lu_m[(i, j)] = src[(j, i)].conj() * c64(-1.0, 0.0);
+                }
+            }
+            let mut gu = workspace::take(bs, bs);
+            gu.copy_from(&lu_m);
+            gu += &out.gr_upper[n];
+            gu.sub_dagger_assign(&out.gr_lower[n]);
+            let mut glo = workspace::take(bs, bs);
+            glo.copy_from(&out.gl_lower[n]);
+            glo += &out.gr_lower[n];
+            glo.sub_dagger_assign(&out.gr_upper[n]);
+            gl_up.push(lu_m);
+            gg_up.push(gu);
+            gg_lo.push(glo);
+        }
+        // Gather D pairs: slots 0..NB neighbors, slot NB diagonal.
+        let block_len = (p.nb + 1) * N3D * N3D;
+        let mut dl = vec![Complex64::ZERO; p.na * block_len];
+        let mut dg = vec![Complex64::ZERO; p.na * block_len];
+        let write_pair = |dst_l: &mut [Complex64],
+                          dst_g: &mut [Complex64],
+                          atom: usize,
+                          slot: usize,
+                          b: usize| {
+            let sa = dev.slab_of(atom);
+            let sb = dev.slab_of(b);
+            let ra = (atom % apb) * N3D;
+            let rb = (b % apb) * N3D;
+            let base = atom * block_len + slot * N3D * N3D;
+            // Select the matrices holding rows of slab sa, cols sb.
+            let (l_m, g_m): (&Matrix, &Matrix) = if sb == sa {
+                (&out.gl_diag[sa], &out.gg_diag[sa])
+            } else if sb == sa + 1 {
+                (&gl_up[sa], &gg_up[sa])
+            } else {
+                (&out.gl_lower[sb], &gg_lo[sb])
             };
-            for atom in 0..p.na {
-                write_pair(&mut dl, &mut dg, atom, p.nb, atom);
-                for slot in 0..p.nb {
-                    if let Some(b) = dev.neighbor(atom, slot) {
-                        write_pair(&mut dl, &mut dg, atom, slot, b);
-                    }
+            for i in 0..N3D {
+                for j in 0..N3D {
+                    dst_l[base + i * N3D + j] = l_m[(ra + i, rb + j)];
+                    dst_g[base + i * N3D + j] = g_m[(ra + i, rb + j)];
                 }
             }
-            let t1 = trace_of_product(&bl_l, &out.gg_diag[0]);
-            let t2 = trace_of_product(&bg_l, &out.gl_diag[0]);
-            let espec = (t1 - t2).re * omega;
-            for m in gl_up.into_iter().chain(gg_up).chain(gg_lo) {
-                workspace::give(m);
+        };
+        for atom in 0..p.na {
+            write_pair(&mut dl, &mut dg, atom, p.nb, atom);
+            for slot in 0..p.nb {
+                if let Some(b) = dev.neighbor(atom, slot) {
+                    write_pair(&mut dl, &mut dg, atom, slot, b);
+                }
             }
-            for m in [bl_l, bg_l, bl_r] {
-                workspace::give(m);
-            }
-            for m in sig_lesser {
-                workspace::give(m);
-            }
-            out.recycle();
-            recycle_tridiag(a);
-            // Phase-boundary health check (see the electron phase).
-            let finite = dl
-                .iter()
-                .chain(&dg)
-                .all(|v| v.re.is_finite() && v.im.is_finite())
-                && espec.is_finite();
-            if !finite {
-                return Err(NumericalError::NonFiniteTensor {
-                    phase: "gf/phonon",
-                    index: point_idx,
-                });
-            }
-            Ok((q, w, dl, dg, espec))
-        })
-        .collect();
+        }
+        let t1 = trace_of_product(&bl_l, &out.gg_diag[0]);
+        let t2 = trace_of_product(&bg_l, &out.gl_diag[0]);
+        let espec = (t1 - t2).re * omega;
+        for m in gl_up.into_iter().chain(gg_up).chain(gg_lo) {
+            workspace::give(m);
+        }
+        for m in [bl_l, bg_l, bl_r] {
+            workspace::give(m);
+        }
+        for m in sig_lesser {
+            workspace::give(m);
+        }
+        out.recycle();
+        recycle_tridiag(a);
+        // Phase-boundary health check (see the electron phase).
+        let finite = dl
+            .iter()
+            .chain(&dg)
+            .all(|v| v.re.is_finite() && v.im.is_finite())
+            && espec.is_finite();
+        if !finite {
+            return Err(NumericalError::NonFiniteTensor {
+                phase: "gf/phonon",
+                index: point_idx,
+            });
+        }
+        Ok((q, w, dl, dg, espec))
+    });
     let mut d_lesser = Tensor::zeros(&[p.nqz, p.nw, p.na, p.nb + 1, N3D, N3D]);
     let mut d_greater = Tensor::zeros(&[p.nqz, p.nw, p.na, p.nb + 1, N3D, N3D]);
     let mut energy_current = 0.0;

@@ -96,16 +96,20 @@ const CHOICE_SPARSE: u8 = 2;
 
 /// Sticky per-coupling-block kernel memory for [`MultiplyStrategy::Auto`].
 ///
-/// One selector is shared by every RGF solve of a carrier (all `(kz, E)`
-/// workers hit the same cells — the coupling structure is identical across
-/// the spectral grid), so a choice made on the first SCF iteration holds on
-/// later ones unless the measured density drifts out of the hysteresis
-/// band. Flips and first-time choices are journalled as
+/// One selector serves every RGF solve of a carrier, so a choice made on
+/// the first SCF iteration holds on later ones unless the measured density
+/// drifts out of the hysteresis band. Because [`KernelSelector::choose`]
+/// both reads and updates that memory, solves that may run at the same
+/// time must not share a live selector: a GF phase calls
+/// [`KernelSelector::decide_phase`] once and hands its points the frozen
+/// result. Flips and first-time choices are journalled as
 /// [`qt_telemetry::EventKind::KernelChoice`] and counted under
 /// `kernel.switches`.
 #[derive(Debug, Default)]
 pub struct KernelSelector {
     choices: Vec<AtomicU8>,
+    /// A frozen selector answers from `choices` and never updates them.
+    frozen: bool,
 }
 
 impl KernelSelector {
@@ -115,6 +119,39 @@ impl KernelSelector {
             choices: (0..couplings)
                 .map(|_| AtomicU8::new(CHOICE_UNSET))
                 .collect(),
+            frozen: false,
+        }
+    }
+
+    /// Route every coupling once for a whole phase: run [`Self::choose`]
+    /// on the density of each `(lower[n], upper[n])` pair — the sticky,
+    /// journalled decision — and return the outcome as a frozen selector
+    /// whose `choose` ignores the density it is offered. Every solve handed
+    /// the frozen selector gets the same plan in whatever order, or on
+    /// whatever threads, the solves run.
+    pub fn decide_phase(
+        &self,
+        strategy: MultiplyStrategy,
+        lower: &[Matrix],
+        upper: &[Matrix],
+    ) -> KernelSelector {
+        let crossover = strategy.crossover_density().unwrap_or(1.0);
+        let band = match strategy {
+            MultiplyStrategy::Auto { band, .. } => band,
+            _ => 0.0,
+        };
+        let choices = lower
+            .iter()
+            .zip(upper)
+            .enumerate()
+            .map(|(n, (lo, up))| {
+                let sparse = self.choose(n, coupling_density(lo, up), crossover, band);
+                AtomicU8::new(if sparse { CHOICE_SPARSE } else { CHOICE_DENSE })
+            })
+            .collect();
+        KernelSelector {
+            choices,
+            frozen: true,
         }
     }
 
@@ -152,12 +189,16 @@ impl KernelSelector {
     /// keeps its route until the density exits the hysteresis band, which
     /// keeps the choice stable when a density hovers at the crossover
     /// across SCF iterations. Out-of-range blocks fall back to the
-    /// stateless compare.
+    /// stateless compare; a frozen selector ([`Self::decide_phase`])
+    /// returns the route it was frozen with.
     pub fn choose(&self, block: usize, density: f64, crossover: f64, band: f64) -> bool {
         let Some(cell) = self.choices.get(block) else {
             return density < crossover;
         };
         let prev = cell.load(Ordering::Relaxed);
+        if self.frozen {
+            return prev == CHOICE_SPARSE;
+        }
         let sparse = match prev {
             CHOICE_SPARSE => density < crossover * (1.0 + band),
             CHOICE_DENSE => density < crossover * (1.0 - band),
@@ -434,8 +475,8 @@ pub fn rgf_with_selector(
     strategy: MultiplyStrategy,
     selector: Option<&KernelSelector>,
 ) -> Result<RgfOutput, SingularMatrix> {
-    // Thread-local attribution: RGF runs inside the per-(kz, E) rayon
-    // workers, so the phase aggregates busy time across workers.
+    // Thread-local attribution: RGF runs inside the per-(kz, E) tasks of
+    // the GF phase, so the phase aggregates busy time across threads.
     let _span = qt_telemetry::Span::enter("rgf");
     let nb = a.num_blocks();
     assert_eq!(sigma_lesser.len(), nb, "one Σ< block per RGF block");
@@ -883,6 +924,17 @@ mod tests {
         );
     }
 
+    /// A `bs x bs` block keeping each entry with probability `density`.
+    fn sparse_block(bs: usize, density: f64, r: &mut rand::rngs::StdRng) -> Matrix {
+        Matrix::from_fn(bs, bs, |_, _| {
+            if r.random_range(0.0..1.0) < density {
+                c64(r.random_range(-1.0..1.0), r.random_range(-1.0..1.0))
+            } else {
+                Complex64::ZERO
+            }
+        })
+    }
+
     #[test]
     fn selector_hysteresis_is_sticky() {
         let s = KernelSelector::new(2);
@@ -910,6 +962,67 @@ mod tests {
     }
 
     #[test]
+    fn a_phase_plan_is_decided_once_and_ignores_later_densities() {
+        // Two "grid points" of one phase whose couplings differ: sparse
+        // (~8%) at the first, fully dense at the second. A live selector
+        // re-decides at every solve, so what a point gets depends on who
+        // called before it; the frozen phase plan gives both points the
+        // first point's routes, in either order, and leaves the live
+        // selector at the phase's one decision.
+        let (nb, bs) = (4usize, 12usize);
+        let problem = |density: f64| {
+            let mut r = rand::rngs::StdRng::seed_from_u64(53);
+            let (mut a, sig) = random_problem(nb, bs, 54);
+            for n in 0..nb - 1 {
+                *a.upper_mut(n) = sparse_block(bs, density, &mut r);
+                *a.lower_mut(n) = sparse_block(bs, density, &mut r);
+            }
+            (a, sig)
+        };
+        let (first, sig) = problem(0.08);
+        let (second, _) = problem(1.0);
+        let strat = MultiplyStrategy::Auto {
+            dense_rate: 1e9,
+            sparse_rate: 3e8,
+            band: 0.1,
+        };
+        let couplings = |a: &BlockTridiag| -> (Vec<Matrix>, Vec<Matrix>) {
+            (0..nb - 1)
+                .map(|n| (a.lower(n).clone(), a.upper(n).clone()))
+                .unzip()
+        };
+
+        let live = KernelSelector::new(nb - 1);
+        let (lower, upper) = couplings(&first);
+        let plan = live.decide_phase(strat, &lower, &upper);
+        let all =
+            |sel: &KernelSelector, want: bool| (0..nb - 1).all(|n| sel.choice(n) == Some(want));
+        assert!(all(&live, true) && all(&plan, true));
+        let sparse_routes = |a: &BlockTridiag, sel: &KernelSelector| {
+            let before = counters::local(Counter::KernelSparseSelected);
+            let out = rgf_with_selector(a, &sig, strat, Some(sel)).unwrap();
+            (out, counters::local(Counter::KernelSparseSelected) - before)
+        };
+        let (second_then, routed) = sparse_routes(&second, &plan);
+        assert_eq!(routed, (nb - 1) as u64, "the dense point keeps the plan");
+        let (first_then, _) = sparse_routes(&first, &plan);
+        let (first_again, _) = sparse_routes(&first, &plan);
+        let (second_again, _) = sparse_routes(&second, &plan);
+        for n in 0..nb {
+            assert_eq!(first_then.gl_diag[n], first_again.gl_diag[n]);
+            assert_eq!(second_then.gl_diag[n], second_again.gl_diag[n]);
+        }
+        assert!(all(&live, true) && all(&plan, true), "solves never write");
+
+        // The hazard the plan removes: the same dense point through the
+        // live selector flips every route, for itself and for whoever
+        // solves next.
+        let (_, routed) = sparse_routes(&second, &live);
+        assert_eq!(routed, 0);
+        assert!(all(&live, false));
+    }
+
+    #[test]
     fn auto_selector_routes_by_density_and_matches_dense() {
         // Couplings 0 and 1 are genuinely sparse (~8%), the rest fully
         // dense. With a crossover at 0.3 the selector must route exactly
@@ -927,17 +1040,8 @@ mod tests {
         }
         for n in 0..nb - 1 {
             let density = if n < 2 { 0.08 } else { 1.0 };
-            let blk = |r: &mut rand::rngs::StdRng| {
-                Matrix::from_fn(bs, bs, |_, _| {
-                    if r.random_range(0.0..1.0) < density {
-                        c64(r.random_range(-1.0..1.0), r.random_range(-1.0..1.0))
-                    } else {
-                        Complex64::ZERO
-                    }
-                })
-            };
-            *a.upper_mut(n) = blk(&mut r);
-            *a.lower_mut(n) = blk(&mut r);
+            *a.upper_mut(n) = sparse_block(bs, density, &mut r);
+            *a.lower_mut(n) = sparse_block(bs, density, &mut r);
         }
         let sig: Vec<Matrix> = (0..nb)
             .map(|_| Matrix::random_hermitian(bs, &mut r).scale(Complex64::I))

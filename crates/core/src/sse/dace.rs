@@ -26,7 +26,7 @@
 //!    buffers of rank 3, not global 7-D tensors (Fig. 12), checked out of
 //!    the per-thread [`workspace`] pool so warm SCF iterations touch the
 //!    allocator only for the escaping per-atom partial sums, and the outer
-//!    atom loop parallelizes over the rayon pool.
+//!    atom loop fans out over [`qt_linalg::par`].
 //!
 //! A window's Σ≷ equals the matching slice of the full call up to GEMM
 //! dispatch: the wide products pick the packed or the naive kernel by batch
@@ -35,8 +35,7 @@
 use super::SseInputs;
 use crate::gf::{ElectronSelfEnergy, PhononSelfEnergy};
 use crate::params::N3D;
-use qt_linalg::{c64, gemm, workspace, Complex64, Matrix, Tensor};
-use rayon::prelude::*;
+use qt_linalg::{c64, gemm, par, workspace, Complex64, Matrix, Tensor};
 use std::ops::Range;
 
 /// One `(energy, atom)` window of the SSE map. The kernels read `G≷`/`D̃≷`
@@ -90,18 +89,15 @@ pub fn sigma(inputs: &SseInputs<'_>) -> ElectronSelfEnergy {
     let view = full_view(inputs, &g);
     // Per-atom partial results, joined at the end (atoms are independent).
     // The partials escape the worker, so they stay on the regular heap.
-    let partials: Vec<[Vec<Complex64>; 2]> = (0..p.na)
-        .into_par_iter()
-        .map(|a| {
-            let mut sig = [
-                vec![Complex64::ZERO; ke * nn],
-                vec![Complex64::ZERO; ke * nn],
-            ];
-            let [sig_l, sig_g] = &mut sig;
-            sigma_atom(inputs, &view, a, [sig_l, sig_g]);
-            sig
-        })
-        .collect();
+    let partials: Vec<[Vec<Complex64>; 2]> = par::map(p.na, |a| {
+        let mut sig = [
+            vec![Complex64::ZERO; ke * nn],
+            vec![Complex64::ZERO; ke * nn],
+        ];
+        let [sig_l, sig_g] = &mut sig;
+        sigma_atom(inputs, &view, a, [sig_l, sig_g]);
+        sig
+    });
     g.into_iter().for_each(Tensor::recycle);
     // Scatter per-atom results into the output tensors.
     let mut out = ElectronSelfEnergy::zeros(p);
@@ -256,19 +252,17 @@ pub fn pi(inputs: &SseInputs<'_>) -> PhononSelfEnergy {
     let pairs: Vec<(usize, usize)> = (0..p.na)
         .flat_map(|a| (0..p.nb).map(move |s| (a, s)))
         .collect();
-    let results: Vec<Option<(usize, usize, Matrix, Matrix)>> = pairs
-        .par_iter()
-        .map(|&(a, slot)| {
-            let (mut t_l, mut t_g) = pi_pair(inputs, &view, a, slot)?;
-            for z in t_l.as_mut_slice() {
-                *z *= scale;
-            }
-            for z in t_g.as_mut_slice() {
-                *z *= scale;
-            }
-            Some((a, slot, t_l, t_g))
-        })
-        .collect();
+    let results: Vec<Option<(usize, usize, Matrix, Matrix)>> = par::map(pairs.len(), |i| {
+        let (a, slot) = pairs[i];
+        let (mut t_l, mut t_g) = pi_pair(inputs, &view, a, slot)?;
+        for z in t_l.as_mut_slice() {
+            *z *= scale;
+        }
+        for z in t_g.as_mut_slice() {
+            *z *= scale;
+        }
+        Some((a, slot, t_l, t_g))
+    });
     g.into_iter().for_each(Tensor::recycle);
     for r in results.into_iter().flatten() {
         let (a, slot, t_l, t_g) = r;

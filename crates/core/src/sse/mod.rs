@@ -25,7 +25,7 @@ use crate::device::Device;
 use crate::gf::{ElectronSelfEnergy, PhononGf, PhononSelfEnergy};
 use crate::grids::Grids;
 use crate::params::{SimParams, N3D};
-use qt_linalg::{Complex64, Tensor};
+use qt_linalg::{par, Complex64, Tensor};
 
 /// Which implementation of the SSE kernels to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -121,22 +121,21 @@ pub fn preprocess_d(dev: &Device, p: &SimParams, ph: &PhononGf) -> (Tensor, Tens
 /// self-consistent Born solvers.
 pub fn stabilize_sigma(sigma: &mut ElectronSelfEnergy, p: &SimParams) {
     use qt_linalg::psd_project_scaled_in_place;
-    let no = p.norb;
+    let nn = p.norb * p.norb;
     // (tensor, factor ζ): block = ζ · PSD(ζ̄·block) with ζ = i for lesser
     // (−iΣ< PSD) and ζ = −i for greater (iΣ> PSD). The projection runs in
     // place on each atom block with pooled temporaries, so the stabilizer
-    // stays off the allocator in steady state.
+    // stays off the allocator in steady state. Blocks are independent;
+    // one task per (kz, E) row of `na` of them.
     for (t, zeta) in [
         (&mut sigma.lesser, Complex64::I),
         (&mut sigma.greater, -Complex64::I),
     ] {
-        for k in 0..p.nkz {
-            for e in 0..p.ne {
-                for a in 0..p.na {
-                    psd_project_scaled_in_place(no, zeta, t.inner_mut(&[k, e, a]));
-                }
+        par::for_each_chunk_mut(t.as_mut_slice(), p.na * nn, |_, row| {
+            for block in row.chunks_mut(nn) {
+                psd_project_scaled_in_place(p.norb, zeta, block);
             }
-        }
+        });
     }
 }
 
@@ -146,14 +145,15 @@ pub fn stabilize_sigma(sigma: &mut ElectronSelfEnergy, p: &SimParams) {
 /// slots, the ones injected into the phonon RGF.
 pub fn stabilize_pi(pi: &mut PhononSelfEnergy, p: &SimParams) {
     use qt_linalg::psd_project_scaled_in_place;
+    let nn = N3D * N3D;
+    let atom = (p.nb + 1) * nn;
     for t in [&mut pi.lesser, &mut pi.greater] {
-        for q in 0..p.nqz {
-            for w in 0..p.nw {
-                for a in 0..p.na {
-                    psd_project_scaled_in_place(N3D, Complex64::I, t.inner_mut(&[q, w, a, p.nb]));
-                }
+        // One task per (qz, ω) row; the diagonal slot is each atom's last.
+        par::for_each_chunk_mut(t.as_mut_slice(), p.na * atom, |_, row| {
+            for slots in row.chunks_mut(atom) {
+                psd_project_scaled_in_place(N3D, Complex64::I, &mut slots[p.nb * nn..]);
             }
-        }
+        });
     }
 }
 

@@ -990,6 +990,9 @@ where
             .into_iter()
             .map(|comm| {
                 scope.spawn(|| {
+                    // A rank is a top-level compute thread: it takes its
+                    // core out of the `par` budget for as long as it lives.
+                    let _lane = qt_linalg::par::lane();
                     // Journal attribution: every event this rank thread
                     // emits carries its original (pre-shrink) identity.
                     qt_telemetry::journal::set_thread_rank(comm.identity() as i64);

@@ -13,8 +13,10 @@
 //!   from a thread-local pool and are reused across calls;
 //! * the inner **microkernel** holds an `MR x NR` block of C in registers
 //!   (split re/im accumulators) and performs a rank-1 update per k-slice;
-//! * rayon parallelism runs over MC-aligned macro-tile row bands of C, with
-//!   the packed B-panel shared read-only between workers.
+//! * thread parallelism ([`crate::par`]) runs over MR-aligned row bands of C,
+//!   with the packed B-panel shared read-only between threads. A C element's
+//!   k-summation happens inside one microkernel call whatever band it falls
+//!   in, so the banding never shows in the output bits.
 //!
 //! Packing is also where operand *layout adapters* live, so the specialized
 //! entry points cost nothing extra:
@@ -35,7 +37,7 @@
 use crate::complex::{c64, Complex64};
 use crate::dense::Matrix;
 use crate::flops;
-use rayon::prelude::*;
+use crate::par;
 
 /// Rows of C held in registers by the microkernel. With `NR = 4` the tile is
 /// 16 complex accumulators = 32 f64 — exactly the 16 × 256-bit register file
@@ -51,7 +53,12 @@ pub const KC: usize = 256;
 pub const NC: usize = 1024;
 
 /// Below this many complex multiply-adds the product stays single-threaded.
-const PAR_THRESHOLD: usize = 64 * 64 * 64;
+/// The same number is the level rule of the layers above (DESIGN.md
+/// "Parallelism"): a GF phase whose block products stay below it fans its
+/// grid points out over [`crate::par`]; at or above it the points run in
+/// sequence and these products band-split instead, so only one point's RGF
+/// working set is live at a time.
+pub const PAR_THRESHOLD: usize = 64 * 64 * 64;
 
 /// Below this many complex multiply-adds (or when a dimension cannot fill a
 /// register tile) the naive kernel wins: packing costs `O(mk + kn)` writes
@@ -287,24 +294,20 @@ pub fn batched_gemm_acc(
         }
     };
     if per * batch >= PAR_THRESHOLD && batch > 1 {
-        // Chunks of consecutive items per rayon task: each task reuses its
+        // Chunks of consecutive items per task: each task reuses its
         // thread's pooled packing buffers across the whole chunk.
-        let chunk = batch
-            .div_ceil(rayon::current_num_threads().max(1) * 4)
-            .max(1);
-        out.par_chunks_mut(chunk * m * n)
-            .enumerate()
-            .for_each(|(ci, oc)| {
-                let t0 = ci * chunk;
-                for (ti, ot) in oc.chunks_mut(m * n).enumerate() {
-                    let t = t0 + ti;
-                    item(
-                        &a[t * m * k..(t + 1) * m * k],
-                        &b[t * k * n..(t + 1) * k * n],
-                        ot,
-                    );
-                }
-            });
+        let chunk = batch.div_ceil(par::width() * 4).max(1);
+        par::for_each_chunk_mut(out, chunk * m * n, |ci, oc| {
+            let t0 = ci * chunk;
+            for (ti, ot) in oc.chunks_mut(m * n).enumerate() {
+                let t = t0 + ti;
+                item(
+                    &a[t * m * k..(t + 1) * m * k],
+                    &b[t * k * n..(t + 1) * k * n],
+                    ot,
+                );
+            }
+        });
     } else {
         for t in 0..batch {
             item(
@@ -824,7 +827,7 @@ fn pack_b(src: PanelB<'_>, pc: usize, kc: usize, jc: usize, nc: usize, buf: &mut
 }
 
 /// Thread-local pool of packing buffers: `take`/`give` instead of a held
-/// borrow so nested GEMMs on a work-stealing rayon thread can't double-borrow.
+/// borrow, so a GEMM nested inside another's checkout window can't double-borrow.
 mod pack_pool {
     use crate::complex::Complex64;
     use std::cell::RefCell;
@@ -889,8 +892,8 @@ fn maybe_timed<const INSTRUMENT: bool, R>(
 }
 
 /// Blocked driver: `out[m x n] += scale · A @ B` with A/B read through their
-/// packing adapters. `parallel` distributes MC-aligned row bands of C over
-/// the rayon pool; the packed B-panel is shared read-only.
+/// packing adapters. `parallel` distributes MR-aligned row bands of C over
+/// [`par`]; the packed B-panel is shared read-only.
 #[allow(clippy::too_many_arguments)]
 fn gemm_blocked<const INSTRUMENT: bool>(
     m: usize,
@@ -902,11 +905,10 @@ fn gemm_blocked<const INSTRUMENT: bool>(
     scale: Complex64,
     parallel: bool,
 ) {
-    let nthreads = rayon::current_num_threads().max(1);
-    // Band height: enough bands to feed every worker, MR-aligned, at most MC
+    // Band height: enough bands to feed every thread, MR-aligned, at most MC
     // so the packed A-panel stays L2-resident.
     let band_rows = if parallel {
-        m.div_ceil(nthreads).next_multiple_of(MR).clamp(MR, MC)
+        m.div_ceil(par::width()).next_multiple_of(MR).clamp(MR, MC)
     } else {
         m
     };
@@ -923,24 +925,22 @@ fn gemm_blocked<const INSTRUMENT: bool>(
             });
             let b_pack: &[f64] = &b_buf;
             if parallel && m > band_rows {
-                out.par_chunks_mut(band_rows * n)
-                    .enumerate()
-                    .for_each(|(t, band)| {
-                        let ic = t * band_rows;
-                        let mc = band.len() / n;
-                        process_band::<INSTRUMENT>(
-                            a,
-                            ic,
-                            mc,
-                            pc,
-                            kc,
-                            nc,
-                            b_pack,
-                            &mut band[jc..],
-                            n,
-                            scale,
-                        );
-                    });
+                par::for_each_chunk_mut(out, band_rows * n, |t, band| {
+                    let ic = t * band_rows;
+                    let mc = band.len() / n;
+                    process_band::<INSTRUMENT>(
+                        a,
+                        ic,
+                        mc,
+                        pc,
+                        kc,
+                        nc,
+                        b_pack,
+                        &mut band[jc..],
+                        n,
+                        scale,
+                    );
+                });
             } else {
                 let mut ic = 0;
                 while ic < m {

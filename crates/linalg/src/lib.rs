@@ -5,8 +5,9 @@
 //! register-tiled GEMM (see [`gemm`] and DESIGN.md "GEMM substrate"), batched
 //! small GEMMs (the SSE hot loop), LU factorization (RGF block inverses), CSR
 //! sparse kernels (the Table 6 design space), block tri-diagonal containers,
-//! N-D tensors with layout permutation, and global flop accounting (our
-//! substitute for the paper's `nvprof` counts).
+//! N-D tensors with layout permutation, global flop accounting (our
+//! substitute for the paper's `nvprof` counts), and [`par`] — the one
+//! thread fan-out every layer above shares.
 
 pub mod block_tridiag;
 pub mod complex;
@@ -16,6 +17,7 @@ pub mod eig;
 pub mod flops;
 pub mod gemm;
 pub mod lu;
+pub mod par;
 pub mod tensor;
 pub mod workspace;
 

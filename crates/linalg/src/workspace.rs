@@ -14,13 +14,13 @@
 //! working set) perform zero hot-path allocations.
 //!
 //! Discipline: buffers must be returned (`give*`) on the **same thread**
-//! that took them. Rayon worker bodies satisfy this naturally — a closure
-//! runs start-to-finish on one worker — while data that escapes the worker
-//! (gathered spectral tensors, SSE partial sums) must stay on the regular
-//! heap. Each call acquires and releases the thread-local `RefCell`
-//! immediately, so nested parallelism inside a checkout window (e.g. a
-//! parallel GEMM stealing another point's task onto this thread) cannot
-//! observe a held borrow.
+//! that took them. [`crate::par`] task bodies satisfy this naturally — a
+//! task runs start-to-finish on one thread — while data that escapes the
+//! task (gathered spectral tensors, SSE partial sums) must stay on the
+//! regular heap. `par`'s helper threads are persistent, so their arenas
+//! warm up once and stay warm across phases and iterations. Each call
+//! acquires and releases the thread-local `RefCell` immediately, so a
+//! kernel nested inside a checkout window cannot observe a held borrow.
 
 use crate::complex::Complex64;
 use crate::dense::Matrix;

@@ -52,6 +52,33 @@ proptest! {
     }
 
     #[test]
+    fn banding_never_shows_in_the_bits(
+        m in 65usize..200,
+        k in 64usize..80,
+        n in 64usize..80,
+        seed in any::<u64>(),
+    ) {
+        // Above the parallel threshold C splits into row bands sized by the
+        // thread count; under `par::sequential` the same product runs as
+        // MC-high bands on one thread. A C element's k-sum lives inside one
+        // microkernel call either way, so ragged `m` (bands that are not a
+        // multiple of MR, a short last band) must agree bit for bit.
+        let a = cvec(seed, m * k);
+        let b = cvec(seed ^ 5, k * n);
+        let base = cvec(seed ^ 6, m * n);
+        let mut banded = base.clone();
+        let mut unbanded = base;
+        gemm::gemm_blocked_acc(m, k, n, &a, &b, &mut banded);
+        qt_linalg::par::sequential(|| gemm::gemm_blocked_acc(m, k, n, &a, &b, &mut unbanded));
+        for (i, (x, y)) in banded.iter().zip(&unbanded).enumerate() {
+            prop_assert!(
+                x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
+                "{m}x{k}x{n}: element {i} differs"
+            );
+        }
+    }
+
+    #[test]
     fn dispatcher_matches_naive(
         m in 1usize..40,
         k in 1usize..40,

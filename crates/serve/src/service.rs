@@ -216,7 +216,12 @@ fn worker_loop(shared: Arc<Shared>, rx: Receiver<Job>, wd: crate::watchdog::Watc
             continue;
         }
         journal::set_thread_unit(job.id as i64);
-        let status = run_sweep(&shared, &wd, &job);
+        let status = {
+            // While it solves a request this worker is a top-level compute
+            // thread and takes its core out of the `par` budget.
+            let _lane = qt_linalg::par::lane();
+            run_sweep(&shared, &wd, &job)
+        };
         journal::set_thread_unit(-1);
         settle(&shared, &job, &status);
         let _ = job.resp.send(SweepResponse { id: job.id, status });

@@ -6,7 +6,7 @@
 //! source of truth those comparisons flow through:
 //!
 //! * [`counters`] — the one table that names every counter, and the
-//!   per-thread sharded storage behind `add`/`total`/`local` (rayon-safe,
+//!   per-thread sharded storage behind `add`/`total`/`local` (thread-safe,
 //!   no cross-thread cache-line contention on the hot path), plus
 //!   dedicated hot-section timers for the blocked-GEMM pack/microkernel
 //!   split.
@@ -32,7 +32,7 @@
 //!
 //! Attribution modes: [`span::Span::enter_global`] measures deltas of the
 //! *summed* counters and is correct for sequential orchestration phases
-//! (the SCF loop body), even when the phase fans out over rayon
+//! (the SCF loop body), even when the phase fans out over threads
 //! internally. [`span::Span::enter`] measures deltas of the *calling
 //! thread's* counters and is the right tool inside parallel worker bodies
 //! (per-energy-point `rgf`/`contour`), where it reports aggregate busy

@@ -77,7 +77,7 @@ impl Span {
     /// Open a span with *global* counter attribution: the delta of the
     /// summed counters across all threads. Correct for sequential
     /// orchestration phases (the SCF loop body, one SSE pass) that fan
-    /// out over rayon internally; two `enter_global` spans must not run
+    /// out over threads internally; two `enter_global` spans must not run
     /// concurrently on different threads.
     pub fn enter_global(path: &'static str) -> Span {
         if !enabled() {
