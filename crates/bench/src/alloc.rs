@@ -1,4 +1,4 @@
-//! Counting global allocator (feature `count-alloc`).
+//! Counting global allocator.
 //!
 //! Wraps [`System`] and feeds every allocation into the `alloc.bytes` /
 //! `alloc.count` telemetry counters, so `reproduce profile` can attribute
@@ -7,7 +7,8 @@
 //! are not tracked — the interesting signal is allocation *pressure*, and
 //! the hot-path counters must stay monotone for per-iteration deltas.
 //!
-//! Binaries and test harnesses opt in explicitly:
+//! Always compiled; it counts only in a process that installed it.
+//! `reproduce` and the allocation-regression test binaries do:
 //!
 //! ```ignore
 //! #[global_allocator]

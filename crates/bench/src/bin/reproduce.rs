@@ -32,10 +32,9 @@ use qt_model::{optimal_tiling, PIZ_DAINT, SUMMIT};
 use qt_telemetry::{counters, Block, Counter};
 use std::time::Instant;
 
-/// With `count-alloc`, every heap allocation of this binary flows into the
-/// `alloc.bytes` / `alloc.count` telemetry counters, so `profile` can show
-/// the cold-vs-warm allocator gap per SCF iteration.
-#[cfg(feature = "count-alloc")]
+/// Every heap allocation of this binary flows into the `alloc.bytes` /
+/// `alloc.count` telemetry counters, so `profile` can show the
+/// cold-vs-warm allocator gap per SCF iteration.
 #[global_allocator]
 static ALLOC: qt_bench::alloc::CountingAllocator = qt_bench::alloc::CountingAllocator;
 
@@ -54,15 +53,6 @@ fn parse_args<'a>(
         eprintln!("{usage}");
         std::process::exit(2);
     })
-}
-
-/// A flag that only works in a `fault-inject` build: in any other build,
-/// giving it is a usage error.
-fn needs_fault_inject(flag: &str, given: bool) {
-    if given && !cfg!(feature = "fault-inject") {
-        eprintln!("{flag} requires building with --features fault-inject");
-        std::process::exit(2);
-    }
 }
 
 /// `key value, key value, …` for every counter `rep` carries under
@@ -772,7 +762,6 @@ fn profile(flags: &[String]) {
     let metrics_path = f.str("--metrics-out");
     let mut postmortem_path = f.str("--postmortem");
     let chaos_kill = f.int("--chaos-kill");
-    needs_fault_inject("--chaos-kill", chaos_kill.is_some());
     if chaos_kill.is_some() && postmortem_path.is_none() {
         postmortem_path = Some("POSTMORTEM.json");
     }
@@ -902,7 +891,6 @@ fn profile(flags: &[String]) {
     // let the elastic supervisor ride the recovery. The flight recorder
     // captures the HeartbeatTimeout -> RankDeath -> Retile chain, which
     // lands in the postmortem dump below.
-    #[cfg(feature = "fault-inject")]
     let chaos_outcome = chaos_kill.map(|victim| {
         let procs = te * ta;
         assert!(
@@ -1160,7 +1148,6 @@ fn profile(flags: &[String]) {
     // Postmortem: a supervisor-observed rank death or a degraded
     // completion drains the flight recorder into a versioned dump with
     // the final report snapshot attached.
-    #[cfg(feature = "fault-inject")]
     if let Some(el) = &chaos_outcome {
         if !el.deaths.is_empty() || el.degraded {
             let path = postmortem_path.unwrap_or("POSTMORTEM.json");
@@ -1244,7 +1231,6 @@ fn serve_cmd(flags: &[String]) {
     let diverge_point = f.int("--diverge-point");
     let report_path = f.str("--report");
     let postmortem_path = f.str("--postmortem");
-    needs_fault_inject("--chaos-kill", chaos_kill.is_some());
 
     println!("== serve: fault-tolerant batched sweep service ==");
     qt_telemetry::reset_all();
@@ -1849,7 +1835,7 @@ fn scenario_error_tag(e: &qt_scenario::ScenarioError) -> &'static str {
 ///    tolerance the record itself states, and the quarantine fingerprint
 ///    must match exactly (disordered scenarios must quarantine at least
 ///    one point and report it honestly);
-///  - chaos matrix (`--chaos`, fault-inject builds): each clean scenario
+///  - chaos matrix (`--chaos`): each clean scenario
 ///    re-runs through the service with a mid-sweep rank kill; recovery
 ///    must be bitwise invisible against both the in-process fault-free
 ///    service run and the golden service record.
@@ -1874,7 +1860,6 @@ fn corpus_cmd(flags: &[String]) {
     let chaos = f.has("--chaos");
     let only: Option<Vec<&str>> = f.str("--scenarios").map(|list| list.split(',').collect());
     let report_path = f.str("--report");
-    needs_fault_inject("--chaos", chaos);
 
     println!("== corpus: golden-result scenario zoo ==");
     qt_telemetry::reset_all();
@@ -1940,7 +1925,7 @@ fn corpus_cmd(flags: &[String]) {
     println!("-- golden runs --");
     let selected = |name: &str| only.as_ref().is_none_or(|o| o.contains(&name));
     // Built scenarios kept for the chaos tier (clean ones only).
-    let mut chaos_queue: Vec<(qt_scenario::BuiltScenario, Vec<CorpusPoint>)> = Vec::new();
+    let mut chaos_queue: Vec<qt_scenario::BuiltScenario> = Vec::new();
     for path in toml_files("scenarios") {
         let src = std::fs::read_to_string(&path).unwrap_or_else(|e| {
             eprintln!("cannot read {}: {e}", path.display());
@@ -2048,7 +2033,6 @@ fn corpus_cmd(flags: &[String]) {
             .join("golden")
             .join(format!("{name}.json"));
         if write_golden {
-            #[cfg_attr(not(feature = "fault-inject"), allow(unused_mut))]
             let mut obj = vec![
                 ("scenario".to_string(), Json::Str(name.clone())),
                 (
@@ -2087,8 +2071,7 @@ fn corpus_cmd(flags: &[String]) {
                     ),
                 ),
             ];
-            #[cfg(feature = "fault-inject")]
-            if chaos && built.disorder.is_none() {
+            if built.disorder.is_none() {
                 let service = corpus_service_sweep(&built, None, &mut failures);
                 obj.push((
                     "service".to_string(),
@@ -2122,15 +2105,14 @@ fn corpus_cmd(flags: &[String]) {
             }
         }
         if built.disorder.is_none() {
-            chaos_queue.push((built, points));
+            chaos_queue.push(built);
         }
     }
 
-    // ---- Tier 2: chaos matrix (fault-inject builds only). ----
-    #[cfg(feature = "fault-inject")]
+    // ---- Tier 2: chaos matrix. ----
     if chaos && !write_golden {
         println!("-- chaos matrix: mid-sweep rank kill per scenario --");
-        for (built, _) in &chaos_queue {
+        for built in &chaos_queue {
             let name = built.scenario.name.clone();
             let reference = corpus_service_sweep(built, None, &mut failures);
             let killed = corpus_service_sweep(built, Some(1), &mut failures);
@@ -2181,7 +2163,7 @@ fn corpus_cmd(flags: &[String]) {
                     }
                     _ => failures.push(format!(
                         "{name}: golden record has no matching service block — \
-                         regenerate with --write-golden --chaos"
+                         regenerate with --write-golden"
                     )),
                 },
                 None => failures.push(format!(
@@ -2196,7 +2178,6 @@ fn corpus_cmd(flags: &[String]) {
             }
         }
     }
-    let _ = &chaos_queue;
 
     if let Some(path) = report_path {
         let rep = qt_telemetry::TelemetryReport::from_current();
@@ -2347,7 +2328,6 @@ fn compare_golden(
 /// killing a pool rank mid-sweep. A single worker keeps the warm-start
 /// deposit order deterministic, so two runs of the same sweep are
 /// bitwise comparable.
-#[cfg(feature = "fault-inject")]
 fn corpus_service_sweep(
     built: &qt_scenario::BuiltScenario,
     kill_rank: Option<usize>,

@@ -1,7 +1,6 @@
 //! Shared fixtures for the benchmark harness: reduced-scale devices whose
 //! structure matches the paper's evaluation configurations.
 
-#[cfg(feature = "count-alloc")]
 pub mod alloc;
 pub mod cli;
 

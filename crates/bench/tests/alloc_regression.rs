@@ -1,5 +1,5 @@
-//! Allocation-regression smoke (feature `count-alloc`): steady-state SCF
-//! iterations must stay off the allocator's hot path.
+//! Allocation-regression smoke: steady-state SCF iterations must stay off
+//! the allocator's hot path.
 //!
 //! This lives in its own test binary because the telemetry counters are
 //! process-global — concurrent tests would pollute the per-iteration
@@ -8,7 +8,6 @@
 //! arena warms up on one deterministic thread; its twin lets the phases
 //! fan out, where the arenas of the persistent `par` helpers must be just
 //! as warm (the counters sum over every thread).
-#![cfg(feature = "count-alloc")]
 
 use qt_core::params::SimParams;
 use qt_core::scf::{run_scf, ScfConfig, ScfResult, Simulation};
@@ -31,7 +30,7 @@ fn check_warm_iterations(first_warm: usize, scf: impl FnOnce() -> ScfResult) {
     let cold = &out.trajectory[0];
     assert!(
         cold.alloc_bytes > 0,
-        "counting allocator must be active under --features count-alloc"
+        "this binary installs the counting allocator"
     );
     assert!(
         cold.boundary_misses > 0,

@@ -1,7 +1,6 @@
-//! Allocation-regression smoke for the sparse RGF path (feature
-//! `count-alloc`): warm solves through the auto-selector must serve every
-//! scratch buffer — dense workspace *and* pooled CSR storage — from the
-//! arenas.
+//! Allocation-regression smoke for the sparse RGF path: warm solves
+//! through the auto-selector must serve every scratch buffer — dense
+//! workspace *and* pooled CSR storage — from the arenas.
 //!
 //! Separate test binary from `alloc_regression` for the same reason that
 //! one documents: the telemetry counters are process-global, so the
@@ -9,7 +8,6 @@
 //! One test solves under `par::sequential`, so the arenas warm up on one
 //! deterministic thread; its twin solves 64-wide blocks, whose dense
 //! products band-split onto the `par` helpers and their pack pools.
-#![cfg(feature = "count-alloc")]
 
 use qt_core::rgf::{self, KernelSelector, MultiplyStrategy};
 use qt_linalg::par;
@@ -69,7 +67,7 @@ fn check_warm_solves(bs: usize, sequential: bool) {
         assert!(cold_fresh > 0, "cold solve must populate the arenas");
         assert!(
             cold_bytes > 0,
-            "counting allocator must be active under --features count-alloc"
+            "this binary installs the counting allocator"
         );
         for warm in 1..=3u32 {
             let fresh0 = counters::total(Counter::WsFresh);

@@ -1,14 +1,13 @@
-//! Chaos tests at the harness level (feature `fault-inject`): a faulty
-//! distributed iteration must survive, match the fault-free answer, and
-//! leave a telemetry report whose health block records the recovery work —
-//! the in-process equivalent of `check-report --require health`. The
-//! rank-kill tests go further: a seeded mid-exchange death must either
-//! ride elastic recovery to a bitwise-exact result or complete degraded
-//! with an honest coverage report — never hang, never silently drift.
+//! Chaos tests at the harness level: a faulty distributed iteration must
+//! survive, match the fault-free answer, and leave a telemetry report
+//! whose health block records the recovery work — the in-process
+//! equivalent of `check-report --require health`. The rank-kill tests go
+//! further: a seeded mid-exchange death must either ride elastic recovery
+//! to a bitwise-exact result or complete degraded with an honest coverage
+//! report — never hang, never silently drift.
 //!
 //! The kill tests' tile grid is parameterized by `QT_CHAOS_WORLD`
 //! (2, 4, or 8 ranks; default 4) so CI can sweep world sizes.
-#![cfg(feature = "fault-inject")]
 
 use std::sync::Mutex;
 use std::time::Duration;

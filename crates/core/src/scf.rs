@@ -259,8 +259,8 @@ pub struct IterationRecord {
     /// Electrical current after this iteration.
     pub current: f64,
     /// Bytes obtained from the global allocator during this iteration
-    /// (0 unless a counting allocator is installed, e.g. qt-bench's
-    /// `count-alloc` feature).
+    /// (0 unless the process installed a counting allocator, e.g.
+    /// `qt_bench::alloc::CountingAllocator`).
     pub alloc_bytes: u64,
     /// Workspace-pool misses (fresh buffer allocations) this iteration.
     pub ws_fresh: u64,

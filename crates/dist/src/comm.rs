@@ -10,13 +10,14 @@
 //! pair of ranks has its own FIFO channel, so point-to-point ordering is
 //! MPI-like. Sends are non-blocking (unbounded channels); receives block.
 //!
-//! With the `fault-inject` feature a world can carry a
-//! [`crate::fault::FaultPlan`]: every remote transmission then goes through
-//! a reliable-delivery protocol (checksummed frames, sender-side
-//! retransmission with exponential backoff, receiver-side timeout and
-//! discard of corrupted frames). Worlds without a plan — including every
-//! world built by [`ThreadComm::world`] — take exactly the fault-free path,
-//! so the byte-accounting model stays exact.
+//! There is one wire path, and what it does is decided by what the world
+//! carries. A world built with a [`crate::fault::FaultPlan`] sends every
+//! remote transmission through a reliable-delivery protocol (checksummed
+//! frames, sender-side retransmission with exponential backoff,
+//! receiver-side timeout and discard of corrupted frames). A world built
+//! with `None` delivers each frame cleanly on its only wire attempt — no
+//! checksum computed, no retransmission possible — so the byte-accounting
+//! model stays exact.
 //!
 //! ## Liveness and elasticity
 //!
@@ -41,7 +42,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-#[cfg(feature = "fault-inject")]
 use crate::fault::{self, FaultAction, FaultPlan};
 use qt_telemetry::counters::{self, Counter};
 
@@ -124,12 +124,9 @@ impl Default for LivenessConfig {
 /// Bytes per payload element.
 pub const ELEM_BYTES: u64 = 16;
 
-#[cfg(not(feature = "fault-inject"))]
-type Payload = (u64, Vec<Complex64>);
-/// `(tag, data, checksum)` — the checksum is 0 and ignored unless the
-/// world carries a fault plan.
-#[cfg(feature = "fault-inject")]
-type Payload = (u64, Vec<Complex64>, u64);
+/// One frame on the wire: `(tag, data, checksum)` — the checksum is 0 and
+/// ignored unless the world carries a fault plan.
+type Frame = (u64, Vec<Complex64>, u64);
 
 /// Monotone world id: every world instance (including each survivor world
 /// built during elastic recovery) salts its trace flow ids with a fresh
@@ -142,7 +139,7 @@ struct WorldInner {
     /// This world's flow-id salt (see [`WORLD_SALT`]).
     salt: u64,
     /// `senders[dst][src]` sends into `receivers`' matching channel.
-    senders: Vec<Vec<Sender<Payload>>>,
+    senders: Vec<Vec<Sender<Frame>>>,
     /// Bytes sent per rank.
     sent: Vec<AtomicU64>,
     /// Bytes received per rank.
@@ -159,9 +156,9 @@ struct WorldInner {
     /// Original (pre-shrink) rank identity per world slot; `identity[i]
     /// == i` for worlds that never lost a rank.
     identity: Vec<usize>,
-    /// Installed fault schedule; `None` means the fault-free fast path.
-    #[cfg(feature = "fault-inject")]
-    plan: Option<Arc<FaultPlan>>,
+    /// Installed fault schedule; `None` means every frame is delivered
+    /// cleanly on its first and only wire attempt.
+    plan: Option<FaultPlan>,
 }
 
 /// One rank's endpoint.
@@ -169,7 +166,7 @@ pub struct ThreadComm {
     rank: usize,
     world: Arc<WorldInner>,
     /// `receivers[src]` yields messages sent by `src` to this rank.
-    receivers: Vec<Receiver<Payload>>,
+    receivers: Vec<Receiver<Frame>>,
     /// Generation of the last `try_barrier` this rank entered.
     barrier_gen: Cell<u64>,
     /// Per-destination ordinal of the next *cleanly delivered* outbound
@@ -182,60 +179,32 @@ pub struct ThreadComm {
     flow_in: RefCell<Vec<u64>>,
     /// Per-destination ordinal of the next logical message, the `msg_idx`
     /// fed to the deterministic fault schedule. Single-threaded per rank.
-    #[cfg(feature = "fault-inject")]
     msg_seq: RefCell<Vec<u64>>,
     /// Outbound ordinal at which this rank's process dies (from the
     /// plan's `kill_at` schedule, matched by original identity).
-    #[cfg(feature = "fault-inject")]
     kill_at: Option<u64>,
     /// Total elastic sends attempted so far (the kill ordinal clock).
-    #[cfg(feature = "fault-inject")]
     total_sends: Cell<u64>,
     /// Set once the kill fired: the rank transmits nothing ever again.
-    #[cfg(feature = "fault-inject")]
     killed: Cell<bool>,
 }
 
 impl ThreadComm {
-    /// Create a world of `n` ranks; returns one endpoint per rank.
-    pub fn world(n: usize) -> Vec<ThreadComm> {
-        #[cfg(feature = "fault-inject")]
-        return Self::build((0..n).collect(), None);
-        #[cfg(not(feature = "fault-inject"))]
-        Self::build((0..n).collect())
-    }
-
-    /// Create a world whose remote traffic runs under `plan`'s fault
-    /// schedule and recovery protocol.
-    #[cfg(feature = "fault-inject")]
-    pub fn world_with_faults(n: usize, plan: FaultPlan) -> Vec<ThreadComm> {
-        Self::build((0..n).collect(), Some(Arc::new(plan)))
+    /// Create a world of `n` ranks; returns one endpoint per rank. With a
+    /// `plan`, remote traffic runs under its fault schedule and recovery
+    /// protocol.
+    pub fn world(n: usize, plan: Option<FaultPlan>) -> Vec<ThreadComm> {
+        Self::elastic_world((0..n).collect(), plan)
     }
 
     /// Create a survivor world: slot `i` carries the original rank id
-    /// `identity[i]`, so death reports and kill schedules keep referring
-    /// to pre-shrink identities across recovery attempts.
-    pub fn elastic_world(identity: Vec<usize>) -> Vec<ThreadComm> {
-        #[cfg(feature = "fault-inject")]
-        return Self::build(identity, None);
-        #[cfg(not(feature = "fault-inject"))]
-        Self::build(identity)
-    }
-
-    /// A survivor world under `plan` (kills matched by original identity).
-    #[cfg(feature = "fault-inject")]
-    pub fn elastic_world_with_faults(identity: Vec<usize>, plan: FaultPlan) -> Vec<ThreadComm> {
-        Self::build(identity, Some(Arc::new(plan)))
-    }
-
-    fn build(
-        identity: Vec<usize>,
-        #[cfg(feature = "fault-inject")] plan: Option<Arc<FaultPlan>>,
-    ) -> Vec<ThreadComm> {
+    /// `identity[i]`, so death reports and the plan's kill schedule keep
+    /// referring to pre-shrink identities across recovery attempts.
+    pub fn elastic_world(identity: Vec<usize>, plan: Option<FaultPlan>) -> Vec<ThreadComm> {
         let n = identity.len();
         assert!(n > 0);
         let mut senders = vec![Vec::with_capacity(n); n];
-        let mut receivers: Vec<Vec<Receiver<Payload>>> = (0..n).map(|_| Vec::new()).collect();
+        let mut receivers: Vec<Vec<Receiver<Frame>>> = (0..n).map(|_| Vec::new()).collect();
         for dst in 0..n {
             for _src in 0..n {
                 let (tx, rx) = unbounded();
@@ -254,34 +223,25 @@ impl ThreadComm {
             dead: (0..n).map(|_| AtomicBool::new(false)).collect(),
             arrivals: (0..n).map(|_| AtomicU64::new(0)).collect(),
             identity,
-            #[cfg(feature = "fault-inject")]
             plan,
         });
         receivers
             .into_iter()
             .enumerate()
-            .map(|(rank, rxs)| {
-                #[cfg(feature = "fault-inject")]
-                let kill_at = inner
+            .map(|(rank, rxs)| ThreadComm {
+                rank,
+                world: inner.clone(),
+                receivers: rxs,
+                barrier_gen: Cell::new(0),
+                flow_out: RefCell::new(vec![0; n]),
+                flow_in: RefCell::new(vec![0; n]),
+                msg_seq: RefCell::new(vec![0; n]),
+                kill_at: inner
                     .plan
                     .as_ref()
-                    .and_then(|p| p.kill_for(inner.identity[rank]));
-                ThreadComm {
-                    rank,
-                    world: inner.clone(),
-                    receivers: rxs,
-                    barrier_gen: Cell::new(0),
-                    flow_out: RefCell::new(vec![0; n]),
-                    flow_in: RefCell::new(vec![0; n]),
-                    #[cfg(feature = "fault-inject")]
-                    msg_seq: RefCell::new(vec![0; n]),
-                    #[cfg(feature = "fault-inject")]
-                    kill_at,
-                    #[cfg(feature = "fault-inject")]
-                    total_sends: Cell::new(0),
-                    #[cfg(feature = "fault-inject")]
-                    killed: Cell::new(false),
-                }
+                    .and_then(|p| p.kill_for(inner.identity[rank])),
+                total_sends: Cell::new(0),
+                killed: Cell::new(false),
             })
             .collect()
     }
@@ -382,56 +342,46 @@ impl ThreadComm {
         }
     }
 
-    /// Point-to-point send (non-blocking). Self-sends are allowed and do
-    /// not count toward network bytes.
-    pub fn send(&self, dst: usize, tag: u64, data: Vec<Complex64>) {
-        #[cfg(feature = "fault-inject")]
-        if let Some(plan) = &self.world.plan {
-            let plan = plan.clone();
-            self.send_with_plan(&plan, dst, tag, data);
-            return;
-        }
-        let bytes = data.len() as u64 * ELEM_BYTES;
-        if dst != self.rank {
-            self.world.sent[self.rank].fetch_add(bytes, Ordering::Relaxed);
+    /// Single accounting point for network traffic: one wire attempt of
+    /// `bytes` left this rank's NIC and, unless it was lost in transit,
+    /// `arrived` at `dst`. Phase spans and the telemetry report read the
+    /// same byte stream the per-rank counters feed.
+    fn account_wire(&self, dst: usize, bytes: u64, arrived: bool) {
+        self.world.sent[self.rank].fetch_add(bytes, Ordering::Relaxed);
+        if arrived {
             self.world.received[dst].fetch_add(bytes, Ordering::Relaxed);
-            // Single accounting point for network traffic: phase spans and
-            // the telemetry report read the same byte stream the
-            // per-rank counters feed.
-            counters::add(Counter::Bytes, bytes);
-            // Flow start strictly precedes the channel push so the paired
-            // finish can never carry an earlier timestamp.
-            self.note_clean_send(dst, tag);
         }
-        self.world.senders[dst][self.rank]
-            .send(Self::frame(tag, data))
-            .expect("receiver alive");
+        counters::add(Counter::Bytes, bytes);
     }
 
-    #[cfg(not(feature = "fault-inject"))]
-    #[inline]
-    fn frame(tag: u64, data: Vec<Complex64>) -> Payload {
-        (tag, data)
+    /// Hand `frame` to `dst`'s channel. The destination's receivers are
+    /// dropped when its closure unwinds, so a closed channel is death
+    /// evidence.
+    fn push(&self, dst: usize, frame: Frame) -> Result<(), CommError> {
+        self.world.senders[dst][self.rank].send(frame).map_err(|_| {
+            self.declare_dead(dst);
+            CommError::RankDeath {
+                rank: self.identity_of(dst),
+                epoch: self.epoch_of(dst),
+            }
+        })
     }
 
-    #[cfg(feature = "fault-inject")]
-    #[inline]
-    fn frame(tag: u64, data: Vec<Complex64>) -> Payload {
-        (tag, data, 0)
+    /// A clean frame goes out to a remote `dst`: account its bytes, open
+    /// its trace flow arc, push it. Flow start strictly precedes the
+    /// channel push so the paired finish can never carry an earlier
+    /// timestamp.
+    fn deliver(&self, dst: usize, frame: Frame) -> Result<(), CommError> {
+        self.account_wire(dst, frame.1.len() as u64 * ELEM_BYTES, true);
+        self.note_clean_send(dst, frame.0);
+        self.push(dst, frame)
     }
 
-    /// Classic wrapper over [`ThreadComm::try_send_with_plan`]: the
-    /// static schemes have no recovery story, so a typed delivery failure
-    /// (or a vanished peer) escalates to a panic.
-    #[cfg(feature = "fault-inject")]
-    fn send_with_plan(&self, plan: &FaultPlan, dst: usize, tag: u64, data: Vec<Complex64>) {
-        if let Err(e) = self.try_send_with_plan(plan, dst, tag, data) {
-            panic!("{e}");
-        }
-    }
-
-    /// Reliable send under a fault plan: each wire attempt rolls the
-    /// deterministic schedule; drops and corruptions trigger a
+    /// The one wire path under [`ThreadComm::send`] and
+    /// [`ThreadComm::try_send`]. Self-sends never cross the network: no
+    /// faults, no bytes. A plan-less world delivers every frame cleanly
+    /// on its only attempt. Under a fault plan each wire attempt rolls
+    /// the deterministic schedule; drops and corruptions trigger a
     /// backed-off retransmission, and (under `guarantee_delivery`) the
     /// final attempt always carries the clean frame — so the receiver
     /// obtains the exact payload a fault-free run would. The retransmit
@@ -439,90 +389,51 @@ impl ThreadComm {
     /// sender surfaces [`CommError::DeliveryFailed`] instead of backing
     /// off forever, and a destination whose endpoint is gone surfaces
     /// [`CommError::RankDeath`] immediately.
-    #[cfg(feature = "fault-inject")]
-    fn try_send_with_plan(
-        &self,
-        plan: &FaultPlan,
-        dst: usize,
-        tag: u64,
-        data: Vec<Complex64>,
-    ) -> Result<(), CommError> {
+    fn transmit(&self, dst: usize, tag: u64, data: Vec<Complex64>) -> Result<(), CommError> {
         if dst == self.rank {
-            // Self-sends never cross the network: no faults, no bytes.
-            self.world.senders[dst][self.rank]
-                .send((tag, data, 0))
-                .expect("own receiver alive");
-            return Ok(());
+            return self.push(dst, (tag, data, 0));
         }
-        self.heartbeat();
+        let Some(plan) = &self.world.plan else {
+            return self.deliver(dst, (tag, data, 0));
+        };
         let msg_idx = {
             let mut seq = self.msg_seq.borrow_mut();
             let idx = seq[dst];
             seq[dst] += 1;
             idx
         };
-        let dead_dst = |comm: &Self| {
-            comm.declare_dead(dst);
-            CommError::RankDeath {
-                rank: comm.identity_of(dst),
-                epoch: comm.epoch_of(dst),
-            }
-        };
         let bytes = data.len() as u64 * ELEM_BYTES;
         let cksum = fault::checksum(&data);
         let max = plan.retry.max_attempts.max(1);
-        let mut payload = Some(data);
         for attempt in 0..max {
-            let is_last = attempt + 1 == max;
             self.heartbeat();
-            match plan.decide(self.rank, dst, msg_idx, attempt, is_last) {
-                FaultAction::Drop => {
-                    // The frame left this rank's NIC and vanished: the
-                    // send-side bytes are spent, nothing arrives.
-                    self.world.sent[self.rank].fetch_add(bytes, Ordering::Relaxed);
-                    counters::add(Counter::Bytes, bytes);
-                    counters::add(Counter::HealthCommRetries, 1);
-                    qt_telemetry::journal::emit(qt_telemetry::EventKind::CommRetransmit {
-                        src: self.identity() as u64,
-                        dst: self.identity_of(dst) as u64,
-                        attempt: attempt as u64,
-                    });
-                    std::thread::sleep(plan.retry.backoff(attempt));
-                }
-                FaultAction::Corrupt => {
-                    // A mangled frame arrives (and costs both sides'
-                    // bytes); its checksum is broken so the receiver is
-                    // guaranteed to discard it and keep waiting.
-                    let garbage =
-                        fault::corrupted_copy(payload.as_deref().unwrap(), plan.seed ^ msg_idx);
-                    self.world.sent[self.rank].fetch_add(bytes, Ordering::Relaxed);
-                    self.world.received[dst].fetch_add(bytes, Ordering::Relaxed);
-                    counters::add(Counter::Bytes, bytes);
-                    counters::add(Counter::HealthCommRetries, 1);
-                    qt_telemetry::journal::emit(qt_telemetry::EventKind::CommRetransmit {
-                        src: self.identity() as u64,
-                        dst: self.identity_of(dst) as u64,
-                        attempt: attempt as u64,
-                    });
-                    self.world.senders[dst][self.rank]
-                        .send((tag, garbage, cksum ^ fault::BROKEN_CHECKSUM_XOR))
-                        .map_err(|_| dead_dst(self))?;
-                    std::thread::sleep(plan.retry.backoff(attempt));
-                }
-                action @ (FaultAction::Deliver | FaultAction::Delay) => {
+            let action = plan.decide(self.rank, dst, msg_idx, attempt, attempt + 1 == max);
+            match action {
+                FaultAction::Deliver | FaultAction::Delay => {
                     if action == FaultAction::Delay {
                         std::thread::sleep(plan.delay);
                     }
-                    self.world.sent[self.rank].fetch_add(bytes, Ordering::Relaxed);
-                    self.world.received[dst].fetch_add(bytes, Ordering::Relaxed);
-                    counters::add(Counter::Bytes, bytes);
-                    self.note_clean_send(dst, tag);
-                    self.world.senders[dst][self.rank]
-                        .send((tag, payload.take().expect("delivered once"), cksum))
-                        .map_err(|_| dead_dst(self))?;
-                    return Ok(());
+                    return self.deliver(dst, (tag, data, cksum));
+                }
+                // The frame left this rank's NIC and vanished: the
+                // send-side bytes are spent, nothing arrives.
+                FaultAction::Drop => self.account_wire(dst, bytes, false),
+                // A mangled frame arrives (and costs both sides' bytes);
+                // its checksum is broken so the receiver is guaranteed to
+                // discard it and keep waiting.
+                FaultAction::Corrupt => {
+                    let garbage = fault::corrupted_copy(&data, plan.seed ^ msg_idx);
+                    self.account_wire(dst, bytes, true);
+                    self.push(dst, (tag, garbage, cksum ^ fault::BROKEN_CHECKSUM_XOR))?;
                 }
             }
+            counters::add(Counter::HealthCommRetries, 1);
+            qt_telemetry::journal::emit(qt_telemetry::EventKind::CommRetransmit {
+                src: self.identity() as u64,
+                dst: self.identity_of(dst) as u64,
+                attempt: attempt as u64,
+            });
+            std::thread::sleep(plan.retry.backoff(attempt));
         }
         Err(CommError::DeliveryFailed {
             src: self.identity(),
@@ -532,133 +443,103 @@ impl ThreadComm {
         })
     }
 
+    /// Point-to-point send (non-blocking). Self-sends are allowed and do
+    /// not count toward network bytes. The static schemes have no
+    /// recovery story, so a typed delivery failure (or a vanished peer)
+    /// escalates to a panic.
+    pub fn send(&self, dst: usize, tag: u64, data: Vec<Complex64>) {
+        if let Err(e) = self.transmit(dst, tag, data) {
+            panic!("{e}");
+        }
+    }
+
     /// Elastic point-to-point send. Like [`ThreadComm::send`], but a
     /// destination whose endpoint has vanished yields a typed
     /// [`CommError::RankDeath`] instead of a panic, the plan's `kill_at`
     /// schedule can terminate *this* rank ([`CommError::Killed`]), and a
     /// bounded retransmit loop surfaces [`CommError::DeliveryFailed`].
     pub fn try_send(&self, dst: usize, tag: u64, data: Vec<Complex64>) -> Result<(), CommError> {
-        #[cfg(feature = "fault-inject")]
+        if !self.killed.get()
+            && self
+                .kill_at
+                .is_some_and(|kill| self.total_sends.get() >= kill)
         {
-            if self.killed.get() {
-                return Err(CommError::Killed {
-                    rank: self.identity(),
-                });
-            }
-            if let Some(kill) = self.kill_at {
-                if self.total_sends.get() >= kill {
-                    // The process dies *before* this frame leaves the
-                    // NIC: file its own death certificate (the closing
-                    // TCP connection a real peer would observe) and fall
-                    // silent for the rest of the world run.
-                    self.killed.set(true);
-                    self.declare_dead(self.rank);
-                    return Err(CommError::Killed {
-                        rank: self.identity(),
-                    });
-                }
-            }
-            self.total_sends.set(self.total_sends.get() + 1);
-            if let Some(plan) = &self.world.plan {
-                let plan = plan.clone();
-                return self.try_send_with_plan(&plan, dst, tag, data);
-            }
+            // The process dies *before* this frame leaves the NIC: file
+            // its own death certificate (the closing TCP connection a
+            // real peer would observe) and fall silent for the rest of
+            // the world run.
+            self.killed.set(true);
+            self.declare_dead(self.rank);
         }
+        if self.killed.get() {
+            return Err(CommError::Killed {
+                rank: self.identity(),
+            });
+        }
+        self.total_sends.set(self.total_sends.get() + 1);
         self.heartbeat();
-        let bytes = data.len() as u64 * ELEM_BYTES;
-        if dst != self.rank {
-            self.world.sent[self.rank].fetch_add(bytes, Ordering::Relaxed);
-            self.world.received[dst].fetch_add(bytes, Ordering::Relaxed);
-            counters::add(Counter::Bytes, bytes);
-            self.note_clean_send(dst, tag);
-        }
-        self.world.senders[dst][self.rank]
-            .send(Self::frame(tag, data))
-            .map_err(|_| {
-                // The destination's receivers were dropped when its
-                // closure unwound: death evidence.
-                self.declare_dead(dst);
-                CommError::RankDeath {
-                    rank: self.identity_of(dst),
-                    epoch: self.epoch_of(dst),
-                }
-            })
+        self.transmit(dst, tag, data)
     }
 
-    /// Blocking receive of the next message from `src`; asserts the tag
-    /// matches (protocols here are deterministic).
-    pub fn recv(&self, src: usize, tag: u64) -> Vec<Complex64> {
-        #[cfg(feature = "fault-inject")]
-        if let Some(plan) = &self.world.plan {
-            let plan = plan.clone();
-            return self.recv_with_plan(&plan, src, tag);
+    /// The one accept path under [`ThreadComm::recv`],
+    /// [`ThreadComm::try_recv`] and [`ThreadComm::poll_recv`]: the payload
+    /// of `frame`, or `None` for a frame corrupted in transit — the
+    /// sender counted the fault and its retransmission is already on the
+    /// way. Only a remote frame of a world under a fault plan carries a
+    /// checksum to verify. Asserts the tag (protocols here are
+    /// deterministic) and closes the frame's send→recv flow arc.
+    fn accept(&self, src: usize, tag: u64, frame: Frame) -> Option<Vec<Complex64>> {
+        let (got_tag, data, cksum) = frame;
+        let remote = src != self.rank;
+        if remote && self.world.plan.is_some() && fault::checksum(&data) != cksum {
+            return None;
         }
-        let payload = self.receivers[src].recv().expect("sender alive");
-        let (got_tag, data) = Self::unframe(payload);
         assert_eq!(
             got_tag, tag,
             "rank {} expected tag {tag} from {src}, got {got_tag}",
             self.rank
         );
-        if src != self.rank {
+        if remote {
             self.note_clean_recv(src, tag);
         }
-        data
+        Some(data)
     }
 
-    #[cfg(not(feature = "fault-inject"))]
-    #[inline]
-    fn unframe(p: Payload) -> (u64, Vec<Complex64>) {
-        p
-    }
-
-    #[cfg(feature = "fault-inject")]
-    #[inline]
-    fn unframe(p: Payload) -> (u64, Vec<Complex64>) {
-        (p.0, p.1)
-    }
-
-    /// Receive under a fault plan: validate the checksum, discard
-    /// corrupted frames (the retransmission is already on its way), and
-    /// bound how long a silent channel is tolerated via
-    /// `retry.recv_timeout` × `retry.max_attempts`.
-    #[cfg(feature = "fault-inject")]
-    fn recv_with_plan(&self, plan: &FaultPlan, src: usize, tag: u64) -> Vec<Complex64> {
+    /// Blocking receive of the next message from `src`; asserts the tag
+    /// matches. A plan-less world never loses a frame, so the wait is
+    /// unbounded; under a fault plan a silent channel is tolerated for
+    /// `retry.recv_timeout` × `retry.max_attempts` and corrupted frames
+    /// are discarded on the way.
+    pub fn recv(&self, src: usize, tag: u64) -> Vec<Complex64> {
         use crossbeam::channel::RecvTimeoutError;
+        let rx = &self.receivers[src];
         let mut timeouts = 0u32;
         loop {
-            match self.receivers[src].recv_timeout(plan.retry.recv_timeout) {
-                Ok((got_tag, data, cksum)) => {
-                    if src == self.rank || fault::checksum(&data) == cksum {
-                        assert_eq!(
-                            got_tag, tag,
-                            "rank {} expected tag {tag} from {src}, got {got_tag}",
+            let frame = match &self.world.plan {
+                None => rx.recv().expect("sender alive"),
+                Some(plan) => match rx.recv_timeout(plan.retry.recv_timeout) {
+                    Ok(frame) => frame,
+                    Err(RecvTimeoutError::Timeout) => {
+                        timeouts += 1;
+                        counters::add(Counter::HealthCommRetries, 1);
+                        qt_telemetry::journal::emit(qt_telemetry::EventKind::CommRetransmit {
+                            src: self.identity_of(src) as u64,
+                            dst: self.identity() as u64,
+                            attempt: timeouts as u64,
+                        });
+                        assert!(
+                            timeouts <= plan.retry.max_attempts,
+                            "rank {} timed out {timeouts} times waiting for tag {tag} from {src}",
                             self.rank
                         );
-                        if src != self.rank {
-                            self.note_clean_recv(src, tag);
-                        }
-                        return data;
+                        std::thread::sleep(plan.retry.backoff(timeouts));
+                        continue;
                     }
-                    // Corrupted in transit: discard; the sender counted
-                    // the fault and is retransmitting.
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    timeouts += 1;
-                    counters::add(Counter::HealthCommRetries, 1);
-                    qt_telemetry::journal::emit(qt_telemetry::EventKind::CommRetransmit {
-                        src: self.identity_of(src) as u64,
-                        dst: self.identity() as u64,
-                        attempt: timeouts as u64,
-                    });
-                    assert!(
-                        timeouts <= plan.retry.max_attempts,
-                        "rank {} timed out {timeouts} times waiting for tag {tag} from {src}",
-                        self.rank
-                    );
-                    std::thread::sleep(plan.retry.backoff(timeouts));
-                }
-                Err(RecvTimeoutError::Disconnected) => panic!("sender alive"),
+                    Err(RecvTimeoutError::Disconnected) => panic!("sender alive"),
+                },
+            };
+            if let Some(data) = self.accept(src, tag, frame) {
+                return data;
             }
         }
     }
@@ -681,30 +562,10 @@ impl ThreadComm {
         let mut last_progress = Instant::now();
         loop {
             match self.receivers[src].recv_timeout(live.poll) {
-                Ok(payload) => {
-                    #[cfg(feature = "fault-inject")]
-                    let payload = {
-                        let (got_tag, data, cksum) = payload;
-                        if self.world.plan.is_some()
-                            && src != self.rank
-                            && fault::checksum(&data) != cksum
-                        {
-                            // Corrupted in transit: discard and keep
-                            // waiting for the retransmission.
-                            continue;
-                        }
-                        (got_tag, data, cksum)
-                    };
-                    let (got_tag, data) = Self::unframe(payload);
-                    assert_eq!(
-                        got_tag, tag,
-                        "rank {} expected tag {tag} from {src}, got {got_tag}",
-                        self.rank
-                    );
-                    if src != self.rank {
-                        self.note_clean_recv(src, tag);
+                Ok(frame) => {
+                    if let Some(data) = self.accept(src, tag, frame) {
+                        return Ok(data);
                     }
-                    return Ok(data);
                 }
                 Err(RecvTimeoutError::Timeout) => {
                     counters::add(Counter::ElasticHeartbeatTimeouts, 1);
@@ -749,41 +610,16 @@ impl ThreadComm {
     /// Non-blocking receive: the next already-delivered message from
     /// `src`, if any. Asserts the tag like [`ThreadComm::recv`] — callers
     /// poll inside a protocol window whose messages all ride one tag, and
-    /// per-pair FIFO guarantees nothing else can be pending. Under a fault
-    /// plan a corrupted frame is discarded (the retransmission is already
-    /// on its way) and the poll reports empty.
-    // Without fault injection the `continue` (corrupt-frame discard) is
-    // compiled out and the loop body always exits on first pass.
-    #[cfg_attr(not(feature = "fault-inject"), allow(clippy::never_loop))]
+    /// per-pair FIFO guarantees nothing else can be pending. A corrupted
+    /// frame is discarded and the poll moves on to whatever is queued
+    /// behind it.
     pub fn poll_recv(&self, src: usize, tag: u64) -> Option<Vec<Complex64>> {
-        loop {
-            match self.receivers[src].try_recv() {
-                Ok(payload) => {
-                    #[cfg(feature = "fault-inject")]
-                    let payload = {
-                        let (got_tag, data, cksum) = payload;
-                        if self.world.plan.is_some()
-                            && src != self.rank
-                            && fault::checksum(&data) != cksum
-                        {
-                            continue;
-                        }
-                        (got_tag, data, cksum)
-                    };
-                    let (got_tag, data) = Self::unframe(payload);
-                    assert_eq!(
-                        got_tag, tag,
-                        "rank {} polled tag {tag} from {src}, got {got_tag}",
-                        self.rank
-                    );
-                    if src != self.rank {
-                        self.note_clean_recv(src, tag);
-                    }
-                    return Some(data);
-                }
-                Err(_) => return None,
+        while let Ok(frame) = self.receivers[src].try_recv() {
+            if let Some(data) = self.accept(src, tag, frame) {
+                return Some(data);
             }
         }
+        None
     }
 
     /// Synchronize all ranks.
@@ -917,67 +753,31 @@ impl ThreadComm {
 }
 
 /// Run `f` on `n` ranks (one OS thread each) and collect the results in
-/// rank order.
-pub fn run_world<T, F>(n: usize, f: F) -> Vec<T>
+/// rank order. With a `plan`, the world's remote traffic runs under its
+/// deterministic fault schedule.
+pub fn run_world<T, F>(n: usize, plan: Option<FaultPlan>, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(ThreadComm) -> T + Sync,
 {
-    run_comms(ThreadComm::world(n), f)
-}
-
-/// Run `f` on `n` ranks under `plan`'s deterministic fault schedule. The
-/// stalled rank (if any) sleeps `plan.stall` before starting its work, so
-/// every peer's receive path exercises the timeout/backoff protocol.
-#[cfg(feature = "fault-inject")]
-pub fn run_world_with_faults<T, F>(n: usize, plan: FaultPlan, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(ThreadComm) -> T + Sync,
-{
-    let stalled = plan.stalled_rank;
-    let stall = plan.stall;
-    let comms = ThreadComm::world_with_faults(n, plan);
-    run_comms(comms, move |comm| {
-        if stalled == Some(comm.rank()) {
-            std::thread::sleep(stall);
-        }
-        f(comm)
-    })
+    run_comms(ThreadComm::world(n, plan), f)
 }
 
 /// Run a fallible closure on a survivor world (slot `i` has original
 /// identity `identity[i]`) and collect each rank's outcome — typed
-/// errors, not panics, so the supervision loop can inspect deaths.
-pub fn run_elastic_world<T, F>(identity: Vec<usize>, f: F) -> Vec<Result<T, CommError>>
-where
-    T: Send,
-    F: Fn(ThreadComm) -> Result<T, CommError> + Sync,
-{
-    run_comms(ThreadComm::elastic_world(identity), f)
-}
-
-/// [`run_elastic_world`] under a fault plan: kill schedules (matched by
-/// original identity) and the message-level fault protocol both apply.
-#[cfg(feature = "fault-inject")]
-pub fn run_elastic_world_with_faults<T, F>(
+/// errors, not panics, so the supervision loop can inspect deaths. With a
+/// `plan`, its kill schedule (matched by original identity) and the
+/// message-level fault protocol both apply.
+pub fn run_elastic_world<T, F>(
     identity: Vec<usize>,
-    plan: FaultPlan,
+    plan: Option<FaultPlan>,
     f: F,
 ) -> Vec<Result<T, CommError>>
 where
     T: Send,
     F: Fn(ThreadComm) -> Result<T, CommError> + Sync,
 {
-    let stalled = plan.stalled_rank;
-    let stall = plan.stall;
-    let comms = ThreadComm::elastic_world_with_faults(identity, plan);
-    run_comms(comms, move |comm| {
-        if stalled == Some(comm.identity()) {
-            std::thread::sleep(stall);
-        }
-        f(comm)
-    })
+    run_comms(ThreadComm::elastic_world(identity, plan), f)
 }
 
 fn run_comms<T, F>(comms: Vec<ThreadComm>, f: F) -> Vec<T>
@@ -996,6 +796,14 @@ where
                     // Journal attribution: every event this rank thread
                     // emits carries its original (pre-shrink) identity.
                     qt_telemetry::journal::set_thread_rank(comm.identity() as i64);
+                    // The plan's straggler sleeps before starting its
+                    // work, so every peer's receive path exercises the
+                    // timeout/backoff protocol.
+                    if let Some(plan) = &comm.world.plan {
+                        if plan.stalled_rank == Some(comm.identity()) {
+                            std::thread::sleep(plan.stall);
+                        }
+                    }
                     let out = f(comm);
                     qt_telemetry::journal::set_thread_rank(-1);
                     out
@@ -1016,7 +824,7 @@ mod tests {
 
     #[test]
     fn point_to_point_roundtrip() {
-        let out = run_world(2, |comm| {
+        let out = run_world(2, None, |comm| {
             if comm.rank() == 0 {
                 comm.send(1, 7, vec![c64(1.0, 2.0), c64(3.0, 4.0)]);
                 0.0
@@ -1030,7 +838,7 @@ mod tests {
 
     #[test]
     fn byte_accounting() {
-        let out = run_world(3, |comm| {
+        let out = run_world(3, None, |comm| {
             if comm.rank() == 0 {
                 comm.send(1, 0, vec![Complex64::ZERO; 10]);
                 comm.send(2, 0, vec![Complex64::ZERO; 5]);
@@ -1046,9 +854,62 @@ mod tests {
         assert!(out.iter().all(|&(_, _, w)| w == 15 * 16));
     }
 
+    /// Every public send/receive flavour rides the one wire path: on a
+    /// plan-less world the elastic and polling primitives account the same
+    /// bytes and keep the same per-pair order as `send`/`recv` (what
+    /// `byte_accounting` and `ordered_delivery_per_pair` pin).
+    #[test]
+    fn every_flavour_moves_the_same_bytes_in_the_same_order() {
+        type SendFn = fn(&ThreadComm, usize, u64, Vec<Complex64>);
+        type RecvFn = fn(&ThreadComm, usize, u64) -> Vec<Complex64>;
+        let sends: [SendFn; 2] = [
+            |c, dst, tag, data| c.send(dst, tag, data),
+            |c, dst, tag, data| c.try_send(dst, tag, data).unwrap(),
+        ];
+        let recvs: [RecvFn; 3] = [
+            |c, src, tag| c.recv(src, tag),
+            |c, src, tag| c.try_recv(src, tag, &LivenessConfig::default()).unwrap(),
+            |c, src, tag| loop {
+                if let Some(data) = c.poll_recv(src, tag) {
+                    return data;
+                }
+                std::thread::yield_now();
+            },
+        ];
+        for send in sends {
+            for recv in recvs {
+                let out = run_world(3, None, |comm| {
+                    let mut in_order = true;
+                    if comm.rank() == 0 {
+                        send(&comm, 1, 0, vec![Complex64::ZERO; 10]);
+                        send(&comm, 2, 0, vec![Complex64::ZERO; 5]);
+                        for i in 1..50u64 {
+                            send(&comm, 1, i, vec![c64(i as f64, 0.0)]);
+                        }
+                    } else {
+                        recv(&comm, 0, 0);
+                    }
+                    if comm.rank() == 1 {
+                        in_order = (1..50u64).all(|i| recv(&comm, 0, i)[0].re == i as f64);
+                    }
+                    comm.barrier();
+                    (
+                        comm.bytes_sent(),
+                        comm.bytes_received(),
+                        comm.world_bytes(),
+                        in_order,
+                    )
+                });
+                assert_eq!(out[0], ((15 + 49) * 16, 0, (15 + 49) * 16, true));
+                assert_eq!(out[1], (0, (10 + 49) * 16, (15 + 49) * 16, true));
+                assert_eq!(out[2], (0, 5 * 16, (15 + 49) * 16, true));
+            }
+        }
+    }
+
     #[test]
     fn self_send_is_free() {
-        let out = run_world(1, |comm| {
+        let out = run_world(1, None, |comm| {
             comm.send(0, 3, vec![Complex64::ZERO; 100]);
             let d = comm.recv(0, 3);
             (d.len(), comm.world_bytes())
@@ -1058,7 +919,7 @@ mod tests {
 
     #[test]
     fn broadcast_reaches_everyone() {
-        let out = run_world(4, |comm| {
+        let out = run_world(4, None, |comm| {
             let data = if comm.rank() == 2 {
                 Some(vec![c64(9.0, 0.0); 8])
             } else {
@@ -1072,7 +933,7 @@ mod tests {
 
     #[test]
     fn alltoallv_exchanges_rank_stamped_buffers() {
-        let out = run_world(3, |comm| {
+        let out = run_world(3, None, |comm| {
             let sendbufs: Vec<Vec<Complex64>> = (0..3)
                 .map(|dst| vec![c64(comm.rank() as f64, dst as f64); comm.rank() + 1])
                 .collect();
@@ -1087,7 +948,7 @@ mod tests {
 
     #[test]
     fn reductions_sum() {
-        let out = run_world(4, |comm| {
+        let out = run_world(4, None, |comm| {
             let data = vec![c64(1.0, comm.rank() as f64); 2];
             let total = comm.allreduce_sum(data, 31);
             total[0]
@@ -1102,7 +963,7 @@ mod tests {
         // Each rank forwards an accumulating token around the ring twice —
         // exercises interleaved send/recv across many ranks.
         let n = 8;
-        let out = run_world(n, |comm| {
+        let out = run_world(n, None, |comm| {
             let rank = comm.rank();
             let next = (rank + 1) % n;
             let prev = (rank + n - 1) % n;
@@ -1126,7 +987,7 @@ mod tests {
 
     #[test]
     fn world_of_one_runs_collectives() {
-        let out = run_world(1, |comm| {
+        let out = run_world(1, None, |comm| {
             let b = comm.bcast(0, Some(vec![c64(5.0, 0.0)]), 1);
             let r = comm.allreduce_sum(vec![c64(2.0, 0.0)], 2);
             let a = comm.alltoallv(vec![vec![c64(3.0, 0.0)]], 3);
@@ -1141,7 +1002,7 @@ mod tests {
     fn elastic_world_roundtrip_keeps_identities() {
         // A 2-slot survivor world standing in for original ranks {0, 2}.
         let live = LivenessConfig::default();
-        let out = run_elastic_world(vec![0, 2], move |comm| {
+        let out = run_elastic_world(vec![0, 2], None, move |comm| {
             assert_eq!(comm.identity_of(1), 2);
             if comm.rank() == 0 {
                 comm.try_send(1, 4, vec![c64(8.0, 0.0)])?;
@@ -1163,7 +1024,7 @@ mod tests {
             poll: Duration::from_millis(1),
             deadline: Duration::from_millis(30),
         };
-        let out = run_elastic_world(vec![0, 1], move |comm| {
+        let out = run_elastic_world(vec![0, 1], None, move |comm| {
             if comm.rank() == 0 {
                 // Rank 1 never sends and never heartbeats: the detector
                 // must convert the silence into a typed death.
@@ -1189,7 +1050,7 @@ mod tests {
             poll: Duration::from_millis(1),
             deadline: Duration::from_millis(30),
         };
-        let out = run_elastic_world(vec![0, 1, 2], move |comm| match comm.rank() {
+        let out = run_elastic_world(vec![0, 1, 2], None, move |comm| match comm.rank() {
             0 => comm.try_recv(2, 5, &live).map(|_| ()),
             1 => comm.try_barrier(&live),
             _ => {
@@ -1207,7 +1068,7 @@ mod tests {
             poll: Duration::from_millis(1),
             deadline: Duration::from_millis(40),
         };
-        let out = run_elastic_world(vec![0, 1], move |comm| {
+        let out = run_elastic_world(vec![0, 1], None, move |comm| {
             if comm.rank() == 0 {
                 comm.try_recv(1, 3, &live).map(|d| d[0].re)
             } else {
@@ -1226,7 +1087,7 @@ mod tests {
 
     #[test]
     fn ordered_delivery_per_pair() {
-        let out = run_world(2, |comm| {
+        let out = run_world(2, None, |comm| {
             if comm.rank() == 0 {
                 for i in 0..50u64 {
                     comm.send(1, i, vec![c64(i as f64, 0.0)]);

@@ -1,5 +1,8 @@
-//! Deterministic fault injection for the thread world (feature
-//! `fault-inject`).
+//! Deterministic fault injection for the thread world.
+//!
+//! Always compiled, selected at run time: a world built with a
+//! [`FaultPlan`] runs under it, a world built with `None` never consults
+//! this module (see [`crate::comm`]).
 //!
 //! A [`FaultPlan`] decides, per wire transmission, whether a frame is
 //! delivered, dropped, corrupted, or delayed. Decisions are pure functions
@@ -173,7 +176,7 @@ impl FaultPlan {
         if is_last && self.retry.guarantee_delivery {
             return FaultAction::Deliver;
         }
-        let h = fnv1a(&[self.seed, src as u64, dst as u64, msg_idx, attempt as u64]);
+        let h = fnv1a([self.seed, src as u64, dst as u64, msg_idx, attempt as u64]);
         let roll = (h % 1000) as u16;
         let drop_end = self.drop_per_mille;
         let corrupt_end = drop_end + self.corrupt_per_mille;
@@ -191,9 +194,9 @@ impl FaultPlan {
 }
 
 /// FNV-1a over a word stream.
-fn fnv1a(words: &[u64]) -> u64 {
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &w in words {
+    for w in words {
         for b in w.to_le_bytes() {
             h ^= b as u64;
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -204,16 +207,7 @@ fn fnv1a(words: &[u64]) -> u64 {
 
 /// Frame checksum: FNV-1a over the payload's raw `f64` bit patterns.
 pub fn checksum(data: &[Complex64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for z in data {
-        for w in [z.re.to_bits(), z.im.to_bits()] {
-            for b in w.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-    }
-    h
+    fnv1a(data.iter().flat_map(|z| [z.re.to_bits(), z.im.to_bits()]))
 }
 
 /// A bit-flipped copy of `data` for a corrupted frame. The *checksum*
@@ -223,7 +217,7 @@ pub fn checksum(data: &[Complex64]) -> u64 {
 pub(crate) fn corrupted_copy(data: &[Complex64], salt: u64) -> Vec<Complex64> {
     let mut out = data.to_vec();
     if !out.is_empty() {
-        let idx = (fnv1a(&[salt]) as usize) % out.len();
+        let idx = (fnv1a([salt]) as usize) % out.len();
         let z = out[idx];
         out[idx] = Complex64::new(
             f64::from_bits(z.re.to_bits() ^ 0x1), // flip the low mantissa bit

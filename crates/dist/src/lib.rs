@@ -7,7 +7,6 @@
 
 pub mod comm;
 pub mod decomp;
-#[cfg(feature = "fault-inject")]
 pub mod fault;
 pub mod pool;
 pub mod runner;

@@ -12,7 +12,8 @@
 //! There is one iteration, [`supervised_iteration`]: the tiling says who
 //! computes what (full world, weighted, mid-recovery), the
 //! [`ElasticPolicy`] says how (failure detector, recovery bounds, work
-//! stealing, and under `fault-inject` the fault schedule).
+//! stealing, and the fault schedule — `faults: None` runs plan-less
+//! worlds, `Some(plan)` the recovery protocol).
 
 use crate::comm::run_world;
 use crate::decomp::{ElasticTiling, OmenDecomp};
@@ -118,22 +119,23 @@ fn gf_phase(ctx: &DistContext<'_>, procs: usize) -> Result<GfPhase, NumericalErr
     } = *ctx;
     let dh = em.dh_tensor(dev);
     let dec = OmenDecomp::new(p, procs);
-    let chunks: Vec<Result<(usize, gf::ElectronGf), NumericalError>> = run_world(procs, |comm| {
-        let rank = comm.rank();
-        let my_e = dec.energy.range(rank);
-        // Solve only this rank's energies: narrow the grid.
-        let mut local = *p;
-        local.ne = my_e.len();
-        let local_grids = Grids {
-            energies: grids.energies[my_e.clone()].to_vec(),
-            omegas: grids.omegas.clone(),
-            kz: grids.kz.clone(),
-            qz: grids.qz.clone(),
-            de: grids.de,
-        };
-        let zeros = ElectronSelfEnergy::zeros(&local);
-        gf::electron_gf_phase(dev, em, &local, &local_grids, &zeros, cfg).map(|g| (rank, g))
-    });
+    let chunks: Vec<Result<(usize, gf::ElectronGf), NumericalError>> =
+        run_world(procs, None, |comm| {
+            let rank = comm.rank();
+            let my_e = dec.energy.range(rank);
+            // Solve only this rank's energies: narrow the grid.
+            let mut local = *p;
+            local.ne = my_e.len();
+            let local_grids = Grids {
+                energies: grids.energies[my_e.clone()].to_vec(),
+                omegas: grids.omegas.clone(),
+                kz: grids.kz.clone(),
+                qz: grids.qz.clone(),
+                de: grids.de,
+            };
+            let zeros = ElectronSelfEnergy::zeros(&local);
+            gf::electron_gf_phase(dev, em, &local, &local_grids, &zeros, cfg).map(|g| (rank, g))
+        });
     let mut g_lesser = Tensor::zeros(&[p.nkz, p.ne, p.na, p.norb, p.norb]);
     let mut g_greater = Tensor::zeros(&[p.nkz, p.ne, p.na, p.norb, p.norb]);
     let mut current = 0.0;

@@ -63,8 +63,8 @@ pub struct ElasticPolicy {
     /// corruption, delays, a stalled rank, and `kill_at` schedules. Kills
     /// are matched by original identity, so a rank dies at most once
     /// across the supervisor's retries and a recovery replays identically
-    /// on every run.
-    #[cfg(feature = "fault-inject")]
+    /// on every run. `None` — the default — runs the exchange worlds
+    /// without a plan, where the traffic is exactly the volume model's.
     pub faults: Option<crate::fault::FaultPlan>,
 }
 
@@ -75,7 +75,6 @@ impl Default for ElasticPolicy {
             max_bad_fraction: qt_core::health::HealthPolicy::default().max_bad_fraction,
             max_retiles: 64,
             steal: false,
-            #[cfg(feature = "fault-inject")]
             faults: None,
         }
     }
@@ -286,7 +285,7 @@ pub fn omen_scheme(
     let p = ctx.p;
     let nn = p.norb * p.norb;
     let scale = c64(sse::sigma_scale(p, ctx.grids), 0.0);
-    let results = run_world(procs, |comm: ThreadComm| {
+    let results = run_world(procs, None, |comm: ThreadComm| {
         let rank = comm.rank();
         let dec = OmenDecomp::new(p, procs);
         let my_e = dec.energy.range(rank);
@@ -1144,13 +1143,8 @@ pub fn ca_exchange(
 ) -> ElasticExchange {
     let _span = qt_telemetry::Span::enter_global("comm/dace_scheme");
     let body = |comm: ThreadComm| elastic_rank_body(ctx, tiling, policy, comm);
-    let survivors = tiling.survivors.clone();
-    #[cfg(feature = "fault-inject")]
-    if let Some(plan) = &policy.faults {
-        let results = crate::comm::run_elastic_world_with_faults(survivors, plan.clone(), body);
-        return collect_elastic(tiling, results);
-    }
-    collect_elastic(tiling, run_elastic_world(survivors, body))
+    let results = run_elastic_world(tiling.survivors.clone(), policy.faults.clone(), body);
+    collect_elastic(tiling, results)
 }
 
 /// [`ca_exchange`] on the full `te × ta` tiling under the default policy,

@@ -1,7 +1,6 @@
-//! Chaos tests (feature `fault-inject`): the distributed iteration must
-//! survive a seeded schedule of dropped, corrupted, and delayed messages
-//! plus a stalled rank, and still produce the fault-free answer.
-#![cfg(feature = "fault-inject")]
+//! Chaos tests: the distributed iteration must survive a seeded schedule
+//! of dropped, corrupted, and delayed messages plus a stalled rank, and
+//! still produce the fault-free answer.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
@@ -10,7 +9,7 @@ use qt_core::gf::GfConfig;
 use qt_core::health::NumericalError;
 use qt_core::params::SimParams;
 use qt_core::scf::Simulation;
-use qt_dist::comm::run_world_with_faults;
+use qt_dist::comm::run_world;
 use qt_dist::fault::{FaultPlan, RetryPolicy};
 use qt_dist::runner::DistIterationResult;
 use qt_dist::{
@@ -139,7 +138,7 @@ fn collectives_survive_heavy_faults() {
     // Broadcast + allreduce + alltoallv under a 30% fault rate still
     // produce exact results on every rank.
     let plan = FaultPlan::new(11).with_drops(200).with_corruption(100);
-    let out = run_world_with_faults(4, plan, |comm| {
+    let out = run_world(4, Some(plan), |comm| {
         let b = comm.bcast(0, (comm.rank() == 0).then(|| vec![c64(2.5, 0.0); 3]), 1);
         let r = comm.allreduce_sum(vec![c64(1.0, comm.rank() as f64)], 2);
         let sendbufs = (0..4)
@@ -168,7 +167,7 @@ fn retry_exhaustion_panics_when_delivery_not_guaranteed() {
         guarantee_delivery: false,
     });
     let result = catch_unwind(AssertUnwindSafe(|| {
-        run_world_with_faults(2, plan, |comm| {
+        run_world(2, Some(plan), |comm| {
             if comm.rank() == 0 {
                 comm.send(1, 9, vec![c64(1.0, 0.0)]);
             } else {

@@ -1365,7 +1365,7 @@ mod tests {
 
     #[test]
     fn flop_accounting() {
-        let (_, d) = crate::flops::count_flops(|| {
+        let (_, d) = crate::flops::count_flops_here(|| {
             let a = Matrix::zeros(2, 3);
             let b = Matrix::zeros(3, 4);
             let mut out = Matrix::zeros(2, 4);
@@ -1381,13 +1381,13 @@ mod tests {
         let a = randv(batch * m * k, &mut r);
         let b = randv(batch * k * n, &mut r);
         let per = 8 * (m * k * n) as u64;
-        let (_, d) = crate::flops::count_flops(|| {
+        let (_, d) = crate::flops::count_flops_here(|| {
             let mut out = vec![Complex64::ZERO; batch * m * n];
             batched_gemm_acc(m, k, n, batch, &a, &b, &mut out);
         });
         assert_eq!(d, per * batch as u64);
         let bd = randv(n * k, &mut r);
-        let (_, d) = crate::flops::count_flops(|| {
+        let (_, d) = crate::flops::count_flops_here(|| {
             let mut out = vec![Complex64::ZERO; m * n];
             gemm_bdagger_acc(m, k, n, &a[..m * k], &bd, &mut out);
         });
@@ -1395,7 +1395,7 @@ mod tests {
         let (no, win) = (4, 3);
         let wa = randv(win * no * no, &mut r);
         let wb = randv(win * no * no, &mut r);
-        let (_, d) = crate::flops::count_flops(|| {
+        let (_, d) = crate::flops::count_flops_here(|| {
             let mut out = vec![Complex64::ZERO; no * no];
             gemm_window_acc(no, win, &wa, &wb, &mut out, Complex64::ONE);
         });

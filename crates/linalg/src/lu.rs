@@ -431,8 +431,8 @@ mod tests {
     fn invert_ws_counts_the_same_flops_as_invert() {
         let mut r = rng();
         let a = Matrix::random(9, 9, &mut r);
-        let (_, heap_flops) = flops::count_flops(|| invert(&a).unwrap());
-        let (pooled, ws_flops) = flops::count_flops(|| invert_ws(&a).unwrap());
+        let (_, heap_flops) = flops::count_flops_here(|| invert(&a).unwrap());
+        let (pooled, ws_flops) = flops::count_flops_here(|| invert_ws(&a).unwrap());
         assert_eq!(heap_flops, ws_flops);
         crate::workspace::give(pooled);
     }

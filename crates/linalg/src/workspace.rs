@@ -349,12 +349,12 @@ mod tests {
 
     #[test]
     fn thread_local_pool_roundtrip() {
-        let before = counters::total(Counter::WsFresh);
+        let before = fresh_here();
         let m = take(5, 5);
         give(m);
         let m = take(5, 5);
         give(m);
         // Second take reuses the first buffer: at most one miss from here.
-        assert!(counters::total(Counter::WsFresh) - before <= 1);
+        assert!(fresh_here() - before <= 1);
     }
 }

@@ -31,8 +31,7 @@ pub struct SweepRequest {
     /// Wall-clock budget for the whole sweep; `None` = no deadline.
     pub deadline: Option<Duration>,
     /// Chaos hook: before solving, run one elastic distributed health
-    /// probe that kills this pool rank mid-iteration (requires the
-    /// `fault-inject` feature; ignored without it). The dead rank is
+    /// probe that kills this pool rank mid-iteration. The dead rank is
     /// retired from the pool; the sweep itself is unaffected — recovery
     /// is bitwise-exact.
     pub chaos_kill_rank: Option<usize>,

@@ -292,7 +292,6 @@ fn run_sweep(shared: &Shared, wd: &crate::watchdog::WatchdogHandle, job: &Job) -
         token.cancel();
     }
 
-    #[cfg(feature = "fault-inject")]
     if let Some(victim) = job.req.chaos_kill_rank {
         chaos_probe(shared, vr, victim);
     }
@@ -515,7 +514,6 @@ fn finish_point(
 /// the same journal as the sweep) and retires the dead ranks from the
 /// pool. The sweep's numbers are untouched: recovery is bitwise-exact,
 /// and the probe shares no solver state with the SCF path.
-#[cfg(feature = "fault-inject")]
 fn chaos_probe(shared: &Shared, vr: &VariantRuntime, victim: usize) {
     use qt_dist::{supervised_iteration, DistContext, ElasticPolicy, ElasticTiling};
     let procs = shared.cfg.pool_slots.max(2);

@@ -182,6 +182,45 @@ fn poisoned_warm_start_degrades_to_the_cold_answer() {
     svc.shutdown();
 }
 
+/// A chaos rank kill rides the sweep: the probe's elastic recovery
+/// retires the dead rank from the pool, and every answer stays bitwise
+/// equal to the same sweep submitted without the kill.
+#[test]
+fn chaos_rank_kill_is_bitwise_invisible_and_retires_the_rank() {
+    let biases = vec![0.10, 0.12, 0.14];
+    let sweep = |chaos_kill_rank: Option<usize>| {
+        let svc = quick_service(ServeConfig {
+            workers: 1,
+            pool_slots: 4,
+            ..Default::default()
+        });
+        let req = SweepRequest {
+            chaos_kill_rank,
+            ..SweepRequest::new(0, biases.clone())
+        };
+        let SweepStatus::Completed { points } = svc.submit(req).unwrap().wait().unwrap().status
+        else {
+            panic!("sweep must complete (kill: {chaos_kill_rank:?})");
+        };
+        let capacity = svc.pool().capacity();
+        svc.shutdown();
+        (points, capacity)
+    };
+    let (reference, full) = sweep(None);
+    let (killed, shrunk) = sweep(Some(1));
+    assert_eq!(full, 4, "no kill, no retirement");
+    assert_eq!(shrunk, 3, "the killed rank is retired from the pool");
+    assert_eq!(killed.len(), reference.len());
+    for (a, b) in reference.iter().zip(&killed) {
+        assert_eq!(
+            a.current.to_bits(),
+            b.current.to_bits(),
+            "rank kill changed the answer at bias {} V",
+            a.bias
+        );
+    }
+}
+
 #[test]
 fn deadline_expires_without_hanging() {
     let svc = quick_service(ServeConfig {
