@@ -857,36 +857,6 @@ fn profile(flags: &[String]) {
     .and_then(|el| el.complete())
     .expect("distributed iteration");
 
-    // One stealing pass over a deliberately collapsed tiling (all units
-    // on rank 0, three idle thieves) so the steal protocol — and its
-    // REQ->GRANT->RESULT trace flow arcs — shows up in every profile.
-    // Grants depend on poll timing, so retry the pass a few times; the
-    // observables stay bitwise identical either way.
-    {
-        let stealing = qt_dist::ElasticPolicy {
-            steal: true,
-            ..Default::default()
-        };
-        let tiling = qt_dist::ElasticTiling::weighted(&p, te, ta, te * ta, &[0.0; 4]);
-        let mut steal_requests = 0u64;
-        let mut stolen = 0u64;
-        for _ in 0..5 {
-            let (_, _, stats) = qt_dist::ca_exchange(&inputs, &tiling, &stealing)
-                .expect("stealing elastic exchange");
-            let bal = stats.balance.expect("balance measured");
-            steal_requests += bal.steal_requests;
-            stolen += bal.stolen_units;
-            if stolen > 0 {
-                break;
-            }
-        }
-        println!("  stealing pass: {steal_requests} requests, {stolen} units stolen");
-        assert!(
-            stolen > 0,
-            "three idle ranks must manage at least one steal"
-        );
-    }
-
     // Scheduled chaos: kill the requested rank on its third SSE send and
     // let the elastic supervisor ride the recovery. The flight recorder
     // captures the HeartbeatTimeout -> RankDeath -> Retile chain, which
@@ -1517,7 +1487,6 @@ struct WorldBalance {
     adaptive_path_ms: f64,
     imbalance_before: f64,
     imbalance_after: f64,
-    stolen_units: u64,
     moved_units: usize,
 }
 
@@ -1530,7 +1499,7 @@ impl WorldBalance {
 /// Run the skewed scenario at one world size: `4·world` work units on
 /// `world` ranks, all the heavy atom tiles packed into rank 0's uniform
 /// block. Static uniform vs adaptive (cost-model-seeded weighted tiling +
-/// work stealing + measured re-tiling), with every iteration's observables
+/// measured re-tiling), with every iteration's observables
 /// checked bitwise against the static baseline.
 fn balance_world(world: usize, iters: usize) -> WorldBalance {
     use qt_core::device::Device;
@@ -1570,10 +1539,6 @@ fn balance_world(world: usize, iters: usize) -> WorldBalance {
         gf: &cfg,
     };
     let policy = ElasticPolicy::default();
-    let stealing = ElasticPolicy {
-        steal: true,
-        ..Default::default()
-    };
     let units = te * ta;
 
     let warm = |walls: &[f64]| {
@@ -1603,20 +1568,19 @@ fn balance_world(world: usize, iters: usize) -> WorldBalance {
     }
     let (ref_sigma, ref_pi) = reference.expect("at least one iteration");
 
-    // ---- Adaptive: predicted weighted start, stealing, measured re-tile. ----
+    // ---- Adaptive: predicted weighted start, measured re-tile. ----
     let mut cm = CostMap::predict(&p, &dev, te, ta);
     let mut tiling = ElasticTiling::weighted(&p, te, ta, world, &cm.weights());
     let mut adaptive_walls = Vec::new();
     let mut adaptive_paths = Vec::new();
     let mut adaptive_ratios = Vec::new();
-    let mut stolen = 0u64;
     let mut moved_units = 0usize;
     for _ in 0..iters {
         let t0 = Instant::now();
-        let r = supervised_iteration(&ctx, &mut tiling, &stealing).expect("adaptive iteration");
+        let r = supervised_iteration(&ctx, &mut tiling, &policy).expect("adaptive iteration");
         adaptive_walls.push(t0.elapsed().as_secs_f64() * 1e3);
         // The whole point of the bitwise-safe migration path: the tiling
-        // may move and ranks may steal, the observables may not.
+        // may move, the observables may not.
         for (name, a, b) in [
             ("sigma.lesser", &r.result.sigma.lesser, &ref_sigma.lesser),
             ("sigma.greater", &r.result.sigma.greater, &ref_sigma.greater),
@@ -1631,7 +1595,6 @@ fn balance_world(world: usize, iters: usize) -> WorldBalance {
         let bal = r.result.comm.balance.as_ref().expect("balance measured");
         adaptive_paths.push(max_busy_ms(&bal.rank_busy_secs));
         adaptive_ratios.push(bal.imbalance_ratio());
-        stolen += bal.stolen_units;
         cm.observe_all(&bal.unit_secs);
         moved_units += maybe_rebalance(&mut tiling, bal, 1.5).len();
     }
@@ -1649,14 +1612,13 @@ fn balance_world(world: usize, iters: usize) -> WorldBalance {
         // adaptive loop's steady state (last iteration, post re-tiling).
         imbalance_before: warm(&static_ratios),
         imbalance_after: *adaptive_ratios.last().expect("at least one iteration"),
-        stolen_units: stolen,
         moved_units,
     }
 }
 
 /// Skewed-device load-balance scenario (CI `balance-regression` job):
 /// compare static uniform tiling against cost-model-driven adaptive
-/// tiling + intra-iteration work stealing, gate the imbalance-ratio
+/// tiling + measured re-tiling, gate the imbalance-ratio
 /// improvement, and optionally emit a `BENCH_balance.json`.
 fn balance(flags: &[String]) {
     use qt_telemetry::json::Json;
@@ -1675,7 +1637,7 @@ fn balance(flags: &[String]) {
     let min_improvement = f.num("--min-improvement").unwrap_or(2.0);
     let iters = f.int("--iters").unwrap_or(4).max(2);
 
-    println!("== balance: adaptive tiling + work stealing on a skewed device ==");
+    println!("== balance: adaptive tiling on a skewed device ==");
     qt_telemetry::reset_all();
     qt_telemetry::set_enabled(true);
     let runs: Vec<WorldBalance> = [4usize, 8]
@@ -1684,7 +1646,7 @@ fn balance(flags: &[String]) {
         .collect();
 
     println!(
-        "  {:<6} {:>6} | {:>10} {:>10} | {:>10} {:>10} | {:>9} {:>9} | {:>8} {:>8} {:>8} | {:>7} {:>6}",
+        "  {:<6} {:>6} | {:>10} {:>10} | {:>10} {:>10} | {:>9} {:>9} | {:>8} {:>8} {:>8} | {:>6}",
         "world",
         "units",
         "stat cold",
@@ -1696,13 +1658,12 @@ fn balance(flags: &[String]) {
         "imb pre",
         "imb post",
         "improve",
-        "stolen",
         "moved"
     );
     let mut failures = Vec::new();
     for r in &runs {
         println!(
-            "  {:<6} {:>6} | {:>8.1}ms {:>8.1}ms | {:>8.1}ms {:>8.1}ms | {:>7.1}ms {:>7.1}ms | {:>8.2} {:>8.2} {:>7.2}x | {:>7} {:>6}",
+            "  {:<6} {:>6} | {:>8.1}ms {:>8.1}ms | {:>8.1}ms {:>8.1}ms | {:>7.1}ms {:>7.1}ms | {:>8.2} {:>8.2} {:>7.2}x | {:>6}",
             r.world,
             r.units,
             r.static_cold_ms,
@@ -1714,7 +1675,6 @@ fn balance(flags: &[String]) {
             r.imbalance_before,
             r.imbalance_after,
             r.improvement(),
-            r.stolen_units,
             r.moved_units
         );
         if r.improvement() < min_improvement {
@@ -1764,7 +1724,6 @@ fn balance(flags: &[String]) {
                     ),
                     ("imbalance_after".to_string(), Json::Num(r.imbalance_after)),
                     ("improvement".to_string(), Json::Num(r.improvement())),
-                    ("stolen_units".to_string(), Json::Num(r.stolen_units as f64)),
                     ("moved_units".to_string(), Json::Num(r.moved_units as f64)),
                 ])
             })

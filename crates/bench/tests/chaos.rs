@@ -186,7 +186,7 @@ fn chaos_recovery_is_deterministic() {
 }
 
 #[test]
-fn killed_steal_participant_falls_back_to_elastic_recovery() {
+fn killed_owner_of_every_unit_falls_back_to_elastic_recovery() {
     let _g = lock();
     qt_telemetry::reset_all();
     let sim = fixture();
@@ -194,10 +194,9 @@ fn killed_steal_participant_falls_back_to_elastic_recovery() {
     let procs = te * ta;
     let clean = clean(&sim, (te, ta));
 
-    // Collapse every unit onto rank 0: all other ranks enter the steal
-    // protocol immediately and rank 0's only cross-rank traffic is steal
-    // frames, so its scheduled death lands squarely inside the protocol.
-    // Thieves must detect the dead victim, surface a typed death, and the
+    // Collapse every unit onto rank 0 and kill it on its first send: the
+    // idle ranks hold no tile and wait on it from the first exchange on,
+    // so they must detect the dead owner, surface a typed death, and the
     // supervisor must finish the iteration on the elastic path.
     let mut tiling = ElasticTiling::weighted(&sim.p, te, ta, procs, &vec![0.0; procs]);
     assert_eq!(tiling.units_of(0).len(), procs);
@@ -205,21 +204,20 @@ fn killed_steal_participant_falls_back_to_elastic_recovery() {
     // admit that so it rides recovery instead of degrading.
     let policy = ElasticPolicy {
         max_bad_fraction: 1.0,
-        steal: true,
         faults: Some(FaultPlan::new(13).with_kill_at(0, 1)),
         ..Default::default()
     };
     let el = iterate(&sim, &mut tiling, &policy);
 
-    assert_eq!(el.deaths, vec![0], "the steal victim dies, nobody else");
+    assert_eq!(el.deaths, vec![0], "the collapsed owner dies, nobody else");
     assert!(el.retiles >= 1, "its death must force a re-tile");
     assert!(!el.degraded, "recovery must complete undegraded");
     assert_eq!(
         el.migrated_units, procs,
-        "all of the victim's units migrate to survivors"
+        "all of the dead owner's units migrate to survivors"
     );
-    // The retry (stealing still on, over the survivor set) reproduces the
-    // fault-free observables bit for bit.
+    // The retry over the survivor set reproduces the fault-free
+    // observables bit for bit.
     assert_eq!(
         el.result.sigma.lesser.as_slice(),
         clean.sigma.lesser.as_slice()

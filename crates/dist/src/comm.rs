@@ -292,12 +292,6 @@ impl ThreadComm {
         (0..self.world.n).find(|&s| s != me && self.world.dead[s].load(Ordering::Acquire))
     }
 
-    /// This world's trace flow-id salt (shared by every endpoint, unique
-    /// per world instance). Protocol layers salt their own arcs with it.
-    pub(crate) fn world_salt(&self) -> u64 {
-        self.world.salt
-    }
-
     /// Account a cleanly delivered outbound frame to `dst` and emit the
     /// `"s"` half of its send→recv trace flow arc. The ordinal always
     /// advances (even with tracing off) so both sides stay in step no
@@ -481,8 +475,8 @@ impl ThreadComm {
         self.transmit(dst, tag, data)
     }
 
-    /// The one accept path under [`ThreadComm::recv`],
-    /// [`ThreadComm::try_recv`] and [`ThreadComm::poll_recv`]: the payload
+    /// The one accept path under [`ThreadComm::recv`] and
+    /// [`ThreadComm::try_recv`]: the payload
     /// of `frame`, or `None` for a frame corrupted in transit — the
     /// sender counted the fault and its retransmission is already on the
     /// way. Only a remote frame of a world under a fault plan carries a
@@ -605,21 +599,6 @@ impl ThreadComm {
                 }
             }
         }
-    }
-
-    /// Non-blocking receive: the next already-delivered message from
-    /// `src`, if any. Asserts the tag like [`ThreadComm::recv`] — callers
-    /// poll inside a protocol window whose messages all ride one tag, and
-    /// per-pair FIFO guarantees nothing else can be pending. A corrupted
-    /// frame is discarded and the poll moves on to whatever is queued
-    /// behind it.
-    pub fn poll_recv(&self, src: usize, tag: u64) -> Option<Vec<Complex64>> {
-        while let Ok(frame) = self.receivers[src].try_recv() {
-            if let Some(data) = self.accept(src, tag, frame) {
-                return Some(data);
-            }
-        }
-        None
     }
 
     /// Synchronize all ranks.
@@ -855,8 +834,8 @@ mod tests {
     }
 
     /// Every public send/receive flavour rides the one wire path: on a
-    /// plan-less world the elastic and polling primitives account the same
-    /// bytes and keep the same per-pair order as `send`/`recv` (what
+    /// plan-less world the elastic primitives account the same bytes and
+    /// keep the same per-pair order as `send`/`recv` (what
     /// `byte_accounting` and `ordered_delivery_per_pair` pin).
     #[test]
     fn every_flavour_moves_the_same_bytes_in_the_same_order() {
@@ -866,15 +845,9 @@ mod tests {
             |c, dst, tag, data| c.send(dst, tag, data),
             |c, dst, tag, data| c.try_send(dst, tag, data).unwrap(),
         ];
-        let recvs: [RecvFn; 3] = [
+        let recvs: [RecvFn; 2] = [
             |c, src, tag| c.recv(src, tag),
             |c, src, tag| c.try_recv(src, tag, &LivenessConfig::default()).unwrap(),
-            |c, src, tag| loop {
-                if let Some(data) = c.poll_recv(src, tag) {
-                    return data;
-                }
-                std::thread::yield_now();
-            },
         ];
         for send in sends {
             for recv in recvs {

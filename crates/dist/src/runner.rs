@@ -11,9 +11,9 @@
 //!
 //! There is one iteration, [`supervised_iteration`]: the tiling says who
 //! computes what (full world, weighted, mid-recovery), the
-//! [`ElasticPolicy`] says how (failure detector, recovery bounds, work
-//! stealing, and the fault schedule — `faults: None` runs plan-less
-//! worlds, `Some(plan)` the recovery protocol).
+//! [`ElasticPolicy`] says how (failure detector, recovery bounds, and the
+//! fault schedule — `faults: None` runs plan-less worlds, `Some(plan)` the
+//! recovery protocol).
 
 use crate::comm::run_world;
 use crate::decomp::{ElasticTiling, OmenDecomp};
@@ -216,9 +216,9 @@ impl ElasticIterationResult {
 /// detected death shrinks the tiling (only the dead rank's units migrate)
 /// and the exchange retries on a fresh survivor world. A successful
 /// recovery is *bitwise identical* to the fault-free run, as is any owner
-/// map or steal schedule. When a death would push the quarantined fraction
-/// past [`ElasticPolicy::max_bad_fraction`], its units are abandoned
-/// instead and the iteration completes in degraded mode with those tiles
+/// map. When a death would push the quarantined fraction past
+/// [`ElasticPolicy::max_bad_fraction`], its units are abandoned instead
+/// and the iteration completes in degraded mode with those tiles
 /// zero-filled and reported in the coverage. Per-rank busy times and
 /// per-unit costs come back in `result.comm.balance`.
 pub fn supervised_iteration(
@@ -487,7 +487,6 @@ mod tests {
         let skew = BalanceStats {
             rank_busy_secs: vec![4.0, 1.0, 1.0, 1.0],
             unit_secs: vec![1.0, 8.0, 1.0, 1.0],
-            ..Default::default()
         };
         let events0 = counters::total(Counter::BalanceRebalanceEvents);
         assert!(maybe_rebalance(&mut tiling, &skew, 10.0).is_empty());

@@ -26,7 +26,6 @@ use qt_core::gf::{ElectronSelfEnergy, PhononSelfEnergy};
 use qt_core::params::{SimParams, N3D};
 use qt_core::sse;
 use qt_linalg::{c64, gemm, Complex64, Tensor};
-use qt_telemetry::counters::{self, Counter};
 
 /// Π≷ slices a rank owns round-robin: `((q, ω), lesser, greater)` buffers.
 type PiOwned = Vec<((usize, usize), Vec<Complex64>, Vec<Complex64>)>;
@@ -52,13 +51,6 @@ pub struct ElasticPolicy {
     /// Hard bound on detect→retile→retry rounds (hang-proofing; a world
     /// can die at most once per original rank, so the default is ample).
     pub max_retiles: usize,
-    /// Intra-iteration work stealing: idle survivors request unstarted
-    /// units from stragglers over the comm world. Σ≷/Π≷ stay bitwise
-    /// identical (the stolen tile is computed by the same kernel on the
-    /// same buffers and its results are forwarded under the victim's
-    /// slot), but the measured byte counts gain the steal traffic, so the
-    /// exact volume models only apply with stealing off.
-    pub steal: bool,
     /// Deterministic fault schedule for the exchange worlds: drops,
     /// corruption, delays, a stalled rank, and `kill_at` schedules. Kills
     /// are matched by original identity, so a rank dies at most once
@@ -74,7 +66,6 @@ impl Default for ElasticPolicy {
             live: LivenessConfig::default(),
             max_bad_fraction: qt_core::health::HealthPolicy::default().max_bad_fraction,
             max_retiles: 64,
-            steal: false,
             faults: None,
         }
     }
@@ -100,16 +91,11 @@ pub struct CommStats {
 /// raw input of the adaptive tiling layer.
 #[derive(Clone, Debug, Default)]
 pub struct BalanceStats {
-    /// Wall seconds each survivor slot spent computing tiles, including
-    /// any units it stole from stragglers.
+    /// Thread CPU seconds each survivor slot spent computing its tiles.
     pub rank_busy_secs: Vec<f64>,
     /// Measured compute seconds per work unit (indexed by unit id, 0.0
-    /// for abandoned units), attributed to the unit wherever it ran.
+    /// for abandoned units).
     pub unit_secs: Vec<f64>,
-    /// Steal requests issued across the world this exchange.
-    pub steal_requests: u64,
-    /// Work units that actually moved to a thief this exchange.
-    pub stolen_units: u64,
 }
 
 impl BalanceStats {
@@ -506,10 +492,6 @@ impl TileGeom {
     fn d_len(&self, p: &SimParams) -> usize {
         p.nqz * p.nw * self.a_win.len() * p.nb * N3D * N3D
     }
-    /// Elements of one Σ≷ tile, `[a_local][k][e_local][nn]`.
-    fn sig_len(&self, p: &SimParams) -> usize {
-        self.my_a.len() * p.nkz * self.my_e.len() * p.norb * p.norb
-    }
 }
 
 fn tile_geom(dec: &DaceDecomp, p: &SimParams, halo: usize, unit: usize) -> TileGeom {
@@ -595,59 +577,20 @@ fn tag_gather(u: usize) -> u64 {
     (1 << 50) | (u as u64 * 2)
 }
 
-/// Tag of the intra-iteration steal protocol. Every steal message between
-/// a given pair of ranks rides this one tag with the message kind in the
-/// payload head, so per-pair FIFO plus the strict tag assert verify that
-/// no steal frame leaks past the protocol window (each rank's `FIN` is
-/// the last steal message on each of its channels).
-const TAG_STEAL: u64 = 1 << 54;
-
-const STEAL_REQ: f64 = 0.0;
-const STEAL_DENY: f64 = 1.0;
-const STEAL_GRANT: f64 = 2.0;
-const STEAL_RESULT: f64 = 3.0;
-const STEAL_FIN: f64 = 4.0;
-
-/// Discriminator words keeping the steal protocol's trace flow ids
-/// disjoint from the transport-level `comm/msg` ids riding the same
-/// world salt.
-const FLOW_STEAL_REQ: u64 = 0x5_0001;
-const FLOW_STEAL_GRANT: u64 = 0x5_0002;
-const FLOW_STEAL_RESULT: u64 = 0x5_0003;
-
-/// Record one half of a steal-protocol flow arc. Both endpoints derive
-/// the id from (world salt, protocol word, thief slot, victim slot,
-/// per-pair ordinal); per-pair FIFO keeps the ordinals in agreement.
-fn note_steal_flow(
-    comm: &ThreadComm,
-    word: u64,
-    thief: usize,
-    victim: usize,
-    seq: u64,
-    start: bool,
-    name: &'static str,
-) {
-    if !qt_telemetry::tracing_enabled() {
-        return;
-    }
-    let id =
-        qt_telemetry::trace::flow_id(&[comm.world_salt(), word, thief as u64, victim as u64, seq]);
-    if start {
-        qt_telemetry::trace::record_flow_start(name, comm.identity(), id);
-    } else {
-        qt_telemetry::trace::record_flow_finish(name, comm.identity(), id);
-    }
-}
-
 /// Everything one work unit's compute produces: the Σ≷ tile plus the Π≷
-/// partial slices for every `(q, ω)` round, and the measured wall time.
+/// partial slices for every `(q, ω)` round, and the measured times.
 struct UnitOut {
     /// Σ≷ as `[a_local][k][e_local][nn]`, lesser then greater.
     sig: [Vec<Complex64>; 2],
     /// Per `q·Nω + ω`, ascending: the `my_a` rows the round's Π owner
     /// accumulates; empty for rounds whose owner unit was abandoned.
     pi_slices: Vec<(Vec<Complex64>, Vec<Complex64>)>,
+    /// Thread CPU seconds of the compute (wall seconds where the thread
+    /// clock is unavailable).
     secs: f64,
+    /// Start and wall duration (ns) of the compute, for the trace span.
+    t0: std::time::Instant,
+    wall_ns: u64,
 }
 
 /// One survivor's return from the elastic rank body.
@@ -655,13 +598,10 @@ struct ElasticRankOut {
     assembled: Option<(ElectronSelfEnergy, PhononSelfEnergy)>,
     /// (bytes sent, bytes received) during the SSE exchange proper.
     bytes: (u64, u64),
-    /// Wall seconds spent computing tiles (own and stolen).
+    /// Thread CPU seconds spent computing tiles.
     busy_secs: f64,
-    /// `(unit, measured seconds)` for every unit this rank *owned*,
-    /// including ones computed remotely by a thief.
+    /// `(unit, measured seconds)` for every unit this rank owns.
     unit_secs: Vec<(usize, f64)>,
-    steal_requests: u64,
-    stolen_units: u64,
 }
 
 /// Elements of a tile's Π≷ slice for round `qw`: its owned atoms' rows, or
@@ -673,12 +613,10 @@ fn pi_slice_len(p: &SimParams, tiling: &ElasticTiling, geom: &TileGeom, qw: usiz
 
 /// Compute one tile end to end with the serial DaCe kernels on the tile's
 /// view: Σ≷ per owned atom and the Π≷ partial of every `(a, slot)` pair,
-/// spread over the slices of the live `(q, ω)` rounds; timed and traced on
-/// the computing rank's trace lane. `hb` is ticked before every kernel call
-/// so a long compute keeps announcing liveness to the failure detector.
-/// Pure in its inputs, so a stolen unit reproduces the victim's results
-/// bitwise.
-#[allow(clippy::too_many_arguments)]
+/// spread over the slices of the live `(q, ω)` rounds; timed. `hb` is
+/// ticked before every kernel call so a long compute keeps announcing
+/// liveness to the failure detector. Pure in its inputs, so the results do
+/// not depend on which rank computes the unit.
 fn compute_unit_tile(
     ctx: &SseDistContext<'_>,
     tiling: &ElasticTiling,
@@ -686,13 +624,12 @@ fn compute_unit_tile(
     g: &[Vec<Complex64>; 2],
     d: &[Vec<Complex64>; 2],
     unit: usize,
-    track_rank: usize,
     hb: &dyn Fn(),
 ) -> UnitOut {
     let p = ctx.p;
     let pi_len = (p.nb + 1) * N3D * N3D;
     // Unit attribution for journal events emitted while this tile
-    // computes (heartbeat timeouts, quarantines, steals of this unit).
+    // computes (heartbeat timeouts, quarantines).
     qt_telemetry::journal::set_thread_unit(unit as i64);
     let t0 = std::time::Instant::now();
     let cpu0 = qt_telemetry::cputime::thread_cpu_secs();
@@ -744,381 +681,14 @@ fn compute_unit_tile(
     // when the thread world time-slices on few cores. The trace keeps the
     // wall span (that is what a trace viewer lays out).
     let secs = qt_telemetry::cputime::thread_cpu_since(cpu0, wall);
-    qt_telemetry::trace::record_rank_event(
-        format!("sse/unit/{unit}"),
-        track_rank,
-        t0,
-        (wall * 1e9) as u64,
-    );
     qt_telemetry::journal::set_thread_unit(-1);
     UnitOut {
         sig,
         pi_slices,
         secs,
+        t0,
+        wall_ns: (wall * 1e9) as u64,
     }
-}
-
-/// Borrowed inputs of the steal-protocol message handler.
-struct StealEnv<'a> {
-    ctx: &'a SseDistContext<'a>,
-    tiling: &'a ElasticTiling,
-    my_units: &'a [usize],
-    geoms: &'a [TileGeom],
-    g_local: &'a [[Vec<Complex64>; 2]],
-    d_local: &'a [[Vec<Complex64>; 2]],
-}
-
-/// The reply a thief's outstanding request resolved to.
-enum StealReply {
-    Deny,
-    Granted,
-}
-
-/// Mutable per-rank state of the steal protocol.
-struct StealCore {
-    /// Local indices (into `my_units`) not yet started; the back is what
-    /// gets granted away.
-    queue: std::collections::VecDeque<usize>,
-    /// Finished outputs per local unit index (own or thief-returned).
-    outs: Vec<Option<UnitOut>>,
-    fin_rcvd: Vec<bool>,
-    /// Peers that can no longer grant (denied us, or finished).
-    dry: Vec<bool>,
-    fin_sent: bool,
-    /// Units granted away whose `RESULT` has not come back yet.
-    lent_out: usize,
-    reply: Option<StealReply>,
-    busy_secs: f64,
-    steal_requests: u64,
-    stolen_units: u64,
-    /// Per-peer flow ordinals for trace correlation: REQs sent to /
-    /// received from each slot, GRANTs sent/received, RESULTs
-    /// sent/received. Per-pair FIFO keeps both endpoints in agreement.
-    req_out: Vec<u64>,
-    req_in: Vec<u64>,
-    grant_out: Vec<u64>,
-    grant_in: Vec<u64>,
-    result_out: Vec<u64>,
-    result_in: Vec<u64>,
-}
-
-/// Dispatch one incoming steal message from slot `from`. `REQ` grants an
-/// unstarted unit (with its input buffers) when at least two remain
-/// queued, else denies — unless this rank already sent `FIN`, in which
-/// case the request is dropped and the `FIN` on the wire doubles as the
-/// denial. A `GRANT` reply computes the stolen tile on the spot and
-/// returns its results; a `RESULT` stores a lent-out unit's output under
-/// its local slot.
-fn handle_steal_msg(
-    core: &mut StealCore,
-    env: &StealEnv<'_>,
-    comm: &ThreadComm,
-    from: usize,
-    msg: Vec<Complex64>,
-) -> Result<(), CommError> {
-    let kind = msg[0].re;
-    if kind == STEAL_REQ {
-        let seq = core.req_in[from];
-        core.req_in[from] += 1;
-        note_steal_flow(
-            comm,
-            FLOW_STEAL_REQ,
-            from,
-            comm.rank(),
-            seq,
-            false,
-            "steal/req",
-        );
-        if core.fin_sent {
-            return Ok(()); // our FIN (already on the wire) is the denial
-        }
-        if core.queue.len() >= 2 {
-            let mi = core.queue.pop_back().expect("non-empty");
-            let u = env.my_units[mi];
-            let geom = &env.geoms[u];
-            let mut buf =
-                Vec::with_capacity(2 + 2 * (geom.g_len(env.ctx.p) + geom.d_len(env.ctx.p)));
-            buf.push(c64(STEAL_GRANT, 0.0));
-            buf.push(c64(u as f64, 0.0));
-            for t in env.g_local[mi].iter().chain(env.d_local[mi].iter()) {
-                buf.extend_from_slice(t);
-            }
-            core.lent_out += 1;
-            let gseq = core.grant_out[from];
-            core.grant_out[from] += 1;
-            note_steal_flow(
-                comm,
-                FLOW_STEAL_GRANT,
-                from,
-                comm.rank(),
-                gseq,
-                true,
-                "steal/grant",
-            );
-            qt_telemetry::journal::emit(qt_telemetry::EventKind::StealGrant {
-                thief: comm.identity_of(from) as u64,
-                unit: u as u64,
-            });
-            comm.try_send(from, TAG_STEAL, buf)?;
-        } else {
-            qt_telemetry::journal::emit(qt_telemetry::EventKind::StealDeny {
-                thief: comm.identity_of(from) as u64,
-            });
-            comm.try_send(from, TAG_STEAL, vec![c64(STEAL_DENY, 0.0)])?;
-        }
-    } else if kind == STEAL_DENY {
-        core.reply = Some(StealReply::Deny);
-    } else if kind == STEAL_GRANT {
-        let gseq = core.grant_in[from];
-        core.grant_in[from] += 1;
-        note_steal_flow(
-            comm,
-            FLOW_STEAL_GRANT,
-            comm.rank(),
-            from,
-            gseq,
-            false,
-            "steal/grant",
-        );
-        let u = msg[1].re as usize;
-        let (gl, dl) = (env.geoms[u].g_len(env.ctx.p), env.geoms[u].d_len(env.ctx.p));
-        assert_eq!(msg.len(), 2 + 2 * gl + 2 * dl, "GRANT frame size");
-        let g = [msg[2..2 + gl].to_vec(), msg[2 + gl..2 + 2 * gl].to_vec()];
-        let base = 2 + 2 * gl;
-        let d = [
-            msg[base..base + dl].to_vec(),
-            msg[base + dl..base + 2 * dl].to_vec(),
-        ];
-        let hb = || comm.heartbeat();
-        let out = compute_unit_tile(
-            env.ctx,
-            env.tiling,
-            &env.geoms[u],
-            &g,
-            &d,
-            u,
-            comm.identity(),
-            &hb,
-        );
-        core.busy_secs += out.secs;
-        core.stolen_units += 1;
-        counters::add(Counter::BalanceStolenUnits, 1);
-        let mut buf = Vec::with_capacity(3 + env.geoms[u].sig_len(env.ctx.p) * 2);
-        buf.push(c64(STEAL_RESULT, 0.0));
-        buf.push(c64(u as f64, 0.0));
-        buf.push(c64(out.secs, 0.0));
-        buf.extend_from_slice(&out.sig[0]);
-        buf.extend_from_slice(&out.sig[1]);
-        for (l, g) in &out.pi_slices {
-            buf.extend_from_slice(l);
-            buf.extend_from_slice(g);
-        }
-        let rseq = core.result_out[from];
-        core.result_out[from] += 1;
-        note_steal_flow(
-            comm,
-            FLOW_STEAL_RESULT,
-            comm.rank(),
-            from,
-            rseq,
-            true,
-            "steal/result",
-        );
-        comm.try_send(from, TAG_STEAL, buf)?;
-        core.reply = Some(StealReply::Granted);
-    } else if kind == STEAL_RESULT {
-        let rseq = core.result_in[from];
-        core.result_in[from] += 1;
-        note_steal_flow(
-            comm,
-            FLOW_STEAL_RESULT,
-            from,
-            comm.rank(),
-            rseq,
-            false,
-            "steal/result",
-        );
-        let u = msg[1].re as usize;
-        let secs = msg[2].re;
-        let mi = env
-            .my_units
-            .iter()
-            .position(|&x| x == u)
-            .expect("RESULT for a unit we own");
-        let p = env.ctx.p;
-        let mut pos = 3;
-        let mut cut = |n: usize| {
-            pos += n;
-            msg[pos - n..pos].to_vec()
-        };
-        let sig = [0, 1].map(|_| cut(env.geoms[u].sig_len(p)));
-        let pi_slices = (0..p.nqz * p.nw)
-            .map(|qw| {
-                let n = pi_slice_len(p, env.tiling, &env.geoms[u], qw);
-                (cut(n), cut(n))
-            })
-            .collect();
-        assert_eq!(pos, msg.len(), "RESULT frame size");
-        core.outs[mi] = Some(UnitOut {
-            sig,
-            pi_slices,
-            secs,
-        });
-        core.lent_out -= 1;
-    } else if kind == STEAL_FIN {
-        core.fin_rcvd[from] = true;
-        core.dry[from] = true;
-    } else {
-        panic!("unknown steal message kind {kind}");
-    }
-    Ok(())
-}
-
-/// Drain every pending steal message (all live peers, non-blocking).
-/// Stops reading a peer's channel at its `FIN` — anything behind it
-/// belongs to the next protocol phase.
-fn poll_steal(
-    core: &mut StealCore,
-    env: &StealEnv<'_>,
-    comm: &ThreadComm,
-) -> Result<(), CommError> {
-    for s in 0..comm.size() {
-        if s == comm.rank() || core.fin_rcvd[s] {
-            continue;
-        }
-        while let Some(msg) = comm.poll_recv(s, TAG_STEAL) {
-            handle_steal_msg(core, env, comm, s, msg)?;
-            if core.fin_rcvd[s] {
-                break;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The compute phase with intra-iteration work stealing: process the own
-/// queue front-to-back while serving thieves between units; once idle,
-/// request units from stragglers until every peer is dry; then announce
-/// `FIN` and drain each peer's channel to its `FIN` (collecting any
-/// late `RESULT`s for lent-out units on the way). Termination: queues
-/// only shrink, every request resolves to a grant, a denial, or the
-/// victim's `FIN` (an implicit denial), and a peer that dies mid-protocol
-/// surfaces as a typed [`CommError`] for the supervisor's elastic path.
-fn steal_compute_phase(
-    env: &StealEnv<'_>,
-    comm: &ThreadComm,
-    live: &LivenessConfig,
-) -> Result<(Vec<UnitOut>, f64, u64, u64), CommError> {
-    let n = comm.size();
-    let me_slot = comm.rank();
-    let mut core = StealCore {
-        queue: (0..env.my_units.len()).collect(),
-        outs: (0..env.my_units.len()).map(|_| None).collect(),
-        fin_rcvd: vec![false; n],
-        dry: (0..n).map(|s| s == me_slot).collect(),
-        fin_sent: false,
-        lent_out: 0,
-        reply: None,
-        busy_secs: 0.0,
-        steal_requests: 0,
-        stolen_units: 0,
-        req_out: vec![0; n],
-        req_in: vec![0; n],
-        grant_out: vec![0; n],
-        grant_in: vec![0; n],
-        result_out: vec![0; n],
-        result_in: vec![0; n],
-    };
-    // Own work, serving thieves between units.
-    loop {
-        poll_steal(&mut core, env, comm)?;
-        let Some(mi) = core.queue.pop_front() else {
-            break;
-        };
-        let u = env.my_units[mi];
-        let hb = || comm.heartbeat();
-        let out = compute_unit_tile(
-            env.ctx,
-            env.tiling,
-            &env.geoms[u],
-            &env.g_local[mi],
-            &env.d_local[mi],
-            u,
-            comm.identity(),
-            &hb,
-        );
-        core.busy_secs += out.secs;
-        core.outs[mi] = Some(out);
-    }
-    // Idle: steal from stragglers until everyone is dry.
-    while let Some(v) = (1..n)
-        .map(|off| (me_slot + off) % n)
-        .find(|&s| !core.dry[s])
-    {
-        let rseq = core.req_out[v];
-        core.req_out[v] += 1;
-        note_steal_flow(comm, FLOW_STEAL_REQ, me_slot, v, rseq, true, "steal/req");
-        qt_telemetry::journal::emit(qt_telemetry::EventKind::StealRequest {
-            victim: comm.identity_of(v) as u64,
-        });
-        comm.try_send(v, TAG_STEAL, vec![c64(STEAL_REQ, 0.0)])?;
-        core.steal_requests += 1;
-        counters::add(Counter::BalanceStealRequests, 1);
-        core.reply = None;
-        let mut watch = (comm.epoch_of(v), std::time::Instant::now());
-        loop {
-            poll_steal(&mut core, env, comm)?;
-            if core.reply.is_some() || core.fin_rcvd[v] {
-                break;
-            }
-            std::thread::sleep(live.poll);
-            comm.heartbeat();
-            if let Some(s) = comm.first_dead_excluding(me_slot) {
-                return Err(CommError::RankDeath {
-                    rank: comm.identity_of(s),
-                    epoch: comm.epoch_of(s),
-                });
-            }
-            let e = comm.epoch_of(v);
-            if e != watch.0 {
-                watch = (e, std::time::Instant::now());
-            } else if watch.1.elapsed() >= live.deadline {
-                comm.declare_dead(v);
-                return Err(CommError::RankDeath {
-                    rank: comm.identity_of(v),
-                    epoch: e,
-                });
-            }
-        }
-        match core.reply.take() {
-            Some(StealReply::Deny) | None => core.dry[v] = true, // FIN implies deny
-            Some(StealReply::Granted) => {}                      // same victim may have more
-        }
-    }
-    // Announce we are done; FIN is the last steal frame on each channel.
-    core.fin_sent = true;
-    for s in 0..n {
-        if s != me_slot {
-            comm.try_send(s, TAG_STEAL, vec![c64(STEAL_FIN, 0.0)])?;
-        }
-    }
-    // Drain each peer to its FIN, collecting late RESULTs.
-    for s in 0..n {
-        if s == me_slot {
-            continue;
-        }
-        while !core.fin_rcvd[s] {
-            let msg = comm.try_recv(s, TAG_STEAL, live)?;
-            handle_steal_msg(&mut core, env, comm, s, msg)?;
-        }
-    }
-    assert_eq!(core.lent_out, 0, "every lent unit must have reported back");
-    let outs = core
-        .outs
-        .into_iter()
-        .map(|o| o.expect("every owned unit computed"))
-        .collect();
-    Ok((outs, core.busy_secs, core.steal_requests, core.stolen_units))
 }
 
 /// Success: the assembled Σ≷/Π≷ plus the survivor world's measured traffic
@@ -1131,11 +701,12 @@ pub type ElasticExchange = Result<(ElectronSelfEnergy, PhononSelfEnergy, CommSta
 
 /// Run the DaCe communication-avoiding scheme once over the survivors of
 /// `tiling`. Each survivor executes every work unit the tiling assigns to
-/// it, so Σ≷/Π≷ are bitwise stable across any survivor set, owner map or
-/// steal schedule; with the full tiling and stealing off the traffic is
-/// exactly [`crate::volume::dace_rank_sent_bytes`]. One attempt, no
-/// recovery: a death comes back as `Err` for the supervision loop of
-/// [`crate::runner::supervised_iteration`] to re-tile around.
+/// it, so Σ≷/Π≷ are bitwise stable across any survivor set or owner map.
+/// Under every policy whose world carries no fault plan, each survivor
+/// slot sends exactly [`crate::volume::dace_elastic_rank_sent_bytes`]
+/// ([`crate::volume::dace_rank_sent_bytes`] on the full tiling). One
+/// attempt, no recovery: a death comes back as `Err` for the supervision
+/// loop of [`crate::runner::supervised_iteration`] to re-tile around.
 pub fn ca_exchange(
     ctx: &SseDistContext<'_>,
     tiling: &ElasticTiling,
@@ -1193,8 +764,6 @@ fn collect_elastic(
         let balance = BalanceStats {
             rank_busy_secs: ok.iter().map(|r| r.busy_secs).collect(),
             unit_secs,
-            steal_requests: ok.iter().map(|r| r.steal_requests).sum(),
-            stolen_units: ok.iter().map(|r| r.stolen_units).sum(),
         };
         let stats = CommStats::from_rank_bytes(ok.iter().map(|r| r.bytes), Some(balance));
         let (sigma, pi) = ok
@@ -1331,38 +900,15 @@ fn elastic_rank_body(
         }
     }
     // ---- Compute phase: Σ≷ tile + Π≷ partial slices per owned unit,
-    // timed per unit. With stealing on, idle ranks pull unstarted units
-    // from stragglers; the tile kernels are pure in their buffers, so the
-    // results are bitwise identical either way. ----
-    let env = StealEnv {
-        ctx,
-        tiling,
-        my_units: &my_units,
-        geoms: &geoms,
-        g_local: &g_local,
-        d_local: &d_local,
-    };
-    let (mut outs, busy_secs, steal_requests, stolen_units) = if policy.steal && comm.size() > 1 {
-        steal_compute_phase(&env, &comm, live)?
-    } else {
-        let mut outs = Vec::with_capacity(my_units.len());
-        let mut busy = 0.0;
-        for (mi, &u) in my_units.iter().enumerate() {
-            let out = compute_unit_tile(
-                ctx,
-                tiling,
-                &geoms[u],
-                &g_local[mi],
-                &d_local[mi],
-                u,
-                me,
-                &hb,
-            );
-            busy += out.secs;
-            outs.push(out);
-        }
-        (outs, busy, 0, 0)
-    };
+    // timed per unit and traced on this rank's lane. ----
+    let mut outs = Vec::with_capacity(my_units.len());
+    let mut busy_secs = 0.0;
+    for (mi, &u) in my_units.iter().enumerate() {
+        let out = compute_unit_tile(ctx, tiling, &geoms[u], &g_local[mi], &d_local[mi], u, &hb);
+        qt_telemetry::trace::record_rank_event(format!("sse/unit/{u}"), me, out.t0, out.wall_ns);
+        busy_secs += out.secs;
+        outs.push(out);
+    }
     let unit_secs: Vec<(usize, f64)> = my_units
         .iter()
         .zip(&outs)
@@ -1487,8 +1033,6 @@ fn elastic_rank_body(
         bytes: stats,
         busy_secs,
         unit_secs,
-        steal_requests,
-        stolen_units,
     })
 }
 
@@ -1847,7 +1391,7 @@ mod tests {
         let d = [0, 1].map(|_| vec![Complex64::ZERO; geom.d_len(p)]);
         let ticks = std::cell::Cell::new(0);
         let hb = || ticks.set(ticks.get() + 1);
-        compute_unit_tile(&ctx(&fx), &tiling, &geom, &g, &d, unit, 0, &hb);
+        compute_unit_tile(&ctx(&fx), &tiling, &geom, &g, &d, unit, &hb);
         assert!(ticks.get() >= geom.my_a.len(), "{} ticks", ticks.get());
     }
 
@@ -1899,43 +1443,6 @@ mod tests {
             bal.unit_secs
         );
         assert!(bal.imbalance_ratio() >= 1.0);
-        assert_eq!(bal.steal_requests, 0, "stealing defaults off");
-    }
-
-    #[test]
-    fn stealing_terminates_and_matches_bitwise() {
-        let fx = skewed_fixture();
-        let policy = ElasticPolicy {
-            steal: true,
-            ..Default::default()
-        };
-        let (te, ta) = (2usize, 2usize);
-        let (full, full_pi, _) = dace_scheme(&ctx(&fx), te, ta);
-        // All-zero weights collapse every unit onto rank 0: three ranks
-        // start idle and must pull their work through the steal protocol.
-        let tiling = ElasticTiling::weighted(&fx.p, te, ta, te * ta, &[0.0; 4]);
-        assert_eq!(tiling.units_of(0).len(), te * ta);
-        let mut stole = 0u64;
-        for _ in 0..5 {
-            let (dist, dist_pi, stats) = ca_exchange(&ctx(&fx), &tiling, &policy).unwrap();
-            assert_bitwise("sigma lesser", &full.lesser, &dist.lesser);
-            assert_bitwise("sigma greater", &full.greater, &dist.greater);
-            assert_bitwise("pi lesser", &full_pi.lesser, &dist_pi.lesser);
-            assert_bitwise("pi greater", &full_pi.greater, &dist_pi.greater);
-            let bal = stats.balance.expect("balance measured");
-            assert!(bal.steal_requests >= bal.stolen_units);
-            // Every unit cost is attributed, wherever the unit ran.
-            assert!(
-                bal.unit_secs.iter().all(|&s| s > 0.0),
-                "{:?}",
-                bal.unit_secs
-            );
-            stole += bal.stolen_units;
-            if stole > 0 {
-                break;
-            }
-        }
-        assert!(stole > 0, "three idle ranks must manage at least one steal");
     }
 
     #[test]

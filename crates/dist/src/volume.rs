@@ -89,7 +89,9 @@ pub fn to_tib(bytes: f64) -> f64 {
 // (uniform `NE/P` chunks, unclamped halos, no ownership detail). The
 // functions below model the byte streams of [`crate::schemes`] *exactly* —
 // same decomposition, same grid clamping, same self-send exemption — so the
-// telemetry report can assert measured == model to the byte.
+// telemetry report can assert measured == model to the byte. They hold for
+// every `ElasticPolicy` whose world runs without a fault plan (a plan adds
+// its retransmissions to the measured stream).
 
 /// Exact bytes each rank sends during [`crate::schemes::omen_scheme`]'s SSE
 /// exchange (before the result gather): per `(qz, ω)` round, the round owner
@@ -201,7 +203,8 @@ pub fn dace_measured_bytes(p: &SimParams, te: usize, ta: usize, halo: usize) -> 
 /// protocol with the collectives unrolled to point-to-point messages, so
 /// the model is the classic per-unit accounting re-keyed by *owning slot*:
 /// a message is free exactly when the source and destination units live on
-/// the same survivor. With the full tiling this reduces to
+/// the same survivor. Exact for every survivor set, owner map and policy
+/// (fault plan aside); with the full tiling this reduces to
 /// [`dace_rank_sent_bytes`].
 pub fn dace_elastic_rank_sent_bytes(
     p: &SimParams,

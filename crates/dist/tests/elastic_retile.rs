@@ -9,7 +9,7 @@
 //!    never needs replaying.
 //! 2. **Exact accounting** — `dace_elastic_rank_sent_bytes` predicts the
 //!    measured per-slot send volume of the elastic scheme byte-for-byte,
-//!    for any survivor subset.
+//!    for any survivor subset and owner map.
 
 use proptest::prelude::*;
 use qt_core::device::Device;
@@ -19,7 +19,7 @@ use qt_core::hamiltonian::{ElectronModel, PhononModel};
 use qt_core::params::SimParams;
 use qt_core::sse::{self, SseInputs};
 use qt_dist::volume::dace_elastic_rank_sent_bytes;
-use qt_dist::{ca_exchange, ElasticPolicy, ElasticTiling};
+use qt_dist::{ca_exchange, maybe_rebalance, ElasticPolicy, ElasticTiling};
 use qt_linalg::Tensor;
 
 fn small_params(te: usize, ta: usize) -> SimParams {
@@ -222,6 +222,30 @@ fn elastic_volume_model_matches_measured_bytes_per_slot() {
             measured_sent(&fx, &tiling),
             dace_elastic_rank_sent_bytes(&fx.p, halo, &tiling),
             "model diverged after killing rank {dead}"
+        );
+    }
+    // Weighted owner maps on the full world: a lopsided map, the all-zero
+    // collapse onto rank 0, and the map one measured re-tiling produces.
+    let lopsided = ElasticTiling::weighted(&fx.p, 2, 2, 4, &[1.0, 10.0, 1.0, 1.0]);
+    assert_ne!(lopsided.owner, ElasticTiling::uniform(&fx.p, 2, 2, 4).owner);
+    let collapsed = ElasticTiling::weighted(&fx.p, 2, 2, 4, &[0.0; 4]);
+    assert_eq!(collapsed.units_of(0).len(), 4);
+    let mut retiled = collapsed.clone();
+    let (_, _, stats) = ca_exchange(&ctx(&fx), &retiled, &ElasticPolicy::default()).unwrap();
+    let moved = maybe_rebalance(&mut retiled, &stats.balance.unwrap(), 1.0);
+    assert!(
+        !moved.is_empty(),
+        "re-tiling a collapsed map must move units"
+    );
+    for (name, tiling) in [
+        ("lopsided", &lopsided),
+        ("collapsed", &collapsed),
+        ("retiled", &retiled),
+    ] {
+        assert_eq!(
+            measured_sent(&fx, tiling),
+            dace_elastic_rank_sent_bytes(&fx.p, halo, tiling),
+            "model diverged on the {name} owner map"
         );
     }
 }

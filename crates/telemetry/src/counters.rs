@@ -145,8 +145,8 @@ counter_table! {
     (ElasticHeartbeatTimeouts, "elastic.heartbeat_timeouts", SAMPLED, In(Elasticity), "Receive polls that expired while the failure detector watched a peer's liveness epoch."),
     (ElasticRetileEvents, "elastic.retile_events", SAMPLED, In(Elasticity), "Survivor re-tiling passes of the CA decomposition."),
     (ElasticMigratedTiles, "elastic.migrated_tiles", SAMPLED, In(Elasticity), "Tiles migrated off dead ranks during re-tiling passes."),
-    (BalanceStealRequests, "balance.steal_requests", SAMPLED, In(Balance), "Work-steal requests sent by idle ranks."),
-    (BalanceStolenUnits, "balance.stolen_units", SAMPLED, In(Balance), "Work units granted to thieves by stragglers."),
+    (BalanceStealRequests, "balance.steal_requests", SAMPLED, In(Balance), "Work-steal requests sent by idle ranks. No longer emitted; kept so older reports load."),
+    (BalanceStolenUnits, "balance.stolen_units", SAMPLED, In(Balance), "Work units granted to thieves by stragglers. No longer emitted; kept so older reports load."),
     (BalanceRebalanceEvents, "balance.rebalance_events", SAMPLED, In(Balance), "Iteration-to-iteration re-partitioning passes of the adaptive tiling."),
     (BalanceMovedUnits, "balance.moved_units", SAMPLED, In(Balance), "Units whose owner changed in re-partitioning passes."),
     (JournalDropped, "journal.dropped", UNSAMPLED, Unreported, "Journal events overwritten by a full flight-recorder ring before they could be drained."),

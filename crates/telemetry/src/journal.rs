@@ -71,19 +71,22 @@ pub enum EventKind {
         /// Work units migrated onto survivors in this pass.
         moved_units: u64,
     },
-    /// An idle rank asked a peer for work.
+    /// An idle rank asked a peer for work. No longer emitted; kept so
+    /// older postmortems load.
     StealRequest {
         /// The rank being asked.
         victim: u64,
     },
-    /// A straggler granted a work unit to a thief.
+    /// A straggler granted a work unit to a thief. No longer emitted;
+    /// kept so older postmortems load.
     StealGrant {
         /// The requesting rank.
         thief: u64,
         /// The granted work unit.
         unit: u64,
     },
-    /// A steal request was declined (empty queue or finished victim).
+    /// A steal request was declined (empty queue or finished victim). No
+    /// longer emitted; kept so older postmortems load.
     StealDeny {
         /// The requesting rank.
         thief: u64,

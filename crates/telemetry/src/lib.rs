@@ -17,14 +17,14 @@
 //! * [`registry`] — the global phase table spans record into.
 //! * [`trace`] — a Chrome/Perfetto `trace_event` exporter so a full SCF
 //!   run can be opened in a trace viewer, including cross-rank flow
-//!   arrows pairing sends with receives and steal requests with grants.
+//!   arrows pairing sends with receives.
 //! * [`report`] — the serialisable [`report::TelemetryReport`]: per-phase
 //!   time/flops/GF·s/bytes plus model residuals (measured vs Table 3 flop
 //!   models, measured vs Table 4/5 communication-volume models) and the
 //!   SCF convergence trajectory.
 //! * [`journal`] — the flight recorder: lock-light per-rank bounded rings
 //!   of typed, timestamped events (quarantines, retries, rank deaths,
-//!   re-tilings, steals, checkpoints, iteration marks).
+//!   re-tilings, checkpoints, iteration marks).
 //! * [`series`] — periodic counter snapshots in a bounded ring, exported
 //!   as the report's `series` block and as Prometheus text.
 //! * [`postmortem`] — drains the journal into a versioned crash artifact

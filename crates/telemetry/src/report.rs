@@ -138,7 +138,7 @@ impl WarmupStats {
 
 /// The typed part of the report's `balance` block: per-rank busy times of
 /// the distributed iteration and the resulting imbalance ratios. The
-/// block's counters (`balance.*`: steals, re-partitioning passes) are read
+/// block's counters (`balance.*`: re-partitioning passes) are read
 /// with [`TelemetryReport::counter`] like every other counter.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct BalanceReport {

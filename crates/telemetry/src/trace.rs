@@ -2,11 +2,10 @@
 //!
 //! Every closed span becomes one complete ("X") event; nesting is
 //! reconstructed by the viewer from timestamps and durations per thread
-//! track. Cross-rank causality — a send landing in a receive, a steal
-//! request answered by a grant — is encoded as flow-event pairs (`ph:
-//! "s"` on the initiating rank's track, `ph: "f"` on the completing
-//! rank's) sharing an `id`, so the viewer draws arrows between rank
-//! lanes. Load the emitted file in `chrome://tracing` or
+//! track. Cross-rank causality — a send landing in a receive — is
+//! encoded as flow-event pairs (`ph: "s"` on the sending rank's track,
+//! `ph: "f"` on the receiving rank's) sharing an `id`, so the viewer draws
+//! arrows between rank lanes. Load the emitted file in `chrome://tracing` or
 //! <https://ui.perfetto.dev>.
 
 use std::borrow::Cow;
@@ -95,10 +94,9 @@ fn record_on_track(name: Cow<'static, str>, t0: Instant, dur_ns: u64, tid: u64) 
 }
 
 /// Stable correlation id for a flow pair: FNV-1a over the identifying
-/// words (e.g. `[src, dst, tag, seq]` for a message, `[thief, victim,
-/// ordinal]` for a steal arc). Both endpoints must derive the id from
-/// the same words; the per-pair FIFO channel order guarantees their
-/// ordinals agree.
+/// words (e.g. `[salt, src, dst, tag, seq]` for a message). Both
+/// endpoints must derive the id from the same words; the per-pair FIFO
+/// channel order guarantees their ordinals agree.
 pub fn flow_id(words: &[u64]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &w in words {
@@ -388,13 +386,13 @@ mod tests {
         record_flow_finish("comm/msg", 1, id);
         let id2 = flow_id(&[2, 3, 7, 42]);
         assert_ne!(id, id2);
-        record_flow_start("steal/req", 2, id2);
-        record_flow_finish("steal/req", 3, id2);
+        record_flow_start("test/flow/arc", 2, id2);
+        record_flow_finish("test/flow/arc", 3, id2);
         set_tracing(false);
         let json = export_chrome_trace();
         validate_chrome_trace(&json).unwrap();
         assert!(count_flows(&json, "comm/msg") >= 1);
-        assert!(count_flows(&json, "steal/req") >= 1);
+        assert!(count_flows(&json, "test/flow/arc") >= 1);
     }
 
     #[test]
