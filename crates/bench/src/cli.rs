@@ -160,7 +160,7 @@ mod tests {
     const TABLE6: &[Flag] = &[
         ("--out", Kind::Str),
         ("--bs", Kind::Int),
-        ("--tie-tol", Kind::Num),
+        ("--tol", Kind::Num),
         ("--chaos", Kind::Switch),
     ];
     const CHECK: &[Flag] = &[("--require", Kind::Str)];
@@ -171,10 +171,10 @@ mod tests {
 
     #[test]
     fn declared_flags_parse_to_typed_values() {
-        let args = argv(&["--bs", "32", "--chaos", "--tie-tol", "0.2", "--bs", "48"]);
+        let args = argv(&["--bs", "32", "--chaos", "--tol", "0.2", "--bs", "48"]);
         let f = parse("table6", TABLE6, &[], &args).unwrap();
         assert_eq!(f.int("--bs"), Some(48)); // last one wins
-        assert_eq!(f.num("--tie-tol"), Some(0.2));
+        assert_eq!(f.num("--tol"), Some(0.2));
         assert!(f.has("--chaos"));
         assert_eq!(f.str("--out"), None);
         let none = argv(&[]);
@@ -191,7 +191,7 @@ mod tests {
         let e = err(TABLE6, &[], &["--repotr", "x"]);
         assert!(e.contains("unknown table6 flag \"--repotr\""), "{e}");
         assert!(
-            e.contains("[--out <value>] [--bs <n>] [--tie-tol <x>] [--chaos]"),
+            e.contains("[--out <value>] [--bs <n>] [--tol <x>] [--chaos]"),
             "{e}"
         );
         // Missing value.
@@ -204,8 +204,8 @@ mod tests {
             assert!(e.contains("--bs needs a non-negative integer"), "{e}");
         }
         for bad in ["wide", "NaN"] {
-            let e = err(TABLE6, &[], &["--tie-tol", bad]);
-            assert!(e.contains("--tie-tol needs a number"), "{e}");
+            let e = err(TABLE6, &[], &["--tol", bad]);
+            assert!(e.contains("--tol needs a number"), "{e}");
         }
         // A subcommand without flags rejects stray arguments of both kinds.
         let e = err(&[], &[], &["--verbose"]);

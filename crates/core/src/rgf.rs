@@ -361,8 +361,9 @@ fn rmul_dagger_coupling(
 }
 
 /// Structural density of a coupling pair (`nnz / capacity` over both the
-/// lower and upper block).
-fn coupling_density(lo: &Matrix, up: &Matrix) -> f64 {
+/// lower and upper block) — what [`MultiplyStrategy::Auto`] compares
+/// against the crossover.
+pub fn coupling_density(lo: &Matrix, up: &Matrix) -> f64 {
     let nnz = lo
         .as_slice()
         .iter()
@@ -453,20 +454,11 @@ impl RgfOutput {
 /// self-energy of block `n` (boundary + scattering contributions already
 /// summed).
 pub fn rgf(a: &BlockTridiag, sigma_lesser: &[Matrix]) -> Result<RgfOutput, SingularMatrix> {
-    rgf_with_strategy(a, sigma_lesser, MultiplyStrategy::Dense)
+    rgf_with_selector(a, sigma_lesser, MultiplyStrategy::Dense, None)
 }
 
-/// Run RGF with an explicit off-diagonal multiply strategy (Table 6).
-pub fn rgf_with_strategy(
-    a: &BlockTridiag,
-    sigma_lesser: &[Matrix],
-    strategy: MultiplyStrategy,
-) -> Result<RgfOutput, SingularMatrix> {
-    rgf_with_selector(a, sigma_lesser, strategy, None)
-}
-
-/// Run RGF with a multiply strategy and an optional sticky
-/// [`KernelSelector`]. The selector only matters for
+/// Run RGF with an off-diagonal multiply strategy (Table 6) and an
+/// optional sticky [`KernelSelector`]. The selector only matters for
 /// [`MultiplyStrategy::Auto`]; without one, Auto falls back to a
 /// stateless per-solve density-vs-crossover compare.
 pub fn rgf_with_selector(
@@ -894,10 +886,10 @@ mod tests {
             .map(|_| Matrix::random_hermitian(bs, &mut r).scale(Complex64::I))
             .collect();
         let (dense, f_dense) = qt_linalg::count_flops(|| {
-            rgf_with_strategy(&a, &sig, MultiplyStrategy::Dense).unwrap()
+            rgf_with_selector(&a, &sig, MultiplyStrategy::Dense, None).unwrap()
         });
         let (sparse, f_sparse) = qt_linalg::count_flops(|| {
-            rgf_with_strategy(&a, &sig, MultiplyStrategy::Csrmm { threshold: 0.0 }).unwrap()
+            rgf_with_selector(&a, &sig, MultiplyStrategy::Csrmm { threshold: 0.0 }, None).unwrap()
         });
         for n in 0..nb {
             assert!(dense.gr_diag[n].max_abs_diff(&sparse.gr_diag[n]) < 1e-10);
@@ -1046,7 +1038,7 @@ mod tests {
         let sig: Vec<Matrix> = (0..nb)
             .map(|_| Matrix::random_hermitian(bs, &mut r).scale(Complex64::I))
             .collect();
-        let dense = rgf_with_strategy(&a, &sig, MultiplyStrategy::Dense).unwrap();
+        let dense = rgf_with_selector(&a, &sig, MultiplyStrategy::Dense, None).unwrap();
         let strat = MultiplyStrategy::Auto {
             dense_rate: 1e9,
             sparse_rate: 3e8,
@@ -1137,9 +1129,9 @@ mod tests {
             .map(|_| Matrix::random_hermitian(bs, &mut r).scale(Complex64::I))
             .collect();
         let strat = MultiplyStrategy::Csrmm { threshold: 0.0 };
-        rgf_with_strategy(&a, &sig, strat).unwrap().recycle();
+        rgf_with_selector(&a, &sig, strat, None).unwrap().recycle();
         let before = qt_linalg::workspace::fresh_here();
-        rgf_with_strategy(&a, &sig, strat).unwrap().recycle();
+        rgf_with_selector(&a, &sig, strat, None).unwrap().recycle();
         assert_eq!(
             qt_linalg::workspace::fresh_here(),
             before,
