@@ -26,7 +26,7 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::time::Instant;
 
-use qt_linalg::gemm::{gemm_acc, gemm_bdagger_acc, gemm_bdagger_scaled_acc, gemm_scaled_acc};
+use qt_linalg::gemm::{gemm_acc, gemm_bdagger_acc, gemm_scaled_acc};
 use qt_linalg::{
     c64, invert, invert_ws, workspace, BlockTridiag, Complex64, CsrMatrix, Matrix, SingularMatrix,
 };
@@ -172,14 +172,6 @@ impl KernelSelector {
             CHOICE_SPARSE => Some(true),
             CHOICE_DENSE => Some(false),
             _ => None,
-        }
-    }
-
-    /// Forget every remembered choice (a new bias point changes the
-    /// operator structure enough to warrant re-deciding from scratch).
-    pub fn reset(&self) {
-        for c in &self.choices {
-            c.store(CHOICE_UNSET, Ordering::Relaxed);
         }
     }
 
@@ -347,7 +339,7 @@ fn rmul_dagger_coupling(
     match sp {
         Some(s) => timing.op(true, || s.rmul_dagger_scaled_acc(a, z, out)),
         None => timing.op(false, || {
-            gemm_bdagger_scaled_acc(
+            gemm_bdagger_acc(
                 bs,
                 bs,
                 bs,
@@ -558,7 +550,15 @@ pub fn rgf_with_selector(
         let mut t = workspace::take(bs, bs);
         gemm_acc(&gr, &sig, &mut t);
         let mut gl = workspace::take(bs, bs);
-        gemm_bdagger_acc(bs, bs, bs, t.as_slice(), gr.as_slice(), gl.as_mut_slice());
+        gemm_bdagger_acc(
+            bs,
+            bs,
+            bs,
+            t.as_slice(),
+            gr.as_slice(),
+            gl.as_mut_slice(),
+            one,
+        );
         workspace::give(t);
         workspace::give(sig);
         g_r.push(gr);
@@ -619,6 +619,7 @@ pub fn rgf_with_selector(
             v1.as_slice(),
             gr_next.as_slice(),
             v2.as_mut_slice(),
+            one,
         );
         let mut v3 = workspace::take(bs, bs);
         rmul_dagger_coupling(kern.up_sp(), &timing, bs, &v2, up, one, &mut v3);
@@ -632,6 +633,7 @@ pub fn rgf_with_selector(
             t4.as_slice(),
             gr_n.as_slice(),
             gld.as_mut_slice(),
+            one,
         );
         // Off-diagonal blocks. w1 = Gᴿ_{n+1,n+1} A_{n+1,n} feeds both
         // Gᴿ_{n+1,n} and G<_{n+1,n}; Gᴿ_{n,n+1} = −t1g re-uses its buffer.
@@ -663,7 +665,7 @@ pub fn rgf_with_selector(
         );
         let mut x1 = workspace::take(bs, bs);
         rmul_dagger_coupling(kern.up_sp(), &timing, bs, gl_next, up, one, &mut x1);
-        gemm_bdagger_scaled_acc(
+        gemm_bdagger_acc(
             bs,
             bs,
             bs,
@@ -949,8 +951,6 @@ mod tests {
         // Out-of-range block index degrades to the stateless compare.
         assert!(s.choose(7, 0.1, 0.2, 0.5));
         assert!(!s.choose(7, 0.5, 0.2, 0.5));
-        s.reset();
-        assert_eq!(s.choice(0), None);
     }
 
     #[test]

@@ -233,6 +233,7 @@ impl Matrix {
             self.as_slice(),
             rhs.as_slice(),
             out.as_mut_slice(),
+            Complex64::ONE,
         );
         out
     }

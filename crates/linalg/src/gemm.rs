@@ -1,4 +1,5 @@
-//! Complex GEMM kernels — the blocked, packed, register-tiled hot path.
+//! Complex GEMM kernels — one dispatcher over the blocked, packed,
+//! register-tiled hot path and its naive fallbacks.
 //!
 //! Every flop of the simulator funnels through this module (the paper's
 //! central claim is that after the data-centric transformations both RGF and
@@ -18,21 +19,19 @@
 //!   k-summation happens inside one microkernel call whatever band it falls
 //!   in, so the banding never shows in the output bits.
 //!
-//! Packing is also where operand *layout adapters* live, so the specialized
-//! entry points cost nothing extra:
+//! Every entry point is a thin call into one private dispatcher, naming its
+//! operand layout (`B` row-major or `B^H`, row strides), its scale and its
+//! naive fallback; the dispatcher is the only code that compares a shape
+//! against `NAIVE_THRESHOLD`, [`MR`]/[`NR`] and [`PAR_THRESHOLD`]. The two
+//! fallbacks sum in different orders — i-k-j row axpys ([`gemm_naive_acc`])
+//! for the unscaled products, a per-entry dot then scale for the scaled
+//! ones — so the fallback an entry names is part of its output bits;
+//! `tests/gemm_blocked.rs` pins every entry's route bit for bit.
 //!
-//! * [`gemm_bdagger_acc`] packs `B^H` during the packing step (conjugate
-//!   transpose is free — a strided read it would have paid anyway);
-//! * [`gemm_window_acc`] packs the `ω`-window of consecutive `no x no`
-//!   blocks as the horizontally-concatenated `no x win·no` operand of the
-//!   paper's single fused GEMM (Fig. 11c), replacing a loop of tiny products;
-//! * [`batched_gemm_acc`] runs same-shape batch items through the packed
-//!   path in per-thread chunks so the pooled buffers amortize across items.
-//!
-//! The pre-existing i-k-j kernels are kept verbatim as `gemm_naive_*`
-//! reference implementations: they anchor the proptest correctness suite,
-//! the `gemm_sweep` benchmark baseline, and serve as the fallback below the
-//! calibrated [`NAIVE_THRESHOLD`].
+//! Layouts are adapted in the packing step: [`gemm_bdagger_acc`]
+//! conjugate-transposes B while packing it (`B^H` is never materialized),
+//! and the blocked LU's in-place updates pass A, B and C row strides wider
+//! than the product.
 
 use crate::complex::{c64, Complex64};
 use crate::dense::Matrix;
@@ -61,9 +60,10 @@ pub const NC: usize = 1024;
 pub const PAR_THRESHOLD: usize = 64 * 64 * 64;
 
 /// Below this many complex multiply-adds (or when a dimension cannot fill a
-/// register tile) the naive kernel wins: packing costs `O(mk + kn)` writes
-/// that only amortize once the `O(mkn)` compute dominates. Calibrated on the
-/// 8×8×8 crossover measured by the `gemm_sweep` bench.
+/// register tile) an entry's naive fallback wins: packing costs `O(mk + kn)`
+/// writes that only amortize once the `O(mkn)` compute dominates. The 8³
+/// crossover was measured when the packed kernel landed; `reproduce
+/// calibrate` prints the blocked and naive rates of each shape class.
 const NAIVE_THRESHOLD: usize = 8 * 8 * 8;
 
 // ---------------------------------------------------------------------------
@@ -85,7 +85,8 @@ pub fn gemm_acc(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     gemm_raw_acc(m, k, n, a.as_slice(), b.as_slice(), out.as_mut_slice());
 }
 
-/// Slice-level `out[m x n] += a[m x k] @ b[k x n]`, all row-major.
+/// Slice-level `out[m x n] += a[m x k] @ b[k x n]`, all row-major; small
+/// shapes take the i-k-j [`gemm_naive_acc`].
 pub fn gemm_raw_acc(
     m: usize,
     k: usize,
@@ -94,35 +95,27 @@ pub fn gemm_raw_acc(
     b: &[Complex64],
     out: &mut [Complex64],
 ) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    flops::add_gemm_flops_batched(m, k, n, 1);
-    if m == 0 || k == 0 || n == 0 {
-        return;
-    }
-    let work = m * k * n;
-    if work < NAIVE_THRESHOLD || m < MR || n < NR {
-        gemm_naive_acc(m, k, n, a, b, out);
-    } else {
-        gemm_blocked::<true>(
-            m,
-            k,
-            n,
-            PanelA::Rows { a, ld: k },
-            PanelB::Rows { b, ld: n },
-            out,
-            Complex64::ONE,
-            work >= PAR_THRESHOLD,
-        );
-    }
+    let b = PanelB::Rows { b, ld: n };
+    dispatch::<true>(
+        (m, k, n),
+        1,
+        a,
+        k,
+        b,
+        out,
+        n,
+        Complex64::ONE,
+        Some(naive_axpy),
+        true,
+    );
 }
 
 /// `out += scale · (a @ b)`, slice-level and row-major like
-/// [`gemm_raw_acc`]. The scale rides the blocked kernel's existing
-/// accumulate-with-scale epilogue (the same mechanism
-/// [`gemm_window_acc`] uses), so `C −= A·B` chains in RGF cost one GEMM
-/// instead of a product, a temporary and a subtraction.
+/// [`gemm_raw_acc`]. The scale rides the blocked kernel's
+/// accumulate-with-scale epilogue, so `C −= A·B` chains in RGF cost one GEMM
+/// instead of a product, a temporary and a subtraction. Small shapes take
+/// the dot-then-scale fallback, whose summation order differs from
+/// [`gemm_raw_acc`]'s even at `scale = ONE`.
 pub fn gemm_scaled_acc(
     m: usize,
     k: usize,
@@ -132,33 +125,16 @@ pub fn gemm_scaled_acc(
     out: &mut [Complex64],
     scale: Complex64,
 ) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    flops::add_gemm_flops_batched(m, k, n, 1);
-    if m == 0 || k == 0 || n == 0 {
-        return;
-    }
-    let work = m * k * n;
-    if work < NAIVE_THRESHOLD || m < MR || n < NR {
-        gemm_naive_scaled_acc(m, k, n, a, b, out, scale);
-    } else {
-        gemm_blocked::<true>(
-            m,
-            k,
-            n,
-            PanelA::Rows { a, ld: k },
-            PanelB::Rows { b, ld: n },
-            out,
-            scale,
-            work >= PAR_THRESHOLD,
-        );
-    }
+    let b = PanelB::Rows { b, ld: n };
+    dispatch::<true>((m, k, n), 1, a, k, b, out, n, scale, Some(naive_dot), true);
 }
 
-/// `out += scale · (a @ b^H)` with `b` stored row-major as `n x k` — the
-/// scaled sibling of [`gemm_bdagger_acc`] for RGF's `−X·G^dagger` terms.
-pub fn gemm_bdagger_scaled_acc(
+/// `out += scale · (a @ b^H)` with `b` stored row-major as `n x k` (RGF's
+/// `X·G^dagger` terms). The conjugate transpose happens while packing the
+/// B-panel, so it costs nothing beyond the strided reads packing performs
+/// anyway — `B^H` is never materialized. Small shapes take the
+/// dot-then-scale fallback.
+pub fn gemm_bdagger_acc(
     m: usize,
     k: usize,
     n: usize,
@@ -167,32 +143,12 @@ pub fn gemm_bdagger_scaled_acc(
     out: &mut [Complex64],
     scale: Complex64,
 ) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    debug_assert_eq!(out.len(), m * n);
-    flops::add_gemm_flops_batched(m, k, n, 1);
-    if m == 0 || k == 0 || n == 0 {
-        return;
-    }
-    let work = m * k * n;
-    if work < NAIVE_THRESHOLD || m < MR || n < NR {
-        gemm_naive_bdagger_scaled_acc(m, k, n, a, b, out, scale);
-    } else {
-        gemm_blocked::<true>(
-            m,
-            k,
-            n,
-            PanelA::Rows { a, ld: k },
-            PanelB::Dagger { b, ld: k },
-            out,
-            scale,
-            work >= PAR_THRESHOLD,
-        );
-    }
+    let b = PanelB::Dagger { b, ld: k };
+    dispatch::<true>((m, k, n), 1, a, k, b, out, n, scale, Some(naive_dot), true);
 }
 
 /// `out += a @ b` through the blocked/packed path unconditionally — the
-/// entry the proptest suite and the `gemm_sweep` bench use so the microkernel
+/// entry the proptest suite and `qt_model::calibrate` use so the microkernel
 /// is exercised even at shapes the dispatcher would route to the naive
 /// fallback.
 pub fn gemm_blocked_acc(
@@ -203,23 +159,8 @@ pub fn gemm_blocked_acc(
     b: &[Complex64],
     out: &mut [Complex64],
 ) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    flops::add_gemm_flops_batched(m, k, n, 1);
-    if m == 0 || k == 0 || n == 0 {
-        return;
-    }
-    gemm_blocked::<true>(
-        m,
-        k,
-        n,
-        PanelA::Rows { a, ld: k },
-        PanelB::Rows { b, ld: n },
-        out,
-        Complex64::ONE,
-        m * k * n >= PAR_THRESHOLD,
-    );
+    let b = PanelB::Rows { b, ld: n };
+    dispatch::<true>((m, k, n), 1, a, k, b, out, n, Complex64::ONE, None, true);
 }
 
 /// `out += a @ b` through the blocked/packed path with the telemetry
@@ -235,30 +176,17 @@ pub fn gemm_blocked_acc_uninstrumented(
     b: &[Complex64],
     out: &mut [Complex64],
 ) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    if m == 0 || k == 0 || n == 0 {
-        return;
-    }
-    gemm_blocked::<false>(
-        m,
-        k,
-        n,
-        PanelA::Rows { a, ld: k },
-        PanelB::Rows { b, ld: n },
-        out,
-        Complex64::ONE,
-        m * k * n >= PAR_THRESHOLD,
-    );
+    let b = PanelB::Rows { b, ld: n };
+    dispatch::<false>((m, k, n), 1, a, k, b, out, n, Complex64::ONE, None, true);
 }
 
 /// `out[idx] += a[idx] @ b[idx]` for a batch of equally-shaped small
 /// matrices packed contiguously (each `m x k`, `k x n`, `m x n`).
 ///
-/// Batch items are grouped into per-thread chunks so the packed panels of
-/// the blocked kernel amortize their pooled buffers across many tiny
-/// `Norb x Norb` products — the untransformed-SSE hot loop.
+/// Each item is routed like [`gemm_raw_acc`] but runs serially; a large
+/// batch fans out over per-thread chunks of items instead, so the packed
+/// panels of the blocked kernel amortize their pooled buffers across many
+/// tiny `Norb x Norb` products — the untransformed-SSE hot loop.
 pub fn batched_gemm_acc(
     m: usize,
     k: usize,
@@ -271,84 +199,27 @@ pub fn batched_gemm_acc(
     assert_eq!(a.len(), batch * m * k);
     assert_eq!(b.len(), batch * k * n);
     assert_eq!(out.len(), batch * m * n);
-    flops::add_gemm_flops_batched(m, k, n, batch);
-    if batch == 0 || m == 0 || k == 0 || n == 0 {
-        return;
-    }
-    let per = m * k * n;
-    let use_blocked = m >= MR && n >= NR && per >= NAIVE_THRESHOLD;
-    let item = |at: &[Complex64], bt: &[Complex64], ot: &mut [Complex64]| {
-        if use_blocked {
-            gemm_blocked::<true>(
-                m,
-                k,
-                n,
-                PanelA::Rows { a: at, ld: k },
-                PanelB::Rows { b: bt, ld: n },
-                ot,
-                Complex64::ONE,
-                false,
-            );
-        } else {
-            gemm_naive_acc(m, k, n, at, bt, ot);
-        }
-    };
-    if per * batch >= PAR_THRESHOLD && batch > 1 {
-        // Chunks of consecutive items per task: each task reuses its
-        // thread's pooled packing buffers across the whole chunk.
-        let chunk = batch.div_ceil(par::width() * 4).max(1);
-        par::for_each_chunk_mut(out, chunk * m * n, |ci, oc| {
-            let t0 = ci * chunk;
-            for (ti, ot) in oc.chunks_mut(m * n).enumerate() {
-                let t = t0 + ti;
-                item(
-                    &a[t * m * k..(t + 1) * m * k],
-                    &b[t * k * n..(t + 1) * k * n],
-                    ot,
-                );
-            }
-        });
-    } else {
-        for t in 0..batch {
-            item(
-                &a[t * m * k..(t + 1) * m * k],
-                &b[t * k * n..(t + 1) * k * n],
-                &mut out[t * m * n..(t + 1) * m * n],
-            );
-        }
-    }
-}
-
-/// `out += scale · (a_view @ b)` where `a_view` is an `m x k` row-major view
-/// with row stride `lda >= k` into a larger matrix, while `b` (`k x n`) and
-/// `out` (`m x n`) are contiguous. Serial and uninstrumented — no flop
-/// accounting, no hot-section timers — because it is the internal building
-/// block of the blocked LU substitution, whose flops the LU entry points
-/// already account in closed form (double-counting would break the exact
-/// model residuals).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_view_a_scaled_acc_uninstrumented(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[Complex64],
-    lda: usize,
-    b: &[Complex64],
-    out: &mut [Complex64],
-    scale: Complex64,
-) {
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    gemm_view_abc_scaled_acc_uninstrumented(m, k, n, a, lda, b, n, out, n, scale);
+    let b = PanelB::Rows { b, ld: n };
+    dispatch::<true>(
+        (m, k, n),
+        batch,
+        a,
+        k,
+        b,
+        out,
+        n,
+        Complex64::ONE,
+        Some(naive_axpy),
+        true,
+    );
 }
 
 /// `c += scale · (a_view @ b_view)` where all three operands are row-major
-/// views with independent row strides into larger buffers. This is the
-/// in-place trailing update of the blocked LU factorization
-/// (`A22 −= L21 · U12` inside one packed-factor buffer), which needs a
-/// strided C on top of [`gemm_view_a_scaled_acc_uninstrumented`]'s strided
-/// A. Serial and uninstrumented for the same reason: LU accounts its flops
-/// in closed form.
+/// views with independent row strides into larger buffers: the blocked LU's
+/// trailing update (`A22 −= L21 · U12` inside one packed-factor buffer) and
+/// its substitution sweeps. Serial and uninstrumented — no flop accounting,
+/// no hot-section timers — because LU accounts its flops in closed form
+/// (double-counting would break the exact model residuals).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_view_abc_scaled_acc_uninstrumented(
     m: usize,
@@ -362,62 +233,19 @@ pub(crate) fn gemm_view_abc_scaled_acc_uninstrumented(
     ldc: usize,
     scale: Complex64,
 ) {
-    if m == 0 || k == 0 || n == 0 {
-        return;
-    }
-    debug_assert!(lda >= k && a.len() >= (m - 1) * lda + k);
-    debug_assert!(ldb >= n && b.len() >= (k - 1) * ldb + n);
-    debug_assert!(ldc >= n && c.len() >= (m - 1) * ldc + n);
-    if m * k * n < NAIVE_THRESHOLD || m < MR || n < NR {
-        for i in 0..m {
-            let a_row = &a[i * lda..i * lda + k];
-            let c_row = &mut c[i * ldc..i * ldc + n];
-            for (p, &a_ip) in a_row.iter().enumerate() {
-                if a_ip == Complex64::ZERO {
-                    continue;
-                }
-                let av = a_ip * scale;
-                let b_row = &b[p * ldb..p * ldb + n];
-                for (o, &bv) in c_row.iter_mut().zip(b_row.iter()) {
-                    *o = o.mul_add(av, bv);
-                }
-            }
-        }
-        return;
-    }
-    // The same macro/micro pipeline as `gemm_blocked`, with the C row
-    // stride decoupled from the logical width.
-    let mut jc = 0;
-    while jc < n {
-        let nc = (n - jc).min(NC);
-        let nc_pad = nc.next_multiple_of(NR);
-        let mut pc = 0;
-        while pc < k {
-            let kc = (k - pc).min(KC);
-            let mut b_buf = pack_pool::take(nc_pad * kc * 2);
-            pack_b(PanelB::Rows { b, ld: ldb }, pc, kc, jc, nc, &mut b_buf);
-            let mut ic = 0;
-            while ic < m {
-                let mc = (m - ic).min(MC);
-                process_band::<false>(
-                    PanelA::Rows { a, ld: lda },
-                    ic,
-                    mc,
-                    pc,
-                    kc,
-                    nc,
-                    &b_buf,
-                    &mut c[ic * ldc + jc..],
-                    ldc,
-                    scale,
-                );
-                ic += MC;
-            }
-            pack_pool::give(b_buf);
-            pc += kc;
-        }
-        jc += NC;
-    }
+    let b = PanelB::Rows { b, ld: ldb };
+    dispatch::<false>(
+        (m, k, n),
+        1,
+        a,
+        lda,
+        b,
+        c,
+        ldc,
+        scale,
+        Some(naive_axpy),
+        false,
+    );
 }
 
 /// Batched GEMM with one *shared* right operand: `out[t] += a[t] @ b` for
@@ -464,133 +292,9 @@ pub fn batched_gemm_shared_b_scaled_acc(
     gemm_scaled_acc(batch * m, k, n, a, b, out, scale);
 }
 
-/// `out += a @ b^H` (`out[m x n] += a[m x k] @ b^H`, with `b` stored
-/// row-major as `n x k`). The conjugate transpose happens while packing the
-/// B-panel, so it costs nothing beyond the strided reads packing performs
-/// anyway — `B^H` is never materialized.
-pub fn gemm_bdagger_acc(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[Complex64],
-    b: &[Complex64],
-    out: &mut [Complex64],
-) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    debug_assert_eq!(out.len(), m * n);
-    flops::add_gemm_flops_batched(m, k, n, 1);
-    if m == 0 || k == 0 || n == 0 {
-        return;
-    }
-    let work = m * k * n;
-    if work < NAIVE_THRESHOLD || m < MR || n < NR {
-        gemm_naive_bdagger_acc(m, k, n, a, b, out);
-    } else {
-        gemm_blocked::<true>(
-            m,
-            k,
-            n,
-            PanelA::Rows { a, ld: k },
-            PanelB::Dagger { b, ld: k },
-            out,
-            Complex64::ONE,
-            work >= PAR_THRESHOLD,
-        );
-    }
-}
-
-/// Windowed batched product: `out += scale · Σ_w A_w @ B_w` over `win`
-/// consecutive row-major `no x no` blocks of `a_blocks` / `b_blocks`.
-///
-/// This is the paper's Fig. 11c GEMM substitution executed literally: the
-/// stacked B blocks *are* the row-major `win·no x no` right operand, and the
-/// A blocks are packed as the horizontally-concatenated `no x win·no` left
-/// operand ([`PanelA::BlockCat`]), so the whole ω-window collapses into one
-/// `no x win·no x no` packed product instead of `win` tiny GEMMs.
-pub fn gemm_window_acc(
-    no: usize,
-    win: usize,
-    a_blocks: &[Complex64],
-    b_blocks: &[Complex64],
-    out: &mut [Complex64],
-    scale: Complex64,
-) {
-    debug_assert_eq!(a_blocks.len(), win * no * no);
-    debug_assert_eq!(b_blocks.len(), win * no * no);
-    debug_assert_eq!(out.len(), no * no);
-    flops::add_gemm_flops_batched(no, win * no, no, 1);
-    if no == 0 || win == 0 {
-        return;
-    }
-    let work = no * no * no * win;
-    if work < NAIVE_THRESHOLD || no < MR {
-        gemm_naive_window_acc(no, win, a_blocks, b_blocks, out, scale);
-    } else {
-        gemm_window_blocked_acc_inner(
-            no,
-            win,
-            a_blocks,
-            b_blocks,
-            out,
-            scale,
-            work >= PAR_THRESHOLD,
-        );
-    }
-}
-
-/// [`gemm_window_acc`] through the blocked path unconditionally (testing /
-/// benchmarking entry, like [`gemm_blocked_acc`]).
-pub fn gemm_window_blocked_acc(
-    no: usize,
-    win: usize,
-    a_blocks: &[Complex64],
-    b_blocks: &[Complex64],
-    out: &mut [Complex64],
-    scale: Complex64,
-) {
-    debug_assert_eq!(a_blocks.len(), win * no * no);
-    debug_assert_eq!(b_blocks.len(), win * no * no);
-    debug_assert_eq!(out.len(), no * no);
-    flops::add_gemm_flops_batched(no, win * no, no, 1);
-    if no == 0 || win == 0 {
-        return;
-    }
-    gemm_window_blocked_acc_inner(no, win, a_blocks, b_blocks, out, scale, false);
-}
-
-fn gemm_window_blocked_acc_inner(
-    no: usize,
-    win: usize,
-    a_blocks: &[Complex64],
-    b_blocks: &[Complex64],
-    out: &mut [Complex64],
-    scale: Complex64,
-    parallel: bool,
-) {
-    gemm_blocked::<true>(
-        no,
-        win * no,
-        no,
-        PanelA::BlockCat { a: a_blocks, no },
-        // Stacked row-major `no x no` blocks are exactly row-major
-        // `win·no x no`.
-        PanelB::Rows {
-            b: b_blocks,
-            ld: no,
-        },
-        out,
-        scale,
-        parallel,
-    );
-}
-
-// ---------------------------------------------------------------------------
-// Naive reference kernels (seed implementation, kept verbatim)
-// ---------------------------------------------------------------------------
-
-/// Naive serial `i-k-j` kernel: `out[m x n] += a[m x k] @ b[k x n]`.
-/// Reference implementation for tests/benches and small-size fallback.
+/// Naive serial `i-k-j` kernel: `out[m x n] += a[m x k] @ b[k x n]` — the
+/// small-shape fallback of the unscaled entries and the reference the
+/// proptests and `qt_model::calibrate` hold the blocked kernel against.
 pub fn gemm_naive_acc(
     m: usize,
     k: usize,
@@ -599,88 +303,8 @@ pub fn gemm_naive_acc(
     b: &[Complex64],
     out: &mut [Complex64],
 ) {
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let out_row = &mut out[i * n..(i + 1) * n];
-        for (p, &a_ip) in a_row.iter().enumerate() {
-            if a_ip == Complex64::ZERO {
-                continue;
-            }
-            let b_row = &b[p * n..(p + 1) * n];
-            for (o, &b_pj) in out_row.iter_mut().zip(b_row.iter()) {
-                *o = o.mul_add(a_ip, b_pj);
-            }
-        }
-    }
-}
-
-/// Naive serial `out += a @ b^H` with `b` stored row-major as `n x k`.
-pub fn gemm_naive_bdagger_acc(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[Complex64],
-    b: &[Complex64],
-    out: &mut [Complex64],
-) {
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        for j in 0..n {
-            let b_row = &b[j * k..(j + 1) * k];
-            let mut acc = Complex64::ZERO;
-            for (&x, &y) in a_row.iter().zip(b_row.iter()) {
-                acc = acc.mul_add(x, y.conj());
-            }
-            out[i * n + j] += acc;
-        }
-    }
-}
-
-/// Naive serial reference for [`gemm_scaled_acc`]: per-entry dot product
-/// accumulated unscaled, then folded into `out` with the scale — the same
-/// epilogue order as the blocked kernel.
-pub fn gemm_naive_scaled_acc(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[Complex64],
-    b: &[Complex64],
-    out: &mut [Complex64],
-    scale: Complex64,
-) {
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        for j in 0..n {
-            let mut acc = Complex64::ZERO;
-            for (p, &a_ip) in a_row.iter().enumerate() {
-                acc = acc.mul_add(a_ip, b[p * n + j]);
-            }
-            out[i * n + j] += acc * scale;
-        }
-    }
-}
-
-/// Naive serial reference for [`gemm_bdagger_scaled_acc`].
-pub fn gemm_naive_bdagger_scaled_acc(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[Complex64],
-    b: &[Complex64],
-    out: &mut [Complex64],
-    scale: Complex64,
-) {
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        for j in 0..n {
-            let b_row = &b[j * k..(j + 1) * k];
-            let mut acc = Complex64::ZERO;
-            for (&x, &y) in a_row.iter().zip(b_row.iter()) {
-                acc = acc.mul_add(x, y.conj());
-            }
-            out[i * n + j] += acc * scale;
-        }
-    }
+    let b = PanelB::Rows { b, ld: n };
+    naive_axpy((m, k, n), a, k, b, out, n, Complex64::ONE);
 }
 
 /// Naive serial loop-of-products reference for [`batched_gemm_acc`].
@@ -705,59 +329,167 @@ pub fn gemm_naive_batched_acc(
     }
 }
 
-/// Naive reference for [`gemm_window_acc`]: a loop of `win` small products
-/// accumulated and scaled at the end.
-pub fn gemm_naive_window_acc(
-    no: usize,
-    win: usize,
-    a_blocks: &[Complex64],
-    b_blocks: &[Complex64],
-    out: &mut [Complex64],
+// ---------------------------------------------------------------------------
+// The dispatcher
+// ---------------------------------------------------------------------------
+
+/// A small-shape kernel: `c += scale · a @ op(b)`, A row-major at row stride
+/// `lda`, C at row stride `ldc`. The two sum in different orders, so which
+/// one an entry point names is part of its output bits.
+type Naive =
+    fn((usize, usize, usize), &[Complex64], usize, PanelB<'_>, &mut [Complex64], usize, Complex64);
+
+/// `c += scale · a @ op(b)` for `batch` products of shape `m x k x n`, with
+/// A row-major at row stride `lda` and C at row stride `ldc` — the one
+/// routing rule of this module:
+///
+/// * a product below `NAIVE_THRESHOLD` multiply-adds, or with `m < MR` or
+///   `n < NR`, runs the entry's `naive` kernel if it names one; every other
+///   product runs the packed kernel;
+/// * when `split` allows it and the call reaches [`PAR_THRESHOLD`]
+///   multiply-adds, a single product band-splits its rows over [`par`] and
+///   a batch fans its items out in chunks, each item serial.
+///
+/// Batch items are contiguous (`lda = k`, `B` row-major `k x n`,
+/// `ldc = n`). `INSTRUMENT` adds the flop accounting and the hot-section
+/// timers. Inlined into every entry point, so the named kernel is a direct
+/// call and the entry stays as small as a call into it.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn dispatch<const INSTRUMENT: bool>(
+    (m, k, n): (usize, usize, usize),
+    batch: usize,
+    a: &[Complex64],
+    lda: usize,
+    b: PanelB<'_>,
+    c: &mut [Complex64],
+    ldc: usize,
+    scale: Complex64,
+    naive: Option<Naive>,
+    split: bool,
+) {
+    if INSTRUMENT {
+        flops::add_gemm_flops_batched(m, k, n, batch);
+    }
+    if batch == 0 || m == 0 || k == 0 || n == 0 {
+        return;
+    }
+    debug_assert!(lda >= k && a.len() >= (batch * m - 1) * lda + k);
+    debug_assert!(ldc >= n && c.len() >= (batch * m - 1) * ldc + n);
+    let work = m * k * n;
+    let naive = naive.filter(|_| work < NAIVE_THRESHOLD || m < MR || n < NR);
+    let split = split && work * batch >= PAR_THRESHOLD;
+    if batch == 1 {
+        match naive {
+            Some(kernel) => kernel((m, k, n), a, lda, b, c, ldc, scale),
+            None => gemm_blocked::<INSTRUMENT>((m, k, n), a, lda, b, c, ldc, scale, split),
+        }
+        return;
+    }
+    let PanelB::Rows { b, .. } = b else {
+        unreachable!("batch items are row-major")
+    };
+    let item = |t: usize, ct: &mut [Complex64]| {
+        let at = &a[t * m * k..(t + 1) * m * k];
+        let bt = PanelB::Rows {
+            b: &b[t * k * n..(t + 1) * k * n],
+            ld: n,
+        };
+        match naive {
+            Some(kernel) => kernel((m, k, n), at, k, bt, ct, n, scale),
+            None => gemm_blocked::<INSTRUMENT>((m, k, n), at, k, bt, ct, n, scale, false),
+        }
+    };
+    if split {
+        // Chunks of consecutive items per task: each task reuses its
+        // thread's pooled packing buffers across the whole chunk.
+        let chunk = batch.div_ceil(par::width() * 4).max(1);
+        par::for_each_chunk_mut(c, chunk * m * n, |ci, cc| {
+            for (ti, ct) in cc.chunks_mut(m * n).enumerate() {
+                item(ci * chunk + ti, ct);
+            }
+        });
+    } else {
+        for (t, ct) in c.chunks_mut(m * n).enumerate() {
+            item(t, ct);
+        }
+    }
+}
+
+/// The seed i-k-j kernel ([`gemm_naive_acc`]'s order): row axpys straight
+/// into C, zero `a[i,p]` skipped; row-major B only. A `scale` of exactly
+/// ONE is skipped, not multiplied, so the unscaled entries never multiply.
+fn naive_axpy(
+    (m, k, n): (usize, usize, usize),
+    a: &[Complex64],
+    lda: usize,
+    b: PanelB<'_>,
+    c: &mut [Complex64],
+    ldc: usize,
     scale: Complex64,
 ) {
-    let nn = no * no;
-    let mut acc = pack_pool::take_c(nn);
-    acc[..nn].fill(Complex64::ZERO);
-    for w in 0..win {
-        gemm_naive_acc(
-            no,
-            no,
-            no,
-            &a_blocks[w * nn..(w + 1) * nn],
-            &b_blocks[w * nn..(w + 1) * nn],
-            &mut acc[..nn],
-        );
+    let PanelB::Rows { b, ld: ldb } = b else {
+        unreachable!("no entry names the axpy kernel over B^H")
+    };
+    let plain = scale == Complex64::ONE;
+    for i in 0..m {
+        let a_row = &a[i * lda..i * lda + k];
+        let c_row = &mut c[i * ldc..i * ldc + n];
+        for (p, &a_ip) in a_row.iter().enumerate() {
+            if a_ip == Complex64::ZERO {
+                continue;
+            }
+            let av = if plain { a_ip } else { a_ip * scale };
+            for (o, &bv) in c_row.iter_mut().zip(&b[p * ldb..p * ldb + n]) {
+                *o = o.mul_add(av, bv);
+            }
+        }
     }
-    for (o, v) in out.iter_mut().zip(acc[..nn].iter()) {
-        *o += *v * scale;
+}
+
+/// A per-entry dot product from zero, folded in as `c += dot · scale`. The
+/// scale is multiplied even when it is ONE: a dot summed from `+0` is never
+/// `-0`, so on finite values `dot · ONE` is `dot` bit for bit. The layout is
+/// matched once, outside the loops, so the k-loop reads B as a plain slice.
+fn naive_dot(
+    (m, k, n): (usize, usize, usize),
+    a: &[Complex64],
+    lda: usize,
+    b: PanelB<'_>,
+    c: &mut [Complex64],
+    ldc: usize,
+    scale: Complex64,
+) {
+    let rows = (0..m).map(|i| (&a[i * lda..i * lda + k], i * ldc));
+    match b {
+        PanelB::Rows { b, ld } => {
+            for (a_row, ci) in rows {
+                for (j, o) in c[ci..ci + n].iter_mut().enumerate() {
+                    let mut acc = Complex64::ZERO;
+                    for (p, &a_ip) in a_row.iter().enumerate() {
+                        acc = acc.mul_add(a_ip, b[p * ld + j]);
+                    }
+                    *o += acc * scale;
+                }
+            }
+        }
+        PanelB::Dagger { b, ld } => {
+            for (a_row, ci) in rows {
+                for (j, o) in c[ci..ci + n].iter_mut().enumerate() {
+                    let mut acc = Complex64::ZERO;
+                    for (&x, &y) in a_row.iter().zip(&b[j * ld..j * ld + k]) {
+                        acc = acc.mul_add(x, y.conj());
+                    }
+                    *o += acc * scale;
+                }
+            }
+        }
     }
-    pack_pool::give_c(acc);
 }
 
 // ---------------------------------------------------------------------------
 // Packing: operand layout adapters
 // ---------------------------------------------------------------------------
-
-/// Left-operand layouts the packing step can read from.
-#[derive(Clone, Copy)]
-enum PanelA<'a> {
-    /// Row-major `m x k` with row stride `ld`.
-    Rows { a: &'a [Complex64], ld: usize },
-    /// `win` consecutive row-major `no x no` blocks viewed as the horizontal
-    /// concatenation `[A_0 | A_1 | … ]` of shape `no x win·no` — the fused
-    /// ω-window operand of Fig. 11c.
-    BlockCat { a: &'a [Complex64], no: usize },
-}
-
-impl PanelA<'_> {
-    #[inline(always)]
-    fn get(self, i: usize, p: usize) -> Complex64 {
-        match self {
-            PanelA::Rows { a, ld } => a[i * ld + p],
-            PanelA::BlockCat { a, no } => a[(p / no) * no * no + i * no + (p % no)],
-        }
-    }
-}
 
 /// Right-operand layouts the packing step can read from.
 #[derive(Clone, Copy)]
@@ -779,10 +511,20 @@ impl PanelB<'_> {
     }
 }
 
-/// Pack `mc x kc` rows of A (from row `ic`, depth `pc`) into MR-row
-/// micro-panels with split re/im lanes per k-slice; rows beyond `mc` are
-/// zero-padded so the microkernel never needs edge cases.
-fn pack_a(src: PanelA<'_>, ic: usize, mc: usize, pc: usize, kc: usize, buf: &mut [f64]) {
+/// Pack `mc x kc` rows of A (row-major, row stride `lda`; from row `ic`,
+/// depth `pc`) into MR-row micro-panels with split re/im lanes per k-slice;
+/// rows beyond `mc` are zero-padded so the microkernel never needs edge
+/// cases.
+#[allow(clippy::too_many_arguments)]
+fn pack_a(
+    a: &[Complex64],
+    lda: usize,
+    ic: usize,
+    mc: usize,
+    pc: usize,
+    kc: usize,
+    buf: &mut [f64],
+) {
     let mut off = 0;
     let mut ir = 0;
     while ir < mc {
@@ -790,7 +532,7 @@ fn pack_a(src: PanelA<'_>, ic: usize, mc: usize, pc: usize, kc: usize, buf: &mut
         for p in 0..kc {
             for i in 0..MR {
                 let z = if i < mr {
-                    src.get(ic + ir + i, pc + p)
+                    a[(ic + ir + i) * lda + pc + p]
                 } else {
                     Complex64::ZERO
                 };
@@ -829,16 +571,14 @@ fn pack_b(src: PanelB<'_>, pc: usize, kc: usize, jc: usize, nc: usize, buf: &mut
 /// Thread-local pool of packing buffers: `take`/`give` instead of a held
 /// borrow, so a GEMM nested inside another's checkout window can't double-borrow.
 mod pack_pool {
-    use crate::complex::Complex64;
     use std::cell::RefCell;
 
     thread_local! {
-        static POOL_F: RefCell<Vec<Vec<f64>>> = const { RefCell::new(Vec::new()) };
-        static POOL_C: RefCell<Vec<Vec<Complex64>>> = const { RefCell::new(Vec::new()) };
+        static POOL: RefCell<Vec<Vec<f64>>> = const { RefCell::new(Vec::new()) };
     }
 
     pub fn take(len: usize) -> Vec<f64> {
-        let mut buf = POOL_F.with(|p| p.borrow_mut().pop()).unwrap_or_default();
+        let mut buf = POOL.with(|p| p.borrow_mut().pop()).unwrap_or_default();
         if buf.len() < len {
             buf.resize(len, 0.0);
         }
@@ -846,24 +586,7 @@ mod pack_pool {
     }
 
     pub fn give(buf: Vec<f64>) {
-        POOL_F.with(|p| {
-            let mut p = p.borrow_mut();
-            if p.len() < 8 {
-                p.push(buf);
-            }
-        });
-    }
-
-    pub fn take_c(len: usize) -> Vec<Complex64> {
-        let mut buf = POOL_C.with(|p| p.borrow_mut().pop()).unwrap_or_default();
-        if buf.len() < len {
-            buf.resize(len, Complex64::ZERO);
-        }
-        buf
-    }
-
-    pub fn give_c(buf: Vec<Complex64>) {
-        POOL_C.with(|p| {
+        POOL.with(|p| {
             let mut p = p.borrow_mut();
             if p.len() < 8 {
                 p.push(buf);
@@ -891,26 +614,32 @@ fn maybe_timed<const INSTRUMENT: bool, R>(
     }
 }
 
-/// Blocked driver: `out[m x n] += scale · A @ B` with A/B read through their
-/// packing adapters. `parallel` distributes MR-aligned row bands of C over
-/// [`par`]; the packed B-panel is shared read-only.
+/// Packed kernel: `c += scale · a @ op(b)`, A row-major at row stride
+/// `lda`, C at row stride `ldc`. The loop order is jc(NC) → pc(KC) → ic,
+/// where the ic loop walks MC-high row bands — or, with `split`, MR-aligned
+/// bands distributed over [`par`], the packed B-panel shared read-only.
+/// Kept out of line so an entry point stays small enough to inline into its
+/// caller: a tiny naive product must not pay this function's stack frame.
 #[allow(clippy::too_many_arguments)]
+#[inline(never)]
 fn gemm_blocked<const INSTRUMENT: bool>(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: PanelA<'_>,
+    (m, k, n): (usize, usize, usize),
+    a: &[Complex64],
+    lda: usize,
     b: PanelB<'_>,
-    out: &mut [Complex64],
+    c: &mut [Complex64],
+    ldc: usize,
     scale: Complex64,
-    parallel: bool,
+    split: bool,
 ) {
+    // Cut C after its last row, so the row-band chunks below tile it exactly.
+    let c = &mut c[..(m - 1) * ldc + n];
     // Band height: enough bands to feed every thread, MR-aligned, at most MC
     // so the packed A-panel stays L2-resident.
-    let band_rows = if parallel {
+    let band_rows = if split {
         m.div_ceil(par::width()).next_multiple_of(MR).clamp(MR, MC)
     } else {
-        m
+        MC
     };
     let mut jc = 0;
     while jc < n {
@@ -924,40 +653,18 @@ fn gemm_blocked<const INSTRUMENT: bool>(
                 pack_b(b, pc, kc, jc, nc, &mut b_buf)
             });
             let b_pack: &[f64] = &b_buf;
-            if parallel && m > band_rows {
-                par::for_each_chunk_mut(out, band_rows * n, |t, band| {
-                    let ic = t * band_rows;
-                    let mc = band.len() / n;
-                    process_band::<INSTRUMENT>(
-                        a,
-                        ic,
-                        mc,
-                        pc,
-                        kc,
-                        nc,
-                        b_pack,
-                        &mut band[jc..],
-                        n,
-                        scale,
-                    );
-                });
+            // Band `t` holds rows `t·band_rows..` of C from column 0.
+            let band = |t: usize, cb: &mut [Complex64]| {
+                let ic = t * band_rows;
+                let mc = (m - ic).min(band_rows);
+                let cb = &mut cb[jc..];
+                process_band::<INSTRUMENT>(a, lda, ic, mc, pc, kc, nc, b_pack, cb, ldc, scale);
+            };
+            if split {
+                par::for_each_chunk_mut(c, band_rows * ldc, band);
             } else {
-                let mut ic = 0;
-                while ic < m {
-                    let mc = (m - ic).min(MC);
-                    process_band::<INSTRUMENT>(
-                        a,
-                        ic,
-                        mc,
-                        pc,
-                        kc,
-                        nc,
-                        b_pack,
-                        &mut out[ic * n + jc..],
-                        n,
-                        scale,
-                    );
-                    ic += MC;
+                for (t, cb) in c.chunks_mut(band_rows * ldc).enumerate() {
+                    band(t, cb);
                 }
             }
             pack_pool::give(b_buf);
@@ -971,7 +678,8 @@ fn gemm_blocked<const INSTRUMENT: bool>(
 /// `c` starts at the band's `(0, jc)` entry with row stride `ldc`.
 #[allow(clippy::too_many_arguments)]
 fn process_band<const INSTRUMENT: bool>(
-    a: PanelA<'_>,
+    a: &[Complex64],
+    lda: usize,
     ic: usize,
     mc: usize,
     pc: usize,
@@ -986,7 +694,7 @@ fn process_band<const INSTRUMENT: bool>(
     let mc_pad = mc.next_multiple_of(MR);
     let mut a_buf = pack_pool::take(mc_pad * kc * 2);
     maybe_timed::<INSTRUMENT, _>(HotSection::GemmPack, || {
-        pack_a(a, ic, mc, pc, kc, &mut a_buf)
+        pack_a(a, lda, ic, mc, pc, kc, &mut a_buf)
     });
     maybe_timed::<INSTRUMENT, _>(HotSection::GemmKernel, || {
         macro_tile(mc, kc, nc, &a_buf, b_pack, c, ldc, scale)
@@ -1233,7 +941,7 @@ mod tests {
             let scale = c64(0.0, -1.0);
             let mut out = Matrix::random(m, n, &mut r);
             let expect = &out + &a.matmul(&b.dagger()).scale(scale);
-            gemm_bdagger_scaled_acc(
+            gemm_bdagger_acc(
                 m,
                 k,
                 n,
@@ -1311,7 +1019,15 @@ mod tests {
         let a = Matrix::random(3, 5, &mut r);
         let b = Matrix::random(4, 5, &mut r); // b^H is 5x4
         let mut out = vec![Complex64::ZERO; 3 * 4];
-        gemm_bdagger_acc(3, 5, 4, a.as_slice(), b.as_slice(), &mut out);
+        gemm_bdagger_acc(
+            3,
+            5,
+            4,
+            a.as_slice(),
+            b.as_slice(),
+            &mut out,
+            Complex64::ONE,
+        );
         let expect = a.matmul(&b.dagger());
         let got = Matrix::from_vec(3, 4, out);
         assert!(got.max_abs_diff(&expect) < 1e-12);
@@ -1324,42 +1040,18 @@ mod tests {
             let a = Matrix::random(m, k, &mut r);
             let b = Matrix::random(n, k, &mut r);
             let mut out = vec![Complex64::ZERO; m * n];
-            gemm_bdagger_acc(m, k, n, a.as_slice(), b.as_slice(), &mut out);
+            gemm_bdagger_acc(
+                m,
+                k,
+                n,
+                a.as_slice(),
+                b.as_slice(),
+                &mut out,
+                Complex64::ONE,
+            );
             let expect = a.matmul(&b.dagger());
             let got = Matrix::from_vec(m, n, out);
             assert!(got.max_abs_diff(&expect) < 1e-10, "{m}x{k}x{n}");
-        }
-    }
-
-    #[test]
-    fn window_matches_loop_of_products() {
-        let mut r = rng();
-        for (no, win) in [(2, 3), (4, 1), (4, 7), (8, 5)] {
-            let nn = no * no;
-            let a = randv(win * nn, &mut r);
-            let b = randv(win * nn, &mut r);
-            let scale = c64(0.3, -0.7);
-            let mut got = randv(nn, &mut r);
-            let mut want = got.clone();
-            gemm_window_acc(no, win, &a, &b, &mut got, scale);
-            gemm_naive_window_acc(no, win, &a, &b, &mut want, scale);
-            let diff = got
-                .iter()
-                .zip(&want)
-                .map(|(x, y)| (*x - *y).abs())
-                .fold(0.0, f64::max);
-            assert!(diff < 1e-11, "no={no} win={win} diff={diff}");
-            // Also force the blocked path at shapes the dispatcher may not.
-            let mut blocked = want.clone();
-            let mut want2 = want.clone();
-            gemm_window_blocked_acc(no, win, &a, &b, &mut blocked, scale);
-            gemm_naive_window_acc(no, win, &a, &b, &mut want2, scale);
-            let diff2 = blocked
-                .iter()
-                .zip(&want2)
-                .map(|(x, y)| (*x - *y).abs())
-                .fold(0.0, f64::max);
-            assert!(diff2 < 1e-11, "blocked no={no} win={win} diff={diff2}");
         }
     }
 
@@ -1389,16 +1081,13 @@ mod tests {
         let bd = randv(n * k, &mut r);
         let (_, d) = crate::flops::count_flops_here(|| {
             let mut out = vec![Complex64::ZERO; m * n];
-            gemm_bdagger_acc(m, k, n, &a[..m * k], &bd, &mut out);
+            gemm_bdagger_acc(m, k, n, &a[..m * k], &bd, &mut out, Complex64::ONE);
         });
         assert_eq!(d, per);
-        let (no, win) = (4, 3);
-        let wa = randv(win * no * no, &mut r);
-        let wb = randv(win * no * no, &mut r);
         let (_, d) = crate::flops::count_flops_here(|| {
-            let mut out = vec![Complex64::ZERO; no * no];
-            gemm_window_acc(no, win, &wa, &wb, &mut out, Complex64::ONE);
+            let mut out = vec![Complex64::ZERO; m * n];
+            gemm_blocked_acc_uninstrumented(m, k, n, &a[..m * k], &b[..k * n], &mut out);
         });
-        assert_eq!(d, 8 * (no * (win * no) * no) as u64);
+        assert_eq!(d, 0, "the uninstrumented twin counts no flops");
     }
 }

@@ -163,14 +163,16 @@ fn substitute_in_place(lu: &Matrix, x: &mut Matrix) {
         let (done, rest) = xs.split_at_mut(i0 * nrhs);
         let block = &mut rest[..ib * nrhs];
         if i0 > 0 {
-            crate::gemm::gemm_view_a_scaled_acc_uninstrumented(
+            crate::gemm::gemm_view_abc_scaled_acc_uninstrumented(
                 ib,
                 i0,
                 nrhs,
                 &a[i0 * n..],
                 n,
                 done,
+                nrhs,
                 block,
+                nrhs,
                 neg,
             );
         }
@@ -198,14 +200,16 @@ fn substitute_in_place(lu: &Matrix, x: &mut Matrix) {
         let (head, tail) = xs.split_at_mut(i1 * nrhs);
         let block = &mut head[i0 * nrhs..];
         if i1 < n {
-            crate::gemm::gemm_view_a_scaled_acc_uninstrumented(
+            crate::gemm::gemm_view_abc_scaled_acc_uninstrumented(
                 ib,
                 n - i1,
                 nrhs,
                 &a[i0 * n + i1..],
                 n,
                 tail,
+                nrhs,
                 block,
+                nrhs,
                 neg,
             );
         }

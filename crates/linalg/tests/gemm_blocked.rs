@@ -1,7 +1,9 @@
 //! Property tests: the blocked/packed GEMM hierarchy must agree with the
-//! `gemm_naive_*` reference kernels to within 1e-10 relative error across
-//! random shapes, including the degenerate m=1/k=1/n=1 edges and sizes that
-//! are not multiples of the (MR, NR, MC, KC, NC) tiles.
+//! naive reference kernels to within 1e-10 relative error across random
+//! shapes, including the degenerate m=1/k=1/n=1 edges and sizes that are
+//! not multiples of the (MR, NR, MC, KC, NC) tiles. Below them, every entry
+//! point is held bit for bit to the kernel its route must reach, and the
+//! block LU inverse to checksums of its bits.
 
 use proptest::prelude::*;
 use qt_linalg::gemm;
@@ -177,27 +179,9 @@ proptest! {
         let b = cvec(seed ^ 5, n * k); // B is n x k; we compute A · B†
         let mut got = vec![Complex64::ZERO; m * n];
         let mut want = got.clone();
-        gemm::gemm_bdagger_acc(m, k, n, &a, &b, &mut got);
-        gemm::gemm_naive_bdagger_acc(m, k, n, &a, &b, &mut want);
+        gemm::gemm_bdagger_acc(m, k, n, &a, &b, &mut got, Complex64::ONE);
+        dot_model(m, k, n, &a, Rhs::Dagger(&b), &mut want, Complex64::ONE);
         prop_assert!(rel_err(&got, &want) < 1e-10, "{m}x{k}x{n}");
-    }
-
-    #[test]
-    fn window_matches_naive(
-        no in 1usize..12,
-        win in 1usize..24,
-        seed in any::<u64>(),
-    ) {
-        let nn = no * no;
-        let a = cvec(seed, win * nn);
-        let b = cvec(seed ^ 6, win * nn);
-        let base = cvec(seed ^ 7, nn);
-        let scale = c64(0.3, -0.7);
-        let mut got = base.clone();
-        let mut want = base;
-        gemm::gemm_window_acc(no, win, &a, &b, &mut got, scale);
-        gemm::gemm_naive_window_acc(no, win, &a, &b, &mut want, scale);
-        prop_assert!(rel_err(&got, &want) < 1e-10, "no={no} win={win}");
     }
 }
 
@@ -225,4 +209,419 @@ fn explicit_tile_boundary_shapes() {
         gemm::gemm_naive_acc(m, k, n, &a, &b, &mut want);
         assert!(rel_err(&got, &want) < 1e-10, "{m}x{k}x{n}");
     }
+}
+
+// ---------------------------------------------------------------------------
+// Routing bits: every entry point against the kernel it must route to
+// ---------------------------------------------------------------------------
+
+/// The dispatcher's naive/blocked crossover in complex multiply-adds
+/// (`gemm.rs`'s private `NAIVE_THRESHOLD`).
+const NAIVE_THRESHOLD: usize = 8 * 8 * 8;
+
+/// Right operand as the kernels read it: row-major `k x n`, or `B^H` of a
+/// row-major `n x k`.
+#[derive(Clone, Copy)]
+enum Rhs<'a> {
+    Rows(&'a [Complex64]),
+    Dagger(&'a [Complex64]),
+}
+
+impl Rhs<'_> {
+    fn get(self, k: usize, n: usize, p: usize, j: usize) -> Complex64 {
+        match self {
+            Rhs::Rows(b) => b[p * n + j],
+            Rhs::Dagger(b) => b[j * k + p].conj(),
+        }
+    }
+}
+
+/// Scalar model of the i-k-j naive kernel: row axpys straight into C,
+/// zero `a[i,p]` skipped.
+fn axpy_model(m: usize, k: usize, n: usize, a: &[Complex64], b: Rhs<'_>, c: &mut [Complex64]) {
+    for i in 0..m {
+        for p in 0..k {
+            let x = a[i * k + p];
+            if x == Complex64::ZERO {
+                continue;
+            }
+            for j in 0..n {
+                c[i * n + j] = c[i * n + j].mul_add(x, b.get(k, n, p, j));
+            }
+        }
+    }
+}
+
+/// Scalar model of the dot naive kernel: a per-entry dot product from
+/// zero, folded into C with the scale. A ONE scale is skipped here; on
+/// finite values that is the same bits as multiplying by it.
+fn dot_model(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[Complex64],
+    b: Rhs<'_>,
+    c: &mut [Complex64],
+    scale: Complex64,
+) {
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = Complex64::ZERO;
+            for p in 0..k {
+                acc = acc.mul_add(a[i * k + p], b.get(k, n, p, j));
+            }
+            c[i * n + j] += if scale == Complex64::ONE {
+                acc
+            } else {
+                acc * scale
+            };
+        }
+    }
+}
+
+/// Scalar model of the packed kernel: per `KC`-deep slice, split re/im
+/// accumulators from zero, then the accumulate-with-scale epilogue.
+fn blocked_model(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[Complex64],
+    b: Rhs<'_>,
+    c: &mut [Complex64],
+    scale: Complex64,
+) {
+    for i in 0..m {
+        for j in 0..n {
+            for pc in (0..k).step_by(gemm::KC) {
+                let (mut re, mut im) = (0.0f64, 0.0f64);
+                for p in pc..(pc + gemm::KC).min(k) {
+                    let (x, y) = (a[i * k + p], b.get(k, n, p, j));
+                    re += x.re * y.re - x.im * y.im;
+                    im += x.re * y.im + x.im * y.re;
+                }
+                let o = &mut c[i * n + j];
+                if scale == Complex64::ONE {
+                    o.re += re;
+                    o.im += im;
+                } else {
+                    *o += c64(re, im) * scale;
+                }
+            }
+        }
+    }
+}
+
+/// The kernel a product runs on. An entry point names the one it falls
+/// back to below the crossover; the always-packed entries name `Packed`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Route {
+    Axpy,
+    Dot,
+    Packed,
+}
+
+fn goes_naive(m: usize, k: usize, n: usize) -> bool {
+    m * k * n < NAIVE_THRESHOLD || m < gemm::MR || n < gemm::NR
+}
+
+/// The expected bits of `c += scale · a @ b` under the given route.
+#[allow(clippy::too_many_arguments)]
+fn model(
+    route: Route,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[Complex64],
+    b: Rhs<'_>,
+    c: &mut [Complex64],
+    scale: Complex64,
+) {
+    match route {
+        Route::Axpy => {
+            assert_eq!(scale, Complex64::ONE, "the axpy fallback is unscaled");
+            axpy_model(m, k, n, a, b, c)
+        }
+        Route::Dot => dot_model(m, k, n, a, b, c, scale),
+        Route::Packed => blocked_model(m, k, n, a, b, c, scale),
+    }
+}
+
+fn bits(v: &[Complex64]) -> Vec<(u64, u64)> {
+    v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+}
+
+/// A `cvec` fill with every seventh entry an exact zero, so the axpy
+/// kernel's zero skip is exercised.
+fn sparse_cvec(seed: u64, len: usize) -> Vec<Complex64> {
+    let mut v = cvec(seed, len);
+    for z in v.iter_mut().step_by(7) {
+        *z = Complex64::ZERO;
+    }
+    v
+}
+
+type Entry = fn(usize, usize, usize, &[Complex64], &[Complex64], &mut [Complex64]);
+
+#[test]
+fn every_entry_routes_to_its_kernel_bit_for_bit() {
+    use gemm::{MR, NR};
+    let scale = c64(-1.5, 0.25);
+    let one = Complex64::ONE;
+    // (m, k, n), each pair straddling one edge of the routing rule.
+    let shapes = [
+        (7, 8, 9), // 504 < NAIVE_THRESHOLD
+        (8, 8, 8), // = NAIVE_THRESHOLD
+        (MR - 1, 64, 16),
+        (MR, 64, 16),
+        (16, 64, NR - 1),
+        (16, 64, NR),
+        (63, 64, 64),          // just below PAR_THRESHOLD: serial blocked
+        (64, 64, 64),          // = PAR_THRESHOLD: band-split
+        (65, 64, 64),          // ragged last band
+        (8, gemm::KC + 44, 8), // two KC slices
+    ];
+    // (name, is B^H, scale, fallback, entry)
+    let entries: [(&str, bool, Complex64, Route, Entry); 10] = [
+        ("gemm_raw_acc", false, one, Route::Axpy, gemm::gemm_raw_acc),
+        ("gemm_acc", false, one, Route::Axpy, |m, k, n, a, b, c| {
+            let am = qt_linalg::Matrix::from_vec(m, k, a.to_vec());
+            let bm = qt_linalg::Matrix::from_vec(k, n, b.to_vec());
+            let mut cm = qt_linalg::Matrix::from_vec(m, n, c.to_vec());
+            gemm::gemm_acc(&am, &bm, &mut cm);
+            c.copy_from_slice(cm.as_slice());
+        }),
+        (
+            "gemm_scaled_acc",
+            false,
+            scale,
+            Route::Dot,
+            |m, k, n, a, b, c| gemm::gemm_scaled_acc(m, k, n, a, b, c, c64(-1.5, 0.25)),
+        ),
+        (
+            "gemm_scaled_acc(ONE)",
+            false,
+            one,
+            Route::Dot,
+            |m, k, n, a, b, c| gemm::gemm_scaled_acc(m, k, n, a, b, c, Complex64::ONE),
+        ),
+        (
+            "gemm_bdagger_acc(scale)",
+            true,
+            scale,
+            Route::Dot,
+            |m, k, n, a, b, c| gemm::gemm_bdagger_acc(m, k, n, a, b, c, c64(-1.5, 0.25)),
+        ),
+        (
+            "gemm_bdagger_acc(ONE)",
+            true,
+            one,
+            Route::Dot,
+            |m, k, n, a, b, c| gemm::gemm_bdagger_acc(m, k, n, a, b, c, Complex64::ONE),
+        ),
+        (
+            "gemm_blocked_acc",
+            false,
+            one,
+            Route::Packed,
+            gemm::gemm_blocked_acc,
+        ),
+        (
+            "gemm_blocked_acc_uninstrumented",
+            false,
+            one,
+            Route::Packed,
+            gemm::gemm_blocked_acc_uninstrumented,
+        ),
+        (
+            "gemm_naive_acc",
+            false,
+            one,
+            Route::Axpy,
+            gemm::gemm_naive_acc,
+        ),
+        (
+            "batched_gemm_shared_b_acc(batch 1)",
+            false,
+            one,
+            Route::Axpy,
+            |m, k, n, a, b, c| gemm::batched_gemm_shared_b_acc(m, k, n, 1, a, b, c),
+        ),
+    ];
+    for (si, &(m, k, n)) in shapes.iter().enumerate() {
+        let a = sparse_cvec(500 + si as u64, m * k);
+        let b = cvec(600 + si as u64, k * n);
+        let c0 = cvec(700 + si as u64, m * n);
+        for &(name, dagger, s, fallback, entry) in &entries {
+            let rhs = if dagger {
+                Rhs::Dagger(&b)
+            } else {
+                Rhs::Rows(&b)
+            };
+            let pinned = name.starts_with("gemm_naive") || fallback == Route::Packed;
+            let route = if pinned || goes_naive(m, k, n) {
+                fallback
+            } else {
+                Route::Packed
+            };
+            let mut got = c0.clone();
+            entry(m, k, n, &a, &b, &mut got);
+            let mut want = c0.clone();
+            model(route, m, k, n, &a, rhs, &mut want, s);
+            assert!(
+                bits(&got) == bits(&want),
+                "{name} at {m}x{k}x{n} must take the {route:?} path bit for bit"
+            );
+            if !pinned {
+                // The test only has teeth if the other route is visible.
+                let other = if route == Route::Packed {
+                    fallback
+                } else {
+                    Route::Packed
+                };
+                let mut alt = c0.clone();
+                model(other, m, k, n, &a, rhs, &mut alt, s);
+                assert!(
+                    bits(&alt) != bits(&want),
+                    "{name} at {m}x{k}x{n}: routes agree"
+                );
+            }
+        }
+        // `gemm` overwrites: the raw route from a zeroed C.
+        let (am, bm) = (
+            qt_linalg::Matrix::from_vec(m, k, a.clone()),
+            qt_linalg::Matrix::from_vec(k, n, b.clone()),
+        );
+        let mut out = qt_linalg::Matrix::from_vec(m, n, c0.clone());
+        gemm::gemm(&am, &bm, &mut out);
+        let mut want = vec![Complex64::ZERO; m * n];
+        let route = if goes_naive(m, k, n) {
+            Route::Axpy
+        } else {
+            Route::Packed
+        };
+        model(route, m, k, n, &a, Rhs::Rows(&b), &mut want, one);
+        assert!(bits(out.as_slice()) == bits(&want), "gemm at {m}x{k}x{n}");
+    }
+}
+
+#[test]
+fn batched_entries_route_per_item_bit_for_bit() {
+    use gemm::PAR_THRESHOLD;
+    let scale = c64(0.3, -0.7);
+    // (m, k, n, batch): per-item routing for `batched_gemm_acc`, on both
+    // sides of the item fan-out at `per·batch = PAR_THRESHOLD`.
+    for (ci, &(m, k, n, batch)) in [
+        (7, 8, 9, 2),
+        (7, 8, 9, 600),
+        (8, 8, 8, 2),
+        (8, 8, 8, PAR_THRESHOLD / 512),
+        (3, 16, 16, 8),
+    ]
+    .iter()
+    .enumerate()
+    {
+        let a = sparse_cvec(800 + ci as u64, batch * m * k);
+        let b = cvec(900 + ci as u64, batch * k * n);
+        let c0 = cvec(1000 + ci as u64, batch * m * n);
+        let mut got = c0.clone();
+        gemm::batched_gemm_acc(m, k, n, batch, &a, &b, &mut got);
+        let mut naive = c0.clone();
+        gemm::gemm_naive_batched_acc(m, k, n, batch, &a, &b, &mut naive);
+        let mut want = c0.clone();
+        let mut axpy = c0.clone();
+        for t in 0..batch {
+            let (at, bt) = (
+                &a[t * m * k..(t + 1) * m * k],
+                Rhs::Rows(&b[t * k * n..(t + 1) * k * n]),
+            );
+            let route = if goes_naive(m, k, n) {
+                Route::Axpy
+            } else {
+                Route::Packed
+            };
+            let ot = &mut want[t * m * n..(t + 1) * m * n];
+            model(route, m, k, n, at, bt, ot, Complex64::ONE);
+            axpy_model(m, k, n, at, bt, &mut axpy[t * m * n..(t + 1) * m * n]);
+        }
+        assert!(bits(&got) == bits(&want), "batched {m}x{k}x{n} x{batch}");
+        assert!(
+            bits(&naive) == bits(&axpy),
+            "naive batched {m}x{k}x{n} x{batch}"
+        );
+    }
+    // Shared-B batches are one `batch·m x k x n` product: the route is
+    // decided on the stacked shape.
+    for (ci, &(m, k, n, batch)) in [
+        (2, 8, 8, 3),    // 6x8x8: naive
+        (2, 8, 8, 4),    // 8x8x8: blocked
+        (4, 4, 4, 64),   // the SSE shape: blocked
+        (4, 4, 3, 64),   // n < NR: naive
+        (4, 64, 64, 16), // band-split
+    ]
+    .iter()
+    .enumerate()
+    {
+        let a = sparse_cvec(1100 + ci as u64, batch * m * k);
+        let b = cvec(1200 + ci as u64, k * n);
+        let c0 = cvec(1300 + ci as u64, batch * m * n);
+        let mt = batch * m;
+        let naive = goes_naive(mt, k, n);
+        let mut got = c0.clone();
+        gemm::batched_gemm_shared_b_acc(m, k, n, batch, &a, &b, &mut got);
+        let mut want = c0.clone();
+        let route = if naive { Route::Axpy } else { Route::Packed };
+        model(
+            route,
+            mt,
+            k,
+            n,
+            &a,
+            Rhs::Rows(&b),
+            &mut want,
+            Complex64::ONE,
+        );
+        assert!(bits(&got) == bits(&want), "shared-B {m}x{k}x{n} x{batch}");
+        let mut got = c0.clone();
+        gemm::batched_gemm_shared_b_scaled_acc(m, k, n, batch, &a, &b, &mut got, scale);
+        let mut want = c0.clone();
+        let route = if naive { Route::Dot } else { Route::Packed };
+        model(route, mt, k, n, &a, Rhs::Rows(&b), &mut want, scale);
+        assert!(
+            bits(&got) == bits(&want),
+            "scaled shared-B {m}x{k}x{n} x{batch}"
+        );
+    }
+}
+
+/// FNV-1a over the `to_bits` of every re/im lane.
+fn checksum(v: &[Complex64]) -> u64 {
+    v.iter()
+        .flat_map(|z| [z.re.to_bits(), z.im.to_bits()])
+        .fold(0xcbf2_9ce4_8422_2325, |h, x| {
+            (h ^ x).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+#[test]
+fn lu_inverse_bits_are_pinned() {
+    // Block LU routes its trailing update and substitution sweeps through
+    // the strided GEMM path: n = 7/16 stay inside one panel, 17 takes the
+    // naive fallback, 64/128 the packed kernel.
+    // Recorded before the GEMM entry points were collapsed onto one
+    // dispatcher; re-record only with a stated summation-order change.
+    let pinned: [(usize, u64); 5] = [
+        (7, 0xc26c_9052_5931_56db),
+        (16, 0x6125_5c76_239c_35aa),
+        (17, 0x13bd_56fb_a581_8700),
+        (64, 0xa4b1_ce79_68fb_380d),
+        (128, 0x83cb_8006_399b_b968),
+    ];
+    let got = pinned.map(|(n, _)| {
+        let a = qt_linalg::Matrix::from_vec(n, n, cvec(1400 + n as u64, n * n));
+        let inv = qt_linalg::lu::invert_ws(&a).expect("random matrices invert");
+        let sum = checksum(inv.as_slice());
+        qt_linalg::workspace::give(inv);
+        (n, sum)
+    });
+    assert_eq!(got, pinned, "invert_ws to_bits checksums");
 }

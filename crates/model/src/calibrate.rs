@@ -35,10 +35,11 @@ impl ShapeClass {
     }
 }
 
-/// The three shape families that dominate the simulator's GEMM time:
-/// RGF block products (large square), untransformed-SSE Norb batches
-/// (many tiny squares), and the fused DaCe window GEMM (wide inner
-/// dimension, Fig. 11c).
+/// The three shape families the calibration times: RGF block products
+/// (large square), untransformed-SSE Norb batches (many tiny squares,
+/// through `batched_gemm_acc`), and a wide inner dimension (one `8 x 1024
+/// x 8` product through `gemm_blocked_acc`, like `rgf_block`). Only the
+/// first two feed [`GemmCalibration::host_machine`].
 pub const SHAPE_CLASSES: [ShapeClass; 3] = [
     ShapeClass {
         name: "rgf_block",

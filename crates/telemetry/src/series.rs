@@ -3,14 +3,13 @@
 //! The counters answer "how much in total"; the series answers "when".
 //! [`sample_now`] snapshots every counter of [`Counter::SERIES`] (the
 //! counter table's sampled rows) into one [`Sample`]; the SCF loop
-//! takes one per iteration and hot loops may call [`maybe_sample`] with a
-//! minimum spacing for wall-clock-paced coverage. Samples live in a
-//! global bounded ring (newest kept, drops accounted) and are exported
-//! two ways: the report's `series` block and a Prometheus-style text
-//! rendering (`reproduce profile --metrics-out`) that gives a future
-//! scrape endpoint its surface for free.
+//! takes one per iteration. Samples live in a global bounded ring (newest
+//! kept, drops accounted) and are exported two ways: the report's
+//! `series` block and a Prometheus-style text rendering (`reproduce
+//! profile --metrics-out`) that gives a future scrape endpoint its surface
+//! for free.
 
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicBool, AtomicI64, Ordering::Relaxed};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
@@ -40,7 +39,6 @@ struct SeriesRing {
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static EPOCH: OnceLock<Instant> = OnceLock::new();
-static LAST_SAMPLE_MS: AtomicU64 = AtomicU64::new(0);
 static ITERATION: AtomicI64 = AtomicI64::new(-1);
 static RING: Mutex<Option<SeriesRing>> = Mutex::new(None);
 
@@ -92,7 +90,6 @@ pub fn sample_now() {
         return;
     }
     let ts_us = EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as f64 / 1e3;
-    LAST_SAMPLE_MS.store((ts_us / 1e3) as u64, Relaxed);
     let snap = Snapshot::take();
     let sample = Sample {
         ts_us,
@@ -110,25 +107,6 @@ pub fn sample_now() {
     }
 }
 
-/// Take a sample only if at least `min_interval_ms` elapsed since the
-/// previous one — wall-clock-paced coverage for long phases between
-/// iteration boundaries. Disabled cost: one relaxed load.
-#[inline]
-pub fn maybe_sample(min_interval_ms: u64) {
-    if !series_enabled() {
-        return;
-    }
-    let now_ms = (EPOCH.get_or_init(Instant::now).elapsed().as_nanos() / 1_000_000) as u64;
-    let last = LAST_SAMPLE_MS.load(Relaxed);
-    if now_ms.saturating_sub(last) >= min_interval_ms
-        && LAST_SAMPLE_MS
-            .compare_exchange(last, now_ms, Relaxed, Relaxed)
-            .is_ok()
-    {
-        sample_now();
-    }
-}
-
 /// Samples in chronological order, plus the count of samples lost to
 /// ring overflow.
 pub fn snapshot() -> (Vec<Sample>, u64) {
@@ -142,7 +120,7 @@ pub fn snapshot() -> (Vec<Sample>, u64) {
     (out, ring.dropped)
 }
 
-/// Clear the ring and the pacing state. Part of
+/// Clear the ring and the iteration tag. Part of
 /// `qt_telemetry::reset_all`.
 pub fn reset_series() {
     let mut g = RING.lock().unwrap();
@@ -151,7 +129,6 @@ pub fn reset_series() {
         ring.head = 0;
         ring.dropped = 0;
     }
-    LAST_SAMPLE_MS.store(0, Relaxed);
     ITERATION.store(-1, Relaxed);
 }
 
@@ -237,7 +214,6 @@ mod tests {
         set_series_enabled(false);
         reset_series();
         sample_now();
-        maybe_sample(0);
         assert_eq!(snapshot().0.len(), 0);
     }
 
