@@ -1487,7 +1487,9 @@ fn balance_world(world: usize, iters: usize) -> WorldBalance {
     use qt_core::gf::GfConfig;
     use qt_core::grids::Grids;
     use qt_core::hamiltonian::{ElectronModel, PhononModel};
-    use qt_dist::{maybe_rebalance, supervised_iteration, DistContext, ElasticPolicy};
+    use qt_dist::{
+        maybe_rebalance, supervised_iteration, DistContext, ElasticPolicy, REBALANCE_THRESHOLD,
+    };
 
     let s = SkewedBalance::new(world);
     let em = ElectronModel::for_params(&s.p);
@@ -1545,7 +1547,7 @@ fn balance_world(world: usize, iters: usize) -> WorldBalance {
         let bal = r.result.comm.balance.as_ref().expect("balance measured");
         adaptive_path_ms = max_busy_ms(&bal.rank_busy_secs);
         imbalance_after = bal.imbalance_ratio();
-        moved_units += maybe_rebalance(&mut tiling, bal, 1.5).len();
+        moved_units += maybe_rebalance(&mut tiling, bal, REBALANCE_THRESHOLD).len();
     }
 
     WorldBalance {

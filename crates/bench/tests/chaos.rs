@@ -6,19 +6,30 @@
 //! to a bitwise-exact result or complete degraded with an honest coverage
 //! report — never hang, never silently drift.
 //!
+//! The loop-level tests run the whole Born loop (`run_scf_with` with the
+//! `qt_dist::DistSse` body): a kill in the second iteration and a
+//! cancel-then-resume must both reproduce the uninterrupted distributed
+//! loop bit for bit.
+//!
 //! The kill tests' tile grid is parameterized by `QT_CHAOS_WORLD`
 //! (2, 4, or 8 ranks; default 4) so CI can sweep world sizes.
 
 use std::sync::Mutex;
 use std::time::Duration;
 
-use qt_core::gf::GfConfig;
+use qt_core::checkpoint::{CheckpointConfig, ScfCheckpoint};
+use qt_core::gf::{ElectronSelfEnergy, GfConfig, PhononSelfEnergy};
+use qt_core::health::NumericalError;
 use qt_core::params::SimParams;
-use qt_core::scf::Simulation;
+use qt_core::scf::{
+    run_scf_with, CancelToken, ScfConfig, ScfError, ScfOptions, ScfResult, Simulation, SsePhase,
+};
+use qt_core::sse::SseInputs;
 use qt_dist::fault::FaultPlan;
 use qt_dist::runner::DistIterationResult;
 use qt_dist::{
-    supervised_iteration, DistContext, ElasticIterationResult, ElasticPolicy, ElasticTiling,
+    supervised_iteration, DistContext, DistSse, ElasticIterationResult, ElasticPolicy,
+    ElasticTiling,
 };
 
 static LOCK: Mutex<()> = Mutex::new(());
@@ -289,4 +300,149 @@ fn death_past_bad_fraction_ceiling_degrades_instead_of_hanging() {
     );
     // ...and a caller that takes no degraded answer gets a typed error.
     assert!(el.complete().is_err());
+}
+
+/// The `qt_dist` body with a hook that runs before each of its calls
+/// (numbered from 1), to arm a fault or cancel mid-loop.
+struct Hooked<F: FnMut(usize, &mut DistSse)> {
+    body: DistSse,
+    calls: usize,
+    before: F,
+}
+
+impl<F: FnMut(usize, &mut DistSse)> SsePhase for Hooked<F> {
+    fn run(
+        &mut self,
+        inputs: &SseInputs<'_>,
+    ) -> Result<(ElectronSelfEnergy, PhononSelfEnergy), NumericalError> {
+        self.calls += 1;
+        (self.before)(self.calls, &mut self.body);
+        self.body.run(inputs)
+    }
+}
+
+/// Five forced Born iterations (the tolerance is never met).
+fn loop_cfg() -> ScfConfig {
+    ScfConfig {
+        max_iterations: 5,
+        tolerance: 0.0,
+        ..Default::default()
+    }
+}
+
+/// The `qt_dist` body on a fresh `te × ta` tiling.
+fn body(policy: ElasticPolicy) -> DistSse {
+    let (te, ta) = world_shape();
+    DistSse::new(ElasticTiling::new(&fixture().p, te, ta), policy)
+}
+
+/// The distributed Born loop on a fresh simulation.
+fn dist_loop<'a>(sse: &'a mut dyn SsePhase, opts: ScfOptions<'a>) -> Result<ScfResult, ScfError> {
+    let sse = Some(sse);
+    run_scf_with(&fixture(), &loop_cfg(), ScfOptions { sse, ..opts })
+}
+
+fn assert_same_loop(got: &ScfResult, want: &ScfResult) {
+    assert_eq!(got.residuals, want.residuals);
+    let bits = |r: &ScfResult| {
+        r.current_history
+            .iter()
+            .map(|c| c.to_bits())
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(bits(got), bits(want));
+    for (name, a, b) in [
+        ("sigma.lesser", &got.sigma.lesser, &want.sigma.lesser),
+        ("sigma.greater", &got.sigma.greater, &want.sigma.greater),
+        ("pi.lesser", &got.pi.lesser, &want.pi.lesser),
+        ("pi.greater", &got.pi.greater, &want.pi.greater),
+        ("g_lesser", &got.electron.g_lesser, &want.electron.g_lesser),
+    ] {
+        assert_eq!(a.as_slice(), b.as_slice(), "{name}");
+    }
+}
+
+#[test]
+fn kill_in_the_second_born_iteration_recovers_bitwise() {
+    let _g = lock();
+    let (te, ta) = world_shape();
+    let procs = te * ta;
+    let victim = procs - 1;
+    let clean = dist_loop(&mut body(ElasticPolicy::default()), ScfOptions::default()).unwrap();
+    assert_eq!(clean.iterations, 5);
+
+    // One death quarantines 1/procs of the grid: admit exactly that.
+    let policy = ElasticPolicy {
+        max_bad_fraction: 1.0 / procs as f64,
+        ..Default::default()
+    };
+    let mut killer = Hooked {
+        body: body(policy),
+        calls: 0,
+        before: |call: usize, body: &mut DistSse| {
+            body.policy.faults = (call == 2).then(|| FaultPlan::new(42).with_kill_at(victim, 3));
+        },
+    };
+    let faulty = dist_loop(&mut killer, ScfOptions::default()).unwrap();
+    assert_eq!(
+        killer.body.deaths,
+        vec![victim],
+        "exactly the armed rank dies"
+    );
+    assert!(
+        killer.body.retiles >= 1,
+        "the supervisor must have re-tiled"
+    );
+    assert!(!killer.body.tiling.is_survivor(victim));
+    assert_eq!(faulty.iterations, clean.iterations);
+    assert_same_loop(&faulty, &clean);
+}
+
+#[test]
+fn cancelled_loop_resumes_bitwise_on_a_fresh_tiling() {
+    let _g = lock();
+    let uninterrupted =
+        dist_loop(&mut body(ElasticPolicy::default()), ScfOptions::default()).unwrap();
+
+    let path = std::env::temp_dir().join(format!("qt-chaos-drain-{}.ckpt", std::process::id()));
+    let ckpt = CheckpointConfig {
+        path: path.clone(),
+        every: 0,
+    };
+    let token = CancelToken::new();
+    let mut canceller = Hooked {
+        body: body(ElasticPolicy::default()),
+        calls: 0,
+        before: |call: usize, _: &mut DistSse| {
+            if call == 2 {
+                token.cancel();
+            }
+        },
+    };
+    let opts = ScfOptions {
+        ckpt: Some(&ckpt),
+        cancel: Some(token.clone()),
+        ..Default::default()
+    };
+    match dist_loop(&mut canceller, opts) {
+        Err(ScfError::Cancelled {
+            iteration,
+            checkpointed,
+        }) => {
+            assert_eq!(iteration, 2, "cancelled at the next iteration boundary");
+            assert!(checkpointed, "the drain checkpoint is written");
+        }
+        other => panic!("expected Cancelled, got {:?}", other.map(|_| "ok")),
+    }
+    let ck = ScfCheckpoint::load(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!(ck.iteration, 2);
+
+    let resume = ScfOptions {
+        resume: Some(ck),
+        ..Default::default()
+    };
+    let resumed = dist_loop(&mut body(ElasticPolicy::default()), resume).unwrap();
+    assert_eq!(resumed.iterations, 3, "only the remaining iterations run");
+    assert_same_loop(&resumed, &uninterrupted);
 }

@@ -156,16 +156,6 @@ pub fn contour_flops(p: &SimParams) -> f64 {
     CONTOUR_KAPPA * (p.nkz * p.ne) as f64 * bs * bs * bs
 }
 
-/// One full GF+SSE iteration under the DaCe variant.
-pub fn iteration_flops_dace(p: &SimParams) -> f64 {
-    contour_flops(p) + rgf_flops(p) + sse_dace_flops(p)
-}
-
-/// One full iteration under the original OMEN algorithm.
-pub fn iteration_flops_omen(p: &SimParams) -> f64 {
-    contour_flops(p) + rgf_flops(p) + sse_omen_flops(p)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

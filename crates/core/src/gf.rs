@@ -111,20 +111,6 @@ impl ElectronSelfEnergy {
             greater: Tensor::zeros(&shape),
         }
     }
-
-    /// Retarded part via the paper's approximation `Σᴿ ≈ (Σ> − Σ<)/2`.
-    pub fn retarded_block(&self, idx: &[usize; 3], norb: usize) -> Matrix {
-        let g = self.greater.inner(&idx[..]);
-        let l = self.lesser.inner(&idx[..]);
-        Matrix::from_vec(
-            norb,
-            norb,
-            g.iter()
-                .zip(l)
-                .map(|(&gg, &ll)| (gg - ll).scale(0.5))
-                .collect(),
-        )
-    }
 }
 
 /// Phonon scattering self-energies. Shape `[Nqz, Nω, NA, NB+1, 3, 3]`;
@@ -143,19 +129,6 @@ impl PhononSelfEnergy {
             lesser: Tensor::zeros(&shape),
             greater: Tensor::zeros(&shape),
         }
-    }
-
-    pub fn retarded_block(&self, idx: &[usize; 4]) -> Matrix {
-        let g = self.greater.inner(&idx[..]);
-        let l = self.lesser.inner(&idx[..]);
-        Matrix::from_vec(
-            N3D,
-            N3D,
-            g.iter()
-                .zip(l)
-                .map(|(&gg, &ll)| (gg - ll).scale(0.5))
-                .collect(),
-        )
     }
 }
 

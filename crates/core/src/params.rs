@@ -140,11 +140,6 @@ impl SimParams {
     pub fn g_tensor_bytes(&self) -> u64 {
         16 * (self.nkz * self.ne * self.na * self.norb * self.norb) as u64
     }
-
-    /// Size in bytes of the phonon tensor `[Nqz, Nω, NA, NB+1, 3, 3]`.
-    pub fn d_tensor_bytes(&self) -> u64 {
-        16 * (self.nqz * self.nw * self.na * (self.nb + 1) * N3D * N3D) as u64
-    }
 }
 
 #[cfg(test)]

@@ -393,14 +393,6 @@ impl RgfOutput {
         self.gl_lower[n].dagger().scale(qt_linalg::c64(-1.0, 0.0))
     }
 
-    /// `G>_{n+1,n} = G<_{n+1,n} + Gᴿ_{n+1,n} − (Gᴿ_{n,n+1})†`.
-    pub fn gg_lower(&self, n: usize) -> Matrix {
-        let mut gg = self.gl_lower[n].clone();
-        gg += &self.gr_lower[n];
-        gg -= &self.gr_upper[n].dagger();
-        gg
-    }
-
     /// True when every output block is finite (no NaN, no ±Inf) — the
     /// phase-boundary health check the GF phases run before letting RGF
     /// output flow into the SSE convolutions.

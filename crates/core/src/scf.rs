@@ -400,6 +400,18 @@ pub struct WarmStart {
     pub pi: PhononSelfEnergy,
 }
 
+/// The SSE phase of one Born iteration: the scattering self-energies
+/// Σ≷, Π≷ of this iteration's Green's functions, before stabilization and
+/// mixing. [`run_scf_with`] runs the serial `sse::sigma`/`sse::pi` at
+/// `ScfConfig::variant` unless [`ScfOptions::sse`] supplies another body
+/// (`qt_dist::DistSse` runs it across a rank world).
+pub trait SsePhase {
+    fn run(
+        &mut self,
+        inputs: &SseInputs<'_>,
+    ) -> Result<(ElectronSelfEnergy, PhononSelfEnergy), NumericalError>;
+}
+
 /// Optional behaviors of [`run_scf_with`], all off by default.
 #[derive(Default)]
 pub struct ScfOptions<'a> {
@@ -415,6 +427,8 @@ pub struct ScfOptions<'a> {
     pub warm: Option<WarmStart>,
     /// Cooperative cancellation, observed at every iteration boundary.
     pub cancel: Option<CancelToken>,
+    /// The SSE phase of every iteration; `None` runs it in process.
+    pub sse: Option<&'a mut dyn SsePhase>,
 }
 
 /// Refuse stale tensors whose shape disagrees with the live config —
@@ -448,7 +462,8 @@ pub fn run_scf(sim: &Simulation, cfg: &ScfConfig) -> Result<ScfResult, Numerical
 }
 
 /// The full-control SCF entry point: [`run_scf`] plus checkpoint/resume,
-/// warm-start seeding and cooperative cancellation (see [`ScfOptions`]).
+/// warm-start seeding, cooperative cancellation and a pluggable SSE phase
+/// (see [`ScfOptions`]).
 /// Resumed checkpoints and warm-start seeds are shape-checked against the
 /// live config before any tensor is cloned; a mismatch returns
 /// [`ScfError::ShapeMismatch`] instead of panicking downstream.
@@ -461,7 +476,7 @@ pub fn run_scf(sim: &Simulation, cfg: &ScfConfig) -> Result<ScfResult, Numerical
 pub fn run_scf_with(
     sim: &Simulation,
     cfg: &ScfConfig,
-    opts: ScfOptions<'_>,
+    mut opts: ScfOptions<'_>,
 ) -> Result<ScfResult, ScfError> {
     let _scf_span = qt_telemetry::Span::enter_global("scf");
     let p = &sim.p;
@@ -656,9 +671,14 @@ pub fn run_scf_with(
             d_lesser_pre: &dl,
             d_greater_pre: &dg,
         };
-        let mut new_sigma = sse::sigma(&inputs, cfg.variant);
+        let (mut new_sigma, mut new_pi) = match opts.sse.as_deref_mut() {
+            Some(body) => body.run(&inputs)?,
+            None => (
+                sse::sigma(&inputs, cfg.variant),
+                sse::pi(&inputs, cfg.variant),
+            ),
+        };
         sse::stabilize_sigma(&mut new_sigma, p);
-        let mut new_pi = sse::pi(&inputs, cfg.variant);
         sse::stabilize_pi(&mut new_pi, p);
         mix_tensor(&mut sigma.lesser, &new_sigma.lesser, mixer.current);
         mix_tensor(&mut sigma.greater, &new_sigma.greater, mixer.current);

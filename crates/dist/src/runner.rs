@@ -1,21 +1,19 @@
 //! Distributed GF+SSE iteration driver.
 //!
-//! One full iteration of the Fig. 2 loop executed on the thread world:
-//! every rank *computes* the Green's functions for its own energy chunk
-//! (momentum×energy parallelism of the GF phase), the DaCe all-to-all
-//! redistributes them into the energy×atom tiling, each rank runs its local
-//! SSE, and the results gather on root. Unlike [`crate::schemes`] (which
-//! reads pre-computed tensors to isolate the communication pattern), this
-//! driver owns the whole pipeline — the distributed analogue of
-//! `qt_core::scf`'s single iteration.
+//! One full iteration of the Fig. 2 loop on the thread world: the GF phase
+//! solves every `(kz, E)` point (it communicates nothing), the DaCe
+//! all-to-all redistributes the Green's functions into the energy×atom
+//! tiling, each rank runs its local SSE, and the results gather on root.
+//! Unlike [`crate::schemes`] (which reads pre-computed tensors to isolate
+//! the communication pattern), this module owns the whole pipeline.
 //!
 //! There is one iteration, [`supervised_iteration`]: the tiling says who
 //! computes what (full world, weighted, mid-recovery), the
 //! [`ElasticPolicy`] says how (failure detector, recovery bounds, and the
 //! fault schedule — `faults: None` runs plan-less worlds, `Some(plan)` the
-//! recovery protocol).
+//! recovery protocol). [`DistSse`] is the same supervised exchange as the
+//! SSE phase of `qt_core::scf::run_scf_with`: the distributed Born loop.
 
-use crate::comm::run_world;
 use crate::decomp::{ElasticTiling, OmenDecomp};
 use crate::schemes::{ca_exchange, BalanceStats, CommStats, ElasticPolicy, SseDistContext};
 use qt_core::device::Device;
@@ -24,9 +22,8 @@ use qt_core::grids::Grids;
 use qt_core::hamiltonian::{ElectronModel, PhononModel};
 use qt_core::health::{CoverageReport, NumericalError, QuarantinedPoint};
 use qt_core::params::SimParams;
-use qt_core::scf::Simulation;
+use qt_core::scf::{Simulation, SsePhase};
 use qt_core::sse;
-use qt_linalg::Tensor;
 use qt_telemetry::counters::{self, Counter};
 use std::collections::BTreeSet;
 
@@ -60,7 +57,7 @@ impl<'a> DistContext<'a> {
 pub struct DistIterationResult {
     pub sigma: ElectronSelfEnergy,
     pub pi: PhononSelfEnergy,
-    /// Electrical current accumulated across ranks.
+    /// Electrical current, reduced over the ranks' GF energy chunks.
     pub current: f64,
     /// Total bytes moved in the SSE exchange.
     pub sse_bytes: u64,
@@ -94,89 +91,14 @@ pub fn distributed_iteration(
     supervised_iteration(&ctx, &mut tiling, &ElasticPolicy::default())?.complete()
 }
 
-/// Everything the GF phase produces: the inputs of the SSE exchange.
-struct GfPhase {
-    dh: Tensor,
-    g_lesser: Tensor,
-    g_greater: Tensor,
-    d_lesser_pre: Tensor,
-    d_greater_pre: Tensor,
-    current: f64,
-}
-
-/// The GF phase: each rank computes its energy chunk. (Thread-world ranks
-/// write disjoint slices; results are assembled into the global tensors
-/// that seed the SSE exchange, mirroring how each MPI rank would hold its
-/// slice in place.)
-fn gf_phase(ctx: &DistContext<'_>, procs: usize) -> Result<GfPhase, NumericalError> {
-    let DistContext {
-        p,
-        dev,
-        em,
-        pm,
-        grids,
-        gf: cfg,
-    } = *ctx;
-    let dh = em.dh_tensor(dev);
-    let dec = OmenDecomp::new(p, procs);
-    let chunks: Vec<Result<(usize, gf::ElectronGf), NumericalError>> =
-        run_world(procs, None, |comm| {
-            let rank = comm.rank();
-            let my_e = dec.energy.range(rank);
-            // Solve only this rank's energies: narrow the grid.
-            let mut local = *p;
-            local.ne = my_e.len();
-            let local_grids = Grids {
-                energies: grids.energies[my_e.clone()].to_vec(),
-                omegas: grids.omegas.clone(),
-                kz: grids.kz.clone(),
-                qz: grids.qz.clone(),
-                de: grids.de,
-            };
-            let zeros = ElectronSelfEnergy::zeros(&local);
-            gf::electron_gf_phase(dev, em, &local, &local_grids, &zeros, cfg).map(|g| (rank, g))
-        });
-    let mut g_lesser = Tensor::zeros(&[p.nkz, p.ne, p.na, p.norb, p.norb]);
-    let mut g_greater = Tensor::zeros(&[p.nkz, p.ne, p.na, p.norb, p.norb]);
-    let mut current = 0.0;
-    for c in chunks {
-        let (rank, egf) = c?;
-        let my_e = dec.energy.range(rank);
-        for k in 0..p.nkz {
-            for (el, e) in my_e.clone().enumerate() {
-                for a in 0..p.na {
-                    g_lesser
-                        .inner_mut(&[k, e, a])
-                        .copy_from_slice(egf.g_lesser.inner(&[k, el, a]));
-                    g_greater
-                        .inner_mut(&[k, e, a])
-                        .copy_from_slice(egf.g_greater.inner(&[k, el, a]));
-                }
-            }
-        }
-        current += egf.current;
-    }
-    // Phonon GF phase (serial here; its grid is small and its
-    // parallelization is identical in kind).
-    let pgf = gf::phonon_gf_phase(dev, pm, p, grids, &PhononSelfEnergy::zeros(p), cfg)?;
-    let (dl, dg) = sse::preprocess_d(dev, p, &pgf);
-    Ok(GfPhase {
-        dh,
-        g_lesser,
-        g_greater,
-        d_lesser_pre: dl,
-        d_greater_pre: dg,
-        current,
-    })
-}
-
 /// Result of one supervised distributed iteration.
 pub struct ElasticIterationResult {
     pub result: DistIterationResult,
-    /// Electron-grid coverage. Quarantined entries mark the `(kz, E)`
-    /// points whose backing GF-chunk state sat on a rank that died —
-    /// whether the point then rode recovery (recomputed on a survivor,
-    /// bitwise exact) or was zero-filled in a degraded completion.
+    /// Electron-grid coverage: the GF phase's quarantined `(kz, E)`
+    /// points, then those whose backing GF-chunk state sat on a rank that
+    /// died — whether the point then rode recovery (recomputed on a
+    /// survivor, bitwise exact) or was zero-filled in a degraded
+    /// completion.
     pub coverage: CoverageReport,
     /// True when the run completed with abandoned tiles (zero-filled
     /// Σ≷/Π≷ slices) instead of full recovery.
@@ -205,49 +127,83 @@ impl ElasticIterationResult {
 }
 
 /// Run one GF+SSE iteration on `tiling` with elastic rank-failure
-/// recovery.
+/// recovery, from zero self-energies.
 ///
 /// The tiling may be the full world ([`ElasticTiling::new`]), uniform over
 /// fewer ranks, weighted ([`ElasticTiling::weighted`]), or mid-recovery;
 /// deaths shrink it in place so the caller's tiling stays current across
-/// iterations. The GF phase runs on the full original world (it
-/// communicates nothing). The SSE exchange runs under supervision: each
-/// attempt executes [`ca_exchange`] over the current survivor set; a
-/// detected death shrinks the tiling (only the dead rank's units migrate)
-/// and the exchange retries on a fresh survivor world. A successful
+/// iterations. The GF phase solves the whole grid once (it communicates
+/// nothing), under one quarantine ceiling; its coverage leads the
+/// result's. The SSE exchange runs under supervision. A successful
 /// recovery is *bitwise identical* to the fault-free run, as is any owner
-/// map. When a death would push the quarantined fraction past
-/// [`ElasticPolicy::max_bad_fraction`], its units are abandoned instead
-/// and the iteration completes in degraded mode with those tiles
-/// zero-filled and reported in the coverage. Per-rank busy times and
-/// per-unit costs come back in `result.comm.balance`.
+/// map. Per-rank busy times and per-unit costs come back in
+/// `result.comm.balance`.
 pub fn supervised_iteration(
     ctx: &DistContext<'_>,
     tiling: &mut ElasticTiling,
     policy: &ElasticPolicy,
 ) -> Result<ElasticIterationResult, NumericalError> {
     let _span = qt_telemetry::Span::enter_global("dist/iteration");
-    let gfp = gf_phase(ctx, tiling.procs())?;
+    let DistContext {
+        p,
+        dev,
+        em,
+        pm,
+        grids,
+        gf: cfg,
+    } = *ctx;
+    let egf = gf::electron_gf_phase(dev, em, p, grids, &ElectronSelfEnergy::zeros(p), cfg)?;
+    let pgf = gf::phonon_gf_phase(dev, pm, p, grids, &PhononSelfEnergy::zeros(p), cfg)?;
+    let (dl, dg) = sse::preprocess_d(dev, p, &pgf);
+    let dh = em.dh_tensor(dev);
     let inputs = SseDistContext {
-        p: ctx.p,
-        dev: ctx.dev,
-        grids: ctx.grids,
-        dh: &gfp.dh,
-        g_lesser: &gfp.g_lesser,
-        g_greater: &gfp.g_greater,
-        d_lesser_pre: &gfp.d_lesser_pre,
-        d_greater_pre: &gfp.d_greater_pre,
+        p,
+        dev,
+        grids,
+        dh: &dh,
+        g_lesser: &egf.g_lesser,
+        g_greater: &egf.g_greater,
+        d_lesser_pre: &dl,
+        d_greater_pre: &dg,
     };
-    Ok(supervise(&inputs, gfp.current, tiling, policy))
+    let mut el = supervise(&inputs, tiling, policy);
+    // The current as the world reduces it: each rank's GF energy chunk
+    // sums its points in `gf`'s order, then the partials add in rank order.
+    let chunks = OmenDecomp::new(p, tiling.procs()).energy;
+    let point_current = |i: usize| egf.current_spectrum[i] * grids.de / p.nkz as f64;
+    el.result.current = (0..chunks.parts)
+        .map(|rank| {
+            (0..p.nkz)
+                .flat_map(|k| chunks.range(rank).map(move |e| k * p.ne + e))
+                .fold(0.0, |c, i| c + point_current(i))
+        })
+        .fold(0.0, |total, c| total + c);
+    let lost = std::mem::replace(&mut el.coverage, egf.coverage);
+    let gf_bad: BTreeSet<usize> = el
+        .coverage
+        .quarantined
+        .iter()
+        .map(|q| q.grid_index)
+        .collect();
+    let lost = lost.quarantined.into_iter();
+    el.coverage
+        .quarantined
+        .extend(lost.filter(|q| !gf_bad.contains(&q.grid_index)));
+    Ok(el)
 }
 
 /// The supervision loop: [`ca_exchange`] until it succeeds, re-tiling
 /// around each confirmed death; an empty suspect list (every accusation
-/// exonerated) retries on the unchanged tiling. `current` is the GF
-/// phase's, carried into the result.
+/// exonerated) retries on the unchanged tiling. Each attempt runs over the
+/// current survivor set; a detected death shrinks the tiling (only the
+/// dead rank's units migrate) and recovery recomputes the lost tiles from
+/// the caller's GF tensors. When a death would push the quarantined
+/// fraction past [`ElasticPolicy::max_bad_fraction`], its units are
+/// abandoned instead and the iteration completes degraded, with those
+/// tiles zero-filled and reported in the coverage. `result.current` is 0:
+/// the current is the GF phase's, which the caller holds.
 pub(crate) fn supervise(
     inputs: &SseDistContext<'_>,
-    current: f64,
     tiling: &mut ElasticTiling,
     policy: &ElasticPolicy,
 ) -> ElasticIterationResult {
@@ -324,7 +280,7 @@ pub(crate) fn supervise(
         result: DistIterationResult {
             sigma,
             pi,
-            current,
+            current: 0.0,
             sse_bytes: comm.world_bytes,
             comm,
         },
@@ -333,6 +289,54 @@ pub(crate) fn supervise(
         deaths,
         retiles,
         migrated_units,
+    }
+}
+
+/// The busy-time imbalance ratio (max/mean) above which the distributed
+/// Born loop ([`DistSse`]) and `reproduce balance` re-tile between
+/// iterations ([`maybe_rebalance`]).
+pub const REBALANCE_THRESHOLD: f64 = 1.5;
+
+/// The distributed SSE phase of `qt_core::scf::run_scf_with`: every Born
+/// iteration's Σ≷/Π≷ come from supervised CA exchanges on one
+/// `tiling` that persists across iterations — deaths shrink it, and
+/// [`maybe_rebalance`] re-tiles it at [`REBALANCE_THRESHOLD`] after each
+/// exchange. Mixing, convergence, checkpoints, cancellation and warm
+/// starts stay in the one SCF loop. A degraded exchange fails the
+/// iteration with [`NumericalError::RankLoss`].
+pub struct DistSse {
+    pub tiling: ElasticTiling,
+    pub policy: ElasticPolicy,
+    /// Original ids of the ranks that died, across all iterations.
+    pub deaths: Vec<usize>,
+    /// Detect→retile→retry rounds across all iterations.
+    pub retiles: usize,
+}
+
+impl DistSse {
+    pub fn new(tiling: ElasticTiling, policy: ElasticPolicy) -> Self {
+        DistSse {
+            tiling,
+            policy,
+            deaths: Vec::new(),
+            retiles: 0,
+        }
+    }
+}
+
+impl SsePhase for DistSse {
+    fn run(
+        &mut self,
+        inputs: &SseDistContext<'_>,
+    ) -> Result<(ElectronSelfEnergy, PhononSelfEnergy), NumericalError> {
+        let el = supervise(inputs, &mut self.tiling, &self.policy);
+        self.deaths.extend(&el.deaths);
+        self.retiles += el.retiles;
+        let done = el.complete()?;
+        if let Some(balance) = &done.comm.balance {
+            maybe_rebalance(&mut self.tiling, balance, REBALANCE_THRESHOLD);
+        }
+        Ok((done.sigma, done.pi))
     }
 }
 
@@ -516,9 +520,75 @@ mod tests {
     }
 
     #[test]
+    fn gf_quarantine_is_the_serial_phases_at_every_tiling() {
+        // The vacancy resonance of `scf::tests::vacancy_resonance_quarantines_honestly`:
+        // the serial GF phase quarantines one energy column (2 of 18
+        // points) and succeeds. The iteration must report the same global
+        // grid indices whatever the energy tiling — the ceiling applies to
+        // the whole grid, never to one rank's chunk.
+        let p = SimParams {
+            ne: 9,
+            na: 8,
+            ..params()
+        };
+        let disorder = qt_core::hamiltonian::Disorder {
+            seed: 7,
+            vacancy_fraction: 0.3,
+            onsite_amplitude: 0.05,
+            vacancy_level: 0.0,
+        };
+        let sim = Simulation::disordered(p, -1.0, 1.0, disorder).unwrap();
+        let cfg = GfConfig::default();
+        let zeros = ElectronSelfEnergy::zeros(&p);
+        let serial =
+            gf::electron_gf_phase(&sim.dev, &sim.em, &p, &sim.grids, &zeros, &cfg).unwrap();
+        let indices = |c: &CoverageReport| -> Vec<usize> {
+            c.quarantined.iter().map(|q| q.grid_index).collect()
+        };
+        assert_eq!(indices(&serial.coverage), vec![4, 13]);
+        let ctx = DistContext::of(&sim, &cfg);
+        for (te, ta) in [(1, 1), (3, 1), (9, 1)] {
+            let mut tiling = ElasticTiling::new(&p, te, ta);
+            let el = supervised_iteration(&ctx, &mut tiling, &ElasticPolicy::default())
+                .unwrap_or_else(|e| panic!("tiling ({te},{ta}): {e}"));
+            assert_eq!(el.coverage, serial.coverage, "tiling ({te},{ta})");
+        }
+    }
+
+    #[test]
+    fn born_loop_rebalances_a_collapsed_tiling_and_keeps_serial_bits() {
+        // Every unit on rank 0: the first exchange measures a ~4x busy-time
+        // imbalance, so the body re-tiles before the second iteration. At
+        // TE = 1 the loop keeps the serial DaCe loop's currents and Σ≷ bit
+        // for bit; Π≷ sums its tile partials in its own order.
+        use qt_core::scf::{run_scf, run_scf_with, ScfConfig, ScfOptions};
+        let sim = fixture();
+        let cfg = ScfConfig {
+            max_iterations: 3,
+            tolerance: 0.0,
+            ..Default::default()
+        };
+        let collapsed = ElasticTiling::weighted(&sim.p, 1, 4, 4, &[0.0; 4]);
+        assert_eq!(collapsed.units_of(0).len(), 4);
+        let mut body = DistSse::new(collapsed, ElasticPolicy::default());
+        let opts = ScfOptions {
+            sse: Some(&mut body),
+            ..Default::default()
+        };
+        let dist = run_scf_with(&sim, &cfg, opts).unwrap();
+        assert!(body.tiling.units_of(0).len() < 4, "the idle ranks get work");
+        assert!(body.deaths.is_empty());
+        let serial = run_scf(&sim, &cfg).unwrap();
+        assert_eq!(dist.current_history, serial.current_history);
+        assert_eq!(dist.sigma.lesser.as_slice(), serial.sigma.lesser.as_slice());
+        let rel = dist.pi.greater.max_abs_diff(&serial.pi.greater) / serial.pi.greater.norm();
+        assert!(rel < 1e-12, "Π> rel {rel}");
+    }
+
+    #[test]
     fn energy_chunking_is_exact() {
-        // The GF phase must be bitwise-independent of how energies are
-        // chunked: each (kz, E) point is solved in isolation.
+        // The iteration must be bitwise-independent of how energies are
+        // tiled: each (kz, E) point is solved in isolation.
         let p = SimParams {
             ne: 10,
             na: 8,

@@ -728,7 +728,7 @@ pub fn dace_scheme(
     ta: usize,
 ) -> (ElectronSelfEnergy, PhononSelfEnergy, CommStats) {
     let mut tiling = ElasticTiling::new(ctx.p, te, ta);
-    let done = crate::runner::supervise(ctx, 0.0, &mut tiling, &ElasticPolicy::default())
+    let done = crate::runner::supervise(ctx, &mut tiling, &ElasticPolicy::default())
         .complete()
         .expect("a fault-free world completes the exchange");
     (done.sigma, done.pi, done.comm)

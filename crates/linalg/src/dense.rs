@@ -213,13 +213,6 @@ impl Matrix {
         out
     }
 
-    /// `out += self @ rhs` without allocating.
-    pub fn matmul_acc(&self, rhs: &Matrix, out: &mut Matrix) {
-        assert_eq!(self.cols, rhs.rows, "inner dimension mismatch");
-        assert_eq!(out.shape(), (self.rows, rhs.cols));
-        gemm::gemm_acc(self, rhs, out);
-    }
-
     /// `self @ rhs^dagger` without materializing the conjugate transpose:
     /// the GEMM packing step reads `rhs` column-wise and conjugates in
     /// flight, so `X · Y†` costs the same as `X · Y`.

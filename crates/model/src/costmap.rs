@@ -152,18 +152,6 @@ impl CostMap {
         }
     }
 
-    /// Record measured wall times for every unit at once (e.g. from the
-    /// per-unit telemetry of one SCF iteration). Non-finite entries are
-    /// ignored.
-    pub fn observe_all(&mut self, secs: &[f64]) {
-        for (u, &s) in secs.iter().enumerate().take(self.measured_secs.len()) {
-            if s.is_finite() && s >= 0.0 {
-                self.measured_secs[u] = Some(s);
-            }
-        }
-        self.refit();
-    }
-
     fn refit(&mut self) {
         let mut flops = 0.0;
         let mut secs = 0.0;
