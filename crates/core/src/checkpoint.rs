@@ -5,16 +5,23 @@
 //! acceptable. [`ScfCheckpoint`] serializes everything the loop needs to
 //! continue *bit-exactly*: the mixed self-energies, the previous `G<`
 //! iterate (so the first resumed residual matches the uninterrupted run),
-//! the residual/current histories, and the adaptive-mixing controller
-//! state.
+//! the residual/current histories, the adaptive-mixing controller state
+//! and, for an accelerated solve, the [`Anderson`] history.
 //!
 //! The format is a deliberately simple little-endian binary layout (magic,
 //! scalar header, then length-prefixed `f64` arrays for each tensor):
 //! raw `f64` bit patterns round-trip exactly, which a text format would
 //! not guarantee, and the writer goes through a temp file + atomic rename
 //! so a crash mid-write can never leave a torn checkpoint behind.
+//!
+//! Version 2 (`QTCKPT02`, written today) adds the Anderson history section
+//! between Π≷ and `prev_gl`: its packed length `n` (0 for no history), the
+//! column count, then the `(ΔX, ΔF)` columns and the pending column as raw
+//! `n`-element arrays of single-precision `(re, im)` pairs. Version 1
+//! (`QTCKPT01`) files have no such section and load with an empty history.
 
 use crate::gf::{ElectronSelfEnergy, PhononSelfEnergy};
+use crate::scf::{Anderson, Column, ANDERSON_DEPTH};
 use qt_linalg::{c64, Tensor};
 use qt_telemetry::counters::{self, Counter};
 use std::fmt;
@@ -22,11 +29,14 @@ use std::fs;
 use std::io::{self, Read, Write};
 use std::path::Path;
 
-/// Magic prefix identifying checkpoint format version 1.
-const MAGIC: &[u8; 8] = b"QTCKPT01";
+/// Magic prefix identifying checkpoint format version 2, the one written.
+const MAGIC: &[u8; 8] = b"QTCKPT02";
+
+/// Magic prefix of format version 1, still read (with an empty history).
+const MAGIC_V1: &[u8; 8] = b"QTCKPT01";
 
 /// Family prefix shared by every checkpoint format version; the two bytes
-/// after it carry the version digits ("01" today).
+/// after it carry the version digits ("02" today).
 const FAMILY: &[u8; 6] = b"QTCKPT";
 
 /// Why a checkpoint could not be read.
@@ -152,6 +162,27 @@ fn put_tensor(out: &mut Vec<u8>, t: &Tensor) {
     }
 }
 
+fn put_pairs(out: &mut Vec<u8>, vs: &[[f32; 2]]) {
+    for v in vs.iter().flatten() {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// The Anderson history section: packed length `n` (0: none), the column
+/// count, each column's `ΔX` and `ΔF`, then the pending column.
+fn put_history(out: &mut Vec<u8>, history: Option<&Anderson>) {
+    let Some((h, pending)) = history.and_then(|h| Some((h, h.pending.as_ref()?))) else {
+        put_u64(out, 0);
+        return;
+    };
+    put_u64(out, pending.dx.len() as u64);
+    put_u64(out, h.cols.len() as u64);
+    for c in h.cols.iter().chain([pending]) {
+        put_pairs(out, &c.dx);
+        put_pairs(out, &c.df);
+    }
+}
+
 struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -177,6 +208,10 @@ impl<'a> Cursor<'a> {
 
     fn f64(&mut self) -> Result<f64, CheckpointError> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    }
+
+    fn f32(&mut self) -> Result<f32, CheckpointError> {
+        Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
     fn f64_vec(&mut self) -> Result<Vec<f64>, CheckpointError> {
@@ -213,6 +248,52 @@ impl<'a> Cursor<'a> {
         Ok(t)
     }
 
+    /// `n` single-precision `[re, im]` pairs, bounded by the remaining
+    /// bytes before any allocation.
+    fn pairs(&mut self, n: usize) -> Result<Vec<[f32; 2]>, CheckpointError> {
+        if n.checked_mul(8)
+            .is_none_or(|b| b > self.buf.len() - self.pos)
+        {
+            return Err(CheckpointError::Invalid(
+                "history length exceeds remaining file size",
+            ));
+        }
+        (0..n).map(|_| Ok([self.f32()?, self.f32()?])).collect()
+    }
+
+    /// The history section written by [`put_history`]; `packed` is the
+    /// element count of the four self-energy tensors it must match.
+    fn history(&mut self, packed: usize, into: &mut Anderson) -> Result<(), CheckpointError> {
+        let n = self.u64()?;
+        if n == 0 {
+            return Ok(());
+        }
+        if n != packed as u64 {
+            return Err(CheckpointError::Invalid(
+                "history length disagrees with the self-energies",
+            ));
+        }
+        let n = n as usize;
+        let m = self.u64()?;
+        // Between steps the oldest of ANDERSON_DEPTH columns is pending.
+        if m >= ANDERSON_DEPTH as u64 {
+            return Err(CheckpointError::Invalid(
+                "history deeper than ANDERSON_DEPTH",
+            ));
+        }
+        for i in 0..=m {
+            let dx = self.pairs(n)?;
+            let df = self.pairs(n)?;
+            let c = Column { dx, df };
+            if i < m {
+                into.cols.push(c);
+            } else {
+                into.pending = Some(c);
+            }
+        }
+        Ok(())
+    }
+
     /// A length prefix, rejected before allocation when it cannot possibly
     /// fit in the remaining bytes (corrupt headers would otherwise ask for
     /// absurd allocations).
@@ -228,8 +309,13 @@ impl<'a> Cursor<'a> {
 }
 
 impl ScfCheckpoint {
-    /// Serialize to the format described in the module docs.
+    /// Serialize to the format described in the module docs, with an empty
+    /// Anderson history.
     pub fn to_bytes(&self) -> Vec<u8> {
+        self.encode(None)
+    }
+
+    fn encode(&self, history: Option<&Anderson>) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(MAGIC);
         put_u64(&mut out, self.iteration as u64);
@@ -243,6 +329,7 @@ impl ScfCheckpoint {
         put_tensor(&mut out, &self.sigma.greater);
         put_tensor(&mut out, &self.pi.lesser);
         put_tensor(&mut out, &self.pi.greater);
+        put_history(&mut out, history);
         put_u64(&mut out, self.prev_gl.is_some() as u64);
         if let Some(gl) = &self.prev_gl {
             put_tensor(&mut out, gl);
@@ -250,11 +337,16 @@ impl ScfCheckpoint {
         out
     }
 
-    /// Parse a serialized checkpoint.
+    /// Parse a serialized checkpoint (version 2 or 1), discarding any
+    /// Anderson history.
     pub fn from_bytes(buf: &[u8]) -> Result<Self, CheckpointError> {
+        Self::decode(buf, &mut Anderson::new())
+    }
+
+    fn decode(buf: &[u8], history: &mut Anderson) -> Result<Self, CheckpointError> {
         let mut c = Cursor { buf, pos: 0 };
         let magic = c.take(8)?;
-        if magic != MAGIC {
+        if magic != MAGIC && magic != MAGIC_V1 {
             if &magic[..6] == FAMILY {
                 return Err(CheckpointError::UnsupportedVersion {
                     found: magic[6..8].try_into().unwrap(),
@@ -278,11 +370,18 @@ impl ScfCheckpoint {
             lesser: c.tensor()?,
             greater: c.tensor()?,
         };
+        history.clear();
+        if magic == MAGIC {
+            let packed =
+                sigma.lesser.len() + sigma.greater.len() + pi.lesser.len() + pi.greater.len();
+            c.history(packed, history)?;
+        }
         let prev_gl = if c.u64()? != 0 {
             Some(c.tensor()?)
         } else {
             None
         };
+        history.restored_at = Some(iteration);
         Ok(ScfCheckpoint {
             iteration,
             mixing_current,
@@ -299,10 +398,16 @@ impl ScfCheckpoint {
     /// Write atomically: serialize to `<path>.tmp`, then rename over
     /// `path`, so readers only ever observe complete checkpoints.
     pub fn save(&self, path: &Path) -> io::Result<()> {
+        self.save_with(path, None)
+    }
+
+    /// [`ScfCheckpoint::save`] carrying an accelerated solve's Anderson
+    /// history.
+    pub(crate) fn save_with(&self, path: &Path, history: Option<&Anderson>) -> io::Result<()> {
         let tmp = path.with_extension("tmp");
         {
             let mut f = fs::File::create(&tmp)?;
-            f.write_all(&self.to_bytes())?;
+            f.write_all(&self.encode(history))?;
             f.sync_all()?;
         }
         fs::rename(&tmp, path)?;
@@ -311,11 +416,20 @@ impl ScfCheckpoint {
         Ok(())
     }
 
-    /// Load a checkpoint written by [`ScfCheckpoint::save`].
+    /// Load a checkpoint written by [`ScfCheckpoint::save`] (or by an
+    /// unaccelerated solve), discarding any Anderson history.
     pub fn load(path: &Path) -> Result<Self, CheckpointError> {
+        Self::load_with_history(path, &mut Anderson::new())
+    }
+
+    /// Load a checkpoint and restore its Anderson history into `history`
+    /// (empty for a version-1 file or an unaccelerated solve). Passing the
+    /// same `history` as [`crate::scf::ScfOptions::accel`] with this
+    /// checkpoint as `resume` continues the accelerated solve bit for bit.
+    pub fn load_with_history(path: &Path, history: &mut Anderson) -> Result<Self, CheckpointError> {
         let mut buf = Vec::new();
         fs::File::open(path)?.read_to_end(&mut buf)?;
-        Self::from_bytes(&buf)
+        Self::decode(&buf, history)
     }
 }
 
@@ -370,6 +484,56 @@ mod tests {
     }
 
     #[test]
+    fn anderson_history_roundtrips_bitwise() {
+        let ck = sample();
+        let n = ck.sigma.lesser.len()
+            + ck.sigma.greater.len()
+            + ck.pi.lesser.len()
+            + ck.pi.greater.len();
+        let col = |s: f32| Column {
+            dx: (0..n).map(|i| [i as f32 * s, -s]).collect(),
+            df: (0..n).map(|i| [s, i as f32 / 3.0]).collect(),
+        };
+        let mut h = Anderson::new();
+        h.cols = vec![col(0.5), col(1.5)];
+        h.pending = Some(col(-2.0));
+        let bytes = ck.encode(Some(&h));
+        let mut back = Anderson::new();
+        ScfCheckpoint::decode(&bytes, &mut back).unwrap();
+        assert_eq!(back.restored_at, Some(ck.iteration));
+        assert_eq!(back.depth(), 2);
+        let bits = |c: &Column| {
+            c.dx.iter()
+                .chain(&c.df)
+                .flatten()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        };
+        let (got, want): (Vec<_>, Vec<_>) = (
+            back.cols.iter().chain(&back.pending).map(bits).collect(),
+            h.cols.iter().chain(&h.pending).map(bits).collect(),
+        );
+        assert_eq!(got, want);
+        // The history sits between Π≷ and prev_gl; a plain load skips it.
+        let plain = ScfCheckpoint::from_bytes(&bytes).unwrap();
+        assert_eq!(plain.residuals, ck.residuals);
+        assert_eq!(
+            plain.prev_gl.unwrap().as_slice(),
+            ck.prev_gl.as_ref().unwrap().as_slice()
+        );
+        // A history whose length disagrees with the self-energies is refused.
+        h.cols.clear();
+        h.pending = Some(Column {
+            dx: vec![[0.0; 2]; n - 1],
+            df: vec![[0.0; 2]; n - 1],
+        });
+        assert!(matches!(
+            ScfCheckpoint::from_bytes(&ck.encode(Some(&h))),
+            Err(CheckpointError::Invalid(_))
+        ));
+    }
+
+    #[test]
     fn save_load_via_disk_and_atomic_tmp() {
         let dir = std::env::temp_dir().join("qt-ckpt-test");
         fs::create_dir_all(&dir).unwrap();
@@ -420,7 +584,7 @@ mod tests {
         match ScfCheckpoint::from_bytes(&bytes) {
             Err(CheckpointError::UnsupportedVersion { found, supported }) => {
                 assert_eq!(&found, b"99");
-                assert_eq!(&supported, b"01");
+                assert_eq!(&supported, b"02");
             }
             other => panic!("expected UnsupportedVersion, got {other:?}"),
         }

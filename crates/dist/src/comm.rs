@@ -124,9 +124,11 @@ impl Default for LivenessConfig {
 /// Bytes per payload element.
 pub const ELEM_BYTES: u64 = 16;
 
-/// One frame on the wire: `(tag, data, checksum)` — the checksum is 0 and
-/// ignored unless the world carries a fault plan.
-type Frame = (u64, Vec<Complex64>, u64);
+/// One frame on the wire: `(tag, data, checksum, sent_at)` — the checksum
+/// is 0 and ignored unless the world carries a fault plan; `sent_at` is
+/// the send time of a clean remote frame while tracing is on, which the
+/// receiver stamps on the start of the frame's send→recv flow arc.
+type Frame = (u64, Vec<Complex64>, u64, Option<Instant>);
 
 /// Monotone world id: every world instance (including each survivor world
 /// built during elastic recovery) salts its trace flow ids with a fresh
@@ -169,13 +171,9 @@ pub struct ThreadComm {
     receivers: Vec<Receiver<Frame>>,
     /// Generation of the last `try_barrier` this rank entered.
     barrier_gen: Cell<u64>,
-    /// Per-destination ordinal of the next *cleanly delivered* outbound
-    /// frame; the receive side keeps the mirror count, and per-pair FIFO
-    /// makes the two agree — that shared ordinal keys the send→recv trace
-    /// flow arc. Single-threaded per rank.
-    flow_out: RefCell<Vec<u64>>,
     /// Per-source ordinal of the next *accepted* (checksum-clean) inbound
-    /// frame.
+    /// frame; it keys the frame's send→recv trace flow arc. Single-threaded
+    /// per rank.
     flow_in: RefCell<Vec<u64>>,
     /// Per-destination ordinal of the next logical message, the `msg_idx`
     /// fed to the deterministic fault schedule. Single-threaded per rank.
@@ -233,7 +231,6 @@ impl ThreadComm {
                 world: inner.clone(),
                 receivers: rxs,
                 barrier_gen: Cell::new(0),
-                flow_out: RefCell::new(vec![0; n]),
                 flow_in: RefCell::new(vec![0; n]),
                 msg_seq: RefCell::new(vec![0; n]),
                 kill_at: inner
@@ -292,39 +289,19 @@ impl ThreadComm {
         (0..self.world.n).find(|&s| s != me && self.world.dead[s].load(Ordering::Acquire))
     }
 
-    /// Account a cleanly delivered outbound frame to `dst` and emit the
-    /// `"s"` half of its send→recv trace flow arc. The ordinal always
-    /// advances (even with tracing off) so both sides stay in step no
-    /// matter when tracing was enabled.
-    fn note_clean_send(&self, dst: usize, tag: u64) {
-        let seq = {
-            let mut s = self.flow_out.borrow_mut();
-            let v = s[dst];
-            s[dst] += 1;
-            v
-        };
-        if qt_telemetry::tracing_enabled() {
-            let id = qt_telemetry::trace::flow_id(&[
-                self.world.salt,
-                self.rank as u64,
-                dst as u64,
-                tag,
-                seq,
-            ]);
-            qt_telemetry::trace::record_flow_start("comm/msg", self.identity(), id);
-        }
-    }
-
     /// Account an accepted (checksum-clean) inbound frame from `src` and
-    /// emit the `"f"` half of its send→recv trace flow arc.
-    fn note_clean_recv(&self, src: usize, tag: u64) {
+    /// record both ends of its send→recv trace flow arc: the start on
+    /// `src`'s track at the frame's send time, the finish on this rank's
+    /// track now. Only a received frame draws an arc, so a frame that was
+    /// sent toward a rank that died before reading it leaves none.
+    fn note_clean_recv(&self, src: usize, tag: u64, sent_at: Option<Instant>) {
         let seq = {
             let mut s = self.flow_in.borrow_mut();
             let v = s[src];
             s[src] += 1;
             v
         };
-        if qt_telemetry::tracing_enabled() {
+        if let Some(at) = sent_at {
             let id = qt_telemetry::trace::flow_id(&[
                 self.world.salt,
                 src as u64,
@@ -332,6 +309,7 @@ impl ThreadComm {
                 tag,
                 seq,
             ]);
+            qt_telemetry::trace::record_flow_start("comm/msg", self.identity_of(src), id, at);
             qt_telemetry::trace::record_flow_finish("comm/msg", self.identity(), id);
         }
     }
@@ -361,14 +339,20 @@ impl ThreadComm {
         })
     }
 
-    /// A clean frame goes out to a remote `dst`: account its bytes, open
-    /// its trace flow arc, push it. Flow start strictly precedes the
-    /// channel push so the paired finish can never carry an earlier
-    /// timestamp.
-    fn deliver(&self, dst: usize, frame: Frame) -> Result<(), CommError> {
-        self.account_wire(dst, frame.1.len() as u64 * ELEM_BYTES, true);
-        self.note_clean_send(dst, frame.0);
-        self.push(dst, frame)
+    /// A clean frame goes out to a remote `dst`: account its bytes, stamp
+    /// its send time (while tracing) and push it. The stamp is taken before
+    /// the channel push, so the receiver's flow finish can never carry an
+    /// earlier timestamp.
+    fn deliver(
+        &self,
+        dst: usize,
+        tag: u64,
+        data: Vec<Complex64>,
+        cksum: u64,
+    ) -> Result<(), CommError> {
+        self.account_wire(dst, data.len() as u64 * ELEM_BYTES, true);
+        let sent_at = qt_telemetry::tracing_enabled().then(Instant::now);
+        self.push(dst, (tag, data, cksum, sent_at))
     }
 
     /// The one wire path under [`ThreadComm::send`] and
@@ -385,10 +369,10 @@ impl ThreadComm {
     /// [`CommError::RankDeath`] immediately.
     fn transmit(&self, dst: usize, tag: u64, data: Vec<Complex64>) -> Result<(), CommError> {
         if dst == self.rank {
-            return self.push(dst, (tag, data, 0));
+            return self.push(dst, (tag, data, 0, None));
         }
         let Some(plan) = &self.world.plan else {
-            return self.deliver(dst, (tag, data, 0));
+            return self.deliver(dst, tag, data, 0);
         };
         let msg_idx = {
             let mut seq = self.msg_seq.borrow_mut();
@@ -407,7 +391,7 @@ impl ThreadComm {
                     if action == FaultAction::Delay {
                         std::thread::sleep(plan.delay);
                     }
-                    return self.deliver(dst, (tag, data, cksum));
+                    return self.deliver(dst, tag, data, cksum);
                 }
                 // The frame left this rank's NIC and vanished: the
                 // send-side bytes are spent, nothing arrives.
@@ -418,7 +402,10 @@ impl ThreadComm {
                 FaultAction::Corrupt => {
                     let garbage = fault::corrupted_copy(&data, plan.seed ^ msg_idx);
                     self.account_wire(dst, bytes, true);
-                    self.push(dst, (tag, garbage, cksum ^ fault::BROKEN_CHECKSUM_XOR))?;
+                    self.push(
+                        dst,
+                        (tag, garbage, cksum ^ fault::BROKEN_CHECKSUM_XOR, None),
+                    )?;
                 }
             }
             counters::add(Counter::HealthCommRetries, 1);
@@ -483,7 +470,7 @@ impl ThreadComm {
     /// checksum to verify. Asserts the tag (protocols here are
     /// deterministic) and closes the frame's send→recv flow arc.
     fn accept(&self, src: usize, tag: u64, frame: Frame) -> Option<Vec<Complex64>> {
-        let (got_tag, data, cksum) = frame;
+        let (got_tag, data, cksum, sent_at) = frame;
         let remote = src != self.rank;
         if remote && self.world.plan.is_some() && fault::checksum(&data) != cksum {
             return None;
@@ -494,7 +481,7 @@ impl ThreadComm {
             self.rank
         );
         if remote {
-            self.note_clean_recv(src, tag);
+            self.note_clean_recv(src, tag, sent_at);
         }
         Some(data)
     }

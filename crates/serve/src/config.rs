@@ -88,8 +88,9 @@ pub enum SweepStatus {
     /// The deadline watchdog cancelled the sweep mid-flight.
     DeadlineExpired { completed: Vec<PointResult> },
     /// Shutdown drained the sweep mid-flight; `checkpoints` lists the
-    /// QTCKPT01 files written for the interrupted point (resumable via
-    /// `run_scf_with` + `ScfOptions::resume`).
+    /// QTCKPT02 files written for the interrupted point, Anderson history
+    /// included (resumable via `ScfCheckpoint::load_with_history` and
+    /// `run_scf_with` with `ScfOptions::{resume, accel}`).
     Drained {
         completed: Vec<PointResult>,
         checkpoints: Vec<PathBuf>,

@@ -26,7 +26,7 @@
 //!   backoff; a variant that keeps failing is quarantined by a
 //!   per-variant circuit breaker until a cooldown passes.
 //! - **Drain on shutdown.** [`Service::shutdown`] cancels in-flight
-//!   solves, which write QTCKPT01 drain checkpoints (resumable later),
+//!   solves, which write QTCKPT02 drain checkpoints (resumable later),
 //!   and answers still-queued requests with [`SweepStatus::ShutDown`].
 
 mod breaker;

@@ -7,7 +7,9 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{Receiver, Sender};
 use qt_core::checkpoint::CheckpointConfig;
-use qt_core::scf::{run_scf_with, CancelToken, ScfError, ScfOptions, Simulation, WarmStart};
+use qt_core::scf::{
+    run_scf_with, Anderson, CancelToken, ScfError, ScfOptions, Simulation, WarmStart,
+};
 use qt_dist::RankPool;
 use qt_telemetry::{counters, journal, Counter, EventKind};
 
@@ -188,7 +190,7 @@ impl Service {
     }
 
     /// Drain and stop: reject new submits, cancel in-flight sweeps (they
-    /// write QTCKPT01 drain checkpoints when `drain_dir` is configured and
+    /// write QTCKPT02 drain checkpoints when `drain_dir` is configured and
     /// answer [`SweepStatus::Drained`]), answer still-queued requests
     /// with [`SweepStatus::ShutDown`], and join every thread.
     pub fn shutdown(mut self) {
@@ -206,6 +208,10 @@ impl Service {
 }
 
 fn worker_loop(shared: Arc<Shared>, rx: Receiver<Job>, wd: crate::watchdog::WatchdogHandle) {
+    // One Anderson history per worker, its buffers reused by every solve
+    // (each solve starts it empty, so answers do not depend on which
+    // worker ran a point).
+    let mut accel = Anderson::new();
     while let Ok(job) = rx.recv() {
         shared.depth.fetch_sub(1, SeqCst);
         if shared.draining.load(SeqCst) {
@@ -220,7 +226,7 @@ fn worker_loop(shared: Arc<Shared>, rx: Receiver<Job>, wd: crate::watchdog::Watc
             // While it solves a request this worker is a top-level compute
             // thread and takes its core out of the `par` budget.
             let _lane = qt_linalg::par::lane();
-            run_sweep(&shared, &wd, &job)
+            run_sweep(&shared, &wd, &job, &mut accel)
         };
         journal::set_thread_unit(-1);
         settle(&shared, &job, &status);
@@ -276,7 +282,12 @@ enum PointStop {
     Failed(String),
 }
 
-fn run_sweep(shared: &Shared, wd: &crate::watchdog::WatchdogHandle, job: &Job) -> SweepStatus {
+fn run_sweep(
+    shared: &Shared,
+    wd: &crate::watchdog::WatchdogHandle,
+    job: &Job,
+    accel: &mut Anderson,
+) -> SweepStatus {
     let _span = qt_telemetry::Span::enter_global("serve/sweep");
     let vr = &shared.variants[job.req.variant];
     let token = CancelToken::new();
@@ -299,7 +310,7 @@ fn run_sweep(shared: &Shared, wd: &crate::watchdog::WatchdogHandle, job: &Job) -
     let mut completed: Vec<PointResult> = Vec::new();
     let mut stop: Option<(usize, PointStop)> = None;
     for (i, &bias) in job.req.biases.iter().enumerate() {
-        match solve_point(shared, vr, job, i, bias, &token) {
+        match solve_point(shared, vr, job, i, bias, &token, accel) {
             Ok(point) => completed.push(point),
             Err(why) => {
                 stop = Some((i, why));
@@ -337,21 +348,19 @@ fn run_sweep(shared: &Shared, wd: &crate::watchdog::WatchdogHandle, job: &Job) -
     }
 }
 
-/// Scale a warm seed into garbage (chaos hook): the poisoned solve
-/// starts absurdly far from the fixed point, cannot pass the residual
-/// test within the iteration budget, and must take the validated
-/// cold-fallback path.
+/// Corrupt a warm seed (chaos hook): every self-energy entry becomes NaN,
+/// so the poisoned solve's first GF phase fails its finiteness guards at
+/// every grid point and the solve must take the validated cold-fallback
+/// path. (A merely far seed is no longer enough: the Anderson-accelerated
+/// loop recovers from a seed scaled by 1e9 within the iteration budget.)
 fn poison_seed(seed: &mut WarmStart) {
-    const FACTOR: f64 = 1e9;
     for t in [
         &mut seed.sigma.lesser,
         &mut seed.sigma.greater,
         &mut seed.pi.lesser,
         &mut seed.pi.greater,
     ] {
-        for z in t.as_mut_slice() {
-            *z = z.scale(FACTOR);
-        }
+        t.as_mut_slice().fill(qt_linalg::c64(f64::NAN, f64::NAN));
     }
 }
 
@@ -362,6 +371,7 @@ fn solve_point(
     index: usize,
     bias: f64,
     token: &CancelToken,
+    accel: &mut Anderson,
 ) -> Result<PointResult, PointStop> {
     // Lease compute slots; a pool shrunk (by retirements) below one
     // solve's needs can never serve again — fail fast, don't hang.
@@ -407,6 +417,7 @@ fn solve_point(
                 ckpt: ckpt.as_ref(),
                 warm: Some(seed),
                 cancel: Some(token.clone()),
+                accel: Some(&mut *accel),
                 ..Default::default()
             },
         );
@@ -441,6 +452,7 @@ fn solve_point(
             ScfOptions {
                 ckpt: ckpt.as_ref(),
                 cancel: Some(token.clone()),
+                accel: Some(&mut *accel),
                 ..Default::default()
             },
         );

@@ -307,7 +307,7 @@ fn shutdown_drains_in_flight_sweeps_with_resumable_checkpoints() {
         } => {
             assert!(completed.len() < 20, "shutdown interrupted the sweep");
             // The interrupted point (if any was in flight past iteration
-            // 0) left a resumable QTCKPT01 file.
+            // 0) left a resumable QTCKPT02 file.
             for path in &checkpoints {
                 let ck = qt_core::checkpoint::ScfCheckpoint::load(path)
                     .expect("drain checkpoint must be loadable");

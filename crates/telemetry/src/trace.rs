@@ -111,24 +111,25 @@ pub fn flow_id(words: &[u64]) -> u64 {
 }
 
 /// Record the *initiating* end of a flow arrow (`ph: "s"`) on world slot
-/// `rank`'s track, timestamped now. No-op unless tracing is enabled.
-pub fn record_flow_start(name: &'static str, rank: usize, id: u64) {
-    record_flow(name, rank, id, Ph::FlowStart);
+/// `rank`'s track, timestamped `at` (the send time). No-op unless tracing
+/// is enabled.
+pub fn record_flow_start(name: &'static str, rank: usize, id: u64, at: Instant) {
+    record_flow(name, rank, id, Ph::FlowStart, at);
 }
 
 /// Record the *completing* end of a flow arrow (`ph: "f"`) on world slot
 /// `rank`'s track, timestamped now. Must use the same `name` and `id` as
 /// its matching [`record_flow_start`]. No-op unless tracing is enabled.
 pub fn record_flow_finish(name: &'static str, rank: usize, id: u64) {
-    record_flow(name, rank, id, Ph::FlowFinish);
+    record_flow(name, rank, id, Ph::FlowFinish, Instant::now());
 }
 
-fn record_flow(name: &'static str, rank: usize, id: u64, ph: Ph) {
+fn record_flow(name: &'static str, rank: usize, id: u64, ph: Ph, at: Instant) {
     if !tracing_enabled() {
         return;
     }
     let epoch = *EPOCH.get_or_init(Instant::now);
-    let ts_us = epoch.elapsed().as_nanos() as f64 / 1e3;
+    let ts_us = at.saturating_duration_since(epoch).as_nanos() as f64 / 1e3;
     EVENTS.lock().unwrap().push(Event {
         name: Cow::Borrowed(name),
         ts_us,
@@ -382,11 +383,11 @@ mod tests {
         set_tracing(true);
         record_event("test/flow/slice", Instant::now(), 1_000);
         let id = flow_id(&[0, 1, 7, 42]);
-        record_flow_start("comm/msg", 0, id);
+        record_flow_start("comm/msg", 0, id, Instant::now());
         record_flow_finish("comm/msg", 1, id);
         let id2 = flow_id(&[2, 3, 7, 42]);
         assert_ne!(id, id2);
-        record_flow_start("test/flow/arc", 2, id2);
+        record_flow_start("test/flow/arc", 2, id2, Instant::now());
         record_flow_finish("test/flow/arc", 3, id2);
         set_tracing(false);
         let json = export_chrome_trace();
