@@ -853,7 +853,7 @@ fn profile(flags: &[String]) {
         println!("  chaos: killing rank {victim} (world {procs}) mid-iteration");
         let policy = qt_dist::ElasticPolicy {
             max_bad_fraction: 1.0 / procs as f64,
-            faults: Some(qt_dist::fault::FaultPlan::new(42).with_kill_at(victim, 3)),
+            faults: Some(qt_dist::fault::FaultPlan::default().with_kill_at(victim, 3)),
             ..Default::default()
         };
         let el = qt_dist::supervised_iteration(&dist_ctx, &mut full_world.clone(), &policy)

@@ -10,14 +10,11 @@
 //! pair of ranks has its own FIFO channel, so point-to-point ordering is
 //! MPI-like. Sends are non-blocking (unbounded channels); receives block.
 //!
-//! There is one wire path, and what it does is decided by what the world
-//! carries. A world built with a [`crate::fault::FaultPlan`] sends every
-//! remote transmission through a reliable-delivery protocol (checksummed
-//! frames, sender-side retransmission with exponential backoff,
-//! receiver-side timeout and discard of corrupted frames). A world built
-//! with `None` delivers each frame cleanly on its only wire attempt — no
-//! checksum computed, no retransmission possible — so the byte-accounting
-//! model stays exact.
+//! There is one wire path: every frame is delivered on its only wire
+//! attempt, so the byte-accounting model is exact. The channel is
+//! in-process and cannot lose, flip or delay a frame, so there is no
+//! retransmit protocol; the one fault modeled is a rank dying, scheduled
+//! by a [`crate::fault::FaultPlan`] on an elastic world.
 //!
 //! ## Liveness and elasticity
 //!
@@ -42,7 +39,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use crate::fault::{self, FaultAction, FaultPlan};
+use crate::fault::FaultPlan;
 use qt_telemetry::counters::{self, Counter};
 
 /// Typed failure of an elastic communication primitive.
@@ -55,14 +52,6 @@ pub enum CommError {
     /// This rank was killed by the fault plan's `kill_at` schedule; it
     /// must fall silent and unwind without transmitting anything else.
     Killed { rank: usize },
-    /// A sender exhausted its retry budget without a clean delivery; the
-    /// destination is the prime suspect for the failure detector.
-    DeliveryFailed {
-        src: usize,
-        dst: usize,
-        msg_idx: u64,
-        attempts: u32,
-    },
 }
 
 impl CommError {
@@ -71,7 +60,6 @@ impl CommError {
         match self {
             CommError::RankDeath { rank, .. } => *rank,
             CommError::Killed { rank } => *rank,
-            CommError::DeliveryFailed { dst, .. } => *dst,
         }
     }
 }
@@ -83,16 +71,6 @@ impl std::fmt::Display for CommError {
                 write!(f, "rank {rank} declared dead (last epoch {epoch})")
             }
             CommError::Killed { rank } => write!(f, "rank {rank} killed by fault schedule"),
-            CommError::DeliveryFailed {
-                src,
-                dst,
-                msg_idx,
-                attempts,
-            } => write!(
-                f,
-                "rank {src} -> {dst}: message {msg_idx} exhausted {attempts} attempts \
-                 without delivery"
-            ),
         }
     }
 }
@@ -124,11 +102,10 @@ impl Default for LivenessConfig {
 /// Bytes per payload element.
 pub const ELEM_BYTES: u64 = 16;
 
-/// One frame on the wire: `(tag, data, checksum, sent_at)` — the checksum
-/// is 0 and ignored unless the world carries a fault plan; `sent_at` is
-/// the send time of a clean remote frame while tracing is on, which the
-/// receiver stamps on the start of the frame's send→recv flow arc.
-type Frame = (u64, Vec<Complex64>, u64, Option<Instant>);
+/// One frame on the wire: `(tag, data, sent_at)` — `sent_at` is the send
+/// time of a remote frame while tracing is on, which the receiver stamps
+/// on the start of the frame's send→recv flow arc.
+type Frame = (u64, Vec<Complex64>, Option<Instant>);
 
 /// Monotone world id: every world instance (including each survivor world
 /// built during elastic recovery) salts its trace flow ids with a fresh
@@ -158,9 +135,6 @@ struct WorldInner {
     /// Original (pre-shrink) rank identity per world slot; `identity[i]
     /// == i` for worlds that never lost a rank.
     identity: Vec<usize>,
-    /// Installed fault schedule; `None` means every frame is delivered
-    /// cleanly on its first and only wire attempt.
-    plan: Option<FaultPlan>,
 }
 
 /// One rank's endpoint.
@@ -171,13 +145,9 @@ pub struct ThreadComm {
     receivers: Vec<Receiver<Frame>>,
     /// Generation of the last `try_barrier` this rank entered.
     barrier_gen: Cell<u64>,
-    /// Per-source ordinal of the next *accepted* (checksum-clean) inbound
-    /// frame; it keys the frame's send→recv trace flow arc. Single-threaded
-    /// per rank.
+    /// Per-source ordinal of the next inbound frame; it keys the frame's
+    /// send→recv trace flow arc. Single-threaded per rank.
     flow_in: RefCell<Vec<u64>>,
-    /// Per-destination ordinal of the next logical message, the `msg_idx`
-    /// fed to the deterministic fault schedule. Single-threaded per rank.
-    msg_seq: RefCell<Vec<u64>>,
     /// Outbound ordinal at which this rank's process dies (from the
     /// plan's `kill_at` schedule, matched by original identity).
     kill_at: Option<u64>,
@@ -188,15 +158,13 @@ pub struct ThreadComm {
 }
 
 impl ThreadComm {
-    /// Create a world of `n` ranks; returns one endpoint per rank. With a
-    /// `plan`, remote traffic runs under its fault schedule and recovery
-    /// protocol.
-    pub fn world(n: usize, plan: Option<FaultPlan>) -> Vec<ThreadComm> {
-        Self::elastic_world((0..n).collect(), plan)
+    /// Create a world of `n` ranks; returns one endpoint per rank.
+    pub fn world(n: usize) -> Vec<ThreadComm> {
+        Self::elastic_world((0..n).collect(), None)
     }
 
     /// Create a survivor world: slot `i` carries the original rank id
-    /// `identity[i]`, so death reports and the plan's kill schedule keep
+    /// `identity[i]`, so death reports and the `plan`'s kill schedule keep
     /// referring to pre-shrink identities across recovery attempts.
     pub fn elastic_world(identity: Vec<usize>, plan: Option<FaultPlan>) -> Vec<ThreadComm> {
         let n = identity.len();
@@ -221,7 +189,6 @@ impl ThreadComm {
             dead: (0..n).map(|_| AtomicBool::new(false)).collect(),
             arrivals: (0..n).map(|_| AtomicU64::new(0)).collect(),
             identity,
-            plan,
         });
         receivers
             .into_iter()
@@ -232,11 +199,7 @@ impl ThreadComm {
                 receivers: rxs,
                 barrier_gen: Cell::new(0),
                 flow_in: RefCell::new(vec![0; n]),
-                msg_seq: RefCell::new(vec![0; n]),
-                kill_at: inner
-                    .plan
-                    .as_ref()
-                    .and_then(|p| p.kill_for(inner.identity[rank])),
+                kill_at: plan.as_ref().and_then(|p| p.kill_for(inner.identity[rank])),
                 total_sends: Cell::new(0),
                 killed: Cell::new(false),
             })
@@ -289,12 +252,11 @@ impl ThreadComm {
         (0..self.world.n).find(|&s| s != me && self.world.dead[s].load(Ordering::Acquire))
     }
 
-    /// Account an accepted (checksum-clean) inbound frame from `src` and
-    /// record both ends of its send→recv trace flow arc: the start on
-    /// `src`'s track at the frame's send time, the finish on this rank's
-    /// track now. Only a received frame draws an arc, so a frame that was
+    /// Account an inbound frame from `src` and record both ends of its
+    /// send→recv trace flow arc: the start on `src`'s track at the frame's
+    /// send time, the finish on this rank's track now. Only a received frame draws an arc, so a frame that was
     /// sent toward a rank that died before reading it leaves none.
-    fn note_clean_recv(&self, src: usize, tag: u64, sent_at: Option<Instant>) {
+    fn note_recv(&self, src: usize, tag: u64, sent_at: Option<Instant>) {
         let seq = {
             let mut s = self.flow_in.borrow_mut();
             let v = s[src];
@@ -314,15 +276,12 @@ impl ThreadComm {
         }
     }
 
-    /// Single accounting point for network traffic: one wire attempt of
-    /// `bytes` left this rank's NIC and, unless it was lost in transit,
-    /// `arrived` at `dst`. Phase spans and the telemetry report read the
-    /// same byte stream the per-rank counters feed.
-    fn account_wire(&self, dst: usize, bytes: u64, arrived: bool) {
+    /// Single accounting point for network traffic: `bytes` left this
+    /// rank's NIC and arrived at `dst`. Phase spans and the telemetry
+    /// report read the same byte stream the per-rank counters feed.
+    fn account_wire(&self, dst: usize, bytes: u64) {
         self.world.sent[self.rank].fetch_add(bytes, Ordering::Relaxed);
-        if arrived {
-            self.world.received[dst].fetch_add(bytes, Ordering::Relaxed);
-        }
+        self.world.received[dst].fetch_add(bytes, Ordering::Relaxed);
         counters::add(Counter::Bytes, bytes);
     }
 
@@ -339,95 +298,24 @@ impl ThreadComm {
         })
     }
 
-    /// A clean frame goes out to a remote `dst`: account its bytes, stamp
-    /// its send time (while tracing) and push it. The stamp is taken before
-    /// the channel push, so the receiver's flow finish can never carry an
-    /// earlier timestamp.
-    fn deliver(
-        &self,
-        dst: usize,
-        tag: u64,
-        data: Vec<Complex64>,
-        cksum: u64,
-    ) -> Result<(), CommError> {
-        self.account_wire(dst, data.len() as u64 * ELEM_BYTES, true);
-        let sent_at = qt_telemetry::tracing_enabled().then(Instant::now);
-        self.push(dst, (tag, data, cksum, sent_at))
-    }
-
     /// The one wire path under [`ThreadComm::send`] and
     /// [`ThreadComm::try_send`]. Self-sends never cross the network: no
-    /// faults, no bytes. A plan-less world delivers every frame cleanly
-    /// on its only attempt. Under a fault plan each wire attempt rolls
-    /// the deterministic schedule; drops and corruptions trigger a
-    /// backed-off retransmission, and (under `guarantee_delivery`) the
-    /// final attempt always carries the clean frame — so the receiver
-    /// obtains the exact payload a fault-free run would. The retransmit
-    /// loop is bounded: after `retry.max_attempts` wire attempts the
-    /// sender surfaces [`CommError::DeliveryFailed`] instead of backing
-    /// off forever, and a destination whose endpoint is gone surfaces
-    /// [`CommError::RankDeath`] immediately.
+    /// bytes, no flow arc. A remote frame has its bytes accounted and, while
+    /// tracing, its send time stamped before the channel push, so the
+    /// receiver's flow finish can never carry an earlier timestamp. A
+    /// destination whose endpoint is gone surfaces [`CommError::RankDeath`].
     fn transmit(&self, dst: usize, tag: u64, data: Vec<Complex64>) -> Result<(), CommError> {
         if dst == self.rank {
-            return self.push(dst, (tag, data, 0, None));
+            return self.push(dst, (tag, data, None));
         }
-        let Some(plan) = &self.world.plan else {
-            return self.deliver(dst, tag, data, 0);
-        };
-        let msg_idx = {
-            let mut seq = self.msg_seq.borrow_mut();
-            let idx = seq[dst];
-            seq[dst] += 1;
-            idx
-        };
-        let bytes = data.len() as u64 * ELEM_BYTES;
-        let cksum = fault::checksum(&data);
-        let max = plan.retry.max_attempts.max(1);
-        for attempt in 0..max {
-            self.heartbeat();
-            let action = plan.decide(self.rank, dst, msg_idx, attempt, attempt + 1 == max);
-            match action {
-                FaultAction::Deliver | FaultAction::Delay => {
-                    if action == FaultAction::Delay {
-                        std::thread::sleep(plan.delay);
-                    }
-                    return self.deliver(dst, tag, data, cksum);
-                }
-                // The frame left this rank's NIC and vanished: the
-                // send-side bytes are spent, nothing arrives.
-                FaultAction::Drop => self.account_wire(dst, bytes, false),
-                // A mangled frame arrives (and costs both sides' bytes);
-                // its checksum is broken so the receiver is guaranteed to
-                // discard it and keep waiting.
-                FaultAction::Corrupt => {
-                    let garbage = fault::corrupted_copy(&data, plan.seed ^ msg_idx);
-                    self.account_wire(dst, bytes, true);
-                    self.push(
-                        dst,
-                        (tag, garbage, cksum ^ fault::BROKEN_CHECKSUM_XOR, None),
-                    )?;
-                }
-            }
-            counters::add(Counter::HealthCommRetries, 1);
-            qt_telemetry::journal::emit(qt_telemetry::EventKind::CommRetransmit {
-                src: self.identity() as u64,
-                dst: self.identity_of(dst) as u64,
-                attempt: attempt as u64,
-            });
-            std::thread::sleep(plan.retry.backoff(attempt));
-        }
-        Err(CommError::DeliveryFailed {
-            src: self.identity(),
-            dst: self.identity_of(dst),
-            msg_idx,
-            attempts: max,
-        })
+        self.account_wire(dst, data.len() as u64 * ELEM_BYTES);
+        let sent_at = qt_telemetry::tracing_enabled().then(Instant::now);
+        self.push(dst, (tag, data, sent_at))
     }
 
     /// Point-to-point send (non-blocking). Self-sends are allowed and do
     /// not count toward network bytes. The static schemes have no
-    /// recovery story, so a typed delivery failure (or a vanished peer)
-    /// escalates to a panic.
+    /// recovery story, so a vanished peer escalates to a panic.
     pub fn send(&self, dst: usize, tag: u64, data: Vec<Complex64>) {
         if let Err(e) = self.transmit(dst, tag, data) {
             panic!("{e}");
@@ -437,8 +325,7 @@ impl ThreadComm {
     /// Elastic point-to-point send. Like [`ThreadComm::send`], but a
     /// destination whose endpoint has vanished yields a typed
     /// [`CommError::RankDeath`] instead of a panic, the plan's `kill_at`
-    /// schedule can terminate *this* rank ([`CommError::Killed`]), and a
-    /// bounded retransmit loop surfaces [`CommError::DeliveryFailed`].
+    /// schedule can terminate *this* rank ([`CommError::Killed`]).
     pub fn try_send(&self, dst: usize, tag: u64, data: Vec<Complex64>) -> Result<(), CommError> {
         if !self.killed.get()
             && self
@@ -463,66 +350,27 @@ impl ThreadComm {
     }
 
     /// The one accept path under [`ThreadComm::recv`] and
-    /// [`ThreadComm::try_recv`]: the payload
-    /// of `frame`, or `None` for a frame corrupted in transit — the
-    /// sender counted the fault and its retransmission is already on the
-    /// way. Only a remote frame of a world under a fault plan carries a
-    /// checksum to verify. Asserts the tag (protocols here are
-    /// deterministic) and closes the frame's send→recv flow arc.
-    fn accept(&self, src: usize, tag: u64, frame: Frame) -> Option<Vec<Complex64>> {
-        let (got_tag, data, cksum, sent_at) = frame;
-        let remote = src != self.rank;
-        if remote && self.world.plan.is_some() && fault::checksum(&data) != cksum {
-            return None;
-        }
+    /// [`ThreadComm::try_recv`]: asserts the tag (protocols here are
+    /// deterministic), closes a remote frame's send→recv flow arc and
+    /// yields the payload.
+    fn accept(&self, src: usize, tag: u64, frame: Frame) -> Vec<Complex64> {
+        let (got_tag, data, sent_at) = frame;
         assert_eq!(
             got_tag, tag,
             "rank {} expected tag {tag} from {src}, got {got_tag}",
             self.rank
         );
-        if remote {
-            self.note_clean_recv(src, tag, sent_at);
+        if src != self.rank {
+            self.note_recv(src, tag, sent_at);
         }
-        Some(data)
+        data
     }
 
     /// Blocking receive of the next message from `src`; asserts the tag
-    /// matches. A plan-less world never loses a frame, so the wait is
-    /// unbounded; under a fault plan a silent channel is tolerated for
-    /// `retry.recv_timeout` × `retry.max_attempts` and corrupted frames
-    /// are discarded on the way.
+    /// matches. A frame is never lost, so the wait is unbounded.
     pub fn recv(&self, src: usize, tag: u64) -> Vec<Complex64> {
-        use crossbeam::channel::RecvTimeoutError;
-        let rx = &self.receivers[src];
-        let mut timeouts = 0u32;
-        loop {
-            let frame = match &self.world.plan {
-                None => rx.recv().expect("sender alive"),
-                Some(plan) => match rx.recv_timeout(plan.retry.recv_timeout) {
-                    Ok(frame) => frame,
-                    Err(RecvTimeoutError::Timeout) => {
-                        timeouts += 1;
-                        counters::add(Counter::HealthCommRetries, 1);
-                        qt_telemetry::journal::emit(qt_telemetry::EventKind::CommRetransmit {
-                            src: self.identity_of(src) as u64,
-                            dst: self.identity() as u64,
-                            attempt: timeouts as u64,
-                        });
-                        assert!(
-                            timeouts <= plan.retry.max_attempts,
-                            "rank {} timed out {timeouts} times waiting for tag {tag} from {src}",
-                            self.rank
-                        );
-                        std::thread::sleep(plan.retry.backoff(timeouts));
-                        continue;
-                    }
-                    Err(RecvTimeoutError::Disconnected) => panic!("sender alive"),
-                },
-            };
-            if let Some(data) = self.accept(src, tag, frame) {
-                return data;
-            }
-        }
+        let frame = self.receivers[src].recv().expect("sender alive");
+        self.accept(src, tag, frame)
     }
 
     /// Elastic blocking receive with a failure detector. Polls the
@@ -543,11 +391,7 @@ impl ThreadComm {
         let mut last_progress = Instant::now();
         loop {
             match self.receivers[src].recv_timeout(live.poll) {
-                Ok(frame) => {
-                    if let Some(data) = self.accept(src, tag, frame) {
-                        return Ok(data);
-                    }
-                }
+                Ok(frame) => return Ok(self.accept(src, tag, frame)),
                 Err(RecvTimeoutError::Timeout) => {
                     counters::add(Counter::ElasticHeartbeatTimeouts, 1);
                     qt_telemetry::journal::emit(qt_telemetry::EventKind::HeartbeatTimeout {
@@ -719,21 +563,19 @@ impl ThreadComm {
 }
 
 /// Run `f` on `n` ranks (one OS thread each) and collect the results in
-/// rank order. With a `plan`, the world's remote traffic runs under its
-/// deterministic fault schedule.
-pub fn run_world<T, F>(n: usize, plan: Option<FaultPlan>, f: F) -> Vec<T>
+/// rank order.
+pub fn run_world<T, F>(n: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(ThreadComm) -> T + Sync,
 {
-    run_comms(ThreadComm::world(n, plan), f)
+    run_comms(ThreadComm::world(n), f)
 }
 
 /// Run a fallible closure on a survivor world (slot `i` has original
 /// identity `identity[i]`) and collect each rank's outcome — typed
 /// errors, not panics, so the supervision loop can inspect deaths. With a
-/// `plan`, its kill schedule (matched by original identity) and the
-/// message-level fault protocol both apply.
+/// `plan`, its kill schedule (matched by original identity) applies.
 pub fn run_elastic_world<T, F>(
     identity: Vec<usize>,
     plan: Option<FaultPlan>,
@@ -762,14 +604,6 @@ where
                     // Journal attribution: every event this rank thread
                     // emits carries its original (pre-shrink) identity.
                     qt_telemetry::journal::set_thread_rank(comm.identity() as i64);
-                    // The plan's straggler sleeps before starting its
-                    // work, so every peer's receive path exercises the
-                    // timeout/backoff protocol.
-                    if let Some(plan) = &comm.world.plan {
-                        if plan.stalled_rank == Some(comm.identity()) {
-                            std::thread::sleep(plan.stall);
-                        }
-                    }
                     let out = f(comm);
                     qt_telemetry::journal::set_thread_rank(-1);
                     out
@@ -790,7 +624,7 @@ mod tests {
 
     #[test]
     fn point_to_point_roundtrip() {
-        let out = run_world(2, None, |comm| {
+        let out = run_world(2, |comm| {
             if comm.rank() == 0 {
                 comm.send(1, 7, vec![c64(1.0, 2.0), c64(3.0, 4.0)]);
                 0.0
@@ -804,7 +638,7 @@ mod tests {
 
     #[test]
     fn byte_accounting() {
-        let out = run_world(3, None, |comm| {
+        let out = run_world(3, |comm| {
             if comm.rank() == 0 {
                 comm.send(1, 0, vec![Complex64::ZERO; 10]);
                 comm.send(2, 0, vec![Complex64::ZERO; 5]);
@@ -823,7 +657,9 @@ mod tests {
     /// Every public send/receive flavour rides the one wire path: on a
     /// plan-less world the elastic primitives account the same bytes and
     /// keep the same per-pair order as `send`/`recv` (what
-    /// `byte_accounting` and `ordered_delivery_per_pair` pin).
+    /// `byte_accounting` and `ordered_delivery_per_pair` pin). A plan only
+    /// kills: a world carrying one whose kill never fires moves the same
+    /// bytes in the same order.
     #[test]
     fn every_flavour_moves_the_same_bytes_in_the_same_order() {
         type SendFn = fn(&ThreadComm, usize, u64, Vec<Complex64>);
@@ -836,9 +672,11 @@ mod tests {
             |c, src, tag| c.recv(src, tag),
             |c, src, tag| c.try_recv(src, tag, &LivenessConfig::default()).unwrap(),
         ];
+        // Rank 0 makes 51 sends (ordinals 0..=50), so a kill at 51 never fires.
+        let unfired_kill = FaultPlan::default().with_kill_at(0, 51);
         for send in sends {
             for recv in recvs {
-                let out = run_world(3, None, |comm| {
+                let body = |comm: ThreadComm| {
                     let mut in_order = true;
                     if comm.rank() == 0 {
                         send(&comm, 1, 0, vec![Complex64::ZERO; 10]);
@@ -859,17 +697,22 @@ mod tests {
                         comm.world_bytes(),
                         in_order,
                     )
-                });
-                assert_eq!(out[0], ((15 + 49) * 16, 0, (15 + 49) * 16, true));
-                assert_eq!(out[1], (0, (10 + 49) * 16, (15 + 49) * 16, true));
-                assert_eq!(out[2], (0, 5 * 16, (15 + 49) * 16, true));
+                };
+                let planned =
+                    run_elastic_world(vec![0, 1, 2], Some(unfired_kill.clone()), |c| Ok(body(c)));
+                let planned: Vec<_> = planned.into_iter().map(Result::unwrap).collect();
+                for out in [run_world(3, body), planned] {
+                    assert_eq!(out[0], ((15 + 49) * 16, 0, (15 + 49) * 16, true));
+                    assert_eq!(out[1], (0, (10 + 49) * 16, (15 + 49) * 16, true));
+                    assert_eq!(out[2], (0, 5 * 16, (15 + 49) * 16, true));
+                }
             }
         }
     }
 
     #[test]
     fn self_send_is_free() {
-        let out = run_world(1, None, |comm| {
+        let out = run_world(1, |comm| {
             comm.send(0, 3, vec![Complex64::ZERO; 100]);
             let d = comm.recv(0, 3);
             (d.len(), comm.world_bytes())
@@ -879,7 +722,7 @@ mod tests {
 
     #[test]
     fn broadcast_reaches_everyone() {
-        let out = run_world(4, None, |comm| {
+        let out = run_world(4, |comm| {
             let data = if comm.rank() == 2 {
                 Some(vec![c64(9.0, 0.0); 8])
             } else {
@@ -893,7 +736,7 @@ mod tests {
 
     #[test]
     fn alltoallv_exchanges_rank_stamped_buffers() {
-        let out = run_world(3, None, |comm| {
+        let out = run_world(3, |comm| {
             let sendbufs: Vec<Vec<Complex64>> = (0..3)
                 .map(|dst| vec![c64(comm.rank() as f64, dst as f64); comm.rank() + 1])
                 .collect();
@@ -908,7 +751,7 @@ mod tests {
 
     #[test]
     fn reductions_sum() {
-        let out = run_world(4, None, |comm| {
+        let out = run_world(4, |comm| {
             let data = vec![c64(1.0, comm.rank() as f64); 2];
             let total = comm.allreduce_sum(data, 31);
             total[0]
@@ -923,7 +766,7 @@ mod tests {
         // Each rank forwards an accumulating token around the ring twice —
         // exercises interleaved send/recv across many ranks.
         let n = 8;
-        let out = run_world(n, None, |comm| {
+        let out = run_world(n, |comm| {
             let rank = comm.rank();
             let next = (rank + 1) % n;
             let prev = (rank + n - 1) % n;
@@ -947,7 +790,7 @@ mod tests {
 
     #[test]
     fn world_of_one_runs_collectives() {
-        let out = run_world(1, None, |comm| {
+        let out = run_world(1, |comm| {
             let b = comm.bcast(0, Some(vec![c64(5.0, 0.0)]), 1);
             let r = comm.allreduce_sum(vec![c64(2.0, 0.0)], 2);
             let a = comm.alltoallv(vec![vec![c64(3.0, 0.0)]], 3);
@@ -1047,7 +890,7 @@ mod tests {
 
     #[test]
     fn ordered_delivery_per_pair() {
-        let out = run_world(2, None, |comm| {
+        let out = run_world(2, |comm| {
             if comm.rank() == 0 {
                 for i in 0..50u64 {
                     comm.send(1, i, vec![c64(i as f64, 0.0)]);

@@ -10,8 +10,8 @@
 //! There is one iteration, [`supervised_iteration`]: the tiling says who
 //! computes what (full world, weighted, mid-recovery), the
 //! [`ElasticPolicy`] says how (failure detector, recovery bounds, and the
-//! fault schedule — `faults: None` runs plan-less worlds, `Some(plan)` the
-//! recovery protocol). [`DistSse`] is the same supervised exchange as the
+//! kill schedule — `faults: None` kills nobody, `Some(plan)` kills the
+//! ranks it schedules). [`DistSse`] is the same supervised exchange as the
 //! SSE phase of `qt_core::scf::run_scf_with`: the distributed Born loop.
 
 use crate::decomp::{ElasticTiling, OmenDecomp};

@@ -51,12 +51,11 @@ pub struct ElasticPolicy {
     /// Hard bound on detect→retile→retry rounds (hang-proofing; a world
     /// can die at most once per original rank, so the default is ample).
     pub max_retiles: usize,
-    /// Deterministic fault schedule for the exchange worlds: drops,
-    /// corruption, delays, a stalled rank, and `kill_at` schedules. Kills
-    /// are matched by original identity, so a rank dies at most once
-    /// across the supervisor's retries and a recovery replays identically
-    /// on every run. `None` — the default — runs the exchange worlds
-    /// without a plan, where the traffic is exactly the volume model's.
+    /// Deterministic kill schedule for the exchange worlds. Kills are
+    /// matched by original identity, so a rank dies at most once across
+    /// the supervisor's retries and a recovery replays identically on
+    /// every run. `None` — the default — kills nobody. Frames are never
+    /// lost, so the traffic up to a kill is exactly the volume model's.
     pub faults: Option<crate::fault::FaultPlan>,
 }
 
@@ -271,7 +270,7 @@ pub fn omen_scheme(
     let p = ctx.p;
     let nn = p.norb * p.norb;
     let scale = c64(sse::sigma_scale(p, ctx.grids), 0.0);
-    let results = run_world(procs, None, |comm: ThreadComm| {
+    let results = run_world(procs, |comm: ThreadComm| {
         let rank = comm.rank();
         let dec = OmenDecomp::new(p, procs);
         let my_e = dec.energy.range(rank);

@@ -90,8 +90,8 @@ pub fn to_tib(bytes: f64) -> f64 {
 // functions below model the byte streams of [`crate::schemes`] *exactly* —
 // same decomposition, same grid clamping, same self-send exemption — so the
 // telemetry report can assert measured == model to the byte. They hold for
-// every `ElasticPolicy` whose world runs without a fault plan (a plan adds
-// its retransmissions to the measured stream).
+// every `ElasticPolicy` whose plan kills no rank (a kill cuts the dead
+// rank's stream short and recovery adds the survivors' retry traffic).
 
 /// Exact bytes each rank sends during [`crate::schemes::omen_scheme`]'s SSE
 /// exchange (before the result gather): per `(qz, ω)` round, the round owner

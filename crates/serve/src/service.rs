@@ -534,7 +534,7 @@ fn chaos_probe(shared: &Shared, vr: &VariantRuntime, victim: usize) {
     } else {
         (1, procs)
     };
-    let plan = qt_dist::fault::FaultPlan::new(42).with_kill_at(victim % procs, 3);
+    let plan = qt_dist::fault::FaultPlan::default().with_kill_at(victim % procs, 3);
     let policy = ElasticPolicy {
         max_bad_fraction: 1.0 / procs as f64,
         faults: Some(plan),

@@ -139,7 +139,7 @@ counter_table! {
     (HealthQuarantinedPoints, "health.quarantined_points", SAMPLED, In(Health), "`(E, kz)` / `(ω, qz)` points that failed a numerical-health check and were excluded from the iteration."),
     (HealthEtaRetries, "health.eta_retries", SAMPLED, In(Health), "Sancho-Rubio decimations retried at a bumped imaginary broadening."),
     (HealthMixingBackoffs, "health.mixing_backoffs", SAMPLED, In(Health), "Times the SCF residual grew and the adaptive controller halved the mixing factor."),
-    (HealthCommRetries, "health.comm_retries", SAMPLED, In(Health), "Communication retries: timed-out or corrupt-and-discarded receives, and retransmissions."),
+    (HealthCommRetries, "health.comm_retries", SAMPLED, In(Health), "Communication retries: timed-out or corrupt-and-discarded receives, and retransmissions. No longer emitted; kept so older reports load."),
     (HealthCheckpointWrites, "health.checkpoint_writes", SAMPLED, In(Health), "SCF checkpoints written to disk."),
     (ElasticRankDeaths, "elastic.rank_deaths", SAMPLED, In(Elasticity), "Ranks declared permanently dead by the failure detector or the kill schedule."),
     (ElasticHeartbeatTimeouts, "elastic.heartbeat_timeouts", SAMPLED, In(Elasticity), "Receive polls that expired while the failure detector watched a peer's liveness epoch."),

@@ -47,7 +47,8 @@ pub enum EventKind {
         /// The new (halved) mixing factor.
         factor: f64,
     },
-    /// A frame was retransmitted, timed out, or discarded as corrupt.
+    /// A frame was retransmitted, timed out, or discarded as corrupt. No
+    /// longer emitted; kept so older reports load.
     CommRetransmit {
         /// Sending world slot.
         src: u64,

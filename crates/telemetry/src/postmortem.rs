@@ -411,6 +411,23 @@ mod tests {
     }
 
     #[test]
+    fn parent_written_retransmit_postmortem_still_loads() {
+        // Written by the build that still injected frame drops, before
+        // `CommRetransmit` and `health.comm_retries` stopped being emitted.
+        const PARENT: &str = include_str!("../tests/fixtures/parent_postmortem_retransmit.json");
+        let pm = Postmortem::from_json(PARENT).unwrap();
+        assert_eq!(pm.reason, "rank_death");
+        assert!(pm
+            .events
+            .iter()
+            .any(|e| matches!(e.kind, EventKind::CommRetransmit { .. })));
+        let rep = pm.report.as_ref().expect("embedded report");
+        rep.validate().unwrap();
+        assert!(rep.counter(crate::Counter::HealthCommRetries) > 0);
+        assert_eq!(pm.to_json(), PARENT);
+    }
+
+    #[test]
     fn timeline_shows_the_causal_chain_in_order() {
         let pm = sample();
         let text = pm.timeline();
