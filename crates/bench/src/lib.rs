@@ -306,8 +306,7 @@ pub fn sparse_rgf_problem(
     let mut a = BlockTridiag::zeros(nb, bs);
     // The diagonal shift scales with the block order so the system stays
     // diagonally dominant even when dense couplings push the off-diagonal
-    // row sums to O(bs): the kernel-agreement gates compare observables to
-    // 1e-10 and must not be washed out by conditioning.
+    // row sums to O(bs).
     let shift = qt_linalg::c64(4.0 + 2.5 * bs as f64, 1.0);
     for n in 0..nb {
         let mut d = Matrix::random(bs, bs, &mut r);
@@ -374,14 +373,22 @@ mod tests {
 
     #[test]
     fn sparse_rgf_problem_strategies_agree() {
+        // Bit for bit on the naive GEMM routes (bs 4) and the packed one
+        // (bs 16, 48); Auto at density 0.1 against a 0.3 crossover goes
+        // sparse.
         use qt_core::rgf::{rgf_with_selector, MultiplyStrategy};
-        let (a, sig) = sparse_rgf_problem(4, 12, 0.1, 9);
-        let dense = rgf_with_selector(&a, &sig, MultiplyStrategy::Dense, None).unwrap();
-        let sparse =
-            rgf_with_selector(&a, &sig, MultiplyStrategy::Csrmm { threshold: 0.0 }, None).unwrap();
-        for n in 0..4 {
-            assert!(dense.gr_diag[n].max_abs_diff(&sparse.gr_diag[n]) < 1e-10);
-            assert!(dense.gl_diag[n].max_abs_diff(&sparse.gl_diag[n]) < 1e-10);
+        let auto = MultiplyStrategy::Auto {
+            dense_rate: 1e9,
+            sparse_rate: 3e8,
+            band: 0.0,
+        };
+        for bs in [4, 16, 48] {
+            let (a, sig) = sparse_rgf_problem(4, bs, 0.1, 9);
+            let dense = rgf_with_selector(&a, &sig, MultiplyStrategy::Dense, None).unwrap();
+            for strategy in [MultiplyStrategy::Csrmm { threshold: 0.0 }, auto] {
+                let out = rgf_with_selector(&a, &sig, strategy, None).unwrap();
+                assert_eq!(dense.bit_difference(&out), None, "bs {bs}, {strategy:?}");
+            }
         }
     }
 

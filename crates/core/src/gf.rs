@@ -76,7 +76,9 @@ pub struct GfConfig {
     pub health: HealthPolicy,
     /// How RGF evaluates the off-diagonal coupling products (Table 6):
     /// all-dense GEMM, forced CSRMM, or calibrated per-block
-    /// auto-selection.
+    /// auto-selection. Defaults to `Csrmm { threshold: 0.0 }`, the fastest
+    /// on Hamiltonian couplings; at a threshold of 0 every strategy gives the
+    /// same bits.
     pub strategy: rgf::MultiplyStrategy,
 }
 
@@ -89,7 +91,7 @@ impl Default for GfConfig {
             boundary: BoundaryConfig::default(),
             contacts: Contacts::default(),
             health: HealthPolicy::default(),
-            strategy: rgf::MultiplyStrategy::Dense,
+            strategy: rgf::MultiplyStrategy::Csrmm { threshold: 0.0 },
         }
     }
 }

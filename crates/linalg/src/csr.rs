@@ -4,13 +4,18 @@
 //! (each orbital couples to a few dozen neighbors), so the RGF triple
 //! products `F[n] @ gR[n+1] @ E[n+1]` can be evaluated along three routes
 //! (§5.1.2 / Table 6): densify-then-GEMM, CSR×dense (CSRMM), or fully sparse
-//! CSR×CSR (CSRGEMM). All three are implemented here.
+//! CSR×CSR (CSRGEMM). All three are implemented here. The CSRMM kernels
+//! sum every output entry in the order of the dense GEMM entry they stand
+//! in for, so choosing them changes the speed of an RGF solve, never its
+//! bits.
 
-use crate::complex::Complex64;
+use crate::complex::{c64, Complex64};
 use crate::dense::Matrix;
 use crate::flops;
+use crate::gemm::{self, Naive, Route};
 use crate::workspace;
 use qt_telemetry::counters::{self, Counter};
+use std::cell::RefCell;
 
 /// Account a sparse-kernel operation: `f` real flops into the global flop
 /// counter (same source of truth as the dense GEMMs) and into the
@@ -37,6 +42,137 @@ pub struct CsrMatrix {
     indptr: Vec<usize>,
     indices: Vec<usize>,
     data: Vec<Complex64>,
+}
+
+thread_local! {
+    /// Storage of recycled [`CsrMatrix::from_dense_pooled`] images, last
+    /// recycled on top. A solve takes and returns the same few images every
+    /// time, so a stack serves them in O(1) — unlike the best-fit workspace
+    /// pools, whose cost grows with everything else parked there — and
+    /// images never hold on to dense-block-sized workspace buffers.
+    static IMAGES: RefCell<Vec<CsrMatrix>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Width of a CSR kernel's register tile: the packed A panels' row count.
+const LANES: usize = gemm::MR;
+
+/// `acc ⊕ x·y` in the order of the route a CSR product follows, so that it
+/// keeps the bits of the dense entry it stands in for ([`gemm::route`] on
+/// the same shape): `BLOCKED` is the packed kernel's `acc + x·y` (complex
+/// `Mul`, then `Add`), otherwise the naive dot's `acc.mul_add(x, y)`. Both
+/// are symmetric in `x` and `y`, bit for bit.
+///
+/// A CSR product sums the stored entries only: every term it skips is an
+/// exact `±0` product, and a sum started at `+0` is never `−0`, so on
+/// finite values skipping it changes nothing. It starts a fresh `+0` sum
+/// per `KC`-deep slice of the depth on the packed route (over the whole
+/// depth on the naive one) and flushes every output entry once per slice,
+/// stored terms or not ([`flush`]), as the packed kernel does.
+#[inline(always)]
+fn term<const BLOCKED: bool>(re: &mut f64, im: &mut f64, xr: f64, xi: f64, y: Complex64) {
+    if BLOCKED {
+        *re += xr * y.re - xi * y.im;
+        *im += xr * y.im + xi * y.re;
+    } else {
+        *re = *re + xr * y.re - xi * y.im;
+        *im = *im + xr * y.im + xi * y.re;
+    }
+}
+
+/// Fold one slice's sum into an output entry, in the epilogue of the route
+/// [`term`] follows: `o += acc` for the packed kernel at a scale of exactly
+/// ONE, `o += acc · z` otherwise.
+#[inline(always)]
+fn flush<const BLOCKED: bool>(o: &mut Complex64, re: f64, im: f64, z: Complex64) {
+    if BLOCKED && z == Complex64::ONE {
+        o.re += re;
+        o.im += im;
+    } else {
+        *o += c64(re, im) * z;
+    }
+}
+
+/// The depth slices `(pc, kc)` a route cuts `0..k` into: `KC` deep on the
+/// packed route, one slice on the naive one.
+fn slices<const BLOCKED: bool>(k: usize) -> impl Iterator<Item = (usize, usize)> {
+    let kc = if BLOCKED { gemm::KC } else { k.max(1) };
+    (0..k).step_by(kc).map(move |pc| (pc, kc.min(k - pc)))
+}
+
+/// The part of an ascending run `idx` inside the slice `pc..pc + kc`.
+#[inline(always)]
+fn cut(idx: &[usize], pc: usize, kc: usize) -> std::ops::Range<usize> {
+    if idx.first().is_none_or(|&p| p >= pc) && idx.last().is_none_or(|&p| p < pc + kc) {
+        return 0..idx.len();
+    }
+    let lo = idx.partition_point(|&p| p < pc);
+    lo..lo + idx[lo..].partition_point(|&p| p < pc + kc)
+}
+
+/// Depth slice `p` of a packed panel, as its `(re, im)` lanes.
+#[inline(always)]
+fn lanes(panel: &[f64], p: usize) -> (&[f64], &[f64]) {
+    panel[2 * LANES * p..2 * LANES * (p + 1)].split_at(LANES)
+}
+
+/// `out += z · (a · op(s))`, `op(s)` = `s` or `sᴴ` when `dagger`. `a` is
+/// packed into `LANES`-row panels, and per panel and depth slice one
+/// `LANES`-wide sum per output column is parked in `sums` (`[re × LANES |
+/// im × LANES]` per column), then flushed row by row. `a · sᴴ` takes each
+/// sum in registers as a dot over row `j` of `s`; `a · s` scatters row `p`
+/// of `s` into the sums, rows in ascending order.
+fn dense_times_csr<const BLOCKED: bool>(
+    a: &Matrix,
+    s: &CsrMatrix,
+    dagger: bool,
+    z: Complex64,
+    out: &mut Matrix,
+) {
+    let (m, k) = a.shape();
+    let n = out.cols();
+    let packed = gemm::packed_rows(a.as_slice(), m, k);
+    let mut buf = gemm::take_packed(2 * LANES * n);
+    let sums = &mut buf[..2 * LANES * n];
+    let panels = packed[..m.next_multiple_of(LANES) * k * 2].chunks_exact(2 * LANES * k);
+    for (g, panel) in panels.enumerate() {
+        for (pc, kc) in slices::<BLOCKED>(k) {
+            if dagger {
+                for (j, sum) in sums.chunks_exact_mut(2 * LANES).enumerate() {
+                    let run = s.indptr[j]..s.indptr[j + 1];
+                    let live = cut(&s.indices[run.clone()], pc, kc);
+                    let (mut re, mut im) = ([0.0; LANES], [0.0; LANES]);
+                    for e in run.start + live.start..run.start + live.end {
+                        let (xr, xi) = lanes(panel, s.indices[e]);
+                        let y = s.data[e].conj();
+                        for l in 0..LANES {
+                            term::<BLOCKED>(&mut re[l], &mut im[l], xr[l], xi[l], y);
+                        }
+                    }
+                    sum[..LANES].copy_from_slice(&re);
+                    sum[LANES..].copy_from_slice(&im);
+                }
+            } else {
+                sums.fill(0.0);
+                for p in pc..pc + kc {
+                    let (xr, xi) = lanes(panel, p);
+                    for e in s.indptr[p]..s.indptr[p + 1] {
+                        let (y, sum) = (s.data[e], &mut sums[2 * LANES * s.indices[e]..]);
+                        let (re, im) = sum[..2 * LANES].split_at_mut(LANES);
+                        for l in 0..LANES {
+                            term::<BLOCKED>(&mut re[l], &mut im[l], xr[l], xi[l], y);
+                        }
+                    }
+                }
+            }
+            for (l, i) in (g * LANES..(g * LANES + LANES).min(m)).enumerate() {
+                for (o, sum) in out.row_mut(i).iter_mut().zip(sums.chunks_exact(2 * LANES)) {
+                    flush::<BLOCKED>(o, sum[l], sum[LANES + l], z);
+                }
+            }
+        }
+    }
+    gemm::give_packed(buf);
+    gemm::give_packed(packed);
 }
 
 impl CsrMatrix {
@@ -138,24 +274,34 @@ impl CsrMatrix {
         out
     }
 
-    /// Like [`CsrMatrix::from_dense`], but with all three CSR arrays
-    /// checked out of the thread-local workspace pools, so warm SCF
-    /// iterations build coupling-block images without touching the
-    /// allocator. The buffers are sized for the dense worst case, so the
-    /// push loop can never reallocate. Return the storage with
+    /// Like [`CsrMatrix::from_dense`], but with its storage taken from the
+    /// calling thread's stack of recycled images, so warm SCF iterations
+    /// build coupling-block images without touching the allocator. The
+    /// buffers are sized for the dense worst case, so the push loop can
+    /// never reallocate; growing a recycled image (or starting a fresh one)
+    /// counts as a workspace pool miss. Return the storage with
     /// [`CsrMatrix::recycle`] on the same thread.
     pub fn from_dense_pooled(m: &Matrix, tol: f64) -> Self {
         let (rows, cols) = m.shape();
-        // Empty checkouts: every retained slot is pushed before it is
-        // read, so the zeroing `take_*` variants would memset worst-case
-        // dense storage only to clear it again.
-        let mut data = workspace::take_scratch_empty(rows * cols);
-        let mut indices = workspace::take_idx_empty(rows * cols);
-        let mut indptr = workspace::take_idx_empty(rows + 1);
+        let recycled = IMAGES.with(|s| s.borrow_mut().pop());
+        let (mut indptr, mut indices, mut data) = recycled
+            .map(|r| (r.indptr, r.indices, r.data))
+            .unwrap_or_default();
+        if indptr.capacity() <= rows
+            || indices.capacity() < rows * cols
+            || data.capacity() < rows * cols
+        {
+            workspace::count_fresh();
+        }
+        indptr.clear();
+        indices.clear();
+        data.clear();
+        indptr.reserve(rows + 1);
+        indices.reserve(rows * cols);
+        data.reserve(rows * cols);
         indptr.push(0);
         for i in 0..rows {
-            for j in 0..cols {
-                let v = m[(i, j)];
+            for (j, &v) in m.row(i).iter().enumerate() {
                 if Self::keeps(v, tol) {
                     indices.push(j);
                     data.push(v);
@@ -174,13 +320,12 @@ impl CsrMatrix {
         out
     }
 
-    /// Return this matrix's storage to the calling thread's workspace
-    /// pools. Pairs with [`CsrMatrix::from_dense_pooled`]; harmless (the
-    /// buffers simply join the pools) for heap-built matrices.
+    /// Return this matrix's storage to the calling thread's stack of
+    /// recycled images. Pairs with [`CsrMatrix::from_dense_pooled`];
+    /// harmless (the buffers simply join the stack) for heap-built
+    /// matrices.
     pub fn recycle(self) {
-        workspace::give_scratch(self.data);
-        workspace::give_idx(self.indices);
-        workspace::give_idx(self.indptr);
+        IMAGES.with(|s| s.borrow_mut().push(self));
     }
 
     /// Convert to dense. Counted as the memory traffic of a densification.
@@ -225,24 +370,6 @@ impl CsrMatrix {
         self.nnz() as f64 / (self.rows * self.cols) as f64
     }
 
-    /// Occupancy list of the stored rows, flattened as `(row, start, end)`
-    /// triples in a pooled index buffer (return it with
-    /// [`workspace::give_idx`]). The dense×CSR kernels iterate this per
-    /// dense row, so at low density the inner loops touch only the rows
-    /// that exist instead of probing `indptr` across the whole order.
-    fn occupied_rows(&self) -> Vec<usize> {
-        let mut occ = workspace::take_idx_empty(3 * self.rows);
-        for k in 0..self.rows {
-            let (s, e) = (self.indptr[k], self.indptr[k + 1]);
-            if s != e {
-                occ.push(k);
-                occ.push(s);
-                occ.push(e);
-            }
-        }
-        occ
-    }
-
     /// Iterate `(row, col, value)`.
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize, Complex64)> + '_ {
         (0..self.rows).flat_map(move |i| {
@@ -259,7 +386,8 @@ impl CsrMatrix {
     }
 
     /// `out += self · b` — the CSRMM forward form, accumulating into a
-    /// caller-owned (usually pooled) dense block.
+    /// caller-owned (usually pooled) dense block, with the bits of
+    /// [`gemm::gemm_acc`] on the densified `self` (see [`term`]).
     pub fn mul_dense_acc(&self, b: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, b.rows(), "inner dimension mismatch");
         let n = b.cols();
@@ -268,16 +396,49 @@ impl CsrMatrix {
             8 * self.nnz() as u64 * n as u64,
             self.storage_bytes() + C64_BYTES * ((self.nnz() + self.rows) * n) as u64,
         );
+        let k = self.cols;
+        if self.rows == 0 || k == 0 || n == 0 {
+            return;
+        }
+        if let Route::Naive(_) = gemm::route((self.rows, k, n), Naive::Axpy) {
+            // Row axpys straight into `out`, zero terms skipped, like the
+            // dense kernel.
+            for i in 0..self.rows {
+                let out_row = out.row_mut(i);
+                for idx in self.indptr[i]..self.indptr[i + 1] {
+                    let a = self.data[idx];
+                    if a == Complex64::ZERO {
+                        continue;
+                    }
+                    for (o, &bv) in out_row.iter_mut().zip(b.row(self.indices[idx])) {
+                        *o = o.mul_add(a, bv);
+                    }
+                }
+            }
+            return;
+        }
+        // Packed route: per slice, a `+0`-started row of sums takes one
+        // `acc + v·b[p, :]` sweep per stored entry, then flushes.
+        let mut buf = gemm::take_packed(2 * n);
+        let (sr, si) = buf[..2 * n].split_at_mut(n);
         for i in 0..self.rows {
-            let out_row = out.row_mut(i);
-            for idx in self.indptr[i]..self.indptr[i + 1] {
-                let a = self.data[idx];
-                let b_row = b.row(self.indices[idx]);
-                for (o, &bv) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o = o.mul_add(a, bv);
+            let run = self.indptr[i]..self.indptr[i + 1];
+            let (idx, val) = (&self.indices[run.clone()], &self.data[run]);
+            for (pc, kc) in slices::<true>(k) {
+                sr.fill(0.0);
+                si.fill(0.0);
+                for e in cut(idx, pc, kc) {
+                    let lanes = sr.iter_mut().zip(si.iter_mut()).zip(b.row(idx[e]));
+                    for ((re, im), x) in lanes {
+                        term::<true>(re, im, x.re, x.im, val[e]);
+                    }
+                }
+                for (o, (&re, &im)) in out.row_mut(i).iter_mut().zip(sr.iter().zip(si.iter())) {
+                    flush::<true>(o, re, im, Complex64::ONE);
                 }
             }
         }
+        gemm::give_packed(buf);
     }
 
     /// Dense × sparse → dense (the "transposed dense-CSR" form of CSRMM).
@@ -289,7 +450,8 @@ impl CsrMatrix {
 
     /// `out += z · (a · self)` — dense × sparse accumulate, the
     /// right-hand CSRMM form the RGF recursions need for `X · τ`
-    /// coupling products (with `z = ±1`).
+    /// coupling products, with the bits of [`gemm::gemm_scaled_acc`] on the
+    /// densified `self` (see [`term`]).
     pub fn rmul_dense_scaled_acc(&self, a: &Matrix, z: Complex64, out: &mut Matrix) {
         assert_eq!(a.cols(), self.rows, "inner dimension mismatch");
         let m = a.rows();
@@ -298,33 +460,19 @@ impl CsrMatrix {
             8 * self.nnz() as u64 * m as u64,
             self.storage_bytes() + C64_BYTES * ((self.nnz() + self.cols) * m) as u64,
         );
-        // Row-contiguous: for each row of `a`, both the `a` reads and the
-        // scattered `out` updates stay inside one cached row. The stored
-        // rows are compacted into an occupancy list once, so the hot loop
-        // never probes `indptr` for the (at low density, many) empty rows.
-        let occ = self.occupied_rows();
-        for i in 0..m {
-            let a_row = a.row(i);
-            let out_row = out.row_mut(i);
-            for t in occ.chunks_exact(3) {
-                let av = a_row[t[0]];
-                if av == Complex64::ZERO {
-                    continue;
-                }
-                let avz = av * z;
-                for idx in t[1]..t[2] {
-                    let o = &mut out_row[self.indices[idx]];
-                    *o = o.mul_add(avz, self.data[idx]);
-                }
-            }
+        if m == 0 || self.rows == 0 || self.cols == 0 {
+            return;
         }
-        workspace::give_idx(occ);
+        match gemm::route((m, self.rows, self.cols), Naive::Dot) {
+            Route::Blocked => dense_times_csr::<true>(a, self, false, z, out),
+            Route::Naive(_) => dense_times_csr::<false>(a, self, false, z, out),
+        }
     }
 
     /// `out += z · (a · selfᴴ)` — dense × conjugate-transposed sparse,
     /// accumulating; covers the RGF's `X · τ†` coupling products without
-    /// materializing τ†. `selfᴴ[k, j] = conj(self[j, k])`, so each stored
-    /// row `j` of `self` contributes one column `j` of the product.
+    /// materializing τ†, with the bits of [`gemm::gemm_bdagger_acc`] on the
+    /// densified `self` (see [`term`]).
     pub fn rmul_dagger_scaled_acc(&self, a: &Matrix, z: Complex64, out: &mut Matrix) {
         assert_eq!(a.cols(), self.cols, "inner dimension mismatch");
         let m = a.rows();
@@ -333,25 +481,13 @@ impl CsrMatrix {
             8 * self.nnz() as u64 * m as u64,
             self.storage_bytes() + C64_BYTES * ((self.nnz() + self.rows) * m) as u64,
         );
-        // Dot-product form, row-contiguous in both operands: stored row `j`
-        // of `self` is column `j` of `selfᴴ`, so `out[i, j]` is a gather-dot
-        // of `a`'s row `i` against that row's indices — no column-strided
-        // walks over `a` or `out`, and the per-entry accumulator folds in
-        // with a single scaled add (the blocked GEMM epilogue order). The
-        // compacted occupancy list keeps the hot loop off the empty rows.
-        let occ = self.occupied_rows();
-        for i in 0..m {
-            let a_row = a.row(i);
-            let out_row = out.row_mut(i);
-            for t in occ.chunks_exact(3) {
-                let mut acc = Complex64::ZERO;
-                for idx in t[1]..t[2] {
-                    acc = acc.mul_add(a_row[self.indices[idx]], self.data[idx].conj());
-                }
-                out_row[t[0]] += acc * z;
-            }
+        if m == 0 || self.rows == 0 || self.cols == 0 {
+            return;
         }
-        workspace::give_idx(occ);
+        match gemm::route((m, self.cols, self.rows), Naive::Dot) {
+            Route::Blocked => dense_times_csr::<true>(a, self, true, z, out),
+            Route::Naive(_) => dense_times_csr::<false>(a, self, true, z, out),
+        }
     }
 
     /// Sparse × sparse → sparse (Gustavson's algorithm, `CSRGEMM`). The

@@ -40,8 +40,13 @@
 //!
 //! Layouts are adapted in the packing step: [`gemm_bdagger_acc`]
 //! conjugate-transposes B while packing it (`B^H` is never materialized),
-//! and the blocked LU's in-place updates pass A, B and C row strides wider
-//! than the product.
+//! the blocked LU's in-place updates pass A, B and C row strides wider
+//! than the product, and the `_over` entries ([`gemm_acc_over`] and its
+//! scaled and `B^H` twins) pack only a list of depth indices — RGF's
+//! products against a coupling leg's output, which is zero outside the
+//! coupling's support — with the full product's route, slices and bits.
+//! [`route`] exposes the routing rule to kernels outside this module: the
+//! CSR products sum in the order of the dense entry they stand in for.
 
 use crate::complex::{c64, Complex64};
 use crate::dense::Matrix;
@@ -117,6 +122,7 @@ pub fn gemm_raw_acc(
         Complex64::ONE,
         Some(Naive::Axpy),
         true,
+        Depth::All,
     );
 }
 
@@ -147,6 +153,7 @@ pub fn gemm_scaled_acc(
         scale,
         Some(Naive::Dot),
         true,
+        Depth::All,
     );
 }
 
@@ -176,6 +183,100 @@ pub fn gemm_bdagger_acc(
         scale,
         Some(Naive::Dot),
         true,
+        Depth::All,
+    );
+}
+
+/// [`gemm_acc`] summed only over the depth indices `ks` (ascending): the
+/// columns of `a` (rows of `b`) outside `ks` must be zero. Routed and
+/// `KC`-sliced by the full shape, so on finite operands the bits are
+/// [`gemm_acc`]'s — a skipped term is an exact `±0` added to an
+/// accumulator that is never `−0`. The packed route packs only `ks` and
+/// counts `8·m·|ks|·n` flops; a product small enough for the naive route
+/// sums (and counts) the full depth.
+pub fn gemm_acc_over(ks: &[usize], a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    over(ks, a, b, false, out, Complex64::ONE, Naive::Axpy);
+}
+
+/// [`gemm_scaled_acc`] summed only over `ks`, with [`gemm_acc_over`]'s
+/// contract.
+pub fn gemm_scaled_acc_over(
+    ks: &[usize],
+    a: &Matrix,
+    b: &Matrix,
+    out: &mut Matrix,
+    scale: Complex64,
+) {
+    over(ks, a, b, false, out, scale, Naive::Dot);
+}
+
+/// [`gemm_bdagger_acc`] (`out += scale · a @ b^H`, `b` stored `n x k`)
+/// summed only over `ks`, with [`gemm_acc_over`]'s contract.
+pub fn gemm_bdagger_acc_over(
+    ks: &[usize],
+    a: &Matrix,
+    b: &Matrix,
+    out: &mut Matrix,
+    scale: Complex64,
+) {
+    over(ks, a, b, true, out, scale, Naive::Dot);
+}
+
+/// The `_over` entries: `out += scale · a @ op(b)` over the depth list
+/// `ks`, `op(b)` = `b^H` when `dagger`.
+fn over(
+    ks: &[usize],
+    a: &Matrix,
+    b: &Matrix,
+    dagger: bool,
+    out: &mut Matrix,
+    scale: Complex64,
+    naive: Naive,
+) {
+    let (m, k) = a.shape();
+    let (bk, n) = if dagger {
+        (b.cols(), b.rows())
+    } else {
+        b.shape()
+    };
+    assert_eq!(k, bk, "inner dimension mismatch");
+    assert_eq!(out.shape(), (m, n), "output shape mismatch");
+    assert!(
+        ks.windows(2).all(|w| w[0] < w[1]) && ks.last().is_none_or(|&p| p < k),
+        "depth indices must ascend inside 0..k"
+    );
+    let b = if dagger {
+        PanelB::Dagger {
+            b: b.as_slice(),
+            ld: k,
+        }
+    } else {
+        PanelB::Rows {
+            b: b.as_slice(),
+            ld: n,
+        }
+    };
+    let (a, c) = (a.as_slice(), out.as_mut_slice());
+    // A full list is `0..k` itself, and the naive kernels sum the full
+    // depth: only the packed route reads the list.
+    let depth = if ks.len() == k || goes_naive(m, k, n) {
+        Depth::All
+    } else {
+        Depth::Only(ks)
+    };
+    let batch = Batch::Items(1);
+    dispatch::<true>(
+        (m, k, n),
+        batch,
+        a,
+        k,
+        b,
+        c,
+        n,
+        scale,
+        Some(naive),
+        true,
+        depth,
     );
 }
 
@@ -203,6 +304,7 @@ pub fn gemm_blocked_acc(
         Complex64::ONE,
         None,
         true,
+        Depth::All,
     );
 }
 
@@ -231,6 +333,7 @@ pub fn gemm_blocked_acc_uninstrumented(
         Complex64::ONE,
         None,
         true,
+        Depth::All,
     );
 }
 
@@ -265,6 +368,7 @@ pub fn batched_gemm_acc(
         Complex64::ONE,
         Some(Naive::Axpy),
         true,
+        Depth::All,
     );
 }
 
@@ -299,6 +403,7 @@ pub(crate) fn gemm_view_abc_scaled_acc_uninstrumented(
         scale,
         Some(Naive::Axpy),
         false,
+        Depth::All,
     );
 }
 
@@ -336,6 +441,7 @@ pub fn batched_gemm_shared_b_acc(
         Complex64::ONE,
         Some(Naive::Axpy),
         true,
+        Depth::All,
     );
 }
 
@@ -369,6 +475,7 @@ pub fn batched_gemm_shared_b_scaled_acc(
         scale,
         Some(Naive::Dot),
         true,
+        Depth::All,
     );
 }
 
@@ -416,13 +523,98 @@ pub fn gemm_naive_batched_acc(
 /// The small-shape order an entry falls back to: `c += scale · a @ op(b)`,
 /// A row-major at row stride `lda`, C at row stride `ldc`. The two sum in
 /// different orders, so which one an entry names is part of its output
-/// bits; SBSMM runs the named order too.
-#[derive(Clone, Copy)]
-enum Naive {
-    /// [`naive_axpy`]: row axpys straight into C, zero `a[i,p]` skipped.
+/// bits; SBSMM runs the named order too. The unscaled entries
+/// ([`gemm_raw_acc`], [`gemm_acc`]) name `Axpy`; the scaled ones
+/// ([`gemm_scaled_acc`], [`gemm_bdagger_acc`]) name `Dot`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Naive {
+    /// Row axpys straight into C, zero `a[i,p]` skipped:
+    /// `c[i,j] = c[i,j].mul_add(a[i,p]·scale, b[p,j])` over ascending `p`
+    /// (the scale is skipped, not multiplied, when it is ONE).
     Axpy,
-    /// [`naive_dot`]: a dot per entry from zero, then `c += dot · scale`.
+    /// A dot per entry from zero, `acc = acc.mul_add(a[i,p], b[p,j])` over
+    /// ascending `p`, then `c[i,j] += acc · scale`.
     Dot,
+}
+
+/// The kernel one product runs on, and with it the order its entries sum
+/// in.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Route {
+    /// The entry's naive order.
+    Naive(Naive),
+    /// The packed kernel: per `KC`-deep slice of the depth, a fresh `+0`
+    /// accumulator takes `acc = acc + a[i,p]·b[p,j]` (complex `Mul`, then
+    /// `Add`) over ascending `p`, then flushes as `c += acc` at a scale of
+    /// exactly ONE and as `c += acc · scale` otherwise.
+    Blocked,
+}
+
+/// The route a single `m x k x n` product of an entry naming `naive` takes
+/// — the one threshold rule of this module, which the dispatcher applies
+/// and kernels outside it (the CSR products) follow to sum in the same
+/// order as the dense entry they stand in for.
+pub fn route((m, k, n): (usize, usize, usize), naive: Naive) -> Route {
+    if goes_naive(m, k, n) {
+        Route::Naive(naive)
+    } else {
+        Route::Blocked
+    }
+}
+
+/// True when a product is too small for packing to pay off: below
+/// `NAIVE_THRESHOLD` multiply-adds, or unable to fill a register tile.
+fn goes_naive(m: usize, k: usize, n: usize) -> bool {
+    m * k * n < NAIVE_THRESHOLD || m < MR || n < NR
+}
+
+/// The depth indices a product sums over.
+#[derive(Clone, Copy)]
+enum Depth<'a> {
+    /// Every `p` in `0..k`.
+    All,
+    /// Only these, ascending; every other column of A (row of B) is zero.
+    Only(&'a [usize]),
+}
+
+impl<'a> Depth<'a> {
+    /// Number of depth indices of a `k`-deep product.
+    fn len(self, k: usize) -> usize {
+        match self {
+            Depth::All => k,
+            Depth::Only(ks) => ks.len(),
+        }
+    }
+
+    /// The part of `self` inside the slice `pc..pc + kc`, as the packing
+    /// step reads it.
+    fn window(self, pc: usize, kc: usize) -> Window<'a> {
+        match self {
+            Depth::All => Window::Range(pc, kc),
+            Depth::Only(ks) => {
+                let lo = ks.partition_point(|&p| p < pc);
+                let hi = lo + ks[lo..].partition_point(|&p| p < pc + kc);
+                Window::List(&ks[lo..hi])
+            }
+        }
+    }
+}
+
+/// One `KC` slice of a [`Depth`], in the order the packing step reads it.
+#[derive(Clone, Copy)]
+enum Window<'a> {
+    /// `start..start + len`.
+    Range(usize, usize),
+    List(&'a [usize]),
+}
+
+impl Window<'_> {
+    fn len(self) -> usize {
+        match self {
+            Window::Range(_, len) => len,
+            Window::List(ks) => ks.len(),
+        }
+    }
 }
 
 /// The products of one call.
@@ -450,6 +642,9 @@ enum Batch {
 ///   multiply-adds, a single product band-splits its rows over [`par`] and
 ///   a batch fans its items out in chunks, each item serial.
 ///
+/// A single packed product may sum over a `depth` list instead of `0..k`
+/// (the `_over` entries); it is routed, sliced and split by its full shape.
+///
 /// `INSTRUMENT` adds the flop accounting and the hot-section timers.
 /// Inlined into every entry point, so the named kernel is a direct call and
 /// the entry stays as small as a call into it.
@@ -466,13 +661,14 @@ fn dispatch<const INSTRUMENT: bool>(
     scale: Complex64,
     naive: Option<Naive>,
     split: bool,
+    depth: Depth<'_>,
 ) {
     let (items, shared) = match batch {
         Batch::Items(t) => (t, false),
         Batch::Shared(t) => (t, true),
     };
     if INSTRUMENT {
-        flops::add_gemm_flops_batched(m, k, n, items);
+        flops::add_gemm_flops_batched(m, depth.len(k), n, items);
     }
     if items == 0 || m == 0 || k == 0 || n == 0 {
         return;
@@ -487,17 +683,25 @@ fn dispatch<const INSTRUMENT: bool>(
     let (m, batch) = if shared { (items * m, 1) } else { (m, items) };
     debug_assert!(lda >= k && a.len() >= (batch * m - 1) * lda + k);
     debug_assert!(ldc >= n && c.len() >= (batch * m - 1) * ldc + n);
-    let work = m * k * n;
-    let naive = naive.filter(|_| work < NAIVE_THRESHOLD || m < MR || n < NR);
-    let split = split && work * batch >= PAR_THRESHOLD;
+    let naive = naive.filter(|_| goes_naive(m, k, n));
+    let split = split && m * k * n * batch >= PAR_THRESHOLD;
     if batch == 1 {
+        debug_assert!(
+            naive.is_none() || matches!(depth, Depth::All),
+            "the naive kernels sum the full depth"
+        );
+        let shape = (m, k, n);
         match naive {
-            Some(Naive::Axpy) => naive_axpy((m, k, n), a, lda, b, c, ldc, scale),
-            Some(Naive::Dot) => naive_dot((m, k, n), a, lda, b, c, ldc, scale),
-            None => gemm_blocked::<INSTRUMENT>((m, k, n), a, lda, b, c, ldc, scale, split),
+            Some(Naive::Axpy) => naive_axpy(shape, a, lda, b, c, ldc, scale),
+            Some(Naive::Dot) => naive_dot(shape, a, lda, b, c, ldc, scale),
+            None => gemm_blocked::<INSTRUMENT>(shape, depth, a, lda, b, c, ldc, scale, split),
         }
         return;
     }
+    debug_assert!(
+        matches!(depth, Depth::All),
+        "batches sum over the full depth"
+    );
     let PanelB::Rows { b, .. } = b else {
         unreachable!("batch items are row-major")
     };
@@ -510,7 +714,9 @@ fn dispatch<const INSTRUMENT: bool>(
         match naive {
             Some(Naive::Axpy) => naive_axpy((m, k, n), at, k, bt, ct, n, scale),
             Some(Naive::Dot) => naive_dot((m, k, n), at, k, bt, ct, n, scale),
-            None => gemm_blocked::<INSTRUMENT>((m, k, n), at, k, bt, ct, n, scale, false),
+            None => {
+                gemm_blocked::<INSTRUMENT>((m, k, n), Depth::All, at, k, bt, ct, n, scale, false)
+            }
         }
     };
     if split {
@@ -850,28 +1056,35 @@ impl PanelB<'_> {
     }
 }
 
-/// Pack `mc x kc` rows of A (row-major, row stride `lda`; from row `ic`,
-/// depth `pc`) into MR-row micro-panels with split re/im lanes per k-slice;
-/// rows beyond `mc` are zero-padded so the microkernel never needs edge
-/// cases.
-#[allow(clippy::too_many_arguments)]
-fn pack_a(
+/// Pack `mc` rows of A (row-major, row stride `lda`; from row `ic`) at the
+/// depth indices of `ks` into MR-row micro-panels with split re/im lanes
+/// per k-slice; rows beyond `mc` are zero-padded so the microkernel never
+/// needs edge cases.
+fn pack_a(a: &[Complex64], lda: usize, ic: usize, mc: usize, ks: Window<'_>, buf: &mut [f64]) {
+    match ks {
+        Window::Range(pc, kc) => pack_a_at(a, lda, ic, mc, pc..pc + kc, buf),
+        Window::List(ks) => pack_a_at(a, lda, ic, mc, ks.iter().copied(), buf),
+    }
+}
+
+/// [`pack_a`] over one depth-index sequence, monomorphized per layout so
+/// the contiguous case packs as tightly as a plain range loop.
+fn pack_a_at(
     a: &[Complex64],
     lda: usize,
     ic: usize,
     mc: usize,
-    pc: usize,
-    kc: usize,
+    ks: impl Iterator<Item = usize> + Clone,
     buf: &mut [f64],
 ) {
     let mut off = 0;
     let mut ir = 0;
     while ir < mc {
         let mr = (mc - ir).min(MR);
-        for p in 0..kc {
+        for col in ks.clone() {
             for i in 0..MR {
                 let z = if i < mr {
-                    a[(ic + ir + i) * lda + pc + p]
+                    a[(ic + ir + i) * lda + col]
                 } else {
                     Complex64::ZERO
                 };
@@ -884,17 +1097,33 @@ fn pack_a(
     }
 }
 
-/// Pack `kc x nc` columns of B (from depth `pc`, column `jc`) into NR-column
-/// micro-panels with split re/im lanes per k-slice, zero-padded to NR.
-fn pack_b(src: PanelB<'_>, pc: usize, kc: usize, jc: usize, nc: usize, buf: &mut [f64]) {
+/// Pack `nc` columns of B (from column `jc`) at the depth indices of `ks`
+/// into NR-column micro-panels with split re/im lanes per k-slice,
+/// zero-padded to NR.
+fn pack_b(src: PanelB<'_>, ks: Window<'_>, jc: usize, nc: usize, buf: &mut [f64]) {
+    match ks {
+        Window::Range(pc, kc) => pack_b_at(src, pc..pc + kc, jc, nc, buf),
+        Window::List(ks) => pack_b_at(src, ks.iter().copied(), jc, nc, buf),
+    }
+}
+
+/// [`pack_b`] over one depth-index sequence, monomorphized like
+/// [`pack_a_at`].
+fn pack_b_at(
+    src: PanelB<'_>,
+    ks: impl Iterator<Item = usize> + Clone,
+    jc: usize,
+    nc: usize,
+    buf: &mut [f64],
+) {
     let mut off = 0;
     let mut jr = 0;
     while jr < nc {
         let nr = (nc - jr).min(NR);
-        for p in 0..kc {
+        for row in ks.clone() {
             for j in 0..NR {
                 let z = if j < nr {
-                    src.get(pc + p, jc + jr + j)
+                    src.get(row, jc + jr + j)
                 } else {
                     Complex64::ZERO
                 };
@@ -905,6 +1134,26 @@ fn pack_b(src: PanelB<'_>, pc: usize, kc: usize, jc: usize, nc: usize, buf: &mut
         }
         jr += NR;
     }
+}
+
+/// `a` (row-major `m x k`) packed whole the way the packed kernel packs A:
+/// MR-row micro-panels of `k` slices `[re × MR | im × MR]`, rows beyond `m`
+/// zero. In a pooled buffer; return it with [`give_packed`].
+pub(crate) fn packed_rows(a: &[Complex64], m: usize, k: usize) -> Vec<f64> {
+    let mut buf = pack_pool::take(m.next_multiple_of(MR) * k * 2);
+    pack_a(a, k, 0, m, Window::Range(0, k), &mut buf);
+    buf
+}
+
+/// A pooled `f64` buffer of at least `len` entries, contents unspecified.
+/// Return it with [`give_packed`].
+pub(crate) fn take_packed(len: usize) -> Vec<f64> {
+    pack_pool::take(len)
+}
+
+/// Return a [`packed_rows`] / [`take_packed`] buffer to the pool.
+pub(crate) fn give_packed(buf: Vec<f64>) {
+    pack_pool::give(buf);
 }
 
 /// Thread-local pool of packing buffers: `take`/`give` instead of a held
@@ -957,12 +1206,15 @@ fn maybe_timed<const INSTRUMENT: bool, R>(
 /// `lda`, C at row stride `ldc`. The loop order is jc(NC) → pc(KC) → ic,
 /// where the ic loop walks MC-high row bands — or, with `split`, MR-aligned
 /// bands distributed over [`par`], the packed B-panel shared read-only.
+/// The KC slices cut the full depth `0..k`; each packs the indices of
+/// `depth` it holds, so a slice with none still flushes its `+0` sums.
 /// Kept out of line so an entry point stays small enough to inline into its
 /// caller: a tiny naive product must not pay this function's stack frame.
 #[allow(clippy::too_many_arguments)]
 #[inline(never)]
 fn gemm_blocked<const INSTRUMENT: bool>(
     (m, k, n): (usize, usize, usize),
+    depth: Depth<'_>,
     a: &[Complex64],
     lda: usize,
     b: PanelB<'_>,
@@ -986,10 +1238,10 @@ fn gemm_blocked<const INSTRUMENT: bool>(
         let nc_pad = nc.next_multiple_of(NR);
         let mut pc = 0;
         while pc < k {
-            let kc = (k - pc).min(KC);
-            let mut b_buf = pack_pool::take(nc_pad * kc * 2);
+            let ks = depth.window(pc, (k - pc).min(KC));
+            let mut b_buf = pack_pool::take(nc_pad * ks.len() * 2);
             maybe_timed::<INSTRUMENT, _>(qt_telemetry::counters::HotSection::GemmPack, || {
-                pack_b(b, pc, kc, jc, nc, &mut b_buf)
+                pack_b(b, ks, jc, nc, &mut b_buf)
             });
             let b_pack: &[f64] = &b_buf;
             // Band `t` holds rows `t·band_rows..` of C from column 0.
@@ -997,7 +1249,7 @@ fn gemm_blocked<const INSTRUMENT: bool>(
                 let ic = t * band_rows;
                 let mc = (m - ic).min(band_rows);
                 let cb = &mut cb[jc..];
-                process_band::<INSTRUMENT>(a, lda, ic, mc, pc, kc, nc, b_pack, cb, ldc, scale);
+                process_band::<INSTRUMENT>(a, lda, ic, mc, ks, nc, b_pack, cb, ldc, scale);
             };
             if split {
                 par::for_each_chunk_mut(c, band_rows * ldc, band);
@@ -1007,7 +1259,7 @@ fn gemm_blocked<const INSTRUMENT: bool>(
                 }
             }
             pack_pool::give(b_buf);
-            pc += kc;
+            pc += KC;
         }
         jc += NC;
     }
@@ -1021,8 +1273,7 @@ fn process_band<const INSTRUMENT: bool>(
     lda: usize,
     ic: usize,
     mc: usize,
-    pc: usize,
-    kc: usize,
+    ks: Window<'_>,
     nc: usize,
     b_pack: &[f64],
     c: &mut [Complex64],
@@ -1030,10 +1281,10 @@ fn process_band<const INSTRUMENT: bool>(
     scale: Complex64,
 ) {
     use qt_telemetry::counters::HotSection;
-    let mc_pad = mc.next_multiple_of(MR);
+    let (mc_pad, kc) = (mc.next_multiple_of(MR), ks.len());
     let mut a_buf = pack_pool::take(mc_pad * kc * 2);
     maybe_timed::<INSTRUMENT, _>(HotSection::GemmPack, || {
-        pack_a(a, lda, ic, mc, pc, kc, &mut a_buf)
+        pack_a(a, lda, ic, mc, ks, &mut a_buf)
     });
     maybe_timed::<INSTRUMENT, _>(HotSection::GemmKernel, || {
         macro_tile(mc, kc, nc, &a_buf, b_pack, c, ldc, scale)
@@ -1404,6 +1655,20 @@ mod tests {
             gemm(&a, &b, &mut out);
         });
         assert_eq!(d, 8 * 2 * 3 * 4);
+    }
+
+    #[test]
+    fn depth_lists_count_only_the_listed_flops() {
+        let mut r = rng();
+        let (m, k, n) = (16, 40, 12);
+        let ks: Vec<usize> = (0..k).step_by(4).collect();
+        let a = Matrix::random(m, k, &mut r);
+        let b = Matrix::random(k, n, &mut r);
+        let (_, d) = crate::flops::count_flops_here(|| {
+            let mut c = Matrix::zeros(m, n);
+            gemm_acc_over(&ks, &a, &b, &mut c);
+        });
+        assert_eq!(d, 8 * (m * ks.len() * n) as u64);
     }
 
     #[test]

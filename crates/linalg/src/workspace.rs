@@ -233,6 +233,13 @@ pub fn give_idx(buf: Vec<usize>) {
     POOL.with(|p| p.borrow_mut().give_idx(buf));
 }
 
+/// Count a pool miss on the calling thread — for storage pooled outside
+/// this module (recycled CSR images) that had to allocate.
+pub(crate) fn count_fresh() {
+    POOL.with(|p| p.borrow_mut().fresh += 1);
+    counters::add(Counter::WsFresh, 1);
+}
+
 /// Pool-miss count of the **calling thread's** pool — unlike the global
 /// `ws_fresh` telemetry counter this is immune to concurrent tests, so
 /// warm-path regression tests can assert exact reuse.

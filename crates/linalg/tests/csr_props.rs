@@ -167,3 +167,94 @@ fn adversarial_shapes_and_densities() {
     let p = one.mul_csr(&one).to_dense();
     assert!((p[(0, 0)] - c64(-7.0, 24.0)).abs() < 1e-12);
 }
+
+/// A `rows x cols` block at `density` inside random interleaved row and
+/// column supports (each line kept with probability 1/2), like a coupling
+/// block whose atoms only partly face the neighbouring slab.
+fn supported(rows: usize, cols: usize, density: f64, seed: u64) -> Matrix {
+    let line = |n: usize, s: u64| -> Vec<bool> {
+        let v = sparse_dense(n, 1, 1.0, s);
+        (0..n).map(|i| v[(i, 0)].re > 0.0).collect()
+    };
+    let (keep_r, keep_c) = (line(rows, seed ^ 11), line(cols, seed ^ 12));
+    let mut m = sparse_dense(rows, cols, density, seed);
+    for i in 0..rows {
+        for j in 0..cols {
+            if !(keep_r[i] && keep_c[j]) {
+                m[(i, j)] = Complex64::ZERO;
+            }
+        }
+    }
+    m
+}
+
+/// Every fifth entry `-0`: a flush of an all-zero sum turns it into `+0`
+/// on the packed route, which a sparse kernel must reproduce.
+fn with_negative_zeros(mut c: Matrix) -> Matrix {
+    for z in c.as_mut_slice().iter_mut().step_by(5) {
+        *z = c64(-0.0, -0.0);
+    }
+    c
+}
+
+fn bits(m: &Matrix) -> Vec<(u64, u64)> {
+    m.as_slice()
+        .iter()
+        .map(|z| (z.re.to_bits(), z.im.to_bits()))
+        .collect()
+}
+
+/// `(m, k, n)` of the dense product each kernel stands in for: both
+/// routes, both sides of the MR/NR edges, two KC slices (`k = KC + 4`).
+const SHAPES: [(usize, usize, usize); 9] = {
+    use qt_linalg::gemm::{KC, MR, NR};
+    [
+        (3, 5, 7),
+        (7, 8, 9),
+        (MR - 1, 32, 16),
+        (MR, 32, 16),
+        (16, 32, NR - 1),
+        (16, 32, NR + 1),
+        (6, KC + 4, 9),
+        (48, 48, 48),
+        (64, 64, 64),
+    ]
+};
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn csr_kernels_have_the_dense_entrys_bits(
+        shape in 0usize..SHAPES.len(),
+        density in 0.0f64..=0.5,
+        scale in 0usize..3,
+        seed in any::<u64>(),
+    ) {
+        use qt_linalg::gemm;
+        let (m, k, n) = SHAPES[shape];
+        let z = [Complex64::ONE, c64(-1.0, 0.0), c64(0.5, -0.25)][scale];
+        // CSR × dense against `gemm_acc` on the densified CSR.
+        let s = supported(m, k, density, seed);
+        let d = sparse_dense(k, n, 1.0, seed ^ 1);
+        let c0 = with_negative_zeros(sparse_dense(m, n, 1.0, seed ^ 2));
+        let (mut got, mut want) = (c0.clone(), c0);
+        CsrMatrix::from_dense(&s, 0.0).mul_dense_acc(&d, &mut got);
+        gemm::gemm_acc(&s, &d, &mut want);
+        prop_assert!(bits(&got) == bits(&want), "mul_dense_acc {m}x{k}x{n}");
+        // Dense × CSR against `gemm_scaled_acc`.
+        let d = sparse_dense(m, k, 1.0, seed ^ 3);
+        let s = supported(k, n, density, seed ^ 4);
+        let c0 = with_negative_zeros(sparse_dense(m, n, 1.0, seed ^ 5));
+        let (mut got, mut want) = (c0.clone(), c0.clone());
+        CsrMatrix::from_dense(&s, 0.0).rmul_dense_scaled_acc(&d, z, &mut got);
+        gemm::gemm_scaled_acc(m, k, n, d.as_slice(), s.as_slice(), want.as_mut_slice(), z);
+        prop_assert!(bits(&got) == bits(&want), "rmul_dense_scaled_acc {m}x{k}x{n} {z:?}");
+        // Dense × CSRᴴ against `gemm_bdagger_acc` (`s` stored `n x k`).
+        let s = supported(n, k, density, seed ^ 6);
+        let (mut got, mut want) = (c0.clone(), c0);
+        CsrMatrix::from_dense(&s, 0.0).rmul_dagger_scaled_acc(&d, z, &mut got);
+        gemm::gemm_bdagger_acc(m, k, n, d.as_slice(), s.as_slice(), want.as_mut_slice(), z);
+        prop_assert!(bits(&got) == bits(&want), "rmul_dagger_scaled_acc {m}x{k}x{n} {z:?}");
+    }
+}

@@ -684,3 +684,104 @@ fn trace_runs_have_the_bits_of_one_trace_at_a_time() {
         }
     }
 }
+
+/// A random ascending depth list: each index of `0..k` kept with
+/// probability 1/2 (interleaved runs, like an atom-structured support).
+fn depth_list(seed: u64, k: usize) -> Vec<usize> {
+    let coin = cvec(seed, k);
+    (0..k).filter(|&p| coin[p].re > 0.0).collect()
+}
+
+/// A row-major `_ x k` fill with the columns outside `ks` zeroed.
+fn zero_outside(mut a: Vec<Complex64>, k: usize, ks: &[usize]) -> Vec<Complex64> {
+    for (idx, z) in a.iter_mut().enumerate() {
+        if ks.binary_search(&(idx % k)).is_err() {
+            *z = Complex64::ZERO;
+        }
+    }
+    a
+}
+
+/// Every fifth entry `-0`, so the `+0` flush of a slice with no listed
+/// index shows in the bits.
+fn with_negative_zeros(mut c: Vec<Complex64>) -> Vec<Complex64> {
+    for z in c.iter_mut().step_by(5) {
+        *z = c64(-0.0, -0.0);
+    }
+    c
+}
+
+#[test]
+fn depth_lists_keep_the_full_entrys_bits() {
+    use gemm::{KC, MR, NR};
+    use qt_linalg::Matrix;
+    let scale = c64(-1.5, 0.25);
+    // Naive and packed routes, both sides of the MR/NR edges, two KC
+    // slices (`KC + 4`), the band-split threshold.
+    let shapes = [
+        (3, 5, 7),
+        (7, 8, 9),
+        (MR - 1, 64, 16),
+        (MR, 64, 16),
+        (16, 64, NR - 1),
+        (16, 64, NR + 1),
+        (9, KC + 4, 6),
+        (48, 48, 48),
+        (64, 64, 64),
+    ];
+    for (si, &(m, k, n)) in shapes.iter().enumerate() {
+        let seed = 1500 + 10 * si as u64;
+        // Random supports, the empty one, and one that leaves the second
+        // KC slice empty.
+        let lists = [
+            depth_list(seed, k),
+            Vec::new(),
+            (0..k.min(KC)).step_by(3).collect(),
+        ];
+        for (li, ks) in lists.iter().enumerate() {
+            let am = Matrix::from_vec(m, k, zero_outside(cvec(seed + 1, m * k), k, ks));
+            let b = Matrix::from_vec(k, n, cvec(seed + 2, k * n));
+            let bd = Matrix::from_vec(n, k, cvec(seed + 3, n * k));
+            let c0 = Matrix::from_vec(m, n, with_negative_zeros(cvec(seed + 4, m * n)));
+            let what = format!("{m}x{k}x{n}, list {li} ({} of {k})", ks.len());
+            let (mut got, mut want) = (c0.clone(), c0.clone());
+            gemm::gemm_acc_over(ks, &am, &b, &mut got);
+            gemm::gemm_acc(&am, &b, &mut want);
+            assert!(
+                bits(got.as_slice()) == bits(want.as_slice()),
+                "gemm_acc_over {what}"
+            );
+            for s in [Complex64::ONE, scale] {
+                let (mut got, mut want) = (c0.clone(), c0.clone());
+                gemm::gemm_scaled_acc_over(ks, &am, &b, &mut got, s);
+                let (a, bs) = (am.as_slice(), b.as_slice());
+                gemm::gemm_scaled_acc(m, k, n, a, bs, want.as_mut_slice(), s);
+                assert!(
+                    bits(got.as_slice()) == bits(want.as_slice()),
+                    "gemm_scaled_acc_over({s:?}) {what}"
+                );
+                let (mut got, mut want) = (c0.clone(), c0.clone());
+                gemm::gemm_bdagger_acc_over(ks, &am, &bd, &mut got, s);
+                gemm::gemm_bdagger_acc(m, k, n, a, bd.as_slice(), want.as_mut_slice(), s);
+                assert!(
+                    bits(got.as_slice()) == bits(want.as_slice()),
+                    "gemm_bdagger_acc_over({s:?}) {what}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn route_is_the_dispatchers_rule() {
+    for (m, k, n) in [(7, 8, 9), (8, 8, 8), (3, 64, 16), (16, 64, 3), (64, 64, 64)] {
+        for naive in [gemm::Naive::Axpy, gemm::Naive::Dot] {
+            let want = if goes_naive(m, k, n) {
+                gemm::Route::Naive(naive)
+            } else {
+                gemm::Route::Blocked
+            };
+            assert_eq!(gemm::route((m, k, n), naive), want, "{m}x{k}x{n}");
+        }
+    }
+}
