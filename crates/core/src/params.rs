@@ -5,13 +5,11 @@
 //! presets used by tests and examples keep the same *structure* (all code
 //! paths exercised) at a few percent of the size.
 
-use serde::{Deserialize, Serialize};
-
 /// Degrees of freedom for crystal vibrations (fixed at 3 in the paper).
 pub const N3D: usize = 3;
 
 /// Full parameter set of a dissipative quantum-transport simulation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SimParams {
     /// Number of electron momentum points (`Nkz`, 1–21).
     pub nkz: usize,

@@ -7,10 +7,8 @@
 //! calibrated once against Table 8 / Fig. 13 — like every α–β model, they
 //! absorb latency, synchronization and message-size effects.
 
-use serde::{Deserialize, Serialize};
-
 /// An abstract GPU-accelerated cluster.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Machine {
     pub name: &'static str,
     /// Total node count of the system.

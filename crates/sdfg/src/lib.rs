@@ -11,6 +11,7 @@
 
 pub mod frontend;
 pub mod graph;
+mod json;
 pub mod library;
 pub mod propagate;
 pub mod sdfg;

@@ -10,10 +10,9 @@
 
 use crate::subset::{Dim, Range, Subset};
 use crate::symexpr::SymExpr;
-use serde::{Deserialize, Serialize};
 
 /// A map parameter and the half-open range it iterates over.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ParamRange {
     pub name: String,
     pub range: Range,

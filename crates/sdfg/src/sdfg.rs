@@ -5,11 +5,11 @@
 
 use crate::graph::StateGraph;
 use crate::stree::ScopeTree;
-use serde::{Deserialize, Serialize};
+use qt_telemetry::json::Json;
 use std::fmt::Write as _;
 
 /// Transition between two states.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct InterstateEdge {
     pub from: usize,
     pub to: usize,
@@ -20,7 +20,7 @@ pub struct InterstateEdge {
 }
 
 /// A stateful dataflow multigraph: states plus control-flow edges.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Sdfg {
     pub name: String,
     pub states: Vec<ScopeTree>,
@@ -153,12 +153,12 @@ impl Sdfg {
     /// Serialize to JSON (the SDFG-file analogue; the paper's 2,015-node
     /// SDFG is an artifact of exactly this kind).
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("serializable")
+        crate::json::encode(self).dump()
     }
 
-    /// Deserialize from JSON.
+    /// Deserialize from JSON. Malformed input is an `Err`, never a panic.
     pub fn from_json(s: &str) -> Result<Sdfg, String> {
-        serde_json::from_str(s).map_err(|e| e.to_string())
+        crate::json::decode(&Json::parse(s)?)
     }
 }
 
@@ -198,18 +198,118 @@ mod tests {
         assert!(sdfg.edges.iter().any(|e| e.from == 2 && e.to == 1));
     }
 
+    /// A two-state SDFG holding every variant of the serialized types at
+    /// least once, with expression trees built raw so no simplification
+    /// reshapes them.
+    fn every_variant_sdfg() -> Sdfg {
+        use crate::propagate::ParamRange;
+        use crate::stree::{Access, ArrayDesc, Dtype, Node, OpKind};
+        use crate::subset::{Dim, Range, Subset};
+        use crate::symexpr::SymExpr;
+        let s = SymExpr::sym;
+        let raw = |f: fn(Box<SymExpr>, Box<SymExpr>) -> SymExpr, l, r| f(Box::new(l), Box::new(r));
+        // `a*b*c` grouped both ways: `Display` prints them alike.
+        let ab_c = raw(SymExpr::Mul, raw(SymExpr::Mul, s("a"), s("b")), s("c"));
+        let a_bc = raw(SymExpr::Mul, s("a"), raw(SymExpr::Mul, s("b"), s("c")));
+        let mut st = ScopeTree::new("every_variant");
+        st.add_array(
+            "A",
+            ArrayDesc::new(vec![s("N"), ab_c], Dtype::Complex128, false),
+        );
+        st.add_array("B", ArrayDesc::new(vec![a_bc], Dtype::Float64, true));
+        st.add_array(
+            "idx",
+            ArrayDesc::new(vec![SymExpr::int(-7)], Dtype::Int32, false),
+        );
+        st.indirection_tables.push("f".into());
+        let strided = Range {
+            begin: raw(SymExpr::Min, SymExpr::int(0), s("i")),
+            end: raw(SymExpr::Max, s("N"), SymExpr::int(-3)),
+            stride: Some(raw(SymExpr::Div, s("N"), SymExpr::int(4))),
+        };
+        let a = Subset(vec![
+            Dim::Index(raw(SymExpr::Sub, s("i"), SymExpr::int(1))),
+            Dim::Range(strided),
+        ]);
+        let b = Subset(vec![Dim::Indirect {
+            table: "f".into(),
+            args: vec![s("i"), raw(SymExpr::Add, s("j"), SymExpr::int(2))],
+        }]);
+        let idx = Subset(vec![Dim::Range(Range::full(SymExpr::int(-7)))]);
+        let compute = |label: &str, op| {
+            Node::compute(
+                label,
+                op,
+                vec![
+                    Access::read("A", a.clone()),
+                    Access::read("idx", idx.clone()),
+                ],
+                vec![Access::accumulate("B", b.clone())],
+                SymExpr::int(8),
+            )
+        };
+        let params = vec![
+            ParamRange::new("i", 0, s("N")),
+            ParamRange::new("j", SymExpr::int(-2), 5),
+        ];
+        st.roots.push(Node::map(
+            "outer",
+            params,
+            vec![
+                compute("mm", OpKind::MatMul),
+                compute("sm", OpKind::ScalarMul),
+                compute("t", OpKind::Tasklet),
+                compute("bg", OpKind::BatchedGemm { batch: s("Nkz") }),
+            ],
+        ));
+        let mut sdfg = Sdfg::new("every_variant");
+        let s0 = sdfg.add_state(ScopeTree::new("init"));
+        let s1 = sdfg.add_state(st);
+        sdfg.add_edge(s0, s1, None, &[("i", "0"), ("j", "i + 1")]);
+        sdfg.add_edge(s1, s1, Some("not done"), &[]);
+        sdfg
+    }
+
     #[test]
     fn json_roundtrip_preserves_structure() {
-        let sdfg = qt_simulation_sdfg();
-        let json = sdfg.to_json();
-        let back = Sdfg::from_json(&json).expect("parse");
-        assert_eq!(back.states.len(), sdfg.states.len());
-        assert_eq!(back.edges.len(), sdfg.edges.len());
-        assert!(back.validate().is_ok());
-        // The GF state's arrays survive the round trip.
-        assert_eq!(back.states[1].arrays.len(), sdfg.states[1].arrays.len());
-        // Deep check: re-serialization is stable.
-        assert_eq!(back.to_json(), json);
+        for sdfg in [qt_simulation_sdfg(), every_variant_sdfg()] {
+            let json = sdfg.to_json();
+            let back = Sdfg::from_json(&json).expect("parse");
+            assert_eq!(back.states.len(), sdfg.states.len());
+            assert_eq!(back.edges.len(), sdfg.edges.len());
+            assert!(back.validate().is_ok());
+            // The GF state's arrays survive the round trip.
+            assert_eq!(back.states[1].arrays.len(), sdfg.states[1].arrays.len());
+            // Deep check: re-serialization is stable.
+            assert_eq!(back.to_json(), json);
+            // Deeper: the decoded value is the encoded one, tree for tree.
+            assert_eq!(format!("{back:?}"), format!("{sdfg:?}"));
+        }
+    }
+
+    #[test]
+    fn malformed_json_is_an_error() {
+        let json = every_variant_sdfg().to_json();
+        let err = |from: &str, to: &str| {
+            assert!(json.contains(from), "{from}");
+            Sdfg::from_json(&json.replacen(from, to, 1)).unwrap_err()
+        };
+        assert!(err("-7", "-7.5").contains("not an integer"));
+        assert!(err("-7", "1152921504606846976").contains("2^53")); // 2^60
+        assert!(err("\"Map\"", "\"Loop\"").contains("unknown Node variant `Loop`"));
+        assert!(err("\"Tasklet\"", "\"Kernel\"").contains("unknown OpKind variant"));
+        assert!(err("\"BatchedGemm\"", "\"Gemm\"").contains("unknown OpKind variant"));
+        assert!(err("\"Indirect\"", "\"Gather\"").contains("unknown Dim variant"));
+        assert!(err("\"Float64\"", "\"Float16\"").contains("unknown Dtype variant"));
+        assert!(err("\"min\",", "\"mod\",").contains("unknown SymExpr variant `mod`"));
+        assert!(err("\"wcr_sum\"", "\"wcr\"").contains("missing field `wcr_sum`"));
+        assert!(err("\"start\"", "\"begin\"").contains("missing field `start`"));
+        assert!(err("\"transient\": true", "\"transient\": 1").contains("expected a boolean"));
+        // The exact-integer edge still loads.
+        let edge = json.replacen("-7", "-9007199254740992", 1);
+        assert!(Sdfg::from_json(&edge).is_ok());
+        assert!(Sdfg::from_json("[]").is_err());
+        assert!(Sdfg::from_json(&json[..json.len() / 2]).is_err());
     }
 
     #[test]

@@ -11,12 +11,11 @@
 use crate::propagate::{propagate_subset, IndirectionModel, ParamRange, PropagatedMemlet};
 use crate::subset::Subset;
 use crate::symexpr::{Bindings, SymExpr};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Element datatype of an array container.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Dtype {
     Complex128,
     Float64,
@@ -34,7 +33,7 @@ impl Dtype {
 }
 
 /// Array container descriptor.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ArrayDesc {
     pub shape: Vec<SymExpr>,
     pub dtype: Dtype,
@@ -68,7 +67,7 @@ impl ArrayDesc {
 
 /// A data access annotation: which array, which subset, read or
 /// write-with-conflict-resolution.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Access {
     pub array: String,
     pub subset: Subset,
@@ -105,7 +104,7 @@ impl Access {
 
 /// The operation a compute node performs — enough structure for the
 /// transformation pipeline to reason about fusing multiplications.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum OpKind {
     /// Matrix multiply of the (matrix-shaped) trailing dims of the inputs.
     MatMul,
@@ -119,7 +118,7 @@ pub enum OpKind {
 }
 
 /// A node in the scope tree.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub enum Node {
     /// Parametric parallel scope.
     Map {
@@ -171,7 +170,7 @@ impl Node {
 }
 
 /// A dataflow state as a scope tree plus its array containers.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct ScopeTree {
     pub name: String,
     pub arrays: BTreeMap<String, ArrayDesc>,

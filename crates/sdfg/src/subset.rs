@@ -7,18 +7,16 @@
 //! communication-avoiding schedule (§4.1).
 
 use crate::symexpr::{Bindings, SymExpr, UnboundSymbol};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Half-open symbolic interval `[begin, end)` with an optional stride
 /// (`None` = contiguous, stride 1). DaCe "automatically computes contiguous
 /// and strided ranges" during propagation; strided subsets appear when maps
 /// iterate with steps or when tiling leaves interleaved partitions.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Range {
     pub begin: SymExpr,
     pub end: SymExpr,
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub stride: Option<SymExpr>,
 }
 
@@ -91,7 +89,7 @@ impl fmt::Display for Range {
 }
 
 /// One dimension of a memlet subset.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Dim {
     /// A single symbolic index, e.g. `kz - qz`.
     Index(SymExpr),
@@ -142,7 +140,7 @@ impl fmt::Display for Dim {
 }
 
 /// Multi-dimensional subset: one [`Dim`] per array dimension.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Subset(pub Vec<Dim>);
 
 impl Subset {

@@ -6,13 +6,12 @@
 //! affine-form extraction (for range propagation), `min`/`max` (for
 //! clamping), simplification, and evaluation against parameter bindings.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::{Add, Mul, Neg, Sub};
 
 /// A symbolic integer expression.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum SymExpr {
     Const(i64),
     Sym(String),

@@ -1,10 +1,15 @@
 //! Minimal JSON value tree, writer and parser.
 //!
 //! `qt-telemetry` sits below every other crate in the workspace and must
-//! stay dependency-free, so the report and trace formats are built on
-//! this ~200-line subset instead of serde: enough for flat records of
-//! numbers, strings, booleans and nulls — which is all the telemetry
-//! schemas contain.
+//! stay dependency-free, so this ~330-line subset is the workspace's one
+//! JSON codec. It carries the telemetry schemas' flat records of
+//! numbers, strings, booleans and nulls, and the nested trees of
+//! `qt_sdfg::Sdfg::to_json`.
+
+/// Deepest array/object nesting [`Json::parse`] accepts: deeper input is an
+/// `Err`, not a stack overflow. The deepest document written here is the
+/// transformed Fig. 5 SDFG (22 levels; telemetry fixtures reach 6).
+const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -124,7 +129,7 @@ impl Json {
     pub fn parse(s: &str) -> Result<Json, String> {
         let bytes = s.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -182,10 +187,11 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!("nesting too deep at byte {pos}")),
         Some(b'{') => {
             *pos += 1;
             let mut fields = Vec::new();
@@ -199,7 +205,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -221,7 +227,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -357,6 +363,20 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("{} extra").is_err());
         assert!(Json::parse("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        // Past the limit the parser refuses instead of overflowing the stack.
+        let deep = "[".repeat(100_000);
+        assert!(Json::parse(&deep).unwrap_err().contains("too deep"));
+        let obj = r#"{"a":"#.repeat(100_000);
+        assert!(Json::parse(&obj).unwrap_err().contains("too deep"));
+        // Exactly at the limit it still parses.
+        let at = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at).is_ok());
+        let over = format!("[{at}]");
+        assert!(Json::parse(&over).is_err());
     }
 
     #[test]

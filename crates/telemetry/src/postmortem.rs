@@ -428,6 +428,15 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_input_is_an_error() {
+        // Both loaders `reproduce` exposes refuse it instead of
+        // overflowing the stack.
+        let deep = "[".repeat(100_000);
+        assert!(Postmortem::from_json(&deep).is_err());
+        assert!(crate::TelemetryReport::from_json(&deep).is_err());
+    }
+
+    #[test]
     fn timeline_shows_the_causal_chain_in_order() {
         let pm = sample();
         let text = pm.timeline();
