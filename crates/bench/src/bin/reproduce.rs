@@ -30,6 +30,7 @@ use qt_core::sse::{self, SseVariant};
 use qt_dist::volume;
 use qt_model::scaling::{self, Variant};
 use qt_model::{optimal_tiling, PIZ_DAINT, SUMMIT};
+use qt_telemetry::recorder::{self, JOURNAL, SERIES, TRACE};
 use qt_telemetry::{counters, Block, Counter};
 
 /// Every heap allocation of this binary flows into the `alloc.bytes` /
@@ -329,7 +330,7 @@ fn table6_cmd(flags: &[String]) {
     println!("  ({blocks} blocks of {bs}x{bs}; best of {reps} solves per cell)");
     qt_telemetry::reset_all();
     qt_telemetry::set_enabled(true);
-    qt_telemetry::set_journaling(true);
+    recorder::switch(JOURNAL, true);
 
     // The whole comparison runs on ONE thread (`par::sequential`): at this
     // block size the dense GEMMs sit above the parallel threshold while the
@@ -751,12 +752,11 @@ fn profile(flags: &[String]) {
     println!("== profile: instrumented end-to-end pipeline ==");
     qt_telemetry::reset_all();
     qt_telemetry::set_enabled(true);
-    qt_telemetry::set_tracing(trace_path.is_some());
+    recorder::switch(TRACE, trace_path.is_some());
     // The flight recorder and the metrics time-series ride every profile
-    // run: both are ring-buffered, allocation-free on the warm path, and
-    // leave the observables bitwise identical.
-    qt_telemetry::set_journaling(true);
-    qt_telemetry::set_series_enabled(true);
+    // run: both record into bounded lanes and leave the observables
+    // bitwise identical.
+    recorder::switch(JOURNAL | SERIES, true);
     if let Some(path) = postmortem_path {
         qt_telemetry::postmortem::install_panic_hook(std::path::PathBuf::from(path));
     }
@@ -1182,7 +1182,7 @@ fn serve_cmd(flags: &[String]) {
     println!("== serve: fault-tolerant batched sweep service ==");
     qt_telemetry::reset_all();
     qt_telemetry::set_enabled(true);
-    qt_telemetry::set_journaling(true);
+    recorder::switch(JOURNAL, true);
 
     // Laptop-sized variant; the sweep spans a low-bias IV window.
     let variant = || VariantSpec {
@@ -1807,7 +1807,7 @@ fn corpus_cmd(flags: &[String]) {
     println!("== corpus: golden-result scenario zoo ==");
     qt_telemetry::reset_all();
     qt_telemetry::set_enabled(true);
-    qt_telemetry::set_journaling(true);
+    recorder::switch(JOURNAL, true);
     let mut failures: Vec<String> = Vec::new();
 
     let toml_files = |sub: &str| -> Vec<std::path::PathBuf> {

@@ -11,6 +11,7 @@ use std::sync::Mutex;
 use qt_core::params::SimParams;
 use qt_core::scf::{run_scf, ScfConfig, Simulation};
 use qt_telemetry::postmortem::{Postmortem, PostmortemError};
+use qt_telemetry::recorder::{self, JOURNAL, SERIES};
 use qt_telemetry::report::{ConvergencePoint, ModelResidual, RankComm};
 
 static LOCK: Mutex<()> = Mutex::new(());
@@ -46,13 +47,13 @@ fn journaling_on_and_off_are_bitwise_identical() {
 
     qt_telemetry::reset_all();
     qt_telemetry::set_enabled(true);
-    qt_telemetry::set_journaling(false);
-    qt_telemetry::set_series_enabled(false);
+    recorder::switch(JOURNAL, false);
+    recorder::switch(SERIES, false);
     let off = run_scf(&sim, &cfg).expect("SCF with journaling off");
 
     qt_telemetry::reset_all();
-    qt_telemetry::set_journaling(true);
-    qt_telemetry::set_series_enabled(true);
+    recorder::switch(JOURNAL, true);
+    recorder::switch(SERIES, true);
     let on = run_scf(&sim, &cfg).expect("SCF with journaling on");
     assert!(
         qt_telemetry::journal::event_count() > 0,
@@ -73,8 +74,8 @@ fn journaling_on_and_off_are_bitwise_identical() {
     assert_eq!(on.sigma.lesser.as_slice(), off.sigma.lesser.as_slice());
     assert_eq!(on.sigma.greater.as_slice(), off.sigma.greater.as_slice());
 
-    qt_telemetry::set_journaling(false);
-    qt_telemetry::set_series_enabled(false);
+    recorder::switch(JOURNAL, false);
+    recorder::switch(SERIES, false);
 }
 
 /// A report carrying every optional block at once — warmup, health,
@@ -85,8 +86,8 @@ fn report_with_every_optional_block_roundtrips() {
     let _g = lock();
     qt_telemetry::reset_all();
     qt_telemetry::set_enabled(true);
-    qt_telemetry::set_journaling(true);
-    qt_telemetry::set_series_enabled(true);
+    recorder::switch(JOURNAL, true);
+    recorder::switch(SERIES, true);
     let sim = Simulation::new(small_params(), -1.2, 1.2);
     let cfg = ScfConfig {
         max_iterations: 3,
@@ -132,8 +133,8 @@ fn report_with_every_optional_block_roundtrips() {
     let back = qt_telemetry::TelemetryReport::from_json(&rep.to_json()).expect("roundtrip");
     assert_eq!(back, rep);
 
-    qt_telemetry::set_journaling(false);
-    qt_telemetry::set_series_enabled(false);
+    recorder::switch(JOURNAL, false);
+    recorder::switch(SERIES, false);
 }
 
 /// `Postmortem::load` classifies on-disk corruption the same way the PR 5
@@ -145,10 +146,10 @@ fn postmortem_file_corruption_is_classified() {
     let _g = lock();
     qt_telemetry::reset_all();
     qt_telemetry::set_enabled(true);
-    qt_telemetry::set_journaling(true);
+    recorder::switch(JOURNAL, true);
     qt_telemetry::journal::emit(qt_telemetry::EventKind::RankDeath { rank: 1 });
     let pm = Postmortem::capture("rank_death", "integration test", None);
-    qt_telemetry::set_journaling(false);
+    recorder::switch(JOURNAL, false);
 
     let dir = std::env::temp_dir();
     let path = dir.join(format!("qt-pm-{}.json", std::process::id()));

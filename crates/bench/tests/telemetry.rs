@@ -13,6 +13,7 @@ use qt_core::params::SimParams;
 use qt_core::scf::{run_scf, ScfConfig, Simulation};
 use qt_linalg::{gemm, Complex64};
 use qt_telemetry::counters::{self, Counter};
+use qt_telemetry::recorder::{self, TRACE};
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -103,14 +104,14 @@ fn report_and_trace_validate_end_to_end() {
     let _g = lock();
     qt_telemetry::reset_all();
     qt_telemetry::set_enabled(true);
-    qt_telemetry::set_tracing(true);
+    recorder::switch(TRACE, true);
     let sim = Simulation::new(small_params(), -1.2, 1.2);
     let cfg = ScfConfig {
         max_iterations: 1,
         ..Default::default()
     };
     run_scf(&sim, &cfg).expect("SCF");
-    qt_telemetry::set_tracing(false);
+    recorder::switch(TRACE, false);
     let rep = qt_telemetry::TelemetryReport::from_current();
     rep.validate().expect("live report validates");
     let back = qt_telemetry::TelemetryReport::from_json(&rep.to_json()).expect("roundtrip");

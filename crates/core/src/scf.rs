@@ -880,8 +880,6 @@ pub fn run_scf_with(
                     }
                     None => false,
                 };
-                qt_telemetry::journal::set_iteration(-1);
-                qt_telemetry::series::set_series_iteration(-1);
                 return Err(ScfError::Cancelled {
                     iteration: iter,
                     checkpointed,
@@ -891,9 +889,9 @@ pub fn run_scf_with(
         let _iter_span = qt_telemetry::Span::enter_global("scf_iter");
         // Iteration attribution for journal events and series samples
         // emitted anywhere inside this iteration (including worker
-        // threads — the SCF loop itself is sequential).
-        qt_telemetry::journal::set_iteration(iter as i64);
-        qt_telemetry::series::set_series_iteration(iter as i64);
+        // threads — the SCF loop itself is sequential). The guard clears
+        // it on every way out of the iteration, `?` included.
+        let _iteration = qt_telemetry::recorder::enter_iteration(iter);
         let iter_t0 = std::time::Instant::now();
         let alloc0 = counters::total(Counter::AllocBytes);
         let fresh0 = counters::total(Counter::WsFresh);
@@ -933,6 +931,7 @@ pub fn run_scf_with(
         )?;
         current_history.push(egf.current);
         // Convergence on G<.
+        let residual_span = qt_telemetry::Span::enter_global("scf/residual");
         let res = match &prev_gl {
             None => f64::INFINITY,
             Some(prev) => {
@@ -948,6 +947,7 @@ pub fn run_scf_with(
             residuals.push(res);
         }
         prev_gl = Some(egf.g_lesser.clone());
+        drop(residual_span);
         // Divergence detection: adjust the effective mixing factor *before*
         // this iteration's mixing step, so a growing residual is damped
         // immediately rather than one iteration late.
@@ -995,6 +995,7 @@ pub fn run_scf_with(
                 sse::pi(&inputs, cfg.variant),
             ),
         };
+        let mix_span = qt_telemetry::Span::enter_global("scf/mix");
         sse::stabilize_sigma(&mut new_sigma, p);
         sse::stabilize_pi(&mut new_pi, p);
         let (x, g) = (packed_mut(&mut sigma, &mut pi), packed(&new_sigma, &new_pi));
@@ -1002,6 +1003,7 @@ pub fn run_scf_with(
             Some(acc) => acc.step(mixer.current, x, g),
             None => update(x, g, mixer.current, &mut [], &[], Next::Nowhere),
         }
+        drop(mix_span);
         let (wall, alloc_bytes, ws_fresh, boundary_misses, quarantined) = iter_counters(iter_t0);
         trajectory.push(IterationRecord {
             iteration: iter,
@@ -1023,6 +1025,7 @@ pub fn run_scf_with(
         phonon = Some(pgf);
         if let Some(c) = ckpt {
             if c.every > 0 && (iter + 1 - start) % c.every == 0 {
+                let _span = qt_telemetry::Span::enter_global("scf/checkpoint");
                 let snapshot = ScfCheckpoint {
                     iteration: iter + 1,
                     mixing_current: mixer.current,
@@ -1042,8 +1045,6 @@ pub fn run_scf_with(
             }
         }
     }
-    qt_telemetry::journal::set_iteration(-1);
-    qt_telemetry::series::set_series_iteration(-1);
     Ok(ScfResult {
         converged,
         iterations,
@@ -1228,6 +1229,68 @@ mod tests {
                 sse::pi(inputs, SseVariant::Dace),
             ))
         }
+    }
+
+    /// The SSE body of a rank world that loses a rank in its first call.
+    struct LoseRank;
+
+    impl SsePhase for LoseRank {
+        fn run(
+            &mut self,
+            _: &SseInputs<'_>,
+        ) -> Result<(ElectronSelfEnergy, PhononSelfEnergy), NumericalError> {
+            Err(NumericalError::RankLoss { rank: 1 })
+        }
+    }
+
+    /// A solve that fails inside an iteration leaves no iteration
+    /// attribution behind: the next event (a serving worker's
+    /// `WarmFallback`, say) is not charged to the failed iteration. The
+    /// failing iteration is a resumed one far past any other test's, since
+    /// the attribution is global and a concurrent test's loop may hold it.
+    #[test]
+    fn a_failed_iteration_leaves_no_attribution_behind() {
+        use crate::checkpoint::ScfCheckpoint;
+        use qt_telemetry::{journal, recorder, EventKind};
+        const FAILED_AT: usize = 1_000_000;
+        let sim = sim();
+        let cfg = ScfConfig {
+            max_iterations: FAILED_AT + 1,
+            ..Default::default()
+        };
+        let resume = ScfCheckpoint {
+            iteration: FAILED_AT,
+            mixing_current: cfg.mixing,
+            prev_residual: None,
+            decrease_streak: 0,
+            residuals: Vec::new(),
+            current_history: Vec::new(),
+            sigma: ElectronSelfEnergy::zeros(&sim.p),
+            pi: PhononSelfEnergy::zeros(&sim.p),
+            prev_gl: None,
+        };
+        let opts = ScfOptions {
+            resume: Some(resume),
+            sse: Some(&mut LoseRank),
+            ..Default::default()
+        };
+        let out = run_scf_with(&sim, &cfg, opts);
+        assert!(matches!(
+            out,
+            Err(ScfError::Numerical(NumericalError::RankLoss { rank: 1 }))
+        ));
+        // Tag this thread's event so it is found among concurrent tests'.
+        const PROBE_UNIT: i64 = 424_242;
+        recorder::set_unit(PROBE_UNIT);
+        recorder::switch(recorder::JOURNAL, true);
+        journal::emit(EventKind::CheckpointWrite);
+        recorder::switch(recorder::JOURNAL, false);
+        recorder::set_unit(-1);
+        let ev = journal::drain()
+            .into_iter()
+            .find(|e| e.unit == PROBE_UNIT && e.kind == EventKind::CheckpointWrite)
+            .expect("the probe event was journaled");
+        assert_ne!(ev.iteration, FAILED_AT as i64);
     }
 
     #[test]

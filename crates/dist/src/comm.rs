@@ -41,6 +41,7 @@ use std::time::{Duration, Instant};
 
 use crate::fault::FaultPlan;
 use qt_telemetry::counters::{self, Counter};
+use qt_telemetry::recorder;
 
 /// Typed failure of an elastic communication primitive.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -252,10 +253,11 @@ impl ThreadComm {
         (0..self.world.n).find(|&s| s != me && self.world.dead[s].load(Ordering::Acquire))
     }
 
-    /// Account an inbound frame from `src` and record both ends of its
-    /// send→recv trace flow arc: the start on `src`'s track at the frame's
-    /// send time, the finish on this rank's track now. Only a received frame draws an arc, so a frame that was
-    /// sent toward a rank that died before reading it leaves none.
+    /// Account an inbound frame from `src` and record its send→recv trace
+    /// flow arc as one record: the start on `src`'s track at the frame's
+    /// send time, the finish on this rank's track now. Only a received
+    /// frame draws an arc, so a frame that was sent toward a rank that died
+    /// before reading it leaves none.
     fn note_recv(&self, src: usize, tag: u64, sent_at: Option<Instant>) {
         let seq = {
             let mut s = self.flow_in.borrow_mut();
@@ -271,8 +273,8 @@ impl ThreadComm {
                 tag,
                 seq,
             ]);
-            qt_telemetry::trace::record_flow_start("comm/msg", self.identity_of(src), id, at);
-            qt_telemetry::trace::record_flow_finish("comm/msg", self.identity(), id);
+            let (from, to) = (self.identity_of(src), self.identity());
+            qt_telemetry::trace::record_flow("comm/msg", from, to, id, at);
         }
     }
 
@@ -309,7 +311,7 @@ impl ThreadComm {
             return self.push(dst, (tag, data, None));
         }
         self.account_wire(dst, data.len() as u64 * ELEM_BYTES);
-        let sent_at = qt_telemetry::tracing_enabled().then(Instant::now);
+        let sent_at = recorder::is_on(recorder::TRACE).then(Instant::now);
         self.push(dst, (tag, data, sent_at))
     }
 
@@ -603,9 +605,9 @@ where
                     let _lane = qt_linalg::par::lane();
                     // Journal attribution: every event this rank thread
                     // emits carries its original (pre-shrink) identity.
-                    qt_telemetry::journal::set_thread_rank(comm.identity() as i64);
+                    recorder::set_rank(comm.identity() as i64);
                     let out = f(comm);
-                    qt_telemetry::journal::set_thread_rank(-1);
+                    recorder::set_rank(-1);
                     out
                 })
             })

@@ -629,7 +629,7 @@ fn compute_unit_tile(
     let pi_len = (p.nb + 1) * N3D * N3D;
     // Unit attribution for journal events emitted while this tile
     // computes (heartbeat timeouts, quarantines).
-    qt_telemetry::journal::set_thread_unit(unit as i64);
+    qt_telemetry::recorder::set_unit(unit as i64);
     let t0 = std::time::Instant::now();
     let cpu0 = qt_telemetry::cputime::thread_cpu_secs();
     let view = sse::dace::SseView {
@@ -680,7 +680,7 @@ fn compute_unit_tile(
     // when the thread world time-slices on few cores. The trace keeps the
     // wall span (that is what a trace viewer lays out).
     let secs = qt_telemetry::cputime::thread_cpu_since(cpu0, wall);
-    qt_telemetry::journal::set_thread_unit(-1);
+    qt_telemetry::recorder::set_unit(-1);
     UnitOut {
         sig,
         pi_slices,
@@ -904,7 +904,7 @@ fn elastic_rank_body(
     let mut busy_secs = 0.0;
     for (mi, &u) in my_units.iter().enumerate() {
         let out = compute_unit_tile(ctx, tiling, &geoms[u], &g_local[mi], &d_local[mi], u, &hb);
-        qt_telemetry::trace::record_rank_event(format!("sse/unit/{u}"), me, out.t0, out.wall_ns);
+        qt_telemetry::trace::record_slice("sse/unit", Some((me, u)), out.t0, out.wall_ns);
         busy_secs += out.secs;
         outs.push(out);
     }

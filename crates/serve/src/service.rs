@@ -11,7 +11,7 @@ use qt_core::scf::{
     run_scf_with, Anderson, CancelToken, ScfError, ScfOptions, Simulation, WarmStart,
 };
 use qt_dist::RankPool;
-use qt_telemetry::{counters, journal, Counter, EventKind};
+use qt_telemetry::{counters, journal, recorder, Counter, EventKind};
 
 use crate::breaker::CircuitBreaker;
 use crate::config::{
@@ -221,14 +221,14 @@ fn worker_loop(shared: Arc<Shared>, rx: Receiver<Job>, wd: crate::watchdog::Watc
             });
             continue;
         }
-        journal::set_thread_unit(job.id as i64);
+        recorder::set_unit(job.id as i64);
         let status = {
             // While it solves a request this worker is a top-level compute
             // thread and takes its core out of the `par` budget.
             let _lane = qt_linalg::par::lane();
             run_sweep(&shared, &wd, &job, &mut accel)
         };
-        journal::set_thread_unit(-1);
+        recorder::set_unit(-1);
         settle(&shared, &job, &status);
         let _ = job.resp.send(SweepResponse { id: job.id, status });
     }

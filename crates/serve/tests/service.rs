@@ -7,6 +7,7 @@ use qt_core::params::SimParams;
 use qt_core::scf::ScfConfig;
 use qt_serve::{ServeConfig, Service, SubmitError, SweepRequest, SweepStatus, VariantSpec};
 use qt_telemetry::counters::{self, Counter};
+use qt_telemetry::recorder::{self, JOURNAL};
 
 fn tiny_params() -> SimParams {
     SimParams {
@@ -128,7 +129,7 @@ fn unknown_variant_is_rejected() {
 /// bitwise zero, not an approximate bound.
 #[test]
 fn poisoned_warm_start_degrades_to_the_cold_answer() {
-    qt_telemetry::set_journaling(true);
+    recorder::switch(JOURNAL, true);
     let fallbacks0 = counters::total(Counter::ServiceWarmFallbacks);
 
     // Reference: same sweep on a service that never warm-starts the
@@ -178,7 +179,7 @@ fn poisoned_warm_start_degrades_to_the_cold_answer() {
         )),
         "WarmFallback must be journaled"
     );
-    qt_telemetry::set_journaling(false);
+    recorder::switch(JOURNAL, false);
     svc.shutdown();
 }
 

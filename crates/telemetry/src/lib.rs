@@ -10,11 +10,17 @@
 //!   no cross-thread cache-line contention on the hot path), plus
 //!   dedicated hot-section timers for the blocked-GEMM pack/microkernel
 //!   split.
+//! * [`recorder`] — the one store every record lands in: a per-thread
+//!   cell holding the thread's exact phase totals and one bounded lane per
+//!   record kind (journal event, series sample, trace slice, flow pair),
+//!   behind one switch with a kind mask, one epoch and one attribution
+//!   context (rank, unit, SCF iteration). The modules below are folds
+//!   over it.
 //! * [`span`] — hierarchical phase spans (`scf` → `scf_iter` →
 //!   `gf/electron` → `rgf` / `contour` → …). A span snapshots the counters
 //!   on entry and attributes the delta to its phase on drop. Spans are
 //!   inert (a single relaxed atomic load) while telemetry is disabled.
-//! * [`registry`] — the global phase table spans record into.
+//! * [`registry`] — the phase table, summed over the threads' totals.
 //! * [`trace`] — a Chrome/Perfetto `trace_event` exporter so a full SCF
 //!   run can be opened in a trace viewer, including cross-rank flow
 //!   arrows pairing sends with receives.
@@ -22,11 +28,11 @@
 //!   time/flops/GF·s/bytes plus model residuals (measured vs Table 3 flop
 //!   models, measured vs Table 4/5 communication-volume models) and the
 //!   SCF convergence trajectory.
-//! * [`journal`] — the flight recorder: lock-light per-rank bounded rings
-//!   of typed, timestamped events (quarantines, retries, rank deaths,
-//!   re-tilings, checkpoints, iteration marks).
-//! * [`series`] — periodic counter snapshots in a bounded ring, exported
-//!   as the report's `series` block and as Prometheus text.
+//! * [`journal`] — the flight recorder: typed, timestamped events
+//!   (quarantines, retries, rank deaths, re-tilings, checkpoints,
+//!   iteration marks) and their codec.
+//! * [`series`] — periodic counter snapshots, exported as the report's
+//!   `series` block and as Prometheus text.
 //! * [`postmortem`] — drains the journal into a versioned crash artifact
 //!   (`POSTMORTEM.json`) on rank death, degraded completion, or panic.
 //!
@@ -43,6 +49,7 @@ pub mod cputime;
 pub mod journal;
 pub mod json;
 pub mod postmortem;
+pub mod recorder;
 pub mod registry;
 pub mod report;
 pub mod series;
@@ -50,21 +57,17 @@ pub mod span;
 pub mod trace;
 
 pub use counters::{Block, Counter};
-pub use journal::{journaling_enabled, set_journaling, EventKind};
+pub use journal::EventKind;
 pub use postmortem::{Postmortem, PostmortemError};
 pub use registry::PhaseStat;
 pub use report::{BalanceReport, JournalBlock, SeriesBlock, TelemetryReport};
-pub use series::{series_enabled, set_series_enabled};
 pub use span::{enabled, set_enabled, Span};
-pub use trace::{export_chrome_trace, set_tracing, tracing_enabled};
+pub use trace::export_chrome_trace;
 
-/// Reset every piece of global telemetry state: counters, the phase
-/// registry, buffered trace events, the event journal, and the metrics
-/// series. Enable/trace/journal flags keep their values.
+/// Reset every piece of global telemetry state: counters and the
+/// recorder (phase totals, journal, series and trace). The switch keeps
+/// its state.
 pub fn reset_all() {
     counters::reset_counters();
-    registry::reset_phases();
-    trace::clear_trace();
-    journal::reset_journal();
-    series::reset_series();
+    recorder::clear();
 }

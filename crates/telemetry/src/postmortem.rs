@@ -330,6 +330,7 @@ pub fn install_panic_hook(path: std::path::PathBuf) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recorder;
 
     fn sample_events() -> Vec<Event> {
         vec![
@@ -501,14 +502,13 @@ mod tests {
 
     #[test]
     fn capture_drains_the_journal() {
-        // Serialize against other journal tests via the journal's state:
-        // capture on a quiesced journal only sees what we emit here.
-        journal::reset_journal();
-        journal::set_journaling(true);
-        journal::set_thread_rank(2);
+        let _g = recorder::test_lock();
+        recorder::clear();
+        recorder::switch(recorder::JOURNAL, true);
+        recorder::set_rank(2);
         journal::emit(EventKind::CheckpointWrite);
-        journal::set_journaling(false);
-        journal::set_thread_rank(-1);
+        recorder::switch(recorder::JOURNAL, false);
+        recorder::set_rank(-1);
         let pm = Postmortem::capture("degraded-completion", "test", None);
         assert!(pm
             .events

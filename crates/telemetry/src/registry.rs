@@ -1,7 +1,8 @@
-//! The global phase table spans record into.
+//! The phase table: a fold over the recorder's per-thread phase totals.
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+
+use crate::recorder;
 
 /// Accumulated statistics for one phase path (e.g. `"sse/sigma/dace"`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -24,9 +25,18 @@ pub struct PhaseStat {
     pub alloc_count: u64,
 }
 
-static PHASES: Mutex<BTreeMap<&'static str, PhaseStat>> = Mutex::new(BTreeMap::new());
+impl PhaseStat {
+    fn add(&mut self, o: &PhaseStat) {
+        self.calls += o.calls;
+        self.wall_ns += o.wall_ns;
+        self.flops += o.flops;
+        self.bytes += o.bytes;
+        self.alloc_bytes += o.alloc_bytes;
+        self.alloc_count += o.alloc_count;
+    }
+}
 
-/// Fold one closed span into the table.
+/// Fold one closed span into the calling thread's phase totals.
 pub fn record(
     path: &'static str,
     wall_ns: u64,
@@ -35,34 +45,36 @@ pub fn record(
     alloc_bytes: u64,
     alloc_count: u64,
 ) {
-    let mut map = PHASES.lock().unwrap();
-    let stat = map.entry(path).or_default();
-    stat.calls += 1;
-    stat.wall_ns += wall_ns;
-    stat.flops += flops;
-    stat.bytes += bytes;
-    stat.alloc_bytes += alloc_bytes;
-    stat.alloc_count += alloc_count;
+    let closed = PhaseStat {
+        calls: 1,
+        wall_ns,
+        flops,
+        bytes,
+        alloc_bytes,
+        alloc_count,
+    };
+    recorder::with_lanes(|l| l.phases.entry(path).or_default().add(&closed));
 }
 
-/// Copy of the full phase table, keyed by path.
+/// The full phase table, summed over every thread, keyed by path.
 pub fn snapshot() -> BTreeMap<String, PhaseStat> {
-    PHASES
-        .lock()
-        .unwrap()
-        .iter()
-        .map(|(k, v)| (k.to_string(), *v))
-        .collect()
+    let mut out = BTreeMap::<String, PhaseStat>::new();
+    recorder::for_each(|_, l| {
+        for (path, stat) in &l.phases {
+            out.entry(path.to_string()).or_default().add(stat);
+        }
+    });
+    out
 }
 
 /// Statistics for a single phase, if any span closed on it.
 pub fn phase(path: &str) -> Option<PhaseStat> {
-    PHASES.lock().unwrap().get(path).copied()
+    snapshot().remove(path)
 }
 
 /// Clear the phase table.
 pub fn reset_phases() {
-    PHASES.lock().unwrap().clear();
+    recorder::for_each(|_, l| l.phases.clear());
 }
 
 #[cfg(test)]
@@ -71,6 +83,7 @@ mod tests {
 
     #[test]
     fn record_accumulates_per_path() {
+        let _g = recorder::test_lock();
         record("test/registry/a", 10, 100, 1, 1024, 4);
         record("test/registry/a", 20, 200, 2, 1024, 4);
         let s = phase("test/registry/a").unwrap();

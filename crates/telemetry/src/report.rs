@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 
 use crate::counters::{self, Block, Counter, Place, Snapshot};
 use crate::json::Json;
-use crate::{journal, registry, registry::PhaseStat, series};
+use crate::{journal, recorder, registry, registry::PhaseStat, series};
 
 /// Per-phase entry of the report.
 #[derive(Clone, Debug, PartialEq)]
@@ -167,17 +167,17 @@ impl BalanceReport {
 }
 
 /// Metrics time-series block: the periodic counter snapshots taken by
-/// [`crate::series`], in chronological order, with ring-drop accounting.
+/// [`crate::series`], in chronological order, with lane-drop accounting.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SeriesBlock {
     /// Samples in chronological order.
     pub samples: Vec<series::Sample>,
-    /// Samples lost to sample-ring overflow.
+    /// Samples lost to series-lane overflow.
     pub dropped: u64,
 }
 
 impl SeriesBlock {
-    /// Snapshot the global sample ring.
+    /// Snapshot every thread's series lane.
     pub fn from_series() -> Self {
         let (samples, dropped) = series::snapshot();
         SeriesBlock { samples, dropped }
@@ -185,14 +185,14 @@ impl SeriesBlock {
 }
 
 /// Event-journal summary block: how many events the flight recorder
-/// holds, how many it lost to ring overflow, and the per-kind breakdown.
+/// holds, how many it lost to lane overflow, and the per-kind breakdown.
 /// The full timeline is not embedded in the report — it ships in
 /// postmortem dumps.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct JournalBlock {
-    /// Events currently buffered across all rings.
+    /// Events currently buffered across all lanes.
     pub events: u64,
-    /// Events lost to ring overflow (the `journal.dropped` counter).
+    /// Events lost to lane overflow (the `journal.dropped` counter).
     pub dropped: u64,
     /// Buffered events per kind tag, sorted by tag.
     pub by_kind: Vec<(String, u64)>,
@@ -340,8 +340,8 @@ impl TelemetryReport {
             phases: phases.iter().map(|(p, s)| phase_report(p, s)).collect(),
             blocks: Block::ALL.map(|b| b != Block::Balance && recorded(b, &live)),
             counters: live,
-            series: series::series_enabled().then(SeriesBlock::from_series),
-            journal: journal::journaling_enabled().then(JournalBlock::from_journal),
+            series: recorder::is_on(recorder::SERIES).then(SeriesBlock::from_series),
+            journal: recorder::is_on(recorder::JOURNAL).then(JournalBlock::from_journal),
             ..TelemetryReport::default()
         };
         for c in Counter::ALL {
@@ -1143,6 +1143,7 @@ mod tests {
     /// `settled <= attempted` checks of `validate`.
     #[test]
     fn snapshots_taken_mid_run_validate() {
+        let _g = crate::recorder::test_lock();
         use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
         const ATTEMPT_THEN_SETTLE: [(Counter, Counter); 5] = [
             (Counter::ServiceAdmitted, Counter::ServiceCompleted),
@@ -1243,6 +1244,7 @@ mod tests {
 
     #[test]
     fn balance_block_validation() {
+        let _g = crate::recorder::test_lock();
         registry::record("test/report/phase4", 1, 1, 0, 0, 0);
         let mut rep = TelemetryReport::from_current();
         // Absent block parses back absent and validates.
@@ -1269,6 +1271,7 @@ mod tests {
 
     #[test]
     fn from_current_always_carries_health_and_elasticity_blocks() {
+        let _g = crate::recorder::test_lock();
         registry::record("test/report/phase3", 1, 1, 0, 0, 0);
         let rep = TelemetryReport::from_current();
         assert!(rep.has(Block::Health));
@@ -1287,6 +1290,7 @@ mod tests {
 
     #[test]
     fn validation_rejects_failed_exact_residual() {
+        let _g = crate::recorder::test_lock();
         registry::record("test/report/phase2", 1, 1, 0, 0, 0);
         let mut rep = TelemetryReport::from_current();
         rep.residuals

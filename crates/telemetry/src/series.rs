@@ -1,28 +1,22 @@
-//! Metrics time-series: periodic counter snapshots in a bounded ring.
+//! Metrics time-series: periodic counter snapshots in a bounded lane.
 //!
 //! The counters answer "how much in total"; the series answers "when".
 //! [`sample_now`] snapshots every counter of [`Counter::SERIES`] (the
 //! counter table's sampled rows) into one [`Sample`]; the SCF loop
-//! takes one per iteration. Samples live in a global bounded ring (newest
-//! kept, drops accounted) and are exported two ways: the report's
-//! `series` block and a Prometheus-style text rendering (`reproduce
-//! profile --metrics-out`) that gives a future scrape endpoint its surface
-//! for free.
-
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering::Relaxed};
-use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
+//! takes one per iteration. Samples live in the sampling thread's series
+//! lane of the [`crate::recorder`] (newest kept, drops accounted) and are
+//! exported two ways: the report's `series` block and a Prometheus-style
+//! text rendering (`reproduce profile --metrics-out`) that gives a future
+//! scrape endpoint its surface for free.
 
 use crate::counters::{Counter, Snapshot, N_SERIES};
 use crate::json::Json;
-
-/// Default capacity of the sample ring.
-pub const DEFAULT_SERIES_CAPACITY: usize = 1024;
+use crate::recorder;
 
 /// One snapshot of every tracked counter total.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Sample {
-    /// Microseconds since the series epoch.
+    /// Microseconds since the recorder's epoch.
     pub ts_us: f64,
     /// SCF iteration the sample was taken in, or −1 outside the loop.
     pub iteration: i64,
@@ -30,106 +24,34 @@ pub struct Sample {
     pub values: [u64; N_SERIES],
 }
 
-struct SeriesRing {
-    buf: Vec<Sample>,
-    head: usize,
-    dropped: u64,
-    capacity: usize,
-}
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static EPOCH: OnceLock<Instant> = OnceLock::new();
-static ITERATION: AtomicI64 = AtomicI64::new(-1);
-static RING: Mutex<Option<SeriesRing>> = Mutex::new(None);
-
-/// Turn series sampling on or off. Turning it on pins the epoch and
-/// preallocates the ring.
-pub fn set_series_enabled(on: bool) {
-    if on {
-        let _ = EPOCH.set(Instant::now());
-        let mut g = RING.lock().unwrap();
-        if g.is_none() {
-            *g = Some(SeriesRing {
-                buf: Vec::with_capacity(DEFAULT_SERIES_CAPACITY),
-                head: 0,
-                dropped: 0,
-                capacity: DEFAULT_SERIES_CAPACITY,
-            });
-        }
-    }
-    ENABLED.store(on, Relaxed);
-}
-
-/// Is series sampling enabled? One relaxed load when disabled.
-#[inline]
-pub fn series_enabled() -> bool {
-    ENABLED.load(Relaxed)
-}
-
-/// Resize the sample ring (clearing it). Test hook; not a warm path.
-pub fn set_series_capacity(cap: usize) {
-    let cap = cap.max(1);
-    let mut g = RING.lock().unwrap();
-    *g = Some(SeriesRing {
-        buf: Vec::with_capacity(cap),
-        head: 0,
-        dropped: 0,
-        capacity: cap,
-    });
-}
-
-/// Set the iteration tag applied to subsequent samples (−1 clears).
-pub fn set_series_iteration(iteration: i64) {
-    ITERATION.store(iteration, Relaxed);
-}
-
-/// Snapshot every tracked counter total right now. No-op while sampling
-/// is disabled.
+/// Snapshot every tracked counter total right now into the calling
+/// thread's series lane. No-op while the series is off.
 pub fn sample_now() {
-    if !series_enabled() {
+    if !recorder::is_on(recorder::SERIES) {
         return;
     }
-    let ts_us = EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as f64 / 1e3;
+    let ts_us = recorder::us_at(std::time::Instant::now());
     let snap = Snapshot::take();
     let sample = Sample {
         ts_us,
-        iteration: ITERATION.load(Relaxed),
+        iteration: recorder::context().2,
         values: Counter::SERIES.map(|c| snap[c]),
     };
-    let mut g = RING.lock().unwrap();
-    let Some(ring) = g.as_mut() else { return };
-    if ring.buf.len() < ring.capacity {
-        ring.buf.push(sample);
-    } else {
-        ring.buf[ring.head] = sample;
-        ring.head = (ring.head + 1) % ring.capacity;
-        ring.dropped += 1;
-    }
+    recorder::with_lanes(|l| {
+        l.series.push(sample);
+    });
 }
 
-/// Samples in chronological order, plus the count of samples lost to
-/// ring overflow.
+/// Samples of every thread in chronological order, plus the count of
+/// samples lost to lane overflow.
 pub fn snapshot() -> (Vec<Sample>, u64) {
-    let g = RING.lock().unwrap();
-    let Some(ring) = g.as_ref() else {
-        return (Vec::new(), 0);
-    };
-    let mut out = Vec::with_capacity(ring.buf.len());
-    out.extend_from_slice(&ring.buf[ring.head..]);
-    out.extend_from_slice(&ring.buf[..ring.head]);
-    (out, ring.dropped)
-}
-
-/// Clear the ring and the iteration tag. Part of
-/// `qt_telemetry::reset_all`.
-pub fn reset_series() {
-    let mut g = RING.lock().unwrap();
-    if let Some(ring) = g.as_mut() {
-        ring.buf.clear();
-        ring.head = 0;
-        ring.dropped = 0;
-    }
-    ITERATION.store(-1, Relaxed);
+    let (mut out, mut dropped) = (Vec::new(), 0);
+    recorder::for_each(|_, l| {
+        out.extend(l.series.iter().cloned());
+        dropped += l.series.dropped;
+    });
+    out.sort_by(|a, b| a.ts_us.total_cmp(&b.ts_us));
+    (out, dropped)
 }
 
 impl Sample {
@@ -150,14 +72,12 @@ impl Sample {
     /// Decode a sample encoded by [`Sample::to_json`]. Unknown metric
     /// keys are an error (they indicate a typo-forked name).
     pub fn from_json(v: &Json) -> Result<Sample, String> {
-        let ts_us = v
-            .get("ts_us")
-            .and_then(Json::as_f64)
-            .ok_or("sample lacks ts_us")?;
-        let iteration = v
-            .get("iteration")
-            .and_then(Json::as_f64)
-            .ok_or("sample lacks iteration")? as i64;
+        let num = |k: &str| {
+            v.get(k)
+                .and_then(Json::as_f64)
+                .ok_or(format!("sample lacks {k}"))
+        };
+        let (ts_us, iteration) = (num("ts_us")?, num("iteration")? as i64);
         let obj = v.get("values").ok_or("sample lacks values")?;
         let Json::Obj(fields) = obj else {
             return Err("sample values is not an object".into());
@@ -200,19 +120,13 @@ pub fn render_prometheus() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex as StdMutex;
-
-    static TEST_LOCK: StdMutex<()> = StdMutex::new(());
-
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    use crate::recorder::{test_lock as lock, SERIES};
 
     #[test]
     fn sampling_is_inert_while_disabled() {
         let _g = lock();
-        set_series_enabled(false);
-        reset_series();
+        recorder::switch(SERIES, false);
+        recorder::clear();
         sample_now();
         assert_eq!(snapshot().0.len(), 0);
     }
@@ -220,20 +134,20 @@ mod tests {
     #[test]
     fn samples_accumulate_and_ring_drops_oldest() {
         let _g = lock();
-        set_series_enabled(true);
-        set_series_capacity(3);
-        set_series_iteration(5);
+        recorder::switch(SERIES, true);
+        recorder::set_capacity(3);
+        let iteration = recorder::enter_iteration(5);
         for _ in 0..5 {
             sample_now();
         }
+        drop(iteration);
         let (samples, dropped) = snapshot();
         assert_eq!(samples.len(), 3);
         assert_eq!(dropped, 2);
         assert!(samples.windows(2).all(|w| w[0].ts_us <= w[1].ts_us));
         assert!(samples.iter().all(|s| s.iteration == 5));
-        set_series_enabled(false);
-        set_series_capacity(DEFAULT_SERIES_CAPACITY);
-        set_series_iteration(-1);
+        recorder::switch(SERIES, false);
+        recorder::set_capacity(recorder::DEFAULT_CAPACITY);
     }
 
     #[test]
@@ -263,6 +177,7 @@ mod tests {
 
     #[test]
     fn prometheus_rendering_covers_every_metric() {
+        let _g = lock();
         let text = render_prometheus();
         for c in Counter::SERIES {
             let prom = format!("qt_{}", c.name().replace('.', "_"));

@@ -1,24 +1,22 @@
 //! Phase spans: RAII guards that attribute wall-time, flops and bytes to
 //! a phase path on drop.
 
-use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::time::Instant;
 
 use crate::counters::{self, Counter};
-use crate::{registry, trace};
+use crate::{recorder, registry, trace};
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Turn telemetry collection on or off globally.
+/// Turn span collection on or off globally: the recorder's
+/// [`recorder::SPANS`] bit.
 pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Relaxed);
+    recorder::switch(recorder::SPANS, on);
 }
 
-/// Is telemetry collection enabled? One relaxed load — this is the entire
+/// Is span collection enabled? One relaxed load — this is the entire
 /// disabled-mode cost of every span and hot section.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Relaxed)
+    recorder::is_on(recorder::SPANS)
 }
 
 /// The counters a span attributes to its phase, in `registry::record`
@@ -30,26 +28,17 @@ const ATTRIBUTED: [Counter; 4] = [
     Counter::AllocCount,
 ];
 
-fn read(global: bool) -> [u64; 4] {
-    ATTRIBUTED.map(|c| {
-        if global {
-            counters::total(c)
-        } else {
-            counters::local(c)
-        }
-    })
-}
-
 struct Active {
     path: &'static str,
     t0: Instant,
     start: [u64; 4],
-    global: bool,
+    /// `counters::local` or `counters::total`: how the deltas are read.
+    read: fn(Counter) -> u64,
 }
 
 /// An open phase span. Dropping it records the elapsed time and the
-/// counter deltas since entry into the [`registry`] (and, when tracing is
-/// on, appends a trace event).
+/// counter deltas since entry into the calling thread's phase totals (and,
+/// when tracing is on, appends a trace slice).
 pub struct Span {
     active: Option<Active>,
 }
@@ -61,17 +50,7 @@ impl Span {
     /// sibling workers must not leak into this span.
     #[inline]
     pub fn enter(path: &'static str) -> Span {
-        if !enabled() {
-            return Span { active: None };
-        }
-        Span {
-            active: Some(Active {
-                path,
-                t0: Instant::now(),
-                start: read(false),
-                global: false,
-            }),
-        }
+        Span::open(path, counters::local)
     }
 
     /// Open a span with *global* counter attribution: the delta of the
@@ -79,18 +58,20 @@ impl Span {
     /// orchestration phases (the SCF loop body, one SSE pass) that fan
     /// out over threads internally; two `enter_global` spans must not run
     /// concurrently on different threads.
+    #[inline]
     pub fn enter_global(path: &'static str) -> Span {
-        if !enabled() {
-            return Span { active: None };
-        }
-        Span {
-            active: Some(Active {
-                path,
-                t0: Instant::now(),
-                start: read(true),
-                global: true,
-            }),
-        }
+        Span::open(path, counters::total)
+    }
+
+    #[inline]
+    fn open(path: &'static str, read: fn(Counter) -> u64) -> Span {
+        let active = enabled().then(|| Active {
+            path,
+            t0: Instant::now(),
+            start: ATTRIBUTED.map(read),
+            read,
+        });
+        Span { active }
     }
 }
 
@@ -100,10 +81,10 @@ impl Drop for Span {
             return;
         };
         let wall_ns = a.t0.elapsed().as_nanos() as u64;
-        let now = read(a.global);
+        let now = ATTRIBUTED.map(a.read);
         let delta = |i: usize| now[i].saturating_sub(a.start[i]);
         registry::record(a.path, wall_ns, delta(0), delta(1), delta(2), delta(3));
-        trace::record_event(a.path, a.t0, wall_ns);
+        trace::record_slice(a.path, None, a.t0, wall_ns);
     }
 }
 
@@ -115,6 +96,7 @@ mod tests {
     // disabled/enabled assertions must run in a fixed order.
     #[test]
     fn span_enable_disable_cycle() {
+        let _g = recorder::test_lock();
         set_enabled(false);
         {
             let _s = Span::enter("test/span/disabled");

@@ -6,97 +6,64 @@
 //! encoded as flow-event pairs (`ph: "s"` on the sending rank's track,
 //! `ph: "f"` on the receiving rank's) sharing an `id`, so the viewer draws
 //! arrows between rank lanes. Load the emitted file in `chrome://tracing` or
-//! <https://ui.perfetto.dev>.
+//! <https://ui.perfetto.dev>. Both live in bounded [`crate::recorder`]
+//! lanes; the export states how many records they dropped.
 
-use std::borrow::Cow;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::json::Json;
+use crate::recorder;
 
-static TRACING: AtomicBool = AtomicBool::new(false);
-static EVENTS: Mutex<Vec<Event>> = Mutex::new(Vec::new());
-static EPOCH: OnceLock<Instant> = OnceLock::new();
-
-static NEXT_TID: AtomicU64 = AtomicU64::new(1);
-thread_local! {
-    static TID: u64 = NEXT_TID.fetch_add(1, Relaxed);
-}
-
-/// Chrome event phase: complete slices and the two ends of a flow arrow.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Ph {
-    Complete,
-    FlowStart,
-    FlowFinish,
-}
-
-struct Event {
-    name: Cow<'static, str>,
+/// One complete ("X") slice.
+pub(crate) struct Slice {
+    name: &'static str,
+    /// `(rank, unit)` of a unit slice, which lands on the rank's track as
+    /// `{name}/{unit}`; `None` for a span on its thread's track.
+    at: Option<(usize, usize)>,
     ts_us: f64,
     dur_us: f64,
-    tid: u64,
-    ph: Ph,
-    /// Flow-pair correlation id; meaningful only for flow phases.
-    flow_id: u64,
+}
+
+/// One send→receive arrow: both ends in one record, so an overflowing
+/// lane loses whole pairs and the export never holds half of one.
+pub(crate) struct Flow {
+    name: &'static str,
+    id: u64,
+    src: usize,
+    dst: usize,
+    sent_us: f64,
+    recv_us: f64,
 }
 
 /// Track-id base for per-rank tracks: rank `r`'s slices land on tid
-/// `RANK_TRACK_BASE + r`, far above the thread-local tids, so a trace
+/// `RANK_TRACK_BASE + r`, far above the per-thread tracks, so a trace
 /// viewer shows one clean lane per world slot.
 pub const RANK_TRACK_BASE: u64 = 1_000_000;
 
-/// Turn trace-event buffering on or off. Turning it on pins the trace
-/// epoch (timestamp zero) if not already set.
-pub fn set_tracing(on: bool) {
-    if on {
-        let _ = EPOCH.set(Instant::now());
-    }
-    TRACING.store(on, Relaxed);
-}
-
-/// Is trace-event buffering enabled?
-#[inline]
-pub fn tracing_enabled() -> bool {
-    TRACING.load(Relaxed)
-}
-
-/// Append one complete event for a span that started at `t0` and ran for
-/// `dur_ns`. No-op unless tracing is enabled.
-pub fn record_event(name: &'static str, t0: Instant, dur_ns: u64) {
-    record_on_track(Cow::Borrowed(name), t0, dur_ns, TID.with(|t| *t));
-}
-
-/// Append one complete event on the dedicated track of world slot `rank`
-/// (tid `RANK_TRACK_BASE + rank`) — used for unit-granularity compute
-/// slices so the trace shows one lane per rank regardless of which OS
-/// thread backed it. Owned names allow per-unit labels like
-/// `"sse/unit/7"`. No-op unless tracing is enabled.
-pub fn record_rank_event(name: String, rank: usize, t0: Instant, dur_ns: u64) {
-    record_on_track(Cow::Owned(name), t0, dur_ns, RANK_TRACK_BASE + rank as u64);
-}
-
-fn record_on_track(name: Cow<'static, str>, t0: Instant, dur_ns: u64, tid: u64) {
-    if !tracing_enabled() {
+/// Append one complete slice that started at `t0` and ran `ns`: a span on
+/// the calling thread's track, or with `at = (rank, unit)` a unit compute
+/// slice named `{name}/{unit}` on world slot `rank`'s track (tid
+/// `RANK_TRACK_BASE + rank`), so the trace shows one lane per rank whichever
+/// OS thread backed it. The name is rendered at export, so the call
+/// allocates nothing. No-op unless tracing is on.
+pub fn record_slice(name: &'static str, at: Option<(usize, usize)>, t0: Instant, ns: u64) {
+    if !recorder::is_on(recorder::TRACE) {
         return;
     }
-    let epoch = *EPOCH.get_or_init(Instant::now);
-    let ts_us = t0.saturating_duration_since(epoch).as_nanos() as f64 / 1e3;
-    EVENTS.lock().unwrap().push(Event {
+    let slice = Slice {
         name,
-        ts_us,
-        dur_us: dur_ns as f64 / 1e3,
-        tid,
-        ph: Ph::Complete,
-        flow_id: 0,
+        at,
+        ts_us: recorder::us_at(t0),
+        dur_us: ns as f64 / 1e3,
+    };
+    recorder::with_lanes(|l| {
+        l.slices.push(slice);
     });
 }
 
 /// Stable correlation id for a flow pair: FNV-1a over the identifying
-/// words (e.g. `[salt, src, dst, tag, seq]` for a message). Both
-/// endpoints must derive the id from the same words; the per-pair FIFO
-/// channel order guarantees their ordinals agree.
+/// words (e.g. `[salt, src, dst, tag, seq]` for a message). The per-pair
+/// FIFO channel order makes the ordinals of both endpoints agree.
 pub fn flow_id(words: &[u64]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &w in words {
@@ -110,91 +77,85 @@ pub fn flow_id(words: &[u64]) -> u64 {
     (h & ((1 << 53) - 1)).max(1)
 }
 
-/// Record the *initiating* end of a flow arrow (`ph: "s"`) on world slot
-/// `rank`'s track, timestamped `at` (the send time). No-op unless tracing
-/// is enabled.
-pub fn record_flow_start(name: &'static str, rank: usize, id: u64, at: Instant) {
-    record_flow(name, rank, id, Ph::FlowStart, at);
-}
-
-/// Record the *completing* end of a flow arrow (`ph: "f"`) on world slot
-/// `rank`'s track, timestamped now. Must use the same `name` and `id` as
-/// its matching [`record_flow_start`]. No-op unless tracing is enabled.
-pub fn record_flow_finish(name: &'static str, rank: usize, id: u64) {
-    record_flow(name, rank, id, Ph::FlowFinish, Instant::now());
-}
-
-fn record_flow(name: &'static str, rank: usize, id: u64, ph: Ph, at: Instant) {
-    if !tracing_enabled() {
+/// Record one flow arrow, received now: its start (`ph: "s"`) on world
+/// slot `src`'s track at `sent_at`, its finish (`ph: "f"`) on `dst`'s.
+/// No-op unless tracing is on.
+pub fn record_flow(name: &'static str, src: usize, dst: usize, id: u64, sent_at: Instant) {
+    if !recorder::is_on(recorder::TRACE) {
         return;
     }
-    let epoch = *EPOCH.get_or_init(Instant::now);
-    let ts_us = at.saturating_duration_since(epoch).as_nanos() as f64 / 1e3;
-    EVENTS.lock().unwrap().push(Event {
-        name: Cow::Borrowed(name),
-        ts_us,
-        dur_us: 0.0,
-        tid: RANK_TRACK_BASE + rank as u64,
-        ph,
-        flow_id: id,
+    let (sent_us, recv_us) = (recorder::us_at(sent_at), recorder::us_at(Instant::now()));
+    let flow = Flow {
+        name,
+        id,
+        src,
+        dst,
+        sent_us,
+        recv_us,
+    };
+    recorder::with_lanes(|l| {
+        l.flows.push(flow);
     });
 }
 
-/// Discard all buffered events.
-pub fn clear_trace() {
-    EVENTS.lock().unwrap().clear();
+/// One exported trace event: `tail` goes between `ts` and `pid`.
+fn event(name: &str, ph: &str, ts: f64, tail: Vec<(&str, Json)>, tid: u64) -> Json {
+    let mut fields = vec![
+        ("name", Json::Str(name.to_string())),
+        ("cat", Json::Str(category_of(name).to_string())),
+        ("ph", Json::Str(ph.to_string())),
+        ("ts", Json::Num(ts)),
+    ];
+    fields.extend(tail);
+    fields.extend([("pid", Json::Num(1.0)), ("tid", Json::Num(tid as f64))]);
+    Json::Obj(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
 }
 
-/// Number of buffered events.
-pub fn event_count() -> usize {
-    EVENTS.lock().unwrap().len()
-}
-
-/// Serialise the buffered events as Chrome `trace_event` JSON (object
-/// format, complete events).
+/// Serialise every thread's slices and flow pairs as Chrome
+/// `trace_event` JSON (object format). `otherData` counts the records the
+/// bounded lanes dropped.
 pub fn export_chrome_trace() -> String {
-    let events = EVENTS.lock().unwrap();
-    let items: Vec<Json> = events
-        .iter()
-        .map(|e| {
-            let mut fields = vec![
-                ("name".to_string(), Json::Str(e.name.to_string())),
-                (
-                    "cat".to_string(),
-                    Json::Str(category_of(&e.name).to_string()),
-                ),
-                (
-                    "ph".to_string(),
-                    Json::Str(
-                        match e.ph {
-                            Ph::Complete => "X",
-                            Ph::FlowStart => "s",
-                            Ph::FlowFinish => "f",
-                        }
-                        .to_string(),
-                    ),
-                ),
-                ("ts".to_string(), Json::Num(e.ts_us)),
-            ];
-            match e.ph {
-                Ph::Complete => fields.push(("dur".to_string(), Json::Num(e.dur_us))),
-                Ph::FlowStart | Ph::FlowFinish => {
-                    fields.push(("id".to_string(), Json::Num(e.flow_id as f64)));
-                    if e.ph == Ph::FlowFinish {
-                        // Bind to the enclosing slice so viewers draw the
-                        // arrowhead inside the receiving rank's lane.
-                        fields.push(("bp".to_string(), Json::Str("e".to_string())));
-                    }
-                }
-            }
-            fields.push(("pid".to_string(), Json::Num(1.0)));
-            fields.push(("tid".to_string(), Json::Num(e.tid as f64)));
-            Json::Obj(fields)
-        })
-        .collect();
+    let (mut events, mut dropped) = (Vec::new(), [0u64; 2]);
+    let rank_track = |rank: usize| RANK_TRACK_BASE + rank as u64;
+    recorder::for_each(|track, l| {
+        for s in l.slices.iter() {
+            let (name, tid) = match s.at {
+                None => (s.name.to_string(), track),
+                Some((rank, unit)) => (format!("{}/{unit}", s.name), rank_track(rank)),
+            };
+            events.push(event(
+                &name,
+                "X",
+                s.ts_us,
+                vec![("dur", Json::Num(s.dur_us))],
+                tid,
+            ));
+        }
+        for f in l.flows.iter() {
+            let id = || ("id", Json::Num(f.id as f64));
+            events.push(event(f.name, "s", f.sent_us, vec![id()], rank_track(f.src)));
+            // `bp: e` binds the finish to the enclosing slice, so viewers
+            // draw the arrowhead inside the receiving rank's lane.
+            let tail = vec![id(), ("bp", Json::Str("e".to_string()))];
+            events.push(event(f.name, "f", f.recv_us, tail, rank_track(f.dst)));
+        }
+        dropped[0] += l.slices.dropped;
+        dropped[1] += l.flows.dropped;
+    });
+    let other = [
+        ("dropped_slices", dropped[0]),
+        ("dropped_flows", dropped[1]),
+    ];
+    let other = other.map(|(k, n)| (k.to_string(), Json::Num(n as f64)));
     Json::Obj(vec![
-        ("traceEvents".to_string(), Json::Arr(items)),
+        ("traceEvents".to_string(), Json::Arr(events)),
         ("displayTimeUnit".to_string(), Json::Str("ms".to_string())),
+        ("otherData".to_string(), Json::Obj(other.to_vec())),
     ])
     .dump()
 }
@@ -226,25 +187,18 @@ pub fn validate_chrome_trace(json: &str) -> Result<usize, String> {
             .get("ph")
             .and_then(Json::as_str)
             .ok_or_else(|| format!("event {name:?} lacks ph"))?;
-        let ts = ev
-            .get("ts")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("event {name:?} lacks ts"))?;
-        if !ts.is_finite() || ts < 0.0 {
-            return Err(format!("event {name:?} has bad ts {ts}"));
-        }
+        let time = |k: &str| match ev.get(k).and_then(Json::as_f64) {
+            None => Err(format!("event {name:?} lacks {k}")),
+            Some(t) if !t.is_finite() || t < 0.0 => Err(format!("event {name:?} has bad {k} {t}")),
+            Some(t) => Ok(t),
+        };
+        let ts = time("ts")?;
         if ev.get("tid").and_then(Json::as_u64).is_none() {
             return Err(format!("event {name:?} lacks tid"));
         }
         match ph {
             "X" => {
-                let dur = ev
-                    .get("dur")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| format!("event {name:?} lacks dur"))?;
-                if !dur.is_finite() || dur < 0.0 {
-                    return Err(format!("event {name:?} has bad dur {dur}"));
-                }
+                time("dur")?;
                 complete += 1;
             }
             "s" | "f" => {
@@ -292,25 +246,6 @@ pub fn validate_chrome_trace(json: &str) -> Result<usize, String> {
     Ok(events.len())
 }
 
-/// Number of paired flow arrows in a trace that already passed
-/// [`validate_chrome_trace`], grouped by name prefix. Convenience for
-/// tests and the CI smoke assertions.
-pub fn count_flows(json: &str, name: &str) -> usize {
-    let Ok(trace) = Json::parse(json) else {
-        return 0;
-    };
-    let Some(events) = trace.get("traceEvents").and_then(Json::as_array) else {
-        return 0;
-    };
-    events
-        .iter()
-        .filter(|e| {
-            e.get("ph").and_then(Json::as_str) == Some("s")
-                && e.get("name").and_then(Json::as_str) == Some(name)
-        })
-        .count()
-}
-
 /// First path segment, used as the event category (`sse/sigma/dace` →
 /// `sse`).
 fn category_of(name: &str) -> &str {
@@ -320,23 +255,32 @@ fn category_of(name: &str) -> &str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recorder::{test_lock as lock, TRACE};
 
-    // The trace buffer is process-global: tests that record flow pairs
-    // and tests that export/validate must not interleave (an export
-    // between a flow's start and finish would see it unpaired).
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    /// Number of flow arrows named `name` in a validated trace.
+    fn count_flows(json: &str, name: &str) -> usize {
+        let Ok(trace) = Json::parse(json) else {
+            return 0;
+        };
+        let Some(events) = trace.get("traceEvents").and_then(Json::as_array) else {
+            return 0;
+        };
+        events
+            .iter()
+            .filter(|e| {
+                e.get("ph").and_then(Json::as_str) == Some("s")
+                    && e.get("name").and_then(Json::as_str) == Some(name)
+            })
+            .count()
     }
 
     #[test]
     fn export_roundtrips_through_validation() {
         let _g = lock();
-        set_tracing(true);
-        record_event("test/trace/a", Instant::now(), 1_500);
-        record_event("test/trace/b", Instant::now(), 2_500);
-        set_tracing(false);
+        recorder::switch(TRACE, true);
+        record_slice("test/trace/a", None, Instant::now(), 1_500);
+        record_slice("test/trace/b", None, Instant::now(), 2_500);
+        recorder::switch(TRACE, false);
         let json = export_chrome_trace();
         let n = validate_chrome_trace(&json).unwrap();
         assert!(n >= 2);
@@ -345,9 +289,9 @@ mod tests {
     #[test]
     fn rank_events_land_on_rank_tracks() {
         let _g = lock();
-        set_tracing(true);
-        record_rank_event("sse/unit/7".to_string(), 3, Instant::now(), 900);
-        set_tracing(false);
+        recorder::switch(TRACE, true);
+        record_slice("sse/unit", Some((3, 7)), Instant::now(), 900);
+        recorder::switch(TRACE, false);
         let json = export_chrome_trace();
         validate_chrome_trace(&json).unwrap();
         let trace = Json::parse(&json).unwrap();
@@ -377,19 +321,17 @@ mod tests {
 
     #[test]
     fn paired_flows_validate_and_are_countable() {
-        // No clear_trace here: sibling tests share the global buffer, and
-        // their complete events are harmless to this validation.
+        // No clear here: sibling tests' complete events are harmless to
+        // this validation.
         let _g = lock();
-        set_tracing(true);
-        record_event("test/flow/slice", Instant::now(), 1_000);
+        recorder::switch(TRACE, true);
+        record_slice("test/flow/slice", None, Instant::now(), 1_000);
         let id = flow_id(&[0, 1, 7, 42]);
-        record_flow_start("comm/msg", 0, id, Instant::now());
-        record_flow_finish("comm/msg", 1, id);
+        record_flow("comm/msg", 0, 1, id, Instant::now());
         let id2 = flow_id(&[2, 3, 7, 42]);
         assert_ne!(id, id2);
-        record_flow_start("test/flow/arc", 2, id2, Instant::now());
-        record_flow_finish("test/flow/arc", 3, id2);
-        set_tracing(false);
+        record_flow("test/flow/arc", 2, 3, id2, Instant::now());
+        recorder::switch(TRACE, false);
         let json = export_chrome_trace();
         validate_chrome_trace(&json).unwrap();
         assert!(count_flows(&json, "comm/msg") >= 1);
