@@ -13,8 +13,11 @@
 //! with `Γ = i(Σᴿ − Σᴿ†)`, which guarantees `Σ> − Σ< = Σᴿ − Σᴬ`.
 
 use crate::health::{matrices_finite, NumericalError};
-use qt_linalg::{c64, invert, Complex64, Matrix};
+use crate::rgf::lead_support;
+use qt_linalg::gemm::gemm_acc_gathered;
+use qt_linalg::{c64, invert, par, Complex64, Matrix};
 use qt_telemetry::counters::{self, Counter};
+use std::borrow::Cow;
 use std::sync::{OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Which contact a self-energy belongs to.
@@ -111,7 +114,29 @@ pub fn surface_self_energy(
     }
 }
 
-/// One Sancho–Rubio decimation pass at fixed `z`.
+/// One Sancho–Rubio decimation pass at fixed `z`, at the support of the
+/// lead's coupling.
+///
+/// Decimation on the A = z·S − H blocks: eliminating every other block
+/// renormalizes the surface block as `eps_s -= α·g·β` (chain extending in
+/// the +direction through α) or `eps_s -= β·g·α` (−direction), with
+/// `g = eps⁻¹` and
+///
+/// ```text
+/// eps -= α·g·β + β·g·α,   α ← α·g·α,   β ← β·g·β.
+/// ```
+///
+/// The sign pattern follows from Gaussian elimination of A·x = I; the minus
+/// signs in the coupling updates cancel pairwise in all accumulated
+/// products. Every `α_n` lives on `R × C` and every `β_n` on `C × R`
+/// ([`lead_support`]), so they are held compact and every product runs on
+/// the support, each through [`gemm_acc_gathered`] with the route, slices
+/// and summation order of the dense `bs³` product it replaces: the dropped
+/// terms are exact `±0`s, and `eps`/`eps_s` change only on the `R × R` and
+/// `C × C` blocks the dense update touches with nonzeros. The output has
+/// the dense decimation's bits (the test oracle `decimate_dense`). A lead
+/// whose coupling touches every orbital runs the same code with whole
+/// index lists and no gather copies.
 fn decimate(
     z: Complex64,
     h00: &Matrix,
@@ -126,52 +151,82 @@ fn decimate(
         m -= h;
         m
     };
-    // Decimation on the A = z·S − H blocks: eliminating every other block
-    // renormalizes the surface block as eps_s -= α·g·β (chain extending in
-    // the +direction through α) or eps_s -= β·g·α (−direction). The sign
-    // pattern follows from Gaussian elimination of A·x = I; the minus signs
-    // in the coupling updates cancel pairwise in all accumulated products.
     let alpha0 = zs(s01, h01);
     let beta0 = zs(&s01.dagger(), &h01.dagger());
-    let mut alpha = alpha0.clone();
-    let mut beta = beta0.clone();
+    let bs = alpha0.rows();
+    let full = (bs, bs, bs);
+    let (r, c) = lead_support(&alpha0, &beta0);
+    let mut su: Vec<usize> = r.iter().chain(&c).copied().collect();
+    su.sort_unstable();
+    su.dedup();
+    // Where each of `r`/`c` sits in `su`, which holds them all.
+    let pos = |list: &[usize]| -> Vec<usize> {
+        list.iter()
+            .map(|&i| su.partition_point(|&x| x < i))
+            .collect()
+    };
+    let (r_in_s, c_in_s) = (pos(&r), pos(&c));
+    let mut alpha = gather(&alpha0, &r, &c).into_owned();
+    let mut beta = gather(&beta0, &c, &r).into_owned();
     let mut eps = zs(s00, h00);
     // Surface onsite for the chain extending away from the device.
     let mut eps_s = eps.clone();
     let mut iterations = 0;
-    let mut residual = alpha.norm().max(beta.norm());
+    let mut residual = support_norm(&alpha).max(support_norm(&beta));
     while residual >= cfg.tol && iterations < cfg.max_iter {
         let g = invert(&eps)?;
-        let ag = alpha.matmul(&g);
-        let bg = beta.matmul(&g);
-        let agb = ag.matmul(&beta);
-        let bga = bg.matmul(&alpha);
+        let mut ag = Matrix::zeros(r.len(), su.len());
+        gemm_acc_gathered(full, &c, &alpha, &gather(&g, &c, &su), &mut ag);
+        let mut bg = Matrix::zeros(c.len(), su.len());
+        gemm_acc_gathered(full, &r, &beta, &gather(&g, &r, &su), &mut bg);
+        let mut agb = Matrix::zeros(r.len(), r.len());
+        gemm_acc_gathered(full, &c, &gather_cols(&ag, &c_in_s), &beta, &mut agb);
+        let mut bga = Matrix::zeros(c.len(), c.len());
+        gemm_acc_gathered(full, &r, &gather_cols(&bg, &r_in_s), &alpha, &mut bga);
         match side {
             // Left lead extends toward −∞: its exposed (rightmost) block is
             // renormalized through the β-direction.
-            Side::Left => eps_s -= &bga,
+            Side::Left => sub_at(&mut eps_s, &c, &bga),
             // Right lead extends toward +∞ through α.
-            Side::Right => eps_s -= &agb,
+            Side::Right => sub_at(&mut eps_s, &r, &agb),
         }
-        eps -= &agb;
-        eps -= &bga;
-        alpha = ag.matmul(&alpha);
-        beta = bg.matmul(&beta);
+        sub_at(&mut eps, &r, &agb);
+        sub_at(&mut eps, &c, &bga);
+        let mut next = Matrix::zeros(r.len(), c.len());
+        gemm_acc_gathered(full, &r, &gather_cols(&ag, &r_in_s), &alpha, &mut next);
+        alpha = next;
+        let mut next = Matrix::zeros(c.len(), r.len());
+        gemm_acc_gathered(full, &c, &gather_cols(&bg, &c_in_s), &beta, &mut next);
+        beta = next;
         iterations += 1;
-        residual = alpha.norm().max(beta.norm());
+        residual = support_norm(&alpha).max(support_norm(&beta));
     }
+    surface_from(side, &alpha0, &beta0, &eps_s, iterations, residual, cfg)
+}
+
+/// The end of a decimation: the convergence verdict and, from the surface
+/// block `eps_s`, `Σᴿ` through the lead's original couplings.
+fn surface_from(
+    side: Side,
+    alpha0: &Matrix,
+    beta0: &Matrix,
+    eps_s: &Matrix,
+    iterations: usize,
+    residual: f64,
+    cfg: &BoundaryConfig,
+) -> Result<SurfaceSelfEnergy, NumericalError> {
     if residual >= cfg.tol || !residual.is_finite() {
         return Err(NumericalError::BoundaryNonConvergence {
             iters: iterations,
             residual,
         });
     }
-    let gs = invert(&eps_s)?;
+    let gs = invert(eps_s)?;
     // Left lead couples into device block 0 via A_{0,−1} = β;
     // right lead via A_{N−1,N} = α.
     let sigma = match side {
-        Side::Left => beta0.matmul(&gs).matmul(&alpha0),
-        Side::Right => alpha0.matmul(&gs).matmul(&beta0),
+        Side::Left => beta0.matmul(&gs).matmul(alpha0),
+        Side::Right => alpha0.matmul(&gs).matmul(beta0),
     };
     if !matrices_finite([&sigma]) {
         return Err(NumericalError::NonFiniteTensor {
@@ -186,6 +241,46 @@ fn decimate(
         residual,
         eta_retries: 0,
     })
+}
+
+/// `m[rows, cols]`, borrowed when both lists are whole.
+fn gather<'a>(m: &'a Matrix, rows: &[usize], cols: &[usize]) -> Cow<'a, Matrix> {
+    if rows.len() == m.rows() {
+        return gather_cols(m, cols);
+    }
+    Cow::Owned(Matrix::from_fn(rows.len(), cols.len(), |i, j| {
+        m[(rows[i], cols[j])]
+    }))
+}
+
+/// The columns `cols` of `m`, borrowed when the list is whole.
+fn gather_cols<'a>(m: &'a Matrix, cols: &[usize]) -> Cow<'a, Matrix> {
+    if cols.len() == m.cols() {
+        return Cow::Borrowed(m);
+    }
+    Cow::Owned(Matrix::from_fn(m.rows(), cols.len(), |i, j| {
+        m[(i, cols[j])]
+    }))
+}
+
+/// `dst[idx, idx] -= src`, entry by entry as the dense `-=`.
+fn sub_at(dst: &mut Matrix, idx: &[usize], src: &Matrix) {
+    for (i, &ri) in idx.iter().enumerate() {
+        for (j, &cj) in idx.iter().enumerate() {
+            dst[(ri, cj)] -= src[(i, j)];
+        }
+    }
+}
+
+/// The Frobenius norm of a compact coupling, with the dense norm's bits:
+/// the entries off the support add `+0` to the same running sum. An empty
+/// support is the dense norm of a zero block, `+0`.
+fn support_norm(m: &Matrix) -> f64 {
+    if m.as_slice().is_empty() {
+        0.0
+    } else {
+        m.norm()
+    }
 }
 
 /// FNV-1a accumulator over raw `f64` bit patterns — the identity key used
@@ -233,12 +328,43 @@ impl Default for KeyHasher {
     }
 }
 
+/// One grid point's memoized `(Σᴿ_left, Σᴿ_right)`.
+pub type Slot = OnceLock<(Matrix, Matrix)>;
+
+/// `n` empty slots.
+pub fn slots(n: usize) -> Vec<Slot> {
+    (0..n).map(|_| OnceLock::new()).collect()
+}
+
 #[derive(Default)]
 struct CacheInner {
     electron_key: u64,
-    electron: Vec<OnceLock<(Matrix, Matrix)>>,
+    electron: Vec<Slot>,
     phonon_key: u64,
-    phonon: Vec<OnceLock<(Matrix, Matrix)>>,
+    phonon: Vec<Slot>,
+}
+
+impl CacheInner {
+    /// True when the electron (or phonon) section is bound to `key` with
+    /// `n` points.
+    fn is_bound(&self, electron: bool, key: u64, n: usize) -> bool {
+        let (k, slots) = match electron {
+            true => (self.electron_key, &self.electron),
+            false => (self.phonon_key, &self.phonon),
+        };
+        k == key && slots.len() == n
+    }
+
+    /// Bind the electron (or phonon) section to `key` with `n` empty
+    /// slots.
+    fn rebind(&mut self, electron: bool, key: u64, n: usize) {
+        let (k, slots_of) = match electron {
+            true => (&mut self.electron_key, &mut self.electron),
+            false => (&mut self.phonon_key, &mut self.phonon),
+        };
+        *k = key;
+        *slots_of = slots(n);
+    }
 }
 
 /// Memoized retarded contact self-energies `(Σᴿ_left, Σᴿ_right)` per grid
@@ -251,9 +377,10 @@ struct CacheInner {
 /// the same entries.
 ///
 /// The cache is internally synchronized: a phase `bind_*`s its section
-/// with the current identity key (write lock, invalidating stale entries),
-/// then the per-point tasks fill/read slots through a shared
-/// [`BoundaryCacheView`] (read lock + per-slot `OnceLock`).
+/// with the current identity key (the write lock only to invalidate stale
+/// entries) and holds the [`BoundaryCacheView`] (read lock) that returns
+/// for the rest of the phase: its [`fill`] pass solves the empty slots
+/// (per-slot `OnceLock`) and its point tasks read them.
 #[derive(Default)]
 pub struct BoundaryCache {
     inner: RwLock<CacheInner>,
@@ -296,22 +423,34 @@ impl BoundaryCache {
         self.inner.read().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Bind the electron section to `key` with `n` grid points. A key or
-    /// size mismatch drops every stored electron entry.
-    pub fn bind_electron(&self, key: u64, n: usize) {
-        let mut inner = self.write_recover();
-        if inner.electron_key != key || inner.electron.len() != n {
-            inner.electron_key = key;
-            inner.electron = (0..n).map(|_| OnceLock::new()).collect();
-        }
+    /// Bind the electron section to `key` with `n` grid points and return
+    /// a view of that binding. A key or size mismatch drops every stored
+    /// electron entry. A binding that is already current takes only the
+    /// read lock, so the phases of concurrent solves of one device share
+    /// the cache without waiting for each other's views.
+    pub fn bind_electron(&self, key: u64, n: usize) -> BoundaryCacheView<'_> {
+        self.bind(true, key, n)
     }
 
-    /// Bind the phonon section to `key` with `n` grid points.
-    pub fn bind_phonon(&self, key: u64, n: usize) {
-        let mut inner = self.write_recover();
-        if inner.phonon_key != key || inner.phonon.len() != n {
-            inner.phonon_key = key;
-            inner.phonon = (0..n).map(|_| OnceLock::new()).collect();
+    /// Bind the phonon section to `key` with `n` grid points, as
+    /// [`Self::bind_electron`].
+    pub fn bind_phonon(&self, key: u64, n: usize) -> BoundaryCacheView<'_> {
+        self.bind(false, key, n)
+    }
+
+    fn bind(&self, electron: bool, key: u64, n: usize) -> BoundaryCacheView<'_> {
+        loop {
+            let view = self.view();
+            if view.0.is_bound(electron, key, n) {
+                return view;
+            }
+            drop(view);
+            let mut inner = self.write_recover();
+            if !inner.is_bound(electron, key, n) {
+                inner.rebind(electron, key, n);
+            }
+            // Another binding may win the lock before the view is taken
+            // again; the loop then rebinds.
         }
     }
 
@@ -323,7 +462,7 @@ impl BoundaryCache {
         *inner = CacheInner::default();
     }
 
-    /// Shared read view for the duration of a phase's parallel loop.
+    /// Shared read view for the duration of a phase.
     pub fn view(&self) -> BoundaryCacheView<'_> {
         BoundaryCacheView(self.read_recover())
     }
@@ -344,42 +483,99 @@ impl BoundaryCache {
     }
 }
 
-/// Read-locked access to a [`BoundaryCache`]; shared across the per-point
-/// tasks by taking one view per task.
+/// Read-locked access to a [`BoundaryCache`], held by a phase and shared
+/// by its fill pass and point tasks.
 pub struct BoundaryCacheView<'a>(RwLockReadGuard<'a, CacheInner>);
 
 impl BoundaryCacheView<'_> {
-    fn slot(
-        slot: &OnceLock<(Matrix, Matrix)>,
-        compute: impl FnOnce() -> Result<(Matrix, Matrix), NumericalError>,
-    ) -> Result<&(Matrix, Matrix), NumericalError> {
-        if let Some(pair) = slot.get() {
-            counters::add(Counter::BoundaryCacheHits, 1);
-            return Ok(pair);
+    /// The electron slots, one per `(kz, E)` point, as bound by
+    /// [`BoundaryCache::bind_electron`].
+    pub fn electron(&self) -> &[Slot] {
+        &self.0.electron
+    }
+
+    /// The phonon slots, one per `(qz, ω)` point.
+    pub fn phonon(&self) -> &[Slot] {
+        &self.0.phonon
+    }
+}
+
+/// The boundary fill pass of a GF phase: both sides of every point whose
+/// slot is empty, `solve(point, side)`, as one [`par::map`] over
+/// `(point, side)`. A point's slot is set once both its sides succeed; a
+/// point with a failed side keeps an empty slot, so the next phase solves
+/// it again.
+///
+/// With `counted` (a [`BoundaryCache`]'s slots, not a phase-local store)
+/// every point counts once: a hit when its slot was already filled, a miss
+/// when the pass solved it. A pass that finds every slot filled posts no
+/// job and allocates nothing.
+pub fn fill(
+    slots: &[Slot],
+    counted: bool,
+    solve: impl Fn(usize, Side) -> Result<Matrix, NumericalError> + Sync,
+) -> Filled<'_> {
+    let mut filled = Filled {
+        slots,
+        failed: Vec::new(),
+    };
+    let count = |counter: Counter, n: usize| {
+        if counted {
+            counters::add(counter, n as u64);
         }
-        let pair = compute()?;
-        counters::add(Counter::BoundaryCacheMisses, 1);
-        Ok(slot.get_or_init(|| pair))
+    };
+    if slots.iter().all(|slot| slot.get().is_some()) {
+        count(Counter::BoundaryCacheHits, slots.len());
+        return filled;
     }
-
-    /// `(Σᴿ_left, Σᴿ_right)` for electron grid point `idx`, computing and
-    /// storing it on first access. The section must have been bound via
-    /// [`BoundaryCache::bind_electron`] with at least `idx + 1` points.
-    pub fn electron(
-        &self,
-        idx: usize,
-        compute: impl FnOnce() -> Result<(Matrix, Matrix), NumericalError>,
-    ) -> Result<&(Matrix, Matrix), NumericalError> {
-        Self::slot(&self.0.electron[idx], compute)
+    let todo: Vec<usize> = (0..slots.len())
+        .filter(|&i| slots[i].get().is_none())
+        .collect();
+    count(Counter::BoundaryCacheHits, slots.len() - todo.len());
+    let side = |t: usize| {
+        if t.is_multiple_of(2) {
+            Side::Left
+        } else {
+            Side::Right
+        }
+    };
+    let mut sides = par::map(2 * todo.len(), |t| solve(todo[t / 2], side(t))).into_iter();
+    for &i in &todo {
+        match (sides.next(), sides.next()) {
+            (Some(Ok(left)), Some(Ok(right))) => {
+                // A concurrent phase on the same binding may have set it
+                // first, to the same bits.
+                let _ = slots[i].set((left, right));
+            }
+            (Some(Err(e)), _) | (_, Some(Err(e))) => filled.failed.push((i, e)),
+            _ => unreachable!("par::map returns one result per side"),
+        }
     }
+    count(Counter::BoundaryCacheMisses, todo.len());
+    filled
+}
 
-    /// `(Πᴿ_left, Πᴿ_right)` for phonon grid point `idx`.
-    pub fn phonon(
-        &self,
-        idx: usize,
-        compute: impl FnOnce() -> Result<(Matrix, Matrix), NumericalError>,
-    ) -> Result<&(Matrix, Matrix), NumericalError> {
-        Self::slot(&self.0.phonon[idx], compute)
+/// The slots after a [`fill`] pass, with the errors of the points it left
+/// empty.
+pub struct Filled<'a> {
+    slots: &'a [Slot],
+    /// `(point, error of its first failed side)`: left before right.
+    failed: Vec<(usize, NumericalError)>,
+}
+
+impl<'a> Filled<'a> {
+    /// `(Σᴿ_left, Σᴿ_right)` of point `idx`, or the error that left its
+    /// slot empty.
+    pub fn get(&self, idx: usize) -> Result<&'a (Matrix, Matrix), NumericalError> {
+        match self.slots[idx].get() {
+            Some(pair) => Ok(pair),
+            None => Err(self
+                .failed
+                .iter()
+                .find(|(i, _)| *i == idx)
+                .map(|(_, e)| e.clone())
+                .expect("a slot stays empty only with its error")),
+        }
     }
 }
 
@@ -412,6 +608,232 @@ mod tests {
     use crate::device::Device;
     use crate::hamiltonian::{ElectronModel, PhononModel};
     use crate::params::SimParams;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+    /// The dense decimation [`decimate`] replaced: every round six
+    /// `bs³` products on whole blocks. The oracle its bits are held to.
+    fn decimate_dense(
+        z: Complex64,
+        h00: &Matrix,
+        h01: &Matrix,
+        s00: &Matrix,
+        s01: &Matrix,
+        side: Side,
+        cfg: &BoundaryConfig,
+    ) -> Result<SurfaceSelfEnergy, NumericalError> {
+        let zs = |s: &Matrix, h: &Matrix| -> Matrix {
+            let mut m = s.scale(z);
+            m -= h;
+            m
+        };
+        let alpha0 = zs(s01, h01);
+        let beta0 = zs(&s01.dagger(), &h01.dagger());
+        let mut alpha = alpha0.clone();
+        let mut beta = beta0.clone();
+        let mut eps = zs(s00, h00);
+        let mut eps_s = eps.clone();
+        let mut iterations = 0;
+        let mut residual = alpha.norm().max(beta.norm());
+        while residual >= cfg.tol && iterations < cfg.max_iter {
+            let g = invert(&eps)?;
+            let ag = alpha.matmul(&g);
+            let bg = beta.matmul(&g);
+            let agb = ag.matmul(&beta);
+            let bga = bg.matmul(&alpha);
+            match side {
+                Side::Left => eps_s -= &bga,
+                Side::Right => eps_s -= &agb,
+            }
+            eps -= &agb;
+            eps -= &bga;
+            alpha = ag.matmul(&alpha);
+            beta = bg.matmul(&beta);
+            iterations += 1;
+            residual = alpha.norm().max(beta.norm());
+        }
+        surface_from(side, &alpha0, &beta0, &eps_s, iterations, residual, cfg)
+    }
+
+    /// A decimation's outcome as bits: Σᴿ's re/im lanes, the iteration
+    /// count, the residual and the retries — or the error.
+    fn outcome_bits(r: &Outcome) -> String {
+        match r {
+            Ok(out) => {
+                let lanes: Vec<(u64, u64)> = out
+                    .sigma
+                    .as_slice()
+                    .iter()
+                    .map(|z| (z.re.to_bits(), z.im.to_bits()))
+                    .collect();
+                format!(
+                    "ok {lanes:?} iters {} residual {:#x} retries {}",
+                    out.iterations,
+                    out.residual.to_bits(),
+                    out.eta_retries
+                )
+            }
+            Err(NumericalError::BoundaryNonConvergence { iters, residual }) => {
+                format!("nonconv {iters} {:#x}", residual.to_bits())
+            }
+            Err(e) => format!("err {e:?}"),
+        }
+    }
+
+    /// One periodic lead.
+    struct Lead {
+        h00: Matrix,
+        h01: Matrix,
+        s00: Matrix,
+        s01: Matrix,
+    }
+
+    type Outcome = Result<SurfaceSelfEnergy, NumericalError>;
+
+    impl Lead {
+        /// [`surface_self_energy`] of this lead.
+        fn surface(&self, z: Complex64, side: Side, cfg: &BoundaryConfig) -> Outcome {
+            surface_self_energy(z, &self.h00, &self.h01, &self.s00, &self.s01, side, cfg)
+        }
+
+        /// [`surface_self_energy`]'s eta-bump retry over
+        /// [`decimate_dense`].
+        fn surface_dense(&self, z: Complex64, side: Side, cfg: &BoundaryConfig) -> Outcome {
+            let run = |z| decimate_dense(z, &self.h00, &self.h01, &self.s00, &self.s01, side, cfg);
+            match run(z) {
+                Err(first) if cfg.eta_bump > 0.0 => match run(z + c64(0.0, cfg.eta_bump)) {
+                    Ok(mut out) => {
+                        out.eta_retries = 1;
+                        Ok(out)
+                    }
+                    Err(_) => Err(first),
+                },
+                other => other,
+            }
+        }
+    }
+
+    /// The coupling supports the oracle covers, as `(row, col)` masks of
+    /// `h01`/`s01`.
+    #[derive(Clone, Copy, Debug)]
+    enum Shape {
+        Full,
+        Disjoint,
+        Overlapping,
+        ZeroRowAndColumn,
+        /// Sparse everywhere, two zero rows and a zero column, at a
+        /// negative energy: the zeros of `α₀`, `β₀` and `eps` come out
+        /// `-0`, inside the support and off it.
+        NegativeZeros,
+    }
+
+    impl Shape {
+        fn keeps(self, bs: usize, i: usize, j: usize) -> bool {
+            match self {
+                Shape::Full => true,
+                Shape::Disjoint => i < bs / 2 && j >= bs / 2,
+                Shape::Overlapping => i < 2 * bs / 3 && j >= bs / 3,
+                Shape::ZeroRowAndColumn => i != 1 && j != bs - 2,
+                Shape::NegativeZeros => (i + 2 * j).is_multiple_of(3) && i < bs - 2 && j > 0,
+            }
+        }
+    }
+
+    /// A seeded lead of block size `bs` whose couplings live on `shape`:
+    /// electron form (`s01 ≠ 0`) or phonon form (`S = I`, `s01 = 0`).
+    fn seeded_lead(bs: usize, shape: Shape, electron: bool, seed: u64) -> Lead {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut h00 = Matrix::random_hermitian(bs, &mut rng);
+        let mut s00 = Matrix::identity(bs);
+        let mut h01 = Matrix::random(bs, bs, &mut rng).scale(c64(0.4, 0.0));
+        let mut s01 = if electron {
+            Matrix::random(bs, bs, &mut rng).scale(c64(0.05, 0.0))
+        } else {
+            Matrix::zeros(bs, bs)
+        };
+        for i in 0..bs {
+            for j in 0..bs {
+                if !shape.keeps(bs, i, j) {
+                    h01[(i, j)] = Complex64::ZERO;
+                    s01[(i, j)] = Complex64::ZERO;
+                }
+                if matches!(shape, Shape::NegativeZeros) && i != j && (i + j) % 2 == 1 {
+                    h00[(i, j)] = Complex64::ZERO;
+                }
+            }
+            if electron {
+                s00[(i, i)] = c64(1.0 + 0.1 * rng.random_range(0.0..1.0), 0.0);
+            }
+        }
+        Lead { h00, h01, s00, s01 }
+    }
+
+    #[test]
+    fn support_decimation_has_the_dense_bits() {
+        let shapes = [
+            Shape::Full,
+            Shape::Disjoint,
+            Shape::Overlapping,
+            Shape::ZeroRowAndColumn,
+            Shape::NegativeZeros,
+        ];
+        let cfg = BoundaryConfig {
+            eta: 0.05,
+            ..Default::default()
+        };
+        let mut converged = 0;
+        for bs in [4, 8, 13, 16, 24] {
+            for (si, &shape) in shapes.iter().enumerate() {
+                for electron in [true, false] {
+                    let seed = 100 * bs as u64 + 10 * si as u64 + electron as u64;
+                    let lead = seeded_lead(bs, shape, electron, seed);
+                    let re = match shape {
+                        Shape::NegativeZeros => -0.3,
+                        _ => 0.2,
+                    };
+                    let z = c64(re, cfg.eta);
+                    for side in [Side::Left, Side::Right] {
+                        let what = format!("bs {bs} {shape:?} electron {electron} {side:?}");
+                        let got = lead.surface(z, side, &cfg);
+                        let want = lead.surface_dense(z, side, &cfg);
+                        assert_eq!(outcome_bits(&got), outcome_bits(&want), "{what}");
+                        converged += got.is_ok() as usize;
+                    }
+                }
+            }
+        }
+        assert_eq!(converged, 100, "every lead converges at this broadening");
+    }
+
+    #[test]
+    fn support_decimation_keeps_the_retry_bits() {
+        // A budget one round short at the base broadening fires the
+        // eta-bump retry; the retried Σᴿ and the first failure keep the
+        // dense bits.
+        let lead = seeded_lead(13, Shape::Overlapping, true, 7);
+        let z = c64(0.2, 1e-6);
+        let probe = BoundaryConfig {
+            eta_bump: 0.0,
+            ..Default::default()
+        };
+        let need = lead.surface(z, Side::Right, &probe).unwrap().iterations;
+        for eta_bump in [0.05, 0.0] {
+            let cfg = BoundaryConfig {
+                max_iter: need - 1,
+                eta_bump,
+                ..Default::default()
+            };
+            for side in [Side::Left, Side::Right] {
+                let got = lead.surface(z, side, &cfg);
+                let want = lead.surface_dense(z, side, &cfg);
+                assert_eq!(outcome_bits(&got), outcome_bits(&want), "bump {eta_bump}");
+                if eta_bump > 0.0 && side == Side::Right {
+                    assert_eq!(got.unwrap().eta_retries, 1, "the retry must fire");
+                }
+            }
+        }
+    }
 
     fn electron_setup() -> (Matrix, Matrix, Matrix, Matrix) {
         let p = SimParams::test_small();
@@ -506,57 +928,108 @@ mod tests {
         }
     }
 
+    /// A stand-in side solve: `I` on the left, `2·I` on the right.
+    fn mk(_: usize, side: Side) -> Result<Matrix, NumericalError> {
+        Ok(match side {
+            Side::Left => Matrix::identity(2),
+            Side::Right => Matrix::identity(2).scale(c64(2.0, 0.0)),
+        })
+    }
+
     #[test]
     fn boundary_cache_memoizes_and_invalidates() {
         let cache = BoundaryCache::new();
         cache.bind_electron(42, 3);
-        let mk = || {
-            Ok((
-                Matrix::identity(2),
-                Matrix::identity(2).scale(c64(2.0, 0.0)),
-            ))
-        };
         {
             let v = cache.view();
-            let first = v.electron(1, mk).unwrap();
+            let first = fill(v.electron(), true, mk).get(1).unwrap();
             assert_eq!(first.1[(0, 0)], c64(2.0, 0.0));
             // Second access must replay the stored pair, not recompute.
-            let again = v
-                .electron(1, || panic!("cached slot must not recompute"))
-                .unwrap();
+            let again = fill(v.electron(), true, |_, _| {
+                panic!("cached slot must not recompute")
+            })
+            .get(1)
+            .unwrap();
             assert_eq!(again.0.as_slice(), Matrix::identity(2).as_slice());
         }
         // Re-binding with the same key keeps entries.
         cache.bind_electron(42, 3);
-        cache
-            .view()
-            .electron(1, || panic!("same-key rebind must keep entries"))
-            .unwrap();
+        fill(cache.view().electron(), true, |_, _| {
+            panic!("same-key rebind must keep entries")
+        })
+        .get(1)
+        .unwrap();
         // A different key (H/grid changed) drops them.
         cache.bind_electron(43, 3);
-        let mut recomputed = false;
-        cache
-            .view()
-            .electron(1, || {
-                recomputed = true;
-                mk()
-            })
-            .unwrap();
-        assert!(recomputed, "key change must invalidate");
+        let recomputed = AtomicBool::new(false);
+        fill(cache.view().electron(), true, |i, side| {
+            recomputed.store(true, Ordering::Relaxed);
+            mk(i, side)
+        })
+        .get(1)
+        .unwrap();
+        assert!(recomputed.into_inner(), "key change must invalidate");
         // Explicit invalidation hook.
         cache.bind_phonon(7, 2);
-        cache.view().phonon(0, mk).unwrap();
+        fill(cache.view().phonon(), true, mk).get(0).unwrap();
         cache.invalidate();
         cache.bind_phonon(7, 2);
-        let mut recomputed = false;
-        cache
-            .view()
-            .phonon(0, || {
-                recomputed = true;
-                mk()
-            })
-            .unwrap();
-        assert!(recomputed);
+        let recomputed = AtomicBool::new(false);
+        fill(cache.view().phonon(), true, |i, side| {
+            recomputed.store(true, Ordering::Relaxed);
+            mk(i, side)
+        })
+        .get(0)
+        .unwrap();
+        assert!(recomputed.into_inner());
+    }
+
+    #[test]
+    fn fill_counts_per_point_and_retries_a_failed_side() {
+        let store = slots(4);
+        let solves = AtomicUsize::new(0);
+        let hits = || counters::local(Counter::BoundaryCacheHits);
+        let misses = || counters::local(Counter::BoundaryCacheMisses);
+        let (h0, m0) = (hits(), misses());
+        // Cold: point 2's right side fails; its slot stays empty and
+        // `get` hands back that side's error.
+        let failing = NumericalError::BoundaryNonConvergence {
+            iters: 3,
+            residual: 0.5,
+        };
+        let cold = fill(&store, true, |i, side| {
+            solves.fetch_add(1, Ordering::Relaxed);
+            if (i, side) == (2, Side::Right) {
+                Err(failing.clone())
+            } else {
+                mk(i, side)
+            }
+        });
+        assert_eq!(
+            solves.load(Ordering::Relaxed),
+            8,
+            "both sides of every point"
+        );
+        assert_eq!((hits() - h0, misses() - m0), (0, 4));
+        assert!(cold.get(1).is_ok() && store[2].get().is_none());
+        assert_eq!(
+            format!("{:?}", cold.get(2).unwrap_err()),
+            format!("{failing:?}")
+        );
+        // Reading counts nothing.
+        assert_eq!((hits() - h0, misses() - m0), (0, 4));
+        // Next pass: only point 2 is solved again, and it is the one miss.
+        solves.store(0, Ordering::Relaxed);
+        let warm = fill(&store, true, |i, side| {
+            solves.fetch_add(1, Ordering::Relaxed);
+            mk(i, side)
+        });
+        assert_eq!(solves.load(Ordering::Relaxed), 2);
+        assert_eq!((hits() - h0, misses() - m0), (3, 5));
+        assert_eq!(warm.get(2).unwrap().1[(1, 1)], c64(2.0, 0.0));
+        // A phase-local store counts nothing.
+        fill(&slots(3), false, mk);
+        assert_eq!((hits() - h0, misses() - m0), (3, 5));
     }
 
     #[test]
@@ -626,26 +1099,22 @@ mod tests {
     fn poisoned_cache_recovers_instead_of_panicking() {
         let cache = BoundaryCache::new();
         cache.bind_electron(42, 3);
-        let mk = || {
-            Ok((
-                Matrix::identity(2),
-                Matrix::identity(2).scale(c64(2.0, 0.0)),
-            ))
-        };
-        cache.view().electron(1, mk).unwrap();
+        fill(cache.view().electron(), true, mk).get(1).unwrap();
         cache.poison_for_test();
         // Every public entry point must recover (rebuilding the cache)
         // rather than panicking mid-SCF. Recovery drops stored entries.
         cache.bind_electron(42, 3);
-        let mut recomputed = false;
-        cache
-            .view()
-            .electron(1, || {
-                recomputed = true;
-                mk()
-            })
-            .unwrap();
-        assert!(recomputed, "poison recovery must drop stale entries");
+        let recomputed = AtomicBool::new(false);
+        fill(cache.view().electron(), true, |i, side| {
+            recomputed.store(true, Ordering::Relaxed);
+            mk(i, side)
+        })
+        .get(1)
+        .unwrap();
+        assert!(
+            recomputed.into_inner(),
+            "poison recovery must drop stale entries"
+        );
         // Poison again and recover through the read path directly.
         cache.poison_for_test();
         let v = cache.view();
@@ -655,7 +1124,7 @@ mod tests {
         cache.invalidate();
         cache.poison_for_test();
         cache.bind_phonon(7, 2);
-        cache.view().phonon(0, mk).unwrap();
+        fill(cache.view().phonon(), true, mk).get(0).unwrap();
     }
 
     #[test]

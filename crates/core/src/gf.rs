@@ -10,7 +10,7 @@
 //! `G≷[Nkz, NE, NA, Norb, Norb]` and `D≷[Nqz, Nω, NA, NB+1, 3, 3]`
 //! (slot `NB` holds the diagonal `D_aa`, slots `0..NB` the neighbor pairs).
 
-use crate::boundary::{self, BoundaryCache, BoundaryConfig, KeyHasher, Side};
+use crate::boundary::{self, BoundaryCache, BoundaryConfig, Filled, KeyHasher, Side, Slot};
 use crate::device::Device;
 use crate::grids::{bose, fermi, Grids};
 use crate::hamiltonian::{ElectronModel, PhononModel};
@@ -294,6 +294,27 @@ fn apply_health_policy<T>(
     Ok(coverage)
 }
 
+/// The arguments of one lead's decimation: `z` and the lead blocks
+/// `(h00, h01, s00, s01)`.
+type Lead<'a> = (Complex64, &'a Matrix, &'a Matrix, &'a Matrix, &'a Matrix);
+
+/// The phase's one boundary fill pass ([`boundary::fill`]): the
+/// Sancho–Rubio decimation of both leads of every grid point whose slot is
+/// empty, fanned out over `(point, side)` before the point loop, which
+/// then only reads Σᴿ. Counted for a [`BoundaryCache`]'s slots, not for a
+/// phase-local store.
+fn fill_boundary<'s, 'l>(
+    slots: &'s [Slot],
+    counted: bool,
+    cfg: &BoundaryConfig,
+    lead: impl Fn(usize, Side) -> Lead<'l> + Sync,
+) -> Filled<'s> {
+    boundary::fill(slots, counted, |idx, side| {
+        let (z, h00, h01, s00, s01) = lead(idx, side);
+        boundary::surface_self_energy(z, h00, h01, s00, s01, side, cfg).map(|out| out.sigma)
+    })
+}
+
 /// Identity key of everything the electron contact self-energies depend
 /// on: the lead blocks of `H(kz)`/`S(kz)`, the energy grid and the
 /// broadening configuration.
@@ -396,9 +417,39 @@ pub fn electron_gf_phase_cached(
         .iter()
         .map(|&kz| (em.hamiltonian(dev, kz), em.overlap_matrix(dev, kz)))
         .collect();
-    if let Some(c) = cache {
-        c.bind_electron(electron_boundary_key(&hs, grids, cfg), p.nkz * p.ne);
-    }
+    let n_points = p.nkz * p.ne;
+    let view = cache.map(|c| c.bind_electron(electron_boundary_key(&hs, grids, cfg), n_points));
+    let local: Vec<Slot>;
+    let slots = match &view {
+        Some(v) => v.electron(),
+        None => {
+            local = boundary::slots(n_points);
+            &local
+        }
+    };
+    // Each lead sees the energy relative to its own band offset, at the
+    // contact broadening.
+    let filled = fill_boundary(slots, view.is_some(), &cfg.boundary, |idx, side| {
+        let (h, s) = &hs[idx / p.ne];
+        let energy = grids.energies[idx % p.ne];
+        let nbk = h.num_blocks();
+        match side {
+            Side::Left => (
+                c64(energy - cfg.contacts.shift_left, cfg.eta),
+                h.diag(0),
+                h.upper(0),
+                s.diag(0),
+                s.upper(0),
+            ),
+            Side::Right => (
+                c64(energy - cfg.contacts.shift_right, cfg.eta),
+                h.diag(nbk - 1),
+                h.upper(nbk - 2),
+                s.diag(nbk - 1),
+                s.upper(nbk - 2),
+            ),
+        }
+    });
     let points: Vec<(usize, usize)> = (0..p.nkz)
         .flat_map(|k| (0..p.ne).map(move |e| (k, e)))
         .collect();
@@ -433,13 +484,17 @@ pub fn electron_gf_phase_cached(
     type EPoint = (usize, usize, Vec<Complex64>, Vec<Complex64>, f64, Vec<f64>);
     let results: Vec<Result<EPoint, NumericalError>> = solve_points(bs, &points, |k, e| {
         let point_idx = k * p.ne + e;
+        // Boundary self-energies from the fill pass — the decimation
+        // depends on neither the occupations nor the Born iterate, so a
+        // cached phase replays the stored Σᴿ from iteration 2 on.
+        let (sig_l, sig_r) = filled
+            .get(point_idx)
+            .map(|pair| (&pair.0, &pair.1))
+            .map_err(|err| err.at("gf/electron", point_idx))?;
         let (h, s) = &hs[k];
         let energy = grids.energies[e];
-        // Lead surface GF at finite broadening; device interior at
-        // (near-)real energy so contacts are the only implicit bath.
-        // Each lead sees the energy relative to its own band offset.
-        let z_l = c64(energy - cfg.contacts.shift_left, cfg.eta);
-        let z_r = c64(energy - cfg.contacts.shift_right, cfg.eta);
+        // Device interior at (near-)real energy so the contacts are the
+        // only implicit bath.
         let z_dev = c64(energy, cfg.device_eta);
         let nbk = h.num_blocks();
         // A = z·S − H assembled into workspace-pooled blocks.
@@ -457,44 +512,6 @@ pub fn electron_gf_phase_cached(
         }
         let (a_upper, a_lower) = couplings(k, e);
         let mut a = BlockTridiag::from_blocks(a_diag, a_upper, a_lower);
-        // Boundary self-energies: memoized per point when cached — the
-        // decimation depends on neither the occupations nor the Born
-        // iterate, so iteration 2+ replays the stored Σᴿ.
-        let compute_pair = || -> Result<(Matrix, Matrix), NumericalError> {
-            let sig_l = boundary::surface_self_energy(
-                z_l,
-                h.diag(0),
-                h.upper(0),
-                s.diag(0),
-                s.upper(0),
-                Side::Left,
-                &cfg.boundary,
-            )?;
-            let sig_r = boundary::surface_self_energy(
-                z_r,
-                h.diag(nbk - 1),
-                h.upper(nbk - 2),
-                s.diag(nbk - 1),
-                s.upper(nbk - 2),
-                Side::Right,
-                &cfg.boundary,
-            )?;
-            Ok((sig_l.sigma, sig_r.sigma))
-        };
-        let view = cache.map(|c| c.view());
-        let pair_storage;
-        let (sig_l, sig_r): (&Matrix, &Matrix) = match &view {
-            Some(v) => {
-                let pair = v
-                    .electron(point_idx, compute_pair)
-                    .map_err(|err| err.at("gf/electron", point_idx))?;
-                (&pair.0, &pair.1)
-            }
-            None => {
-                pair_storage = compute_pair().map_err(|err| err.at("gf/electron", point_idx))?;
-                (&pair_storage.0, &pair_storage.1)
-            }
-        };
         *a.diag_mut(0) -= sig_l;
         *a.diag_mut(nbk - 1) -= sig_r;
         let f_l = fermi(energy, cfg.contacts.mu_left, cfg.contacts.temperature);
@@ -512,7 +529,6 @@ pub fn electron_gf_phase_cached(
         let mut bl_r = workspace::take(bs, bs);
         scale_into(&gam, c64(0.0, f_r), &mut bl_r);
         workspace::give(gam);
-        drop(view);
         let mut sig_lesser: Vec<Matrix> = (0..nbk).map(|_| workspace::take(bs, bs)).collect();
         sig_lesser[0] += &bl_l;
         sig_lesser[nbk - 1] += &bl_r;
@@ -647,9 +663,27 @@ pub fn phonon_gf_phase_cached(
     let bs = phis[0].block_size();
     let eye = Matrix::identity(bs);
     let zero = Matrix::zeros(bs, bs);
-    if let Some(c) = cache {
-        c.bind_phonon(phonon_boundary_key(&phis, grids, cfg), p.nqz * p.nw);
-    }
+    let n_points = p.nqz * p.nw;
+    let view = cache.map(|c| c.bind_phonon(phonon_boundary_key(&phis, grids, cfg), n_points));
+    let local: Vec<Slot>;
+    let slots = match &view {
+        Some(v) => v.phonon(),
+        None => {
+            local = boundary::slots(n_points);
+            &local
+        }
+    };
+    // Equilibrium phonon baths at both contacts.
+    let filled = fill_boundary(slots, view.is_some(), &cfg.boundary, |idx, side| {
+        let phi = &phis[idx / p.nw];
+        let omega = grids.omegas[idx % p.nw];
+        let z = c64(omega * omega, cfg.eta * omega.max(grids.de));
+        let nbk = phi.num_blocks();
+        match side {
+            Side::Left => (z, phi.diag(0), phi.upper(0), &eye, &zero),
+            Side::Right => (z, phi.diag(nbk - 1), phi.upper(nbk - 2), &eye, &zero),
+        }
+    });
     let points: Vec<(usize, usize)> = (0..p.nqz)
         .flat_map(|q| (0..p.nw).map(move |w| (q, w)))
         .collect();
@@ -702,9 +736,13 @@ pub fn phonon_gf_phase_cached(
     type PhRes = (usize, usize, Vec<Complex64>, Vec<Complex64>, f64);
     let results: Vec<Result<PhRes, NumericalError>> = solve_points(bs, &points, |q, w| {
         let point_idx = q * p.nw + w;
+        // Boundary Πᴿ from the fill pass.
+        let (pi_l, pi_r) = filled
+            .get(point_idx)
+            .map(|pair| (&pair.0, &pair.1))
+            .map_err(|err| err.at("gf/phonon", point_idx))?;
         let phi = &phis[q];
         let omega = grids.omegas[w];
-        let z = c64(omega * omega, cfg.eta * omega.max(grids.de));
         let z_dev = c64(omega * omega, cfg.phonon_device_eta * omega.max(grids.de));
         // A = ω²·I − Φ − Πᴿ in workspace-pooled blocks.
         let nbk = phi.num_blocks();
@@ -723,43 +761,6 @@ pub fn phonon_gf_phase_cached(
         }
         let (a_upper, a_lower) = couplings(q, w);
         let mut a = BlockTridiag::from_blocks(a_diag, a_upper, a_lower);
-        // Boundary (equilibrium phonon baths at both contacts),
-        // memoized per (qz, ω) point when cached.
-        let compute_pair = || -> Result<(Matrix, Matrix), NumericalError> {
-            let pi_l = boundary::surface_self_energy(
-                z,
-                phi.diag(0),
-                phi.upper(0),
-                &eye,
-                &zero,
-                Side::Left,
-                &cfg.boundary,
-            )?;
-            let pi_r = boundary::surface_self_energy(
-                z,
-                phi.diag(nbk - 1),
-                phi.upper(nbk - 2),
-                &eye,
-                &zero,
-                Side::Right,
-                &cfg.boundary,
-            )?;
-            Ok((pi_l.sigma, pi_r.sigma))
-        };
-        let view = cache.map(|c| c.view());
-        let pair_storage;
-        let (pi_l, pi_r): (&Matrix, &Matrix) = match &view {
-            Some(v) => {
-                let pair = v
-                    .phonon(point_idx, compute_pair)
-                    .map_err(|err| err.at("gf/phonon", point_idx))?;
-                (&pair.0, &pair.1)
-            }
-            None => {
-                pair_storage = compute_pair().map_err(|err| err.at("gf/phonon", point_idx))?;
-                (&pair_storage.0, &pair_storage.1)
-            }
-        };
         *a.diag_mut(0) -= pi_l;
         *a.diag_mut(nbk - 1) -= pi_r;
         let n_occ = bose(omega, cfg.contacts.temperature);
@@ -774,7 +775,6 @@ pub fn phonon_gf_phase_cached(
         let mut bl_r = workspace::take(bs, bs);
         scale_into(&gam, c64(0.0, -n_occ), &mut bl_r);
         workspace::give(gam);
-        drop(view);
         let mut sig_lesser: Vec<Matrix> = (0..nbk).map(|_| workspace::take(bs, bs)).collect();
         sig_lesser[0] += &bl_l;
         sig_lesser[nbk - 1] += &bl_r;
@@ -1095,6 +1095,77 @@ mod tests {
             counters::total(Counter::BoundaryCacheHits) - hits0 >= (p.nkz * p.ne) as u64,
             "replaying the bound variant must hit the cache"
         );
+    }
+
+    #[test]
+    fn the_fill_pass_counts_each_point_once_per_phase() {
+        // The pass counts on the calling thread and a point read counts
+        // nothing, so this thread's shard sees exactly one hit or miss per
+        // point and phase.
+        let (p, dev, em, pm, grids) = setup();
+        let (esse, psse) = (ElectronSelfEnergy::zeros(&p), PhononSelfEnergy::zeros(&p));
+        let cfg = GfConfig::default();
+        let cache = BoundaryCache::new();
+        let counts = || {
+            (
+                counters::local(Counter::BoundaryCacheHits),
+                counters::local(Counter::BoundaryCacheMisses),
+            )
+        };
+        let (ne, nw) = ((p.nkz * p.ne) as u64, (p.nqz * p.nw) as u64);
+        let (h0, m0) = counts();
+        let phases = || {
+            electron_gf_phase_cached(&dev, &em, &p, &grids, &esse, &cfg, Some(&cache), None)
+                .unwrap();
+            phonon_gf_phase_cached(&dev, &pm, &p, &grids, &psse, &cfg, Some(&cache), None).unwrap();
+        };
+        phases();
+        assert_eq!(counts(), (h0, m0 + ne + nw), "cold: every point a miss");
+        phases();
+        assert_eq!(
+            counts(),
+            (h0 + ne + nw, m0 + ne + nw),
+            "warm: every point a hit"
+        );
+        // The uncached entry points fill a phase-local store, uncounted.
+        electron_gf_phase(&dev, &em, &p, &grids, &esse, &cfg).unwrap();
+        phonon_gf_phase(&dev, &pm, &p, &grids, &psse, &cfg).unwrap();
+        assert_eq!(counts(), (h0 + ne + nw, m0 + ne + nw));
+    }
+
+    #[test]
+    fn a_failed_decimation_quarantines_its_point_and_is_retried() {
+        // One round cannot converge: every point's decimation fails, the
+        // error reaches the health policy at that point, and the empty
+        // slots are solved again by the next phase.
+        let (p, dev, em, _, grids) = setup();
+        let sse = ElectronSelfEnergy::zeros(&p);
+        let mut cfg = GfConfig::default();
+        cfg.boundary.max_iter = 1;
+        cfg.boundary.eta_bump = 0.0;
+        cfg.health.max_bad_fraction = 1.0;
+        let cache = BoundaryCache::new();
+        let n = p.nkz * p.ne;
+        for _ in 0..2 {
+            let m0 = counters::local(Counter::BoundaryCacheMisses);
+            let out =
+                electron_gf_phase_cached(&dev, &em, &p, &grids, &sse, &cfg, Some(&cache), None)
+                    .unwrap();
+            assert_eq!(counters::local(Counter::BoundaryCacheMisses) - m0, n as u64);
+            let quarantined: Vec<usize> = out
+                .coverage
+                .quarantined
+                .iter()
+                .map(|q| q.grid_index)
+                .collect();
+            assert_eq!(quarantined, (0..n).collect::<Vec<_>>());
+            for q in &out.coverage.quarantined {
+                assert!(matches!(
+                    q.error,
+                    NumericalError::BoundaryNonConvergence { iters: 1, .. }
+                ));
+            }
+        }
     }
 
     #[test]

@@ -306,6 +306,25 @@ impl Support {
     }
 }
 
+/// The index sets a lead's Sancho–Rubio decimation keeps
+/// (`boundary::decimate`), from the support of its couplings `α` (toward
+/// the chain) and `β` (back): `R = rows(α) ∪ cols(β)` and
+/// `C = cols(α) ∪ rows(β)`, ascending. Every `α_n` lives on `R × C` and
+/// every `β_n` on `C × R`.
+pub(crate) fn lead_support(alpha: &Matrix, beta: &Matrix) -> (Vec<usize>, Vec<usize>) {
+    let sup = Support::of(alpha, beta);
+    let union = |x: &[usize], y: &[usize]| {
+        let mut u: Vec<usize> = x.iter().chain(y).copied().collect();
+        u.sort_unstable();
+        u.dedup();
+        u
+    };
+    let r = union(sup.up_rows(), sup.lo_cols());
+    let c = union(sup.up_cols(), sup.lo_rows());
+    workspace::give_idx(sup.idx);
+    (r, c)
+}
+
 /// Timing context for [`MultiplyStrategy::Auto`]: measures every routed
 /// coupling op and accumulates measured plus model-predicted nanoseconds
 /// into the kernel-selection counters, so `KernelSelectionReport` can put

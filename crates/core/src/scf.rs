@@ -1532,10 +1532,11 @@ mod tests {
             "warm iterations must hit the boundary cache"
         );
         // The cache is populated: replay must not recompute.
-        sim.boundary
-            .view()
-            .electron(0, || panic!("contact Σ must be cached after SCF"))
-            .unwrap();
+        crate::boundary::fill(sim.boundary.view().electron(), false, |_, _| {
+            panic!("contact Σ must be cached after SCF")
+        })
+        .get(0)
+        .unwrap();
         // Trajectory records the cache behaviour per iteration.
         assert!(out.trajectory[0].boundary_misses >= n_points);
     }

@@ -553,11 +553,11 @@ mod tests {
         w[0] = 6.0;
         w[1] = 6.0;
         let moved = t.rebalance(&w);
-        for u in 0..12 {
+        for (u, (now, was)) in t.owner[..12].iter().zip(&before[..12]).enumerate() {
             if moved.contains(&u) {
-                assert_ne!(t.owner[u], before[u]);
+                assert_ne!(now, was);
             } else {
-                assert_eq!(t.owner[u], before[u]);
+                assert_eq!(now, was);
             }
         }
         // Rebalance with identical weights is idempotent.
@@ -629,9 +629,9 @@ mod tests {
         let before = t.owner.clone();
         let moved = t.remove_rank(5);
         assert_eq!(moved, vec![5], "exactly the dead rank's unit migrates");
-        for u in 0..12 {
+        for (u, (now, was)) in t.owner[..12].iter().zip(&before[..12]).enumerate() {
             if u != 5 {
-                assert_eq!(t.owner[u], before[u], "survivor units must not move");
+                assert_eq!(now, was, "survivor units must not move");
             }
         }
         assert!(!t.is_survivor(5));

@@ -45,6 +45,10 @@
 //! scaled and `B^H` twins) pack only a list of depth indices — RGF's
 //! products against a coupling leg's output, which is zero outside the
 //! coupling's support — with the full product's route, slices and bits.
+//! [`gemm_acc_gathered`] goes one step further for the boundary decimation:
+//! its operands are compact copies of the rows, depth and columns a product
+//! needs, run with the route, slices and bits of the product they came
+//! from.
 //! [`route`] exposes the routing rule to kernels outside this module: the
 //! CSR products sum in the order of the dense entry they stand in for.
 
@@ -220,6 +224,54 @@ pub fn gemm_bdagger_acc_over(
     scale: Complex64,
 ) {
     over(ks, a, b, true, out, scale, Naive::Dot);
+}
+
+/// [`gemm_acc`] on operands gathered out of a `full` = `(m, k, n)` product:
+/// `a` holds some rows of the full A at its columns `ks` (ascending full
+/// depth indices), `b` the rows `ks` of the full B at some of its columns,
+/// and `out` the matching entries of the full output. Routed and split by
+/// the full shape and `KC`-sliced by full depth index, each slice packing
+/// the part of `ks` it holds. So when the full A is zero outside the
+/// columns `ks`, each entry has the full [`gemm_acc`]'s bits on finite
+/// operands, by [`gemm_acc_over`]'s argument; when instead the full B is
+/// zero outside the rows `ks`, the same holds for an `out` free of `-0`
+/// (the naive route adds the dropped `±0` terms to it). Counts
+/// `8·rows(a)·|ks|·cols(b)` flops.
+pub fn gemm_acc_gathered(
+    full: (usize, usize, usize),
+    ks: &[usize],
+    a: &Matrix,
+    b: &Matrix,
+    out: &mut Matrix,
+) {
+    let (m, k) = a.shape();
+    let (bk, n) = b.shape();
+    assert!(k == ks.len() && bk == k, "depth must match the index list");
+    assert_eq!(out.shape(), (m, n), "output shape mismatch");
+    assert!(
+        m <= full.0 && n <= full.2,
+        "gathered from a smaller product"
+    );
+    assert!(
+        ks.windows(2).all(|w| w[0] < w[1]) && ks.last().is_none_or(|&p| p < full.1),
+        "depth indices must ascend inside 0..k"
+    );
+    dispatch::<true>(
+        (m, k, n),
+        Batch::Items(1),
+        a.as_slice(),
+        k,
+        PanelB::Rows {
+            b: b.as_slice(),
+            ld: n,
+        },
+        out.as_mut_slice(),
+        n,
+        Complex64::ONE,
+        Some(Naive::Axpy),
+        true,
+        Depth::Gathered { full, ks },
+    );
 }
 
 /// The `_over` entries: `out += scale · a @ op(b)` over the depth list
@@ -575,14 +627,31 @@ enum Depth<'a> {
     All,
     /// Only these, ascending; every other column of A (row of B) is zero.
     Only(&'a [usize]),
+    /// The operands were gathered out of a `full`-shaped product: A holds
+    /// its columns `ks` and B its rows `ks` (ascending full indices), so
+    /// the operands' depth `0..k` is `ks` itself. Routed, split and sliced
+    /// as the full product.
+    Gathered {
+        full: (usize, usize, usize),
+        ks: &'a [usize],
+    },
 }
 
 impl<'a> Depth<'a> {
     /// Number of depth indices of a `k`-deep product.
     fn len(self, k: usize) -> usize {
         match self {
-            Depth::All => k,
+            Depth::All | Depth::Gathered { .. } => k,
             Depth::Only(ks) => ks.len(),
+        }
+    }
+
+    /// The shape a product of operand shape `shape` is routed, split and
+    /// `KC`-sliced by.
+    fn full(self, shape: (usize, usize, usize)) -> (usize, usize, usize) {
+        match self {
+            Depth::Gathered { full, .. } => full,
+            Depth::All | Depth::Only(_) => shape,
         }
     }
 
@@ -592,11 +661,21 @@ impl<'a> Depth<'a> {
         match self {
             Depth::All => Window::Range(pc, kc),
             Depth::Only(ks) => {
-                let lo = ks.partition_point(|&p| p < pc);
-                let hi = lo + ks[lo..].partition_point(|&p| p < pc + kc);
+                let (lo, hi) = Self::cut(ks, pc, kc);
                 Window::List(&ks[lo..hi])
             }
+            // The gathered operands hold the slice's indices contiguously.
+            Depth::Gathered { ks, .. } => {
+                let (lo, hi) = Self::cut(ks, pc, kc);
+                Window::Range(lo, hi - lo)
+            }
         }
+    }
+
+    /// The positions in `ks` of the indices inside `pc..pc + kc`.
+    fn cut(ks: &[usize], pc: usize, kc: usize) -> (usize, usize) {
+        let lo = ks.partition_point(|&p| p < pc);
+        (lo, lo + ks[lo..].partition_point(|&p| p < pc + kc))
     }
 }
 
@@ -644,6 +723,8 @@ enum Batch {
 ///
 /// A single packed product may sum over a `depth` list instead of `0..k`
 /// (the `_over` entries); it is routed, sliced and split by its full shape.
+/// A gathered product ([`gemm_acc_gathered`]) is routed, sliced and split
+/// by the shape of the product it was gathered from.
 ///
 /// `INSTRUMENT` adds the flop accounting and the hot-section timers.
 /// Inlined into every entry point, so the named kernel is a direct call and
@@ -670,7 +751,9 @@ fn dispatch<const INSTRUMENT: bool>(
     if INSTRUMENT {
         flops::add_gemm_flops_batched(m, depth.len(k), n, items);
     }
-    if items == 0 || m == 0 || k == 0 || n == 0 {
+    // A gathered product with no depth left still flushes its `+0` sums
+    // when the full product would.
+    if items == 0 || m == 0 || depth.full((m, k, n)).1 == 0 || n == 0 {
         return;
     }
     if shared && m == k && k == n {
@@ -681,14 +764,15 @@ fn dispatch<const INSTRUMENT: bool>(
         }
     }
     let (m, batch) = if shared { (items * m, 1) } else { (m, items) };
+    let (rm, rk, rn) = depth.full((m, k, n));
     debug_assert!(lda >= k && a.len() >= (batch * m - 1) * lda + k);
     debug_assert!(ldc >= n && c.len() >= (batch * m - 1) * ldc + n);
-    let naive = naive.filter(|_| goes_naive(m, k, n));
-    let split = split && m * k * n * batch >= PAR_THRESHOLD;
+    let naive = naive.filter(|_| goes_naive(rm, rk, rn));
+    let split = split && rm * rk * rn * batch >= PAR_THRESHOLD;
     if batch == 1 {
         debug_assert!(
-            naive.is_none() || matches!(depth, Depth::All),
-            "the naive kernels sum the full depth"
+            naive.is_none() || !matches!(depth, Depth::Only(_)),
+            "the naive kernels sum the operands' whole depth"
         );
         let shape = (m, k, n);
         match naive {
@@ -1232,6 +1316,8 @@ fn gemm_blocked<const INSTRUMENT: bool>(
     } else {
         MC
     };
+    // The depth the KC slices cut: the full product's, for a gathered one.
+    let k = depth.full((m, k, n)).1;
     let mut jc = 0;
     while jc < n {
         let nc = (n - jc).min(NC);

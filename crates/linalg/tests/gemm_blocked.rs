@@ -772,6 +772,57 @@ fn depth_lists_keep_the_full_entrys_bits() {
     }
 }
 
+/// `m[rows, cols]` as a new matrix.
+fn gather(m: &qt_linalg::Matrix, rows: &[usize], cols: &[usize]) -> qt_linalg::Matrix {
+    qt_linalg::Matrix::from_fn(rows.len(), cols.len(), |i, j| m[(rows[i], cols[j])])
+}
+
+#[test]
+fn gathered_products_keep_the_full_entrys_bits() {
+    use gemm::{KC, MR, NR};
+    use qt_linalg::Matrix;
+    // Naive and packed routes, a full shape whose compact one would route
+    // differently, and two KC slices (`KC + 4`) cut by full index.
+    let shapes = [(3, 5, 7), (8, 8, 8), (MR + 4, 64, NR + 4), (9, KC + 4, 6)];
+    for (si, &(m, k, n)) in shapes.iter().enumerate() {
+        let seed = 1700 + 10 * si as u64;
+        let rows = depth_list(seed + 5, m);
+        let cols = depth_list(seed + 6, n);
+        let lists = [depth_list(seed, k), (0..k).collect(), Vec::new()];
+        for (li, ks) in lists.iter().enumerate() {
+            let what = format!("{m}x{k}x{n}, list {li} ({} of {k})", ks.len());
+            // A zero outside the columns `ks`, over an `out` holding `-0`s.
+            let a = Matrix::from_vec(m, k, zero_outside(cvec(seed + 1, m * k), k, ks));
+            let b = Matrix::from_vec(k, n, cvec(seed + 2, k * n));
+            let c0 = Matrix::from_vec(m, n, with_negative_zeros(cvec(seed + 4, m * n)));
+            let mut want = c0.clone();
+            gemm::gemm_acc(&a, &b, &mut want);
+            let mut got = gather(&c0, &rows, &cols);
+            let (ga, gb) = (gather(&a, &rows, ks), gather(&b, ks, &cols));
+            gemm::gemm_acc_gathered((m, k, n), ks, &ga, &gb, &mut got);
+            let want_c = gather(&want, &rows, &cols);
+            assert!(
+                bits(got.as_slice()) == bits(want_c.as_slice()),
+                "A zero outside ks: {what}"
+            );
+            // B zero outside the rows `ks` (A dense), over a `-0`-free out.
+            let b = Matrix::from_vec(n, k, zero_outside(cvec(seed + 3, n * k), k, ks)).transpose();
+            let a = Matrix::from_vec(m, k, cvec(seed + 7, m * k));
+            let c0 = Matrix::from_vec(m, n, cvec(seed + 8, m * n));
+            let mut want = c0.clone();
+            gemm::gemm_acc(&a, &b, &mut want);
+            let mut got = gather(&c0, &rows, &cols);
+            let (ga, gb) = (gather(&a, &rows, ks), gather(&b, ks, &cols));
+            gemm::gemm_acc_gathered((m, k, n), ks, &ga, &gb, &mut got);
+            let want_c = gather(&want, &rows, &cols);
+            assert!(
+                bits(got.as_slice()) == bits(want_c.as_slice()),
+                "B zero outside ks: {what}"
+            );
+        }
+    }
+}
+
 #[test]
 fn route_is_the_dispatchers_rule() {
     for (m, k, n) in [(7, 8, 9), (8, 8, 8), (3, 64, 16), (16, 64, 3), (64, 64, 64)] {

@@ -9,10 +9,12 @@
 //! the rows; adding a counter is adding a row.
 //!
 //! Every thread that bumps a counter gets its own cache line of atomics,
-//! registered once in a global cell list. Totals are the sum over cells;
-//! the `Arc`s in the list keep a cell's counts alive after its thread
-//! exits (the `qt_dist` thread worlds spawn and join short-lived OS
-//! threads whose traffic must survive into the report).
+//! registered once in a global cell list. Totals are the retired row plus
+//! the sum over the live cells. A thread's exit folds its counts into the
+//! retired row and frees its cell (the `qt_dist` thread worlds spawn and
+//! join short-lived OS threads on every exchange: their traffic survives
+//! into the report, and a long-running service's totals stay as cheap as
+//! its live threads are few).
 //!
 //! [`Counter::Flops`] is the backing store for
 //! `qt_linalg::flops::{add_flops, add_gemm_flops_batched, …}`, which holds
@@ -21,7 +23,7 @@
 
 use std::ops::{Index, IndexMut};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// An optional block of the report that counters are written under.
@@ -243,13 +245,58 @@ struct Cell {
     v: [AtomicU64; N_COUNTERS],
 }
 
-static CELLS: Mutex<Vec<Arc<Cell>>> = Mutex::new(Vec::new());
+/// The shards of the live threads, and one row holding what every exited
+/// thread counted.
+struct Cells {
+    live: Vec<Arc<Cell>>,
+    retired: [u64; N_COUNTERS],
+}
+
+impl Cells {
+    /// `counter` over the retired row and every live shard.
+    fn sum(&self, counter: usize) -> u64 {
+        self.retired[counter]
+            + self
+                .live
+                .iter()
+                .map(|c| c.v[counter].load(Relaxed))
+                .sum::<u64>()
+    }
+}
+
+static CELLS: Mutex<Cells> = Mutex::new(Cells {
+    live: Vec::new(),
+    retired: [0; N_COUNTERS],
+});
+
+/// The lock over [`CELLS`]. Every change under it leaves the totals exact,
+/// so a panic elsewhere while it was held leaves nothing to repair.
+fn cells() -> MutexGuard<'static, Cells> {
+    CELLS.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A thread's registered shard. When the thread exits, its counts fold
+/// into the retired row and the shard leaves the live list, both under
+/// the lock, so a total never sees them twice or not at all.
+struct Shard(Arc<Cell>);
+
+impl Drop for Shard {
+    fn drop(&mut self) {
+        let mut cells = cells();
+        for (row, v) in cells.retired.iter_mut().zip(&self.0.v) {
+            *row += v.load(Relaxed);
+        }
+        if let Some(at) = cells.live.iter().position(|c| Arc::ptr_eq(c, &self.0)) {
+            cells.live.swap_remove(at);
+        }
+    }
+}
 
 thread_local! {
-    static CELL: Arc<Cell> = {
+    static CELL: Shard = {
         let cell = Arc::new(Cell { v: std::array::from_fn(|_| AtomicU64::new(0)) });
-        CELLS.lock().unwrap().push(cell.clone());
-        cell
+        cells().live.push(cell.clone());
+        Shard(cell)
     };
 }
 
@@ -257,23 +304,26 @@ thread_local! {
 /// relaxed `fetch_add`; this is the line every GEMM call executes.
 #[inline]
 pub fn add(counter: Counter, n: u64) {
-    CELL.with(|c| c.v[counter as usize].fetch_add(n, Relaxed));
+    CELL.with(|c| c.0.v[counter as usize].fetch_add(n, Relaxed));
 }
 
 /// What the calling thread added to `counter` since the last reset.
 #[inline]
 pub fn local(counter: Counter) -> u64 {
-    CELL.with(|c| c.v[counter as usize].load(Relaxed))
+    CELL.with(|c| c.0.v[counter as usize].load(Relaxed))
 }
 
 /// `counter` summed over all threads (alive or exited) since the last
 /// reset.
 pub fn total(counter: Counter) -> u64 {
-    let cells = CELLS.lock().unwrap();
-    cells
-        .iter()
-        .map(|c| c.v[counter as usize].load(Relaxed))
-        .sum()
+    cells().sum(counter as usize)
+}
+
+/// Threads holding a counter shard right now. An exited thread's shard is
+/// folded into the retired row and freed, so this tracks the live threads
+/// that ever counted, not every thread the process ever ran.
+pub fn live_shards() -> usize {
+    cells().live.len()
 }
 
 /// The total of every counter at (about) one moment.
@@ -294,10 +344,10 @@ impl Snapshot {
     /// `warm_fallbacks <= warm_starts` and `matched + mismatched <=
     /// scenarios_run` hold in a snapshot taken mid-run.
     pub fn take() -> Snapshot {
-        let cells = CELLS.lock().unwrap();
+        let cells = cells();
         let mut snap = Snapshot::default();
         for i in (0..N_COUNTERS).rev() {
-            snap.0[i] = cells.iter().map(|c| c.v[i].load(Relaxed)).sum();
+            snap.0[i] = cells.sum(i);
         }
         snap
     }
@@ -324,8 +374,8 @@ impl IndexMut<Counter> for Snapshot {
 #[inline]
 pub fn add_alloc(bytes: u64) {
     CELL.with(|c| {
-        c.v[Counter::AllocBytes as usize].fetch_add(bytes, Relaxed);
-        c.v[Counter::AllocCount as usize].fetch_add(1, Relaxed);
+        c.0.v[Counter::AllocBytes as usize].fetch_add(bytes, Relaxed);
+        c.0.v[Counter::AllocCount as usize].fetch_add(1, Relaxed);
     });
 }
 
@@ -376,7 +426,9 @@ pub fn total_service_retries() -> u64 {
 
 /// Zero every counter on every registered cell.
 pub fn reset_counters() {
-    for cell in CELLS.lock().unwrap().iter() {
+    let mut cells = cells();
+    cells.retired = [0; N_COUNTERS];
+    for cell in &cells.live {
         for a in &cell.v {
             a.store(0, Relaxed);
         }
@@ -408,8 +460,8 @@ pub fn timed<R>(section: HotSection, f: impl FnOnce() -> R) -> R {
         HotSection::GemmKernel => (Counter::GemmKernelNs, Counter::GemmKernelCalls),
     };
     CELL.with(|c| {
-        c.v[ns_counter as usize].fetch_add(ns, Relaxed);
-        c.v[calls_counter as usize].fetch_add(1, Relaxed);
+        c.0.v[ns_counter as usize].fetch_add(ns, Relaxed);
+        c.0.v[calls_counter as usize].fetch_add(1, Relaxed);
     });
     out
 }

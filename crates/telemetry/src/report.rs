@@ -1157,19 +1157,30 @@ mod tests {
         for (attempt, settle) in ATTEMPT_THEN_SETTLE {
             assert!((attempt as usize) < settle as usize, "{}", settle.name());
         }
-        // The snapshot's half, under load. A thread's shard outlives it
-        // and a snapshot sums every shard: a few hundred idle ones stretch
-        // a snapshot to many bumps' time, so a wrong read order shows even
-        // where the two threads only interleave by preemption.
-        for _ in 0..256 {
-            std::thread::spawn(|| add(Counter::Flops, 0))
-                .join()
-                .unwrap();
-        }
+        // The snapshot's half, under load. A snapshot sums every live
+        // shard: a few hundred idle threads holding one stretch a snapshot
+        // to many bumps' time, so a wrong read order shows even where the
+        // two threads only interleave by preemption.
         registry::record("test/report/midrun", 1, 1, 0, 0, 0);
         let stop = AtomicBool::new(false);
         let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let gate = std::sync::RwLock::new(());
+        let hold = gate.write().unwrap();
         std::thread::scope(|s| {
+            // Released when this closure returns or unwinds.
+            let _hold = hold;
+            let (idle_tx, idle_rx) = std::sync::mpsc::channel();
+            for _ in 0..256 {
+                let (idle_tx, gate) = (idle_tx.clone(), &gate);
+                s.spawn(move || {
+                    add(Counter::Flops, 0);
+                    idle_tx.send(()).unwrap();
+                    drop(gate.read());
+                });
+            }
+            for _ in 0..256 {
+                idle_rx.recv().unwrap();
+            }
             s.spawn(|| {
                 let mut started = Some(started_tx);
                 while !stop.load(SeqCst) {
