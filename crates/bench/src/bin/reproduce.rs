@@ -822,27 +822,52 @@ fn profile(flags: &[String]) {
     let _ = sse::sigma(&inputs, SseVariant::Omen);
     let _ = sse::sigma(&inputs, SseVariant::Reference);
 
-    // Both distributed SSE schemes, with per-rank byte accounting. The
-    // supervised iteration on the full world is the paper's CA scheme: its
-    // bytes feed both exact volume models below, and its heartbeat
-    // supervision exercises the elasticity counters in every profile run.
+    // Both distributed SSE schemes, with per-rank byte accounting. One
+    // Born iteration of the distributed loop on the full world is the
+    // paper's CA scheme: its bytes feed both exact volume models below,
+    // and its heartbeat supervision exercises the elasticity counters in
+    // every profile run. Its GF phases read the boundary cache the SCF run
+    // warmed: one hit per (kz, E) and (qz, ω) point, no miss.
     let omen_procs = 4;
     let (_, _, omen_stats) = qt_dist::schemes::omen_scheme(&inputs, omen_procs);
-    let dist_ctx = qt_dist::DistContext::of(&sim, &cfg.gf);
     let full_world = qt_dist::ElasticTiling::new(&p, te, ta);
-    let dist = qt_dist::supervised_iteration(
-        &dist_ctx,
-        &mut full_world.clone(),
-        &qt_dist::ElasticPolicy::default(),
-    )
-    .and_then(|el| el.complete())
-    .expect("distributed iteration");
+    let one = ScfConfig {
+        max_iterations: 1,
+        ..cfg
+    };
+    let cache = || [Counter::BoundaryCacheHits, Counter::BoundaryCacheMisses].map(counters::local);
+    let dist_run = |policy| {
+        let mut body = qt_dist::DistSse::new(full_world.clone(), policy);
+        let [hits0, misses0] = cache();
+        let opts = ScfOptions {
+            sse: Some(&mut body),
+            ..Default::default()
+        };
+        let done = run_scf_with(&sim, &one, opts);
+        let [hits, misses] = cache();
+        let (hits, misses) = (hits - hits0, misses - misses0);
+        let points = (p.nkz * p.ne + p.nqz * p.nw) as u64;
+        if (hits, misses) != (points, 0) {
+            eprintln!(
+                "profile FAILED: the distributed iteration read the boundary cache \
+                 {hits} times with {misses} misses, not {points} warm hits"
+            );
+            std::process::exit(1);
+        }
+        (body, done)
+    };
+    let (body, done) = dist_run(qt_dist::ElasticPolicy::default());
+    done.expect("distributed iteration");
+    let dist = body.comm;
 
     // Scheduled chaos: kill the requested rank on its third SSE send and
     // let the elastic supervisor ride the recovery. The flight recorder
     // captures the HeartbeatTimeout -> RankDeath -> Retile chain, which
-    // lands in the postmortem dump below.
+    // lands in the postmortem dump below. A degraded exchange ends the
+    // iteration in `RankLoss`.
     let chaos_outcome = chaos_kill.map(|victim| {
+        use qt_core::health::NumericalError;
+        use qt_core::scf::ScfError;
         let procs = te * ta;
         println!("  chaos: killing rank {victim} (world {procs}) mid-iteration");
         let policy = qt_dist::ElasticPolicy {
@@ -850,13 +875,19 @@ fn profile(flags: &[String]) {
             faults: Some(qt_dist::fault::FaultPlan::default().with_kill_at(victim, 3)),
             ..Default::default()
         };
-        let el = qt_dist::supervised_iteration(&dist_ctx, &mut full_world.clone(), &policy)
-            .expect("elastic recovery from the scheduled kill");
+        let migrated0 = counters::local(Counter::ElasticMigratedTiles);
+        let (body, done) = dist_run(policy);
+        let migrated = counters::local(Counter::ElasticMigratedTiles) - migrated0;
+        let degraded = match done {
+            Ok(_) => false,
+            Err(ScfError::Numerical(NumericalError::RankLoss { .. })) => true,
+            Err(e) => panic!("elastic recovery from the scheduled kill: {e}"),
+        };
         println!(
-            "  chaos: deaths={:?} retiles={} migrated={} degraded={}",
-            el.deaths, el.retiles, el.migrated_units, el.degraded
+            "  chaos: deaths={:?} retiles={} migrated={migrated} degraded={degraded}",
+            body.deaths, body.retiles
         );
-        el
+        (body, migrated, degraded)
     });
 
     // ---- Reconcile measurements against the models. ----
@@ -905,13 +936,13 @@ fn profile(flags: &[String]) {
     ));
     rep.residuals.push(ModelResidual::new(
         "dace_comm_bytes_vs_exact",
-        dist.sse_bytes as f64,
+        dist.world_bytes as f64,
         volume::dace_measured_bytes(&p, te, ta, halo) as f64,
         true,
     ));
     rep.residuals.push(ModelResidual::new(
         "dace_elastic_comm_bytes_vs_exact",
-        dist.sse_bytes as f64,
+        dist.world_bytes as f64,
         volume::dace_elastic_measured_bytes(&p, halo, &full_world) as f64,
         true,
     ));
@@ -923,7 +954,7 @@ fn profile(flags: &[String]) {
     ));
     rep.residuals.push(ModelResidual::new(
         "dace_comm_bytes_vs_table45",
-        dist.sse_bytes as f64,
+        dist.world_bytes as f64,
         volume::dace_total_bytes(&p, te, ta),
         false,
     ));
@@ -940,13 +971,7 @@ fn profile(flags: &[String]) {
         });
     }
     rep.warmup = qt_telemetry::report::WarmupStats::from_convergence(&rep.convergence);
-    for (rank, (&sent, &recv)) in dist
-        .comm
-        .rank_sent
-        .iter()
-        .zip(&dist.comm.rank_recv)
-        .enumerate()
-    {
+    for (rank, (&sent, &recv)) in dist.rank_sent.iter().zip(&dist.rank_recv).enumerate() {
         rep.comm.push(RankComm {
             rank,
             sent_bytes: sent,
@@ -956,7 +981,6 @@ fn profile(flags: &[String]) {
     // Per-rank busy times of the distributed iteration → the report's
     // balance block (CI gates on `balance.imbalance_ratio`).
     let busy = dist
-        .comm
         .balance
         .as_ref()
         .expect("the CA exchange measures balance");
@@ -1095,17 +1119,17 @@ fn profile(flags: &[String]) {
     // Postmortem: a supervisor-observed rank death or a degraded
     // completion drains the flight recorder into a versioned dump with
     // the final report snapshot attached.
-    if let Some(el) = &chaos_outcome {
-        if !el.deaths.is_empty() || el.degraded {
+    if let Some((body, migrated, degraded)) = &chaos_outcome {
+        if !body.deaths.is_empty() || *degraded {
             let path = postmortem_path.unwrap_or("POSTMORTEM.json");
-            let reason = if el.degraded {
+            let reason = if *degraded {
                 "degraded_completion"
             } else {
                 "rank_death"
             };
             let detail = format!(
-                "deaths={:?} retiles={} migrated_units={}",
-                el.deaths, el.retiles, el.migrated_units
+                "deaths={:?} retiles={} migrated_units={migrated}",
+                body.deaths, body.retiles
             );
             let pm = qt_telemetry::Postmortem::capture(reason, &detail, Some(rep.clone()));
             pm.save(std::path::Path::new(path))
@@ -1517,8 +1541,9 @@ struct WorldBalance {
     units: usize,
     /// The cost model's verdict on the two starting tilings: the gate.
     modeled: ModeledBalance,
-    /// Last iteration's critical path (max per-rank busy thread CPU time)
-    /// and busy-time imbalance, static vs adaptive: printed, not gated.
+    /// Critical path (max per-rank busy thread CPU time) and busy-time
+    /// imbalance of the uniform tiling's one exchange (static) and of the
+    /// weighted start's last exchange (adaptive): printed, not gated.
     static_path_ms: f64,
     adaptive_path_ms: f64,
     imbalance_before: f64,
@@ -1532,75 +1557,73 @@ impl WorldBalance {
     }
 }
 
-/// Run the skewed scenario ([`SkewedBalance`]) at one world size: static
-/// uniform vs adaptive (cost-model-seeded weighted tiling + measured
-/// re-tiling), with every iteration's observables checked bitwise against
-/// the static baseline.
+/// Run the skewed scenario ([`SkewedBalance`]) at one world size on the
+/// distributed Born loop: static (one exchange on the uniform tiling, so
+/// no re-tile precedes it) vs adaptive (cost-model-weighted start, re-tiled
+/// by the loop from measured costs), with the adaptive run's `iters` Born
+/// iterates checked bitwise against a uniform-start run of the same length.
 fn balance_world(world: usize, iters: usize) -> WorldBalance {
-    use qt_core::gf::GfConfig;
-    use qt_core::grids::Grids;
     use qt_core::hamiltonian::{ElectronModel, PhononModel};
-    use qt_dist::{
-        maybe_rebalance, supervised_iteration, DistContext, ElasticPolicy, REBALANCE_THRESHOLD,
-    };
+    use qt_core::scf::{run_scf_with, ScfConfig, ScfOptions, ScfResult, Simulation};
+    use qt_dist::{DistSse, ElasticPolicy, ElasticTiling};
 
     let s = SkewedBalance::new(world);
-    let em = ElectronModel::for_params(&s.p);
-    let pm = PhononModel::default();
-    let grids = Grids::new(&s.p, -1.2, 1.2);
-    let cfg = GfConfig::default();
-    let ctx = DistContext {
-        p: &s.p,
-        dev: &s.dev,
-        em: &em,
-        pm: &pm,
-        grids: &grids,
-        gf: &cfg,
-    };
-    let policy = ElasticPolicy::default();
-    let max_busy_ms = |busy: &[f64]| busy.iter().cloned().fold(0.0, f64::max) * 1e3;
-
     let cm = s.cost_map();
-    let mut static_tiling = s.uniform_tiling();
-    let mut tiling = s.weighted_tiling(&cm);
-    let modeled = ModeledBalance::of(&cm, &static_tiling, &tiling);
+    let (uniform, weighted) = (s.uniform_tiling(), s.weighted_tiling(&cm));
+    let modeled = ModeledBalance::of(&cm, &uniform, &weighted);
+    let em = ElectronModel::for_params(&s.p);
+    let sim = Simulation::from_parts(s.p, s.dev, em, PhononModel::default(), -1.2, 1.2)
+        .expect("skewed device");
+    let run = |tiling: ElasticTiling, iterations: usize| -> (ScfResult, DistSse) {
+        let mut body = DistSse::new(tiling, ElasticPolicy::default());
+        let cfg = ScfConfig {
+            max_iterations: iterations,
+            tolerance: 0.0,
+            ..Default::default()
+        };
+        let opts = ScfOptions {
+            sse: Some(&mut body),
+            ..Default::default()
+        };
+        let out = run_scf_with(&sim, &cfg, opts).expect("distributed Born loop");
+        (out, body)
+    };
+    let path_and_imbalance = |body: &DistSse| {
+        let bal = body.comm.balance.as_ref().expect("balance measured");
+        let max_busy = bal.rank_busy_secs.iter().cloned().fold(0.0, f64::max);
+        (max_busy * 1e3, bal.imbalance_ratio())
+    };
 
-    // ---- Static uniform baseline. ----
-    let (mut static_path_ms, mut imbalance_before) = (0.0, 1.0);
-    let mut reference = None;
-    for _ in 0..iters {
-        let r = supervised_iteration(&ctx, &mut static_tiling, &policy).expect("static iteration");
-        let bal = r.result.comm.balance.as_ref().expect("balance measured");
-        static_path_ms = max_busy_ms(&bal.rank_busy_secs);
-        imbalance_before = bal.imbalance_ratio();
-        if reference.is_none() {
-            reference = Some((r.result.sigma, r.result.pi));
+    let (static_path_ms, imbalance_before) = path_and_imbalance(&run(uniform.clone(), 1).1);
+    let moved0 = counters::local(Counter::BalanceMovedUnits);
+    let (adaptive, body) = run(weighted, iters);
+    let moved_units = (counters::local(Counter::BalanceMovedUnits) - moved0) as usize;
+    let (adaptive_path_ms, imbalance_after) = path_and_imbalance(&body);
+
+    // The whole point of the bitwise-safe migration path: the tiling may
+    // move, the observables may not — over real Born iterates.
+    let (reference, _) = run(uniform, iters);
+    let (a, r) = (&adaptive, &reference);
+    let bits = |x: &ScfResult| {
+        x.current_history
+            .iter()
+            .map(|c| c.to_bits())
+            .collect::<Vec<_>>()
+    };
+    for (name, x, y) in [
+        ("sigma.lesser", &a.sigma.lesser, &r.sigma.lesser),
+        ("sigma.greater", &a.sigma.greater, &r.sigma.greater),
+        ("pi.lesser", &a.pi.lesser, &r.pi.lesser),
+        ("pi.greater", &a.pi.greater, &r.pi.greater),
+    ] {
+        if x.as_slice() != y.as_slice() {
+            eprintln!("balance FAILED: adaptive {name} diverged from the uniform start bitwise");
+            std::process::exit(1);
         }
     }
-    let (ref_sigma, ref_pi) = reference.expect("at least one iteration");
-
-    // ---- Adaptive: predicted weighted start, measured re-tile. ----
-    let (mut adaptive_path_ms, mut imbalance_after) = (0.0, 1.0);
-    let mut moved_units = 0usize;
-    for _ in 0..iters {
-        let r = supervised_iteration(&ctx, &mut tiling, &policy).expect("adaptive iteration");
-        // The whole point of the bitwise-safe migration path: the tiling
-        // may move, the observables may not.
-        for (name, a, b) in [
-            ("sigma.lesser", &r.result.sigma.lesser, &ref_sigma.lesser),
-            ("sigma.greater", &r.result.sigma.greater, &ref_sigma.greater),
-            ("pi.lesser", &r.result.pi.lesser, &ref_pi.lesser),
-            ("pi.greater", &r.result.pi.greater, &ref_pi.greater),
-        ] {
-            if a.as_slice() != b.as_slice() {
-                eprintln!("balance FAILED: adaptive {name} diverged from static tiling bitwise");
-                std::process::exit(1);
-            }
-        }
-        let bal = r.result.comm.balance.as_ref().expect("balance measured");
-        adaptive_path_ms = max_busy_ms(&bal.rank_busy_secs);
-        imbalance_after = bal.imbalance_ratio();
-        moved_units += maybe_rebalance(&mut tiling, bal, REBALANCE_THRESHOLD).len();
+    if bits(a) != bits(r) {
+        eprintln!("balance FAILED: adaptive current_history diverged from the uniform start");
+        std::process::exit(1);
     }
 
     WorldBalance {
@@ -1617,11 +1640,11 @@ fn balance_world(world: usize, iters: usize) -> WorldBalance {
 
 /// Skewed-device load-balance scenario (CI `balance-regression` job):
 /// static uniform tiling against the cost-model-weighted tiling plus
-/// measured re-tiling. Gates, reading no clock: the weighted start cuts
-/// the modeled imbalance ≥ 2× and shortens the modeled critical path, and
-/// the adaptive run's observables are bitwise the static run's. The
-/// measured busy-time columns are printed and optionally written to a
-/// `BENCH_balance.json`.
+/// measured re-tiling, on the distributed Born loop. Gates, reading no
+/// clock: the weighted start cuts the modeled imbalance ≥ 2× and shortens
+/// the modeled critical path, and the adaptive run's Born iterates are
+/// bitwise a uniform-start run's. The measured busy-time columns are
+/// printed and optionally written to a `BENCH_balance.json`.
 fn balance(flags: &[String]) {
     use qt_telemetry::json::Json;
 
@@ -1685,8 +1708,8 @@ fn balance(flags: &[String]) {
     }
     println!(
         "  (uni/wtd = cost model on the uniform/weighted starting tiling: per-rank sums of \
-         exact per-unit SSE flops; gated. stat/adpt path and imb = last iteration's per-rank \
-         busy thread CPU time; printed only)"
+         exact per-unit SSE flops; gated. stat = the uniform tiling's one exchange, adpt = the \
+         weighted start's last exchange: per-rank busy thread CPU time; printed only)"
     );
 
     if let Some(path) = out_path {

@@ -1,13 +1,15 @@
-//! Chaos tests at the harness level. The one fault is a rank dying: a
-//! scheduled mid-exchange kill must either ride elastic recovery to the
-//! fault-free answer, leaving a telemetry report that records the death
-//! and passes `check-report --require health`, or complete degraded with
-//! an honest coverage report — never hang, never silently drift.
+//! Chaos tests at the harness level, on the one distributed entry point:
+//! `run_scf_with` with the `qt_dist::DistSse` body. The one fault is a
+//! rank dying: a scheduled mid-exchange kill must either ride elastic
+//! recovery to the fault-free answer, leaving a telemetry report that
+//! records the death and passes `check-report --require health`, or end
+//! in a typed `RankLoss` — never hang, never silently drift. (The
+//! zero-filled tiles and coverage of a degraded exchange are tested with
+//! the supervisor, in `qt_dist::runner`.)
 //!
-//! The loop-level tests run the whole Born loop (`run_scf_with` with the
-//! `qt_dist::DistSse` body): a kill in the second iteration and a
-//! cancel-then-resume must both reproduce the uninterrupted distributed
-//! loop bit for bit.
+//! The kill tests run one Born iteration; the loop-level tests run five:
+//! a kill in the second iteration and a cancel-then-resume must both
+//! reproduce the uninterrupted distributed loop bit for bit.
 //!
 //! The kill tests' tile grid is parameterized by `QT_CHAOS_WORLD`
 //! (2, 4, or 8 ranks; default 4) so CI can sweep world sizes.
@@ -15,7 +17,7 @@
 use std::sync::Mutex;
 
 use qt_core::checkpoint::{CheckpointConfig, ScfCheckpoint};
-use qt_core::gf::{ElectronSelfEnergy, GfConfig, PhononSelfEnergy};
+use qt_core::gf::{ElectronSelfEnergy, PhononSelfEnergy};
 use qt_core::health::NumericalError;
 use qt_core::params::SimParams;
 use qt_core::scf::{
@@ -23,11 +25,8 @@ use qt_core::scf::{
 };
 use qt_core::sse::SseInputs;
 use qt_dist::fault::FaultPlan;
-use qt_dist::runner::DistIterationResult;
-use qt_dist::{
-    supervised_iteration, DistContext, DistSse, ElasticIterationResult, ElasticPolicy,
-    ElasticTiling,
-};
+use qt_dist::{DistSse, ElasticPolicy, ElasticTiling};
+use qt_telemetry::counters::{self, Counter};
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -59,31 +58,46 @@ fn fixture() -> Simulation {
     Simulation::new(p, -1.2, 1.2)
 }
 
-/// One supervised iteration on `tiling` under `policy`.
+/// One Born iteration of the distributed loop on `tiling` under `policy`,
+/// and the body after it (deaths, retiles, the last exchange's stats).
 fn iterate(
     sim: &Simulation,
-    tiling: &mut ElasticTiling,
-    policy: &ElasticPolicy,
-) -> ElasticIterationResult {
-    let cfg = GfConfig::default();
-    let ctx = DistContext::of(sim, &cfg);
-    supervised_iteration(&ctx, tiling, policy).unwrap()
+    tiling: ElasticTiling,
+    policy: ElasticPolicy,
+) -> (DistSse, Result<ScfResult, ScfError>) {
+    let mut body = DistSse::new(tiling, policy);
+    let cfg = ScfConfig {
+        max_iterations: 1,
+        ..Default::default()
+    };
+    let opts = ScfOptions {
+        sse: Some(&mut body),
+        ..Default::default()
+    };
+    let out = run_scf_with(sim, &cfg, opts);
+    (body, out)
 }
 
 /// The iteration on the full `te × ta` world.
 fn full(
     sim: &Simulation,
     (te, ta): (usize, usize),
-    policy: &ElasticPolicy,
-) -> ElasticIterationResult {
-    iterate(sim, &mut ElasticTiling::new(&sim.p, te, ta), policy)
+    policy: ElasticPolicy,
+) -> (DistSse, Result<ScfResult, ScfError>) {
+    iterate(sim, ElasticTiling::new(&sim.p, te, ta), policy)
 }
 
 /// The fault-free answer every scenario is compared with.
-fn clean(sim: &Simulation, shape: (usize, usize)) -> DistIterationResult {
-    full(sim, shape, &ElasticPolicy::default())
-        .complete()
-        .unwrap()
+fn clean(sim: &Simulation, shape: (usize, usize)) -> ScfResult {
+    full(sim, shape, ElasticPolicy::default()).1.unwrap()
+}
+
+/// `f`'s result and the work units the supervisor migrated meanwhile (the
+/// `elastic.migrated_tiles` counter, bumped on the calling thread).
+fn migrating<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = counters::local(Counter::ElasticMigratedTiles);
+    let out = f();
+    (out, counters::local(Counter::ElasticMigratedTiles) - before)
 }
 
 #[test]
@@ -97,7 +111,7 @@ fn faulty_pipeline_reports_health_and_passes_the_gate() {
         faults: Some(FaultPlan::default().with_kill_at(3, 3)),
         ..Default::default()
     };
-    let faulty = full(&sim, (2, 2), &policy).complete().unwrap();
+    let faulty = full(&sim, (2, 2), policy).1.unwrap();
     let rel = clean.sigma.lesser.max_abs_diff(&faulty.sigma.lesser)
         / clean.sigma.lesser.norm().max(1e-30);
     assert!(rel <= 1e-10, "faulty run must match fault-free: rel {rel}");
@@ -133,59 +147,43 @@ fn killed_rank_recovers_bitwise_exactly() {
         faults: Some(FaultPlan::default().with_kill_at(victim, 3)),
         ..Default::default()
     };
-    let el = full(&sim, (te, ta), &policy);
+    let ((body, faulty), migrated) = migrating(|| full(&sim, (te, ta), policy));
 
-    assert_eq!(el.deaths, vec![victim], "exactly the scheduled rank dies");
-    assert!(el.retiles >= 1, "the supervisor must have re-tiled");
-    assert!(!el.degraded, "one death out of {procs} must ride recovery");
+    assert_eq!(body.deaths, vec![victim], "exactly the scheduled rank dies");
+    assert!(body.retiles >= 1, "the supervisor must have re-tiled");
+    let faulty = faulty.unwrap_or_else(|e| panic!("one death out of {procs}: {e}"));
     assert!(
-        el.migrated_units >= 1,
+        migrated >= 1,
         "only the dead rank's tiles migrate, but they do migrate"
     );
     // Recovery recomputes the migrated tiles from supervisor-held GF
     // state, so the result is bitwise identical to the fault-free run.
-    assert_eq!(
-        el.result.sigma.lesser.as_slice(),
-        clean.sigma.lesser.as_slice()
-    );
-    assert_eq!(
-        el.result.sigma.greater.as_slice(),
-        clean.sigma.greater.as_slice()
-    );
-    assert_eq!(el.result.pi.lesser.as_slice(), clean.pi.lesser.as_slice());
-    assert_eq!(el.result.pi.greater.as_slice(), clean.pi.greater.as_slice());
-    assert_eq!(el.result.current.to_bits(), clean.current.to_bits());
-    // The lost grid points stay on the record even though they recovered,
-    // and the elasticity telemetry block carries the event counts.
-    assert!(!el.coverage.is_full());
-    assert!(el.coverage.bad_fraction() <= policy.max_bad_fraction);
+    assert_same_loop(&faulty, &clean);
+    // The elasticity telemetry block carries the event counts.
     let rep = qt_telemetry::TelemetryReport::from_current();
     rep.require("elastic.rank_deaths>0").unwrap();
     rep.require("elastic.retile_events>0").unwrap();
-    let migrated = rep.counter(qt_telemetry::Counter::ElasticMigratedTiles);
-    assert!(migrated as usize >= el.migrated_units);
+    assert!(rep.counter(Counter::ElasticMigratedTiles) >= migrated);
 }
 
 #[test]
 fn chaos_recovery_is_deterministic() {
     let _g = lock();
     let sim = fixture();
-    let policy = ElasticPolicy {
+    let policy = || ElasticPolicy {
         faults: Some(FaultPlan::default().with_kill_at(0, 2)),
         ..Default::default()
     };
-    let a = full(&sim, world_shape(), &policy);
-    let b = full(&sim, world_shape(), &policy);
-    assert_eq!(a.deaths, b.deaths);
-    assert_eq!(a.migrated_units, b.migrated_units);
-    assert_eq!(
-        a.result.sigma.lesser.as_slice(),
-        b.result.sigma.lesser.as_slice()
-    );
-    assert_eq!(
-        a.result.pi.greater.as_slice(),
-        b.result.pi.greater.as_slice()
-    );
+    let ((a_body, a), a_moved) = migrating(|| full(&sim, world_shape(), policy()));
+    let ((b_body, b), b_moved) = migrating(|| full(&sim, world_shape(), policy()));
+    assert_eq!(a_body.deaths, b_body.deaths);
+    assert_eq!(a_moved, b_moved);
+    // At world 2 the death is past the default ceiling: both runs refuse.
+    match (a, b) {
+        (Ok(a), Ok(b)) => assert_same_loop(&a, &b),
+        (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
+        _ => panic!("one run recovered and the other did not"),
+    }
 }
 
 #[test]
@@ -201,7 +199,7 @@ fn killed_owner_of_every_unit_falls_back_to_elastic_recovery() {
     // idle ranks hold no tile and wait on it from the first exchange on,
     // so they must detect the dead owner, surface a typed death, and the
     // supervisor must finish the iteration on the elastic path.
-    let mut tiling = ElasticTiling::weighted(&sim.p, te, ta, procs, &vec![0.0; procs]);
+    let tiling = ElasticTiling::weighted(&sim.p, te, ta, procs, &vec![0.0; procs]);
     assert_eq!(tiling.units_of(0).len(), procs);
     // Rank 0 owns all units, so its loss quarantines the whole grid —
     // admit that so it rides recovery instead of degrading.
@@ -210,30 +208,25 @@ fn killed_owner_of_every_unit_falls_back_to_elastic_recovery() {
         faults: Some(FaultPlan::default().with_kill_at(0, 1)),
         ..Default::default()
     };
-    let el = iterate(&sim, &mut tiling, &policy);
+    let ((body, out), migrated) = migrating(|| iterate(&sim, tiling, policy));
 
-    assert_eq!(el.deaths, vec![0], "the collapsed owner dies, nobody else");
-    assert!(el.retiles >= 1, "its death must force a re-tile");
-    assert!(!el.degraded, "recovery must complete undegraded");
     assert_eq!(
-        el.migrated_units, procs,
+        body.deaths,
+        vec![0],
+        "the collapsed owner dies, nobody else"
+    );
+    assert!(body.retiles >= 1, "its death must force a re-tile");
+    let out = out.expect("recovery must complete undegraded");
+    assert_eq!(
+        migrated, procs as u64,
         "all of the dead owner's units migrate to survivors"
     );
     // The retry over the survivor set reproduces the fault-free
     // observables bit for bit.
-    assert_eq!(
-        el.result.sigma.lesser.as_slice(),
-        clean.sigma.lesser.as_slice()
-    );
-    assert_eq!(
-        el.result.sigma.greater.as_slice(),
-        clean.sigma.greater.as_slice()
-    );
-    assert_eq!(el.result.pi.lesser.as_slice(), clean.pi.lesser.as_slice());
-    assert_eq!(el.result.pi.greater.as_slice(), clean.pi.greater.as_slice());
+    assert_same_loop(&out, &clean);
     // The survivor exchange still measures balance.
     if procs > 1 {
-        assert!(el.result.comm.balance.is_some());
+        assert!(body.comm.balance.is_some());
     }
 }
 
@@ -245,53 +238,21 @@ fn death_past_bad_fraction_ceiling_degrades_instead_of_hanging() {
     let victim = 0;
 
     // A zero ceiling makes any loss unrecoverable: the victim's units
-    // must be abandoned and the iteration must still complete.
+    // must be abandoned, and the iteration must end in a typed error.
     let policy = ElasticPolicy {
         max_bad_fraction: 0.0,
         faults: Some(FaultPlan::default().with_kill_at(victim, 1)),
         ..Default::default()
     };
-    let el = full(&sim, (te, ta), &policy);
+    let ((body, out), migrated) = migrating(|| full(&sim, (te, ta), policy));
 
-    assert!(el.degraded, "an unrecoverable death must degrade, not hang");
-    assert_eq!(el.deaths, vec![victim]);
-    assert_eq!(el.migrated_units, 0, "abandoned units must not migrate");
-    assert!(!el.coverage.is_full());
-    assert!(el.coverage.bad_fraction() > 0.0);
-    for q in &el.coverage.quarantined {
-        assert!(q.grid_index < sim.p.nkz * sim.p.ne);
-        assert!(matches!(
-            q.error,
-            qt_core::health::NumericalError::RankLoss { rank } if rank == victim
-        ));
+    match out {
+        Err(ScfError::Numerical(NumericalError::RankLoss { rank })) => assert_eq!(rank, victim),
+        Err(other) => panic!("wrong error: {other}"),
+        Ok(_) => panic!("an unrecoverable death must not complete"),
     }
-    // Degraded ≠ garbage: the surviving tiles still carry fault-free
-    // values; only the abandoned slices are zero-filled.
-    let clean = clean(&sim, (te, ta));
-    let nonzero = el
-        .result
-        .sigma
-        .lesser
-        .as_slice()
-        .iter()
-        .filter(|z| z.re != 0.0 || z.im != 0.0)
-        .count();
-    if te * ta > 1 {
-        assert!(nonzero > 0, "survivor tiles must be present");
-    }
-    assert!(
-        nonzero
-            < clean
-                .sigma
-                .lesser
-                .as_slice()
-                .iter()
-                .filter(|z| z.re != 0.0 || z.im != 0.0)
-                .count(),
-        "abandoned tiles must be zero-filled"
-    );
-    // ...and a caller that takes no degraded answer gets a typed error.
-    assert!(el.complete().is_err());
+    assert_eq!(body.deaths, vec![victim]);
+    assert_eq!(migrated, 0, "abandoned units must not migrate");
 }
 
 /// The `qt_dist` body with a hook that runs before each of its calls

@@ -319,24 +319,41 @@ impl ElasticTiling {
     }
 
     /// Re-partition all units over the *current* survivors using fresh
-    /// per-unit weights. Returns the units whose owner changed (ascending)
-    /// — the migration set the caller must move state for. No-op (empty
-    /// return) when there are no survivors.
+    /// per-unit weights, when [`partition_weighted`]'s map has a strictly
+    /// shorter makespan under `weights` than the current one (a relabelling
+    /// of one unit per survivor never does). Returns the units whose owner
+    /// changed (ascending) — the migration set the caller must move state
+    /// for. No-op (empty return) when there are no survivors.
     pub fn rebalance(&mut self, weights: &[f64]) -> Vec<usize> {
         assert_eq!(weights.len(), self.owner.len(), "one weight per work unit");
         if self.survivors.is_empty() {
             return Vec::new();
         }
-        let parts = partition_weighted(weights, self.survivors.len());
-        let mut moved = Vec::new();
-        for (u, part) in parts.into_iter().enumerate() {
-            let new_owner = self.survivors[part];
-            if self.owner[u] != new_owner {
-                self.owner[u] = new_owner;
-                moved.push(u);
+        let owner: Vec<usize> = partition_weighted(weights, self.survivors.len())
+            .into_iter()
+            .map(|part| self.survivors[part])
+            .collect();
+        if self.makespan(&owner, weights) >= self.makespan(&self.owner, weights) {
+            return Vec::new();
+        }
+        let moved = (0..owner.len())
+            .filter(|&u| owner[u] != self.owner[u])
+            .collect();
+        self.owner = owner;
+        moved
+    }
+
+    /// The heaviest survivor's summed `weights` under `owner` (weights
+    /// read as [`partition_weighted`] reads them).
+    fn makespan(&self, owner: &[usize], weights: &[f64]) -> f64 {
+        let mut load = vec![0.0; self.survivors.len()];
+        for (&r, &w) in owner.iter().zip(weights) {
+            match self.survivors.binary_search(&r) {
+                Ok(slot) if w.is_finite() && w > 0.0 => load[slot] += w,
+                _ => {}
             }
         }
-        moved
+        load.into_iter().fold(0.0, f64::max)
     }
 
     /// Number of work units (= original world size `TE·TA`).

@@ -16,8 +16,5 @@ pub mod volume;
 pub use comm::{run_elastic_world, run_world, CommError, LivenessConfig, ThreadComm};
 pub use decomp::ElasticTiling;
 pub use pool::{RankLease, RankPool};
-pub use runner::{
-    maybe_rebalance, supervised_iteration, DistContext, DistSse, ElasticIterationResult,
-    REBALANCE_THRESHOLD,
-};
+pub use runner::{maybe_rebalance, DistSse, REBALANCE_THRESHOLD};
 pub use schemes::{ca_exchange, BalanceStats, ElasticExchange, ElasticPolicy};

@@ -1,18 +1,15 @@
 //! Distributed GF+SSE iteration driver.
 //!
-//! One full iteration of the Fig. 2 loop on the thread world: the GF phase
-//! solves every `(kz, E)` point (it communicates nothing), the DaCe
-//! all-to-all redistributes the Green's functions into the energy×atom
-//! tiling, each rank runs its local SSE, and the results gather on root.
-//! Unlike [`crate::schemes`] (which reads pre-computed tensors to isolate
-//! the communication pattern), this module owns the whole pipeline.
-//!
-//! There is one iteration, [`supervised_iteration`]: the tiling says who
-//! computes what (full world, weighted, mid-recovery), the
+//! [`DistSse`] is the distributed SSE phase of the one Born loop,
+//! `qt_core::scf::run_scf_with`: each iteration's GF phases solve the
+//! whole grid (they communicate nothing), then the DaCe all-to-all
+//! redistributes the Green's functions into the energy×atom tiling, each
+//! rank runs its local SSE, and the results gather on root. The tiling
+//! says who computes what (full world, weighted, mid-recovery), the
 //! [`ElasticPolicy`] says how (failure detector, recovery bounds, and the
 //! kill schedule — `faults: None` kills nobody, `Some(plan)` kills the
-//! ranks it schedules). [`DistSse`] is the same supervised exchange as the
-//! SSE phase of `qt_core::scf::run_scf_with`: the distributed Born loop.
+//! ranks it schedules). A caller that measures one iteration runs the loop
+//! with `max_iterations: 1`.
 
 use crate::decomp::{ElasticTiling, OmenDecomp};
 use crate::schemes::{ca_exchange, BalanceStats, CommStats, ElasticPolicy, SseDistContext};
@@ -22,36 +19,10 @@ use qt_core::grids::Grids;
 use qt_core::hamiltonian::{ElectronModel, PhononModel};
 use qt_core::health::{CoverageReport, NumericalError, QuarantinedPoint};
 use qt_core::params::SimParams;
-use qt_core::scf::{Simulation, SsePhase};
+use qt_core::scf::SsePhase;
 use qt_core::sse;
 use qt_telemetry::counters::{self, Counter};
 use std::collections::BTreeSet;
-
-/// Borrowed inputs of one distributed iteration: the device and its
-/// models, the grids, and the GF-phase configuration.
-#[derive(Clone, Copy)]
-pub struct DistContext<'a> {
-    pub p: &'a SimParams,
-    pub dev: &'a Device,
-    pub em: &'a ElectronModel,
-    pub pm: &'a PhononModel,
-    pub grids: &'a Grids,
-    pub gf: &'a GfConfig,
-}
-
-impl<'a> DistContext<'a> {
-    /// The context of `sim` under GF configuration `gf`.
-    pub fn of(sim: &'a Simulation, gf: &'a GfConfig) -> Self {
-        DistContext {
-            p: &sim.p,
-            dev: &sim.dev,
-            em: &sim.em,
-            pm: &sim.pm,
-            grids: &sim.grids,
-            gf,
-        }
-    }
-}
 
 /// Result of one distributed iteration.
 pub struct DistIterationResult {
@@ -65,9 +36,11 @@ pub struct DistIterationResult {
     pub comm: CommStats,
 }
 
-/// [`supervised_iteration`] on the full `te × ta` tiling under the default
-/// policy, narrowed by [`ElasticIterationResult::complete`]. Kept for
-/// `qt-perf`, which pins this signature.
+/// One GF+SSE iteration from zero self-energies on the full `te × ta`
+/// tiling under the default policy, outside the Born loop: the uncached
+/// GF phases, then the supervised CA exchange, narrowed by
+/// [`ElasticIterationResult::complete`]. Kept for `qt-perf`, which pins
+/// this signature; every other distributed run is [`DistSse`].
 #[allow(clippy::too_many_arguments)]
 pub fn distributed_iteration(
     p: &SimParams,
@@ -79,79 +52,7 @@ pub fn distributed_iteration(
     te: usize,
     ta: usize,
 ) -> Result<DistIterationResult, NumericalError> {
-    let ctx = DistContext {
-        p,
-        dev,
-        em,
-        pm,
-        grids,
-        gf: cfg,
-    };
-    let mut tiling = ElasticTiling::new(p, te, ta);
-    supervised_iteration(&ctx, &mut tiling, &ElasticPolicy::default())?.complete()
-}
-
-/// Result of one supervised distributed iteration.
-pub struct ElasticIterationResult {
-    pub result: DistIterationResult,
-    /// Electron-grid coverage: the GF phase's quarantined `(kz, E)`
-    /// points, then those whose backing GF-chunk state sat on a rank that
-    /// died — whether the point then rode recovery (recomputed on a
-    /// survivor, bitwise exact) or was zero-filled in a degraded
-    /// completion.
-    pub coverage: CoverageReport,
-    /// True when the run completed with abandoned tiles (zero-filled
-    /// Σ≷/Π≷ slices) instead of full recovery.
-    pub degraded: bool,
-    /// Original ids of the ranks that died, in detection order.
-    pub deaths: Vec<usize>,
-    /// Number of detect→retile→retry rounds the supervisor ran.
-    pub retiles: usize,
-    /// Work units migrated onto survivors across all retiles.
-    pub migrated_units: usize,
-}
-
-impl ElasticIterationResult {
-    /// Narrow to the plain result for callers that take no degraded
-    /// answer: a run with abandoned (zero-filled) tiles is a typed
-    /// [`NumericalError::RankLoss`], never zeros reported as complete. The
-    /// rank named is the last one to die — or the exchange root when the
-    /// retry bound ran out on exonerated accusations alone.
-    pub fn complete(self) -> Result<DistIterationResult, NumericalError> {
-        if self.degraded {
-            let rank = self.deaths.last().copied().unwrap_or(0);
-            return Err(NumericalError::RankLoss { rank });
-        }
-        Ok(self.result)
-    }
-}
-
-/// Run one GF+SSE iteration on `tiling` with elastic rank-failure
-/// recovery, from zero self-energies.
-///
-/// The tiling may be the full world ([`ElasticTiling::new`]), uniform over
-/// fewer ranks, weighted ([`ElasticTiling::weighted`]), or mid-recovery;
-/// deaths shrink it in place so the caller's tiling stays current across
-/// iterations. The GF phase solves the whole grid once (it communicates
-/// nothing), under one quarantine ceiling; its coverage leads the
-/// result's. The SSE exchange runs under supervision. A successful
-/// recovery is *bitwise identical* to the fault-free run, as is any owner
-/// map. Per-rank busy times and per-unit costs come back in
-/// `result.comm.balance`.
-pub fn supervised_iteration(
-    ctx: &DistContext<'_>,
-    tiling: &mut ElasticTiling,
-    policy: &ElasticPolicy,
-) -> Result<ElasticIterationResult, NumericalError> {
     let _span = qt_telemetry::Span::enter_global("dist/iteration");
-    let DistContext {
-        p,
-        dev,
-        em,
-        pm,
-        grids,
-        gf: cfg,
-    } = *ctx;
     let egf = gf::electron_gf_phase(dev, em, p, grids, &ElectronSelfEnergy::zeros(p), cfg)?;
     let pgf = gf::phonon_gf_phase(dev, pm, p, grids, &PhononSelfEnergy::zeros(p), cfg)?;
     let (dl, dg) = sse::preprocess_d(dev, p, &pgf);
@@ -166,30 +67,57 @@ pub fn supervised_iteration(
         d_lesser_pre: &dl,
         d_greater_pre: &dg,
     };
-    let mut el = supervise(&inputs, tiling, policy);
+    let mut tiling = ElasticTiling::new(p, te, ta);
+    let mut done = supervise(&inputs, &mut tiling, &ElasticPolicy::default()).complete()?;
     // The current as the world reduces it: each rank's GF energy chunk
     // sums its points in `gf`'s order, then the partials add in rank order.
     let chunks = OmenDecomp::new(p, tiling.procs()).energy;
     let point_current = |i: usize| egf.current_spectrum[i] * grids.de / p.nkz as f64;
-    el.result.current = (0..chunks.parts)
+    done.current = (0..chunks.parts)
         .map(|rank| {
             (0..p.nkz)
                 .flat_map(|k| chunks.range(rank).map(move |e| k * p.ne + e))
                 .fold(0.0, |c, i| c + point_current(i))
         })
         .fold(0.0, |total, c| total + c);
-    let lost = std::mem::replace(&mut el.coverage, egf.coverage);
-    let gf_bad: BTreeSet<usize> = el
-        .coverage
-        .quarantined
-        .iter()
-        .map(|q| q.grid_index)
-        .collect();
-    let lost = lost.quarantined.into_iter();
-    el.coverage
-        .quarantined
-        .extend(lost.filter(|q| !gf_bad.contains(&q.grid_index)));
-    Ok(el)
+    Ok(done)
+}
+
+/// What one supervised exchange did, beside its result.
+pub(crate) struct ElasticIterationResult {
+    pub result: DistIterationResult,
+    /// Electron grid points whose backing GF-chunk state sat on a rank
+    /// that died — whether the point then rode recovery (recomputed on a
+    /// survivor, bitwise exact) or was zero-filled in a degraded
+    /// completion. Read by the supervision tests.
+    #[cfg_attr(not(test), allow(dead_code))]
+    pub coverage: CoverageReport,
+    /// True when the run completed with abandoned tiles (zero-filled
+    /// Σ≷/Π≷ slices) instead of full recovery.
+    pub degraded: bool,
+    /// Original ids of the ranks that died, in detection order.
+    pub deaths: Vec<usize>,
+    /// Number of detect→retile→retry rounds the supervisor ran.
+    pub retiles: usize,
+    /// Work units migrated onto survivors across all retiles (also the
+    /// `elastic.migrated_tiles` counter). Read by the supervision tests.
+    #[cfg_attr(not(test), allow(dead_code))]
+    pub migrated_units: usize,
+}
+
+impl ElasticIterationResult {
+    /// Narrow to the plain result: a run with abandoned (zero-filled)
+    /// tiles is a typed [`NumericalError::RankLoss`], never zeros
+    /// reported as complete. The rank named is the last one to die — or
+    /// the exchange root when the retry bound ran out on exonerated
+    /// accusations alone.
+    pub fn complete(self) -> Result<DistIterationResult, NumericalError> {
+        if self.degraded {
+            let rank = self.deaths.last().copied().unwrap_or(0);
+            return Err(NumericalError::RankLoss { rank });
+        }
+        Ok(self.result)
+    }
 }
 
 /// The supervision loop: [`ca_exchange`] until it succeeds, re-tiling
@@ -293,8 +221,8 @@ pub(crate) fn supervise(
 }
 
 /// The busy-time imbalance ratio (max/mean) above which the distributed
-/// Born loop ([`DistSse`]) and `reproduce balance` re-tile between
-/// iterations ([`maybe_rebalance`]).
+/// Born loop ([`DistSse`]) re-tiles between iterations
+/// ([`maybe_rebalance`]).
 pub const REBALANCE_THRESHOLD: f64 = 1.5;
 
 /// The distributed SSE phase of `qt_core::scf::run_scf_with`: every Born
@@ -311,6 +239,9 @@ pub struct DistSse {
     pub deaths: Vec<usize>,
     /// Detect→retile→retry rounds across all iterations.
     pub retiles: usize,
+    /// The last completed exchange's bytes, per-rank sent/received
+    /// volumes and busy times.
+    pub comm: CommStats,
 }
 
 impl DistSse {
@@ -320,6 +251,7 @@ impl DistSse {
             policy,
             deaths: Vec::new(),
             retiles: 0,
+            comm: CommStats::default(),
         }
     }
 }
@@ -336,6 +268,7 @@ impl SsePhase for DistSse {
         if let Some(balance) = &done.comm.balance {
             maybe_rebalance(&mut self.tiling, balance, REBALANCE_THRESHOLD);
         }
+        self.comm = done.comm;
         Ok((done.sigma, done.pi))
     }
 }
@@ -365,6 +298,9 @@ pub fn maybe_rebalance(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultPlan;
+    use qt_core::scf::{run_scf_with, ScfConfig, ScfOptions, Simulation};
+    use qt_linalg::Complex64;
 
     fn params() -> SimParams {
         SimParams {
@@ -383,9 +319,57 @@ mod tests {
         Simulation::new(params(), -1.2, 1.2)
     }
 
+    /// `(te, ta)` for the world size requested via `QT_CHAOS_WORLD`.
+    fn world_shape() -> (usize, usize) {
+        match std::env::var("QT_CHAOS_WORLD").ok().as_deref() {
+            Some("2") => (1, 2),
+            Some("8") => (2, 4),
+            None | Some("4") => (2, 2),
+            Some(other) => panic!("QT_CHAOS_WORLD must be 2, 4, or 8, got {other:?}"),
+        }
+    }
+
     fn iterate(sim: &Simulation, te: usize, ta: usize) -> DistIterationResult {
         let cfg = GfConfig::default();
         distributed_iteration(&sim.p, &sim.dev, &sim.em, &sim.pm, &sim.grids, &cfg, te, ta).unwrap()
+    }
+
+    /// The supervised exchange of an iteration from zero self-energies on
+    /// `tiling`, with its supervision record.
+    fn supervised(
+        sim: &Simulation,
+        tiling: &mut ElasticTiling,
+        policy: &ElasticPolicy,
+    ) -> ElasticIterationResult {
+        let (p, dev, grids) = (&sim.p, &sim.dev, &sim.grids);
+        let cfg = GfConfig::default();
+        let zeros = ElectronSelfEnergy::zeros(p);
+        let egf = gf::electron_gf_phase(dev, &sim.em, p, grids, &zeros, &cfg).unwrap();
+        let zeros = PhononSelfEnergy::zeros(p);
+        let pgf = gf::phonon_gf_phase(dev, &sim.pm, p, grids, &zeros, &cfg).unwrap();
+        let (dl, dg) = sse::preprocess_d(dev, p, &pgf);
+        let inputs = SseDistContext {
+            p,
+            dev,
+            grids,
+            dh: &sim.dh,
+            g_lesser: &egf.g_lesser,
+            g_greater: &egf.g_greater,
+            d_lesser_pre: &dl,
+            d_greater_pre: &dg,
+        };
+        supervise(&inputs, tiling, policy)
+    }
+
+    fn is_zero(t: &qt_linalg::Tensor) -> bool {
+        t.as_slice().iter().all(|z| *z == Complex64::ZERO)
+    }
+
+    fn nonzero(t: &qt_linalg::Tensor) -> usize {
+        t.as_slice()
+            .iter()
+            .filter(|z| **z != Complex64::ZERO)
+            .count()
     }
 
     #[test]
@@ -443,21 +427,13 @@ mod tests {
         // Every rank abandoned before the first attempt: the supervisor has
         // nobody to run the exchange on and completes fully degraded.
         let sim = fixture();
-        let cfg = GfConfig::default();
-        let ctx = DistContext::of(&sim, &cfg);
         let mut tiling = ElasticTiling::new(&sim.p, 2, 2);
         for rank in 0..4 {
             tiling.abandon_rank(rank);
         }
-        let el = supervised_iteration(&ctx, &mut tiling, &ElasticPolicy::default()).unwrap();
+        let el = supervised(&sim, &mut tiling, &ElasticPolicy::default());
         assert!(el.degraded);
-        assert!(el
-            .result
-            .sigma
-            .lesser
-            .as_slice()
-            .iter()
-            .all(|z| *z == qt_linalg::Complex64::ZERO));
+        assert!(is_zero(&el.result.sigma.lesser));
         assert_eq!(el.result.sse_bytes, 0);
         assert!(matches!(
             el.complete(),
@@ -466,15 +442,124 @@ mod tests {
     }
 
     #[test]
+    fn killed_rank_recovery_keeps_its_lost_points_on_record() {
+        let sim = fixture();
+        let (te, ta) = world_shape();
+        let procs = te * ta;
+        let victim = procs - 1;
+        // One rank's death quarantines exactly 1/procs of the electron
+        // grid; the ceiling admits exactly that one loss.
+        let policy = ElasticPolicy {
+            max_bad_fraction: 1.0 / procs as f64,
+            faults: Some(FaultPlan::default().with_kill_at(victim, 3)),
+            ..Default::default()
+        };
+        let el = supervised(&sim, &mut ElasticTiling::new(&sim.p, te, ta), &policy);
+        assert_eq!(el.deaths, vec![victim], "exactly the scheduled rank dies");
+        assert!(!el.degraded, "one death out of {procs} must ride recovery");
+        assert!(
+            el.migrated_units >= 1,
+            "only the dead rank's tiles migrate, but they do migrate"
+        );
+        // The lost grid points stay on the record even though they
+        // recovered.
+        assert!(!el.coverage.is_full());
+        assert!(el.coverage.bad_fraction() <= policy.max_bad_fraction);
+    }
+
+    #[test]
+    fn killed_owner_of_every_unit_migrates_all_its_units() {
+        // Every unit collapsed onto rank 0, killed on its first send, with
+        // a ceiling that admits losing the whole grid.
+        let sim = fixture();
+        let (te, ta) = world_shape();
+        let procs = te * ta;
+        let mut tiling = ElasticTiling::weighted(&sim.p, te, ta, procs, &vec![0.0; procs]);
+        let policy = ElasticPolicy {
+            max_bad_fraction: 1.0,
+            faults: Some(FaultPlan::default().with_kill_at(0, 1)),
+            ..Default::default()
+        };
+        let el = supervised(&sim, &mut tiling, &policy);
+        assert_eq!(el.deaths, vec![0], "the collapsed owner dies, nobody else");
+        assert!(!el.degraded, "recovery must complete undegraded");
+        assert_eq!(
+            el.migrated_units, procs,
+            "all of the dead owner's units migrate to survivors"
+        );
+    }
+
+    #[test]
+    fn death_past_bad_fraction_ceiling_zero_fills_the_abandoned_tiles() {
+        let sim = fixture();
+        let (te, ta) = world_shape();
+        let victim = 0;
+        // A zero ceiling makes any loss unrecoverable: the victim's units
+        // must be abandoned and the iteration must still complete.
+        let policy = ElasticPolicy {
+            max_bad_fraction: 0.0,
+            faults: Some(FaultPlan::default().with_kill_at(victim, 1)),
+            ..Default::default()
+        };
+        let el = supervised(&sim, &mut ElasticTiling::new(&sim.p, te, ta), &policy);
+        assert!(el.degraded, "an unrecoverable death must degrade, not hang");
+        assert_eq!(el.deaths, vec![victim]);
+        assert_eq!(el.migrated_units, 0, "abandoned units must not migrate");
+        assert!(!el.coverage.is_full());
+        assert!(el.coverage.bad_fraction() > 0.0);
+        for q in &el.coverage.quarantined {
+            assert!(q.grid_index < sim.p.nkz * sim.p.ne);
+            assert!(matches!(
+                q.error,
+                NumericalError::RankLoss { rank } if rank == victim
+            ));
+        }
+        // Degraded ≠ garbage: the surviving tiles still carry fault-free
+        // values; only the abandoned slices are zero-filled.
+        let mut tiling = ElasticTiling::new(&sim.p, te, ta);
+        let clean = supervised(&sim, &mut tiling, &ElasticPolicy::default());
+        let kept = nonzero(&el.result.sigma.lesser);
+        if te * ta > 1 {
+            assert!(kept > 0, "survivor tiles must be present");
+        }
+        assert!(
+            kept < nonzero(&clean.result.sigma.lesser),
+            "abandoned tiles must be zero-filled"
+        );
+        assert!(el.complete().is_err());
+    }
+
+    #[test]
+    fn exhausted_retry_bound_zero_fills_every_tile() {
+        // One scheduled kill and no retile budget: the supervisor detects
+        // the death, may not retry, and completes fully degraded.
+        let sim = fixture();
+        let victim = 3;
+        let policy = ElasticPolicy {
+            max_retiles: 0,
+            faults: Some(FaultPlan::default().with_kill_at(victim, 3)),
+            ..Default::default()
+        };
+        let el = supervised(&sim, &mut ElasticTiling::new(&sim.p, 2, 2), &policy);
+        assert!(el.degraded);
+        assert_eq!(el.deaths, vec![victim]);
+        assert!(is_zero(&el.result.sigma.lesser) && is_zero(&el.result.pi.greater));
+        match el.complete() {
+            Err(NumericalError::RankLoss { rank }) => assert_eq!(rank, victim),
+            Err(other) => panic!("wrong error: {other}"),
+            Ok(_) => panic!("a zero-filled Σ≷/Π≷ must not narrow to a complete result"),
+        }
+    }
+
+    #[test]
     fn tiled_iteration_rebalance_keeps_results_bitwise_stable() {
         let p = params();
         let (dev, em) = (Device::skewed(&p, 1, 1), ElectronModel::for_params(&p));
         let sim = Simulation::from_parts(p, dev, em, PhononModel::default(), -1.2, 1.2).unwrap();
-        let cfg = GfConfig::default();
-        let ctx = DistContext::of(&sim, &cfg);
         let policy = ElasticPolicy::default();
-        let mut tiling = ElasticTiling::uniform(&p, 2, 2, 4);
-        let first = supervised_iteration(&ctx, &mut tiling, &policy).unwrap();
+        // Two units per rank, so a re-partition can shorten the makespan.
+        let mut tiling = ElasticTiling::uniform(&p, 2, 2, 2);
+        let first = supervised(&sim, &mut tiling, &policy);
         assert!(!first.degraded);
         assert!(first.deaths.is_empty());
         assert_eq!(first.migrated_units, 0);
@@ -485,7 +570,7 @@ mod tests {
             .balance
             .as_ref()
             .expect("balance measured");
-        assert_eq!(bal.rank_busy_secs.len(), 4);
+        assert_eq!(bal.rank_busy_secs.len(), tiling.world_size());
         // Drive the re-tiling decision off a deterministic skew instead of
         // wall-clock noise: one rank 4x busier, its unit 8x costlier.
         let skew = BalanceStats {
@@ -498,7 +583,7 @@ mod tests {
         assert!(!moved.is_empty(), "4.0/1.75 imbalance must trigger a move");
         assert!(counters::total(Counter::BalanceRebalanceEvents) > events0);
         // The re-tiled iteration must reproduce the observables bit for bit.
-        let second = supervised_iteration(&ctx, &mut tiling, &policy).unwrap();
+        let second = supervised(&sim, &mut tiling, &policy);
         assert_eq!(
             first.result.sigma.lesser.as_slice(),
             second.result.sigma.lesser.as_slice()
@@ -520,12 +605,30 @@ mod tests {
     }
 
     #[test]
+    fn skewed_weights_leave_a_one_unit_per_rank_map_alone() {
+        // One unit per rank: a re-partition could only relabel the units,
+        // which leaves the makespan the weights predict where it was.
+        let sim = fixture();
+        let mut tiling = ElasticTiling::new(&sim.p, 2, 2);
+        let skew = BalanceStats {
+            rank_busy_secs: vec![4.0, 1.0, 1.0, 1.0],
+            unit_secs: vec![1.0, 8.0, 1.0, 1.0],
+        };
+        let events0 = counters::local(Counter::BalanceRebalanceEvents);
+        let moved0 = counters::local(Counter::BalanceMovedUnits);
+        assert!(maybe_rebalance(&mut tiling, &skew, 1.5).is_empty());
+        assert_eq!(tiling.owner, vec![0, 1, 2, 3]);
+        assert_eq!(counters::local(Counter::BalanceRebalanceEvents), events0);
+        assert_eq!(counters::local(Counter::BalanceMovedUnits), moved0);
+    }
+
+    #[test]
     fn gf_quarantine_is_the_serial_phases_at_every_tiling() {
         // The vacancy resonance of `scf::tests::vacancy_resonance_quarantines_honestly`:
         // the serial GF phase quarantines one energy column (2 of 18
-        // points) and succeeds. The iteration must report the same global
-        // grid indices whatever the energy tiling — the ceiling applies to
-        // the whole grid, never to one rank's chunk.
+        // points) and succeeds. The distributed loop must report the same
+        // global grid indices whatever the energy tiling — the ceiling
+        // applies to the whole grid, never to one rank's chunk.
         let p = SimParams {
             ne: 9,
             na: 8,
@@ -538,20 +641,26 @@ mod tests {
             vacancy_level: 0.0,
         };
         let sim = Simulation::disordered(p, -1.0, 1.0, disorder).unwrap();
-        let cfg = GfConfig::default();
+        let cfg = ScfConfig {
+            max_iterations: 1,
+            ..Default::default()
+        };
         let zeros = ElectronSelfEnergy::zeros(&p);
         let serial =
-            gf::electron_gf_phase(&sim.dev, &sim.em, &p, &sim.grids, &zeros, &cfg).unwrap();
+            gf::electron_gf_phase(&sim.dev, &sim.em, &p, &sim.grids, &zeros, &cfg.gf).unwrap();
         let indices = |c: &CoverageReport| -> Vec<usize> {
             c.quarantined.iter().map(|q| q.grid_index).collect()
         };
         assert_eq!(indices(&serial.coverage), vec![4, 13]);
-        let ctx = DistContext::of(&sim, &cfg);
         for (te, ta) in [(1, 1), (3, 1), (9, 1)] {
-            let mut tiling = ElasticTiling::new(&p, te, ta);
-            let el = supervised_iteration(&ctx, &mut tiling, &ElasticPolicy::default())
+            let mut body = DistSse::new(ElasticTiling::new(&p, te, ta), ElasticPolicy::default());
+            let opts = ScfOptions {
+                sse: Some(&mut body),
+                ..Default::default()
+            };
+            let out = run_scf_with(&sim, &cfg, opts)
                 .unwrap_or_else(|e| panic!("tiling ({te},{ta}): {e}"));
-            assert_eq!(el.coverage, serial.coverage, "tiling ({te},{ta})");
+            assert_eq!(out.electron.coverage, serial.coverage, "tiling ({te},{ta})");
         }
     }
 
@@ -561,7 +670,7 @@ mod tests {
         // imbalance, so the body re-tiles before the second iteration. At
         // TE = 1 the loop keeps the serial DaCe loop's currents and Σ≷ bit
         // for bit; Π≷ sums its tile partials in its own order.
-        use qt_core::scf::{run_scf, run_scf_with, ScfConfig, ScfOptions};
+        use qt_core::scf::run_scf;
         let sim = fixture();
         let cfg = ScfConfig {
             max_iterations: 3,

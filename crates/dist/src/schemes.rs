@@ -705,7 +705,7 @@ pub type ElasticExchange = Result<(ElectronSelfEnergy, PhononSelfEnergy, CommSta
 /// slot sends exactly [`crate::volume::dace_elastic_rank_sent_bytes`]
 /// ([`crate::volume::dace_rank_sent_bytes`] on the full tiling). One
 /// attempt, no recovery: a death comes back as `Err` for the supervision
-/// loop of [`crate::runner::supervised_iteration`] to re-tile around.
+/// loop of [`crate::DistSse`] to re-tile around.
 pub fn ca_exchange(
     ctx: &SseDistContext<'_>,
     tiling: &ElasticTiling,
@@ -719,8 +719,8 @@ pub fn ca_exchange(
 
 /// [`ca_exchange`] on the full `te × ta` tiling under the default policy,
 /// supervised: a false accusation on an oversubscribed host costs a retry,
-/// as it does in [`crate::runner::supervised_iteration`]. Kept for
-/// `qt-perf`, which pins this name.
+/// as it does in [`crate::DistSse`]. Kept for `qt-perf`, which pins this
+/// name.
 pub fn dace_scheme(
     ctx: &SseDistContext<'_>,
     te: usize,

@@ -1,17 +1,13 @@
-//! Fault tests at the distributed-iteration level: a scheduled rank kill
-//! that the supervisor may not recover from must narrow to a typed error,
-//! never to zero-filled observables. Kills that do recover are covered by
-//! the chaos suite in `qt-bench`.
+//! Fault tests at the distributed-loop level: a scheduled rank kill that
+//! the supervisor may not recover from must end the Born loop in a typed
+//! error, never in zero-filled observables. Kills that do recover are
+//! covered by the chaos suite in `qt-bench`.
 
-use qt_core::gf::GfConfig;
 use qt_core::health::NumericalError;
 use qt_core::params::SimParams;
-use qt_core::scf::Simulation;
+use qt_core::scf::{run_scf_with, ScfConfig, ScfError, ScfOptions, Simulation};
 use qt_dist::fault::FaultPlan;
-use qt_dist::{
-    supervised_iteration, DistContext, ElasticIterationResult, ElasticPolicy, ElasticTiling,
-};
-use qt_linalg::Complex64;
+use qt_dist::{DistSse, ElasticPolicy, ElasticTiling};
 
 fn fixture() -> Simulation {
     let p = SimParams {
@@ -27,18 +23,11 @@ fn fixture() -> Simulation {
     Simulation::new(p, -1.2, 1.2)
 }
 
-/// One supervised iteration on the full 2×2 world.
-fn iterate(sim: &Simulation, policy: &ElasticPolicy) -> ElasticIterationResult {
-    let cfg = GfConfig::default();
-    let ctx = DistContext::of(sim, &cfg);
-    supervised_iteration(&ctx, &mut ElasticTiling::new(&sim.p, 2, 2), policy).unwrap()
-}
-
 #[test]
 fn exhausted_retry_bound_narrows_to_an_error_not_to_zeros() {
     // One scheduled kill and no retile budget: the supervisor detects the
-    // death, may not retry, and completes fully degraded. The narrowing
-    // the fault-free entry points use must refuse that result.
+    // death, may not retry, and the exchange completes fully degraded,
+    // which the loop must refuse.
     let sim = fixture();
     let victim = 3;
     let policy = ElasticPolicy {
@@ -46,13 +35,20 @@ fn exhausted_retry_bound_narrows_to_an_error_not_to_zeros() {
         faults: Some(FaultPlan::default().with_kill_at(victim, 3)),
         ..Default::default()
     };
-    let el = iterate(&sim, &policy);
-    assert!(el.degraded);
-    assert_eq!(el.deaths, vec![victim]);
-    let zero = |t: &qt_linalg::Tensor| t.as_slice().iter().all(|z| *z == Complex64::ZERO);
-    assert!(zero(&el.result.sigma.lesser) && zero(&el.result.pi.greater));
-    match el.complete() {
-        Err(NumericalError::RankLoss { rank }) => assert_eq!(rank, victim),
+    let mut body = DistSse::new(ElasticTiling::new(&sim.p, 2, 2), policy);
+    let cfg = ScfConfig {
+        max_iterations: 1,
+        ..Default::default()
+    };
+    let opts = ScfOptions {
+        sse: Some(&mut body),
+        ..Default::default()
+    };
+    let out = run_scf_with(&sim, &cfg, opts);
+    assert_eq!(body.deaths, vec![victim]);
+    assert_eq!(body.retiles, 1, "one detection, no retry");
+    match out {
+        Err(ScfError::Numerical(NumericalError::RankLoss { rank })) => assert_eq!(rank, victim),
         Err(other) => panic!("wrong error: {other}"),
         Ok(_) => panic!("a zero-filled Σ≷/Π≷ must not narrow to a complete result"),
     }

@@ -520,14 +520,18 @@ fn finish_point(
     point
 }
 
-/// Chaos hook: one elastic distributed iteration with a seeded rank
-/// kill, run as a health probe of the pool's world. Exercises the
+/// Chaos hook: one Born iteration of the distributed loop with a seeded
+/// rank kill, run as a health probe of the pool's world. Exercises the
 /// heartbeat → death → retile recovery end-to-end (its events land in
 /// the same journal as the sweep) and retires the dead ranks from the
-/// pool. The sweep's numbers are untouched: recovery is bitwise-exact,
-/// and the probe shares no solver state with the SCF path.
+/// pool, whether the exchange recovered or degraded. The sweep's numbers
+/// are untouched: the probe's GF phases share the variant's boundary
+/// cache and kernel selectors, which are bit-neutral, and its self-energies
+/// are dropped.
 fn chaos_probe(shared: &Shared, vr: &VariantRuntime, victim: usize) {
-    use qt_dist::{supervised_iteration, DistContext, ElasticPolicy, ElasticTiling};
+    use qt_core::health::NumericalError;
+    use qt_core::scf::{run_scf_with, ScfConfig, ScfError, ScfOptions};
+    use qt_dist::{DistSse, ElasticPolicy, ElasticTiling};
     let procs = shared.cfg.pool_slots.max(2);
     let (te, ta) = if procs.is_multiple_of(2) {
         (2, procs / 2)
@@ -540,14 +544,20 @@ fn chaos_probe(shared: &Shared, vr: &VariantRuntime, victim: usize) {
         faults: Some(plan),
         ..Default::default()
     };
-    let ctx = DistContext::of(&vr.sim, &vr.spec.cfg.gf);
-    let mut tiling = ElasticTiling::new(&vr.sim.p, te, ta);
-    match supervised_iteration(&ctx, &mut tiling, &policy) {
-        Ok(out) => {
-            if !out.deaths.is_empty() {
-                shared.pool.retire(out.deaths.len());
-            }
-        }
+    let mut body = DistSse::new(ElasticTiling::new(&vr.sim.p, te, ta), policy);
+    let cfg = ScfConfig {
+        max_iterations: 1,
+        ..vr.spec.cfg
+    };
+    let opts = ScfOptions {
+        sse: Some(&mut body),
+        ..Default::default()
+    };
+    let out = run_scf_with(&vr.sim, &cfg, opts);
+    // A degraded exchange ends in `RankLoss`, but its deaths happened.
+    shared.pool.retire(body.deaths.len());
+    match out {
+        Ok(_) | Err(ScfError::Numerical(NumericalError::RankLoss { .. })) => {}
         Err(e) => eprintln!("qt-serve: chaos probe failed outright: {e}"),
     }
 }
