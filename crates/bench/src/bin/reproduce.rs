@@ -292,16 +292,15 @@ fn table6() {
 }
 
 /// Table 6 for real: sweep full RGF solves across coupling densities with
-/// the dense, forced-CSR, and auto-selected coupling kernels, and emit
-/// `BENCH_table6.json` (CI `table6-regression` job). No gate reads a solve
-/// time: every output block must have the dense solve's bits under every
-/// kernel, the calibrated crossover
-/// `d*` must fall strictly inside the swept densities, and every coupling
-/// the selector routed must follow the stateless rule `density < d*`.
+/// the dense and the CSRMM coupling kernels, and emit `BENCH_table6.json`
+/// (CI `table6-regression` job). No gate reads a solve time: every output
+/// block of the CSRMM solve must have the dense solve's bits, and the
+/// calibrated crossover `d*` (the measured rate ratio at which the two
+/// kernels break even) must fall strictly inside the swept densities.
 /// Solve times and counted flops are printed and recorded; neither is
 /// gated.
 fn table6_cmd(flags: &[String]) {
-    use qt_core::rgf::{self, KernelSelector, MultiplyStrategy};
+    use qt_core::rgf::{self, MultiplyStrategy};
     use qt_telemetry::json::Json;
 
     let f = parse_args(
@@ -340,18 +339,16 @@ fn table6_cmd(flags: &[String]) {
     use qt_linalg::par;
 
     // Calibrate machine rates once, on a spawned thread like the solver's
-    // workers; the selector then routes every coupling block by measured
-    // density against the predicted crossover. The main thread's stack
-    // offset is randomized per process, and at a few offsets (likely 4K
-    // aliasing between the blocked GEMM's stack and its packed panels)
-    // about one process in 25 timed the dense kernel 2.7x slow there,
-    // which moved the crossover past the sweep.
+    // workers. The main thread's stack offset is randomized per process,
+    // and at a few offsets (likely 4K aliasing between the blocked GEMM's
+    // stack and its packed panels) about one process in 25 timed the
+    // dense kernel 2.7x slow there, which moved the crossover past the
+    // sweep.
     let cal = std::thread::scope(|s| {
         s.spawn(|| par::sequential(|| qt_model::calibrate_kernels(bs, 0.08)))
             .join()
             .expect("kernel calibration")
     });
-    let auto = cal.strategy(0.1);
     let crossover = cal.crossover();
     println!(
         "  calibration: dense {:.2} Gflop/s, sparse {:.2} Gflop/s -> crossover density {:.3}",
@@ -362,8 +359,9 @@ fn table6_cmd(flags: &[String]) {
 
     let densities = [0.002f64, 0.01, 0.05, 0.1, 0.2, 0.4, 0.7];
     let mut failures: Vec<String> = Vec::new();
-    // A crossover outside the sweep would leave one route unexercised (and
-    // means the calibration, not the kernels, decided the table).
+    // A crossover outside the sweep would mean one kernel wins at every
+    // swept density (and that the calibration, not the kernels, decided
+    // the table).
     let (sparsest, densest) = (densities[0], densities[densities.len() - 1]);
     if !(sparsest < crossover && crossover < densest) {
         failures.push(format!(
@@ -371,91 +369,53 @@ fn table6_cmd(flags: &[String]) {
              densities ({sparsest}, {densest})"
         ));
     }
-    // The counters each solve records exactly, in the JSON. The dense route
-    // of `kernel.dense_flops` counts only selector-governed products, so it
-    // is zero for both forced solves and nonzero for the auto solve.
-    let counted = [
-        Counter::Flops,
-        Counter::KernelSparseFlops,
-        Counter::KernelDenseFlops,
-    ];
-    let couplings = blocks - 1;
-    let csr = MultiplyStrategy::Csrmm { threshold: 0.0 };
+    // The counters each solve records exactly, in the JSON.
+    let counted = [Counter::Flops, Counter::KernelSparseFlops];
     println!(
-        "  {:<8} {:>9} {:>9} {:>9} | {:>10} {:>10} | {:>7} {:>5}",
-        "density", "dense ms", "csrmm ms", "auto ms", "dense Gf", "csrmm Gf", "sparse", "rule"
+        "  {:<8} {:>9} {:>9} | {:>10} {:>10}",
+        "density", "dense ms", "csrmm ms", "dense Gf", "csrmm Gf"
     );
     let mut rows: Vec<Json> = Vec::new();
     par::sequential(|| {
         for (di, &density) in densities.iter().enumerate() {
             let (a, sig) = qt_bench::sparse_rgf_problem(blocks, bs, density, 100 + di as u64);
-            let solve = |strategy, s: Option<&KernelSelector>| {
+            let solve = |strategy| {
                 let before = counted.map(counters::local);
-                let out = rgf::rgf_with_selector(&a, &sig, strategy, s).expect("rgf");
+                let out = rgf::rgf_with(&a, &sig, strategy).expect("rgf");
                 let mut counts = counted.map(counters::local);
                 for (c, b) in counts.iter_mut().zip(before) {
                     *c -= b;
                 }
                 (out, counts)
             };
-            let (reference, dense_counts) = solve(MultiplyStrategy::Dense, None);
-            let (csrmm, sparse_counts) = solve(csr, None);
-            let sel = KernelSelector::new(couplings);
-            let (selected, auto_counts) = solve(auto, Some(&sel));
+            let (reference, dense_counts) = solve(MultiplyStrategy::Dense);
+            let (csrmm, sparse_counts) = solve(MultiplyStrategy::Csrmm);
 
             // Every output block must have the dense solve's bits: a
             // strategy changes the speed, never the answer.
-            for (name, out) in [("csrmm", &csrmm), ("auto", &selected)] {
-                if let Some(block) = reference.bit_difference(out) {
-                    failures.push(format!(
-                        "density {density}: {name} differs from dense in the bits of {block}"
-                    ));
-                }
-            }
-
-            // Every coupling goes the way the stateless rule sends it,
-            // recomputed here from the block's own nonzeros.
-            let mut sparse_routes = 0usize;
-            let mut rule_holds = true;
-            for n in 0..couplings {
-                let d = rgf::coupling_density(a.lower(n), a.upper(n));
-                let rule = d < crossover;
-                let route = sel.choice(n);
-                sparse_routes += usize::from(route == Some(true));
-                if route != Some(rule) {
-                    rule_holds = false;
-                    failures.push(format!(
-                        "density {density}: coupling {n} (density {d:.4}) routed {route:?}, \
-                         but density < crossover {crossover:.3} is {rule}"
-                    ));
-                }
+            if let Some(block) = reference.bit_difference(&csrmm) {
+                failures.push(format!(
+                    "density {density}: csrmm differs from dense in the bits of {block}"
+                ));
             }
 
             // Timed cells with telemetry off so per-op instrumentation
             // doesn't distort the kernel comparison.
             qt_telemetry::set_enabled(false);
-            let [dense_ms, sparse_ms, auto_ms] = best_of_alternating_ms(
-                reps,
-                [
-                    &|| drop(solve(MultiplyStrategy::Dense, None)),
-                    &|| drop(solve(csr, None)),
-                    &|| drop(solve(auto, Some(&sel))),
-                ],
-            );
+            let dense = || drop(solve(MultiplyStrategy::Dense));
+            let sparse = || drop(solve(MultiplyStrategy::Csrmm));
+            let [dense_ms, sparse_ms] = best_of_alternating_ms(reps, [&dense, &sparse]);
             qt_telemetry::set_enabled(true);
 
             println!(
-                "  {:<8.3} {:>9.2} {:>9.2} {:>9.2} | {:>10.4} {:>10.4} | {:>7} {:>5}",
+                "  {:<8.3} {:>9.2} {:>9.2} | {:>10.4} {:>10.4}",
                 density,
                 dense_ms,
                 sparse_ms,
-                auto_ms,
                 dense_counts[0] as f64 / 1e9,
                 sparse_counts[0] as f64 / 1e9,
-                format!("{sparse_routes}/{couplings}"),
-                if rule_holds { "ok" } else { "NO" }
             );
-            let counts_json = |counts: [u64; 3]| {
+            let counts_json = |counts: [u64; 2]| {
                 let fields = counted.iter().zip(counts);
                 Json::Obj(
                     fields
@@ -467,23 +427,17 @@ fn table6_cmd(flags: &[String]) {
                 ("density".to_string(), Json::Num(density)),
                 ("dense_ms".to_string(), Json::Num(dense_ms)),
                 ("sparse_ms".to_string(), Json::Num(sparse_ms)),
-                ("auto_ms".to_string(), Json::Num(auto_ms)),
                 (
                     "speedup_vs_dense".to_string(),
                     Json::Num(dense_ms / sparse_ms),
                 ),
-                ("couplings".to_string(), Json::Num(couplings as f64)),
-                ("sparse_routes".to_string(), Json::Num(sparse_routes as f64)),
+                ("couplings".to_string(), Json::Num((blocks - 1) as f64)),
                 ("dense_counts".to_string(), counts_json(dense_counts)),
                 ("sparse_counts".to_string(), counts_json(sparse_counts)),
-                ("auto_counts".to_string(), counts_json(auto_counts)),
             ]));
         }
     });
-    println!(
-        "  (Gf = counted Gflop of the forced solve; sparse = couplings the selector \
-         routed to CSR; rule = every route equals density < {crossover:.3})"
-    );
+    println!("  (Gf = counted Gflop of the solve)");
 
     let doc = Json::Obj(vec![
         ("block_size".to_string(), Json::Num(bs as f64)),
@@ -505,15 +459,11 @@ fn table6_cmd(flags: &[String]) {
             std::process::exit(1);
         }
         std::fs::write(path, rep.to_json()).expect("write report");
-        assert!(rep.has(Block::KernelSelection), "auto runs recorded");
+        assert!(rep.has(Block::KernelSelection), "CSRMM solves recorded");
         println!(
-            "  report written to {path} (selections: {} sparse / {} dense, {} switches; \
-             measured sparse {:.1} ms vs predicted {:.1} ms)",
-            rep.counter(Counter::KernelSparseSelected),
-            rep.counter(Counter::KernelDenseSelected),
-            rep.counter(Counter::KernelSwitches),
-            rep.counter(Counter::KernelSparseNs) as f64 / 1e6,
-            rep.counter(Counter::KernelSparsePredNs) as f64 / 1e6
+            "  report written to {path} (CSR kernels: {:.3} Gflop, {:.1} MB streamed)",
+            rep.counter(Counter::KernelSparseFlops) as f64 / 1e9,
+            rep.counter(Counter::KernelSparseBytes) as f64 / 1e6
         );
     }
 
@@ -525,7 +475,7 @@ fn table6_cmd(flags: &[String]) {
     }
     println!(
         "  gate OK: output bits kernel-independent, crossover {crossover:.3} inside \
-         the swept densities, every coupling routed by density < crossover\n"
+         the swept densities\n"
     );
 }
 

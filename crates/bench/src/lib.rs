@@ -374,21 +374,13 @@ mod tests {
     #[test]
     fn sparse_rgf_problem_strategies_agree() {
         // Bit for bit on the naive GEMM routes (bs 4) and the packed one
-        // (bs 16, 48); Auto at density 0.1 against a 0.3 crossover goes
-        // sparse.
-        use qt_core::rgf::{rgf_with_selector, MultiplyStrategy};
-        let auto = MultiplyStrategy::Auto {
-            dense_rate: 1e9,
-            sparse_rate: 3e8,
-            band: 0.0,
-        };
+        // (bs 16, 48).
+        use qt_core::rgf::{rgf_with, MultiplyStrategy};
         for bs in [4, 16, 48] {
             let (a, sig) = sparse_rgf_problem(4, bs, 0.1, 9);
-            let dense = rgf_with_selector(&a, &sig, MultiplyStrategy::Dense, None).unwrap();
-            for strategy in [MultiplyStrategy::Csrmm { threshold: 0.0 }, auto] {
-                let out = rgf_with_selector(&a, &sig, strategy, None).unwrap();
-                assert_eq!(dense.bit_difference(&out), None, "bs {bs}, {strategy:?}");
-            }
+            let dense = rgf_with(&a, &sig, MultiplyStrategy::Dense).unwrap();
+            let csrmm = rgf_with(&a, &sig, MultiplyStrategy::Csrmm).unwrap();
+            assert_eq!(dense.bit_difference(&csrmm), None, "bs {bs}");
         }
     }
 

@@ -1,6 +1,6 @@
-//! Allocation-regression smoke for the sparse RGF path: warm solves
-//! through the auto-selector must serve every scratch buffer — dense
-//! workspace *and* pooled CSR storage — from the arenas.
+//! Allocation-regression smoke for the sparse RGF path: warm CSRMM solves
+//! must serve every scratch buffer — dense workspace *and* pooled CSR
+//! storage — from the arenas.
 //!
 //! Separate test binary from `alloc_regression` for the same reason that
 //! one documents: the telemetry counters are process-global, so the
@@ -9,7 +9,7 @@
 //! deterministic thread; its twin solves 64-wide blocks, whose dense
 //! products band-split onto the `par` helpers and their pack pools.
 
-use qt_core::rgf::{self, KernelSelector, MultiplyStrategy};
+use qt_core::rgf::{self, MultiplyStrategy};
 use qt_linalg::par;
 use qt_telemetry::counters::{self, Counter};
 
@@ -25,21 +25,14 @@ fn check_warm_solves(bs: usize, sequential: bool) {
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     let blocks = 6usize;
     let (a, sig) = qt_bench::sparse_rgf_problem(blocks, bs, 0.05, 7);
-    // dense_rate = 0 forces the crossover to 1.0: every coupling block
-    // routes through the CSR kernels regardless of measured density, so
-    // the pooled sparse scratch (from_dense_pooled / recycle) is what
-    // this test exercises.
-    let auto = MultiplyStrategy::Auto {
-        dense_rate: 0.0,
-        sparse_rate: 1.0,
-        band: 0.1,
-    };
-    let sel = KernelSelector::new(blocks - 1);
+    // CSRMM routes every coupling block through the CSR kernels, so the
+    // pooled sparse scratch (from_dense_pooled / recycle) is what this
+    // test exercises.
     let body = || {
         qt_telemetry::set_enabled(true);
         qt_telemetry::reset_all();
         let solve = || {
-            let out = rgf::rgf_with_selector(&a, &sig, auto, Some(&sel)).expect("rgf");
+            let out = rgf::rgf_with(&a, &sig, MultiplyStrategy::Csrmm).expect("rgf");
             // Return the output blocks so the next solve draws them from
             // the pool instead of the heap, like the SCF loop does.
             for m in out
@@ -55,13 +48,6 @@ fn check_warm_solves(bs: usize, sequential: bool) {
             }
         };
         solve();
-        for n in 0..blocks - 1 {
-            assert_eq!(
-                sel.choice(n),
-                Some(true),
-                "coupling {n}: selector must route sparse with a clamped crossover"
-            );
-        }
         let cold_fresh = counters::total(Counter::WsFresh);
         let cold_bytes = counters::total(Counter::AllocBytes);
         assert!(cold_fresh > 0, "cold solve must populate the arenas");

@@ -75,10 +75,8 @@ pub struct GfConfig {
     /// fail-fast, and the tolerated bad fraction).
     pub health: HealthPolicy,
     /// How RGF evaluates the off-diagonal coupling products (Table 6):
-    /// all-dense GEMM, forced CSRMM, or calibrated per-block
-    /// auto-selection. Defaults to `Csrmm { threshold: 0.0 }`, the fastest
-    /// on Hamiltonian couplings; at a threshold of 0 every strategy gives the
-    /// same bits.
+    /// all-dense GEMM or CSRMM. Defaults to `Csrmm`, the fastest on
+    /// Hamiltonian couplings; both strategies give the same bits.
     pub strategy: rgf::MultiplyStrategy,
 }
 
@@ -91,7 +89,7 @@ impl Default for GfConfig {
             boundary: BoundaryConfig::default(),
             contacts: Contacts::default(),
             health: HealthPolicy::default(),
-            strategy: rgf::MultiplyStrategy::Csrmm { threshold: 0.0 },
+            strategy: rgf::MultiplyStrategy::Csrmm,
         }
     }
 }
@@ -233,28 +231,6 @@ fn solve_points<T: Send>(
     }
 }
 
-/// The sticky [`rgf::KernelSelector`] is shared by every point of a phase,
-/// and a choice made by one point changes what the next one is offered —
-/// so under [`rgf::MultiplyStrategy::Auto`] the routes are decided once,
-/// here, from the coupling blocks of the phase's first grid point, and the
-/// points solve against the frozen result. Whichever thread reaches RGF
-/// first, every point gets the same plan. `None` leaves `selector` as is
-/// (fixed strategies never consult it; Auto without one is stateless).
-fn decide_routes(
-    cfg: &GfConfig,
-    selector: Option<&rgf::KernelSelector>,
-    first_couplings: impl FnOnce() -> (Vec<Matrix>, Vec<Matrix>),
-) -> Option<rgf::KernelSelector> {
-    let selector = selector?;
-    cfg.strategy.crossover_density()?;
-    let (upper, lower) = first_couplings();
-    let frozen = selector.decide_phase(cfg.strategy, &lower, &upper);
-    for m in upper.into_iter().chain(lower) {
-        workspace::give(m);
-    }
-    Some(frozen)
-}
-
 /// Fold per-point worker results into a [`CoverageReport`] under `policy`:
 /// successes flow into `keep`, failures are either fatal (fail-fast mode)
 /// or quarantined — counted, recorded with their flattened `grid_index`,
@@ -394,9 +370,8 @@ pub fn electron_gf_phase(
 /// [`electron_gf_phase`] with optional contact self-energy memoization:
 /// when `cache` is given it is (re-)bound to the current `H`/`S`/grid
 /// identity and the Sancho–Rubio decimation runs at most once per
-/// `(kz, E)` point across every Born iteration. `selector` carries the
-/// sticky per-coupling kernel choices when `cfg.strategy` is
-/// [`rgf::MultiplyStrategy::Auto`].
+/// `(kz, E)` point across every Born iteration. The last argument is
+/// ignored: [`rgf::KernelSelector`] holds nothing, and `qt-perf` pins it.
 #[allow(clippy::too_many_arguments)]
 pub fn electron_gf_phase_cached(
     dev: &Device,
@@ -406,7 +381,7 @@ pub fn electron_gf_phase_cached(
     sse: &ElectronSelfEnergy,
     cfg: &GfConfig,
     cache: Option<&BoundaryCache>,
-    selector: Option<&rgf::KernelSelector>,
+    _selector: Option<&rgf::KernelSelector>,
 ) -> Result<ElectronGf, NumericalError> {
     let _span = qt_telemetry::Span::enter_global("gf/electron");
     let no = p.norb;
@@ -454,33 +429,6 @@ pub fn electron_gf_phase_cached(
         .flat_map(|k| (0..p.ne).map(move |e| (k, e)))
         .collect();
     let bs = hs[0].0.block_size();
-    // Off-diagonal blocks of A = z·S − H at one point, (upper, lower), in
-    // workspace-pooled storage.
-    let couplings = |k: usize, e: usize| {
-        let (h, s) = &hs[k];
-        let z_dev = c64(grids.energies[e], cfg.device_eta);
-        let fill_off = |sb: &Matrix, hb: &Matrix| {
-            let mut m = workspace::take(bs, bs);
-            for (o, (sv, hv)) in m
-                .as_mut_slice()
-                .iter_mut()
-                .zip(sb.as_slice().iter().zip(hb.as_slice()))
-            {
-                *o = *sv * z_dev - *hv;
-            }
-            m
-        };
-        let nbk = h.num_blocks();
-        let upper: Vec<Matrix> = (0..nbk - 1)
-            .map(|n| fill_off(s.upper(n), h.upper(n)))
-            .collect();
-        let lower: Vec<Matrix> = (0..nbk - 1)
-            .map(|n| fill_off(s.lower(n), h.lower(n)))
-            .collect();
-        (upper, lower)
-    };
-    let routes = decide_routes(cfg, selector, || couplings(0, 0));
-    let selector = routes.as_ref().or(selector);
     type EPoint = (usize, usize, Vec<Complex64>, Vec<Complex64>, f64, Vec<f64>);
     let results: Vec<Result<EPoint, NumericalError>> = solve_points(bs, &points, |k, e| {
         let point_idx = k * p.ne + e;
@@ -498,19 +446,20 @@ pub fn electron_gf_phase_cached(
         let z_dev = c64(energy, cfg.device_eta);
         let nbk = h.num_blocks();
         // A = z·S − H assembled into workspace-pooled blocks.
-        let mut a_diag: Vec<Matrix> = Vec::with_capacity(nbk);
-        for n in 0..nbk {
-            let mut d = workspace::take(bs, bs);
-            for (o, (sv, hv)) in d
+        let fill = |sb: &Matrix, hb: &Matrix| {
+            let mut m = workspace::take(bs, bs);
+            for (o, (sv, hv)) in m
                 .as_mut_slice()
                 .iter_mut()
-                .zip(s.diag(n).as_slice().iter().zip(h.diag(n).as_slice()))
+                .zip(sb.as_slice().iter().zip(hb.as_slice()))
             {
                 *o = *sv * z_dev - *hv;
             }
-            a_diag.push(d);
-        }
-        let (a_upper, a_lower) = couplings(k, e);
+            m
+        };
+        let a_diag = (0..nbk).map(|n| fill(s.diag(n), h.diag(n))).collect();
+        let a_upper = (0..nbk - 1).map(|n| fill(s.upper(n), h.upper(n))).collect();
+        let a_lower = (0..nbk - 1).map(|n| fill(s.lower(n), h.lower(n))).collect();
         let mut a = BlockTridiag::from_blocks(a_diag, a_upper, a_lower);
         *a.diag_mut(0) -= sig_l;
         *a.diag_mut(nbk - 1) -= sig_r;
@@ -550,7 +499,7 @@ pub fn electron_gf_phase_cached(
                 }
             }
         }
-        let out = rgf::rgf_with_selector(&a, &sig_lesser, cfg.strategy, selector)
+        let out = rgf::rgf_with(&a, &sig_lesser, cfg.strategy)
             .map_err(|_| NumericalError::singular("rgf", point_idx))?;
         // Gather per-atom diagonal blocks (these escape the worker, so
         // they stay on the regular heap).
@@ -644,8 +593,8 @@ pub fn phonon_gf_phase(
     phonon_gf_phase_cached(dev, pm, p, grids, sse, cfg, None, None)
 }
 
-/// [`phonon_gf_phase`] with optional contact self-energy memoization and
-/// an optional sticky kernel selector for the Auto multiply strategy.
+/// [`phonon_gf_phase`] with optional contact self-energy memoization. The
+/// last argument is ignored, as in [`electron_gf_phase_cached`].
 #[allow(clippy::too_many_arguments)]
 pub fn phonon_gf_phase_cached(
     dev: &Device,
@@ -655,7 +604,7 @@ pub fn phonon_gf_phase_cached(
     sse: &PhononSelfEnergy,
     cfg: &GfConfig,
     cache: Option<&BoundaryCache>,
-    selector: Option<&rgf::KernelSelector>,
+    _selector: Option<&rgf::KernelSelector>,
 ) -> Result<PhononGf, NumericalError> {
     let _span = qt_telemetry::Span::enter_global("gf/phonon");
     let apb = dev.atoms_per_slab;
@@ -698,41 +647,6 @@ pub fn phonon_gf_phase_cached(
             }
         }
     };
-    // Off-diagonal blocks of A = ω²·I − Φ − Πᴿ at one point, (upper,
-    // lower), in workspace-pooled storage: −Φ plus the neighbor
-    // connections of Πᴿ that cross a slab interface (off-diagonal, §2).
-    let couplings = |q: usize, w: usize| {
-        let phi = &phis[q];
-        let fill_neg = |src: &Matrix| {
-            let mut m = workspace::take(bs, bs);
-            for (o, pv) in m.as_mut_slice().iter_mut().zip(src.as_slice()) {
-                *o = -*pv;
-            }
-            m
-        };
-        let nbk = phi.num_blocks();
-        let mut upper: Vec<Matrix> = (0..nbk - 1).map(|n| fill_neg(phi.upper(n))).collect();
-        let mut lower: Vec<Matrix> = (0..nbk - 1).map(|n| fill_neg(phi.lower(n))).collect();
-        for atom in 0..p.na {
-            let sa = dev.slab_of(atom);
-            let ra = (atom % apb) * N3D;
-            for slot in 0..p.nb {
-                let Some(b) = dev.neighbor(atom, slot) else {
-                    continue;
-                };
-                let sb = dev.slab_of(b);
-                let rb = (b % apb) * N3D;
-                if sb == sa + 1 {
-                    inject_retarded(&mut upper[sa], ra, rb, &[q, w, atom, slot]);
-                } else if sb + 1 == sa {
-                    inject_retarded(&mut lower[sb], ra, rb, &[q, w, atom, slot]);
-                }
-            }
-        }
-        (upper, lower)
-    };
-    let routes = decide_routes(cfg, selector, || couplings(0, 0));
-    let selector = routes.as_ref().or(selector);
     type PhRes = (usize, usize, Vec<Complex64>, Vec<Complex64>, f64);
     let results: Vec<Result<PhRes, NumericalError>> = solve_points(bs, &points, |q, w| {
         let point_idx = q * p.nw + w;
@@ -759,7 +673,33 @@ pub fn phonon_gf_phase_cached(
             }
             a_diag.push(d);
         }
-        let (a_upper, a_lower) = couplings(q, w);
+        // Off-diagonal blocks: −Φ plus the neighbor connections of Πᴿ
+        // that cross a slab interface (off-diagonal, §2).
+        let fill_neg = |src: &Matrix| {
+            let mut m = workspace::take(bs, bs);
+            for (o, pv) in m.as_mut_slice().iter_mut().zip(src.as_slice()) {
+                *o = -*pv;
+            }
+            m
+        };
+        let mut a_upper: Vec<Matrix> = (0..nbk - 1).map(|n| fill_neg(phi.upper(n))).collect();
+        let mut a_lower: Vec<Matrix> = (0..nbk - 1).map(|n| fill_neg(phi.lower(n))).collect();
+        for atom in 0..p.na {
+            let sa = dev.slab_of(atom);
+            let ra = (atom % apb) * N3D;
+            for slot in 0..p.nb {
+                let Some(b) = dev.neighbor(atom, slot) else {
+                    continue;
+                };
+                let sb = dev.slab_of(b);
+                let rb = (b % apb) * N3D;
+                if sb == sa + 1 {
+                    inject_retarded(&mut a_upper[sa], ra, rb, &[q, w, atom, slot]);
+                } else if sb + 1 == sa {
+                    inject_retarded(&mut a_lower[sb], ra, rb, &[q, w, atom, slot]);
+                }
+            }
+        }
         let mut a = BlockTridiag::from_blocks(a_diag, a_upper, a_lower);
         *a.diag_mut(0) -= pi_l;
         *a.diag_mut(nbk - 1) -= pi_r;
@@ -779,7 +719,7 @@ pub fn phonon_gf_phase_cached(
         sig_lesser[0] += &bl_l;
         sig_lesser[nbk - 1] += &bl_r;
         // Scattering Πᴿ on the diagonal blocks (same-slab neighbor
-        // connections included; `couplings` did the cross-slab ones),
+        // connections included; the cross-slab ones are in a_upper/a_lower),
         // injected straight from the SSE tensors — no temporaries.
         for atom in 0..p.na {
             let sa = dev.slab_of(atom);
@@ -805,7 +745,7 @@ pub fn phonon_gf_phase_cached(
                 }
             }
         }
-        let out = rgf::rgf_with_selector(&a, &sig_lesser, cfg.strategy, selector)
+        let out = rgf::rgf_with(&a, &sig_lesser, cfg.strategy)
             .map_err(|_| NumericalError::singular("rgf", point_idx))?;
         // Off-diagonal D images, once per point into pooled buffers
         // (the old path re-derived them per atom pair):

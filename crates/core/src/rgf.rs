@@ -40,9 +40,6 @@
 //!   the two `·gᴿ_n†` products over `rows(A_{n,n+1})`) go through the
 //!   `_over` GEMM entries with index lists built once per solve.
 
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::time::Instant;
-
 use qt_linalg::gemm::{
     gemm_acc, gemm_acc_over, gemm_bdagger_acc, gemm_bdagger_acc_over, gemm_scaled_acc,
     gemm_scaled_acc_over,
@@ -50,188 +47,28 @@ use qt_linalg::gemm::{
 use qt_linalg::{
     c64, invert, invert_ws, workspace, BlockTridiag, Complex64, CsrMatrix, Matrix, SingularMatrix,
 };
-use qt_telemetry::counters::{self, Counter};
 
 /// How the coupling legs of the recursions are evaluated (the Table 6
-/// design space, §5.1.2). At a `threshold` of 0 every strategy gives the
-/// same output bits; they differ in speed only. The GF phases default to
-/// `Csrmm { threshold: 0.0 }` ([`crate::gf::GfConfig`]); [`rgf`] keeps
-/// dense legs.
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// design space, §5.1.2). Both strategies give the same output bits; they
+/// differ in speed only. The GF phases default to `Csrmm`
+/// ([`crate::gf::GfConfig`]); [`rgf`] keeps dense legs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MultiplyStrategy {
     /// Densify everything and use plain GEMM (Table 6 "Dense-MM").
     Dense,
     /// Exploit the sparsity of the Hamiltonian coupling blocks:
     /// `CSR × dense` followed by `dense × CSR` (Table 6 "CSRMM", the
     /// paper's fastest route). Off-diagonal `A` blocks are converted to
-    /// CSR once per solve; entries below `threshold` are dropped
-    /// (structural zeros of the Hamiltonian, not numerical truncation,
-    /// at 0 — the only threshold that keeps the dense bits).
-    Csrmm {
-        /// Magnitude below which entries are treated as structural zeros.
-        threshold: f64,
-    },
-    /// Per-coupling-block runtime selection between the CSR kernels and
-    /// blocked dense GEMM. A coupling goes sparse when its structural
-    /// density sits below the machine crossover `sparse_rate/dense_rate`
-    /// (CSRMM beats GEMM exactly when `8·nnz·n / sparse_rate <
-    /// 8·bs³/ dense_rate`, i.e. `density < sparse_rate/dense_rate`).
-    /// Rates come from [`qt_model`-style] calibration; with a
-    /// [`KernelSelector`] attached the decision is sticky across SCF
-    /// iterations with a hysteresis `band` around the crossover.
-    Auto {
-        /// Calibrated dense GEMM throughput in flop/s (0 disables time
-        /// prediction and forces the crossover to 1, i.e. all-sparse).
-        dense_rate: f64,
-        /// Calibrated CSR kernel throughput in flop/s *on the nonzeros*.
-        sparse_rate: f64,
-        /// Relative hysteresis half-width around the crossover density;
-        /// a remembered choice only flips once the density leaves
-        /// `[d*·(1−band), d*·(1+band)]`.
-        band: f64,
-    },
+    /// CSR once per solve, keeping every entry that is not an exact zero.
+    Csrmm,
 }
 
-impl MultiplyStrategy {
-    /// Crossover density below which the sparse kernels win, per the
-    /// calibrated rates of an [`MultiplyStrategy::Auto`] value. `None`
-    /// for the fixed strategies.
-    pub fn crossover_density(&self) -> Option<f64> {
-        match *self {
-            MultiplyStrategy::Auto {
-                dense_rate,
-                sparse_rate,
-                ..
-            } => Some(if dense_rate > 0.0 {
-                (sparse_rate / dense_rate).clamp(0.0, 1.0)
-            } else {
-                1.0
-            }),
-            _ => None,
-        }
-    }
-}
-
-const CHOICE_UNSET: u8 = 0;
-const CHOICE_DENSE: u8 = 1;
-const CHOICE_SPARSE: u8 = 2;
-
-/// Sticky per-coupling-block kernel memory for [`MultiplyStrategy::Auto`].
-///
-/// One selector serves every RGF solve of a carrier, so a choice made on
-/// the first SCF iteration holds on later ones unless the measured density
-/// drifts out of the hysteresis band. Because [`KernelSelector::choose`]
-/// both reads and updates that memory, solves that may run at the same
-/// time must not share a live selector: a GF phase calls
-/// [`KernelSelector::decide_phase`] once and hands its points the frozen
-/// result. Flips and first-time choices are journalled as
-/// [`qt_telemetry::EventKind::KernelChoice`] and counted under
-/// `kernel.switches`.
+/// A stateless unit struct: a coupling's route is a function of the
+/// strategy and the block alone (`CouplingKernel::of`), so there is no
+/// choice to remember. Kept for `qt-perf`, which pins the selector
+/// argument of the `_cached` GF phases; they ignore it.
 #[derive(Debug, Default)]
-pub struct KernelSelector {
-    choices: Vec<AtomicU8>,
-    /// A frozen selector answers from `choices` and never updates them.
-    frozen: bool,
-}
-
-impl KernelSelector {
-    /// A selector for `couplings` off-diagonal block pairs (`bnum − 1`).
-    pub fn new(couplings: usize) -> Self {
-        KernelSelector {
-            choices: (0..couplings)
-                .map(|_| AtomicU8::new(CHOICE_UNSET))
-                .collect(),
-            frozen: false,
-        }
-    }
-
-    /// Route every coupling once for a whole phase: run [`Self::choose`]
-    /// on the density of each `(lower[n], upper[n])` pair — the sticky,
-    /// journalled decision — and return the outcome as a frozen selector
-    /// whose `choose` ignores the density it is offered. Every solve handed
-    /// the frozen selector gets the same plan in whatever order, or on
-    /// whatever threads, the solves run.
-    pub fn decide_phase(
-        &self,
-        strategy: MultiplyStrategy,
-        lower: &[Matrix],
-        upper: &[Matrix],
-    ) -> KernelSelector {
-        let crossover = strategy.crossover_density().unwrap_or(1.0);
-        let band = match strategy {
-            MultiplyStrategy::Auto { band, .. } => band,
-            _ => 0.0,
-        };
-        let choices = lower
-            .iter()
-            .zip(upper)
-            .enumerate()
-            .map(|(n, (lo, up))| {
-                let sparse = self.choose(n, coupling_density(lo, up), crossover, band);
-                AtomicU8::new(if sparse { CHOICE_SPARSE } else { CHOICE_DENSE })
-            })
-            .collect();
-        KernelSelector {
-            choices,
-            frozen: true,
-        }
-    }
-
-    /// Number of coupling blocks this selector remembers.
-    pub fn len(&self) -> usize {
-        self.choices.len()
-    }
-
-    /// True when the selector tracks no couplings.
-    pub fn is_empty(&self) -> bool {
-        self.choices.is_empty()
-    }
-
-    /// The remembered route for a coupling: `Some(true)` sparse,
-    /// `Some(false)` dense, `None` when the block has not been routed yet.
-    pub fn choice(&self, block: usize) -> Option<bool> {
-        match self.choices.get(block)?.load(Ordering::Relaxed) {
-            CHOICE_SPARSE => Some(true),
-            CHOICE_DENSE => Some(false),
-            _ => None,
-        }
-    }
-
-    /// Route one coupling block: sparse (`true`) or dense (`false`).
-    ///
-    /// A fresh block compares `density < crossover`; a remembered block
-    /// keeps its route until the density exits the hysteresis band, which
-    /// keeps the choice stable when a density hovers at the crossover
-    /// across SCF iterations. Out-of-range blocks fall back to the
-    /// stateless compare; a frozen selector ([`Self::decide_phase`])
-    /// returns the route it was frozen with.
-    pub fn choose(&self, block: usize, density: f64, crossover: f64, band: f64) -> bool {
-        let Some(cell) = self.choices.get(block) else {
-            return density < crossover;
-        };
-        let prev = cell.load(Ordering::Relaxed);
-        if self.frozen {
-            return prev == CHOICE_SPARSE;
-        }
-        let sparse = match prev {
-            CHOICE_SPARSE => density < crossover * (1.0 + band),
-            CHOICE_DENSE => density < crossover * (1.0 - band),
-            _ => density < crossover,
-        };
-        let next = if sparse { CHOICE_SPARSE } else { CHOICE_DENSE };
-        if prev != next {
-            cell.store(next, Ordering::Relaxed);
-            if prev != CHOICE_UNSET {
-                counters::add(Counter::KernelSwitches, 1);
-            }
-            qt_telemetry::journal::emit(qt_telemetry::EventKind::KernelChoice {
-                block: block as u64,
-                sparse,
-            });
-        }
-        sparse
-    }
-}
+pub struct KernelSelector;
 
 /// The per-coupling execution plan: either keep the pair of off-diagonal
 /// blocks dense, or carry pooled CSR images of `A_{n+1,n}` / `A_{n,n+1}`.
@@ -241,6 +78,20 @@ enum CouplingKernel {
 }
 
 impl CouplingKernel {
+    /// The route of the coupling pair `lo = A_{n+1,n}`, `up = A_{n,n+1}`
+    /// under `strategy`. It remembers nothing, so every solve of a phase
+    /// routes a coupling the same way on whatever thread it runs: `Csrmm`
+    /// sends every coupling through the CSR kernels, `Dense` none.
+    fn of(strategy: MultiplyStrategy, lo: &Matrix, up: &Matrix) -> CouplingKernel {
+        match strategy {
+            MultiplyStrategy::Dense => CouplingKernel::Dense,
+            MultiplyStrategy::Csrmm => CouplingKernel::Sparse {
+                lo: CsrMatrix::from_dense_pooled(lo, 0.0),
+                up: CsrMatrix::from_dense_pooled(up, 0.0),
+            },
+        }
+    }
+
     fn lo_sp(&self) -> Option<&CsrMatrix> {
         match self {
             CouplingKernel::Dense => None,
@@ -325,76 +176,17 @@ pub(crate) fn lead_support(alpha: &Matrix, beta: &Matrix) -> (Vec<usize>, Vec<us
     (r, c)
 }
 
-/// Timing context for [`MultiplyStrategy::Auto`]: measures every routed
-/// coupling op and accumulates measured plus model-predicted nanoseconds
-/// into the kernel-selection counters, so `KernelSelectionReport` can put
-/// the machine model side by side with reality. Inert (plain call) for the
-/// fixed strategies and while telemetry spans are disabled.
-#[derive(Clone, Copy)]
-struct AutoTiming {
-    enabled: bool,
-    dense_rate: f64,
-    sparse_rate: f64,
-}
-
-impl AutoTiming {
-    fn off() -> AutoTiming {
-        AutoTiming {
-            enabled: false,
-            dense_rate: 0.0,
-            sparse_rate: 0.0,
-        }
-    }
-
-    #[inline]
-    fn op(&self, sparse: bool, f: impl FnOnce()) {
-        if !self.enabled {
-            return f();
-        }
-        let flops0 = counters::local(Counter::Flops);
-        let t0 = Instant::now();
-        f();
-        let ns = t0.elapsed().as_nanos() as u64;
-        let fl = counters::local(Counter::Flops) - flops0;
-        let rate = if sparse {
-            self.sparse_rate
-        } else {
-            self.dense_rate
-        };
-        let pred = if rate > 0.0 {
-            (fl as f64 / rate * 1e9) as u64
-        } else {
-            0
-        };
-        if sparse {
-            counters::add(Counter::KernelSparseNs, ns);
-            counters::add(Counter::KernelSparsePredNs, pred);
-        } else {
-            counters::add(Counter::KernelDenseFlops, fl);
-            counters::add(Counter::KernelDenseNs, ns);
-            counters::add(Counter::KernelDensePredNs, pred);
-        }
-    }
-}
-
 /// `out += K·b` — coupling block times dense, CSRMM when routed sparse.
-fn mul_coupling(
-    sp: Option<&CsrMatrix>,
-    timing: &AutoTiming,
-    k: &Matrix,
-    b: &Matrix,
-    out: &mut Matrix,
-) {
+fn mul_coupling(sp: Option<&CsrMatrix>, k: &Matrix, b: &Matrix, out: &mut Matrix) {
     match sp {
-        Some(s) => timing.op(true, || s.mul_dense_acc(b, out)),
-        None => timing.op(false, || gemm_acc(k, b, out)),
+        Some(s) => s.mul_dense_acc(b, out),
+        None => gemm_acc(k, b, out),
     }
 }
 
 /// `out += z·(a·K)` — dense times coupling block.
 fn rmul_coupling(
     sp: Option<&CsrMatrix>,
-    timing: &AutoTiming,
     bs: usize,
     a: &Matrix,
     k: &Matrix,
@@ -402,25 +194,22 @@ fn rmul_coupling(
     out: &mut Matrix,
 ) {
     match sp {
-        Some(s) => timing.op(true, || s.rmul_dense_scaled_acc(a, z, out)),
-        None => timing.op(false, || {
-            gemm_scaled_acc(
-                bs,
-                bs,
-                bs,
-                a.as_slice(),
-                k.as_slice(),
-                out.as_mut_slice(),
-                z,
-            )
-        }),
+        Some(s) => s.rmul_dense_scaled_acc(a, z, out),
+        None => gemm_scaled_acc(
+            bs,
+            bs,
+            bs,
+            a.as_slice(),
+            k.as_slice(),
+            out.as_mut_slice(),
+            z,
+        ),
     }
 }
 
 /// `out += z·(a·K†)` — dense times the adjoint of a coupling block.
 fn rmul_dagger_coupling(
     sp: Option<&CsrMatrix>,
-    timing: &AutoTiming,
     bs: usize,
     a: &Matrix,
     k: &Matrix,
@@ -428,36 +217,16 @@ fn rmul_dagger_coupling(
     out: &mut Matrix,
 ) {
     match sp {
-        Some(s) => timing.op(true, || s.rmul_dagger_scaled_acc(a, z, out)),
-        None => timing.op(false, || {
-            gemm_bdagger_acc(
-                bs,
-                bs,
-                bs,
-                a.as_slice(),
-                k.as_slice(),
-                out.as_mut_slice(),
-                z,
-            )
-        }),
-    }
-}
-
-/// Structural density of a coupling pair (`nnz / capacity` over both the
-/// lower and upper block) — what [`MultiplyStrategy::Auto`] compares
-/// against the crossover.
-pub fn coupling_density(lo: &Matrix, up: &Matrix) -> f64 {
-    let nnz = lo
-        .as_slice()
-        .iter()
-        .chain(up.as_slice())
-        .filter(|z| z.re != 0.0 || z.im != 0.0)
-        .count();
-    let cap = lo.as_slice().len() + up.as_slice().len();
-    if cap == 0 {
-        1.0
-    } else {
-        nnz as f64 / cap as f64
+        Some(s) => s.rmul_dagger_scaled_acc(a, z, out),
+        None => gemm_bdagger_acc(
+            bs,
+            bs,
+            bs,
+            a.as_slice(),
+            k.as_slice(),
+            out.as_mut_slice(),
+            z,
+        ),
     }
 }
 
@@ -560,18 +329,16 @@ impl RgfOutput {
 /// self-energy of block `n` (boundary + scattering contributions already
 /// summed).
 pub fn rgf(a: &BlockTridiag, sigma_lesser: &[Matrix]) -> Result<RgfOutput, SingularMatrix> {
-    rgf_with_selector(a, sigma_lesser, MultiplyStrategy::Dense, None)
+    rgf_with(a, sigma_lesser, MultiplyStrategy::Dense)
 }
 
-/// Run RGF with an off-diagonal multiply strategy (Table 6) and an
-/// optional sticky [`KernelSelector`]. The selector only matters for
-/// [`MultiplyStrategy::Auto`]; without one, Auto falls back to a
-/// stateless per-solve density-vs-crossover compare.
-pub fn rgf_with_selector(
+/// Run RGF with an off-diagonal multiply strategy (Table 6). Each
+/// coupling's route comes from `CouplingKernel::of`; the output bits are
+/// the same under either strategy.
+pub fn rgf_with(
     a: &BlockTridiag,
     sigma_lesser: &[Matrix],
     strategy: MultiplyStrategy,
-    selector: Option<&KernelSelector>,
 ) -> Result<RgfOutput, SingularMatrix> {
     // Thread-local attribution: RGF runs inside the per-(kz, E) tasks of
     // the GF phase, so the phase aggregates busy time across threads.
@@ -582,57 +349,9 @@ pub fn rgf_with_selector(
     // Per-coupling execution plan. The sparse routes carry pooled CSR
     // images of the coupling blocks, built once per solve and recycled at
     // the end, so warm iterations never touch the global allocator.
-    let (plan, timing): (Vec<CouplingKernel>, AutoTiming) = match strategy {
-        MultiplyStrategy::Dense => (
-            (0..nb.saturating_sub(1))
-                .map(|_| CouplingKernel::Dense)
-                .collect(),
-            AutoTiming::off(),
-        ),
-        MultiplyStrategy::Csrmm { threshold } => (
-            (0..nb - 1)
-                .map(|n| CouplingKernel::Sparse {
-                    lo: CsrMatrix::from_dense_pooled(a.lower(n), threshold),
-                    up: CsrMatrix::from_dense_pooled(a.upper(n), threshold),
-                })
-                .collect(),
-            AutoTiming::off(),
-        ),
-        MultiplyStrategy::Auto {
-            dense_rate,
-            sparse_rate,
-            band,
-        } => {
-            let crossover = strategy.crossover_density().unwrap_or(1.0);
-            let plan = (0..nb - 1)
-                .map(|n| {
-                    let density = coupling_density(a.lower(n), a.upper(n));
-                    let sparse = match selector {
-                        Some(s) => s.choose(n, density, crossover, band),
-                        None => density < crossover,
-                    };
-                    if sparse {
-                        counters::add(Counter::KernelSparseSelected, 1);
-                        CouplingKernel::Sparse {
-                            lo: CsrMatrix::from_dense_pooled(a.lower(n), 0.0),
-                            up: CsrMatrix::from_dense_pooled(a.upper(n), 0.0),
-                        }
-                    } else {
-                        counters::add(Counter::KernelDenseSelected, 1);
-                        CouplingKernel::Dense
-                    }
-                })
-                .collect();
-            (
-                plan,
-                AutoTiming {
-                    enabled: qt_telemetry::enabled(),
-                    dense_rate,
-                    sparse_rate,
-                },
-            )
-        }
-    };
+    let plan: Vec<CouplingKernel> = (0..nb.saturating_sub(1))
+        .map(|n| CouplingKernel::of(strategy, a.lower(n), a.upper(n)))
+        .collect();
     let neg = c64(-1.0, 0.0);
     let one = c64(1.0, 0.0);
     // Forward pass: left-connected g's. Every temporary (and the retained
@@ -651,11 +370,11 @@ pub fn rgf_with_selector(
             let kern = &plan[n - 1];
             let tau = a.lower(n - 1);
             let mut tg = workspace::take(bs, bs);
-            mul_coupling(kern.lo_sp(), &timing, tau, &g_r[n - 1], &mut tg);
-            rmul_coupling(kern.up_sp(), &timing, bs, &tg, a.upper(n - 1), neg, &mut m);
+            mul_coupling(kern.lo_sp(), tau, &g_r[n - 1], &mut tg);
+            rmul_coupling(kern.up_sp(), bs, &tg, a.upper(n - 1), neg, &mut m);
             let mut tl = workspace::take(bs, bs);
-            mul_coupling(kern.lo_sp(), &timing, tau, &g_l[n - 1], &mut tl);
-            rmul_dagger_coupling(kern.lo_sp(), &timing, bs, &tl, tau, one, &mut sig);
+            mul_coupling(kern.lo_sp(), tau, &g_l[n - 1], &mut tl);
+            rmul_dagger_coupling(kern.lo_sp(), bs, &tl, tau, one, &mut sig);
             workspace::give(tg);
             workspace::give(tl);
         }
@@ -709,11 +428,11 @@ pub fn rgf_with_selector(
         // Shared prefixes: t1 = gᴿ_n A_{n,n+1}, t1g = t1 Gᴿ_{n+1,n+1},
         // t2 = t1g A_{n+1,n}.
         let mut t1 = workspace::take(bs, bs);
-        rmul_coupling(kern.up_sp(), &timing, bs, gr_n, up, one, &mut t1);
+        rmul_coupling(kern.up_sp(), bs, gr_n, up, one, &mut t1);
         let mut t1g = workspace::take(bs, bs);
         gemm_acc_over(sup.up_cols(), &t1, gr_next, &mut t1g);
         let mut t2 = workspace::take(bs, bs);
-        rmul_coupling(kern.lo_sp(), &timing, bs, &t1g, lo, one, &mut t2);
+        rmul_coupling(kern.lo_sp(), bs, &t1g, lo, one, &mut t2);
         // Gᴿ_nn = gᴿ_n + t2 gᴿ_n
         let mut grd = workspace::take_uninit(bs, bs);
         grd.copy_from(gr_n);
@@ -725,14 +444,14 @@ pub fn rgf_with_selector(
         let mut t3 = workspace::take(bs, bs);
         gemm_acc_over(sup.up_cols(), &t1, gl_next, &mut t3);
         let mut t4 = workspace::take(bs, bs);
-        rmul_dagger_coupling(kern.up_sp(), &timing, bs, &t3, up, one, &mut t4);
+        rmul_dagger_coupling(kern.up_sp(), bs, &t3, up, one, &mut t4);
         gemm_acc_over(sup.lo_cols(), &t2, gl_n, &mut gld);
         let mut v1 = workspace::take(bs, bs);
-        rmul_dagger_coupling(kern.lo_sp(), &timing, bs, gl_n, lo, one, &mut v1);
+        rmul_dagger_coupling(kern.lo_sp(), bs, gl_n, lo, one, &mut v1);
         let mut v2 = workspace::take(bs, bs);
         gemm_bdagger_acc_over(sup.lo_rows(), &v1, gr_next, &mut v2, one);
         let mut v3 = workspace::take(bs, bs);
-        rmul_dagger_coupling(kern.up_sp(), &timing, bs, &v2, up, one, &mut v3);
+        rmul_dagger_coupling(kern.up_sp(), bs, &v2, up, one, &mut v3);
         // The t4 and v3 contributions to G<_nn share the right operand
         // `gᴿ_n†`; summing them first folds two GEMM units into one.
         t4 += &v3;
@@ -740,7 +459,7 @@ pub fn rgf_with_selector(
         // Off-diagonal blocks. w1 = Gᴿ_{n+1,n+1} A_{n+1,n} feeds both
         // Gᴿ_{n+1,n} and G<_{n+1,n}; Gᴿ_{n,n+1} = −t1g re-uses its buffer.
         let mut w1 = workspace::take(bs, bs);
-        rmul_coupling(kern.lo_sp(), &timing, bs, gr_next, lo, one, &mut w1);
+        rmul_coupling(kern.lo_sp(), bs, gr_next, lo, one, &mut w1);
         let mut grl = workspace::take(bs, bs);
         gemm_scaled_acc_over(sup.lo_cols(), &w1, gr_n, &mut grl, neg);
         let mut gru = t1g;
@@ -750,7 +469,7 @@ pub fn rgf_with_selector(
         let mut gll = workspace::take(bs, bs);
         gemm_scaled_acc_over(sup.lo_cols(), &w1, gl_n, &mut gll, neg);
         let mut x1 = workspace::take(bs, bs);
-        rmul_dagger_coupling(kern.up_sp(), &timing, bs, gl_next, up, one, &mut x1);
+        rmul_dagger_coupling(kern.up_sp(), bs, gl_next, up, one, &mut x1);
         gemm_bdagger_acc_over(sup.up_rows(), &x1, gr_n, &mut gll, neg);
         for tmp in [t1, t2, t3, t4, v1, v2, v3, w1, x1] {
             workspace::give(tmp);
@@ -816,6 +535,7 @@ pub fn dense_reference(
 mod tests {
     use super::*;
     use qt_linalg::{c64, Complex64};
+    use qt_telemetry::counters::{self, Counter};
     use rand::{Rng as _, SeedableRng};
 
     /// Random non-Hermitian block tridiagonal `A` (as `E·S − H − Σᴿ` is)
@@ -972,22 +692,16 @@ mod tests {
     #[test]
     fn csrmm_strategy_matches_dense() {
         // bs 4 takes the naive GEMM routes, 16 and 48 the packed kernel;
-        // Auto at this crossover routes some couplings each way. The sparse
-        // route must also do less work. Every strategy shares the support
+        // one fully dense coupling runs through CSR as well. The sparse
+        // route must also do less work. Both strategies share the support
         // lists, so the dense inverse is the oracle that they are right.
-        let auto = MultiplyStrategy::Auto {
-            dense_rate: 1e9,
-            sparse_rate: 2.5e8,
-            band: 0.0,
-        };
         for (bs, seed) in [(4usize, 31u64), (16, 32), (48, 33)] {
             let nb = 5;
             let (mut a, sig) = coupled_problem(nb, bs, 0.3, seed);
-            // One fully dense coupling, so Auto mixes routes.
             *a.upper_mut(1) = Matrix::random(bs, bs, &mut rand::rngs::StdRng::seed_from_u64(seed));
             let solve = |strategy| {
                 let before = counters::local(Counter::Flops);
-                let out = rgf_with_selector(&a, &sig, strategy, None).unwrap();
+                let out = rgf_with(&a, &sig, strategy).unwrap();
                 (out, counters::local(Counter::Flops) - before)
             };
             let (dense, f_dense) = solve(MultiplyStrategy::Dense);
@@ -1003,10 +717,8 @@ mod tests {
                     }
                 }
             }
-            let (sparse, f_sparse) = solve(MultiplyStrategy::Csrmm { threshold: 0.0 });
+            let (sparse, f_sparse) = solve(MultiplyStrategy::Csrmm);
             assert_same_bits(&dense, &sparse, &format!("csrmm, bs {bs}"));
-            let (mixed, _) = solve(auto);
-            assert_same_bits(&dense, &mixed, &format!("auto, bs {bs}"));
             assert!(
                 f_sparse < f_dense,
                 "CSRMM must do less work on sparse couplings: {f_sparse} vs {f_dense}"
@@ -1030,200 +742,16 @@ mod tests {
             "warm RGF must be allocation-free"
         );
         let (a, sig) = coupled_problem(3, 64, 0.1, 14);
-        let auto = MultiplyStrategy::Auto {
-            dense_rate: 1e9,
-            sparse_rate: 5e8,
-            band: 0.1,
-        };
-        for strategy in [
-            MultiplyStrategy::Dense,
-            MultiplyStrategy::Csrmm { threshold: 0.0 },
-            auto,
-        ] {
-            let sel = KernelSelector::new(2);
-            rgf_with_selector(&a, &sig, strategy, Some(&sel))
-                .unwrap()
-                .recycle();
+        for strategy in [MultiplyStrategy::Dense, MultiplyStrategy::Csrmm] {
+            rgf_with(&a, &sig, strategy).unwrap().recycle();
             let before = qt_linalg::workspace::fresh_here();
-            rgf_with_selector(&a, &sig, strategy, Some(&sel))
-                .unwrap()
-                .recycle();
+            rgf_with(&a, &sig, strategy).unwrap().recycle();
             assert_eq!(
                 qt_linalg::workspace::fresh_here(),
                 before,
                 "warm bs-64 {strategy:?} RGF must be allocation-free"
             );
         }
-    }
-
-    /// A `bs x bs` block keeping each entry with probability `density`.
-    fn sparse_block(bs: usize, density: f64, r: &mut rand::rngs::StdRng) -> Matrix {
-        Matrix::from_fn(bs, bs, |_, _| {
-            if r.random_range(0.0..1.0) < density {
-                c64(r.random_range(-1.0..1.0), r.random_range(-1.0..1.0))
-            } else {
-                Complex64::ZERO
-            }
-        })
-    }
-
-    #[test]
-    fn selector_hysteresis_is_sticky() {
-        let s = KernelSelector::new(2);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.choice(0), None);
-        // Fresh block: plain compare against the crossover (0.2).
-        assert!(s.choose(0, 0.15, 0.2, 0.5));
-        assert_eq!(s.choice(0), Some(true));
-        // Density drifts above the crossover but stays inside the band
-        // (0.2·1.5 = 0.3): the sparse choice is sticky.
-        assert!(s.choose(0, 0.25, 0.2, 0.5));
-        assert_eq!(s.choice(0), Some(true));
-        // Leaves the band: flips to dense.
-        assert!(!s.choose(0, 0.35, 0.2, 0.5));
-        assert_eq!(s.choice(0), Some(false));
-        // Back below the crossover but above 0.2·0.5 = 0.1: still dense.
-        assert!(!s.choose(0, 0.15, 0.2, 0.5));
-        // Below the lower band edge: flips back to sparse.
-        assert!(s.choose(0, 0.05, 0.2, 0.5));
-        // Out-of-range block index degrades to the stateless compare.
-        assert!(s.choose(7, 0.1, 0.2, 0.5));
-        assert!(!s.choose(7, 0.5, 0.2, 0.5));
-    }
-
-    #[test]
-    fn a_phase_plan_is_decided_once_and_ignores_later_densities() {
-        // Two "grid points" of one phase whose couplings differ: sparse
-        // (~8%) at the first, fully dense at the second. A live selector
-        // re-decides at every solve, so what a point gets depends on who
-        // called before it; the frozen phase plan gives both points the
-        // first point's routes, in either order, and leaves the live
-        // selector at the phase's one decision.
-        let (nb, bs) = (4usize, 12usize);
-        let problem = |density: f64| {
-            let mut r = rand::rngs::StdRng::seed_from_u64(53);
-            let (mut a, sig) = random_problem(nb, bs, 54);
-            for n in 0..nb - 1 {
-                *a.upper_mut(n) = sparse_block(bs, density, &mut r);
-                *a.lower_mut(n) = sparse_block(bs, density, &mut r);
-            }
-            (a, sig)
-        };
-        let (first, sig) = problem(0.08);
-        let (second, _) = problem(1.0);
-        let strat = MultiplyStrategy::Auto {
-            dense_rate: 1e9,
-            sparse_rate: 3e8,
-            band: 0.1,
-        };
-        let couplings = |a: &BlockTridiag| -> (Vec<Matrix>, Vec<Matrix>) {
-            (0..nb - 1)
-                .map(|n| (a.lower(n).clone(), a.upper(n).clone()))
-                .unzip()
-        };
-
-        let live = KernelSelector::new(nb - 1);
-        let (lower, upper) = couplings(&first);
-        let plan = live.decide_phase(strat, &lower, &upper);
-        let all =
-            |sel: &KernelSelector, want: bool| (0..nb - 1).all(|n| sel.choice(n) == Some(want));
-        assert!(all(&live, true) && all(&plan, true));
-        let sparse_routes = |a: &BlockTridiag, sel: &KernelSelector| {
-            let before = counters::local(Counter::KernelSparseSelected);
-            let out = rgf_with_selector(a, &sig, strat, Some(sel)).unwrap();
-            (out, counters::local(Counter::KernelSparseSelected) - before)
-        };
-        let (second_then, routed) = sparse_routes(&second, &plan);
-        assert_eq!(routed, (nb - 1) as u64, "the dense point keeps the plan");
-        let (first_then, _) = sparse_routes(&first, &plan);
-        let (first_again, _) = sparse_routes(&first, &plan);
-        let (second_again, _) = sparse_routes(&second, &plan);
-        for n in 0..nb {
-            assert_eq!(first_then.gl_diag[n], first_again.gl_diag[n]);
-            assert_eq!(second_then.gl_diag[n], second_again.gl_diag[n]);
-        }
-        assert!(all(&live, true) && all(&plan, true), "solves never write");
-
-        // The hazard the plan removes: the same dense point through the
-        // live selector flips every route, for itself and for whoever
-        // solves next.
-        let (_, routed) = sparse_routes(&second, &live);
-        assert_eq!(routed, 0);
-        assert!(all(&live, false));
-    }
-
-    #[test]
-    fn auto_selector_routes_by_density_and_matches_dense() {
-        // Couplings 0 and 1 are genuinely sparse (~8%), the rest fully
-        // dense. With a crossover at 0.3 the selector must route exactly
-        // the sparse pair to CSR — and the mixed-plan output must have the
-        // all-dense solve's bits.
-        let mut r = rand::rngs::StdRng::seed_from_u64(47);
-        let (nb, bs) = (6usize, 16usize);
-        let mut a = BlockTridiag::zeros(nb, bs);
-        for n in 0..nb {
-            let mut d = Matrix::random(bs, bs, &mut r);
-            for i in 0..bs {
-                d[(i, i)] += c64(4.0, 1.0);
-            }
-            *a.diag_mut(n) = d;
-        }
-        for n in 0..nb - 1 {
-            let density = if n < 2 { 0.08 } else { 1.0 };
-            *a.upper_mut(n) = sparse_block(bs, density, &mut r);
-            *a.lower_mut(n) = sparse_block(bs, density, &mut r);
-        }
-        let sig: Vec<Matrix> = (0..nb)
-            .map(|_| Matrix::random_hermitian(bs, &mut r).scale(Complex64::I))
-            .collect();
-        let dense = rgf_with_selector(&a, &sig, MultiplyStrategy::Dense, None).unwrap();
-        let strat = MultiplyStrategy::Auto {
-            dense_rate: 1e9,
-            sparse_rate: 3e8,
-            band: 0.1,
-        };
-        assert!((strat.crossover_density().unwrap() - 0.3).abs() < 1e-15);
-        let sel = KernelSelector::new(nb - 1);
-        let auto = rgf_with_selector(&a, &sig, strat, Some(&sel)).unwrap();
-        assert_same_bits(&dense, &auto, "mixed plan");
-        assert_eq!(sel.choice(0), Some(true), "8% coupling must go sparse");
-        assert_eq!(sel.choice(1), Some(true));
-        for n in 2..nb - 1 {
-            assert_eq!(
-                sel.choice(n),
-                Some(false),
-                "dense coupling {n} must stay dense"
-            );
-        }
-        // A second solve re-uses the remembered choices without flips.
-        let again = rgf_with_selector(&a, &sig, strat, Some(&sel)).unwrap();
-        assert_same_bits(&dense, &again, "remembered plan");
-        assert_eq!(sel.choice(0), Some(true));
-        again.recycle();
-        auto.recycle();
-        dense.recycle();
-    }
-
-    #[test]
-    fn auto_without_selector_is_stateless_and_counted() {
-        let (a, sig) = random_problem(4, 6, 33);
-        let before = counters::total(Counter::KernelDenseSelected);
-        // Fully dense random couplings with a low crossover: every
-        // coupling routes dense, even without a selector attached.
-        let strat = MultiplyStrategy::Auto {
-            dense_rate: 1e9,
-            sparse_rate: 1e8,
-            band: 0.05,
-        };
-        let out = rgf_with_selector(&a, &sig, strat, None).unwrap();
-        let (ref_gr, _) = dense_reference(&a, &sig).unwrap();
-        let blk = ref_gr.submatrix(0, 0, 6, 6);
-        assert!(out.gr_diag[0].max_abs_diff(&blk) < 1e-10);
-        assert!(
-            counters::total(Counter::KernelDenseSelected) >= before + 3,
-            "each coupling decision must be counted"
-        );
-        out.recycle();
     }
 
     #[test]
@@ -1257,33 +785,14 @@ mod tests {
         let sig: Vec<Matrix> = (0..nb)
             .map(|_| Matrix::random_hermitian(bs, &mut r).scale(Complex64::I))
             .collect();
-        let strat = MultiplyStrategy::Csrmm { threshold: 0.0 };
-        rgf_with_selector(&a, &sig, strat, None).unwrap().recycle();
+        let strat = MultiplyStrategy::Csrmm;
+        rgf_with(&a, &sig, strat).unwrap().recycle();
         let before = qt_linalg::workspace::fresh_here();
-        rgf_with_selector(&a, &sig, strat, None).unwrap().recycle();
+        rgf_with(&a, &sig, strat).unwrap().recycle();
         assert_eq!(
             qt_linalg::workspace::fresh_here(),
             before,
             "warm sparse RGF must be allocation-free"
-        );
-        // And the Auto route pools the same way once its choices settle.
-        let sel = KernelSelector::new(nb - 1);
-        let auto = MultiplyStrategy::Auto {
-            dense_rate: 1e9,
-            sparse_rate: 5e8,
-            band: 0.1,
-        };
-        rgf_with_selector(&a, &sig, auto, Some(&sel))
-            .unwrap()
-            .recycle();
-        let before = qt_linalg::workspace::fresh_here();
-        rgf_with_selector(&a, &sig, auto, Some(&sel))
-            .unwrap()
-            .recycle();
-        assert_eq!(
-            qt_linalg::workspace::fresh_here(),
-            before,
-            "warm auto-selected RGF must be allocation-free"
         );
     }
 

@@ -43,13 +43,11 @@ pub struct Simulation {
     /// models in place (a changed identity key also invalidates it
     /// automatically at the next GF phase).
     pub boundary: BoundaryCache,
-    /// Sticky per-coupling kernel choices for the electron RGF solves
-    /// (only consulted when `gf.strategy` is
-    /// [`rgf::MultiplyStrategy::Auto`]). Electrons and phonons get
-    /// separate selectors: their coupling densities differ, and sharing
-    /// cells would make the hysteresis flap between carriers.
+    /// Stateless; kept for `qt-perf`, which passes it to
+    /// [`gf::electron_gf_phase_cached`] (see [`rgf::KernelSelector`]).
     pub kernel_selector_e: rgf::KernelSelector,
-    /// Sticky per-coupling kernel choices for the phonon RGF solves.
+    /// Stateless; kept for `qt-perf`, which passes it to
+    /// [`gf::phonon_gf_phase_cached`].
     pub kernel_selector_ph: rgf::KernelSelector,
 }
 
@@ -118,7 +116,6 @@ impl Simulation {
         }
         let grids = Grids::try_new(&p, emin, emax)?;
         let dh = em.dh_tensor(&dev);
-        let couplings = p.bnum.saturating_sub(1);
         Ok(Simulation {
             p,
             dev,
@@ -127,8 +124,8 @@ impl Simulation {
             grids,
             dh,
             boundary: BoundaryCache::new(),
-            kernel_selector_e: rgf::KernelSelector::new(couplings),
-            kernel_selector_ph: rgf::KernelSelector::new(couplings),
+            kernel_selector_e: rgf::KernelSelector,
+            kernel_selector_ph: rgf::KernelSelector,
         })
     }
 }
@@ -917,7 +914,7 @@ pub fn run_scf_with(
             &sigma,
             &cfg.gf,
             Some(&sim.boundary),
-            Some(&sim.kernel_selector_e),
+            None,
         )?;
         let pgf = gf::phonon_gf_phase_cached(
             &sim.dev,
@@ -927,7 +924,7 @@ pub fn run_scf_with(
             &pi,
             &cfg.gf,
             Some(&sim.boundary),
-            Some(&sim.kernel_selector_ph),
+            None,
         )?;
         current_history.push(egf.current);
         // Convergence on G<.

@@ -1,7 +1,6 @@
 //! Thread count must not show in the output: two Born iterations fanned out
 //! over `qt_linalg::par` equal the same two under `par::sequential` bit for
-//! bit — observables, Σ≷, Π≷ and, under the Auto multiply strategy, the
-//! kernel plan each coupling gets.
+//! bit — observables, Σ≷ and Π≷, under both multiply strategies.
 //!
 //! One test in a binary of its own, so nothing else holds `par`'s job slot
 //! and the fanned-out runs really fan out (on a one-core host both sides
@@ -46,8 +45,8 @@ fn bits(t: &Tensor) -> Vec<(u64, u64)> {
         .collect()
 }
 
-/// Everything two runs must share, plus the selectors' remembered routes.
-type Outcome = (Vec<u64>, [Vec<(u64, u64)>; 4], Vec<Option<bool>>);
+/// Everything two runs must share.
+type Outcome = (Vec<u64>, [Vec<(u64, u64)>; 4]);
 
 fn two_born_iterations(p: SimParams, strategy: MultiplyStrategy) -> Outcome {
     let sim = Simulation::new(p, -1.2, 1.2);
@@ -59,10 +58,6 @@ fn two_born_iterations(p: SimParams, strategy: MultiplyStrategy) -> Outcome {
     cfg.gf.strategy = strategy;
     let out: ScfResult = run_scf(&sim, &cfg).expect("SCF");
     assert_eq!(out.iterations, 2);
-    let plan = [&sim.kernel_selector_e, &sim.kernel_selector_ph]
-        .into_iter()
-        .flat_map(|sel| (0..sel.len()).map(|n| sel.choice(n)))
-        .collect();
     (
         out.current_history.iter().map(|c| c.to_bits()).collect(),
         [
@@ -71,31 +66,20 @@ fn two_born_iterations(p: SimParams, strategy: MultiplyStrategy) -> Outcome {
             bits(&out.pi.lesser),
             bits(&out.pi.greater),
         ],
-        plan,
     )
 }
 
 #[test]
 fn fanned_out_and_sequential_runs_agree_bit_for_bit() {
-    // Crossover densities below, inside and above what the nanowire's
-    // coupling blocks measure, so Auto routes them dense, mixed and sparse.
-    let auto = |crossover: f64| MultiplyStrategy::Auto {
-        dense_rate: 1.0,
-        sparse_rate: crossover,
-        band: 0.1,
-    };
     let cases = [
         ("small/dense", SMALL, MultiplyStrategy::Dense),
         ("wide/dense", WIDE, MultiplyStrategy::Dense),
-        ("small/auto 0.02", SMALL, auto(0.02)),
-        ("small/auto 0.3", SMALL, auto(0.3)),
-        ("small/auto 0.95", SMALL, auto(0.95)),
+        ("small/csrmm", SMALL, MultiplyStrategy::Csrmm),
+        ("wide/csrmm", WIDE, MultiplyStrategy::Csrmm),
     ];
-    let mut routed = std::collections::BTreeSet::new();
     for (name, p, strategy) in cases {
         let fanned = two_born_iterations(p, strategy);
         let sequential = par::sequential(|| two_born_iterations(p, strategy));
-        assert_eq!(fanned.2, sequential.2, "{name}: kernel plan");
         assert_eq!(fanned.0, sequential.0, "{name}: current history");
         for (what, (f, s)) in ["Σ<", "Σ>", "Π<", "Π>"]
             .into_iter()
@@ -103,11 +87,5 @@ fn fanned_out_and_sequential_runs_agree_bit_for_bit() {
         {
             assert!(f == s, "{name}: {what} differs between thread counts");
         }
-        routed.extend(fanned.2.into_iter().flatten());
     }
-    assert_eq!(
-        routed.len(),
-        2,
-        "the Auto cases must exercise both the sparse and the dense route"
-    );
 }

@@ -287,11 +287,22 @@ impl ThreadComm {
         counters::add(Counter::Bytes, bytes);
     }
 
+    /// One failed liveness probe of world slot `watched`: counted and
+    /// journalled as a heartbeat timeout.
+    fn probe_failed(&self, watched: usize) {
+        counters::add(Counter::ElasticHeartbeatTimeouts, 1);
+        qt_telemetry::journal::emit(qt_telemetry::EventKind::HeartbeatTimeout {
+            watched: self.identity_of(watched) as u64,
+        });
+    }
+
     /// Hand `frame` to `dst`'s channel. The destination's receivers are
     /// dropped when its closure unwinds, so a closed channel is death
-    /// evidence.
+    /// evidence: a probe of `dst` that failed at once, recorded like an
+    /// expired poll.
     fn push(&self, dst: usize, frame: Frame) -> Result<(), CommError> {
         self.world.senders[dst][self.rank].send(frame).map_err(|_| {
+            self.probe_failed(dst);
             self.declare_dead(dst);
             CommError::RankDeath {
                 rank: self.identity_of(dst),
@@ -395,10 +406,7 @@ impl ThreadComm {
             match self.receivers[src].recv_timeout(live.poll) {
                 Ok(frame) => return Ok(self.accept(src, tag, frame)),
                 Err(RecvTimeoutError::Timeout) => {
-                    counters::add(Counter::ElasticHeartbeatTimeouts, 1);
-                    qt_telemetry::journal::emit(qt_telemetry::EventKind::HeartbeatTimeout {
-                        watched: self.identity_of(src) as u64,
-                    });
+                    self.probe_failed(src);
                     // Waiting is progress: keep our own epoch moving so
                     // peers blocked on *us* don't declare us dead.
                     self.heartbeat();
@@ -442,29 +450,38 @@ impl ThreadComm {
     /// Liveness-aware barrier. A dead rank never reaches a
     /// [`ThreadComm::barrier`], which would hang every survivor; this
     /// variant records per-rank arrival generations and runs the same
-    /// epoch-deadline detector while waiting, so a death surfaces as
-    /// [`CommError::RankDeath`] on every survivor instead.
+    /// detector as [`ThreadComm::try_recv`] while waiting: each poll that
+    /// expires with a peer missing records one heartbeat timeout, and only
+    /// then are the death certificates and the epoch deadlines checked.
+    /// So a death surfaces as [`CommError::RankDeath`] on every survivor,
+    /// and every path that detects one (receive poll, barrier poll, closed
+    /// endpoint) journals a timeout first.
     pub fn try_barrier(&self, live: &LivenessConfig) -> Result<(), CommError> {
         let gen = self.barrier_gen.get() + 1;
         self.barrier_gen.set(gen);
         self.world.arrivals[self.rank].store(gen, Ordering::Release);
         let n = self.world.n;
+        let arrived = |s: usize| self.world.arrivals[s].load(Ordering::Acquire) >= gen;
         let mut last: Vec<(u64, Instant)> =
             (0..n).map(|s| (self.epoch_of(s), Instant::now())).collect();
         loop {
-            if (0..n).all(|s| self.world.arrivals[s].load(Ordering::Acquire) >= gen) {
+            if (0..n).all(arrived) {
                 return Ok(());
             }
+            std::thread::sleep(live.poll);
+            self.heartbeat();
+            let Some(late) = (0..n).find(|&s| !arrived(s)) else {
+                continue;
+            };
+            self.probe_failed(late);
             if let Some(s) = self.first_dead_excluding(self.rank) {
                 return Err(CommError::RankDeath {
                     rank: self.identity_of(s),
                     epoch: self.epoch_of(s),
                 });
             }
-            std::thread::sleep(live.poll);
-            self.heartbeat();
             for (s, entry) in last.iter_mut().enumerate() {
-                if self.world.arrivals[s].load(Ordering::Acquire) >= gen {
+                if arrived(s) {
                     continue;
                 }
                 let e = self.epoch_of(s);
@@ -850,21 +867,55 @@ mod tests {
     #[test]
     fn death_certificate_cascades_through_try_barrier() {
         // Rank 2 dies silently; rank 0 detects it in try_recv, and the
-        // shared certificate aborts rank 1's barrier wait too.
+        // shared certificate aborts rank 1's barrier wait too. Each
+        // survivor records a heartbeat timeout before it returns.
         let live = LivenessConfig {
             poll: Duration::from_millis(1),
             deadline: Duration::from_millis(30),
         };
-        let out = run_elastic_world(vec![0, 1, 2], None, move |comm| match comm.rank() {
-            0 => comm.try_recv(2, 5, &live).map(|_| ()),
-            1 => comm.try_barrier(&live),
-            _ => {
-                std::thread::sleep(Duration::from_millis(150));
-                Ok(())
-            }
+        let out = run_elastic_world(vec![0, 1, 2], None, move |comm| {
+            let before = counters::local(Counter::ElasticHeartbeatTimeouts);
+            let res = match comm.rank() {
+                0 => comm.try_recv(2, 5, &live).map(|_| ()),
+                1 => comm.try_barrier(&live),
+                _ => {
+                    std::thread::sleep(Duration::from_millis(150));
+                    Ok(())
+                }
+            };
+            Ok((
+                res,
+                counters::local(Counter::ElasticHeartbeatTimeouts) - before,
+            ))
         });
-        assert_eq!(out[0].as_ref().unwrap_err().suspect(), 2);
-        assert_eq!(out[1].as_ref().unwrap_err().suspect(), 2);
+        for (rank, o) in out.iter().take(2).enumerate() {
+            let (res, timeouts) = o.as_ref().unwrap();
+            assert_eq!(res.as_ref().unwrap_err().suspect(), 2, "rank {rank}");
+            assert!(*timeouts >= 1, "rank {rank} detected a death silently");
+        }
+    }
+
+    #[test]
+    fn a_send_into_a_closed_endpoint_records_a_timeout() {
+        // Rank 1's endpoint is gone before rank 0 sends to it.
+        let gone = std::sync::Barrier::new(2);
+        let out = run_elastic_world(vec![0, 1], None, |comm| {
+            if comm.rank() == 1 {
+                drop(comm);
+                gone.wait();
+                return Ok((Ok(()), 0));
+            }
+            gone.wait();
+            let before = counters::local(Counter::ElasticHeartbeatTimeouts);
+            let res = comm.try_send(1, 3, vec![c64(1.0, 0.0)]);
+            Ok((
+                res,
+                counters::local(Counter::ElasticHeartbeatTimeouts) - before,
+            ))
+        });
+        let (res, timeouts) = out[0].as_ref().unwrap();
+        assert_eq!(res.as_ref().unwrap_err().suspect(), 1);
+        assert_eq!(*timeouts, 1);
     }
 
     #[test]

@@ -12,7 +12,6 @@
 //! model so `qt_model::predict` can be driven by achieved numbers.
 
 use crate::machine::Machine;
-use qt_core::rgf::MultiplyStrategy;
 use qt_linalg::{c64, gemm, Complex64, CsrMatrix, Matrix};
 use std::time::Instant;
 
@@ -209,15 +208,6 @@ impl KernelCalibration {
             1.0
         }
     }
-
-    /// The calibrated [`MultiplyStrategy::Auto`] carrying these rates.
-    pub fn strategy(&self, band: f64) -> MultiplyStrategy {
-        MultiplyStrategy::Auto {
-            dense_rate: self.dense_rate,
-            sparse_rate: self.sparse_rate,
-            band,
-        }
-    }
 }
 
 /// Deterministic dense matrix at roughly `density`, for the sparse side of
@@ -328,18 +318,6 @@ mod tests {
         assert!(k.dense_rate > 0.0 && k.sparse_rate > 0.0);
         let c = k.crossover();
         assert!(c > 0.0 && c <= 1.0, "crossover must be a density, got {c}");
-        match k.strategy(0.15) {
-            MultiplyStrategy::Auto {
-                dense_rate,
-                sparse_rate,
-                band,
-            } => {
-                assert_eq!(dense_rate, k.dense_rate);
-                assert_eq!(sparse_rate, k.sparse_rate);
-                assert_eq!(band, 0.15);
-            }
-            other => panic!("expected Auto, got {other:?}"),
-        }
         // A dead dense rate degrades to an all-sparse crossover of 1.
         let z = KernelCalibration {
             block_size: 8,

@@ -526,8 +526,7 @@ fn finish_point(
 /// the same journal as the sweep) and retires the dead ranks from the
 /// pool, whether the exchange recovered or degraded. The sweep's numbers
 /// are untouched: the probe's GF phases share the variant's boundary
-/// cache and kernel selectors, which are bit-neutral, and its self-energies
-/// are dropped.
+/// cache, which is bit-neutral, and its self-energies are dropped.
 fn chaos_probe(shared: &Shared, vr: &VariantRuntime, victim: usize) {
     use qt_core::health::NumericalError;
     use qt_core::scf::{run_scf_with, ScfConfig, ScfError, ScfOptions};

@@ -144,7 +144,7 @@ counter_table! {
     (HealthCommRetries, "health.comm_retries", SAMPLED, In(Health), "Communication retries: timed-out or corrupt-and-discarded receives, and retransmissions. No longer emitted; kept so older reports load."),
     (HealthCheckpointWrites, "health.checkpoint_writes", SAMPLED, In(Health), "SCF checkpoints written to disk."),
     (ElasticRankDeaths, "elastic.rank_deaths", SAMPLED, In(Elasticity), "Ranks declared permanently dead by the failure detector or the kill schedule."),
-    (ElasticHeartbeatTimeouts, "elastic.heartbeat_timeouts", SAMPLED, In(Elasticity), "Receive polls that expired while the failure detector watched a peer's liveness epoch."),
+    (ElasticHeartbeatTimeouts, "elastic.heartbeat_timeouts", SAMPLED, In(Elasticity), "Failed liveness probes of a peer: receive and barrier polls that expired while the failure detector watched its epoch, and sends that found its endpoint closed."),
     (ElasticRetileEvents, "elastic.retile_events", SAMPLED, In(Elasticity), "Survivor re-tiling passes of the CA decomposition."),
     (ElasticMigratedTiles, "elastic.migrated_tiles", SAMPLED, In(Elasticity), "Tiles migrated off dead ranks during re-tiling passes."),
     (BalanceStealRequests, "balance.steal_requests", SAMPLED, In(Balance), "Work-steal requests sent by idle ranks. No longer emitted; kept so older reports load."),
@@ -152,16 +152,16 @@ counter_table! {
     (BalanceRebalanceEvents, "balance.rebalance_events", SAMPLED, In(Balance), "Iteration-to-iteration re-partitioning passes of the adaptive tiling."),
     (BalanceMovedUnits, "balance.moved_units", SAMPLED, In(Balance), "Units whose owner changed in re-partitioning passes."),
     (JournalDropped, "journal.dropped", UNSAMPLED, Unreported, "Journal events overwritten by a full flight-recorder ring before they could be drained."),
-    (KernelSparseSelected, "kernel.sparse_selected", SAMPLED, In(KernelSelection), "Kernel-selector decisions that routed a coupling product through the CSR sparse kernels."),
-    (KernelDenseSelected, "kernel.dense_selected", SAMPLED, In(KernelSelection), "Kernel-selector decisions that kept a coupling product on the blocked dense GEMM."),
-    (KernelSwitches, "kernel.switches", SAMPLED, In(KernelSelection), "Hysteresis flips of sticky per-block kernel choices."),
+    (KernelSparseSelected, "kernel.sparse_selected", SAMPLED, In(KernelSelection), "Kernel-selector decisions that routed a coupling product through the CSR sparse kernels. No longer emitted; kept so older reports load."),
+    (KernelDenseSelected, "kernel.dense_selected", SAMPLED, In(KernelSelection), "Kernel-selector decisions that kept a coupling product on the blocked dense GEMM. No longer emitted; kept so older reports load."),
+    (KernelSwitches, "kernel.switches", SAMPLED, In(KernelSelection), "Hysteresis flips of sticky per-block kernel choices. No longer emitted; kept so older reports load."),
     (KernelSparseFlops, "kernel.sparse_flops", SAMPLED, In(KernelSelection), "Real flops executed by the CSR sparse kernels (also counted in `flops`)."),
     (KernelSparseBytes, "kernel.sparse_bytes", SAMPLED, In(KernelSelection), "Bytes streamed by the CSR sparse kernels under their minimal traffic model."),
-    (KernelDenseFlops, "kernel.dense_flops", SAMPLED, In(KernelSelection), "Flops of selector-governed coupling products run on the dense route."),
-    (KernelSparseNs, "kernel.sparse_ns", UNSAMPLED, Secs(KernelSelection, "sparse_secs"), "Measured nanoseconds in sparse-selected coupling ops (0 while timing spans are off)."),
-    (KernelDenseNs, "kernel.dense_ns", UNSAMPLED, Secs(KernelSelection, "dense_secs"), "Measured nanoseconds in dense-selected coupling ops."),
-    (KernelSparsePredNs, "kernel.sparse_pred_ns", UNSAMPLED, Secs(KernelSelection, "predicted_sparse_secs"), "Model-predicted nanoseconds for the same ops that fed `kernel.sparse_ns`."),
-    (KernelDensePredNs, "kernel.dense_pred_ns", UNSAMPLED, Secs(KernelSelection, "predicted_dense_secs"), "Model-predicted nanoseconds for the same ops that fed `kernel.dense_ns`."),
+    (KernelDenseFlops, "kernel.dense_flops", SAMPLED, In(KernelSelection), "Flops of selector-governed coupling products run on the dense route. No longer emitted; kept so older reports load."),
+    (KernelSparseNs, "kernel.sparse_ns", UNSAMPLED, Secs(KernelSelection, "sparse_secs"), "Measured nanoseconds in sparse-selected coupling ops. No longer emitted; kept so older reports load."),
+    (KernelDenseNs, "kernel.dense_ns", UNSAMPLED, Secs(KernelSelection, "dense_secs"), "Measured nanoseconds in dense-selected coupling ops. No longer emitted; kept so older reports load."),
+    (KernelSparsePredNs, "kernel.sparse_pred_ns", UNSAMPLED, Secs(KernelSelection, "predicted_sparse_secs"), "Model-predicted nanoseconds for the same ops that fed `kernel.sparse_ns`. No longer emitted; kept so older reports load."),
+    (KernelDensePredNs, "kernel.dense_pred_ns", UNSAMPLED, Secs(KernelSelection, "predicted_dense_secs"), "Model-predicted nanoseconds for the same ops that fed `kernel.dense_ns`. No longer emitted; kept so older reports load."),
     (ServiceAdmitted, "service.admitted", SAMPLED, In(Service), "Sweep requests admitted into the service queue."),
     (ServiceRejected, "service.rejected", SAMPLED, In(Service), "Sweep requests rejected with backpressure: queue full, shutdown, or an open breaker."),
     (ServiceCompleted, "service.completed", SAMPLED, In(Service), "Sweep requests completed with every point answered."),

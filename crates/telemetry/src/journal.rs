@@ -148,7 +148,8 @@ event_kinds! {
         /// Wire attempt index (0-based).
         attempt: u64 = Int("attempt"),
     } => format!("comm retransmit {src}->{dst} attempt {attempt}"),
-    /// A receive poll expired while watching a peer's liveness epoch.
+    /// A liveness probe of a peer failed: a receive or barrier poll expired
+    /// while watching its epoch, or a send found its endpoint closed.
     HeartbeatTimeout "heartbeat_timeout" {
         /// The world slot whose heartbeat was being watched.
         watched: u64 = Int("watched"),
@@ -187,8 +188,7 @@ event_kinds! {
     CheckpointWrite "checkpoint_write" => "checkpoint written",
     /// The kernel selector set or flipped a sticky per-coupling-block
     /// choice between the CSR sparse kernels and the blocked dense GEMM.
-    /// Emitted on first choice and on hysteresis flips, not on every
-    /// reuse of a settled choice.
+    /// No longer emitted; kept so older postmortems load.
     KernelChoice "kernel_choice" {
         /// Coupling-block index within the device (0-based).
         block: u64 = Int("block"),

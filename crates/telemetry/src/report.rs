@@ -256,8 +256,8 @@ pub struct TelemetryReport {
     pub warmup: Option<WarmupStats>,
     /// The typed part of the `balance` block.
     pub balance: BalanceReport,
-    /// The typed part of the `kernel_selection` block: the crossover
-    /// density the selector was operating with (sparse wins below it).
+    /// The typed part of the `kernel_selection` block: the calibrated
+    /// crossover density (the CSR kernels win below it).
     /// Not a counter — the caller that knows the calibration fills it in;
     /// 0 when unknown to the report writer.
     pub crossover_density: f64,
@@ -297,9 +297,11 @@ fn recorded(block: Block, counters: &Snapshot) -> bool {
     let any = |cs: &[Counter]| cs.iter().any(|&c| counters[c] > 0);
     match block {
         Block::Health | Block::Elasticity | Block::Balance => true,
-        Block::KernelSelection => {
-            any(&[Counter::KernelSparseSelected, Counter::KernelDenseSelected])
-        }
+        Block::KernelSelection => any(&[
+            Counter::KernelSparseSelected,
+            Counter::KernelDenseSelected,
+            Counter::KernelSparseFlops,
+        ]),
         Block::Service => any(&[Counter::ServiceAdmitted, Counter::ServiceRejected]),
         Block::Corpus => any(&[
             Counter::CorpusScenariosBuilt,
@@ -1096,10 +1098,14 @@ mod tests {
             edit(&mut bad);
             bad.validate().is_err()
         };
-        // A kernel-selection block with no decisions must not validate.
+        // A kernel-selection block that recorded nothing must not validate.
         assert!(bad(&|r| set(
             r,
-            &[("kernel.sparse_selected", 0), ("kernel.dense_selected", 0)]
+            &[
+                ("kernel.sparse_selected", 0),
+                ("kernel.dense_selected", 0),
+                ("kernel.sparse_flops", 0),
+            ]
         )));
         // Nor one whose crossover is not a density.
         assert!(bad(&|r| r.crossover_density = 1.5));
