@@ -813,8 +813,8 @@ fn profile(flags: &[String]) {
     // Scheduled chaos: kill the requested rank on its third SSE send and
     // let the elastic supervisor ride the recovery. The flight recorder
     // captures the HeartbeatTimeout -> RankDeath -> Retile chain, which
-    // lands in the postmortem dump below. A degraded exchange ends the
-    // iteration in `RankLoss`.
+    // lands in the postmortem dump below. A death the supervisor does not
+    // recover ends the iteration in `RankLoss`.
     let chaos_outcome = chaos_kill.map(|victim| {
         use qt_core::health::NumericalError;
         use qt_core::scf::ScfError;
@@ -828,16 +828,16 @@ fn profile(flags: &[String]) {
         let migrated0 = counters::local(Counter::ElasticMigratedTiles);
         let (body, done) = dist_run(policy);
         let migrated = counters::local(Counter::ElasticMigratedTiles) - migrated0;
-        let degraded = match done {
+        let rank_loss = match done {
             Ok(_) => false,
             Err(ScfError::Numerical(NumericalError::RankLoss { .. })) => true,
             Err(e) => panic!("elastic recovery from the scheduled kill: {e}"),
         };
         println!(
-            "  chaos: deaths={:?} retiles={} migrated={migrated} degraded={degraded}",
+            "  chaos: deaths={:?} retiles={} migrated={migrated} rank_loss={rank_loss}",
             body.deaths, body.retiles
         );
-        (body, migrated, degraded)
+        (body, migrated, rank_loss)
     });
 
     // ---- Reconcile measurements against the models. ----
@@ -1066,14 +1066,14 @@ fn profile(flags: &[String]) {
         std::fs::write(path, trace).expect("write trace");
         println!("  trace written to {path} ({events} events)");
     }
-    // Postmortem: a supervisor-observed rank death or a degraded
-    // completion drains the flight recorder into a versioned dump with
-    // the final report snapshot attached.
-    if let Some((body, migrated, degraded)) = &chaos_outcome {
-        if !body.deaths.is_empty() || *degraded {
+    // Postmortem: a supervisor-observed rank death, recovered or not,
+    // drains the flight recorder into a versioned dump with the final
+    // report snapshot attached.
+    if let Some((body, migrated, rank_loss)) = &chaos_outcome {
+        if !body.deaths.is_empty() || *rank_loss {
             let path = postmortem_path.unwrap_or("POSTMORTEM.json");
-            let reason = if *degraded {
-                "degraded_completion"
+            let reason = if *rank_loss {
+                "rank_loss"
             } else {
                 "rank_death"
             };

@@ -1,11 +1,10 @@
 //! Chaos tests at the harness level, on the one distributed entry point:
 //! `run_scf_with` with the `qt_dist::DistSse` body. The one fault is a
-//! rank dying: a scheduled mid-exchange kill must either ride elastic
-//! recovery to the fault-free answer, leaving a telemetry report that
-//! records the death and passes `check-report --require health`, or end
-//! in a typed `RankLoss` — never hang, never silently drift. (The
-//! zero-filled tiles and coverage of a degraded exchange are tested with
-//! the supervisor, in `qt_dist::runner`.)
+//! rank dying, and it has one of two outcomes: a scheduled mid-exchange
+//! kill either rides elastic recovery to the fault-free answer, leaving a
+//! telemetry report that records the death and passes `check-report
+//! --require health`, or ends the exchange at once in a typed `RankLoss`
+//! — never a hang, never a silent drift.
 //!
 //! The kill tests run one Born iteration; the loop-level tests run five:
 //! a kill in the second iteration and a cancel-then-resume must both
@@ -140,8 +139,8 @@ fn killed_rank_recovers_bitwise_exactly() {
 
     // Seeded, deterministic kill: the victim dies on its third SSE send.
     // Survivors detect it, re-tile, and retry on the shrunken world. One
-    // rank's death quarantines exactly 1/procs of the electron grid, so
-    // the ceiling is set to admit exactly one loss at any world size.
+    // rank's death loses exactly 1/procs of the work units, so the
+    // ceiling is set to admit exactly one loss at any world size.
     let policy = ElasticPolicy {
         max_bad_fraction: 1.0 / procs as f64,
         faults: Some(FaultPlan::default().with_kill_at(victim, 3)),
@@ -201,8 +200,8 @@ fn killed_owner_of_every_unit_falls_back_to_elastic_recovery() {
     // supervisor must finish the iteration on the elastic path.
     let tiling = ElasticTiling::weighted(&sim.p, te, ta, procs, &vec![0.0; procs]);
     assert_eq!(tiling.units_of(0).len(), procs);
-    // Rank 0 owns all units, so its loss quarantines the whole grid —
-    // admit that so it rides recovery instead of degrading.
+    // Rank 0 owns all units, so its death loses every one — admit that
+    // so it rides recovery instead of ending in `RankLoss`.
     let policy = ElasticPolicy {
         max_bad_fraction: 1.0,
         faults: Some(FaultPlan::default().with_kill_at(0, 1)),
@@ -216,7 +215,7 @@ fn killed_owner_of_every_unit_falls_back_to_elastic_recovery() {
         "the collapsed owner dies, nobody else"
     );
     assert!(body.retiles >= 1, "its death must force a re-tile");
-    let out = out.expect("recovery must complete undegraded");
+    let out = out.expect("recovery must complete");
     assert_eq!(
         migrated, procs as u64,
         "all of the dead owner's units migrate to survivors"
@@ -231,14 +230,14 @@ fn killed_owner_of_every_unit_falls_back_to_elastic_recovery() {
 }
 
 #[test]
-fn death_past_bad_fraction_ceiling_degrades_instead_of_hanging() {
+fn death_past_bad_fraction_ceiling_is_a_rank_loss_not_a_hang() {
     let _g = lock();
     let sim = fixture();
     let (te, ta) = world_shape();
     let victim = 0;
 
-    // A zero ceiling makes any loss unrecoverable: the victim's units
-    // must be abandoned, and the iteration must end in a typed error.
+    // A zero ceiling makes any loss unrecoverable: the iteration must end
+    // in a typed error, with the victim's units left where they were.
     let policy = ElasticPolicy {
         max_bad_fraction: 0.0,
         faults: Some(FaultPlan::default().with_kill_at(victim, 1)),
@@ -252,7 +251,30 @@ fn death_past_bad_fraction_ceiling_degrades_instead_of_hanging() {
         Ok(_) => panic!("an unrecoverable death must not complete"),
     }
     assert_eq!(body.deaths, vec![victim]);
-    assert_eq!(migrated, 0, "abandoned units must not migrate");
+    assert_eq!(migrated, 0, "a refused death's units must not migrate");
+}
+
+#[test]
+fn refused_death_runs_no_further_exchange() {
+    let _g = lock();
+    qt_telemetry::reset_all();
+    qt_telemetry::set_enabled(true);
+    let sim = fixture();
+    // The victim dies on its first send and a zero ceiling refuses the
+    // death: the failed attempt is the iteration's only exchange.
+    let policy = ElasticPolicy {
+        max_bad_fraction: 0.0,
+        faults: Some(FaultPlan::default().with_kill_at(0, 1)),
+        ..Default::default()
+    };
+    let (body, out) = full(&sim, world_shape(), policy);
+    assert!(matches!(
+        out,
+        Err(ScfError::Numerical(NumericalError::RankLoss { rank: 0 }))
+    ));
+    assert_eq!(body.retiles, 1);
+    let attempts = qt_telemetry::registry::phase("comm/dace_scheme").map_or(0, |s| s.calls);
+    assert_eq!(attempts, 1, "no exchange runs after a refused death");
 }
 
 /// The `qt_dist` body with a hook that runs before each of its calls
@@ -324,7 +346,7 @@ fn kill_in_the_second_born_iteration_recovers_bitwise() {
     let clean = dist_loop(&mut body(ElasticPolicy::default()), ScfOptions::default()).unwrap();
     assert_eq!(clean.iterations, 5);
 
-    // One death quarantines 1/procs of the grid: admit exactly that.
+    // One death loses 1/procs of the work units: admit exactly that.
     let policy = ElasticPolicy {
         max_bad_fraction: 1.0 / procs as f64,
         ..Default::default()

@@ -28,9 +28,10 @@ pub enum NumericalError {
     /// A produced tensor contained NaN or ±Inf, detected at the boundary
     /// of `phase` for flattened grid point `index`.
     NonFiniteTensor { phase: &'static str, index: usize },
-    /// The distributed state backing a grid point was lost when `rank`
-    /// (an original world identity) died; the point either rode elastic
-    /// recovery or was zero-filled in a degraded-mode completion.
+    /// A rank death the distributed SSE exchange did not recover: `rank`
+    /// (an original world identity) died past the exchange's ceiling on
+    /// lost work units, or after its retry bound or its last survivor ran
+    /// out. The exchange stops at once and yields no result.
     RankLoss { rank: usize },
 }
 

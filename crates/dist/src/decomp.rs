@@ -419,30 +419,6 @@ impl ElasticTiling {
         }
         orphans
     }
-
-    /// Remove a dead rank *without* migrating its units: degraded-mode
-    /// abandonment. The orphans stay mapped to `dead` and report as not
-    /// live; the elastic scheme skips them (their tiles complete as
-    /// zeros). Returns the abandoned unit ids, ascending.
-    pub fn abandon_rank(&mut self, dead: usize) -> Vec<usize> {
-        if let Ok(pos) = self.survivors.binary_search(&dead) {
-            self.survivors.remove(pos);
-        }
-        self.units_of(dead)
-    }
-
-    /// Is work unit `unit` still backed by a surviving rank? Abandoned
-    /// units (degraded mode) report `false`.
-    pub fn is_live_unit(&self, unit: usize) -> bool {
-        self.is_survivor(self.owner[unit])
-    }
-
-    /// Live units, ascending — the units that will actually be computed.
-    pub fn live_units(&self) -> Vec<usize> {
-        (0..self.owner.len())
-            .filter(|&u| self.is_live_unit(u))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -540,7 +516,7 @@ mod tests {
         let bp = BlockPartition::new(12, 5);
         for u in 0..12 {
             assert_eq!(t.owner[u], bp.owner(u));
-            assert!(t.is_live_unit(u));
+            assert!(t.is_survivor(t.owner[u]));
         }
     }
 

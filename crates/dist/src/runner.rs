@@ -8,8 +8,9 @@
 //! says who computes what (full world, weighted, mid-recovery), the
 //! [`ElasticPolicy`] says how (failure detector, recovery bounds, and the
 //! kill schedule — `faults: None` kills nobody, `Some(plan)` kills the
-//! ranks it schedules). A caller that measures one iteration runs the loop
-//! with `max_iterations: 1`.
+//! ranks it schedules). A rank death has one of two outcomes: recovery,
+//! bitwise, or [`NumericalError::RankLoss`]. A caller that measures one
+//! iteration runs the loop with `max_iterations: 1`.
 
 use crate::decomp::{ElasticTiling, OmenDecomp};
 use crate::schemes::{ca_exchange, BalanceStats, CommStats, ElasticPolicy, SseDistContext};
@@ -17,7 +18,7 @@ use qt_core::device::Device;
 use qt_core::gf::{self, ElectronSelfEnergy, GfConfig, PhononSelfEnergy};
 use qt_core::grids::Grids;
 use qt_core::hamiltonian::{ElectronModel, PhononModel};
-use qt_core::health::{CoverageReport, NumericalError, QuarantinedPoint};
+use qt_core::health::NumericalError;
 use qt_core::params::SimParams;
 use qt_core::scf::SsePhase;
 use qt_core::sse;
@@ -38,9 +39,9 @@ pub struct DistIterationResult {
 
 /// One GF+SSE iteration from zero self-energies on the full `te × ta`
 /// tiling under the default policy, outside the Born loop: the uncached
-/// GF phases, then the supervised CA exchange, narrowed by
-/// [`ElasticIterationResult::complete`]. Kept for `qt-perf`, which pins
-/// this signature; every other distributed run is [`DistSse`].
+/// GF phases, then one [`DistSse`] exchange. Kept for `qt-perf`, which
+/// pins this signature; every other distributed run is [`DistSse`] in the
+/// Born loop.
 #[allow(clippy::too_many_arguments)]
 pub fn distributed_iteration(
     p: &SimParams,
@@ -67,157 +68,26 @@ pub fn distributed_iteration(
         d_lesser_pre: &dl,
         d_greater_pre: &dg,
     };
-    let mut tiling = ElasticTiling::new(p, te, ta);
-    let mut done = supervise(&inputs, &mut tiling, &ElasticPolicy::default()).complete()?;
+    let mut body = DistSse::new(ElasticTiling::new(p, te, ta), ElasticPolicy::default());
+    let (sigma, pi, comm) = body.exchange(&inputs)?;
     // The current as the world reduces it: each rank's GF energy chunk
     // sums its points in `gf`'s order, then the partials add in rank order.
-    let chunks = OmenDecomp::new(p, tiling.procs()).energy;
+    let chunks = OmenDecomp::new(p, te * ta).energy;
     let point_current = |i: usize| egf.current_spectrum[i] * grids.de / p.nkz as f64;
-    done.current = (0..chunks.parts)
+    let current = (0..chunks.parts)
         .map(|rank| {
             (0..p.nkz)
                 .flat_map(|k| chunks.range(rank).map(move |e| k * p.ne + e))
                 .fold(0.0, |c, i| c + point_current(i))
         })
         .fold(0.0, |total, c| total + c);
-    Ok(done)
-}
-
-/// What one supervised exchange did, beside its result.
-pub(crate) struct ElasticIterationResult {
-    pub result: DistIterationResult,
-    /// Electron grid points whose backing GF-chunk state sat on a rank
-    /// that died — whether the point then rode recovery (recomputed on a
-    /// survivor, bitwise exact) or was zero-filled in a degraded
-    /// completion. Read by the supervision tests.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub coverage: CoverageReport,
-    /// True when the run completed with abandoned tiles (zero-filled
-    /// Σ≷/Π≷ slices) instead of full recovery.
-    pub degraded: bool,
-    /// Original ids of the ranks that died, in detection order.
-    pub deaths: Vec<usize>,
-    /// Number of detect→retile→retry rounds the supervisor ran.
-    pub retiles: usize,
-    /// Work units migrated onto survivors across all retiles (also the
-    /// `elastic.migrated_tiles` counter). Read by the supervision tests.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub migrated_units: usize,
-}
-
-impl ElasticIterationResult {
-    /// Narrow to the plain result: a run with abandoned (zero-filled)
-    /// tiles is a typed [`NumericalError::RankLoss`], never zeros
-    /// reported as complete. The rank named is the last one to die — or
-    /// the exchange root when the retry bound ran out on exonerated
-    /// accusations alone.
-    pub fn complete(self) -> Result<DistIterationResult, NumericalError> {
-        if self.degraded {
-            let rank = self.deaths.last().copied().unwrap_or(0);
-            return Err(NumericalError::RankLoss { rank });
-        }
-        Ok(self.result)
-    }
-}
-
-/// The supervision loop: [`ca_exchange`] until it succeeds, re-tiling
-/// around each confirmed death; an empty suspect list (every accusation
-/// exonerated) retries on the unchanged tiling. Each attempt runs over the
-/// current survivor set; a detected death shrinks the tiling (only the
-/// dead rank's units migrate) and recovery recomputes the lost tiles from
-/// the caller's GF tensors. When a death would push the quarantined
-/// fraction past [`ElasticPolicy::max_bad_fraction`], its units are
-/// abandoned instead and the iteration completes degraded, with those
-/// tiles zero-filled and reported in the coverage. `result.current` is 0:
-/// the current is the GF phase's, which the caller holds.
-pub(crate) fn supervise(
-    inputs: &SseDistContext<'_>,
-    tiling: &mut ElasticTiling,
-    policy: &ElasticPolicy,
-) -> ElasticIterationResult {
-    let p = inputs.p;
-    let procs = tiling.procs();
-    let gf_dec = OmenDecomp::new(p, procs);
-    let mut coverage = CoverageReport::full(p.nkz * p.ne);
-    let mut quarantined_idx: BTreeSet<usize> = BTreeSet::new();
-    let mut deaths: Vec<usize> = Vec::new();
-    let mut retiles = 0usize;
-    let mut migrated_units = 0usize;
-    let exchanged = loop {
-        if tiling.world_size() == 0 || retiles > policy.max_retiles {
-            break None; // nobody left to compute, or the retry bound hit
-        }
-        match ca_exchange(inputs, tiling, policy) {
-            Ok(done) => break Some(done),
-            Err(suspects) => {
-                retiles += 1;
-                counters::add(Counter::ElasticRetileEvents, 1);
-                let mut moved_this_round: u64 = 0;
-                for dead in suspects {
-                    if !tiling.is_survivor(dead) {
-                        continue; // already handled in an earlier round
-                    }
-                    deaths.push(dead);
-                    counters::add(Counter::ElasticRankDeaths, 1);
-                    qt_telemetry::journal::emit(qt_telemetry::EventKind::RankDeath {
-                        rank: dead as u64,
-                    });
-                    // Quarantine the electron grid points whose GF-chunk
-                    // state sat on the dead rank (deduplicated: a unit that
-                    // migrates and loses its new host again counts once).
-                    for u in tiling.units_of(dead) {
-                        for e in gf_dec.energy.range(u) {
-                            for k in 0..p.nkz {
-                                let grid_index = k * p.ne + e;
-                                if quarantined_idx.insert(grid_index) {
-                                    coverage.quarantined.push(QuarantinedPoint {
-                                        grid_index,
-                                        error: NumericalError::RankLoss { rank: dead },
-                                    });
-                                }
-                            }
-                        }
-                    }
-                    if coverage.bad_fraction() <= policy.max_bad_fraction {
-                        let moved = tiling.remove_rank(dead).len();
-                        migrated_units += moved;
-                        moved_this_round += moved as u64;
-                        counters::add(Counter::ElasticMigratedTiles, moved as u64);
-                    } else {
-                        // Too much of the grid would ride recovery: give
-                        // the units up instead of migrating them.
-                        tiling.abandon_rank(dead);
-                    }
-                }
-                qt_telemetry::journal::emit(qt_telemetry::EventKind::Retile {
-                    moved_units: moved_this_round,
-                });
-            }
-        }
-    };
-    // No exchange completed: fully degraded, all-zero Σ≷/Π≷.
-    let degraded = exchanged.is_none() || tiling.live_units().len() < procs;
-    let (sigma, pi, comm) = exchanged.unwrap_or_else(|| {
-        (
-            ElectronSelfEnergy::zeros(p),
-            PhononSelfEnergy::zeros(p),
-            CommStats::default(),
-        )
-    });
-    ElasticIterationResult {
-        result: DistIterationResult {
-            sigma,
-            pi,
-            current: 0.0,
-            sse_bytes: comm.world_bytes,
-            comm,
-        },
-        coverage,
-        degraded,
-        deaths,
-        retiles,
-        migrated_units,
-    }
+    Ok(DistIterationResult {
+        sigma,
+        pi,
+        current,
+        sse_bytes: comm.world_bytes,
+        comm,
+    })
 }
 
 /// The busy-time imbalance ratio (max/mean) above which the distributed
@@ -226,18 +96,19 @@ pub(crate) fn supervise(
 pub const REBALANCE_THRESHOLD: f64 = 1.5;
 
 /// The distributed SSE phase of `qt_core::scf::run_scf_with`: every Born
-/// iteration's Σ≷/Π≷ come from supervised CA exchanges on one
-/// `tiling` that persists across iterations — deaths shrink it, and
+/// iteration's Σ≷/Π≷ come from one supervised CA exchange on a `tiling`
+/// that persists across iterations — recovered deaths shrink it, and
 /// [`maybe_rebalance`] re-tiles it at [`REBALANCE_THRESHOLD`] after each
 /// exchange. Mixing, convergence, checkpoints, cancellation and warm
-/// starts stay in the one SCF loop. A degraded exchange fails the
-/// iteration with [`NumericalError::RankLoss`].
+/// starts stay in the one SCF loop. A death the exchange does not recover
+/// fails the iteration with [`NumericalError::RankLoss`].
 pub struct DistSse {
     pub tiling: ElasticTiling,
     pub policy: ElasticPolicy,
-    /// Original ids of the ranks that died, across all iterations.
+    /// Original ids of the ranks that died, across all iterations, in
+    /// detection order — recovered or not.
     pub deaths: Vec<usize>,
-    /// Detect→retile→retry rounds across all iterations.
+    /// Detection rounds (failed exchange attempts) across all iterations.
     pub retiles: usize,
     /// The last completed exchange's bytes, per-rank sent/received
     /// volumes and busy times.
@@ -254,6 +125,63 @@ impl DistSse {
             comm: CommStats::default(),
         }
     }
+
+    /// One supervised exchange: [`ca_exchange`] until it succeeds. A failed
+    /// attempt names the confirmed-dead ranks; an empty list (every
+    /// accusation exonerated) retries on the unchanged tiling. A death is
+    /// recovered when the work units lost in this exchange stay within
+    /// [`ElasticPolicy::max_bad_fraction`]: only the dead rank's units
+    /// migrate, and the retry recomputes them from the caller's GF
+    /// tensors, bitwise. Otherwise the exchange ends at once in
+    /// [`NumericalError::RankLoss`] naming the dead rank, and the tiling
+    /// keeps it. Running out of survivors or of `max_retiles` ends it the
+    /// same way, naming this exchange's last death (rank 0 when the bound
+    /// ran out on exonerated accusations alone).
+    pub(crate) fn exchange(
+        &mut self,
+        inputs: &SseDistContext<'_>,
+    ) -> Result<(ElectronSelfEnergy, PhononSelfEnergy, CommStats), NumericalError> {
+        let units = self.tiling.procs();
+        let first_death = self.deaths.len();
+        // Deduplicated: a unit that migrates and loses its new host again
+        // counts once.
+        let mut lost: BTreeSet<usize> = BTreeSet::new();
+        let mut attempts = 0;
+        loop {
+            if self.tiling.world_size() == 0 || attempts > self.policy.max_retiles {
+                let rank = self.deaths[first_death..].last().copied().unwrap_or(0);
+                return Err(NumericalError::RankLoss { rank });
+            }
+            let suspects = match ca_exchange(inputs, &self.tiling, &self.policy) {
+                Ok(done) => return Ok(done),
+                Err(suspects) => suspects,
+            };
+            attempts += 1;
+            self.retiles += 1;
+            counters::add(Counter::ElasticRetileEvents, 1);
+            let mut moved: u64 = 0;
+            let mut refused = None;
+            for dead in suspects {
+                self.deaths.push(dead);
+                counters::add(Counter::ElasticRankDeaths, 1);
+                qt_telemetry::journal::emit(qt_telemetry::EventKind::RankDeath {
+                    rank: dead as u64,
+                });
+                lost.extend(self.tiling.units_of(dead));
+                if lost.len() as f64 / units as f64 > self.policy.max_bad_fraction {
+                    refused = Some(dead);
+                } else {
+                    let n = self.tiling.remove_rank(dead).len() as u64;
+                    moved += n;
+                    counters::add(Counter::ElasticMigratedTiles, n);
+                }
+            }
+            qt_telemetry::journal::emit(qt_telemetry::EventKind::Retile { moved_units: moved });
+            if let Some(rank) = refused {
+                return Err(NumericalError::RankLoss { rank });
+            }
+        }
+    }
 }
 
 impl SsePhase for DistSse {
@@ -261,15 +189,12 @@ impl SsePhase for DistSse {
         &mut self,
         inputs: &SseDistContext<'_>,
     ) -> Result<(ElectronSelfEnergy, PhononSelfEnergy), NumericalError> {
-        let el = supervise(inputs, &mut self.tiling, &self.policy);
-        self.deaths.extend(&el.deaths);
-        self.retiles += el.retiles;
-        let done = el.complete()?;
-        if let Some(balance) = &done.comm.balance {
+        let (sigma, pi, comm) = self.exchange(inputs)?;
+        if let Some(balance) = &comm.balance {
             maybe_rebalance(&mut self.tiling, balance, REBALANCE_THRESHOLD);
         }
-        self.comm = done.comm;
-        Ok((done.sigma, done.pi))
+        self.comm = comm;
+        Ok((sigma, pi))
     }
 }
 
@@ -299,8 +224,8 @@ pub fn maybe_rebalance(
 mod tests {
     use super::*;
     use crate::fault::FaultPlan;
+    use qt_core::health::CoverageReport;
     use qt_core::scf::{run_scf_with, ScfConfig, ScfOptions, Simulation};
-    use qt_linalg::Complex64;
 
     fn params() -> SimParams {
         SimParams {
@@ -334,13 +259,12 @@ mod tests {
         distributed_iteration(&sim.p, &sim.dev, &sim.em, &sim.pm, &sim.grids, &cfg, te, ta).unwrap()
     }
 
-    /// The supervised exchange of an iteration from zero self-energies on
-    /// `tiling`, with its supervision record.
-    fn supervised(
-        sim: &Simulation,
-        tiling: &mut ElasticTiling,
-        policy: &ElasticPolicy,
-    ) -> ElasticIterationResult {
+    type Exchanged = (ElectronSelfEnergy, PhononSelfEnergy, CommStats);
+
+    /// `body`'s supervised exchange of an iteration from zero
+    /// self-energies, and the work units it migrated meanwhile (the
+    /// `elastic.migrated_tiles` counter, bumped on the calling thread).
+    fn exchanged(sim: &Simulation, body: &mut DistSse) -> (Result<Exchanged, NumericalError>, u64) {
         let (p, dev, grids) = (&sim.p, &sim.dev, &sim.grids);
         let cfg = GfConfig::default();
         let zeros = ElectronSelfEnergy::zeros(p);
@@ -358,18 +282,9 @@ mod tests {
             d_lesser_pre: &dl,
             d_greater_pre: &dg,
         };
-        supervise(&inputs, tiling, policy)
-    }
-
-    fn is_zero(t: &qt_linalg::Tensor) -> bool {
-        t.as_slice().iter().all(|z| *z == Complex64::ZERO)
-    }
-
-    fn nonzero(t: &qt_linalg::Tensor) -> usize {
-        t.as_slice()
-            .iter()
-            .filter(|z| **z != Complex64::ZERO)
-            .count()
+        let before = counters::local(Counter::ElasticMigratedTiles);
+        let out = body.exchange(&inputs);
+        (out, counters::local(Counter::ElasticMigratedTiles) - before)
     }
 
     #[test]
@@ -424,21 +339,17 @@ mod tests {
 
     #[test]
     fn emptied_survivor_set_narrows_to_an_error_not_to_zeros() {
-        // Every rank abandoned before the first attempt: the supervisor has
-        // nobody to run the exchange on and completes fully degraded.
+        // Every rank removed before the first attempt: the supervisor has
+        // nobody to run the exchange on and refuses without trying.
         let sim = fixture();
         let mut tiling = ElasticTiling::new(&sim.p, 2, 2);
         for rank in 0..4 {
-            tiling.abandon_rank(rank);
+            tiling.remove_rank(rank);
         }
-        let el = supervised(&sim, &mut tiling, &ElasticPolicy::default());
-        assert!(el.degraded);
-        assert!(is_zero(&el.result.sigma.lesser));
-        assert_eq!(el.result.sse_bytes, 0);
-        assert!(matches!(
-            el.complete(),
-            Err(NumericalError::RankLoss { .. })
-        ));
+        let mut body = DistSse::new(tiling, ElasticPolicy::default());
+        let (out, _) = exchanged(&sim, &mut body);
+        assert!(matches!(out, Err(NumericalError::RankLoss { .. })));
+        assert_eq!(body.retiles, 0, "no exchange was attempted");
     }
 
     #[test]
@@ -447,108 +358,51 @@ mod tests {
         let (te, ta) = world_shape();
         let procs = te * ta;
         let victim = procs - 1;
-        // One rank's death quarantines exactly 1/procs of the electron
-        // grid; the ceiling admits exactly that one loss.
+        // One rank's death loses exactly 1/procs of the work units; the
+        // ceiling admits exactly that one loss.
         let policy = ElasticPolicy {
             max_bad_fraction: 1.0 / procs as f64,
             faults: Some(FaultPlan::default().with_kill_at(victim, 3)),
             ..Default::default()
         };
-        let el = supervised(&sim, &mut ElasticTiling::new(&sim.p, te, ta), &policy);
-        assert_eq!(el.deaths, vec![victim], "exactly the scheduled rank dies");
-        assert!(!el.degraded, "one death out of {procs} must ride recovery");
+        let mut body = DistSse::new(ElasticTiling::new(&sim.p, te, ta), policy);
+        let (out, migrated) = exchanged(&sim, &mut body);
+        // The death stays on record even though it recovered.
+        assert_eq!(body.deaths, vec![victim], "exactly the scheduled rank dies");
+        if let Err(e) = out {
+            panic!("one death out of {procs} must ride recovery: {e}");
+        }
         assert!(
-            el.migrated_units >= 1,
+            migrated >= 1,
             "only the dead rank's tiles migrate, but they do migrate"
         );
-        // The lost grid points stay on the record even though they
-        // recovered.
-        assert!(!el.coverage.is_full());
-        assert!(el.coverage.bad_fraction() <= policy.max_bad_fraction);
     }
 
     #[test]
     fn killed_owner_of_every_unit_migrates_all_its_units() {
         // Every unit collapsed onto rank 0, killed on its first send, with
-        // a ceiling that admits losing the whole grid.
+        // a ceiling that admits losing every unit.
         let sim = fixture();
         let (te, ta) = world_shape();
         let procs = te * ta;
-        let mut tiling = ElasticTiling::weighted(&sim.p, te, ta, procs, &vec![0.0; procs]);
+        let tiling = ElasticTiling::weighted(&sim.p, te, ta, procs, &vec![0.0; procs]);
         let policy = ElasticPolicy {
             max_bad_fraction: 1.0,
             faults: Some(FaultPlan::default().with_kill_at(0, 1)),
             ..Default::default()
         };
-        let el = supervised(&sim, &mut tiling, &policy);
-        assert_eq!(el.deaths, vec![0], "the collapsed owner dies, nobody else");
-        assert!(!el.degraded, "recovery must complete undegraded");
+        let mut body = DistSse::new(tiling, policy);
+        let (out, migrated) = exchanged(&sim, &mut body);
         assert_eq!(
-            el.migrated_units, procs,
+            body.deaths,
+            vec![0],
+            "the collapsed owner dies, nobody else"
+        );
+        assert!(out.is_ok(), "recovery must complete");
+        assert_eq!(
+            migrated, procs as u64,
             "all of the dead owner's units migrate to survivors"
         );
-    }
-
-    #[test]
-    fn death_past_bad_fraction_ceiling_zero_fills_the_abandoned_tiles() {
-        let sim = fixture();
-        let (te, ta) = world_shape();
-        let victim = 0;
-        // A zero ceiling makes any loss unrecoverable: the victim's units
-        // must be abandoned and the iteration must still complete.
-        let policy = ElasticPolicy {
-            max_bad_fraction: 0.0,
-            faults: Some(FaultPlan::default().with_kill_at(victim, 1)),
-            ..Default::default()
-        };
-        let el = supervised(&sim, &mut ElasticTiling::new(&sim.p, te, ta), &policy);
-        assert!(el.degraded, "an unrecoverable death must degrade, not hang");
-        assert_eq!(el.deaths, vec![victim]);
-        assert_eq!(el.migrated_units, 0, "abandoned units must not migrate");
-        assert!(!el.coverage.is_full());
-        assert!(el.coverage.bad_fraction() > 0.0);
-        for q in &el.coverage.quarantined {
-            assert!(q.grid_index < sim.p.nkz * sim.p.ne);
-            assert!(matches!(
-                q.error,
-                NumericalError::RankLoss { rank } if rank == victim
-            ));
-        }
-        // Degraded ≠ garbage: the surviving tiles still carry fault-free
-        // values; only the abandoned slices are zero-filled.
-        let mut tiling = ElasticTiling::new(&sim.p, te, ta);
-        let clean = supervised(&sim, &mut tiling, &ElasticPolicy::default());
-        let kept = nonzero(&el.result.sigma.lesser);
-        if te * ta > 1 {
-            assert!(kept > 0, "survivor tiles must be present");
-        }
-        assert!(
-            kept < nonzero(&clean.result.sigma.lesser),
-            "abandoned tiles must be zero-filled"
-        );
-        assert!(el.complete().is_err());
-    }
-
-    #[test]
-    fn exhausted_retry_bound_zero_fills_every_tile() {
-        // One scheduled kill and no retile budget: the supervisor detects
-        // the death, may not retry, and completes fully degraded.
-        let sim = fixture();
-        let victim = 3;
-        let policy = ElasticPolicy {
-            max_retiles: 0,
-            faults: Some(FaultPlan::default().with_kill_at(victim, 3)),
-            ..Default::default()
-        };
-        let el = supervised(&sim, &mut ElasticTiling::new(&sim.p, 2, 2), &policy);
-        assert!(el.degraded);
-        assert_eq!(el.deaths, vec![victim]);
-        assert!(is_zero(&el.result.sigma.lesser) && is_zero(&el.result.pi.greater));
-        match el.complete() {
-            Err(NumericalError::RankLoss { rank }) => assert_eq!(rank, victim),
-            Err(other) => panic!("wrong error: {other}"),
-            Ok(_) => panic!("a zero-filled Σ≷/Π≷ must not narrow to a complete result"),
-        }
     }
 
     #[test]
@@ -558,19 +412,13 @@ mod tests {
         let sim = Simulation::from_parts(p, dev, em, PhononModel::default(), -1.2, 1.2).unwrap();
         let policy = ElasticPolicy::default();
         // Two units per rank, so a re-partition can shorten the makespan.
-        let mut tiling = ElasticTiling::uniform(&p, 2, 2, 2);
-        let first = supervised(&sim, &mut tiling, &policy);
-        assert!(!first.degraded);
-        assert!(first.deaths.is_empty());
-        assert_eq!(first.migrated_units, 0);
-        assert!(first.coverage.is_full());
-        let bal = first
-            .result
-            .comm
-            .balance
-            .as_ref()
-            .expect("balance measured");
-        assert_eq!(bal.rank_busy_secs.len(), tiling.world_size());
+        let mut body = DistSse::new(ElasticTiling::uniform(&p, 2, 2, 2), policy);
+        let (first, migrated) = exchanged(&sim, &mut body);
+        let first = first.unwrap();
+        assert!(body.deaths.is_empty());
+        assert_eq!(migrated, 0);
+        let bal = first.2.balance.as_ref().expect("balance measured");
+        assert_eq!(bal.rank_busy_secs.len(), body.tiling.world_size());
         // Drive the re-tiling decision off a deterministic skew instead of
         // wall-clock noise: one rank 4x busier, its unit 8x costlier.
         let skew = BalanceStats {
@@ -578,30 +426,17 @@ mod tests {
             unit_secs: vec![1.0, 8.0, 1.0, 1.0],
         };
         let events0 = counters::total(Counter::BalanceRebalanceEvents);
-        assert!(maybe_rebalance(&mut tiling, &skew, 10.0).is_empty());
-        let moved = maybe_rebalance(&mut tiling, &skew, 1.5);
+        assert!(maybe_rebalance(&mut body.tiling, &skew, 10.0).is_empty());
+        let moved = maybe_rebalance(&mut body.tiling, &skew, 1.5);
         assert!(!moved.is_empty(), "4.0/1.75 imbalance must trigger a move");
         assert!(counters::total(Counter::BalanceRebalanceEvents) > events0);
         // The re-tiled iteration must reproduce the observables bit for bit.
-        let second = supervised(&sim, &mut tiling, &policy);
-        assert_eq!(
-            first.result.sigma.lesser.as_slice(),
-            second.result.sigma.lesser.as_slice()
-        );
-        assert_eq!(
-            first.result.sigma.greater.as_slice(),
-            second.result.sigma.greater.as_slice()
-        );
-        assert_eq!(
-            first.result.pi.lesser.as_slice(),
-            second.result.pi.lesser.as_slice()
-        );
-        assert_eq!(
-            first.result.pi.greater.as_slice(),
-            second.result.pi.greater.as_slice()
-        );
-        assert_eq!(first.result.current, second.result.current);
-        assert!(second.result.comm.balance.is_some());
+        let second = exchanged(&sim, &mut body).0.unwrap();
+        assert_eq!(first.0.lesser.as_slice(), second.0.lesser.as_slice());
+        assert_eq!(first.0.greater.as_slice(), second.0.greater.as_slice());
+        assert_eq!(first.1.lesser.as_slice(), second.1.lesser.as_slice());
+        assert_eq!(first.1.greater.as_slice(), second.1.greater.as_slice());
+        assert!(second.2.balance.is_some());
     }
 
     #[test]

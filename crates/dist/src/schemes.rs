@@ -40,13 +40,10 @@ pub type SseDistContext<'a> = sse::SseInputs<'a>;
 pub struct ElasticPolicy {
     /// Failure-detector configuration for the survivor worlds.
     pub live: LivenessConfig,
-    /// Ceiling on [`CoverageReport::bad_fraction`]: the fraction of
-    /// electron grid points whose backing distributed state may ride
-    /// recovery. A death that would push past it is *not* recovered — its
-    /// units are abandoned and the iteration completes degraded, with the
-    /// abandoned tiles zero-filled.
-    ///
-    /// [`CoverageReport::bad_fraction`]: qt_core::health::CoverageReport::bad_fraction
+    /// Ceiling on the fraction of work units one exchange may lose to
+    /// deaths and still recover (a unit lost twice counts once). A death
+    /// that would push past it is *not* recovered: the exchange ends at
+    /// once in [`qt_core::health::NumericalError::RankLoss`].
     pub max_bad_fraction: f64,
     /// Hard bound on detect→retile→retry rounds (hang-proofing; a world
     /// can die at most once per original rank, so the default is ample).
@@ -92,8 +89,7 @@ pub struct CommStats {
 pub struct BalanceStats {
     /// Thread CPU seconds each survivor slot spent computing its tiles.
     pub rank_busy_secs: Vec<f64>,
-    /// Measured compute seconds per work unit (indexed by unit id, 0.0
-    /// for abandoned units).
+    /// Measured compute seconds per work unit, indexed by unit id.
     pub unit_secs: Vec<f64>,
 }
 
@@ -582,7 +578,7 @@ struct UnitOut {
     /// Σ≷ as `[a_local][k][e_local][nn]`, lesser then greater.
     sig: [Vec<Complex64>; 2],
     /// Per `q·Nω + ω`, ascending: the `my_a` rows the round's Π owner
-    /// accumulates; empty for rounds whose owner unit was abandoned.
+    /// accumulates.
     pi_slices: Vec<(Vec<Complex64>, Vec<Complex64>)>,
     /// Thread CPU seconds of the compute (wall seconds where the thread
     /// clock is unavailable).
@@ -603,22 +599,14 @@ struct ElasticRankOut {
     unit_secs: Vec<(usize, f64)>,
 }
 
-/// Elements of a tile's Π≷ slice for round `qw`: its owned atoms' rows, or
-/// none when the round's owner unit was abandoned (that Π≷ stays zero).
-fn pi_slice_len(p: &SimParams, tiling: &ElasticTiling, geom: &TileGeom, qw: usize) -> usize {
-    let live = tiling.is_survivor(tiling.owner[qw % tiling.procs()]);
-    usize::from(live) * geom.my_a.len() * (p.nb + 1) * N3D * N3D
-}
-
 /// Compute one tile end to end with the serial DaCe kernels on the tile's
 /// view: Σ≷ per owned atom and the Π≷ partial of every `(a, slot)` pair,
-/// spread over the slices of the live `(q, ω)` rounds; timed. `hb` is
+/// spread over the slices of the `(q, ω)` rounds; timed. `hb` is
 /// ticked before every kernel call so a long compute keeps announcing
 /// liveness to the failure detector. Pure in its inputs, so the results do
 /// not depend on which rank computes the unit.
 fn compute_unit_tile(
     ctx: &SseDistContext<'_>,
-    tiling: &ElasticTiling,
     geom: &TileGeom,
     g: &[Vec<Complex64>; 2],
     d: &[Vec<Complex64>; 2],
@@ -641,12 +629,8 @@ fn compute_unit_tile(
     };
     let sig_len = p.nkz * geom.my_e.len() * p.norb * p.norb;
     let mut sig = [0, 1].map(|_| vec![Complex64::ZERO; geom.my_a.len() * sig_len]);
-    let mut pi_slices: Vec<(Vec<Complex64>, Vec<Complex64>)> = (0..p.nqz * p.nw)
-        .map(|qw| {
-            let n = pi_slice_len(p, tiling, geom, qw);
-            (vec![Complex64::ZERO; n], vec![Complex64::ZERO; n])
-        })
-        .collect();
+    let slice = vec![Complex64::ZERO; geom.my_a.len() * pi_len];
+    let mut pi_slices = vec![(slice.clone(), slice); p.nqz * p.nw];
     for (al, a) in geom.my_a.clone().enumerate() {
         hb();
         let [sig_l, sig_g] = &mut sig;
@@ -658,9 +642,6 @@ fn compute_unit_tile(
                 continue;
             };
             for (qw, (out_l, out_g)) in pi_slices.iter_mut().enumerate() {
-                if out_l.is_empty() {
-                    continue; // abandoned round
-                }
                 let (q, w) = (qw / p.nw, qw % p.nw);
                 for (t, out) in [(&t_l, out_l), (&t_g, out_g)] {
                     for i in 0..N3D {
@@ -726,11 +707,10 @@ pub fn dace_scheme(
     te: usize,
     ta: usize,
 ) -> (ElectronSelfEnergy, PhononSelfEnergy, CommStats) {
-    let mut tiling = ElasticTiling::new(ctx.p, te, ta);
-    let done = crate::runner::supervise(ctx, &mut tiling, &ElasticPolicy::default())
-        .complete()
-        .expect("a fault-free world completes the exchange");
-    (done.sigma, done.pi, done.comm)
+    let tiling = ElasticTiling::new(ctx.p, te, ta);
+    crate::DistSse::new(tiling, ElasticPolicy::default())
+        .exchange(ctx)
+        .expect("a fault-free world completes the exchange")
 }
 
 /// [`ca_exchange`] with only the failure detector chosen. Kept for
@@ -827,9 +807,6 @@ fn elastic_rank_body(
     for &u_src in &my_units {
         let chunk = gf_dec.energy.range(u_src);
         for (u_dst, geom) in geoms.iter().enumerate() {
-            if !tiling.is_live_unit(u_dst) {
-                continue; // degraded mode: the tile is abandoned
-            }
             let buf = pack_g_halo(ctx, chunk.clone(), geom, nn);
             comm.try_send(slot(u_dst), tag_a2a1(procs, u_src, u_dst), buf)?;
         }
@@ -839,9 +816,6 @@ fn elastic_rank_body(
         .map(|&u| [0, 1].map(|_| vec![Complex64::ZERO; geoms[u].g_len(p)]))
         .collect();
     for u_src in 0..procs {
-        if !tiling.is_live_unit(u_src) {
-            continue; // its GF chunk died with its owner: halo stays zero
-        }
         let chunk = gf_dec.energy.range(u_src);
         for (mi, &u_dst) in my_units.iter().enumerate() {
             let buf = comm.try_recv(slot(u_src), tag_a2a1(procs, u_src, u_dst), live)?;
@@ -857,9 +831,6 @@ fn elastic_rank_body(
         .filter(|&(q, w)| tiling.owner[(q * p.nw + w) % procs] == me)
         .collect();
     for (u_dst, geom) in geoms.iter().enumerate() {
-        if !tiling.is_live_unit(u_dst) {
-            continue;
-        }
         let aw = geom.a_win.clone();
         let mut buf = Vec::new();
         for d in [ctx.d_lesser_pre, ctx.d_greater_pre] {
@@ -903,7 +874,7 @@ fn elastic_rank_body(
     let mut outs = Vec::with_capacity(my_units.len());
     let mut busy_secs = 0.0;
     for (mi, &u) in my_units.iter().enumerate() {
-        let out = compute_unit_tile(ctx, tiling, &geoms[u], &g_local[mi], &d_local[mi], u, &hb);
+        let out = compute_unit_tile(ctx, &geoms[u], &g_local[mi], &d_local[mi], u, &hb);
         qt_telemetry::trace::record_slice("sse/unit", Some((me, u)), out.t0, out.wall_ns);
         busy_secs += out.secs;
         outs.push(out);
@@ -923,9 +894,6 @@ fn elastic_rank_body(
         for w in 0..p.nw {
             let qw = q * p.nw + w;
             let owner_id = tiling.owner[qw % procs];
-            if !tiling.is_survivor(owner_id) {
-                continue; // the round's owner unit was abandoned: Π≷ stays zero
-            }
             for (out, &u) in outs.iter_mut().zip(&my_units) {
                 let (sl_l, sl_g) = std::mem::take(&mut out.pi_slices[qw]);
                 let tag = tag_pi(procs, qw, u);
@@ -936,9 +904,6 @@ fn elastic_rank_body(
                 let mut tot_l = vec![Complex64::ZERO; p.na * pi_len];
                 let mut tot_g = vec![Complex64::ZERO; p.na * pi_len];
                 for u in 0..procs {
-                    if !tiling.is_live_unit(u) {
-                        continue; // an abandoned tile contributes nothing
-                    }
                     let src_a = dec.atoms.range(dec.coords(u).1);
                     let tag = tag_pi(procs, qw, u);
                     let rl = comm.try_recv(slot(u), tag, live)?;
@@ -970,9 +935,6 @@ fn elastic_rank_body(
     let assembled = if comm.rank() == 0 {
         let mut out = ElectronSelfEnergy::zeros(p);
         for (u, geom) in geoms.iter().enumerate() {
-            if !tiling.is_live_unit(u) {
-                continue; // abandoned tile: its Σ≷ slice stays zero
-            }
             let bufs = [
                 comm.try_recv(slot(u), tag_gather(u), live)?,
                 comm.try_recv(slot(u), tag_gather(u) + 1, live)?,
@@ -1388,7 +1350,7 @@ mod tests {
         let d = [0, 1].map(|_| vec![Complex64::ZERO; geom.d_len(p)]);
         let ticks = std::cell::Cell::new(0);
         let hb = || ticks.set(ticks.get() + 1);
-        compute_unit_tile(&ctx(&fx), &tiling, &geom, &g, &d, unit, &hb);
+        compute_unit_tile(&ctx(&fx), &geom, &g, &d, unit, &hb);
         assert!(ticks.get() >= geom.my_a.len(), "{} ticks", ticks.get());
     }
 

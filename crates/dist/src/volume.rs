@@ -229,7 +229,7 @@ pub fn dace_elastic_rank_sent_bytes(
             .filter(|&i| tiling.owner[i % procs] == me)
             .count() as u64;
         for u_dst in 0..procs {
-            if !tiling.is_live_unit(u_dst) || tiling.owner_slot(u_dst) == s {
+            if tiling.owner_slot(u_dst) == s {
                 continue;
             }
             let (di, dj) = dec.coords(u_dst);
@@ -244,11 +244,9 @@ pub fn dace_elastic_rank_sent_bytes(
             *bytes += 2 * owned_qw * aw * d_len;
         }
         // Π≷ tile-slice reduction: every owned unit ships its slice for
-        // each (qz, ω) round owned by a *different* survivor (rounds whose
-        // owning unit was abandoned are skipped entirely).
+        // each (qz, ω) round owned by a *different* survivor.
         for i in 0..p.nqz * p.nw {
-            let owner = tiling.owner[i % procs];
-            if owner == me || !tiling.is_survivor(owner) {
+            if tiling.owner[i % procs] == me {
                 continue;
             }
             for &u in &my_units {

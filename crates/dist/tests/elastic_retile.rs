@@ -2,9 +2,9 @@
 //!
 //! Two invariants carry the whole elastic-recovery design:
 //!
-//! 1. **Exact partition** — after any sequence of rank deaths, the live
-//!    work units are partitioned exactly across the survivors (every live
-//!    unit owned by exactly one survivor) and a death migrates *only* the
+//! 1. **Exact partition** — after any sequence of rank deaths, the work
+//!    units are partitioned exactly across the survivors (every unit
+//!    owned by exactly one survivor) and a death migrates *only* the
 //!    dead rank's units: survivor-owned tiles never move, so their state
 //!    never needs replaying.
 //! 2. **Exact accounting** — `dace_elastic_rank_sent_bytes` predicts the
@@ -51,7 +51,7 @@ fn kill_order(seed: u64, procs: usize) -> Vec<usize> {
 }
 
 /// The partition invariant after one removal: the dead rank's units all
-/// land on survivors, no survivor-owned unit moves, and the live units
+/// land on survivors, no survivor-owned unit moves, and the units
 /// are owned by exactly one survivor each.
 fn check_removal(tiling: &mut ElasticTiling, dead: usize) {
     let before = tiling.owner.clone();
@@ -85,7 +85,7 @@ fn check_removal(tiling: &mut ElasticTiling, dead: usize) {
         seen.iter().all(|&n| n == 1),
         "units multiply/un-owned: {seen:?}"
     );
-    assert_eq!(tiling.live_units(), (0..tiling.procs()).collect::<Vec<_>>());
+    assert!(tiling.owner.iter().all(|&o| tiling.is_survivor(o)));
     // Balance: loads differ by at most 1 more than the pre-death spread
     // can justify — with every unit migrating to the least-loaded
     // survivor, max-min load stays within 1 when starting from uniform.
@@ -248,21 +248,6 @@ fn elastic_volume_model_matches_measured_bytes_per_slot() {
             "model diverged on the {name} owner map"
         );
     }
-}
-
-#[test]
-fn elastic_volume_model_matches_measured_bytes_with_abandoned_units() {
-    // Degraded mode: an abandoned rank's units are skipped, not migrated.
-    // The model and the scheme must agree on the reduced traffic too.
-    let fx = fixture(2, 2);
-    let halo = fx.dev.max_neighbor_index_distance();
-    let mut tiling = ElasticTiling::new(&fx.p, 2, 2);
-    tiling.abandon_rank(2);
-    assert_eq!(tiling.live_units(), vec![0, 1, 3]);
-    assert_eq!(
-        measured_sent(&fx, &tiling),
-        dace_elastic_rank_sent_bytes(&fx.p, halo, &tiling)
-    );
 }
 
 proptest! {

@@ -1,6 +1,6 @@
 //! Fault tests at the distributed-loop level: a scheduled rank kill that
 //! the supervisor may not recover from must end the Born loop in a typed
-//! error, never in zero-filled observables. Kills that do recover are
+//! `RankLoss`, with no further exchange. Kills that do recover are
 //! covered by the chaos suite in `qt-bench`.
 
 use qt_core::health::NumericalError;
@@ -26,8 +26,7 @@ fn fixture() -> Simulation {
 #[test]
 fn exhausted_retry_bound_narrows_to_an_error_not_to_zeros() {
     // One scheduled kill and no retile budget: the supervisor detects the
-    // death, may not retry, and the exchange completes fully degraded,
-    // which the loop must refuse.
+    // death, may not retry, and the exchange ends in `RankLoss`.
     let sim = fixture();
     let victim = 3;
     let policy = ElasticPolicy {
@@ -50,6 +49,6 @@ fn exhausted_retry_bound_narrows_to_an_error_not_to_zeros() {
     match out {
         Err(ScfError::Numerical(NumericalError::RankLoss { rank })) => assert_eq!(rank, victim),
         Err(other) => panic!("wrong error: {other}"),
-        Ok(_) => panic!("a zero-filled Σ≷/Π≷ must not narrow to a complete result"),
+        Ok(_) => panic!("an unrecovered death must not narrow to a complete result"),
     }
 }

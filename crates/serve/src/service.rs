@@ -523,10 +523,11 @@ fn finish_point(
 /// Chaos hook: one Born iteration of the distributed loop with a seeded
 /// rank kill, run as a health probe of the pool's world. Exercises the
 /// heartbeat → death → retile recovery end-to-end (its events land in
-/// the same journal as the sweep) and retires the dead ranks from the
-/// pool, whether the exchange recovered or degraded. The sweep's numbers
-/// are untouched: the probe's GF phases share the variant's boundary
-/// cache, which is bit-neutral, and its self-energies are dropped.
+/// the same journal as the sweep; the ceiling admits the one lost work
+/// unit) and retires the dead ranks from the pool, whether the exchange
+/// recovered or ended in `RankLoss`. The sweep's numbers are untouched:
+/// the probe's GF phases share the variant's boundary cache, which is
+/// bit-neutral, and its self-energies are dropped.
 fn chaos_probe(shared: &Shared, vr: &VariantRuntime, victim: usize) {
     use qt_core::health::NumericalError;
     use qt_core::scf::{run_scf_with, ScfConfig, ScfError, ScfOptions};
@@ -553,7 +554,7 @@ fn chaos_probe(shared: &Shared, vr: &VariantRuntime, victim: usize) {
         ..Default::default()
     };
     let out = run_scf_with(&vr.sim, &cfg, opts);
-    // A degraded exchange ends in `RankLoss`, but its deaths happened.
+    // An unrecovered death ends the probe in `RankLoss`, but it happened.
     shared.pool.retire(body.deaths.len());
     match out {
         Ok(_) | Err(ScfError::Numerical(NumericalError::RankLoss { .. })) => {}

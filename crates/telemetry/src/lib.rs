@@ -34,7 +34,7 @@
 //! * [`series`] — periodic counter snapshots, exported as the report's
 //!   `series` block and as Prometheus text.
 //! * [`postmortem`] — drains the journal into a versioned crash artifact
-//!   (`POSTMORTEM.json`) on rank death, degraded completion, or panic.
+//!   (`POSTMORTEM.json`) on a rank death, recovered or not, or a panic.
 //!
 //! Attribution modes: [`span::Span::enter_global`] measures deltas of the
 //! *summed* counters and is correct for sequential orchestration phases

@@ -1,7 +1,7 @@
 //! Postmortem dumps: the flight recorder's crash artifact.
 //!
-//! When a run ends abnormally — a supervisor-observed rank death, a
-//! degraded completion, a guard-ceiling abort, or a panic — the journal
+//! When a run ends abnormally — a supervisor-observed rank death, whether
+//! recovered or ended in `RankLoss`, or a panic — the journal
 //! rings are drained into one versioned `POSTMORTEM.json`: the merged
 //! event timeline, per-rank progress watermarks, and the last telemetry
 //! report snapshot. `reproduce postmortem <file>` pretty-prints the
@@ -96,8 +96,9 @@ pub struct RankWatermark {
 pub struct Postmortem {
     /// Format version ([`POSTMORTEM_VERSION`]).
     pub version: u64,
-    /// Trigger class: `"rank-death"`, `"degraded-completion"`,
-    /// `"guard-ceiling-abort"`, or `"panic"`.
+    /// Trigger class: `"rank_death"` (recovered), `"rank_loss"` (ended in
+    /// `RankLoss`) or `"panic"`; dumps from older builds may carry
+    /// `"degraded_completion"`, which loads like any other.
     pub reason: String,
     /// Free-form detail (dead ranks, panic message, …).
     pub detail: String,
@@ -412,6 +413,20 @@ mod tests {
     }
 
     #[test]
+    fn parent_written_degraded_completion_postmortem_still_loads_and_prints() {
+        // Written by the build whose supervisor completed an unrecovered
+        // death degraded, under the reason it used for that outcome.
+        const PARENT: &str = include_str!("../tests/fixtures/parent_postmortem_degraded.json");
+        let pm = Postmortem::from_json(PARENT).unwrap();
+        assert_eq!(pm.reason, "degraded_completion");
+        assert!(pm.report.is_none());
+        let timeline = pm.timeline();
+        assert!(timeline.starts_with("POSTMORTEM v1 — degraded_completion: deaths=[0]"));
+        assert!(timeline.contains("rank 0 declared dead"));
+        assert_eq!(pm.to_json(), PARENT);
+    }
+
+    #[test]
     fn parent_written_retransmit_postmortem_still_loads() {
         // Written by the build that still injected frame drops, before
         // `CommRetransmit` and `health.comm_retries` stopped being emitted.
@@ -509,7 +524,7 @@ mod tests {
         journal::emit(EventKind::CheckpointWrite);
         recorder::switch(recorder::JOURNAL, false);
         recorder::set_rank(-1);
-        let pm = Postmortem::capture("degraded-completion", "test", None);
+        let pm = Postmortem::capture("rank_loss", "test", None);
         assert!(pm
             .events
             .iter()
