@@ -242,8 +242,9 @@ pub fn sigma_atom(
 /// both factors become *shared-B* products, so the per-point `(i, j)`
 /// matmuls hoist into 12 wide batched GEMMs per `(a, slot)` — one per
 /// direction, operand side and lesser/greater — over the contiguous
-/// permuted `(kz, E)` batch; the inner loops reduce to trace dots over
-/// energy runs ([`gemm::trace_runs_acc`]).
+/// permuted `(kz, E)` batch, each staged once into trace planes
+/// ([`gemm::StagedRuns`]); the inner loops reduce to trace dots over energy
+/// windows of those planes ([`gemm::trace_windows_acc`]).
 pub fn pi(inputs: &SseInputs<'_>) -> PhononSelfEnergy {
     let p = inputs.p;
     let scale = c64(super::pi_scale(p, inputs.grids), 0.0);
@@ -339,6 +340,9 @@ pub fn pi_pair(
             v_i.fill(Complex64::ZERO);
             gemm::batched_gemm_shared_b_acc(no, no, no, ke, g_lo_batch, dh_ba[i].as_slice(), v_i);
         }
+        // Staged once for every (qz, ω, kz) window below.
+        let su = gemm::StagedRuns::new(no, &u, false);
+        let sv = gemm::StagedRuns::new(no, &v, true);
         for q in 0..p.nqz {
             for w in 0..p.nw {
                 // The output energies whose E + ω is on the grid: one run of
@@ -347,17 +351,14 @@ pub fn pi_pair(
                 if run.is_empty() {
                     continue;
                 }
-                let len = run.len() * nn;
                 // tr(U·V) without forming U·V, summed over (kz, E) from zero.
                 let mut t = [Complex64::ZERO; N3D * N3D];
                 for k in 0..p.nkz {
                     let kq = inputs.grids.k_plus_q(k, q);
-                    let u_off = (kq * eh.len() + run.start + w + 1 - eh.start) * nn;
-                    let v_off = (k * eh.len() + run.start - eh.start) * nn;
-                    let us: [&[Complex64]; N3D] = std::array::from_fn(|j| &u[j][u_off..][..len]);
-                    let vs: [&[Complex64]; N3D] = std::array::from_fn(|i| &v[i][v_off..][..len]);
-                    gemm::trace_runs_acc(no, &us, &vs, &mut t);
-                    flops += N3D * N3D * 8 * len;
+                    let u_at = kq * eh.len() + run.start + w + 1 - eh.start;
+                    let v_at = k * eh.len() + run.start - eh.start;
+                    gemm::trace_windows_acc(&su, u_at, &sv, v_at, run.len(), &mut t);
+                    flops += N3D * N3D * 8 * run.len() * nn;
                 }
                 for (ij, &z) in t.iter().enumerate() {
                     t_out[((ij / N3D) * p.nqz + q, (ij % N3D) * p.nw + w)] = z;

@@ -313,17 +313,20 @@ impl ThreadComm {
 
     /// The one wire path under [`ThreadComm::send`] and
     /// [`ThreadComm::try_send`]. Self-sends never cross the network: no
-    /// bytes, no flow arc. A remote frame has its bytes accounted and, while
-    /// tracing, its send time stamped before the channel push, so the
-    /// receiver's flow finish can never carry an earlier timestamp. A
-    /// destination whose endpoint is gone surfaces [`CommError::RankDeath`].
+    /// bytes, no flow arc. While tracing, a remote frame has its send time
+    /// stamped before the channel push, so the receiver's flow finish can
+    /// never carry an earlier timestamp; its bytes are accounted once the
+    /// push succeeded, so a frame refused by a dead rank's closed endpoint
+    /// moves none. That destination surfaces [`CommError::RankDeath`].
     fn transmit(&self, dst: usize, tag: u64, data: Vec<Complex64>) -> Result<(), CommError> {
         if dst == self.rank {
             return self.push(dst, (tag, data, None));
         }
-        self.account_wire(dst, data.len() as u64 * ELEM_BYTES);
+        let bytes = data.len() as u64 * ELEM_BYTES;
         let sent_at = recorder::is_on(recorder::TRACE).then(Instant::now);
-        self.push(dst, (tag, data, sent_at))
+        self.push(dst, (tag, data, sent_at))?;
+        self.account_wire(dst, bytes);
+        Ok(())
     }
 
     /// Point-to-point send (non-blocking). Self-sends are allowed and do

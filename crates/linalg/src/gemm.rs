@@ -11,8 +11,8 @@
 //!   stays L2-resident and the packed B-panel streams from L3;
 //! * operand panels are **packed** into contiguous buffers with the real and
 //!   imaginary lanes split per k-slice, so the register kernel vectorizes as
-//!   plain f64 FMAs (no interleaved-complex shuffles). Packing buffers come
-//!   from a thread-local pool and are reused across calls;
+//!   plain f64 multiplies and adds (no interleaved-complex shuffles). Packing
+//!   buffers come from a thread-local pool and are reused across calls;
 //! * the inner **microkernel** holds an `MR x NR` block of C in registers
 //!   (split re/im accumulators) and performs a rank-1 update per k-slice;
 //! * thread parallelism ([`crate::par`]) runs over MR-aligned row bands of C,
@@ -32,11 +32,23 @@
 //! The SSE kernels' products are shared-B batches of tiny `Norb x Norb`
 //! items. For square items of at most 8 (every orbital count) the dispatcher
 //! routes them, by item shape alone, to SBSMM — a const-generic small-block
-//! shared-B kernel that holds B split re/im for the whole batch, packs
-//! nothing, and sums in the entry's naive order. A shared-B batch therefore
-//! has the same bits at every batch length. [`trace_runs_acc`], the Π
-//! kernel's trace reduction, lives here too, beside the runtime choice of
-//! the AVX2 instantiation.
+//! shared-B kernel that holds B for the whole batch, packs nothing, and sums
+//! in the entry's naive order. A shared-B batch therefore has the same bits
+//! at every batch length. On an AVX2 host an even `N` runs on interleaved
+//! complex lanes: a row of C stays `[re, im, …]` in registers from load to
+//! store, and B is held twice, as its rows and as their sign-folded swaps
+//! `[−im, re, …]`, so each `Complex64::mul_add` step is two multiplies and
+//! two adds, `(c + x.re·b) + x.im·b̃`, with `mul_add`'s bits (`x·(−y)` is
+//! `−(x·y)` and `a + (−b)` is `a − b` exactly). An odd `N`, and any host
+//! without AVX2, runs the split re/im body. No route fuses a multiply and an
+//! add: every bit rests on separately rounded products and sums.
+//!
+//! The Π kernel's trace reduction lives here too. [`StagedRuns`] stages a
+//! pair's `U`/`V` runs once into split re/im planes, energy innermost, from
+//! the packing pool; [`trace_windows_acc`] then reads any `(qz, ω, kz)`
+//! window of them at an offset, each plane at the run's length as stride,
+//! and sums every energy's trace in its own vector lane in one-trace-at-a-
+//! time order.
 //!
 //! Layouts are adapted in the packing step: [`gemm_bdagger_acc`]
 //! conjugate-transposes B while packing it (`B^H` is never materialized),
@@ -900,16 +912,18 @@ type Sbsmm = fn(Naive, &[Complex64], &[Complex64], &mut [Complex64], Complex64);
 
 /// The SBSMM instantiation for `n x n` items, for every orbital count a
 /// device can have (`1..=8`); `None` above, where B outgrows the registers.
+/// An even `n` runs on interleaved complex pairs ([`sbsmm_pairs`]), an odd
+/// one on split re/im lanes ([`sbsmm_split`]).
 fn sbsmm_for(n: usize) -> Option<Sbsmm> {
     let kernel: Sbsmm = match n {
-        1 => sbsmm::<1>,
-        2 => sbsmm::<2>,
-        3 => sbsmm::<3>,
-        4 => sbsmm::<4>,
-        5 => sbsmm::<5>,
-        6 => sbsmm::<6>,
-        7 => sbsmm::<7>,
-        8 => sbsmm::<8>,
+        1 => sbsmm_split::<1>,
+        2 => sbsmm_pairs::<2, 1>,
+        3 => sbsmm_split::<3>,
+        4 => sbsmm_pairs::<4, 2>,
+        5 => sbsmm_split::<5>,
+        6 => sbsmm_pairs::<6, 3>,
+        7 => sbsmm_split::<7>,
+        8 => sbsmm_pairs::<8, 4>,
         _ => return None,
     };
     Some(kernel)
@@ -917,7 +931,7 @@ fn sbsmm_for(n: usize) -> Option<Sbsmm> {
 
 /// `c[t] += scale · a[t] @ b` through [`sbsmm_body`], in its AVX2+FMA
 /// instantiation when the host has one.
-fn sbsmm<const N: usize>(
+fn sbsmm_split<const N: usize>(
     order: Naive,
     a: &[Complex64],
     b: &[Complex64],
@@ -927,7 +941,7 @@ fn sbsmm<const N: usize>(
     #[cfg(target_arch = "x86_64")]
     if fma_available() {
         // SAFETY: `fma_available` is only true when AVX2 and FMA were detected.
-        unsafe { sbsmm_avx2::<N>(order, a, b, c, scale) };
+        unsafe { sbsmm_split_avx2::<N>(order, a, b, c, scale) };
         return;
     }
     sbsmm_body::<N>(order, a, b, c, scale);
@@ -941,7 +955,7 @@ fn sbsmm<const N: usize>(
 /// The host must support AVX2 and FMA.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn sbsmm_avx2<const N: usize>(
+unsafe fn sbsmm_split_avx2<const N: usize>(
     order: Naive,
     a: &[Complex64],
     b: &[Complex64],
@@ -949,6 +963,110 @@ unsafe fn sbsmm_avx2<const N: usize>(
     scale: Complex64,
 ) {
     sbsmm_body::<N>(order, a, b, c, scale);
+}
+
+/// `c[t] += scale · a[t] @ b` for an even `N = 2·H`: [`sbsmm_pairs_avx2`]
+/// when the host has AVX2 and FMA, [`sbsmm_body`] otherwise — the same bits.
+fn sbsmm_pairs<const N: usize, const H: usize>(
+    order: Naive,
+    a: &[Complex64],
+    b: &[Complex64],
+    c: &mut [Complex64],
+    scale: Complex64,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if fma_available() {
+        // SAFETY: `fma_available` is only true when AVX2 and FMA were detected.
+        unsafe { sbsmm_pairs_avx2::<N, H>(order, a, b, c, scale) };
+        return;
+    }
+    sbsmm_body::<N>(order, a, b, c, scale);
+}
+
+/// [`sbsmm_body`] on interleaved complex lanes, for an even `N = 2·H`. A row
+/// of C is `H` vectors of two `[re, im]` pairs and stays interleaved from
+/// load to store. B is held twice: its rows `b = [re, im, …]` and their
+/// sign-folded swaps `b̃ = [−im, re, …]`, so a `Complex64::mul_add` step is
+/// `c = (c + x.re·b) + x.im·b̃` — `mul_add`'s bits, since `x·(−y) = −(x·y)`
+/// and `a + (−b) = a − b` hold exactly. The `Dot` epilogue
+/// `addsub(acc·s.re, swap(acc)·s.im)` is `acc · s` with `Mul`'s bits (its
+/// imaginary sum is commuted, which is exact). Plain multiplies and adds:
+/// no fused multiply-add, which would round once where the portable body
+/// rounds twice.
+///
+/// # Safety
+/// The host must support AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn sbsmm_pairs_avx2<const N: usize, const H: usize>(
+    order: Naive,
+    a: &[Complex64],
+    b: &[Complex64],
+    c: &mut [Complex64],
+    scale: Complex64,
+) {
+    use std::arch::x86_64::*;
+    assert!(2 * H == N && b.len() >= N * N && a.len() == c.len());
+    // The sign of lanes 0 and 2 (`_mm256_set_pd` lists lanes high to low).
+    let neg_re = _mm256_set_pd(0.0, -0.0, 0.0, -0.0);
+    let swap = |v: __m256d| _mm256_permute_pd::<0b0101>(v);
+    let mut bv = [[_mm256_setzero_pd(); H]; N];
+    let mut bt = [[_mm256_setzero_pd(); H]; N];
+    for p in 0..N {
+        for h in 0..H {
+            // SAFETY: `p·N + 2h + 1 < N·N ≤ b.len()`; `Complex64` is
+            // `repr(C)` `{re, im}`, so two of them are four packed f64.
+            let v = unsafe { _mm256_loadu_pd(b.as_ptr().add(p * N + 2 * h).cast()) };
+            bv[p][h] = v;
+            bt[p][h] = _mm256_xor_pd(swap(v), neg_re);
+        }
+    }
+    let step = |acc: &mut [__m256d; H], x: Complex64, p: usize| {
+        let (xr, xi) = (_mm256_set1_pd(x.re), _mm256_set1_pd(x.im));
+        for h in 0..H {
+            let t = _mm256_add_pd(acc[h], _mm256_mul_pd(xr, bv[p][h]));
+            acc[h] = _mm256_add_pd(t, _mm256_mul_pd(xi, bt[p][h]));
+        }
+    };
+    let rows = a.chunks_exact(N).zip(c.chunks_exact_mut(N));
+    match order {
+        Naive::Axpy => {
+            let plain = scale == Complex64::ONE;
+            for (a_row, c_row) in rows {
+                let cp: *mut f64 = c_row.as_mut_ptr().cast();
+                // SAFETY: `c_row` holds `N = 2H` complex = `4H` f64.
+                let mut acc: [__m256d; H] =
+                    std::array::from_fn(|h| unsafe { _mm256_loadu_pd(cp.add(4 * h)) });
+                for (p, &x) in a_row.iter().enumerate() {
+                    if x != Complex64::ZERO {
+                        step(&mut acc, if plain { x } else { x * scale }, p);
+                    }
+                }
+                for (h, v) in acc.into_iter().enumerate() {
+                    // SAFETY: as for the load above.
+                    unsafe { _mm256_storeu_pd(cp.add(4 * h), v) };
+                }
+            }
+        }
+        Naive::Dot => {
+            let (sr, si) = (_mm256_set1_pd(scale.re), _mm256_set1_pd(scale.im));
+            for (a_row, c_row) in rows {
+                let mut acc = [_mm256_setzero_pd(); H];
+                for (p, &x) in a_row.iter().enumerate() {
+                    step(&mut acc, x, p);
+                }
+                let cp: *mut f64 = c_row.as_mut_ptr().cast();
+                for (h, v) in acc.into_iter().enumerate() {
+                    let prod = _mm256_addsub_pd(_mm256_mul_pd(v, sr), _mm256_mul_pd(swap(v), si));
+                    // SAFETY: `c_row` holds `N = 2H` complex = `4H` f64.
+                    unsafe {
+                        let o = cp.add(4 * h);
+                        _mm256_storeu_pd(o, _mm256_add_pd(_mm256_loadu_pd(o), prod));
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// The small-block shared-B kernel: B split into re/im lanes once and held
@@ -1005,42 +1123,117 @@ fn sbsmm_body<const N: usize>(
     }
 }
 
-/// `acc[i·us.len() + j] += Σ_e tr(us[j][e] · vs[i][e])` over one run of
-/// `n x n` blocks (`us[j]` and `vs[i]` row-major `[e][n·n]`, all of one
-/// length), with the bits of one trace at a time: each trace sums
+/// Runs of `n x n` blocks staged for the Π trace reduction: each run
+/// (row-major `[e][n·n]`, all of one length) as split re/im planes
+/// `[n·n][len]`, energy innermost, in a pooled packing buffer that returns
+/// to the pool on drop. Staged once, the runs serve any number of
+/// [`trace_windows_acc`] calls, each reading a window of energies at an
+/// offset into every plane.
+pub struct StagedRuns {
+    n: usize,
+    /// Blocks per run: the stride between two planes' energy lanes.
+    len: usize,
+    runs: usize,
+    transposed: bool,
+    buf: Vec<f64>,
+}
+
+impl StagedRuns {
+    /// Stage `runs`; `transpose` puts block entry `(s, r)` at `(r, s)`.
+    pub fn new<R: AsRef<[Complex64]>>(n: usize, runs: &[R], transpose: bool) -> Self {
+        let nn = n * n;
+        let len = runs.first().map_or(0, |r| r.as_ref().len() / nn.max(1));
+        assert!(
+            runs.iter().all(|r| r.as_ref().len() == len * nn),
+            "every run holds the same number of n x n blocks"
+        );
+        let mut buf = pack_pool::take(2 * nn * len * runs.len());
+        if len > 0 {
+            for (dst, src) in buf.chunks_exact_mut(2 * nn * len).zip(runs) {
+                let (re, im) = dst.split_at_mut(nn * len);
+                for (e, blk) in src.as_ref().chunks_exact(nn).enumerate() {
+                    for r in 0..n {
+                        for s in 0..n {
+                            let z = if transpose {
+                                blk[s * n + r]
+                            } else {
+                                blk[r * n + s]
+                            };
+                            re[(r * n + s) * len + e] = z.re;
+                            im[(r * n + s) * len + e] = z.im;
+                        }
+                    }
+                }
+            }
+        }
+        StagedRuns {
+            n,
+            len,
+            runs: runs.len(),
+            transposed: transpose,
+            buf,
+        }
+    }
+
+    /// Blocks per run.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when the runs hold no block.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Run `r`'s `[re | im]` planes, read from energy `at` on.
+    fn window(&self, r: usize, at: usize) -> Lanes<'_> {
+        let size = 2 * self.n * self.n * self.len;
+        Lanes {
+            planes: &self.buf[r * size..(r + 1) * size],
+            stride: self.len,
+            at,
+        }
+    }
+}
+
+impl Drop for StagedRuns {
+    fn drop(&mut self) {
+        pack_pool::give(std::mem::take(&mut self.buf));
+    }
+}
+
+/// `acc[i·us.runs + j] += Σ_{e < len} tr(U_j[u_at + e] · V_i[v_at + e])`
+/// over a window of `len` blocks of each run (`vs` staged transposed, `us`
+/// not), with the bits of one trace at a time: each trace sums
 /// `u[r][s]·v[s][r]` from zero over `r`, then `s`, and the traces reach
-/// `acc` in run order. The run is staged energy-innermost in split re/im
-/// planes (`V` transposed per block on the way), in the pooled packing
-/// buffers, so the multiply-add chains of all energies run side by side in
-/// vector lanes. Counts no flops: the caller accounts `8·n²` per trace.
-pub fn trace_runs_acc(n: usize, us: &[&[Complex64]], vs: &[&[Complex64]], acc: &mut [Complex64]) {
-    let nn = n * n;
-    let cnt = us.first().map_or(0, |u| u.len() / nn.max(1));
+/// `acc` in window order. The multiply-add chains of all energies of the
+/// window run side by side in vector lanes. Counts no flops: the caller
+/// accounts `8·n²` per trace.
+pub fn trace_windows_acc(
+    us: &StagedRuns,
+    u_at: usize,
+    vs: &StagedRuns,
+    v_at: usize,
+    len: usize,
+    acc: &mut [Complex64],
+) {
     assert!(
-        us.iter().chain(vs).all(|x| x.len() == cnt * nn),
-        "every run holds the same number of n x n blocks"
+        !us.transposed && vs.transposed,
+        "U staged as is, V transposed"
     );
-    assert_eq!(acc.len(), us.len() * vs.len(), "one accumulator per (i, j)");
-    if cnt == 0 || nn == 0 {
+    assert!(us.n == vs.n && u_at + len <= us.len && v_at + len <= vs.len);
+    assert_eq!(acc.len(), us.runs * vs.runs, "one accumulator per (i, j)");
+    if len == 0 || us.n == 0 {
         return;
     }
-    // Two planes per staged run, then the re/im sums of one (i, j).
-    let run = 2 * nn * cnt;
-    let staged = run * (us.len() + vs.len());
-    let mut buf = pack_pool::take(staged + 2 * cnt);
-    let (runs, sums) = buf[..staged + 2 * cnt].split_at_mut(staged);
-    let (su, sv) = runs.split_at_mut(run * us.len());
-    for (dst, src) in su.chunks_exact_mut(run).zip(us) {
-        stage_run(n, cnt, src, false, dst);
-    }
-    for (dst, src) in sv.chunks_exact_mut(run).zip(vs) {
-        stage_run(n, cnt, src, true, dst);
-    }
-    for (i, v) in sv.chunks_exact(run).enumerate() {
-        for (j, u) in su.chunks_exact(run).enumerate() {
-            trace_lanes(u, v, sums);
-            let (sr, si) = sums.split_at(cnt);
-            let a = &mut acc[i * us.len() + j];
+    let mut buf = pack_pool::take(2 * len);
+    let sums = &mut buf[..2 * len];
+    for i in 0..vs.runs {
+        let v = vs.window(i, v_at);
+        for j in 0..us.runs {
+            trace_lanes(us.window(j, u_at), v, sums);
+            let (sr, si) = sums.split_at(len);
+            let a = &mut acc[i * us.runs + j];
             for (&r, &im) in sr.iter().zip(si) {
                 *a += c64(r, im);
             }
@@ -1049,28 +1242,29 @@ pub fn trace_runs_acc(n: usize, us: &[&[Complex64]], vs: &[&[Complex64]], acc: &
     pack_pool::give(buf);
 }
 
-/// Stage a run of `n x n` blocks as `[re | im]` planes of `[n·n][cnt]`;
-/// `transpose` puts block entry `(s, r)` at `(r, s)`.
-fn stage_run(n: usize, cnt: usize, src: &[Complex64], transpose: bool, dst: &mut [f64]) {
-    let (re, im) = dst.split_at_mut(n * n * cnt);
-    for (e, blk) in src.chunks_exact(n * n).enumerate() {
-        for r in 0..n {
-            for s in 0..n {
-                let z = if transpose {
-                    blk[s * n + r]
-                } else {
-                    blk[r * n + s]
-                };
-                re[(r * n + s) * cnt + e] = z.re;
-                im[(r * n + s) * cnt + e] = z.im;
-            }
-        }
+/// A window of one staged run: its `[re | im]` planes, the energy stride
+/// between two plane entries and the window's first energy.
+#[derive(Clone, Copy)]
+struct Lanes<'a> {
+    planes: &'a [f64],
+    stride: usize,
+    at: usize,
+}
+
+impl<'a> Lanes<'a> {
+    /// The window's `cnt` energies of each plane entry, as `(re, im)`.
+    fn rows(self, cnt: usize) -> impl Iterator<Item = (&'a [f64], &'a [f64])> {
+        let (re, im) = self.planes.split_at(self.planes.len() / 2);
+        let window = move |x: &'a [f64]| &x[self.at..self.at + cnt];
+        re.chunks_exact(self.stride)
+            .map(window)
+            .zip(im.chunks_exact(self.stride).map(window))
     }
 }
 
-/// `sums = [re | im]` of one trace per energy lane of two staged runs, in
-/// its AVX2+FMA instantiation when the host has one.
-fn trace_lanes(u: &[f64], v: &[f64], sums: &mut [f64]) {
+/// `sums = [re | im]` of one trace per energy lane of two staged windows,
+/// in its AVX2+FMA instantiation when the host has one.
+fn trace_lanes(u: Lanes<'_>, v: Lanes<'_>, sums: &mut [f64]) {
     #[cfg(target_arch = "x86_64")]
     if fma_available() {
         // SAFETY: `fma_available` is only true when AVX2 and FMA were detected.
@@ -1081,31 +1275,25 @@ fn trace_lanes(u: &[f64], v: &[f64], sums: &mut [f64]) {
 }
 
 /// AVX2+FMA instantiation of [`trace_lanes_body`]; bits as portable as
-/// [`sbsmm_avx2`]'s.
+/// [`sbsmm_split_avx2`]'s.
 ///
 /// # Safety
 /// The host must support AVX2 and FMA.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn trace_lanes_avx2(u: &[f64], v: &[f64], sums: &mut [f64]) {
+unsafe fn trace_lanes_avx2(u: Lanes<'_>, v: Lanes<'_>, sums: &mut [f64]) {
     trace_lanes_body(u, v, sums);
 }
 
-/// Per energy lane `e`: `Σ_idx u[idx][e] · v[idx][e]` from zero in `idx`
-/// order, each step spelled like `Complex64::mul_add`.
+/// Per energy lane `e` of the window: `Σ_idx u[idx][e] · v[idx][e]` from
+/// zero in `idx` order, each step spelled like `Complex64::mul_add`.
 #[inline(always)]
-fn trace_lanes_body(u: &[f64], v: &[f64], sums: &mut [f64]) {
+fn trace_lanes_body(u: Lanes<'_>, v: Lanes<'_>, sums: &mut [f64]) {
     let cnt = sums.len() / 2;
     let (sr, si) = sums.split_at_mut(cnt);
     sr.fill(0.0);
     si.fill(0.0);
-    let (ur, ui) = u.split_at(u.len() / 2);
-    let (vr, vi) = v.split_at(v.len() / 2);
-    let planes = ur
-        .chunks_exact(cnt)
-        .zip(ui.chunks_exact(cnt))
-        .zip(vr.chunks_exact(cnt).zip(vi.chunks_exact(cnt)));
-    for ((ur, ui), (vr, vi)) in planes {
+    for ((ur, ui), (vr, vi)) in u.rows(cnt).zip(v.rows(cnt)) {
         let lanes = sr.iter_mut().zip(si.iter_mut());
         for (((r, i), (&xr, &xi)), (&yr, &yi)) in
             lanes.zip(ur.iter().zip(ui)).zip(vr.iter().zip(vi))
@@ -1465,7 +1653,8 @@ fn microkernel(
 }
 
 /// AVX2+FMA instantiation: identical body, compiled with the features
-/// enabled so the autovectorizer emits 256-bit broadcast-FMA sequences.
+/// enabled so the autovectorizer emits 256-bit broadcast multiply and add
+/// sequences (Rust never contracts them into a fused multiply-add).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn microkernel_avx2(
@@ -1479,9 +1668,9 @@ unsafe fn microkernel_avx2(
 }
 
 /// Register-blocked rank-1-update kernel over split re/im packed panels:
-/// `C[MR x NR] += A_panel @ B_panel`. The split lanes make every multiply a
-/// plain f64 FMA, so the autovectorizer emits broadcast-FMA over the NR lane
-/// without complex-interleave shuffles.
+/// `C[MR x NR] += A_panel @ B_panel`. The split lanes make every step a
+/// plain f64 multiply and add, so the autovectorizer broadcasts over the NR
+/// lane without complex-interleave shuffles.
 #[inline(always)]
 fn microkernel_body(
     kc: usize,
@@ -1780,5 +1969,55 @@ mod tests {
             gemm_blocked_acc_uninstrumented(m, k, n, &a[..m * k], &b[..k * n], &mut out);
         });
         assert_eq!(d, 0, "the uninstrumented twin counts no flops");
+    }
+
+    /// The instantiation `sbsmm_for` hands the host (on an AVX2 host, the
+    /// interleaved kernel for even `N` and the AVX2 build of the split-lane
+    /// body for odd `N`) against the portable body, bit for bit: exact
+    /// zeros in A (`-0` too) that `Axpy` skips and `Dot` multiplies, a
+    /// whole zero row, and C seeded with `-0`.
+    fn sbsmm_instantiation_has_the_portable_bits<const N: usize>() {
+        let mut r = rng();
+        let kernel = sbsmm_for(N).expect("every N <= 8 has an instantiation");
+        for order in [Naive::Axpy, Naive::Dot] {
+            for scale in [Complex64::ONE, c64(-1.5, 0.25)] {
+                for batch in [1, 7, 64] {
+                    let mut a = randv(batch * N * N, &mut r);
+                    a[..N].fill(Complex64::ZERO);
+                    for (i, z) in a.iter_mut().enumerate().skip(N).step_by(3) {
+                        *z = if i % 2 == 0 {
+                            Complex64::ZERO
+                        } else {
+                            c64(-0.0, 0.0)
+                        };
+                    }
+                    let b = randv(N * N, &mut r);
+                    let mut c0 = randv(batch * N * N, &mut r);
+                    for z in c0.iter_mut().step_by(2) {
+                        *z = c64(-0.0, -0.0);
+                    }
+                    let mut got = c0.clone();
+                    kernel(order, &a, &b, &mut got, scale);
+                    let mut want = c0;
+                    sbsmm_body::<N>(order, &a, &b, &mut want, scale);
+                    let same = got.iter().zip(&want).all(|(x, y)| {
+                        x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits()
+                    });
+                    assert!(same, "N={N} {order:?} scale={scale:?} batch={batch}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sbsmm_instantiations_have_the_portable_bits() {
+        sbsmm_instantiation_has_the_portable_bits::<1>();
+        sbsmm_instantiation_has_the_portable_bits::<2>();
+        sbsmm_instantiation_has_the_portable_bits::<3>();
+        sbsmm_instantiation_has_the_portable_bits::<4>();
+        sbsmm_instantiation_has_the_portable_bits::<5>();
+        sbsmm_instantiation_has_the_portable_bits::<6>();
+        sbsmm_instantiation_has_the_portable_bits::<7>();
+        sbsmm_instantiation_has_the_portable_bits::<8>();
     }
 }

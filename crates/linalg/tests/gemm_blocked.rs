@@ -652,35 +652,53 @@ fn lu_inverse_bits_are_pinned() {
     assert_eq!(got, pinned, "invert_ws to_bits checksums");
 }
 
+/// `tr(u·v)` of two row-major `n x n` blocks, summed from zero over `r`,
+/// then `s`: the order every trace of the Π reduction keeps.
+fn one_trace(n: usize, u: &[Complex64], v: &[Complex64]) -> Complex64 {
+    let mut tr = Complex64::ZERO;
+    for r in 0..n {
+        for s in 0..n {
+            tr = tr.mul_add(u[r * n + s], v[s * n + r]);
+        }
+    }
+    tr
+}
+
 #[test]
 fn trace_runs_have_the_bits_of_one_trace_at_a_time() {
-    // Every block size SBSMM instantiates and run lengths around a vector
-    // width: each trace summed from zero in (r, s) order, folded in run order.
+    // Every block size SBSMM instantiates and window lengths around a vector
+    // width, over runs staged once: the whole of a run of that length, then
+    // windows at zero, nonzero and different U/V offsets inside a longer
+    // staged batch. Each trace sums from zero in (r, s) order and the traces
+    // fold in window order.
+    const LONG: usize = 24;
     for n in 1..=8 {
         for cnt in [1, 3, 4, 5, 9] {
             let nn = n * n;
             let seed = (100 * n + cnt) as u64;
-            let u: Vec<_> = (0..3).map(|j| cvec(seed * 8 + j, cnt * nn)).collect();
-            let v: Vec<_> = (0..2).map(|i| cvec(seed * 8 + 4 + i, cnt * nn)).collect();
-            let us: Vec<&[Complex64]> = u.iter().map(|x| &x[..]).collect();
-            let vs: Vec<&[Complex64]> = v.iter().map(|x| &x[..]).collect();
-            let mut got = cvec(seed, 6);
-            let mut want = got.clone();
-            gemm::trace_runs_acc(n, &us, &vs, &mut got);
-            for (i, vi) in v.iter().enumerate() {
-                for (j, uj) in u.iter().enumerate() {
-                    for (ub, vb) in uj.chunks(nn).zip(vi.chunks(nn)) {
-                        let mut tr = Complex64::ZERO;
-                        for r in 0..n {
-                            for s in 0..n {
-                                tr = tr.mul_add(ub[r * n + s], vb[s * n + r]);
-                            }
+            let whole = [(cnt, 0, 0)].into_iter();
+            let windows = [(0, 0), (5, 2), (1, 13), (LONG - cnt, 3)].map(|(u, v)| (LONG, u, v));
+            for (run, u_at, v_at) in whole.chain(windows) {
+                let u: Vec<_> = (0..3).map(|j| cvec(seed * 8 + j, run * nn)).collect();
+                let v: Vec<_> = (0..2).map(|i| cvec(seed * 8 + 4 + i, run * nn)).collect();
+                let su = gemm::StagedRuns::new(n, &u, false);
+                let sv = gemm::StagedRuns::new(n, &v, true);
+                assert_eq!((su.len(), sv.len()), (run, run));
+                let mut got = cvec(seed, 6);
+                let mut want = got.clone();
+                gemm::trace_windows_acc(&su, u_at, &sv, v_at, cnt, &mut got);
+                for (i, vi) in v.iter().enumerate() {
+                    for (j, uj) in u.iter().enumerate() {
+                        for e in 0..cnt {
+                            let ub = &uj[(u_at + e) * nn..][..nn];
+                            let vb = &vi[(v_at + e) * nn..][..nn];
+                            want[i * 3 + j] += one_trace(n, ub, vb);
                         }
-                        want[i * 3 + j] += tr;
                     }
                 }
+                let what = format!("n={n} cnt={cnt} run={run} u_at={u_at} v_at={v_at}");
+                assert!(bits(&got) == bits(&want), "{what}");
             }
-            assert!(bits(&got) == bits(&want), "n={n} cnt={cnt}");
         }
     }
 }
